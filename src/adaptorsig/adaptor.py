@@ -13,13 +13,21 @@ verification and extraction use the A-part, where the uniqueness bound
 import logging
 import math
 
-from .curve import Curve, canonical_torsion_basis, isomorphisms, weil_pairing
+from .curve import (
+    Curve,
+    _mul,
+    canonical_torsion_basis,
+    has_exact_order,
+    isomorphisms,
+    weil_pairing,
+)
 from .dlog import decompose_2d, evaluate_rep, recover_isogeny
 from .errors import (
     AmbiguityBound,
     NotABasis,
     NotFound,
     OrderMismatch,
+    ProtocolError,
     WitnessStatementMismatch,
 )
 from .isogeny import (
@@ -34,7 +42,14 @@ from .nizk import NizkProof, prove_parallel, verify_parallel
 from .orientation import oriented_kernel
 from .params import ParamSet
 from .relation import Statement, Witness, verify_relation, witness_chain
-from .sig import KeyPair, challenge_walk, hash_to_challenge_index, mu, response_degree
+from .sig import (
+    KeyPair,
+    challenge_walk,
+    hash_to_challenge_index,
+    mu,
+    rep_rejection,
+    response_degree,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +113,6 @@ def preverify(
     S1, S2 = presig.s
 
     # (1) S well-formed and the pairing identity with exponent B
-    from .curve import _mul, has_exact_order
-
     if not (epsi.on_curve(S1) and epsi.on_curve(S2)):
         fail("s-points:off-curve")
         return False
@@ -124,36 +137,18 @@ def preverify(
     h = hash_to_challenge_index(presig.e1.j_invariant(), m, mu(ps.d_phi))
     try:
         phi = challenge_walk(pk, h, ps.d_phi, ps.group_order)
-    except Exception:
+    except ProtocolError:
         fail("challenge")
         return False
 
     # (4) the representation of the shifted response
     rep = presig.rep_tilde
-    N = ps.A * C
-    qt = response_degree(ps)
     if rep.domain != epsi or rep.codomain != phi.codomain:
         fail("rep:endpoints")
         return False
-    if rep.order != N or rep.degree != qt:
-        fail("rep:shape")
-        return False
-    if rep.basis != canonical_torsion_basis(epsi, N, ps.group_order):
-        fail("rep:basis")
-        return False
-    E2 = rep.codomain
-    for T in rep.images:
-        if not E2.on_curve(T) or not _mul(E2, N, T).is_inf:
-            fail("rep:images")
-            return False
-    try:
-        zb = weil_pairing(epsi, rep.basis[0], rep.basis[1], N)
-        zi = weil_pairing(E2, rep.images[0], rep.images[1], N)
-    except OrderMismatch:
-        fail("rep:pairing")
-        return False
-    if zi != zb**qt:
-        fail("rep:pairing")
+    tag = rep_rejection(rep, {ps.A * C: response_degree(ps)}, ps.group_order)
+    if tag is not None:
+        fail(tag)
         return False
 
     if mode == "strict":
@@ -175,8 +170,6 @@ def preverify(
 
 def _a_part_rep(rep: EfficientRep, ps: ParamSet) -> EfficientRep:
     """Scale an AC-basis representation down to the A-torsion."""
-    from .curve import _mul
-
     C = ps.C
     return EfficientRep(
         rep.domain,
@@ -196,8 +189,6 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     signature images are the represented response evaluated at the dual's
     images of the canonical AC-basis of E1.
     """
-    from .curve import _mul
-
     C = ps.C
     epsi = presig.epsi
     S1, S2 = presig.s
@@ -244,7 +235,6 @@ def extract(
     oracle turns that into a kernel, and a change of basis to (psi(P),
     psi(Q)) yields alpha.  Every failure returns None (bottom).
     """
-    from .curve import _mul
 
     def fail(tag):
         logger.debug("extraction returned bottom: %s", tag)
@@ -301,8 +291,6 @@ def extract(
     # kernel of the parallel witness isogeny = image of E1[C] under the dual
     Uc, Vc = canonical_torsion_basis(e1, C, ps.group_order)
     K = rec.evaluate(Uc)
-    from .curve import has_exact_order
-
     if not has_exact_order(epsi, K, C):
         K = rec.evaluate(Vc)
     S1, S2 = presig.s

@@ -13,7 +13,7 @@ import sys
 
 from . import serial
 from .adaptor import adapt, extract, presign, preverify
-from .errors import ProtocolError, WitnessStatementMismatch
+from .errors import ParseError, ProtocolError, WitnessStatementMismatch
 from .params import PROFILES, generate_params, validate_params
 from .relation import gen_r
 from .sig import keygen, sign, verify
@@ -46,7 +46,7 @@ def _load_params(args):
 
 def _load_statement(doc, ps):
     # accept either a bare statement or a relation pair {witness, statement}
-    if "statement" in doc:
+    if isinstance(doc, dict) and "statement" in doc:
         doc = doc["statement"]
     return serial.parse_statement(doc, ps)
 
@@ -60,15 +60,18 @@ def cmd_params(args):
     if args.profile == "custom":
         if not args.custom_spec:
             raise ProtocolError("--profile custom requires --custom-spec")
-        spec = json.loads(args.custom_spec)
-        profile = (
-            spec["a"],
-            tuple(spec["primes"]),
-            spec["c"],
-            spec["d_tau"],
-            spec["d_phi"],
-            spec.get("nizk_rounds", 24),
-        )
+        try:
+            spec = json.loads(args.custom_spec)
+            profile = (
+                spec["a"],
+                tuple(spec["primes"]),
+                spec["c"],
+                spec["d_tau"],
+                spec["d_phi"],
+                spec.get("nizk_rounds", 24),
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(f"bad --custom-spec: {exc!r}") from exc
     else:
         profile = args.profile
     ps = generate_params(profile, rng)
@@ -126,7 +129,7 @@ def cmd_preverify(args):
 def cmd_adapt(args):
     ps = _load_params(args)
     wdoc = _read_doc(args.witness)
-    if "witness" in wdoc:
+    if isinstance(wdoc, dict) and "witness" in wdoc:
         wdoc = wdoc["witness"]
     w = serial.parse_witness(wdoc, ps)
     s = _load_statement(_read_doc(args.statement), ps)

@@ -84,10 +84,6 @@ class Curve:
         self.check(Q)
         return _add(self, P, Q)
 
-    def double(self, P: Point) -> Point:
-        self.check(P)
-        return _add(self, P, P)
-
     def neg(self, P: Point) -> Point:
         self.check(P)
         return _neg(P)
@@ -95,11 +91,6 @@ class Curve:
     def mul(self, k: int, P: Point) -> Point:
         self.check(P)
         return _mul(self, k, P)
-
-    def sub(self, P: Point, Q: Point) -> Point:
-        self.check(P)
-        self.check(Q)
-        return _add(self, P, _neg(Q))
 
     # -- invariants --------------------------------------------------------
 
@@ -214,6 +205,14 @@ def has_exact_order(E: Curve, P: Point, N: int) -> bool:
         if _mul(E, N // ell, P).is_inf:
             return False
     return True
+
+
+def is_primitive_root_of_unity(z: Fp2, N: int) -> bool:
+    """Whether z has multiplicative order exactly N."""
+    one = Fp2.one(z.p)
+    if z**N != one:
+        return False
+    return all(z ** (N // ell) != one for ell in factorize(N))
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +341,11 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
             first = P
             continue
         z = weil_pairing(E, first, P, N)
-        if _root_of_unity_order_is(z, N):
+        if is_primitive_root_of_unity(z, N):
             pair = (first, P)
             _BASIS_CACHE[key] = pair
             return pair
     raise NoBasis(f"no basis of order {N} found")  # pragma: no cover
-
-
-def _root_of_unity_order_is(z: Fp2, N: int) -> bool:
-    one = Fp2.one(z.p)
-    if z ** N != one:
-        return False
-    for ell in factorize(N):
-        if z ** (N // ell) == one:
-            return False
-    return True
 
 
 def small_torsion_basis(E: Curve, ell: int, group_order: int):

@@ -26,8 +26,9 @@ from .curve import (
     _add,
     _in_cyclic,
     _mul,
-    isomorphisms,
     factorize,
+    is_primitive_root_of_unity,
+    isomorphisms,
     small_torsion_basis,
     twist_point,
     weil_pairing,
@@ -73,7 +74,7 @@ def dlog_root_of_unity(target: Fp2, base: Fp2, N: int) -> int:
     M = 1
     for r, m in zip(residues, moduli):
         # CRT fold
-        g, inv = m, pow(M, -1, m) if M > 1 else 1
+        inv = pow(M, -1, m) if M > 1 else 1
         x = x + M * ((r - x) * inv % m)
         M *= m
     return x % N
@@ -85,20 +86,13 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
         if not _mul(E, N, P).is_inf:
             raise OrderMismatch(f"point not killed by {N}")
     z = weil_pairing(E, U, V, N)
-    if not _has_exact_rou_order(z, N):
+    if not is_primitive_root_of_unity(z, N):
         raise NotABasis("pairing of the basis does not have exact order N")
     x = dlog_root_of_unity(weil_pairing(E, T, V, N), z, N)
     y = dlog_root_of_unity(weil_pairing(E, U, T, N), z, N)
     if _add(E, _mul(E, x, U), _mul(E, y, V)) != T:
         raise NotABasis("reconstruction failed")  # pragma: no cover
     return BasisDecomposition(x, y)
-
-
-def _has_exact_rou_order(z: Fp2, N: int) -> bool:
-    one = Fp2.one(z.p)
-    if z ** N != one:
-        return False
-    return all(z ** (N // ell) != one for ell in factorize(N))
 
 
 def evaluate_rep(rep: EfficientRep, X: Point) -> Point:

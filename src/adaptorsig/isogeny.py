@@ -7,6 +7,8 @@ dual(phi) composed with phi is literally multiplication by the degree on
 rational points rather than "up to isomorphism".
 """
 
+import math
+
 from .curve import (
     Curve,
     Point,
@@ -16,6 +18,7 @@ from .curve import (
     canonical_torsion_basis,
     factorize,
     isomorphisms,
+    point_order,
     small_torsion_basis,
     twist_curve,
     twist_point,
@@ -103,14 +106,6 @@ class IsogenyChain:
     def identity(cls, E: Curve):
         return cls(E, E, [], 1, [])
 
-    @classmethod
-    def from_steps(cls, domain, steps, kernel_gens=None):
-        cod = steps[-1].codomain if steps else domain
-        deg = 1
-        for s in steps:
-            deg *= s.ell
-        return cls(domain, cod, steps, deg, kernel_gens)
-
     def evaluate(self, P: Point) -> Point:
         self.domain.check(P)
         for s in self.steps:
@@ -162,7 +157,7 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
             continue
         if not _mul(E, degree, g).is_inf:
             raise BadKernel("generator order does not divide the degree")
-        work.append((g, _point_order_dividing(E, g, degree)))
+        work.append((g, point_order(E, g, degree)))
 
     original = list(gens)
     steps = []
@@ -184,7 +179,7 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
         nxt = []
         for g, n in work:
             img = step.evaluate(g)
-            nn = _point_order_dividing(cur, img, n)
+            nn = point_order(cur, img, n)
             if nn > 1:
                 nxt.append((img, nn))
         work = nxt
@@ -193,17 +188,6 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     if work:
         raise BadKernel("generators span a larger subgroup than the degree")
     return IsogenyChain(E, cur, steps, degree, original)
-
-
-def _point_order_dividing(E: Curve, P: Point, n: int) -> int:
-    """Exact order of P given that it divides n."""
-    for ell, e in factorize(n).items():
-        for _ in range(e):
-            if _mul(E, n // ell, P).is_inf:
-                n //= ell
-            else:
-                break
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +264,7 @@ def push_forward(phi2: IsogenyChain, phi1: IsogenyChain) -> IsogenyChain:
     """[phi2]_* phi1: the isogeny with kernel phi2(ker phi1)."""
     if phi1.domain != phi2.domain:
         raise DomainMismatch("push-forward needs a shared domain")
-    if _gcd(phi1.degree, phi2.degree) != 1:
+    if math.gcd(phi1.degree, phi2.degree) != 1:
         raise NonCoprimeDegree("push-forward needs coprime degrees")
     if phi1.kernel_gens is None:
         raise BadKernel("kernel certificate unavailable for push-forward")
@@ -292,19 +276,13 @@ def pull_back(phi2: IsogenyChain, psi1: IsogenyChain, group_order: int) -> Isoge
     """[phi2]^* psi1: the phi1 with [phi2]_* phi1 = psi1 (kernels as subgroups)."""
     if psi1.domain != phi2.codomain:
         raise DomainMismatch("pull-back needs domain(psi1) = codomain(phi2)")
-    if _gcd(psi1.degree, phi2.degree) != 1:
+    if math.gcd(psi1.degree, phi2.degree) != 1:
         raise NonCoprimeDegree("pull-back needs coprime degrees")
     if psi1.kernel_gens is None:
         raise NoPreimage("kernel certificate unavailable for pull-back")
     back = dual(phi2, group_order)
     gens = [back.evaluate(g) for g in psi1.kernel_gens]
     return isogeny_from_kernel(phi2.domain, gens, psi1.degree)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def _curve_bytes(E: Curve) -> bytes:
     return fp2_bytes(E.a) + fp2_bytes(E.b)
 
 
-def _point_bytes(P: Point, p: int) -> bytes:
+def _point_bytes(P: Point) -> bytes:
     if P.is_inf:
         return b"\x00inf"
     return fp2_bytes(P.x) + fp2_bytes(P.y)
@@ -48,8 +48,8 @@ def _statement_bytes(statement) -> bytes:
     h.update(_curve_bytes(ew))
     for ell, G1, G2 in wB.pairs:
         h.update(ell.to_bytes(4, "big"))
-        h.update(_point_bytes(G1, ew.p))
-        h.update(_point_bytes(G2, ew.p))
+        h.update(_point_bytes(G1))
+        h.update(_point_bytes(G2))
     h.update(_curve_bytes(e1))
     return h.digest()
 

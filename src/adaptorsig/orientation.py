@@ -6,6 +6,8 @@ order ell_i.  Keeping the split per prime is what the pre-signing step
 needs: a choice vector picks one generator per prime.
 """
 
+import math
+
 from .curve import Curve, Point, _in_cyclic, _mul, canonical_torsion_basis
 from .errors import LengthMismatch, NonCoprimeDegree, TorsionUnavailable
 from .isogeny import IsogenyChain
@@ -25,10 +27,7 @@ class Orientation:
         return tuple(ell for ell, _, _ in self.pairs)
 
     def order(self) -> int:
-        n = 1
-        for ell, _, _ in self.pairs:
-            n *= ell
-        return n
+        return math.prod(self.primes)
 
     def __eq__(self, other):
         return (
@@ -86,7 +85,7 @@ def orientation_image(phi: IsogenyChain, o: Orientation) -> Orientation:
     if phi.domain != o.curve:
         raise TorsionUnavailable("orientation lives on a different curve")
     B = o.order()
-    if _gcd(phi.degree, B) != 1:
+    if math.gcd(phi.degree, B) != 1:
         raise NonCoprimeDegree("transport needs gcd(deg, B) = 1")
     pairs = []
     for ell, G1, G2 in o.pairs:
@@ -106,9 +105,3 @@ def orientation_valid(o: Orientation, group_order: int) -> bool:
         if _in_cyclic(E, G2, G1, ell):
             return False
     return True
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

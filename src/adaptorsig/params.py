@@ -8,7 +8,13 @@ is rational.
 import math
 from dataclasses import dataclass, replace
 
-from .curve import Curve, canonical_torsion_basis, factorize, weil_pairing
+from .curve import (
+    Curve,
+    canonical_torsion_basis,
+    has_exact_order,
+    is_primitive_root_of_unity,
+    weil_pairing,
+)
 from .errors import ConstraintViolation, NoPrimeFound
 from .field import Fp2
 from .orientation import Orientation, orientation_valid, sample_orientation
@@ -43,10 +49,7 @@ class ParamSet:
 
     @property
     def B(self) -> int:
-        n = 1
-        for ell in self.primes:
-            n *= ell
-        return n
+        return math.prod(self.primes)
 
     @property
     def C(self) -> int:
@@ -92,9 +95,7 @@ def is_prime(n: int) -> bool:
 
 def _check_shape(a, primes, c, d_tau, d_phi):
     A = 2**a
-    B = 1
-    for ell in primes:
-        B *= ell
+    B = math.prod(primes)
     C = 3**c
     if a < 2:
         raise ConstraintViolation("need a >= 2 so that 4 | A")
@@ -118,6 +119,11 @@ def _check_shape(a, primes, c, d_tau, d_phi):
             f"recovery bound violated: 4*B*D_tau*D_phi = {4*B*d_tau*d_phi} >= A^2 = {A*A}"
         )
     return A, B, C
+
+
+def base_curve(p: int) -> Curve:
+    """E0: y^2 = x^3 + x over GF(p^2)."""
+    return Curve(Fp2(p, 1), Fp2(p, 0))
 
 
 def generate_params(profile, rng) -> ParamSet:
@@ -145,7 +151,7 @@ def generate_params(profile, rng) -> ParamSet:
     if p is None:
         raise NoPrimeFound(f"no prime of the form {base}*f - 1 with f <= {_F_SEARCH_BOUND}")
 
-    e0 = Curve(Fp2(p, 1), Fp2(p, 0))
+    e0 = base_curve(p)
     orientation = sample_orientation(e0, primes, p + 1, rng)
     pq = canonical_torsion_basis(e0, C, p + 1)
     return ParamSet(p, a, primes, c, f, d_tau, d_phi, e0, orientation, pq, k)
@@ -214,14 +220,10 @@ def validate_params(ps: ParamSet) -> ValidationReport:
     pq_ok = (
         ps.e0.on_curve(P)
         and ps.e0.on_curve(Q)
-        and _exact_order(ps.e0, P, C)
-        and _exact_order(ps.e0, Q, C)
+        and has_exact_order(ps.e0, P, C)
+        and has_exact_order(ps.e0, Q, C)
+        and is_primitive_root_of_unity(weil_pairing(ps.e0, P, Q, C), C)
     )
-    if pq_ok:
-        z = weil_pairing(ps.e0, P, Q, C)
-        pq_ok = z**C == ps.one() and all(
-            z ** (C // ell) != ps.one() for ell in factorize(C)
-        )
     checks.append(("(P, Q) basis of E0[C]", pq_ok, f"C = {C}"))
 
     checks.append(
@@ -244,17 +246,11 @@ def validate_params(ps: ParamSet) -> ValidationReport:
     return ValidationReport(checks, info)
 
 
-def _exact_order(E, P, N):
-    from .curve import has_exact_order
-
-    return has_exact_order(E, P, N)
-
-
 def _supersingular_count_check(ps: ParamSet) -> bool:
     """|E0(GF(p))| = p + 1 via a Legendre-symbol sum, which forces
     |E0(GF(p^2))| = (p+1)^2 for a trace-zero curve."""
     p = ps.p
-    if ps.e0.a != Fp2(p, 1) or ps.e0.b != Fp2.zero(p):
+    if ps.e0 != base_curve(p):
         return False
     count = p + 1  # infinity plus one point per x with rhs = 0, etc.
     total = 1

@@ -7,19 +7,25 @@ codomains) and names the offending JSON path on failure.
 """
 
 import json
+import math
 
-from .curve import Curve, Point, has_exact_order, weil_pairing
-from .errors import InvariantViolation, ParseError
+from .adaptor import AdaptedSignature, PreSignature
+from .curve import (
+    Curve,
+    Point,
+    _mul,
+    has_exact_order,
+    is_primitive_root_of_unity,
+    weil_pairing,
+)
+from .errors import ConstraintViolation, InvariantViolation, ParseError
 from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step
 from .nizk import NizkProof, NizkRound
 from .orientation import Orientation, orientation_valid
-from .params import ParamSet, is_prime
+from .params import ParamSet, _check_shape, base_curve, is_prime
 from .relation import Statement, Witness, witness_chain
 from .sig import KeyPair, PlainSignature
-from .adaptor import AdaptedSignature, PreSignature
-
-import math
 
 
 def encode(doc) -> bytes:
@@ -163,7 +169,17 @@ def parse_params(doc) -> ParamSet:
     d_tau = _unhex(_field(doc, "d_tau", path), f"{path}.d_tau")
     d_phi = _unhex(_field(doc, "d_phi", path), f"{path}.d_phi")
     k = _unhex(_field(doc, "nizk_rounds", path), f"{path}.nizk_rounds")
+    try:
+        A, B, C = _check_shape(a, primes, c, d_tau, d_phi)
+    except ConstraintViolation as exc:
+        raise InvariantViolation(path, str(exc)) from exc
+    if p != A * B * C * f - 1:
+        raise InvariantViolation(f"{path}.p", "p != ABCf - 1")
+    if not is_prime(p) or p % 4 != 3:
+        raise InvariantViolation(f"{path}.p", "p not a prime = 3 (mod 4)")
     e0 = parse_curve(_field(doc, "e0", path), p, f"{path}.e0")
+    if e0 != base_curve(p):
+        raise InvariantViolation(f"{path}.e0", "not the base curve y^2 = x^3 + x")
     orientation = parse_orientation(
         _field(doc, "orientation", path), p, p + 1, f"{path}.orientation"
     )
@@ -172,26 +188,14 @@ def parse_params(doc) -> ParamSet:
         raise ParseError(f"{path}.pq: expected two points")
     P = parse_point(pq_doc[0], e0, f"{path}.pq[0]")
     Q = parse_point(pq_doc[1], e0, f"{path}.pq[1]")
-    ps = ParamSet(p, a, primes, c, f, d_tau, d_phi, e0, orientation, (P, Q), k)
-
-    A, B, C = ps.A, ps.B, ps.C
-    if p != A * B * C * f - 1:
-        raise InvariantViolation(f"{path}.p", "p != ABCf - 1")
-    if not is_prime(p) or p % 4 != 3:
-        raise InvariantViolation(f"{path}.p", "p not a prime = 3 (mod 4)")
-    if 4 * C >= A * A or 4 * B * d_tau * d_phi >= A * A:
-        raise InvariantViolation(path, "uniqueness bounds violated")
-    if B % d_tau != 0 or C % d_phi != 0 or d_tau <= 1 or d_phi <= 1:
-        raise InvariantViolation(path, "challenge/key degrees malformed")
     for X, name in ((P, "pq[0]"), (Q, "pq[1]")):
         if not has_exact_order(e0, X, C):
             raise InvariantViolation(f"{path}.{name}", f"not of exact order {C}")
-    z = weil_pairing(e0, P, Q, C)
-    if z**C != Fp2.one(p) or z ** (C // 3) == Fp2.one(p):
+    if not is_primitive_root_of_unity(weil_pairing(e0, P, Q, C), C):
         raise InvariantViolation(f"{path}.pq", "pairing does not have exact order C")
     if orientation.curve != e0 or orientation.primes != primes:
         raise InvariantViolation(f"{path}.orientation", "not an orientation of e0")
-    return ps
+    return ParamSet(p, a, primes, c, f, d_tau, d_phi, e0, orientation, (P, Q), k)
 
 
 # -- chains, representations --------------------------------------------------
@@ -261,8 +265,6 @@ def parse_rep(doc, p, group_order, path) -> EfficientRep:
     )
     if group_order % order != 0:
         raise InvariantViolation(f"{path}.order", "order does not divide p+1")
-    from .curve import _mul
-
     for i, X in enumerate(basis):
         if not has_exact_order(domain, X, order):
             raise InvariantViolation(f"{path}.basis[{i}]", "not of exact basis order")

@@ -12,9 +12,9 @@ import hashlib
 import logging
 import math
 
-from .curve import Curve, canonical_torsion_basis, factorize, weil_pairing
+from .curve import Curve, _mul, canonical_torsion_basis, factorize, weil_pairing
 from .dlog import recover_isogeny
-from .errors import IndexOutOfRange, NotFound, OrderMismatch
+from .errors import IndexOutOfRange, NotFound, OrderMismatch, ProtocolError
 from .field import Fp2
 from .isogeny import (
     EfficientRep,
@@ -66,27 +66,30 @@ def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
     return 1 + int.from_bytes(digest, "big") % mu_val
 
 
-def challenge_walk(E: Curve, h: int, D: int, group_order: int) -> IsogenyChain:
-    """The h-th cyclic degree-D isogeny from E, D = ell^e a prime power.
+def cyclic_kernel(E: Curve, D: int, idx: int, group_order: int):
+    """Generator of the idx-th cyclic subgroup of order D = ell^e in E.
 
     Kernels are indexed on the canonical D-basis (P, Q): indices up to
-    ell^e give <P + [h-1]Q>, the rest give <[ell*(h - ell^e - 1)]P + Q>;
+    ell^e give <P + [idx-1]Q>, the rest give <[ell*(idx - ell^e - 1)]P + Q>;
     this is a bijection between [1, mu(D)] and the cyclic subgroups, i.e.
     exactly the non-backtracking walks of length e.
     """
     fac = factorize(D)
     if len(fac) != 1:
-        raise IndexOutOfRange("challenge degree must be a prime power")
-    ((ell, e),) = fac.items()
+        raise IndexOutOfRange(f"kernel order {D} is not a prime power")
+    ((ell, _),) = fac.items()
     bound = mu(D)
-    if not 1 <= h <= bound:
-        raise IndexOutOfRange(f"challenge index {h} outside [1, {bound}]")
+    if not 1 <= idx <= bound:
+        raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
     P, Q = canonical_torsion_basis(E, D, group_order)
-    if h <= ell**e:
-        K = E.add(P, E.mul(h - 1, Q))
-    else:
-        K = E.add(E.mul(ell * (h - ell**e - 1), P), Q)
-    return isogeny_from_kernel(E, [K], D)
+    if idx <= D:
+        return E.add(P, E.mul(idx - 1, Q))
+    return E.add(E.mul(ell * (idx - D - 1), P), Q)
+
+
+def challenge_walk(E: Curve, h: int, D: int, group_order: int) -> IsogenyChain:
+    """The h-th cyclic degree-D isogeny from E, D a prime power."""
+    return isogeny_from_kernel(E, [cyclic_kernel(E, D, h, group_order)], D)
 
 
 def _random_smooth_kernel(E: Curve, degree: int, group_order: int, rng):
@@ -96,12 +99,7 @@ def _random_smooth_kernel(E: Curve, degree: int, group_order: int, rng):
     gens = []
     for ell, e in factorize(degree).items():
         D = ell**e
-        idx = rng.randrange(1, mu(D) + 1)
-        P, Q = canonical_torsion_basis(E, D, group_order)
-        if idx <= D:
-            gens.append(E.add(P, E.mul(idx - 1, Q)))
-        else:
-            gens.append(E.add(E.mul(ell * (idx - D - 1), P), Q))
+        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1), group_order))
     return gens
 
 
@@ -128,6 +126,34 @@ def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     return PlainSignature(e1, rep)
 
 
+def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
+    """Reason tag of the first representation check that fails, or None.
+
+    `shapes` maps each admissible basis order to its degree.  The basis
+    must be the canonical one of the domain, the images must be killed by
+    the order, and the pairing law e(images) = e(basis)^degree must hold.
+    """
+    N = rep.order
+    if shapes.get(N) != rep.degree:
+        return "rep:shape"
+    try:
+        if rep.basis != canonical_torsion_basis(rep.domain, N, group_order):
+            return "rep:basis"
+    except ProtocolError:
+        return "rep:basis"
+    E2 = rep.codomain
+    if not all(E2.on_curve(T) and _mul(E2, N, T).is_inf for T in rep.images):
+        return "rep:images"
+    try:
+        zb = weil_pairing(rep.domain, rep.basis[0], rep.basis[1], N)
+        zi = weil_pairing(E2, rep.images[0], rep.images[1], N)
+    except OrderMismatch:
+        return "rep:pairing"
+    if zi != zb**rep.degree:
+        return "rep:pairing"
+    return None
+
+
 def verify(pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet) -> bool:
     """Layered verification of a signature (plain or adapted shape).
 
@@ -140,42 +166,20 @@ def verify(pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet) ->
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     rep = sig.rep
-    base_deg = response_degree(ps)
-    shapes = {ps.A: base_deg, ps.A * ps.C: base_deg * ps.C}
-    expected = shapes.get(rep.order)
-    if expected is None or rep.degree != expected:
-        return False
     if rep.domain != sig.e1:
-        return False
-    try:
-        basis = canonical_torsion_basis(sig.e1, rep.order, ps.group_order)
-    except Exception:
-        return False
-    if rep.basis != basis:
         return False
     h = hash_to_challenge_index(sig.e1.j_invariant(), m, mu(ps.d_phi))
     try:
         phi = challenge_walk(pk, h, ps.d_phi, ps.group_order)
-    except Exception:
+    except ProtocolError:
         return False
     if rep.codomain != phi.codomain:
         return False
-    E2 = rep.codomain
+    base_deg = response_degree(ps)
+    shapes = {ps.A: base_deg, ps.A * ps.C: base_deg * ps.C}
+    if rep_rejection(rep, shapes, ps.group_order) is not None:
+        return False
     N = rep.order
-    for T in rep.images:
-        if not E2.on_curve(T):
-            return False
-        from .curve import _mul
-
-        if not _mul(E2, N, T).is_inf:
-            return False
-    try:
-        z = weil_pairing(E2, rep.images[0], rep.images[1], N)
-        zb = weil_pairing(sig.e1, rep.basis[0], rep.basis[1], N)
-    except OrderMismatch:
-        return False
-    if z != zb**rep.degree:
-        return False
     if mode == "strict":
         if math.gcd(rep.degree, N) == 1 and 4 * rep.degree < N * N:
             try:

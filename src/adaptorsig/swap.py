@@ -15,7 +15,7 @@ from . import serial
 from .adaptor import AdaptedSignature, adapt, extract, presign, preverify
 from .isogeny import EfficientRep
 from .params import ParamSet
-from .relation import gen_r
+from .relation import gen_r, verify_relation
 from .sig import keygen, verify
 
 ALICE_MESSAGE = b"alice funds the swap"
@@ -146,8 +146,6 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
             "reasons": reasons_a,
         }
     )
-
-    from .relation import verify_relation
 
     verdict = (
         verify(bob.pk, BOB_MESSAGE, sig_b, "light", ps)

@@ -14,7 +14,7 @@ import pytest
 from adaptorsig import serial
 from adaptorsig.adaptor import PreSignature, adapt, extract, presign, preverify
 from adaptorsig.cli import main
-from adaptorsig.curve import canonical_torsion_basis, weil_pairing
+from adaptorsig.curve import canonical_torsion_basis, factorize, weil_pairing
 from adaptorsig.dlog import recover_isogeny
 from adaptorsig.errors import AmbiguityBound, WitnessStatementMismatch
 from adaptorsig.field import Fp2
@@ -30,7 +30,7 @@ from adaptorsig.isogeny import (
 from adaptorsig.nizk import NizkRound
 from adaptorsig.orientation import orientation_image, oriented_kernel
 from adaptorsig.relation import Statement, Witness, gen_r, verify_relation, witness_chain
-from adaptorsig.sig import keygen, mu, response_degree, verify
+from adaptorsig.sig import cyclic_kernel, keygen, mu, response_degree, verify
 
 
 def _report(num, desc, detail=""):
@@ -39,17 +39,10 @@ def _report(num, desc, detail=""):
 
 def _random_cyclic_chain(E, degree, group_order, rng):
     """Uniformly random cyclic-kernel chain of smooth degree from E."""
-    from adaptorsig.curve import factorize
-
     gens = []
     for ell, e in factorize(degree).items():
         D = ell**e
-        idx = rng.randrange(1, mu(D) + 1)
-        P, Q = canonical_torsion_basis(E, D, group_order)
-        if idx <= D:
-            gens.append(E.add(P, E.mul(idx - 1, Q)))
-        else:
-            gens.append(E.add(E.mul(ell * (idx - D - 1), P), Q))
+        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1), group_order))
     return isogeny_from_kernel(E, gens, degree)
 
 

@@ -190,3 +190,38 @@ def test_demo_swap_transcript_structure(t0):
     assert kinds[-1] == "verdict"
     wits = [e["witness"]["alpha"] for e in t["events"] if e["type"] == "extract"]
     assert len(set(wits)) == 1
+
+
+def test_string_statement_and_witness_exit_2(workspace, tmp_path):
+    # a JSON string is not a document: "statement" in it is a substring test
+    stray = tmp_path / "stray.json"
+    stray.write_text('"a statement here, a witness there"')
+    code = main(
+        [
+            "presign",
+            "--params", str(workspace["params"]),
+            "--key", str(workspace["key"]),
+            "--statement", str(stray),
+            "--message", "swap leg",
+            "--out", str(tmp_path / "pre.json"),
+        ]
+    )
+    assert code == 2
+    code = main(
+        [
+            "adapt",
+            "--params", str(workspace["params"]),
+            "--presignature", str(workspace["presig"]),
+            "--statement", str(workspace["rel"]),
+            "--witness", str(stray),
+            "--out", str(tmp_path / "sig.json"),
+        ]
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("spec", ["nope", '{"a": 7}', "[7]"])
+def test_bad_custom_spec_exit_2(spec, capsys):
+    code = main(["params", "--profile", "custom", "--custom-spec", spec, "--out", "-"])
+    assert code == 2
+    assert "custom-spec" in capsys.readouterr().err

@@ -5,7 +5,10 @@ import pytest
 
 from adaptorsig import serial
 from adaptorsig.adaptor import adapt, presign
+from adaptorsig.curve import twist_curve, twist_point
 from adaptorsig.errors import InvariantViolation, ParseError
+from adaptorsig.field import Fp2
+from adaptorsig.orientation import Orientation, sample_orientation
 from adaptorsig.relation import gen_r
 from adaptorsig.sig import keygen, sign
 
@@ -100,3 +103,31 @@ def test_tampered_rep_pairing_rejected(t0):
     doc["rep"]["images"] = [doc["rep"]["images"][1], doc["rep"]["images"][0]]
     with pytest.raises(InvariantViolation):
         serial.parse_signature(doc, t0)
+
+
+def test_parse_params_runs_the_shape_checks(t0):
+    # B = 35 keeps p = ABCf - 1, but 35 is not a prime
+    doc = serial.params_doc(t0)
+    doc["primes"] = [format(35, "x")]
+    o = sample_orientation(t0.e0, (35,), t0.p + 1, random.Random(7))
+    doc["orientation"] = serial.orientation_doc(o)
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert err.value.path == "params"
+
+
+def test_parse_params_rejects_a_twisted_base_curve(t0):
+    # u = 2 maps y^2 = x^3 + x to the isomorphic y^2 = x^3 + 16x
+    u = Fp2(t0.p, 2)
+    o = t0.orientation
+    twisted = Orientation(
+        twist_curve(o.curve, u),
+        [(ell, twist_point(G1, u), twist_point(G2, u)) for ell, G1, G2 in o.pairs],
+    )
+    doc = serial.params_doc(t0)
+    doc["e0"] = serial.curve_doc(twist_curve(t0.e0, u))
+    doc["orientation"] = serial.orientation_doc(twisted)
+    doc["pq"] = [serial.point_doc(twist_point(X, u)) for X in t0.pq]
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert err.value.path == "params.e0"

@@ -2,15 +2,19 @@ import random
 
 import pytest
 
+from adaptorsig import sig as sig_mod
+from adaptorsig.adaptor import presign, preverify
 from adaptorsig.curve import canonical_torsion_basis, point_order
-from adaptorsig.errors import IndexOutOfRange
+from adaptorsig.errors import IndexOutOfRange, NoBasis
 from adaptorsig.isogeny import EfficientRep
+from adaptorsig.relation import gen_r
 from adaptorsig.sig import (
     PlainSignature,
     challenge_walk,
     hash_to_challenge_index,
     keygen,
     mu,
+    rep_rejection,
     response_degree,
     sign,
     verify,
@@ -170,3 +174,60 @@ def test_strict_rejects_pairing_consistent_forgery(t0, rng):
         (rep.images[1], rep.images[0]),
     )
     assert not verify(kp.pk, b"msg", PlainSignature(s.e1, fake), "light", t0)
+
+
+def test_rep_rejection_names_the_failed_check(t0):
+    kp = keygen(t0, random.Random(11))
+    rep = sign(kp, b"tags", t0, random.Random(12)).rep
+    shapes = {t0.A: response_degree(t0)}
+    n = t0.group_order
+    assert rep_rejection(rep, shapes, n) is None
+
+    def tampered(**kw):
+        fields = dict(
+            domain=rep.domain,
+            codomain=rep.codomain,
+            degree=rep.degree,
+            order=rep.order,
+            basis=rep.basis,
+            images=rep.images,
+        )
+        fields.update(kw)
+        return EfficientRep(**fields)
+
+    E2 = rep.codomain
+    assert rep_rejection(tampered(degree=rep.degree + 2), shapes, n) == "rep:shape"
+    assert rep_rejection(tampered(order=t0.A * t0.C), shapes, n) == "rep:shape"
+    swapped = (rep.basis[1], rep.basis[0])
+    assert rep_rejection(tampered(basis=swapped), shapes, n) == "rep:basis"
+    X, Y = canonical_torsion_basis(E2, t0.A * t0.C, n)
+    assert rep_rejection(tampered(images=(X, Y)), shapes, n) == "rep:images"
+    flipped = (rep.images[1], rep.images[0])
+    assert rep_rejection(tampered(images=flipped), shapes, n) == "rep:pairing"
+
+
+def test_basis_scan_failure_rejects_as_rep_basis(t0, monkeypatch):
+    rng = random.Random(13)
+    kp = keygen(t0, rng)
+    w, s = gen_r(t0, rng)
+    pre = presign(kp, b"scan", s, t0, rng)
+    plain = sign(kp, b"scan", t0, rng)
+    real = sig_mod.canonical_torsion_basis
+
+    def scan(E, N, group_order):
+        if N % t0.A == 0:  # the response bases, not the challenge basis
+            raise NoBasis("scan exhausted")
+        return real(E, N, group_order)
+
+    monkeypatch.setattr(sig_mod, "canonical_torsion_basis", scan)
+    reasons = []
+    assert not preverify(kp.pk, b"scan", s, pre, "light", t0, reasons)
+    assert reasons == ["rep:basis"]
+    assert not verify(kp.pk, b"scan", plain, "light", t0)
+
+
+def test_verify_surfaces_programming_errors(t0):
+    kp = keygen(t0, random.Random(14))
+    sig = sign(kp, b"m", t0, random.Random(15))
+    with pytest.raises(AttributeError):
+        verify(None, b"m", sig, "light", t0)
