@@ -33,6 +33,7 @@ from .errors import (
 from .isogeny import (
     EfficientRep,
     IsogenyChain,
+    a_part,
     compose_chains,
     dual,
     efficient_rep,
@@ -49,6 +50,7 @@ from .sig import (
     mu,
     rep_rejection,
     response_degree,
+    response_rejection,
 )
 
 logger = logging.getLogger(__name__)
@@ -133,52 +135,13 @@ def preverify(
         fail("nizk")
         return False
 
-    # (3) recompute the challenge walk
-    h = hash_to_challenge_index(presig.e1.j_invariant(), m, mu(ps.d_phi))
-    try:
-        phi = challenge_walk(pk, h, ps.d_phi, ps.group_order)
-    except ProtocolError:
-        fail("challenge")
-        return False
-
-    # (4) the representation of the shifted response
-    rep = presig.rep_tilde
-    if rep.domain != epsi or rep.codomain != phi.codomain:
-        fail("rep:endpoints")
-        return False
-    tag = rep_rejection(rep, {ps.A * C: response_degree(ps)}, ps.group_order)
+    # (3) the challenge walk and the representation of the shifted response
+    shapes = {ps.A * C: response_degree(ps)}
+    tag = response_rejection(pk, m, presig.e1, presig.rep_tilde, epsi, shapes, mode, ps)
     if tag is not None:
         fail(tag)
         return False
-
-    if mode == "strict":
-        # certify an actual isogeny behind the images: recover on the
-        # A-part (where 4*qt < A^2 holds), then check the full AC images
-        sub = _a_part_rep(rep, ps)
-        try:
-            rec = recover_isogeny(sub, ps.group_order)
-        except (NotFound, AmbiguityBound):
-            fail("rep:recovery")
-            return False
-        if rec.evaluate(rep.basis[0]) != rep.images[0] or rec.evaluate(
-            rep.basis[1]
-        ) != rep.images[1]:
-            fail("rep:recovery-images")
-            return False
     return True
-
-
-def _a_part_rep(rep: EfficientRep, ps: ParamSet) -> EfficientRep:
-    """Scale an AC-basis representation down to the A-torsion."""
-    C = ps.C
-    return EfficientRep(
-        rep.domain,
-        rep.codomain,
-        rep.degree,
-        ps.A,
-        (_mul(rep.domain, C, rep.basis[0]), _mul(rep.domain, C, rep.basis[1])),
-        (_mul(rep.codomain, C, rep.images[0]), _mul(rep.codomain, C, rep.images[1])),
-    )
 
 
 def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
@@ -195,7 +158,7 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     K = epsi.add(S1, _mul(epsi, w.alpha % C, S2))
     try:
         wprime = isogeny_from_kernel(epsi, [K], C)
-    except Exception as exc:
+    except ProtocolError as exc:
         raise WitnessStatementMismatch(f"witness kernel invalid: {exc}") from exc
     isos = isomorphisms(wprime.codomain, presig.e1)
     if not isos:
@@ -247,24 +210,19 @@ def extract(
         return None
     e1 = sig.e1
     rep = sig.rep
-    if rep.order != A * C or rep.domain != e1:
-        fail("rep-shape")
+    if rep.domain != e1 or rep.codomain != presig.rep_tilde.codomain:
+        fail("rep:endpoints")
         return None
-    if rep.basis != canonical_torsion_basis(e1, A * C, ps.group_order):
-        fail("rep-basis")
+    tag = rep_rejection(rep, {A * C: presig.rep_tilde.degree * C}, ps.group_order)
+    if tag is not None:
+        fail(tag)
         return None
-    if rep.codomain != presig.rep_tilde.codomain:
-        fail("response-curve-mismatch")
-        return None
-
-    P0, Q0 = rep.basis
-    P1 = _mul(e1, C, P0)
-    Q1 = _mul(e1, C, Q0)
-    Pp = _mul(rep.codomain, C, rep.images[0])
-    Qp = _mul(rep.codomain, C, rep.images[1])
+    sig_a = a_part(rep, A)
+    P1, Q1 = sig_a.basis
+    Pp, Qp = sig_a.images
 
     # sigma-tilde's action on the A-basis of E_psi, from the pre-signature
-    tilde = _a_part_rep(presig.rep_tilde, ps)
+    tilde = a_part(presig.rep_tilde, A)
     (R1A, R2A) = tilde.basis
     (T1A, T2A) = tilde.images
     epsi = presig.epsi

@@ -62,16 +62,16 @@ def cmd_params(args):
             raise ProtocolError("--profile custom requires --custom-spec")
         try:
             spec = json.loads(args.custom_spec)
-            profile = (
-                spec["a"],
-                tuple(spec["primes"]),
-                spec["c"],
-                spec["d_tau"],
-                spec["d_phi"],
-                spec.get("nizk_rounds", 24),
-            )
+            keys = ("a", "primes", "c", "d_tau", "d_phi")
+            a, primes, c, d_tau, d_phi = (spec[key] for key in keys)
+            rounds = spec.get("nizk_rounds", 24)
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(f"bad --custom-spec: {exc!r}") from exc
+        if not isinstance(primes, list) or any(
+            type(v) is not int for v in (a, c, d_tau, d_phi, rounds, *primes)
+        ):
+            raise ParseError("bad --custom-spec: expected integers, primes a list of them")
+        profile = (a, tuple(primes), c, d_tau, d_phi, rounds)
     else:
         profile = args.profile
     ps = generate_params(profile, rng)

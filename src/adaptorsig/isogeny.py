@@ -318,3 +318,16 @@ def efficient_rep(chain: IsogenyChain, N: int, group_order: int) -> EfficientRep
         (U, V),
         (chain.evaluate(U), chain.evaluate(V)),
     )
+
+
+def a_part(rep: EfficientRep, A: int) -> EfficientRep:
+    """The representation restricted to the A-torsion, for A dividing its order."""
+    k = rep.order // A
+    return EfficientRep(
+        rep.domain,
+        rep.codomain,
+        rep.degree,
+        A,
+        tuple(_mul(rep.domain, k, X) for X in rep.basis),
+        tuple(_mul(rep.codomain, k, T) for T in rep.images),
+    )

@@ -11,7 +11,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .curve import Curve, Point
-from .errors import WitnessMismatch
+from .errors import ProtocolError, WitnessMismatch
 from .isogeny import isogeny_from_kernel, push_forward
 from .orientation import oriented_kernel
 from .params import ParamSet
@@ -125,6 +125,6 @@ def verify_parallel(statement, proof: NizkProof, ps: ParamSet) -> bool:
                 par = isogeny_from_kernel(r.f, list(r.reveal), ps.B)
                 if par.codomain.j_invariant() != r.fp.j_invariant():
                     return False
-        except Exception:
+        except ProtocolError:
             return False
     return True

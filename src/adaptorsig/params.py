@@ -93,7 +93,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_shape(a, primes, c, d_tau, d_phi):
+def _check_shape(a, primes, c, d_tau, d_phi, k):
     A = 2**a
     B = math.prod(primes)
     C = 3**c
@@ -108,9 +108,9 @@ def _check_shape(a, primes, c, d_tau, d_phi):
             )
     if c < 1:
         raise ConstraintViolation("need c >= 1")
-    if B % d_tau != 0 or d_tau <= 1:
+    if d_tau <= 1 or B % d_tau != 0:
         raise ConstraintViolation("D_tau must be a nontrivial divisor of B")
-    if C % d_phi != 0 or d_phi <= 1:
+    if d_phi <= 1 or C % d_phi != 0:
         raise ConstraintViolation("D_phi must be a nontrivial power of 3 dividing C")
     if 4 * C >= A * A:
         raise ConstraintViolation(f"extraction bound violated: 4*C = {4*C} >= A^2 = {A*A}")
@@ -118,6 +118,8 @@ def _check_shape(a, primes, c, d_tau, d_phi):
         raise ConstraintViolation(
             f"recovery bound violated: 4*B*D_tau*D_phi = {4*B*d_tau*d_phi} >= A^2 = {A*A}"
         )
+    if k < 1:
+        raise ConstraintViolation("need nizk_rounds >= 1")
     return A, B, C
 
 
@@ -139,7 +141,7 @@ def generate_params(profile, rng) -> ParamSet:
             raise ConstraintViolation(f"unknown profile {profile!r}") from None
     else:
         a, primes, c, d_tau, d_phi, k = profile
-    A, B, C = _check_shape(a, primes, c, d_tau, d_phi)
+    A, B, C = _check_shape(a, primes, c, d_tau, d_phi, k)
 
     base = A * B * C
     p = None

@@ -9,6 +9,7 @@ is decided by direct recomputation.
 from dataclasses import dataclass
 
 from .curve import Curve, isomorphisms, twist_point
+from .errors import ProtocolError
 from .isogeny import IsogenyChain, isogeny_from_kernel
 from .orientation import Orientation, orientation_image
 from .params import ParamSet
@@ -51,7 +52,7 @@ def verify_relation(w: Witness, s: Statement, ps: ParamSet) -> bool:
     try:
         chain = witness_chain(ps, w.alpha)
         img = orientation_image(chain, ps.orientation)
-    except Exception:
+    except ProtocolError:
         return False
     if s.oriented_image.primes != ps.primes:
         return False

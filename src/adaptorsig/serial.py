@@ -18,7 +18,7 @@ from .curve import (
     is_primitive_root_of_unity,
     weil_pairing,
 )
-from .errors import ConstraintViolation, InvariantViolation, ParseError
+from .errors import ConstraintViolation, InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step
 from .nizk import NizkProof, NizkRound
@@ -57,6 +57,14 @@ def _field(doc, key, path):
     if not isinstance(doc, dict) or key not in doc:
         raise ParseError(f"{path}: missing key {key!r}")
     return doc[key]
+
+
+def _list(doc, key, path, length=None):
+    raw = _field(doc, key, path)
+    if not isinstance(raw, list) or length not in (None, len(raw)):
+        want = "list" if length is None else f"list of {length}"
+        raise ParseError(f"{path}.{key}: expected {want}")
+    return raw
 
 
 # -- field elements, points, curves -----------------------------------------
@@ -101,7 +109,7 @@ def parse_curve(doc, p, path) -> Curve:
     b = parse_fp2(_field(doc, "b", path), p, f"{path}.b")
     try:
         return Curve(a, b)
-    except Exception as exc:
+    except ProtocolError as exc:
         raise InvariantViolation(path, f"singular curve: {exc}") from exc
 
 
@@ -120,10 +128,7 @@ def orientation_doc(o: Orientation) -> dict:
 def parse_orientation(doc, ps_p, group_order, path) -> Orientation:
     E = parse_curve(_field(doc, "curve", path), ps_p, f"{path}.curve")
     pairs = []
-    raw = _field(doc, "pairs", path)
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}.pairs: expected list")
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(_list(doc, "pairs", path)):
         sub = f"{path}.pairs[{i}]"
         if not isinstance(entry, list) or len(entry) != 3:
             raise ParseError(f"{sub}: expected [ell, G1, G2]")
@@ -162,7 +167,7 @@ def parse_params(doc) -> ParamSet:
     a = _unhex(_field(doc, "a", path), f"{path}.a")
     primes = tuple(
         _unhex(x, f"{path}.primes[{i}]")
-        for i, x in enumerate(_field(doc, "primes", path))
+        for i, x in enumerate(_list(doc, "primes", path))
     )
     c = _unhex(_field(doc, "c", path), f"{path}.c")
     f = _unhex(_field(doc, "f", path), f"{path}.f")
@@ -170,7 +175,7 @@ def parse_params(doc) -> ParamSet:
     d_phi = _unhex(_field(doc, "d_phi", path), f"{path}.d_phi")
     k = _unhex(_field(doc, "nizk_rounds", path), f"{path}.nizk_rounds")
     try:
-        A, B, C = _check_shape(a, primes, c, d_tau, d_phi)
+        A, B, C = _check_shape(a, primes, c, d_tau, d_phi, k)
     except ConstraintViolation as exc:
         raise InvariantViolation(path, str(exc)) from exc
     if p != A * B * C * f - 1:
@@ -183,9 +188,7 @@ def parse_params(doc) -> ParamSet:
     orientation = parse_orientation(
         _field(doc, "orientation", path), p, p + 1, f"{path}.orientation"
     )
-    pq_doc = _field(doc, "pq", path)
-    if not isinstance(pq_doc, list) or len(pq_doc) != 2:
-        raise ParseError(f"{path}.pq: expected two points")
+    pq_doc = _list(doc, "pq", path, 2)
     P = parse_point(pq_doc[0], e0, f"{path}.pq[0]")
     Q = parse_point(pq_doc[1], e0, f"{path}.pq[1]")
     for X, name in ((P, "pq[0]"), (Q, "pq[1]")):
@@ -220,14 +223,14 @@ def parse_chain(doc, p, path) -> IsogenyChain:
     steps = []
     cur = domain
     deg = 1
-    for i, sdoc in enumerate(_field(doc, "steps", path)):
+    for i, sdoc in enumerate(_list(doc, "steps", path)):
         sub = f"{path}.steps[{i}]"
         ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
         K = parse_point(_field(sdoc, "kernel", sub), cur, f"{sub}.kernel")
         u = parse_fp2(_field(sdoc, "u", sub), p, f"{sub}.u")
         try:
             step = Step(cur, K, ell, u)
-        except Exception as exc:
+        except ProtocolError as exc:
             raise InvariantViolation(sub, f"invalid step: {exc}") from exc
         steps.append(step)
         cur = step.codomain
@@ -255,8 +258,8 @@ def parse_rep(doc, p, group_order, path) -> EfficientRep:
     codomain = parse_curve(_field(doc, "codomain", path), p, f"{path}.codomain")
     degree = _unhex(_field(doc, "degree", path), f"{path}.degree")
     order = _unhex(_field(doc, "order", path), f"{path}.order")
-    bdoc = _field(doc, "basis", path)
-    idoc = _field(doc, "images", path)
+    bdoc = _list(doc, "basis", path, 2)
+    idoc = _list(doc, "images", path, 2)
     basis = tuple(
         parse_point(bdoc[i], domain, f"{path}.basis[{i}]") for i in range(2)
     )
@@ -346,9 +349,7 @@ def proof_doc(proof: NizkProof) -> dict:
 
 def parse_proof(doc, ps: ParamSet, ew: Curve, e1: Curve, path) -> NizkProof:
     rounds = []
-    raw = _field(doc, "rounds", path)
-    if not isinstance(raw, list):
-        raise ParseError(f"{path}.rounds: expected list")
+    raw = _list(doc, "rounds", path)
     if len(raw) != ps.nizk_rounds:
         raise InvariantViolation(f"{path}.rounds", "wrong round count")
     for i, rdoc in enumerate(raw):
@@ -365,7 +366,7 @@ def parse_proof(doc, ps: ParamSet, ew: Curve, e1: Curve, path) -> NizkProof:
         elif tag == 1:
             reveal = tuple(
                 parse_point(g, F, f"{sub}.reveal.gens[{j}]")
-                for j, g in enumerate(_field(rev, "gens", sub))
+                for j, g in enumerate(_list(rev, "gens", f"{sub}.reveal"))
             )
         else:
             raise InvariantViolation(f"{sub}.tag", "reveal tag must be 0 or 1")
@@ -387,7 +388,7 @@ def parse_presig(doc, ps: ParamSet, s: Statement) -> PreSignature:
     path = "presignature"
     e1 = parse_curve(_field(doc, "e1", path), ps.p, f"{path}.e1")
     epsi = parse_curve(_field(doc, "epsi", path), ps.p, f"{path}.epsi")
-    sdoc = _field(doc, "s", path)
+    sdoc = _list(doc, "s", path, 2)
     S = tuple(parse_point(sdoc[i], epsi, f"{path}.s[{i}]") for i in range(2))
     for i, X in enumerate(S):
         if not has_exact_order(epsi, X, ps.C):

@@ -10,15 +10,21 @@ which is sound here because the parameters enforce 4*degree < A^2.
 
 import hashlib
 import logging
-import math
 
 from .curve import Curve, _mul, canonical_torsion_basis, factorize, weil_pairing
 from .dlog import recover_isogeny
-from .errors import IndexOutOfRange, NotFound, OrderMismatch, ProtocolError
+from .errors import (
+    AmbiguityBound,
+    IndexOutOfRange,
+    NotFound,
+    OrderMismatch,
+    ProtocolError,
+)
 from .field import Fp2
 from .isogeny import (
     EfficientRep,
     IsogenyChain,
+    a_part,
     compose_chains,
     dual,
     efficient_rep,
@@ -154,40 +160,52 @@ def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
     return None
 
 
-def verify(pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet) -> bool:
-    """Layered verification of a signature (plain or adapted shape).
+def response_rejection(
+    pk: Curve,
+    m: bytes,
+    e1: Curve,
+    rep: EfficientRep,
+    domain: Curve,
+    shapes: dict,
+    mode: str,
+    ps: ParamSet,
+):
+    """Reason tag of the first failing check on a response, or None.
 
-    Light mode checks endpoints, the expected degree/order pair, point
-    orders and the pairing law; strict mode additionally certifies the
-    images with the recovery oracle whenever the uniqueness bound and the
-    gcd condition allow it (adapted signatures fail both, and fall back to
-    the light checks).
+    The challenge walk is recomputed from (pk, j(e1), m); the response must
+    run from `domain` to its codomain and pass `rep_rejection` with
+    `shapes`.  Strict mode then certifies an isogeny behind the images:
+    recovery on the A-part, where 4*degree < A^2 makes it unique, and a
+    check of the full images.  Representations beyond that bound (adapted
+    signatures) get the light checks only.
     """
-    if mode not in ("light", "strict"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rep = sig.rep
-    if rep.domain != sig.e1:
-        return False
-    h = hash_to_challenge_index(sig.e1.j_invariant(), m, mu(ps.d_phi))
+    h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
     try:
         phi = challenge_walk(pk, h, ps.d_phi, ps.group_order)
     except ProtocolError:
-        return False
-    if rep.codomain != phi.codomain:
-        return False
-    base_deg = response_degree(ps)
-    shapes = {ps.A: base_deg, ps.A * ps.C: base_deg * ps.C}
-    if rep_rejection(rep, shapes, ps.group_order) is not None:
-        return False
-    N = rep.order
-    if mode == "strict":
-        if math.gcd(rep.degree, N) == 1 and 4 * rep.degree < N * N:
-            try:
-                recover_isogeny(rep, ps.group_order)
-            except NotFound:
-                return False
-        else:
-            # adapted signatures share the factor C with the basis order and
-            # exceed the 2-power uniqueness bound; only light checks apply
-            logger.debug("strict verification unavailable; light checks only")
-    return True
+        return "challenge"
+    if rep.domain != domain or rep.codomain != phi.codomain:
+        return "rep:endpoints"
+    tag = rep_rejection(rep, shapes, ps.group_order)
+    if tag is not None or mode == "light":
+        return tag
+    if 4 * rep.degree >= ps.A * ps.A:
+        logger.debug("strict verification unavailable; light checks only")
+        return None
+    try:
+        rec = recover_isogeny(a_part(rep, ps.A), ps.group_order)
+    except (NotFound, AmbiguityBound):
+        return "rep:recovery"
+    if any(rec.evaluate(X) != T for X, T in zip(rep.basis, rep.images)):
+        return "rep:recovery-images"
+    return None
+
+
+def verify(pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet) -> bool:
+    """Layered verification of a signature (plain or adapted shape); see
+    `response_rejection` for the light and strict checks."""
+    if mode not in ("light", "strict"):
+        raise ValueError(f"unknown mode {mode!r}")
+    q = response_degree(ps)
+    shapes = {ps.A: q, ps.A * ps.C: q * ps.C}
+    return response_rejection(pk, m, sig.e1, sig.rep, sig.e1, shapes, mode, ps) is None

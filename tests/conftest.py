@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adaptorsig.isogeny import EfficientRep
 from adaptorsig.params import generate_params
 
 
@@ -23,3 +24,21 @@ def t2():
 @pytest.fixture()
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def _forge_rep(rep, ps):
+    """`rep` with both images scaled by k = 1 (mod C), k = 1 + A/2 (mod A).
+
+    k^2 = 1 modulo the basis order, so the images keep the pairing law and
+    pass every light check, but no isogeny of the stated degree has them.
+    """
+    A, C = ps.A, ps.C
+    k = next(x for x in range(1 + A // 2, A * C, A) if x % C == 1)
+    images = tuple(rep.codomain.mul(k, T) for T in rep.images)
+    assert images != tuple(rep.images)
+    return EfficientRep(rep.domain, rep.codomain, rep.degree, rep.order, rep.basis, images)
+
+
+@pytest.fixture()
+def forge():
+    return _forge_rep

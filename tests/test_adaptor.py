@@ -3,6 +3,7 @@ import random
 
 from adaptorsig import serial
 from adaptorsig.adaptor import (
+    AdaptedSignature,
     PreSignature,
     adapt,
     extract,
@@ -14,6 +15,7 @@ from adaptorsig.isogeny import EfficientRep
 from adaptorsig.nizk import NizkRound
 from adaptorsig.relation import Statement, Witness, gen_r, verify_relation, witness_chain
 from adaptorsig.orientation import orientation_image
+from adaptorsig.params import generate_params
 from adaptorsig.sig import keygen, response_degree, verify
 
 
@@ -157,3 +159,44 @@ def test_exhaustive_alpha_pipeline(t0, t1):
             assert verify(kp.pk, m, full, "light", ps)
             rec = extract(full, pre, s, ps)
             assert rec is not None and rec.alpha == alpha
+
+
+def test_strict_preverify_rejects_a_forgery_by_recovery(t0, forge):
+    kp, w, s, m, pre = session(t0, 16)
+    fake = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, t0))
+    reasons = []
+    assert preverify(kp.pk, m, s, fake, "light", t0, reasons)
+    assert reasons == []
+    assert not preverify(kp.pk, m, s, fake, "strict", t0, reasons)
+    assert reasons == ["rep:recovery"]
+
+
+def test_strict_verify_accepts_an_adapted_signature(t0):
+    # 4*degree >= A^2 for adapted signatures: strict falls back to light
+    kp, w, s, m, pre = session(t0, 17)
+    full = adapt(pre, w, t0)
+    assert 4 * full.rep.degree >= t0.A * t0.A
+    assert verify(kp.pk, m, full, "strict", t0)
+
+
+def test_strict_verify_recovers_adapted_signatures_below_the_bound(forge):
+    # a custom shape with 4*B*D_tau*D_phi*C < A^2 certifies adapted
+    # signatures by recovery as well
+    ps = generate_params((9, (5, 7), 1, 35, 3, 4), random.Random(0))
+    kp, w, s, m, pre = session(ps, 19)
+    full = adapt(pre, w, ps)
+    assert 4 * full.rep.degree < ps.A * ps.A
+    assert verify(kp.pk, m, full, "strict", ps)
+    fake = AdaptedSignature(full.e1, forge(full.rep, ps))
+    assert verify(kp.pk, m, fake, "light", ps)
+    assert not verify(kp.pk, m, fake, "strict", ps)
+
+
+def test_extract_checks_the_pairing_law(t0):
+    kp, w, s, m, pre = session(t0, 18)
+    rep = adapt(pre, w, t0).rep
+    swapped = EfficientRep(rep.domain, rep.codomain, rep.degree, rep.order, rep.basis,
+                           (rep.images[1], rep.images[0]))
+    reasons = []
+    assert extract(AdaptedSignature(pre.e1, swapped), pre, s, t0, reasons) is None
+    assert reasons == ["rep:pairing"]

@@ -220,8 +220,26 @@ def test_string_statement_and_witness_exit_2(workspace, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("spec", ["nope", '{"a": 7}', "[7]"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "nope",
+        '{"a": 7}',
+        "[7]",
+        '{"a":"7","primes":[5,7],"c":1,"d_tau":35,"d_phi":3}',
+        '{"a":7,"primes":"57","c":1,"d_tau":35,"d_phi":3}',
+        '{"a":7,"primes":[5,7],"c":true,"d_tau":35,"d_phi":3}',
+    ],
+)
 def test_bad_custom_spec_exit_2(spec, capsys):
     code = main(["params", "--profile", "custom", "--custom-spec", spec, "--out", "-"])
     assert code == 2
     assert "custom-spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,message", [("d_tau", "D_tau"), ("nizk_rounds", "nizk_rounds")])
+def test_custom_spec_constraint_exit_2(field, message, capsys):
+    spec = {"a": 7, "primes": [5, 7], "c": 1, "d_tau": 35, "d_phi": 3, field: 0}
+    code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
+    assert code == 2
+    assert message in capsys.readouterr().err

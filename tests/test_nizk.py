@@ -77,3 +77,14 @@ def test_truncated_proof_rejected(t0):
     stmt, bits = make_statement(t0, rng)
     proof = prove_parallel(stmt, bits, t0, rng)
     assert not verify_parallel(stmt, NizkProof(proof.rounds[:-1]), t0)
+
+
+def test_malformed_reveal_is_an_error_not_a_rejection(t0):
+    rng = random.Random(24)
+    stmt, bits = make_statement(t0, rng)
+    proof = prove_parallel(stmt, bits, t0, rng)
+    i = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
+    r = proof.rounds[i]
+    proof.rounds[i] = NizkRound(r.f, r.fp, r.tag, None)
+    with pytest.raises(TypeError):
+        verify_parallel(stmt, proof, t0)

@@ -103,3 +103,8 @@ def test_magnitude_targets_reported_not_enforced(t0):
     assert any("3/10" in n for n in names)
     assert any("3/5" in n for n in names)
     assert any("1/10" in n for n in names)
+
+
+def test_zero_nizk_rounds_rejected():
+    with pytest.raises(ConstraintViolation):
+        generate_params((7, (5, 7), 1, 35, 3, 0), random.Random(0))

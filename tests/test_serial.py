@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -131,3 +132,61 @@ def test_parse_params_rejects_a_twisted_base_curve(t0):
     with pytest.raises(InvariantViolation) as err:
         serial.parse_params(doc)
     assert err.value.path == "params.e0"
+
+
+VECTORS = Path(__file__).parent / "vectors" / "t0"
+
+
+def _vector(name):
+    return json.loads((VECTORS / name).read_text())
+
+
+def test_parse_params_rejects_zero_nizk_rounds():
+    # a proof with no rounds would accept any commitment curve
+    doc = _vector("params.json")
+    doc["nizk_rounds"] = "0"
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert err.value.path == "params"
+
+
+def _first_tag1_round(doc):
+    return next(r for r in doc["proof"]["rounds"] if r["tag"] == "1")
+
+
+@pytest.mark.parametrize(
+    "name,locate,key,bad",
+    [
+        ("params.json", lambda d: d, "primes", "57"),
+        ("signature.json", lambda d: d["rep"], "basis", {}),
+        ("signature.json", lambda d: d["rep"], "basis", 5),
+        ("signature.json", lambda d: d["rep"], "basis", []),
+        ("presignature.json", lambda d: d, "s", {}),
+        ("presignature.json", lambda d: d, "s", 5),
+        ("presignature.json", lambda d: d, "s", []),
+        ("presignature.json", lambda d: _first_tag1_round(d)["reveal"], "gens", 5),
+    ],
+    ids=[
+        "primes-string",
+        "basis-dict",
+        "basis-int",
+        "basis-empty",
+        "s-dict",
+        "s-int",
+        "s-empty",
+        "gens-int",
+    ],
+)
+def test_list_fields_decode_totally(name, locate, key, bad):
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    parse = {
+        "params.json": serial.parse_params,
+        "signature.json": lambda d: serial.parse_signature(d, ps),
+        "presignature.json": lambda d: serial.parse_presig(d, ps, s),
+    }[name]
+    doc = _vector(name)
+    locate(doc)[key] = bad
+    with pytest.raises(ParseError) as err:
+        parse(doc)
+    assert f".{key}: expected list" in str(err.value)

@@ -231,3 +231,23 @@ def test_verify_surfaces_programming_errors(t0):
     sig = sign(kp, b"m", t0, random.Random(15))
     with pytest.raises(AttributeError):
         verify(None, b"m", sig, "light", t0)
+
+
+def test_strict_rejects_a_forgery_that_passes_light(t0, forge):
+    kp = keygen(t0, random.Random(16))
+    s = sign(kp, b"forged", t0, random.Random(17))
+    fake = PlainSignature(s.e1, forge(s.rep, t0))
+    assert verify(kp.pk, b"forged", fake, "light", t0)
+    assert not verify(kp.pk, b"forged", fake, "strict", t0)
+
+
+def test_unknown_mode_raises(t0):
+    rng = random.Random(18)
+    kp = keygen(t0, rng)
+    w, s = gen_r(t0, rng)
+    pre = presign(kp, b"mode", s, t0, rng)
+    plain = sign(kp, b"mode", t0, rng)
+    with pytest.raises(ValueError):
+        verify(kp.pk, b"mode", plain, "bogus", t0)
+    with pytest.raises(ValueError):
+        preverify(kp.pk, b"mode", s, pre, "bogus", t0)
