@@ -158,12 +158,12 @@ def _mul(E: Curve, k: int, P: Point) -> Point:
     if k < 0:
         return _mul(E, -k, _neg(P))
     R = _INF
-    Q = P
     while k:
         if k & 1:
-            R = _add(E, R, Q)
-        Q = _add(E, Q, Q)
+            R = _add(E, R, P)
         k >>= 1
+        if k:
+            P = _add(E, P, P)
     return R
 
 
@@ -304,15 +304,17 @@ _BASIS_CACHE: dict = {}
 
 
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
-    """Deterministic basis (P, Q) of E[N] with a pairing of exact order N.
+    """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.
 
     Scans abscissas in lexicographic field order, lifts with the canonical
-    square root, clears the cofactor and keeps the first point of exact
-    order N, then the first later point that is independent of it.  N must
+    square root, clears the cofactor and keeps the first point P of exact
+    order N, then the first later point Q that is independent of it.  N must
     divide the group exponent (p+1 for the supersingular curves used here).
     The cofactor clearing is adaptive: the prime-to-N part is stripped and
     each remaining prime power divided down to its share of N, so any scan
-    point whose order is a multiple of N contributes.
+    point whose order is a multiple of N contributes.  Q is independent of P
+    when [N/ell]Q is outside <[N/ell]P> for every prime ell | N: the same as
+    e_N(P, Q) having exact order N, at most ell additions per prime.
     """
     key = (E.key(), N)
     hit = _BASIS_CACHE.get(key)
@@ -324,9 +326,10 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
         return pair
     if group_order % N != 0:
         raise NoBasis(f"{N} does not divide the group exponent")
+    primes = list(factorize(N))
     support = 1  # N-supported part of the group exponent
     cof = group_order
-    for ell in factorize(N):
+    for ell in primes:
         while cof % ell == 0:
             cof //= ell
             support *= ell
@@ -339,9 +342,9 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
         P = _mul(E, n // N, P)
         if first is None:
             first = P
+            first_ell = [(ell, _mul(E, N // ell, P)) for ell in primes]
             continue
-        z = weil_pairing(E, first, P, N)
-        if is_primitive_root_of_unity(z, N):
+        if not any(_in_cyclic(E, _mul(E, N // ell, P), G, ell) for ell, G in first_ell):
             pair = (first, P)
             _BASIS_CACHE[key] = pair
             return pair
@@ -349,37 +352,12 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
 
 
 def small_torsion_basis(E: Curve, ell: int, group_order: int):
-    """Cheap basis of E[ell] for prime ell: independence by membership scan.
+    """The canonical basis of E[ell] for prime ell.
 
-    Used in the inner loops of subgroup enumeration where the full pairing
-    check of canonical_torsion_basis would dominate the running time.
+    Kept as its own name for recovery's basis work (subgroup enumeration,
+    dual steps), so that perfbench times it apart from the other scans.
     """
-    key = (E.key(), ell, "small")
-    hit = _BASIS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    # kill the prime-to-ell part, then divide down: any scan point with ell
-    # in its order yields an order-ell point this way
-    cof = group_order
-    while cof % ell == 0:
-        cof //= ell
-    first = None
-    for S in E.scan_points():
-        P = _mul(E, cof, S)
-        if P.is_inf:
-            continue
-        Q = _mul(E, ell, P)
-        while not Q.is_inf:
-            P = Q
-            Q = _mul(E, ell, P)
-        if first is None:
-            first = P
-            continue
-        if not _in_cyclic(E, P, first, ell):
-            pair = (first, P)
-            _BASIS_CACHE[key] = pair
-            return pair
-    raise NoBasis(f"no {ell}-torsion basis found")  # pragma: no cover
+    return canonical_torsion_basis(E, ell, group_order)
 
 
 def _in_cyclic(E: Curve, P: Point, G: Point, n: int) -> bool:

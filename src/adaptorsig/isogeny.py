@@ -221,23 +221,15 @@ def _pinning_point(E: Curve, ell: int) -> Point:
 def dual_step(step: Step, group_order: int) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
-    The kernel is the step-image of the complementary ell-torsion; the twist
-    is pinned by testing the candidates on a pinning point of the domain.
+    The kernel is the step-image of E[ell], a cyclic group of order ell, so
+    whichever basis point the step does not kill generates it; the twist is
+    pinned by testing the candidates on a pinning point of the domain.
     """
     E, F, ell = step.domain, step.codomain, step.ell
-    if ell == 2:
-        # complementary 2-torsion: the other roots of the division cubic
-        x0 = step.kernel.x
-        s = (-3 * (x0 * x0) - 4 * E.a).sqrt()
-        if s is None:  # pragma: no cover - full 2-torsion is always rational here
-            raise BadKernel("2-torsion not rational")
-        x1 = (s - x0) / Fp2(E.p, 2)
-        K = step.evaluate(Point(x1, Fp2.zero(E.p)))
-    else:
-        U2, V2 = small_torsion_basis(E, ell, group_order)
-        K = step.evaluate(U2)
-        if K.is_inf:
-            K = step.evaluate(V2)
+    U2, V2 = small_torsion_basis(E, ell, group_order)
+    K = step.evaluate(U2)
+    if K.is_inf:
+        K = step.evaluate(V2)
     raw = Step(F, K, ell)
     U = _pinning_point(E, ell)
     tU = _mul(E, ell, U)

@@ -97,7 +97,7 @@ def orientation_valid(o: Orientation, group_order: int) -> bool:
     """Re-check generator orders and pairwise trivial intersections."""
     E = o.curve
     for ell, G1, G2 in o.pairs:
-        if group_order % ell != 0:
+        if ell < 2 or group_order % ell != 0:
             return False
         for G in (G1, G2):
             if not E.on_curve(G) or G.is_inf or not _mul(E, ell, G).is_inf:

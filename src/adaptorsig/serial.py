@@ -45,12 +45,16 @@ def _hex(n: int) -> str:
 
 
 def _unhex(doc, path):
+    """The integer whose canonical form (as _hex writes it) is doc."""
     if not isinstance(doc, str):
         raise ParseError(f"{path}: expected hex string")
     try:
-        return int(doc, 16)
+        n = int(doc, 16)
     except ValueError as exc:
         raise ParseError(f"{path}: bad hex integer") from exc
+    if n < 0 or _hex(n) != doc:
+        raise ParseError(f"{path}: hex integer not in canonical form")
+    return n
 
 
 def _field(doc, key, path):
@@ -266,8 +270,10 @@ def parse_rep(doc, p, group_order, path) -> EfficientRep:
     images = tuple(
         parse_point(idoc[i], codomain, f"{path}.images[{i}]") for i in range(2)
     )
-    if group_order % order != 0:
+    if order < 1 or group_order % order != 0:
         raise InvariantViolation(f"{path}.order", "order does not divide p+1")
+    if degree < 1:
+        raise InvariantViolation(f"{path}.degree", "degree must be positive")
     for i, X in enumerate(basis):
         if not has_exact_order(domain, X, order):
             raise InvariantViolation(f"{path}.basis[{i}]", "not of exact basis order")

@@ -13,6 +13,7 @@ import random
 
 from . import serial
 from .adaptor import AdaptedSignature, adapt, extract, presign, preverify
+from .errors import ProtocolError
 from .isogeny import EfficientRep
 from .params import ParamSet
 from .relation import gen_r, verify_relation
@@ -35,12 +36,12 @@ def demo_swap(ps: ParamSet, seed: int, fault: bool = False) -> dict:
     """Run the swap; returns the transcript document (events + verdict).
 
     Any protocol error aborts the run but keeps the event log up to the
-    failure in the transcript.
+    failure in the transcript; any other exception is a bug and propagates.
     """
     events = []
     try:
         return _run_swap(ps, seed, fault, events)
-    except Exception as exc:
+    except ProtocolError as exc:
         events.append({"type": "abort", "error": str(exc)})
         return {"seed": seed, "fault": fault, "events": events, "verdict": False}
 

@@ -192,6 +192,12 @@ def test_demo_swap_transcript_structure(t0):
     assert len(set(wits)) == 1
 
 
+def test_demo_swap_raises_on_a_programming_error():
+    # only a ProtocolError becomes an "abort" event; a bug propagates
+    with pytest.raises(AttributeError):
+        demo_swap(None, 1)
+
+
 def test_string_statement_and_witness_exit_2(workspace, tmp_path):
     # a JSON string is not a document: "statement" in it is a substring test
     stray = tmp_path / "stray.json"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from adaptorsig.curve import (
     canonical_torsion_basis,
     factorize,
     has_exact_order,
+    is_primitive_root_of_unity,
     isomorphisms,
     point_order,
     twist_curve,
@@ -16,6 +18,7 @@ from adaptorsig.curve import (
 )
 from adaptorsig.errors import OrderMismatch, PointNotOnCurve, SingularCurve
 from adaptorsig.field import Fp2
+from adaptorsig.isogeny import isogeny_from_kernel
 
 
 def test_singular_curve_rejected(t0):
@@ -78,6 +81,36 @@ def test_canonical_basis_trivial(t0):
 
 def test_paramset_pq_is_canonical_basis(t0):
     assert t0.pq == canonical_torsion_basis(t0.e0, t0.C, t0.group_order)
+
+
+def _pairing_scan_basis(E, N, group_order):
+    """Reference scan with the pairing rule: same scan order and cofactor
+    clearing, and the second point is the first later one whose Weil
+    pairing with the first has exact order N."""
+    support = math.prod(ell**e for ell, e in factorize(group_order).items() if N % ell == 0)
+    first = None
+    for S in E.scan_points():
+        P = E.mul(group_order // support, S)
+        n = point_order(E, P, support)
+        if n % N:
+            continue
+        P = E.mul(n // N, P)
+        if first is None:
+            first = P
+        elif is_primitive_root_of_unity(weil_pairing(E, first, P, N), N):
+            return first, P
+
+
+def test_canonical_basis_matches_the_pairing_rule(t0):
+    rng = random.Random(11)
+    n = t0.group_order
+    E = t0.e0
+    for ell in (3, 5, 7):
+        P, Q = canonical_torsion_basis(E, ell, n)
+        E = isogeny_from_kernel(E, [E.add(P, E.mul(rng.randrange(ell), Q))], ell).codomain
+        assert E.j_invariant() != t0.e0.j_invariant()
+        for N in (5, 7, t0.A, t0.C, t0.A * t0.C):
+            assert canonical_torsion_basis(E, N, n) == _pairing_scan_basis(E, N, n)
 
 
 @pytest.mark.parametrize("which", ["A", "C", "AC"])

@@ -13,6 +13,7 @@ from adaptorsig.isogeny import (
     pull_back,
     push_forward,
 )
+from adaptorsig.sig import challenge_walk, mu
 
 
 def modular_poly_2(j1: Fp2, j2: Fp2) -> Fp2:
@@ -120,6 +121,21 @@ def test_dual_composes_to_multiplication(t0, rng):
     for _ in range(20):
         R = E.random_point(rng)
         assert back.evaluate(chain.evaluate(R)) == E.mul(35, R)
+
+
+def test_dual_of_two_power_challenge_walks(t0, rng):
+    # every dual step is of degree 2: its kernel is the image of E[2]
+    E = t0.e0
+    D = 2
+    while D <= t0.A:
+        for h in (1, mu(D)):
+            walk = challenge_walk(E, h, D, t0.group_order)
+            back = dual(walk, t0.group_order)
+            assert back.domain == walk.codomain and back.codomain == E
+            for _ in range(3):
+                R = E.random_point(rng)
+                assert back.evaluate(walk.evaluate(R)) == E.mul(D, R)
+        D *= 2
 
 
 def test_dual_of_dual_keeps_kernel(t0):

@@ -190,3 +190,42 @@ def test_list_fields_decode_totally(name, locate, key, bad):
     with pytest.raises(ParseError) as err:
         parse(doc)
     assert f".{key}: expected list" in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["-1", "+1", " 1", "1\n", "0x1", "01", "00", "1_0", "A", ""])
+def test_hex_must_be_canonical(text):
+    with pytest.raises(ParseError):
+        serial._unhex(text, "x")
+
+
+def test_noncanonical_hex_in_documents_rejected():
+    ps = serial.parse_params(_vector("params.json"))
+    # int("-1", 16) would decode alpha = -1, and "5_0" would decode as 0x50
+    with pytest.raises(ParseError) as err:
+        serial.parse_witness({"alpha": "-1"}, ps)
+    assert "witness.alpha" in str(err.value)
+    doc = _vector("signature.json")
+    doc["rep"]["degree"] = "5_0"
+    with pytest.raises(ParseError) as err:
+        serial.parse_signature(doc, ps)
+    assert "signature.rep.degree" in str(err.value)
+
+
+def test_zero_order_degree_and_prime_rejected():
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    doc = _vector("signature.json")
+    doc["rep"]["order"] = "0"
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_signature(doc, ps)
+    assert err.value.path == "signature.rep.order"
+    doc = _vector("presignature.json")
+    doc["rep"]["degree"] = "0"
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_presig(doc, ps, s)
+    assert err.value.path == "presignature.rep.degree"
+    doc = _vector("params.json")
+    doc["orientation"]["pairs"][0][0] = "0"
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert err.value.path == "params.orientation"
