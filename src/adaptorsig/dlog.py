@@ -35,7 +35,7 @@ from .curve import (
 )
 from .errors import AmbiguityBound, NotABasis, NotFound, OrderMismatch
 from .field import Fp2
-from .isogeny import EfficientRep, IsogenyChain, Step, dual_step
+from .isogeny import EfficientRep, IsogenyChain, Step, dual_kernel, dual_step
 
 logger = logging.getLogger(__name__)
 
@@ -116,13 +116,12 @@ def _subgroup_gens(E: Curve, ell: int, group_order: int):
         gens.append(W)
         W = _add(E, W, V)
     gens.append(V)
-    return gens, U, V
+    return gens
 
 
 def _ell_block(E: Curve, ell: int, group_order: int):
     """Two steps composing to exact multiplication by ell on E."""
-    gens, _, _ = _subgroup_gens(E, ell, group_order)
-    s0 = Step(E, gens[0], ell)
+    s0 = Step(E, _subgroup_gens(E, ell, group_order)[0], ell)
     return [s0, dual_step(s0, group_order)]
 
 
@@ -143,14 +142,10 @@ def _walks(E, ell, r, steps, U, V, group_order, back_gen):
     if r == 0:
         yield steps, E, U, V
         return
-    gens, B1, B2 = _subgroup_gens(E, ell, group_order)
-    for G in gens:
+    for G in _subgroup_gens(E, ell, group_order):
         if back_gen is not None and _in_cyclic(E, G, back_gen, ell):
             continue
         s = Step(E, G, ell)
-        nb = s.evaluate(B1)
-        if nb.is_inf:
-            nb = s.evaluate(B2)
         yield from _walks(
             s.codomain,
             ell,
@@ -159,7 +154,7 @@ def _walks(E, ell, r, steps, U, V, group_order, back_gen):
             s.evaluate(U),
             s.evaluate(V),
             group_order,
-            nb,
+            dual_kernel(s, group_order),
         )
 
 

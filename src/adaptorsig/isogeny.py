@@ -17,13 +17,12 @@ from .curve import (
     _neg,
     canonical_torsion_basis,
     factorize,
-    isomorphisms,
     point_order,
     small_torsion_basis,
     twist_curve,
     twist_point,
 )
-from .errors import BadKernel, DomainMismatch, NonCoprimeDegree, NoPreimage
+from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
 from .field import Fp2
 
 
@@ -195,50 +194,43 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
 # ---------------------------------------------------------------------------
 
 
-_PIN_CACHE: dict = {}
+def dual_kernel(step: Step, group_order: int) -> Point:
+    """Generator of the dual step's kernel, the step-image of E[ell].
 
-
-def _pinning_point(E: Curve, ell: int) -> Point:
-    """First scan point whose [ell]-multiple is moved by every nontrivial
-    automorphism of E.  Testing one such point distinguishes all candidate
-    twists of a dual step, since any two candidates differ by an
-    automorphism of E."""
-    key = (E.key(), ell)
-    hit = _PIN_CACHE.get(key)
-    if hit is not None:
-        return hit
-    auts = [u for u in isomorphisms(E, E) if u != Fp2.one(E.p)]
-    for S in E.scan_points():
-        X = _mul(E, ell, S)
-        if X.is_inf:
-            continue
-        if all(twist_point(X, u) != X for u in auts):
-            _PIN_CACHE[key] = S
-            return S
-    raise BadKernel("no pinning point found")  # pragma: no cover
+    That image is cyclic of order ell, so the image of whichever canonical
+    E[ell]-basis point the step does not kill generates it.  For ell = 2 the
+    other 2-torsion points are the roots of x^2 + x_K x + (a + x_K^2), what
+    is left of x^3 + a x + b once the kernel's root x_K is divided out;
+    either one maps to the nonzero point of the image, with no scan.
+    """
+    E, ell = step.domain, step.ell
+    if ell == 2:
+        xK = step.kernel.x
+        r = (-3 * (xK * xK) - 4 * E.a).sqrt()
+        if r is None:
+            raise NoBasis("E[2] is not rational")
+        return step.evaluate(Point((r - xK) * pow(2, -1, E.p), Fp2.zero(E.p)))
+    U, V = small_torsion_basis(E, ell, group_order)
+    K = step.evaluate(U)
+    return step.evaluate(V) if K.is_inf else K
 
 
 def dual_step(step: Step, group_order: int) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
-    The kernel is the step-image of E[ell], a cyclic group of order ell, so
-    whichever basis point the step does not kill generates it; the twist is
-    pinned by testing the candidates on a pinning point of the domain.
+    Its kernel is dual_kernel(step), and its twist is computed, not searched
+    for.  A Vélu step pulls the invariant differential dx/2y back to itself
+    and a u-twist pulls it back to 1/u times itself, so with v the twist of
+    s_hat, s_hat composed with s pulls it back to 1/(u v) times itself.  That
+    composite has kernel E[ell], so it is [ell], which multiplies the
+    differential by ell, followed by an isomorphism, which is the identity
+    exactly when it keeps the differential.  So v = 1/(ell u) makes the
+    composite [ell] and lands s_hat on the domain of s.
     """
-    E, F, ell = step.domain, step.codomain, step.ell
-    U2, V2 = small_torsion_basis(E, ell, group_order)
-    K = step.evaluate(U2)
-    if K.is_inf:
-        K = step.evaluate(V2)
-    raw = Step(F, K, ell)
-    U = _pinning_point(E, ell)
-    tU = _mul(E, ell, U)
-    sU = step.evaluate(U)
-    for u in isomorphisms(raw.codomain, E):
-        cand = Step(F, K, ell, u)
-        if cand.evaluate(sU) == tU:
-            return cand
-    raise BadKernel("no normalization makes the dual step exact")  # pragma: no cover
+    d = Step(step.codomain, dual_kernel(step, group_order), step.ell, (step.ell * step.u).inv())
+    if d.codomain != step.domain:
+        raise BadKernel("the dual step does not return to the domain")
+    return d
 
 
 def dual(chain: IsogenyChain, group_order: int) -> IsogenyChain:

@@ -230,6 +230,8 @@ def parse_chain(doc, p, path) -> IsogenyChain:
     for i, sdoc in enumerate(_list(doc, "steps", path)):
         sub = f"{path}.steps[{i}]"
         ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
+        if not is_prime(ell):
+            raise InvariantViolation(f"{sub}.ell", "step degree is not prime")
         K = parse_point(_field(sdoc, "kernel", sub), cur, f"{sub}.kernel")
         u = parse_fp2(_field(sdoc, "u", sub), p, f"{sub}.u")
         try:

@@ -2,18 +2,20 @@ import random
 
 import pytest
 
-from adaptorsig.curve import Point, canonical_torsion_basis
-from adaptorsig.errors import BadKernel, DomainMismatch, NonCoprimeDegree
+from adaptorsig.curve import Curve, Point, canonical_torsion_basis
+from adaptorsig.errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree
 from adaptorsig.field import Fp2
 from adaptorsig.isogeny import (
+    Step,
     compose_chains,
     dual,
+    dual_step,
     efficient_rep,
     isogeny_from_kernel,
     pull_back,
     push_forward,
 )
-from adaptorsig.sig import challenge_walk, mu
+from adaptorsig.sig import challenge_walk, keygen, mu
 
 
 def modular_poly_2(j1: Fp2, j2: Fp2) -> Fp2:
@@ -136,6 +138,34 @@ def test_dual_of_two_power_challenge_walks(t0, rng):
                 R = E.random_point(rng)
                 assert back.evaluate(walk.evaluate(R)) == E.mul(D, R)
         D *= 2
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_dual_of_twisted_steps(t0, rng, ell):
+    # the dual's twist is 1/(ell*u) for every u, on E0 (j = 1728, four
+    # automorphisms) and on a keygen codomain
+    n = t0.group_order
+    for E in (t0.e0, keygen(t0, rng).pk):
+        K = Point.infinity()
+        while K.is_inf:
+            K = E.mul(n // ell, E.random_point(rng))
+        for u in (Fp2.one(t0.p), Fp2(t0.p, 3, 5)):
+            s = Step(E, K, ell, u)
+            back = dual_step(s, n)
+            assert back.domain == s.codomain and back.codomain == E
+            for _ in range(5):
+                R = E.random_point(rng)
+                assert back.evaluate(s.evaluate(R)) == E.mul(ell, R)
+
+
+def test_dual_of_two_step_needs_rational_two_torsion(t0):
+    # y^2 = x^3 - g x with g a non-square: (0, 0) is its only 2-torsion point
+    p = t0.p
+    g = next(Fp2(p, c, 1) for c in range(p) if Fp2(p, c, 1).sqrt() is None)
+    E = Curve(-g, Fp2.zero(p))
+    s = Step(E, Point(Fp2.zero(p), Fp2.zero(p)), 2)
+    with pytest.raises(NoBasis):
+        dual_step(s, t0.group_order)
 
 
 def test_dual_of_dual_keeps_kernel(t0):

@@ -1,5 +1,6 @@
-"""Source-layout rules for the package: imports sit at module level, and
-the package depends on the Python standard library alone."""
+"""Source-layout rules for the package: imports sit at module level, the
+package depends on the Python standard library alone, and every global
+cache is named here."""
 
 import ast
 import sys
@@ -42,3 +43,37 @@ def test_absolute_imports_are_stdlib():
                 if m.split(".")[0] not in sys.stdlib_module_names
             ]
     assert foreign == []
+
+
+# module-level containers that start empty and grow for the life of the
+# process; a new one has to be added here
+UNBOUNDED_CACHES = {"curve.py:_BASIS_CACHE"}
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "list", "set")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def test_no_unlisted_global_caches():
+    caches = set()
+    for name, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            if _is_empty_container(node.value):
+                caches.update(f"{name}:{t.id}" for t in targets if isinstance(t, ast.Name))
+    assert sorted(caches - UNBOUNDED_CACHES) == []

@@ -6,7 +6,7 @@ import pytest
 
 from adaptorsig import serial
 from adaptorsig.adaptor import adapt, presign
-from adaptorsig.curve import twist_curve, twist_point
+from adaptorsig.curve import Point, canonical_torsion_basis, twist_curve, twist_point
 from adaptorsig.errors import InvariantViolation, ParseError
 from adaptorsig.field import Fp2
 from adaptorsig.orientation import Orientation, sample_orientation
@@ -229,3 +229,22 @@ def test_zero_order_degree_and_prime_rejected():
     with pytest.raises(InvariantViolation) as err:
         serial.parse_params(doc)
     assert err.value.path == "params.orientation"
+
+
+def test_composite_step_degree_rejected():
+    # one Vélu step with the whole cyclic kernel of sk (degree 35) computes
+    # the same isogeny, but a chain's steps have prime degree
+    ps = serial.parse_params(_vector("params.json"))
+    doc = _vector("key.json")
+    sk = serial.parse_keypair(doc, ps).sk
+    E = ps.e0
+    K = Point.infinity()
+    for ell in (5, 7):
+        U, V = canonical_torsion_basis(E, ell, ps.group_order)
+        gens = [E.add(U, E.mul(k, V)) for k in range(ell)] + [V]
+        K = E.add(K, next(G for G in gens if sk.evaluate(G).is_inf))
+    step = dict(doc["sk"]["steps"][0], ell="23", kernel=serial.point_doc(K))
+    doc["sk"]["steps"] = [step]
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_keypair(doc, ps)
+    assert err.value.path == "key.sk.steps[0].ell"
