@@ -45,9 +45,7 @@ from .params import ParamSet
 from .relation import Statement, Witness, verify_relation, witness_chain
 from .sig import (
     KeyPair,
-    challenge_walk,
-    hash_to_challenge_index,
-    mu,
+    challenge,
     rep_rejection,
     response_degree,
     response_rejection,
@@ -90,8 +88,7 @@ def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignat
     )
     e1 = psip.codomain
     proof = prove_parallel((s.ew, s.oriented_image, e1), bits, ps, rng)
-    h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
-    phi = challenge_walk(kp.pk, h, ps.d_phi, ps.group_order)
+    phi = challenge(kp.pk, e1, m, ps)
     sigma_tilde = compose_chains(dual(psi, ps.group_order), kp.sk, phi)
     rep_tilde = efficient_rep(sigma_tilde, ps.A * ps.C, ps.group_order)
     return PreSignature(e1, proof, psi.codomain, S, rep_tilde)

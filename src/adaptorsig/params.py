@@ -93,46 +93,97 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _check_shape(a, primes, c, d_tau, d_phi, k):
-    A = 2**a
-    B = math.prod(primes)
-    C = 3**c
-    if a < 2:
-        raise ConstraintViolation("need a >= 2 so that 4 | A")
-    if len(set(primes)) != len(primes):
-        raise ConstraintViolation("primes must be distinct")
-    for ell in primes:
-        if ell == 3 or ell % 2 == 0 or not is_prime(ell):
-            raise ConstraintViolation(
-                f"prime {ell} collides with A = 2^a or C = 3^c (must be odd, not 3)"
-            )
-    if c < 1:
-        raise ConstraintViolation("need c >= 1")
-    if d_tau <= 1 or B % d_tau != 0:
-        raise ConstraintViolation("D_tau must be a nontrivial divisor of B")
-    if d_phi <= 1 or C % d_phi != 0:
-        raise ConstraintViolation("D_phi must be a nontrivial power of 3 dividing C")
-    if 4 * C >= A * A:
-        raise ConstraintViolation(f"extraction bound violated: 4*C = {4*C} >= A^2 = {A*A}")
-    if 4 * B * d_tau * d_phi >= A * A:
-        raise ConstraintViolation(
-            f"recovery bound violated: 4*B*D_tau*D_phi = {4*B*d_tau*d_phi} >= A^2 = {A*A}"
-        )
-    if k < 1:
-        raise ConstraintViolation("need nizk_rounds >= 1")
-    return A, B, C
-
-
 def base_curve(p: int) -> Curve:
     """E0: y^2 = x^3 + x over GF(p^2)."""
     return Curve(Fp2(p, 1), Fp2(p, 0))
 
 
+# ---------------------------------------------------------------------------
+# the parameter rules
+# ---------------------------------------------------------------------------
+#
+# Every invariant of a parameter set is one (name, check, detail) rule here:
+# check(ps) reads a ParamSet and detail.format(ps=ps) describes it.
+# Generation, decoding and validation all run these tables.  Raising callers
+# stop at the first failing rule and give its name but no value, so a
+# decoded integer of any size stays out of the message.
+
+
+def _primes_ok(ps) -> bool:
+    ells = ps.primes
+    distinct = len(set(ells)) == len(ells)
+    return distinct and all(ell % 2 == 1 and ell != 3 and is_prime(ell) for ell in ells)
+
+
+def _divisors_ok(ps) -> bool:
+    return ps.d_tau > 1 and ps.B % ps.d_tau == 0 and ps.d_phi > 1 and ps.C % ps.d_phi == 0
+
+
+#: read the profile tuple alone: a, primes, c, D_tau, D_phi, nizk_rounds
+SHAPE_RULES = (
+    ("a >= 2", lambda ps: ps.a >= 2, "a = {ps.a}"),
+    ("c >= 1", lambda ps: ps.c >= 1, "c = {ps.c}"),
+    ("A, B, C pairwise coprime", lambda ps: math.gcd(ps.B, 6) == 1, "A={ps.A} B={ps.B} C={ps.C}"),
+    ("primes distinct, odd, not 3", _primes_ok, "primes = {ps.primes}"),
+    ("D_tau | B and D_phi | C", _divisors_ok, "D_tau = {ps.d_tau}, D_phi = {ps.d_phi}"),
+    ("extraction bound 4C < A^2", lambda ps: 4 * ps.C < ps.A**2, "C = {ps.C}, A = {ps.A}"),
+    (
+        "recovery bound 4*B*D_tau*D_phi < A^2",
+        lambda ps: 4 * ps.B * ps.d_tau * ps.d_phi < ps.A**2,
+        "B = {ps.B}, D_tau = {ps.d_tau}, D_phi = {ps.d_phi}, A = {ps.A}",
+    ),
+    ("nizk_rounds >= 1", lambda ps: ps.nizk_rounds >= 1, "k = {ps.nizk_rounds}"),
+)
+
+
+def _fits(ps) -> bool:
+    n = ps.group_order.bit_length()
+    return ps.a < n and ps.c < n and ps.B.bit_length() <= n
+
+
+#: A = 2^a, B and C = 3^c divide p + 1, so none is longer than it; decoding
+#: checks this before the shape rules compute either power
+SIZE_RULE = ("a, c and B within the bit length of p + 1", _fits, "a = {ps.a}, c = {ps.c}")
+P_RULES = (
+    SIZE_RULE,
+    ("p = ABCf - 1", lambda ps: ps.p == ps.A * ps.B * ps.C * ps.f - 1, "f = {ps.f}, p = {ps.p}"),
+    ("p prime", lambda ps: is_prime(ps.p), "p = {ps.p}"),
+    ("p = 3 (mod 4)", lambda ps: ps.p % 4 == 3, "p = {ps.p}"),
+)
+
+
+def _basis_ok(ps) -> bool:
+    E, C = ps.e0, ps.C
+    P, Q = ps.pq
+    orders = all(E.on_curve(X) and has_exact_order(E, X, C) for X in (P, Q))
+    return orders and is_primitive_root_of_unity(weil_pairing(E, P, Q, C), C)
+
+
+def _orientation_ok(ps) -> bool:
+    o = ps.orientation
+    return o.curve == ps.e0 and o.primes == ps.primes and orientation_valid(o, ps.group_order)
+
+
+E0_RULE = ("E0 is y^2 = x^3 + x", lambda ps: ps.e0 == base_curve(ps.p), "not a twist of it")
+BASIS_RULE = ("(P, Q) basis of E0[C]", _basis_ok, "C = {ps.C}")
+ORIENTATION_RULE = ("orientation valid on E0", _orientation_ok, "primes = {ps.primes}")
+CURVE_RULES = (E0_RULE, BASIS_RULE, ORIENTATION_RULE)
+
+
+def failed_rule(ps, rules):
+    """Name of the first rule ps fails, or None; later rules are not run."""
+    for name, check, _ in rules:
+        if not check(ps):
+            return name
+    return None
+
+
 def generate_params(profile, rng) -> ParamSet:
     """Build a full parameter set for a named profile or a custom tuple.
 
-    The cofactor search is ascending from f = 1; the base curve, the
-    C-torsion basis and the orientation are all deterministic given rng.
+    The shape rules run on the tuple first.  The cofactor search is
+    ascending from f = 1; the base curve, the C-torsion basis and the
+    orientation are all deterministic given rng.
     """
     if isinstance(profile, str):
         try:
@@ -141,9 +192,13 @@ def generate_params(profile, rng) -> ParamSet:
             raise ConstraintViolation(f"unknown profile {profile!r}") from None
     else:
         a, primes, c, d_tau, d_phi, k = profile
-    A, B, C = _check_shape(a, primes, c, d_tau, d_phi, k)
+    # p, f and the curve data are filled in once the shape holds
+    shape = ParamSet(None, a, primes, c, None, d_tau, d_phi, None, None, None, k)
+    failed = failed_rule(shape, SHAPE_RULES)
+    if failed is not None:
+        raise ConstraintViolation(f"violates {failed}")
 
-    base = A * B * C
+    base = shape.A * shape.B * shape.C
     p = None
     for f in range(1, _F_SEARCH_BOUND + 1):
         cand = base * f - 1
@@ -155,8 +210,8 @@ def generate_params(profile, rng) -> ParamSet:
 
     e0 = base_curve(p)
     orientation = sample_orientation(e0, primes, p + 1, rng)
-    pq = canonical_torsion_basis(e0, C, p + 1)
-    return ParamSet(p, a, primes, c, f, d_tau, d_phi, e0, orientation, pq, k)
+    pq = canonical_torsion_basis(e0, shape.C, p + 1)
+    return replace(shape, p=p, f=f, e0=e0, orientation=orientation, pq=pq)
 
 
 # ---------------------------------------------------------------------------
@@ -183,79 +238,27 @@ class ValidationReport:
 
 
 def validate_params(ps: ParamSet) -> ValidationReport:
-    """Re-check every ParamSet invariant; failures are reported, not raised."""
-    checks = []
-    A, B, C = ps.A, ps.B, ps.C
-
-    checks.append(("p prime", is_prime(ps.p), f"p = {ps.p}"))
-    checks.append(("p = 3 (mod 4)", ps.p % 4 == 3, f"p % 4 = {ps.p % 4}"))
-    checks.append(
-        ("p = ABCf - 1", ps.p == A * B * C * ps.f - 1, f"ABCf - 1 = {A*B*C*ps.f - 1}")
-    )
-    cop = (
-        math.gcd(A, B) == 1 and math.gcd(A, C) == 1 and math.gcd(B, C) == 1
-    )
-    checks.append(("A, B, C pairwise coprime", cop, f"A={A} B={B} C={C}"))
-    shape = all(ell % 2 == 1 and ell != 3 and is_prime(ell) for ell in ps.primes) and len(
-        set(ps.primes)
-    ) == len(ps.primes)
-    checks.append(("primes distinct, odd, not 3", shape, f"primes = {ps.primes}"))
-    checks.append(
-        ("extraction bound 4C < A^2", 4 * C < A * A, f"4C = {4*C}, A^2 = {A*A}")
-    )
-    bound = 4 * B * ps.d_tau * ps.d_phi
-    checks.append(
-        (
-            "recovery bound 4*B*D_tau*D_phi < A^2",
-            bound < A * A,
-            f"lhs = {bound}, A^2 = {A*A}",
-        )
-    )
-    checks.append(
-        ("D_tau | B and D_phi | C", B % ps.d_tau == 0 and C % ps.d_phi == 0, "")
-    )
-
-    ss = _supersingular_count_check(ps)
-    checks.append(("E0 supersingular, |E0(GF(p^2))| = (p+1)^2", ss, "point count over GF(p)"))
-
-    P, Q = ps.pq
-    pq_ok = (
-        ps.e0.on_curve(P)
-        and ps.e0.on_curve(Q)
-        and has_exact_order(ps.e0, P, C)
-        and has_exact_order(ps.e0, Q, C)
-        and is_primitive_root_of_unity(weil_pairing(ps.e0, P, Q, C), C)
-    )
-    checks.append(("(P, Q) basis of E0[C]", pq_ok, f"C = {C}"))
-
-    checks.append(
-        (
-            "orientation valid on E0",
-            ps.orientation.curve == ps.e0
-            and ps.orientation.primes == ps.primes
-            and orientation_valid(ps.orientation, ps.p + 1),
-            f"primes = {ps.primes}",
-        )
-    )
-    checks.append(("nizk_rounds >= 1", ps.nizk_rounds >= 1, f"k = {ps.nizk_rounds}"))
-
+    """Every parameter rule, plus a point count of E0; failures are
+    reported, not raised."""
+    own = ("E0 supersingular, |E0(GF(p^2))| = (p+1)^2", _supersingular, "point count over GF(p)")
+    checks = [
+        (name, check(ps), detail.format(ps=ps))
+        for name, check, detail in SHAPE_RULES + P_RULES + CURVE_RULES + (own,)
+    ]
     lp = math.log(ps.p)
     info = [
-        ("log_p(A) vs 3/10", f"{math.log(A)/lp:.3f} (target 0.300, not enforced)"),
-        ("log_p(B) vs 3/5", f"{math.log(B)/lp:.3f} (target 0.600, not enforced)"),
-        ("log_p(C) vs 1/10", f"{math.log(C)/lp:.3f} (target 0.100, not enforced)"),
+        ("log_p(A) vs 3/10", f"{math.log(ps.A)/lp:.3f} (target 0.300, not enforced)"),
+        ("log_p(B) vs 3/5", f"{math.log(ps.B)/lp:.3f} (target 0.600, not enforced)"),
+        ("log_p(C) vs 1/10", f"{math.log(ps.C)/lp:.3f} (target 0.100, not enforced)"),
     ]
     return ValidationReport(checks, info)
 
 
-def _supersingular_count_check(ps: ParamSet) -> bool:
-    """|E0(GF(p))| = p + 1 via a Legendre-symbol sum, which forces
-    |E0(GF(p^2))| = (p+1)^2 for a trace-zero curve."""
+def _supersingular(ps: ParamSet) -> bool:
+    """|y^2 = x^3 + x over GF(p)| = p + 1 via a Legendre-symbol sum, which
+    forces |E0(GF(p^2))| = (p+1)^2 for a trace-zero curve."""
     p = ps.p
-    if ps.e0 != base_curve(p):
-        return False
-    count = p + 1  # infinity plus one point per x with rhs = 0, etc.
-    total = 1
+    total = 1  # infinity, then one point per x with rhs = 0, etc.
     for x in range(p):
         rhs = (x * x * x + x) % p
         if rhs == 0:
@@ -263,9 +266,4 @@ def _supersingular_count_check(ps: ParamSet) -> bool:
         else:
             ls = pow(rhs, (p - 1) // 2, p)
             total += 2 if ls == 1 else 0
-    return total == count
-
-
-def tweak(ps: ParamSet, **kw) -> ParamSet:
-    """dataclasses.replace passthrough, for building deliberately bad sets."""
-    return replace(ps, **kw)
+    return total == p + 1

@@ -8,6 +8,7 @@ codomains) and names the offending JSON path on failure.
 
 import json
 import math
+from dataclasses import replace
 
 from .adaptor import AdaptedSignature, PreSignature
 from .curve import (
@@ -15,15 +16,24 @@ from .curve import (
     Point,
     _mul,
     has_exact_order,
-    is_primitive_root_of_unity,
     weil_pairing,
 )
-from .errors import ConstraintViolation, InvariantViolation, ParseError, ProtocolError
+from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step
 from .nizk import NizkProof, NizkRound
 from .orientation import Orientation, orientation_valid
-from .params import ParamSet, _check_shape, base_curve, is_prime
+from .params import (
+    BASIS_RULE,
+    E0_RULE,
+    ORIENTATION_RULE,
+    P_RULES,
+    SHAPE_RULES,
+    SIZE_RULE,
+    ParamSet,
+    failed_rule,
+    is_prime,
+)
 from .relation import Statement, Witness, witness_chain
 from .sig import KeyPair, PlainSignature
 
@@ -165,7 +175,15 @@ def params_doc(ps: ParamSet) -> dict:
     }
 
 
+def _require(ps, path, *rules):
+    failed = failed_rule(ps, rules)
+    if failed is not None:
+        raise InvariantViolation(path, f"violates {failed}")
+
+
 def parse_params(doc) -> ParamSet:
+    """Decode a parameter set, running the rules of `params` as its parts
+    arrive: size, shape and p before any curve is parsed."""
     path = "params"
     p = _unhex(_field(doc, "p", path), f"{path}.p")
     a = _unhex(_field(doc, "a", path), f"{path}.a")
@@ -178,31 +196,21 @@ def parse_params(doc) -> ParamSet:
     d_tau = _unhex(_field(doc, "d_tau", path), f"{path}.d_tau")
     d_phi = _unhex(_field(doc, "d_phi", path), f"{path}.d_phi")
     k = _unhex(_field(doc, "nizk_rounds", path), f"{path}.nizk_rounds")
-    try:
-        A, B, C = _check_shape(a, primes, c, d_tau, d_phi, k)
-    except ConstraintViolation as exc:
-        raise InvariantViolation(path, str(exc)) from exc
-    if p != A * B * C * f - 1:
-        raise InvariantViolation(f"{path}.p", "p != ABCf - 1")
-    if not is_prime(p) or p % 4 != 3:
-        raise InvariantViolation(f"{path}.p", "p not a prime = 3 (mod 4)")
-    e0 = parse_curve(_field(doc, "e0", path), p, f"{path}.e0")
-    if e0 != base_curve(p):
-        raise InvariantViolation(f"{path}.e0", "not the base curve y^2 = x^3 + x")
+    ps = ParamSet(p, a, primes, c, f, d_tau, d_phi, None, None, None, k)
+    _require(ps, f"{path}.p", SIZE_RULE)
+    _require(ps, path, *SHAPE_RULES)
+    _require(ps, f"{path}.p", *P_RULES)
+    ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))
+    _require(ps, f"{path}.e0", E0_RULE)
     orientation = parse_orientation(
         _field(doc, "orientation", path), p, p + 1, f"{path}.orientation"
     )
     pq_doc = _list(doc, "pq", path, 2)
-    P = parse_point(pq_doc[0], e0, f"{path}.pq[0]")
-    Q = parse_point(pq_doc[1], e0, f"{path}.pq[1]")
-    for X, name in ((P, "pq[0]"), (Q, "pq[1]")):
-        if not has_exact_order(e0, X, C):
-            raise InvariantViolation(f"{path}.{name}", f"not of exact order {C}")
-    if not is_primitive_root_of_unity(weil_pairing(e0, P, Q, C), C):
-        raise InvariantViolation(f"{path}.pq", "pairing does not have exact order C")
-    if orientation.curve != e0 or orientation.primes != primes:
-        raise InvariantViolation(f"{path}.orientation", "not an orientation of e0")
-    return ParamSet(p, a, primes, c, f, d_tau, d_phi, e0, orientation, (P, Q), k)
+    pq = tuple(parse_point(pq_doc[i], ps.e0, f"{path}.pq[{i}]") for i in range(2))
+    ps = replace(ps, orientation=orientation, pq=pq)
+    _require(ps, f"{path}.pq", BASIS_RULE)
+    _require(ps, f"{path}.orientation", ORIENTATION_RULE)
+    return ps
 
 
 # -- chains, representations --------------------------------------------------

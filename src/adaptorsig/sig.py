@@ -98,6 +98,12 @@ def challenge_walk(E: Curve, h: int, D: int, group_order: int) -> IsogenyChain:
     return isogeny_from_kernel(E, [cyclic_kernel(E, D, h, group_order)], D)
 
 
+def challenge(pk: Curve, e1: Curve, m: bytes, ps: ParamSet) -> IsogenyChain:
+    """The Fiat-Shamir challenge: the walk from pk indexed by (j(e1), m)."""
+    h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
+    return challenge_walk(pk, h, ps.d_phi, ps.group_order)
+
+
 def _random_smooth_kernel(E: Curve, degree: int, group_order: int, rng):
     """Generators of a uniformly random cyclic subgroup of order `degree`
     (degree squarefree and odd here, so every order-degree subgroup is
@@ -125,8 +131,7 @@ def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     gens = _random_smooth_kernel(ps.e0, ps.B, ps.group_order, rng)
     psi0 = isogeny_from_kernel(ps.e0, gens, ps.B)
     e1 = psi0.codomain
-    h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
-    phi = challenge_walk(kp.pk, h, ps.d_phi, ps.group_order)
+    phi = challenge(kp.pk, e1, m, ps)
     sigma = compose_chains(dual(psi0, ps.group_order), kp.sk, phi)
     rep = efficient_rep(sigma, ps.A, ps.group_order)
     return PlainSignature(e1, rep)
@@ -179,9 +184,8 @@ def response_rejection(
     check of the full images.  Representations beyond that bound (adapted
     signatures) get the light checks only.
     """
-    h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
     try:
-        phi = challenge_walk(pk, h, ps.d_phi, ps.group_order)
+        phi = challenge(pk, e1, m, ps)
     except ProtocolError:
         return "challenge"
     if rep.domain != domain or rep.codomain != phi.codomain:

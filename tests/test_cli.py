@@ -249,3 +249,11 @@ def test_custom_spec_constraint_exit_2(field, message, capsys):
     code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_custom_spec_with_a_huge_c_exit_2(capsys):
+    # 4*3^20000 has more decimal digits than int-to-str allows
+    spec = {"a": 7, "primes": [5, 7], "c": 20000, "d_tau": 35, "d_phi": 3}
+    code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
+    assert code == 2
+    assert "extraction bound" in capsys.readouterr().err

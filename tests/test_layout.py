@@ -46,8 +46,8 @@ def test_absolute_imports_are_stdlib():
 
 
 # module-level containers that start empty and grow for the life of the
-# process; a new one has to be added here
-UNBOUNDED_CACHES = {"curve.py:_BASIS_CACHE"}
+# process; there are none, and a new one has to be added here
+UNBOUNDED_CACHES = set()
 
 
 def _is_empty_container(node):
@@ -77,3 +77,25 @@ def test_no_unlisted_global_caches():
             if _is_empty_container(node.value):
                 caches.update(f"{name}:{t.id}" for t in targets if isinstance(t, ast.Name))
     assert sorted(caches - UNBOUNDED_CACHES) == []
+
+
+def _decorator_name(node):
+    func = node.func if isinstance(node, ast.Call) else node
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_function_caches_have_a_fixed_size():
+    unbounded = []
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for deco in fn.decorator_list:
+                kind = _decorator_name(deco)
+                if kind not in ("cache", "lru_cache"):
+                    continue
+                size = [kw.value for kw in getattr(deco, "keywords", ()) if kw.arg == "maxsize"]
+                size += list(getattr(deco, "args", ()))[:1]
+                if not (size and isinstance(size[0], ast.Constant) and type(size[0].value) is int):
+                    unbounded.append(f"{name}:{fn.name}")
+    assert unbounded == []

@@ -1,12 +1,20 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 import sympy
 
+from adaptorsig import serial
 from adaptorsig.curve import point_order
-from adaptorsig.errors import ConstraintViolation
-from adaptorsig.params import generate_params, is_prime, validate_params, tweak
+from adaptorsig.errors import ConstraintViolation, InvariantViolation
+from adaptorsig.params import (
+    PROFILES,
+    SHAPE_RULES,
+    generate_params,
+    is_prime,
+    validate_params,
+)
 
 # golden values confirmed against sympy's primality oracle below
 GOLDEN = {"T0": (2, 26879), "T1": (2, 322559), "T2": (1, 483839)}
@@ -60,7 +68,7 @@ def test_validate_passes_on_generated(t0):
 def test_validate_fails_on_shifted_p(t0):
     # p+2 = 26881 happens to be prime, so the failing checks are the shape
     # and the mod-4 condition; p+4 also breaks primality
-    bad = tweak(t0, p=t0.p + 2)
+    bad = replace(t0, p=t0.p + 2)
     report = validate_params(bad)
     assert not report.ok
     failed = {name for name, passed, _ in report.checks if not passed}
@@ -68,7 +76,7 @@ def test_validate_fails_on_shifted_p(t0):
     assert "p = 3 (mod 4)" in failed
     assert sympy.isprime(t0.p + 2)
 
-    worse = tweak(t0, p=t0.p + 4)
+    worse = replace(t0, p=t0.p + 4)
     report = validate_params(worse)
     failed = {name for name, passed, _ in report.checks if not passed}
     assert "p = ABCf - 1" in failed
@@ -77,7 +85,7 @@ def test_validate_fails_on_shifted_p(t0):
 
 
 def test_validate_fails_on_extraction_bound(t0):
-    bad = tweak(t0, c=8)  # 4 * 3^8 = 26244 >= 128^2
+    bad = replace(t0, c=8)  # 4 * 3^8 = 26244 >= 128^2
     report = validate_params(bad)
     failed = {name for name, passed, _ in report.checks if not passed}
     assert "extraction bound 4C < A^2" in failed
@@ -108,3 +116,40 @@ def test_magnitude_targets_reported_not_enforced(t0):
 def test_zero_nizk_rounds_rejected():
     with pytest.raises(ConstraintViolation):
         generate_params((7, (5, 7), 1, 35, 3, 0), random.Random(0))
+
+
+# one violation per shape rule, changing T0 so that no earlier rule fails
+SHAPE_VIOLATIONS = {
+    "a >= 2": {"a": 1},
+    "c >= 1": {"c": 0},
+    "A, B, C pairwise coprime": {"primes": (3, 5)},
+    "primes distinct, odd, not 3": {"primes": (5, 5)},
+    "D_tau | B and D_phi | C": {"d_tau": 0},
+    "extraction bound 4C < A^2": {"c": 8},
+    "recovery bound 4*B*D_tau*D_phi < A^2": {"c": 2, "d_phi": 9},
+    "nizk_rounds >= 1": {"nizk_rounds": 0},
+}
+
+
+def test_every_shape_rule_has_a_violation():
+    assert [name for name, _, _ in SHAPE_RULES] == list(SHAPE_VIOLATIONS)
+
+
+@pytest.mark.parametrize("rule", list(SHAPE_VIOLATIONS))
+def test_shape_rule_rejected_alike_by_generate_parse_and_validate(t0, rule):
+    change = SHAPE_VIOLATIONS[rule]
+    keys = ("a", "primes", "c", "d_tau", "d_phi", "nizk_rounds")
+    profile = tuple(change.get(key, value) for key, value in zip(keys, PROFILES["T0"]))
+    with pytest.raises(ConstraintViolation) as err:
+        generate_params(profile, random.Random(0))
+    assert str(err.value) == f"violates {rule}"
+
+    doc = serial.params_doc(t0)
+    for key, value in change.items():
+        doc[key] = [format(v, "x") for v in value] if key == "primes" else format(value, "x")
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert (err.value.path, err.value.message) == ("params", f"violates {rule}")
+
+    report = validate_params(replace(t0, **change))
+    assert rule in {name for name, passed, _ in report.checks if not passed}

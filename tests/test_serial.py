@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,23 @@ def test_parse_params_rejects_zero_nizk_rounds():
     with pytest.raises(InvariantViolation) as err:
         serial.parse_params(doc)
     assert err.value.path == "params"
+
+
+@pytest.mark.parametrize(
+    "key,bad",
+    [("a", "ffffffff"), ("c", "100000"), ("primes", [format(2**19996, "x")])],
+    ids=["a-2^32", "c-2^20", "even-prime-5000-digits"],
+)
+def test_oversized_exponents_and_primes_rejected_promptly(key, bad):
+    # 2^a or 3^c would take gigabytes, and printing 4*C in decimal passes
+    # the int-to-str digit limit; B cannot exceed p + 1 either
+    doc = _vector("params.json")
+    doc[key] = bad
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert time.perf_counter() - start < 5
+    assert err.value.path == "params.p"
 
 
 def _first_tag1_round(doc):
