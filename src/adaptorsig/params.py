@@ -68,11 +68,18 @@ class ParamSet:
         return Fp2.one(self.p)
 
 
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: is_prime is exact below this bound: the least strong pseudoprime to all
+#: of _MR_WITNESSES (Sorenson and Webster, 2015)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the witness set covers n < 3.3e24."""
+    """Miller-Rabin with the primes up to 41 as witnesses; deterministic
+    for n < MR_BOUND (about 3.3e24), probable-prime above it."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -80,7 +87,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -144,8 +151,16 @@ def _fits(ps) -> bool:
 #: A = 2^a, B and C = 3^c divide p + 1, so none is longer than it; decoding
 #: checks this before the shape rules compute either power
 SIZE_RULE = ("a, c and B within the bit length of p + 1", _fits, "a = {ps.a}, c = {ps.c}")
+#: keeps every is_prime call on the parameters deterministic; decoding checks
+#: it with the size rule, generation on the least candidate A*B*C - 1
+P_BOUND_RULE = (
+    "p below the deterministic Miller-Rabin bound",
+    lambda ps: ps.p < MR_BOUND,
+    "p = {ps.p}",
+)
 P_RULES = (
     SIZE_RULE,
+    P_BOUND_RULE,
     ("p = ABCf - 1", lambda ps: ps.p == ps.A * ps.B * ps.C * ps.f - 1, "f = {ps.f}, p = {ps.p}"),
     ("p prime", lambda ps: is_prime(ps.p), "p = {ps.p}"),
     ("p = 3 (mod 4)", lambda ps: ps.p % 4 == 3, "p = {ps.p}"),
@@ -181,8 +196,9 @@ def failed_rule(ps, rules):
 def generate_params(profile, rng) -> ParamSet:
     """Build a full parameter set for a named profile or a custom tuple.
 
-    The shape rules run on the tuple first.  The cofactor search is
-    ascending from f = 1; the base curve, the C-torsion basis and the
+    The shape rules run on the tuple first, then the p bound on the least
+    candidate A*B*C - 1.  The cofactor search is ascending from f = 1 and
+    stops below the bound; the base curve, the C-torsion basis and the
     orientation are all deterministic given rng.
     """
     if isinstance(profile, str):
@@ -199,14 +215,18 @@ def generate_params(profile, rng) -> ParamSet:
         raise ConstraintViolation(f"violates {failed}")
 
     base = shape.A * shape.B * shape.C
+    failed = failed_rule(replace(shape, p=base - 1), (P_BOUND_RULE,))
+    if failed is not None:
+        raise ConstraintViolation(f"violates {failed}")
+    top = min(_F_SEARCH_BOUND, MR_BOUND // base)  # base*top - 1 < MR_BOUND
     p = None
-    for f in range(1, _F_SEARCH_BOUND + 1):
+    for f in range(1, top + 1):
         cand = base * f - 1
         if is_prime(cand):
             p = cand
             break
     if p is None:
-        raise NoPrimeFound(f"no prime of the form {base}*f - 1 with f <= {_F_SEARCH_BOUND}")
+        raise NoPrimeFound(f"no prime of the form {base}*f - 1 with f <= {top}")
 
     e0 = base_curve(p)
     orientation = sample_orientation(e0, primes, p + 1, rng)

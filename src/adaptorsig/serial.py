@@ -27,6 +27,7 @@ from .params import (
     BASIS_RULE,
     E0_RULE,
     ORIENTATION_RULE,
+    P_BOUND_RULE,
     P_RULES,
     SHAPE_RULES,
     SIZE_RULE,
@@ -183,7 +184,7 @@ def _require(ps, path, *rules):
 
 def parse_params(doc) -> ParamSet:
     """Decode a parameter set, running the rules of `params` as its parts
-    arrive: size, shape and p before any curve is parsed."""
+    arrive: size and the p bound, shape and p before any curve is parsed."""
     path = "params"
     p = _unhex(_field(doc, "p", path), f"{path}.p")
     a = _unhex(_field(doc, "a", path), f"{path}.a")
@@ -197,7 +198,7 @@ def parse_params(doc) -> ParamSet:
     d_phi = _unhex(_field(doc, "d_phi", path), f"{path}.d_phi")
     k = _unhex(_field(doc, "nizk_rounds", path), f"{path}.nizk_rounds")
     ps = ParamSet(p, a, primes, c, f, d_tau, d_phi, None, None, None, k)
-    _require(ps, f"{path}.p", SIZE_RULE)
+    _require(ps, f"{path}.p", SIZE_RULE, P_BOUND_RULE)
     _require(ps, path, *SHAPE_RULES)
     _require(ps, f"{path}.p", *P_RULES)
     ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))

@@ -1,6 +1,8 @@
 import copy
 import random
 
+import pytest
+
 from adaptorsig import serial
 from adaptorsig.adaptor import (
     AdaptedSignature,
@@ -168,6 +170,18 @@ def test_strict_preverify_rejects_a_forgery_by_recovery(t0, forge):
     assert preverify(kp.pk, m, s, fake, "light", t0, reasons)
     assert reasons == []
     assert not preverify(kp.pk, m, s, fake, "strict", t0, reasons)
+    assert reasons == ["rep:recovery"]
+
+
+@pytest.mark.parametrize("profile", ["t1", "t2"])
+def test_strict_preverify_at_the_larger_profiles(request, profile, forge):
+    ps = request.getfixturevalue(profile)
+    kp, w, s, m, pre = session(ps, 20)
+    assert preverify(kp.pk, m, s, pre, "strict", ps)
+    fake = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, ps))
+    reasons = []
+    assert preverify(kp.pk, m, s, fake, "light", ps, reasons)
+    assert not preverify(kp.pk, m, s, fake, "strict", ps, reasons)
     assert reasons == ["rep:recovery"]
 
 

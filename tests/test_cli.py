@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -257,3 +258,13 @@ def test_custom_spec_with_a_huge_c_exit_2(capsys):
     code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
     assert code == 2
     assert "extraction bound" in capsys.readouterr().err
+
+
+def test_custom_spec_beyond_the_primality_bound_exit_2(capsys):
+    # every candidate p is above 2^4096; none is tested for primality
+    spec = {"a": 4096, "primes": [5, 7], "c": 1, "d_tau": 35, "d_phi": 3}
+    start = time.perf_counter()
+    code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "Miller-Rabin bound" in capsys.readouterr().err

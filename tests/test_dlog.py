@@ -1,8 +1,9 @@
+import logging
 import random
 
 import pytest
 
-from adaptorsig.curve import canonical_torsion_basis
+from adaptorsig.curve import Point, canonical_torsion_basis, isomorphisms, twist_point
 from adaptorsig.dlog import (
     count_kernel_candidates,
     decompose_2d,
@@ -11,14 +12,18 @@ from adaptorsig.dlog import (
     recover_isogeny,
 )
 from adaptorsig.errors import AmbiguityBound, NotABasis, NotFound, OrderMismatch
+from adaptorsig.field import Fp2
 from adaptorsig.isogeny import (
     EfficientRep,
+    IsogenyChain,
+    Step,
     compose_chains,
     dual,
+    dual_step,
     efficient_rep,
     isogeny_from_kernel,
 )
-from adaptorsig.sig import keygen, mu
+from adaptorsig.sig import PlainSignature, keygen, mu, sign, verify
 
 
 def test_decompose_trivial(t0):
@@ -126,19 +131,24 @@ def test_recover_rejects_negated_single_image(t0):
     ps = t0
     E = ps.e0
     n = ps.group_order
+    P3, _ = canonical_torsion_basis(E, 3, n)
     P5, Q5 = canonical_torsion_basis(E, 5, n)
-    chain = isogeny_from_kernel(E, [E.add(P5, E.mul(2, Q5))], 5)
-    rep = efficient_rep(chain, ps.A, n)
-    bad = EfficientRep(
-        rep.domain,
-        rep.codomain,
-        rep.degree,
-        rep.order,
-        rep.basis,
-        (rep.images[0], rep.codomain.neg(rep.images[1])),
-    )
-    with pytest.raises(NotFound):
-        recover_isogeny(bad, n)
+    P7, Q7 = canonical_torsion_basis(E, 7, n)
+    # a prime degree, and a split one with [5] and [7] blocks
+    for gens, degree in (([E.add(P5, E.mul(2, Q5))], 5), ([P3, P5, Q5, P7, Q7], 3675)):
+        chain = isogeny_from_kernel(E, gens, degree)
+        rep = efficient_rep(chain, ps.A, n)
+        assert recover_isogeny(rep, n).evaluate(rep.basis[1]) == rep.images[1]
+        bad = EfficientRep(
+            rep.domain,
+            rep.codomain,
+            rep.degree,
+            rep.order,
+            rep.basis,
+            (rep.images[0], rep.codomain.neg(rep.images[1])),
+        )
+        with pytest.raises(NotFound):
+            recover_isogeny(bad, n)
 
 
 def test_recover_ambiguity_bound(t0):
@@ -171,3 +181,106 @@ def test_recover_kernel_equality_random(t0, rng):
         rep = efficient_rep(chain, ps.A, n)
         rec = recover_isogeny(rep, n)
         assert rec.evaluate(K).is_inf
+
+
+def _full_walk(rep, n):
+    """The exhaustive oracle: the first candidate of the whole kernel walk
+    whose twisted images are rep.images."""
+    T1, T2 = rep.images
+    target = rep.codomain.j_invariant()
+    for steps, cur, curU, curV in iter_kernel_candidates(rep.domain, rep.degree, *rep.basis, n):
+        if cur.j_invariant() != target:
+            continue
+        for u in isomorphisms(cur, rep.codomain):
+            if twist_point(curU, u) == T1 and twist_point(curV, u) == T2:
+                out = steps[:-1] + [steps[-1].retwist(u)]
+                return IsogenyChain(rep.domain, rep.codomain, out, rep.degree)
+    return None
+
+
+def _assert_same_map(rep, n, rng):
+    """Recover rep, check it against the full walk and return it."""
+    found = recover_isogeny(rep, n)
+    oracle = _full_walk(rep, n)
+    assert oracle is not None
+    assert found.codomain == oracle.codomain == rep.codomain
+    assert found.degree == rep.degree
+    for X, T in zip(rep.basis, rep.images):
+        assert found.evaluate(X) == oracle.evaluate(X) == T
+    for _ in range(8):
+        P = rep.domain.random_point(rng)
+        assert found.evaluate(P) == oracle.evaluate(P)
+    return found
+
+
+def _random_steps(E, ell, block, n, rng):
+    """Steps of a random order-ell^2 kernel on E: E[ell] itself (a step and
+    its exact dual), or a cyclic one (two steps that do not backtrack)."""
+    U, V = canonical_torsion_basis(E, ell, n)
+    s1 = Step(E, E.add(U, E.mul(rng.randrange(ell), V)), ell)
+    if block:
+        return [s1, dual_step(s1, n)]
+    E1 = s1.codomain
+    U1, V1 = canonical_torsion_basis(E1, ell, n)
+    while True:
+        s2 = Step(E1, E1.add(U1, E1.mul(rng.randrange(ell), V1)), ell)
+        if not all(s2.evaluate(s1.evaluate(X)).is_inf for X in (U, V)):
+            return [s1, s2]
+
+
+@pytest.mark.parametrize("block5,block7", [(False, False), (True, False), (False, True), (True, True)])
+def test_split_search_agrees_with_the_full_walk(t0, block5, block7):
+    """The meet-in-the-middle search recovers the map the exhaustive walk
+    finds, on random response-degree kernels with and without [5] and [7]."""
+    ps = t0
+    n = ps.group_order
+    rng = random.Random(10 * block5 + block7)
+    E = keygen(ps, rng).pk
+    P3, Q3 = canonical_torsion_basis(E, 3, n)
+    steps = [Step(E, E.add(P3, E.mul(rng.randrange(3), Q3)), 3)]
+    steps += _random_steps(steps[-1].codomain, 5, block5, n, rng)
+    steps += _random_steps(steps[-1].codomain, 7, block7, n, rng)
+    chain = IsogenyChain(E, steps[-1].codomain, steps, 3675)
+    _assert_same_map(efficient_rep(chain, ps.A, n), n, rng)
+
+
+def _iota(P):
+    """The automorphism (x, y) -> (-x, i*y) of y^2 = x^3 + x."""
+    if P.is_inf:
+        return P
+    i = Fp2(P.x.p, 0, 1)
+    return Point(-P.x, i * P.y)
+
+
+@pytest.mark.parametrize("name", ["[35]", "[-35]", "iota o [35]", "iota o [-35]"])
+def test_split_search_tries_every_twist_at_j_1728(t0, name):
+    """Endomorphisms of E0 of degree 35^2, one per automorphism of E0: the
+    join of [5] and [7] sits at j = 1728, where four twists meet, and each
+    endomorphism needs a different one."""
+    ps = t0
+    n = ps.group_order
+    E = ps.e0
+    act = {
+        "[35]": lambda P: E.mul(35, P),
+        "[-35]": lambda P: E.mul(-35 % n, P),
+        "iota o [35]": lambda P: _iota(E.mul(35, P)),
+        "iota o [-35]": lambda P: _iota(E.mul(-35 % n, P)),
+    }[name]
+    U, V = canonical_torsion_basis(E, ps.A, n)
+    rep = EfficientRep(E, E, 35 * 35, ps.A, (U, V), (act(U), act(V)))
+    rng = random.Random(35)
+    rec = _assert_same_map(rep, n, rng)
+    for _ in range(8):
+        P = E.random_point(rng)
+        assert rec.evaluate(P) == act(P)
+
+
+def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplog):
+    """A forged T0 response is ruled out against all 7 068 candidates of
+    degree 3^1*5^2*7^2 from 57 forward and 124 backward half-candidates."""
+    kp = keygen(t0, random.Random(21))
+    sig = sign(kp, b"count", t0, random.Random(22))
+    fake = PlainSignature(sig.e1, forge(sig.rep, t0))
+    with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
+        assert not verify(kp.pk, b"count", fake, "strict", t0)
+    assert "exhausted 7068 candidates (181 halves built)" in caplog.text

@@ -9,6 +9,8 @@ from adaptorsig import serial
 from adaptorsig.curve import point_order
 from adaptorsig.errors import ConstraintViolation, InvariantViolation
 from adaptorsig.params import (
+    MR_BOUND,
+    P_BOUND_RULE,
     PROFILES,
     SHAPE_RULES,
     generate_params,
@@ -37,6 +39,33 @@ def test_internal_primality_agrees_with_sympy():
     for _ in range(300):
         n = rng.randrange(2, 10**7)
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_primality_is_exact_below_the_bound():
+    # the least strong pseudoprime to the primes up to 37 is caught by 41
+    assert not sympy.isprime(318_665_857_834_031_151_167_461)
+    assert not is_prime(318_665_857_834_031_151_167_461)
+    # the bound is the least strong pseudoprime to all the witnesses
+    assert not sympy.isprime(MR_BOUND)
+    assert is_prime(MR_BOUND)
+
+
+def test_p_bound_rejected_alike_by_generate_parse_and_validate(t0):
+    rule = P_BOUND_RULE[0]
+    # A = 2^4096: every candidate p = ABCf - 1 is above the bound
+    with pytest.raises(ConstraintViolation) as err:
+        generate_params((4096, (5, 7), 1, 35, 3, 24), random.Random(0))
+    assert str(err.value) == f"violates {rule}"
+
+    doc = serial.params_doc(t0)
+    doc["p"] = format(MR_BOUND + 2, "x")
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert (err.value.path, err.value.message) == ("params.p", f"violates {rule}")
+
+    # the point count of validate_params walks GF(p), so only the passing
+    # side is checked here
+    assert (rule, True) in {(name, passed) for name, passed, _ in validate_params(t0).checks}
 
 
 def test_t1_recovery_bound_quote():

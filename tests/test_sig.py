@@ -241,6 +241,19 @@ def test_strict_rejects_a_forgery_that_passes_light(t0, forge):
     assert not verify(kp.pk, b"forged", fake, "strict", t0)
 
 
+@pytest.mark.parametrize("profile", ["t1", "t2"])
+def test_strict_verify_at_the_larger_profiles(request, profile, forge):
+    # the single-run inputs of the ROADMAP timings
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(1)
+    kp = keygen(ps, rng)
+    s = sign(kp, b"msg", ps, rng)
+    assert verify(kp.pk, b"msg", s, "strict", ps)
+    fake = PlainSignature(s.e1, forge(s.rep, ps))
+    assert verify(kp.pk, b"msg", fake, "light", ps)
+    assert not verify(kp.pk, b"msg", fake, "strict", ps)
+
+
 def test_unknown_mode_raises(t0):
     rng = random.Random(18)
     kp = keygen(t0, rng)
