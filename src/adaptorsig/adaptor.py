@@ -5,9 +5,9 @@ masked commitment curve E_psi; holding the witness lets anyone translate
 it to the true commitment curve E1 (adapt), and the pair of signatures
 exposes the witness again (extract).  The torsion-image representation of
 the shifted response is taken on the full AC-basis of E_psi: the adapter
-needs the C-part of the action to complete the signature honestly, while
-verification and extraction use the A-part, where the uniqueness bound
-4*B*D_tau*D_phi < A^2 applies.
+needs the C-part of the action to complete the signature honestly.  Strict
+verification checks the full images; extraction recovers a degree-C isogeny
+from the A-part, where 4C < A^2 makes it unique.
 """
 
 import logging

@@ -171,10 +171,11 @@ def cmd_verify(args):
     ps = _load_params(args)
     pk = serial.parse_pk(_read_doc(args.key), ps)
     sig = serial.parse_signature(_read_doc(args.signature), ps)
+    reasons = []
     mode = "strict" if args.strict else "light"
-    ok = verify(pk, _message(args), sig, mode, ps)
+    ok = verify(pk, _message(args), sig, mode, ps, reasons)
     report = size_report(serial.encode(serial.signature_doc(sig)), sig, ps)
-    out = {"ok": ok, "mode": mode, "size_report": report}
+    out = {"ok": ok, "mode": mode, "failed_checks": reasons, "size_report": report}
     if args.strict:
         out["strict_note"] = TOY_VERIFIED_NOTE
     print(json.dumps(out, sort_keys=True))

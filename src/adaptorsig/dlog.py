@@ -4,23 +4,22 @@ Two tools stand in for the heavy machinery a full-scale verifier would use:
 
 * decompose_2d writes a torsion point over a basis via Weil pairings and
   Pohlig-Hellman discrete logs in the group of N-th roots of unity;
-* recover_isogeny finds the unique chain of a given degree matching a set
-  of torsion images by a meet-in-the-middle search over kernel-subgroup
-  candidates, which is sound exactly when 4*degree < order^2 and
-  gcd(degree, order) = 1.
+* find_isogeny finds a chain of a given degree matching a set of torsion
+  images by a meet-in-the-middle search over kernel-subgroup candidates,
+  an existence certificate for strict verification; recover_isogeny adds
+  the precondition that makes the chain unique, 4*degree < order^2 and
+  gcd(degree, order) = 1, for extraction.
 
 Candidates are enumerated per prime power ell^e and combined
 multiplicatively: a subgroup of order ell^e splits uniquely into b
 multiplication-by-ell blocks (realized as a step followed by its exact
 dual) and a cyclic part walked without backtracking, giving the closed
-candidate count sum(ell^i, i=0..e) per prime power.  Recovery splits the
+candidate count sum(ell^i, i=0..e) per prime power.  The search splits the
 degree into coprime halves d1*d2 and meets in the middle (the claw search
 of Jao and De Feo, PQCrypto 2011, used here as a verifier): degree-d1
 candidates walk forward from the domain, degree-d2 candidates backward from
 the codomain, and a j-invariant match joins them through the exact dual of
-the backward half.  For the response degree 3^c*5^2*7^2 that builds 57 +
-124 = 181, 57 + 403 = 460 and 57 + 1240 = 1297 half-candidates at T0, T1 and
-T2, and rules out all 7068, 22971 and 70680 candidates.
+the backward half.
 """
 
 import itertools
@@ -211,9 +210,11 @@ def _split(degree: int):
     return min(splits, key=lambda s: (count(s[0]) + count(s[1]), count(s[0])))
 
 
-def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
-    """The unique chain of rep.degree from rep.domain matching rep.images.
+def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
+    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
 
+    An existence certificate: the search stops at the first match and needs
+    no uniqueness, since any such isogeny is what the representation claims.
     A meet-in-the-middle search over all kernel-subgroup candidates.  The
     degree splits as d = d1*d2 with coprime halves (see _split).  The
     backward half lists every degree-d2 isogeny out of rep.codomain, indexed
@@ -226,22 +227,18 @@ def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
     every j-match and every such u: the twisted images go through the exact
     dual of beta, which lands on rep.codomain itself, and must equal
     rep.images.  Every candidate of the full walk is ruled in or out this
-    way, from 181, 460 and 1 297 half-candidates for the response degree
-    at T0, T1 and T2 instead of 7 068, 22 971 and 70 680.  A prime-power
-    degree has d2 = 1, one backward candidate (the identity) and the plain
-    walk.
+    way: for the response degree 3^c*5^2*7^2, 181, 460 and 1 297
+    half-candidates at T0, T1 and T2 stand for 7 068, 22 971 and 70 680, and
+    for the adapted degree 3^(2c)*5^2*7^2, 460, 1 888 and 2 860 stand for
+    22 971, 213 807 and 1 931 331.  A prime-power degree has d2 = 1, one
+    backward candidate (the identity) and the plain walk.
 
     The returned chain is the forward steps, the last retwisted by u, then
     the dual steps, so its codomain is rep.codomain and its basis images are
     rep.images exactly.  Raises NotFound when no candidate matches (a
-    forgery signal) and AmbiguityBound when the uniqueness precondition
-    fails.
+    forgery signal).
     """
-    d, N = rep.degree, rep.order
-    if 4 * d >= N * N:
-        raise AmbiguityBound(f"4*{d} >= {N}^2: images do not pin the isogeny")
-    if math.gcd(d, N) != 1:
-        raise AmbiguityBound(f"gcd({d}, {N}) != 1: torsion images may degenerate")
+    d = rep.degree
     E, E2 = rep.domain, rep.codomain
     T1, T2 = rep.images
     U, V = rep.basis
@@ -291,3 +288,14 @@ def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
         time.perf_counter() - t0,
     )
     raise NotFound(f"no degree-{d} isogeny matches the images ({total} candidates)")
+
+
+def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
+    """The unique chain of rep.degree matching rep.images: find_isogeny
+    under the precondition that pins it, else AmbiguityBound."""
+    d, N = rep.degree, rep.order
+    if 4 * d >= N * N:
+        raise AmbiguityBound(f"4*{d} >= {N}^2: images do not pin the isogeny")
+    if math.gcd(d, N) != 1:
+        raise AmbiguityBound(f"gcd({d}, {N}) != 1: torsion images may degenerate")
+    return find_isogeny(rep, group_order)

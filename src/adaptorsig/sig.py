@@ -4,35 +4,25 @@ explicit composition, and layered verification.
 The response isogeny is the literal composition (challenge) o (secret key)
 o (dual commitment), so its degree is the fixed composite B*D_tau*D_phi
 rather than a short random prime; that is all the adaptor layer consumes.
-Strict verification certifies the torsion images with the recovery oracle,
-which is sound here because the parameters enforce 4*degree < A^2.
+Strict verification certifies every shape by finding an isogeny of the
+stated degree that maps the full basis to the torsion images.
 """
 
 import hashlib
-import logging
 
 from .curve import Curve, _mul, canonical_torsion_basis, factorize, weil_pairing
-from .dlog import recover_isogeny
-from .errors import (
-    AmbiguityBound,
-    IndexOutOfRange,
-    NotFound,
-    OrderMismatch,
-    ProtocolError,
-)
+from .dlog import find_isogeny
+from .errors import IndexOutOfRange, NotFound, OrderMismatch, ProtocolError
 from .field import Fp2
 from .isogeny import (
     EfficientRep,
     IsogenyChain,
-    a_part,
     compose_chains,
     dual,
     efficient_rep,
     isogeny_from_kernel,
 )
 from .params import ParamSet
-
-logger = logging.getLogger(__name__)
 
 
 class KeyPair:
@@ -180,9 +170,8 @@ def response_rejection(
     The challenge walk is recomputed from (pk, j(e1), m); the response must
     run from `domain` to its codomain and pass `rep_rejection` with
     `shapes`.  Strict mode then certifies an isogeny behind the images:
-    recovery on the A-part, where 4*degree < A^2 makes it unique, and a
-    check of the full images.  Representations beyond that bound (adapted
-    signatures) get the light checks only.
+    find_isogeny searches the stated degree on the full basis.  That needs
+    no uniqueness, so plain, pre- and adapted signatures take this one path.
     """
     try:
         phi = challenge(pk, e1, m, ps)
@@ -193,23 +182,24 @@ def response_rejection(
     tag = rep_rejection(rep, shapes, ps.group_order)
     if tag is not None or mode == "light":
         return tag
-    if 4 * rep.degree >= ps.A * ps.A:
-        logger.debug("strict verification unavailable; light checks only")
-        return None
     try:
-        rec = recover_isogeny(a_part(rep, ps.A), ps.group_order)
-    except (NotFound, AmbiguityBound):
+        find_isogeny(rep, ps.group_order)
+    except NotFound:
         return "rep:recovery"
-    if any(rec.evaluate(X) != T for X, T in zip(rep.basis, rep.images)):
-        return "rep:recovery-images"
     return None
 
 
-def verify(pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet) -> bool:
+def verify(
+    pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet, reasons=None
+) -> bool:
     """Layered verification of a signature (plain or adapted shape); see
-    `response_rejection` for the light and strict checks."""
+    `response_rejection` for the light and strict checks.  The tag of a
+    failed check is appended to `reasons` when one is given."""
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     q = response_degree(ps)
     shapes = {ps.A: q, ps.A * ps.C: q * ps.C}
-    return response_rejection(pk, m, sig.e1, sig.rep, sig.e1, shapes, mode, ps) is None
+    tag = response_rejection(pk, m, sig.e1, sig.rep, sig.e1, shapes, mode, ps)
+    if tag is not None and reasons is not None:
+        reasons.append(tag)
+    return tag is None

@@ -165,12 +165,19 @@ def test_exhaustive_alpha_pipeline(t0, t1):
 
 def test_strict_preverify_rejects_a_forgery_by_recovery(t0, forge):
     kp, w, s, m, pre = session(t0, 16)
-    fake = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, t0))
-    reasons = []
-    assert preverify(kp.pk, m, s, fake, "light", t0, reasons)
-    assert reasons == []
-    assert not preverify(kp.pk, m, s, fake, "strict", t0, reasons)
-    assert reasons == ["rep:recovery"]
+    # besides the forge fixture, k = 1 (mod A) and k = -1 (mod C): the A-part
+    # is untouched and the C-part negated, and k^2 = 1 keeps the pairing law
+    rep = pre.rep_tilde
+    k = next(x for x in range(1, t0.A * t0.C, t0.A) if x % t0.C == t0.C - 1)
+    images = tuple(rep.codomain.mul(k, T) for T in rep.images)
+    c_part = EfficientRep(rep.domain, rep.codomain, rep.degree, rep.order, rep.basis, images)
+    for forged in (forge(rep, t0), c_part):
+        fake = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forged)
+        reasons = []
+        assert preverify(kp.pk, m, s, fake, "light", t0, reasons)
+        assert reasons == []
+        assert not preverify(kp.pk, m, s, fake, "strict", t0, reasons)
+        assert reasons == ["rep:recovery"]
 
 
 @pytest.mark.parametrize("profile", ["t1", "t2"])
@@ -185,12 +192,21 @@ def test_strict_preverify_at_the_larger_profiles(request, profile, forge):
     assert reasons == ["rep:recovery"]
 
 
-def test_strict_verify_accepts_an_adapted_signature(t0):
-    # 4*degree >= A^2 for adapted signatures: strict falls back to light
-    kp, w, s, m, pre = session(t0, 17)
-    full = adapt(pre, w, t0)
-    assert 4 * full.rep.degree >= t0.A * t0.A
-    assert verify(kp.pk, m, full, "strict", t0)
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_strict_verify_accepts_an_adapted_signature(request, profile, forge):
+    # 4*degree >= A^2 for adapted signatures, so no A-part recovery is unique;
+    # strict mode still certifies them by a search on the full AC-basis
+    ps = request.getfixturevalue(profile)
+    kp, w, s, m, pre = session(ps, 17)
+    full = adapt(pre, w, ps)
+    assert 4 * full.rep.degree >= ps.A * ps.A
+    assert verify(kp.pk, m, full, "strict", ps)
+    fake = AdaptedSignature(full.e1, forge(full.rep, ps))
+    reasons = []
+    assert verify(kp.pk, m, fake, "light", ps, reasons)
+    assert reasons == []
+    assert not verify(kp.pk, m, fake, "strict", ps, reasons)
+    assert reasons == ["rep:recovery"]
 
 
 def test_strict_verify_recovers_adapted_signatures_below_the_bound(forge):

@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from adaptorsig import serial
+from adaptorsig.adaptor import AdaptedSignature
 from adaptorsig.cli import main
 from adaptorsig.swap import demo_swap
 
@@ -82,24 +84,44 @@ def test_preverify_exit_codes(workspace, capsys):
     assert out["ok"] is False and out["failed_checks"]
 
 
-def test_verify_and_size_report(workspace, capsys):
-    code = main(
-        [
-            "verify",
-            "--params", str(workspace["params"]),
-            "--key", str(workspace["key"]),
-            "--message", "swap leg",
-            str(workspace["sig"]),
-        ]
-    )
+def test_verify_and_size_report(workspace, capsys, forge, tmp_path):
+    def run_verify(sig_path, *flags):
+        code = main(
+            [
+                "verify",
+                "--params", str(workspace["params"]),
+                "--key", str(workspace["key"]),
+                "--message", "swap leg",
+                *flags,
+                str(sig_path),
+            ]
+        )
+        return code, json.loads(capsys.readouterr().out)
+
+    code, out = run_verify(workspace["sig"])
     assert code == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["ok"] is True
+    assert out["ok"] is True and out["failed_checks"] == []
     report = out["size_report"]
     assert report["serialized_bytes"] > 0
     assert "formula" in report
     assert report["reported_full_scale_bytes"] == 1536
     assert "not reproduced" in report["note"]
+
+    # the workspace signature is an adapted one: strict mode certifies it
+    code, out = run_verify(workspace["sig"], "--strict")
+    assert code == 0
+    assert out["ok"] is True and out["failed_checks"] == []
+
+    ps = serial.parse_params(serial.loads(workspace["params"].read_bytes()))
+    sig = serial.parse_signature(serial.loads(workspace["sig"].read_bytes()), ps)
+    fake = tmp_path / "forged-sig.json"
+    forged = AdaptedSignature(sig.e1, forge(sig.rep, ps))
+    fake.write_bytes(serial.encode(serial.signature_doc(forged)))
+    code, out = run_verify(fake)
+    assert code == 0
+    code, out = run_verify(fake, "--strict")
+    assert code == 1
+    assert out["ok"] is False and out["failed_checks"] == ["rep:recovery"]
 
 
 def test_extract_roundtrip_and_bottom(workspace, capsys, tmp_path):

@@ -99,3 +99,40 @@ def test_function_caches_have_a_fixed_size():
                 if not (size and isinstance(size[0], ast.Constant) and type(size[0].value) is int):
                     unbounded.append(f"{name}:{fn.name}")
     assert unbounded == []
+
+
+# per source file, the functions whose rejection tags README "Verification"
+# lists: the two response helpers return them, the two adaptor verifiers
+# pass them to fail()
+TAG_SOURCES = {
+    "sig.py": ("rep_rejection", "response_rejection"),
+    "adaptor.py": ("preverify", "extract"),
+}
+
+
+def _tags_in(fn):
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Return):
+            value = node.value
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fail" and node.args:
+            value = node.args[0]
+        else:
+            continue
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            yield value.value
+
+
+def test_readme_lists_every_rejection_tag():
+    code = set()
+    for name, tree in _trees():
+        wanted = TAG_SOURCES.get(name, ())
+        for fn in tree.body:
+            if isinstance(fn, ast.FunctionDef) and fn.name in wanted:
+                code.update(_tags_in(fn))
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Verification\n")[1].split("\n## ")[0]
+    listed = {
+        line.split("`")[1] for line in section.splitlines() if line.startswith("| `")
+    }
+    assert code, "no tags collected"
+    assert listed == code
