@@ -50,7 +50,7 @@ class Curve:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, a: Fp2, b: Fp2):
-        if 4 * (a**3) + 27 * (b**2) == Fp2.zero(a.p):
+        if (4 * (a * a * a) + 27 * (b * b)).is_zero():
             raise SingularCurve("discriminant is zero")
         self.p = a.p
         self.a = a
@@ -366,13 +366,18 @@ def _in_cyclic(E: Curve, P: Point, G: Point, n: int) -> bool:
 
 
 def twist_curve(E: Curve, u: Fp2) -> Curve:
-    return Curve(u**4 * E.a, u**6 * E.b)
+    if u.is_one():
+        return E
+    u2 = u * u
+    u4 = u2 * u2
+    return Curve(u4 * E.a, u4 * u2 * E.b)
 
 
 def twist_point(P: Point, u: Fp2) -> Point:
-    if P.is_inf:
+    if P.is_inf or u.is_one():
         return P
-    return Point(u**2 * P.x, u**3 * P.y)
+    u2 = u * u
+    return Point(u2 * P.x, u2 * u * P.y)
 
 
 def isomorphisms(E1: Curve, E2: Curve):

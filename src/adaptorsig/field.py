@@ -29,6 +29,9 @@ class Fp2:
     def is_zero(self):
         return self.c0 == 0 and self.c1 == 0
 
+    def is_one(self):
+        return self.c0 == 1 and self.c1 == 0
+
     def __bool__(self):
         return not self.is_zero()
 
@@ -83,8 +86,9 @@ class Fp2:
         while e:
             if e & 1:
                 r = r * b
-            b = b * b
             e >>= 1
+            if e:
+                b = b * b
         return r
 
     def frobenius(self):
@@ -135,6 +139,29 @@ class Fp2:
 
     def __repr__(self):
         return f"Fp2({self.c0}, {self.c1})"
+
+
+def batch_inv(xs):
+    """Inverses of the nonzero elements xs with one field inversion.
+
+    1/x = conj(x) / N(x) with the norm N(x) = c0^2 + c1^2 in GF(p), so
+    Montgomery's trick runs on the integer norms: one inversion of their
+    product, then each norm's inverse peeled off with the prefix products.
+    """
+    if len(xs) == 1:
+        return [xs[0].inv()]
+    p = xs[0].p
+    norms = [(x.c0 * x.c0 + x.c1 * x.c1) % p for x in xs]
+    prefix = [norms[0]]
+    for n in norms[1:]:
+        prefix.append(prefix[-1] * n % p)
+    inv = Fp2(p, prefix[-1]).inv().c0
+    out = [None] * len(xs)
+    for i in range(len(xs) - 1, -1, -1):
+        ninv = inv * prefix[i - 1] if i else inv
+        inv = inv * norms[i] % p
+        out[i] = Fp2(p, xs[i].c0 * ninv, -xs[i].c1 * ninv)
+    return out
 
 
 def _lex_min(r: Fp2) -> Fp2:

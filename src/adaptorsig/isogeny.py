@@ -14,7 +14,6 @@ from .curve import (
     Point,
     _add,
     _mul,
-    _neg,
     canonical_torsion_basis,
     factorize,
     point_order,
@@ -23,66 +22,75 @@ from .curve import (
     twist_point,
 )
 from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
-from .field import Fp2
+from .field import Fp2, batch_inv
 
 
 class Step:
-    """One Vélu step of prime degree ell, post-composed with a u-twist."""
+    """One Vélu step of prime degree ell, post-composed with a u-twist.
 
-    __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_kpts")
+    The step keeps Vélu's data for half the kernel: the kernel point itself
+    for ell = 2, and K, 2K, ..., ((ell-1)/2)K for odd ell, whose negatives
+    are the other half.  Per point T it stores (x_T, v_T, u_T) with
+    g_T = 3 x_T^2 + a, v_T = g_T for ell = 2 and 2 g_T otherwise, and
+    u_T = 4 y_T^2.
+    """
+
+    __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_half")
 
     def __init__(self, domain: Curve, kernel: Point, ell: int, u: Fp2 = None):
         if kernel.is_inf or not domain.on_curve(kernel):
             raise BadKernel("kernel generator must be a finite point on the domain")
-        if not _mul(domain, ell, kernel).is_inf:
+        E = domain
+        half = [kernel]
+        for _ in range((ell - 3) // 2):
+            T = _add(E, half[-1], kernel)
+            if T.is_inf:
+                raise BadKernel(f"kernel generator has order below {ell}")
+            half.append(T)
+        # order ell: y_K = 0 for ell = 2, else ((ell+1)/2)K = -((ell-1)/2)K
+        last = half[-1]
+        if not (kernel.y.is_zero() if ell == 2 else _add(E, last, kernel).x == last.x):
             raise BadKernel(f"kernel generator does not have order {ell}")
         self.domain = domain
         self.ell = ell
         self.kernel = kernel
-        self.u = Fp2.one(domain.p) if u is None else u
-        kpts = []
-        T = kernel
-        for _ in range(ell - 1):
-            if T.is_inf:
-                raise BadKernel(f"kernel generator has order below {ell}")
-            kpts.append(T)
-            T = _add(domain, T, kernel)
-        self._kpts = kpts
-        self.codomain = self._velu_codomain()
-
-    def _velu_codomain(self) -> Curve:
-        E = self.domain
-        v = Fp2.zero(E.p)
-        w = Fp2.zero(E.p)
-        seen = set()
-        for T in self._kpts:
-            if T in seen:
-                continue
-            seen.add(T)
-            seen.add(_neg(T))
+        self.u = Fp2.one(E.p) if u is None else u
+        v = w = Fp2.zero(E.p)
+        triples = []
+        for T in half:
             gx = 3 * (T.x * T.x) + E.a
-            gy = -2 * T.y
-            vT = gx if T.y.is_zero() else 2 * gx
-            uT = gy * gy
+            vT = gx if ell == 2 else 2 * gx
+            uT = 4 * (T.y * T.y)
             v = v + vT
             w = w + uT + T.x * vT
-        raw = Curve(E.a - 5 * v, E.b - 7 * w)
-        return twist_curve(raw, self.u)
+            triples.append((T.x, vT, uT))
+        self._half = triples
+        self.codomain = twist_curve(Curve(E.a - 5 * v, E.b - 7 * w), self.u)
 
     def evaluate(self, P: Point) -> Point:
-        """Image of P; Vélu's translation sums, then the twist."""
+        """Image of P: Vélu's rational map over half the kernel, then the twist.
+
+        x' = x + sum(v_T/(x - x_T) + u_T/(x - x_T)^2) and
+        y' = y (1 - sum(v_T/(x - x_T)^2 + 2 u_T/(x - x_T)^3)).  The
+        denominators share one inversion; x = x_T means P = +-T, a kernel point.
+        """
         if P.is_inf:
             return P
-        E = self.domain
         x = P.x
-        y = P.y
-        for T in self._kpts:
-            S = _add(E, P, T)
-            if S.is_inf:
-                return Point.infinity()  # P was a kernel point
-            x = x + S.x - T.x
-            y = y + S.y - T.y
-        return twist_point(Point(x, y), self.u)
+        ds = []
+        for xT, _, _ in self._half:
+            d = x - xT
+            if d.is_zero():
+                return Point.infinity()
+            ds.append(d)
+        sx = x
+        sy = Fp2.zero(x.p)
+        for (_, vT, uT), t in zip(self._half, batch_inv(ds)):
+            ut = uT * t
+            vu = vT + ut
+            sx = sx + t * vu
+            sy = sy + t * t * (vu + ut)
+        return twist_point(Point(sx, P.y - P.y * sy), self.u)
 
     def retwist(self, u: Fp2) -> "Step":
         """Same isogeny with the twist multiplied by u."""
@@ -175,12 +183,15 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
         K = _mul(cur, n // ell, g)
         step = Step(cur, K, ell)
         cur = step.codomain
+        # ord(step(g)) = ord(g) / |<g> ∩ ker step|, and ker step has prime
+        # order ell: g loses a factor ell exactly when [n/ell]g is in the kernel
         nxt = []
-        for g, n in work:
+        for i, (g, n) in enumerate(work):
             img = step.evaluate(g)
-            nn = point_order(cur, img, n)
-            if nn > 1:
-                nxt.append((img, nn))
+            if i == pick or n % ell == 0 and _mul(cur, n // ell, img).is_inf:
+                n //= ell
+            if n > 1:
+                nxt.append((img, n))
         work = nxt
         steps.append(step)
         D //= ell

@@ -101,30 +101,38 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
     return NizkProof(rounds)
 
 
-def verify_parallel(statement, proof: NizkProof, ps: ParamSet) -> bool:
-    """Recompute the challenge and check every revealed branch."""
+def verify_parallel(statement, proof: NizkProof, ps: ParamSet, reasons=None) -> bool:
+    """Recompute the challenge and check every revealed branch.  The tag of
+    a failed check is appended to `reasons` when one is given."""
+    fail = reasons.append if reasons is not None else (lambda tag: None)
     ew, wB, e1 = statement
     if len(proof.rounds) != ps.nizk_rounds:
+        fail("nizk:rounds")
         return False
     bits = _challenge_bits(
         statement, [(r.f, r.fp) for r in proof.rounds], ps.nizk_rounds
     )
     for r, bit in zip(proof.rounds, bits):
         if r.tag != bit:
+            fail("nizk:challenge")
             return False
         try:
             if bit == 0:
                 km, kmp = r.reveal
                 mask = isogeny_from_kernel(ew, [km], ps.A)
                 if mask.codomain != r.f:
+                    fail("nizk:mask")
                     return False
                 maskp = isogeny_from_kernel(e1, [kmp], ps.A)
                 if maskp.codomain != r.fp:
+                    fail("nizk:mask-commitment")
                     return False
             else:
                 par = isogeny_from_kernel(r.f, list(r.reveal), ps.B)
                 if par.codomain.j_invariant() != r.fp.j_invariant():
+                    fail("nizk:parallel")
                     return False
         except ProtocolError:
+            fail("nizk:kernel")
             return False
     return True

@@ -42,19 +42,23 @@ def gen_r(ps: ParamSet, rng):
     return Witness(alpha, w), Statement(w.codomain, img)
 
 
-def verify_relation(w: Witness, s: Statement, ps: ParamSet) -> bool:
+def verify_relation(w: Witness, s: Statement, ps: ParamSet, reasons=None) -> bool:
     """Recompute the quotient from alpha and compare against the statement.
 
     The recomputed curve must be isomorphic to the statement curve and one
     single isomorphism must carry every transported orientation generator
-    to the stated generator literally (points, not just subgroups).
+    to the stated generator literally (points, not just subgroups).  The tag
+    of a failed check is appended to `reasons` when one is given.
     """
+    fail = reasons.append if reasons is not None else (lambda tag: None)
     try:
         chain = witness_chain(ps, w.alpha)
         img = orientation_image(chain, ps.orientation)
     except ProtocolError:
+        fail("relation:witness")
         return False
     if s.oriented_image.primes != ps.primes:
+        fail("relation:primes")
         return False
     for u in isomorphisms(chain.codomain, s.ew):
         if all(
@@ -62,4 +66,5 @@ def verify_relation(w: Witness, s: Statement, ps: ParamSet) -> bool:
             for (_, G1, G2), (_, H1, H2) in zip(img.pairs, s.oriented_image.pairs)
         ):
             return True
+    fail("relation:image")
     return False

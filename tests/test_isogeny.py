@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from adaptorsig.curve import Curve, Point, canonical_torsion_basis
+from adaptorsig.curve import (
+    Curve,
+    Point,
+    _add,
+    _mul,
+    canonical_torsion_basis,
+    factorize,
+    has_exact_order,
+    point_order,
+)
 from adaptorsig.errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree
 from adaptorsig.field import Fp2
 from adaptorsig.isogeny import (
@@ -106,6 +115,115 @@ def test_bad_kernels_rejected(t0):
         isogeny_from_kernel(E, [P7, Q7], 7)  # generators span more than degree
     with pytest.raises(BadKernel):
         isogeny_from_kernel(E, [Point(Fp2(t0.p, 1), Fp2(t0.p, 1))], 2)  # off curve
+
+
+def translation_sum_image(step, P):
+    """Vélu's translation sums: x + sum(x(P+T) - x(T)) and the same for y
+    over every nonzero kernel point T, then the u-twist; the independent
+    oracle for Step.evaluate's rational map."""
+    if P.is_inf:
+        return P
+    E, K, u = step.domain, step.kernel, step.u
+    x, y = P.x, P.y
+    T = K
+    for _ in range(step.ell - 1):
+        S = _add(E, P, T)
+        if S.is_inf:
+            return Point.infinity()
+        x = x + S.x - T.x
+        y = y + S.y - T.y
+        T = _add(E, T, K)
+    return Point(u**2 * x, u**3 * y)
+
+
+def point_of_order(E, N, group_order, rng):
+    while True:
+        K = E.mul(group_order // N, E.random_point(rng))
+        if has_exact_order(E, K, N):
+            return K
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_rational_map_matches_translation_sums(t0, rng, ell):
+    n = t0.group_order
+    for E in (t0.e0, keygen(t0, rng).pk):
+        K = point_of_order(E, ell, n, rng)
+        for u in (Fp2.one(t0.p), Fp2(t0.p, 3, 5)):
+            s = Step(E, K, ell, u)
+            pts = [E.random_point(rng) for _ in range(20)]
+            pts += [E.mul(k, K) for k in range(ell)]  # every kernel point and inf
+            for P in pts:
+                img = s.evaluate(P)
+                assert img == translation_sum_image(s, P)
+                assert s.codomain.on_curve(img)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_step_rejects_generators_of_other_orders(t0, rng, ell):
+    E = t0.e0
+    n = t0.group_order
+    p = t0.p
+    if ell == 2:
+        bad = [next(P for P in E.scan_points() if not P.y.is_zero())]
+    else:
+        other = 5 if ell == 3 else 3
+        orders = (2 * ell, 4 * ell, 2, 4, other)  # order ell*m, then coprime to ell
+        bad = [point_of_order(E, m, n, rng) for m in orders]
+    bad.append(Point(Fp2(p, 1), Fp2(p, 1)))  # off the curve
+    for K in bad:
+        with pytest.raises(BadKernel):
+            Step(E, K, ell)
+
+
+def reference_isogeny_from_kernel(E, gens, degree):
+    """isogeny_from_kernel's loop with every order recomputed by point_order."""
+    work = [(g, point_order(E, g, degree)) for g in gens if not g.is_inf]
+    cur, D = E, degree
+    while D > 1:
+        ell = min(factorize(D))
+        g, m = next((g, m) for g, m in work if m % ell == 0)
+        step = Step(cur, _mul(cur, m // ell, g), ell)
+        cur = step.codomain
+        imgs = [(step.evaluate(g), m) for g, m in work]
+        work = [(g, point_order(cur, g, m)) for g, m in imgs if not g.is_inf]
+        D //= ell
+        yield step
+
+
+def test_order_bookkeeping_matches_point_order_on_non_cyclic_kernels(t0):
+    E = t0.e0
+    n = t0.group_order
+    U5, V5 = canonical_torsion_basis(E, 5, n)
+    P7, _ = canonical_torsion_basis(E, 7, n)
+    UA, VA = canonical_torsion_basis(E, t0.A, n)
+    cases = [
+        ([U5, V5], 25),
+        ([U5, V5, P7], 175),
+        ([E.add(U5, P7), V5], 175),  # a generator of order 7 skips the 5-steps
+        ([U5, E.add(E.mul(2, U5), P7)], 35),  # a generator that loses its 5
+    ]
+    for gens, degree in cases:
+        chain = isogeny_from_kernel(E, gens, degree)
+        ref = list(reference_isogeny_from_kernel(E, gens, degree))
+        assert [s.ell for s in chain.steps] == [s.ell for s in ref]
+        assert chain.codomain == ref[-1].codomain
+        for X in (UA, VA):
+            Y = X
+            for s in ref:
+                Y = s.evaluate(Y)
+            assert chain.evaluate(X) == Y
+
+
+def test_evaluate_does_one_inversion(t0, rng, monkeypatch):
+    E = t0.e0
+    s = Step(E, point_of_order(E, 7, t0.group_order, rng), 7)
+    P = E.random_point(rng)
+    calls = []
+    inv = Fp2.inv
+    monkeypatch.setattr(Fp2, "inv", lambda self: calls.append(1) or inv(self))
+    img = s.evaluate(P)
+    assert not img.is_inf
+    assert len(calls) == 1
 
 
 def test_dual_identity(t0):

@@ -102,11 +102,13 @@ def test_function_caches_have_a_fixed_size():
 
 
 # per source file, the functions whose rejection tags README "Verification"
-# lists: the two response helpers return them, the two adaptor verifiers
-# pass them to fail()
+# lists: the two response helpers return them, the two adaptor verifiers,
+# the relation check and the proof check pass them to fail()
 TAG_SOURCES = {
     "sig.py": ("rep_rejection", "response_rejection"),
     "adaptor.py": ("preverify", "extract"),
+    "relation.py": ("verify_relation",),
+    "nizk.py": ("verify_parallel",),
 }
 
 

@@ -1,8 +1,10 @@
 import copy
+import dataclasses
 import random
 
 import pytest
 
+from adaptorsig.curve import canonical_torsion_basis
 from adaptorsig.errors import WitnessMismatch
 from adaptorsig.isogeny import isogeny_from_kernel
 from adaptorsig.nizk import NizkProof, NizkRound, prove_parallel, verify_parallel
@@ -88,3 +90,55 @@ def test_malformed_reveal_is_an_error_not_a_rejection(t0):
     proof.rounds[i] = NizkRound(r.f, r.fp, r.tag, None)
     with pytest.raises(TypeError):
         verify_parallel(stmt, proof, t0)
+
+
+def test_every_rejection_tag_is_reached(t0):
+    rng = random.Random(25)
+    stmt, bits = make_statement(t0, rng)
+    proof = prove_parallel(stmt, bits, t0, rng)
+    ew, _, e1 = stmt
+    n = t0.group_order
+    i0 = next(i for i, r in enumerate(proof.rounds) if r.tag == 0)
+    i1 = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
+    km, kmp = proof.rounds[i0].reveal
+    r1 = proof.rounds[i1]
+
+    def tags(proof):
+        reasons = []
+        assert not verify_parallel(stmt, proof, t0, reasons)
+        return reasons
+
+    def with_round(i, **changes):
+        rounds = list(proof.rounds)
+        rounds[i] = dataclasses.replace(rounds[i], **changes)
+        return NizkProof(rounds)
+
+    def other_mask(E, K):
+        # a kernel point of order A whose quotient is not the one of <K>
+        U, V = canonical_torsion_basis(E, t0.A, n)
+        target = isogeny_from_kernel(E, [K], t0.A).codomain
+        return next(
+            G for G in (U, V, E.add(U, V))
+            if isogeny_from_kernel(E, [G], t0.A).codomain != target
+        )
+
+    F = r1.f
+    U5, V5 = canonical_torsion_basis(F, 5, n)
+    U7, V7 = canonical_torsion_basis(F, 7, n)
+    other_parallel = next(
+        gens
+        for gens in ((U5, U7), (V5, V7), (F.add(U5, V5), F.add(U7, V7)))
+        if isogeny_from_kernel(F, list(gens), t0.B).codomain.j_invariant()
+        != r1.fp.j_invariant()
+    )
+
+    reasons = []
+    assert verify_parallel(stmt, proof, t0, reasons) and reasons == []
+    assert tags(NizkProof(proof.rounds[:-1])) == ["nizk:rounds"]
+    assert tags(with_round(i0, tag=1)) == ["nizk:challenge"]
+    assert tags(with_round(i0, reveal=(other_mask(ew, km), kmp))) == ["nizk:mask"]
+    assert tags(with_round(i0, reveal=(km, other_mask(e1, kmp)))) == [
+        "nizk:mask-commitment"
+    ]
+    assert tags(with_round(i1, reveal=other_parallel)) == ["nizk:parallel"]
+    assert tags(with_round(i0, reveal=(ew.mul(2, km), kmp))) == ["nizk:kernel"]

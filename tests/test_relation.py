@@ -1,3 +1,5 @@
+import dataclasses
+
 from adaptorsig.orientation import Orientation, orientation_image
 from adaptorsig.relation import (
     Statement,
@@ -63,3 +65,21 @@ def test_exhaustive_alpha_roundtrip(t0, t1):
                 w.chain.codomain, orientation_image(w.chain, ps.orientation)
             )
             assert verify_relation(w, s, ps)
+
+
+def test_every_rejection_tag_is_reached(t0, rng):
+    w, s = gen_r(t0, rng)
+
+    def tags(w, s, ps=t0):
+        reasons = []
+        assert not verify_relation(w, s, ps, reasons)
+        return reasons
+
+    reasons = []
+    assert verify_relation(w, s, t0, reasons) and reasons == []
+    P, _ = t0.pq
+    degenerate = dataclasses.replace(t0, pq=(P, P))  # P + [C-1]P = O spans nothing
+    assert tags(Witness(t0.C - 1, w.chain), s, degenerate) == ["relation:witness"]
+    fewer = Orientation(s.ew, s.oriented_image.pairs[:1])
+    assert tags(w, Statement(s.ew, fewer)) == ["relation:primes"]
+    assert tags(Witness((w.alpha + 1) % t0.C, w.chain), s) == ["relation:image"]
