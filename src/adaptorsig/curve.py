@@ -185,25 +185,31 @@ def factorize(n: int) -> dict:
     return out
 
 
-def point_order(E: Curve, P: Point, group_order: int) -> int:
-    """Exact order of P given a multiple of it (normally p+1)."""
-    n = group_order
-    for ell, e in factorize(group_order).items():
-        for _ in range(e):
-            if _mul(E, n // ell, P).is_inf:
-                n //= ell
-            else:
-                break
+def point_order(E: Curve, P: Point, N: int) -> int | None:
+    """Exact order of P given a multiple N of it (normally p+1).
+
+    One ladder per prime: for ell^e || N, Q = [N/ell^e]P is multiplied by
+    ell until it reaches O, and the number of multiplications is the
+    exponent of ell in the order.  Returns None when e multiplications do
+    not reach O, that is when [N]P != O.
+    """
+    if N == 1:
+        return 1 if P.is_inf else None
+    n = 1
+    for ell, e in factorize(N).items():
+        Q = _mul(E, N // ell**e, P)
+        k = 0
+        while not Q.is_inf:
+            if k == e:
+                return None
+            Q = _mul(E, ell, Q)
+            k += 1
+        n *= ell**k
     return n
 
 
 def has_exact_order(E: Curve, P: Point, N: int) -> bool:
-    if not _mul(E, N, P).is_inf:
-        return False
-    for ell in factorize(N):
-        if _mul(E, N // ell, P).is_inf:
-            return False
-    return True
+    return point_order(E, P, N) == N
 
 
 def is_primitive_root_of_unity(z: Fp2, N: int) -> bool:

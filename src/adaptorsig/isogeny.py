@@ -139,12 +139,34 @@ def compose_chains(*chains) -> IsogenyChain:
     return IsogenyChain(first.domain, cur, steps, deg, None)
 
 
+def _cyclic_walk(E: Curve, R: Point, ell: int, r: int):
+    """Yield the r steps of degree ell whose kernels generate <R>, |R| = ell^r.
+
+    Step i has kernel [ell^(r-1-i)]R pushed through the steps before it.
+    The balanced strategy of De Feo, Jao and Plût walks <[ell^h]R>, h = r//2,
+    while pushing R along, then walks the pushed R: O(r log r)
+    multiplications by ell and evaluations, where recomputing each kernel
+    point from R costs r(r-1)/2 multiplications.
+    """
+    if r == 1:
+        yield Step(E, R, ell)
+        return
+    h = r // 2
+    for step in _cyclic_walk(E, _mul(E, ell**h, R), ell, r - h):
+        R = step.evaluate(R)
+        yield step
+    yield from _cyclic_walk(step.codomain, R, ell, h)
+
+
 def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     """Chain with kernel generated by gens, |kernel| = degree.
 
     Steps are taken prime by prime in ascending order; ties among the
-    generators are broken by their enumeration order.  Raises BadKernel if
-    the generators do not span a subgroup of exactly the stated order.
+    generators are broken by their enumeration order.  The picked generator
+    g, of order n, gives a run of r = min(v_ell(n), v_ell(degree left))
+    steps with kernel <[n/ell^r]g>, walked by _cyclic_walk.  Raises
+    BadKernel if the generators do not span a subgroup of exactly the
+    stated order.
     """
     for g in gens:
         if not E.on_curve(g):
@@ -162,9 +184,10 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     for g in gens:
         if g.is_inf:
             continue
-        if not _mul(E, degree, g).is_inf:
+        n = point_order(E, g, degree)
+        if n is None:
             raise BadKernel("generator order does not divide the degree")
-        work.append((g, point_order(E, g, degree)))
+        work.append((g, n))
 
     original = list(gens)
     steps = []
@@ -172,29 +195,32 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     D = degree
     while D > 1:
         ell = min(factorize(D))
-        pick = None
-        for i, (g, n) in enumerate(work):
-            if n % ell == 0:
-                pick = i
-                break
+        pick = next((i for i, (_, n) in enumerate(work) if n % ell == 0), None)
         if pick is None:
             raise BadKernel(f"no kernel point of order {ell} available")
-        g, n = work[pick]
-        K = _mul(cur, n // ell, g)
-        step = Step(cur, K, ell)
-        cur = step.codomain
-        # ord(step(g)) = ord(g) / |<g> ∩ ker step|, and ker step has prime
-        # order ell: g loses a factor ell exactly when [n/ell]g is in the kernel
-        nxt = []
-        for i, (g, n) in enumerate(work):
-            img = step.evaluate(g)
-            if i == pick or n % ell == 0 and _mul(cur, n // ell, img).is_inf:
-                n //= ell
-            if n > 1:
-                nxt.append((img, n))
-        work = nxt
-        steps.append(step)
-        D //= ell
+        g, n = work.pop(pick)
+        r = min(factorize(n)[ell], factorize(D)[ell])
+        rest = n // ell**r
+        for step in _cyclic_walk(cur, _mul(cur, rest, g), ell, r):
+            cur = step.codomain
+            # ord(step(h)) = ord(h) / |<h> ∩ ker step|, and ker step has prime
+            # order ell: h loses a factor ell exactly when [m/ell]h is in it
+            nxt = []
+            for h, m in work:
+                h = step.evaluate(h)
+                if m % ell == 0 and _mul(cur, m // ell, h).is_inf:
+                    m //= ell
+                if m > 1:
+                    nxt.append((h, m))
+            work = nxt
+            if rest > 1:
+                g = step.evaluate(g)
+            steps.append(step)
+        # the generators before the picked one kept their orders (ell does
+        # not divide them), so it goes back to its place
+        if rest > 1:
+            work.insert(pick, (g, rest))
+        D //= ell**r
     if work:
         raise BadKernel("generators span a larger subgroup than the degree")
     return IsogenyChain(E, cur, steps, degree, original)

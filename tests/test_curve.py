@@ -159,6 +159,28 @@ def test_pairing_galois_invariant(t0):
     assert weil_pairing(E, frob(P), frob(Q), N) == z.frobenius()
 
 
+def brute_order(E, P, N):
+    """Least divisor d of N with [d]P = O, or None: the oracle for point_order."""
+    return next((d for d in range(1, N + 1) if N % d == 0 and E.mul(d, P).is_inf), None)
+
+
+def test_point_order_matches_brute_force(t0, rng):
+    E, n, AC = t0.e0, t0.group_order, t0.A * t0.C
+    for _ in range(20):
+        P = E.random_point(rng)
+        Q = E.mul(n // AC, P)  # order divides A*C
+        assert point_order(E, P, n) == brute_order(E, P, n)
+        assert point_order(E, Q, AC) == brute_order(E, Q, AC)
+        assert point_order(E, P, AC) == brute_order(E, P, AC)
+    P4 = E.mul(n // 4, E.random_point(rng))
+    while brute_order(E, P4, 4) != 4:
+        P4 = E.mul(n // 4, E.random_point(rng))
+    assert point_order(E, P4, 4) == 4 and has_exact_order(E, P4, 4)
+    assert point_order(E, P4, 2 * 35) is None  # 4 does not divide 70
+    assert not has_exact_order(E, P4, 2 * 35)
+    assert point_order(E, P4, 1) is None and point_order(E, Point.infinity(), 1) == 1
+
+
 def test_pairing_order_mismatch(t0, rng):
     E = t0.e0
     P = E.random_point(rng)

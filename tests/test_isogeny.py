@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adaptorsig import curve, isogeny
 from adaptorsig.curve import (
     Curve,
     Point,
@@ -24,7 +25,7 @@ from adaptorsig.isogeny import (
     pull_back,
     push_forward,
 )
-from adaptorsig.sig import challenge_walk, keygen, mu
+from adaptorsig.sig import challenge_walk, cyclic_kernel, keygen, mu
 
 
 def modular_poly_2(j1: Fp2, j2: Fp2) -> Fp2:
@@ -115,6 +116,14 @@ def test_bad_kernels_rejected(t0):
         isogeny_from_kernel(E, [P7, Q7], 7)  # generators span more than degree
     with pytest.raises(BadKernel):
         isogeny_from_kernel(E, [Point(Fp2(t0.p, 1), Fp2(t0.p, 1))], 2)  # off curve
+    A = t0.A
+    UA, VA = canonical_torsion_basis(E, A, t0.group_order)
+    with pytest.raises(BadKernel, match="does not divide"):
+        isogeny_from_kernel(E, [VA], A // 2)
+    # the step on <[A/2]VA> leaves UA one factor 2 more than the degree left:
+    # its run ends early and pushes it on with order 2
+    with pytest.raises(BadKernel, match="larger subgroup"):
+        isogeny_from_kernel(E, [E.mul(A // 2, VA), UA], A)
 
 
 def translation_sum_image(step, P):
@@ -190,19 +199,30 @@ def reference_isogeny_from_kernel(E, gens, degree):
         yield step
 
 
-def test_order_bookkeeping_matches_point_order_on_non_cyclic_kernels(t0):
+def non_cyclic_kernels(t0):
+    """(gens, degree) pairs that mix primes or span non-cyclic subgroups."""
     E = t0.e0
     n = t0.group_order
+    A = t0.A
     U5, V5 = canonical_torsion_basis(E, 5, n)
     P7, _ = canonical_torsion_basis(E, 7, n)
-    UA, VA = canonical_torsion_basis(E, t0.A, n)
-    cases = [
+    UA, VA = canonical_torsion_basis(E, A, n)
+    UC, _ = canonical_torsion_basis(E, t0.C, n)
+    return [
         ([U5, V5], 25),
         ([U5, V5, P7], 175),
         ([E.add(U5, P7), V5], 175),  # a generator of order 7 skips the 5-steps
         ([U5, E.add(E.mul(2, U5), P7)], 35),  # a generator that loses its 5
+        ([E.add(UA, UC)], A * t0.C),  # the 2-run pushes its generator on
+        ([E.mul(A // 2, UA), UA], A),  # a generator inside another's span
+        ([UA, E.mul(A // 2, VA)], 2 * A),  # 2-power kernel of two generators
     ]
-    for gens, degree in cases:
+
+
+def test_order_bookkeeping_matches_point_order_on_non_cyclic_kernels(t0):
+    E = t0.e0
+    UA, VA = canonical_torsion_basis(E, t0.A, t0.group_order)
+    for gens, degree in non_cyclic_kernels(t0):
         chain = isogeny_from_kernel(E, gens, degree)
         ref = list(reference_isogeny_from_kernel(E, gens, degree))
         assert [s.ell for s in chain.steps] == [s.ell for s in ref]
@@ -212,6 +232,63 @@ def test_order_bookkeeping_matches_point_order_on_non_cyclic_kernels(t0):
             for s in ref:
                 Y = s.evaluate(Y)
             assert chain.evaluate(X) == Y
+
+
+def assert_steps_match_reference(E, gens, degree):
+    chain = isogeny_from_kernel(E, gens, degree)
+    ref = list(reference_isogeny_from_kernel(E, gens, degree))
+    assert len(chain.steps) == len(ref)
+    for s, t in zip(chain.steps, ref):
+        assert (s.ell, s.kernel, s.codomain, s.u) == (t.ell, t.kernel, t.codomain, t.u)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_cyclic_a_kernels_match_the_reference(request, rng, profile):
+    ps = request.getfixturevalue(profile)
+    A, n = ps.A, ps.group_order
+    for E in (ps.e0, keygen(ps, rng).pk):
+        for idx in (1, 2, A // 2 + 3, A, A + 1, mu(A)):
+            assert_steps_match_reference(E, [cyclic_kernel(E, A, idx, n)], A)
+
+
+def test_cyclic_c_kernels_match_the_reference(t2):
+    E, C, n = t2.e0, t2.C, t2.group_order
+    assert C == 27
+    for idx in (1, 5, C, C + 1, mu(C)):
+        assert_steps_match_reference(E, [cyclic_kernel(E, C, idx, n)], C)
+
+
+def test_b_and_mixed_kernels_match_the_reference(t0, rng):
+    E, n = t0.e0, t0.group_order
+    for _ in range(3):
+        K5 = cyclic_kernel(E, 5, rng.randrange(1, 7), n)
+        K7 = cyclic_kernel(E, 7, rng.randrange(1, 9), n)
+        for gens in ([K5, K7], [K7, K5], [E.add(K5, K7)]):
+            assert_steps_match_reference(E, gens, 35)
+    for gens, degree in non_cyclic_kernels(t0):
+        assert_steps_match_reference(E, gens, degree)
+
+
+def test_cyclic_two_power_walk_cost(t1, monkeypatch):
+    """One T1 cyclic 2^9 chain: 9 doublings find the generator's order and
+    13 walk the balanced strategy, which pushes 16 intermediate points.
+    Recomputing each kernel point from the generator took 53 + 9."""
+    E = t1.e0
+    K = cyclic_kernel(E, t1.A, 3, t1.group_order)
+    adds, evals = [], []
+    add, evaluate = curve._add, Step.evaluate
+
+    def counted_add(E, P, Q):
+        if not (P.is_inf or Q.is_inf):
+            adds.append(1)
+        return add(E, P, Q)
+
+    monkeypatch.setattr(curve, "_add", counted_add)
+    monkeypatch.setattr(isogeny, "_add", counted_add)
+    monkeypatch.setattr(Step, "evaluate", lambda self, P: evals.append(1) or evaluate(self, P))
+    chain = isogeny_from_kernel(E, [K], t1.A)
+    assert len(chain.steps) == 9
+    assert (len(adds), len(evals)) == (22, 16)
 
 
 def test_evaluate_does_one_inversion(t0, rng, monkeypatch):
