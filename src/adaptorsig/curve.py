@@ -313,7 +313,9 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     Scans abscissas in lexicographic field order, lifts with the canonical
     square root, clears the cofactor and keeps the first point P of exact
     order N, then the first later point Q that is independent of it.  N must
-    divide the group exponent (p+1 for the supersingular curves used here).
+    divide the group exponent, and the group exponent must divide
+    group_order (p+1 for the supersingular curves used here); a scan point
+    with [group_order]S != O, as on an ordinary curve, raises NoBasis.
     The cofactor clearing is adaptive: the prime-to-N part is stripped and
     each remaining prime power divided down to its share of N, so any scan
     point whose order is a multiple of N contributes.  Q is independent of P
@@ -335,6 +337,8 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     for S in E.scan_points():
         P = _mul(E, cof, S)
         n = point_order(E, P, support)
+        if n is None:
+            raise NoBasis(f"the group exponent does not divide {group_order}")
         if n % N != 0:
             continue
         P = _mul(E, n // N, P)

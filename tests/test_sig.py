@@ -4,8 +4,9 @@ import pytest
 
 from adaptorsig import sig as sig_mod
 from adaptorsig.adaptor import presign, preverify
-from adaptorsig.curve import canonical_torsion_basis, point_order
+from adaptorsig.curve import Curve, _mul, canonical_torsion_basis, point_order
 from adaptorsig.errors import IndexOutOfRange, NoBasis
+from adaptorsig.field import Fp2
 from adaptorsig.isogeny import EfficientRep
 from adaptorsig.relation import gen_r
 from adaptorsig.sig import (
@@ -224,6 +225,29 @@ def test_basis_scan_failure_rejects_as_rep_basis(t0, monkeypatch):
     assert not preverify(kp.pk, b"scan", s, pre, "light", t0, reasons)
     assert reasons == ["rep:basis"]
     assert not verify(kp.pk, b"scan", plain, "light", t0)
+
+
+def test_ordinary_curves_reject_without_a_traceback(t0):
+    # y^2 = x^3 + x + 1 over GF(p^2) is ordinary: its group exponent does not
+    # divide p+1, so the basis scan meets a point it cannot clear
+    p = t0.e0.p
+    E = Curve(Fp2(p, 1, 0), Fp2(p, 1, 0))
+    assert not _mul(E, t0.group_order, next(E.scan_points())).is_inf
+    with pytest.raises(NoBasis):
+        canonical_torsion_basis(E, t0.d_phi, t0.group_order)
+    kp = keygen(t0, random.Random(18))
+    s = sign(kp, b"m", t0, random.Random(19))
+    for mode in ("light", "strict"):
+        reasons = []
+        assert not verify(E, b"m", s, mode, t0, reasons)
+        assert reasons == ["challenge"]
+    # an ordinary commitment curve reaches the basis check of the response
+    phi = sig_mod.challenge(kp.pk, E, b"m", t0)
+    r = s.rep
+    rep = EfficientRep(E, phi.codomain, r.degree, r.order, r.basis, r.images)
+    reasons = []
+    assert not verify(kp.pk, b"m", PlainSignature(E, rep), "light", t0, reasons)
+    assert reasons == ["rep:basis"]
 
 
 def test_verify_surfaces_programming_errors(t0):
