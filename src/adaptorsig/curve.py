@@ -229,52 +229,45 @@ class _Degenerate(Exception):
     """Internal: a line hit a zero/pole; retry with another offset."""
 
 
-def _line(E: Curve, A: Point, B: Point, X: Point) -> Fp2:
-    """Line through A and B (tangent if A == B), evaluated at finite X."""
-    one = Fp2.one(E.p)
-    if A.is_inf or B.is_inf:
-        C = B if A.is_inf else A
-        if C.is_inf:
-            return one
-        return X.x - C.x
-    if A.x == B.x and A.y != B.y:
-        return X.x - A.x
-    if A == B:
-        if A.y.is_zero():
-            return X.x - A.x
-        lam = (3 * (A.x * A.x) + E.a) / (2 * A.y)
-    else:
-        lam = (B.y - A.y) / (B.x - A.x)
-    return (X.y - A.y) - lam * (X.x - A.x)
-
-
-def _vertical(A: Point, X: Point, p: int) -> Fp2:
-    if A.is_inf:
-        return Fp2.one(p)
-    return X.x - A.x
-
-
 def _miller(E: Curve, P: Point, n: int, X: Point) -> Fp2:
-    """f_{n,P}(X) for finite X; raises _Degenerate on a zero or pole."""
+    """f_{n,P}(X) for finite X; raises _Degenerate on a zero or pole.
+
+    Each step takes one slope for both the sum and the line through its
+    two points, and f is kept as a fraction num/den, so the loop divides
+    once at its end.
+    """
     if X.is_inf:
         raise _Degenerate
-    f = Fp2.one(E.p)
-    T = P
-    for bit in bin(n)[3:]:
-        l = _line(E, T, T, X)
-        T = _add(E, T, T)
-        v = _vertical(T, X, E.p)
+    one = Fp2.one(E.p)
+
+    def step(T, Q):
+        """(T + Q, line through T and Q at X, vertical at T + Q at X)."""
+        if T.is_inf or Q.is_inf:
+            R = Q if T.is_inf else T
+            l = v = one if R.is_inf else X.x - R.x
+        elif T.x == Q.x and T.y == -Q.y:
+            R, l, v = _INF, X.x - T.x, one
+        else:
+            if T.x == Q.x:
+                lam = (3 * (T.x * T.x) + E.a) / (2 * T.y)
+            else:
+                lam = (Q.y - T.y) / (Q.x - T.x)
+            x3 = lam * lam - T.x - Q.x
+            R = Point(x3, lam * (T.x - x3) - T.y)
+            l, v = (X.y - T.y) - lam * (X.x - T.x), X.x - x3
         if l.is_zero() or v.is_zero():
             raise _Degenerate
-        f = f * f * l / v
+        return R, l, v
+
+    num = den = one
+    T = P
+    for bit in bin(n)[3:]:
+        T, l, v = step(T, T)
+        num, den = num * num * l, den * den * v
         if bit == "1":
-            l = _line(E, T, P, X)
-            T = _add(E, T, P)
-            v = _vertical(T, X, E.p)
-            if l.is_zero() or v.is_zero():
-                raise _Degenerate
-            f = f * l / v
-    return f
+            T, l, v = step(T, P)
+            num, den = num * l, den * v
+    return num / den
 
 
 def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:

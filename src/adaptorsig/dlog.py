@@ -2,8 +2,9 @@
 
 Two tools stand in for the heavy machinery a full-scale verifier would use:
 
-* decompose_2d writes a torsion point over a basis via Weil pairings and
-  Pohlig-Hellman discrete logs in the group of N-th roots of unity;
+* decompose_2d writes a torsion point over a basis by Pohlig-Hellman on the
+  points themselves: every prime here is at most 7, so each prime's digits
+  are read from a table of the ell^2 points of E[ell];
 * find_isogeny finds a chain of a given degree matching a set of torsion
   images by a meet-in-the-middle search over kernel-subgroup candidates,
   an existence certificate for strict verification; recover_isogeny adds
@@ -34,15 +35,13 @@ from .curve import (
     _add,
     _in_cyclic,
     _mul,
+    _neg,
     factorize,
-    is_primitive_root_of_unity,
     isomorphisms,
     small_torsion_basis,
     twist_point,
-    weil_pairing,
 )
 from .errors import AmbiguityBound, NotABasis, NotFound, OrderMismatch
-from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step, dual, dual_kernel, dual_step
 
 logger = logging.getLogger(__name__)
@@ -54,50 +53,51 @@ class BasisDecomposition:
     y: int
 
 
-def dlog_root_of_unity(target: Fp2, base: Fp2, N: int) -> int:
-    """x with base^x = target, base of exact order N; Pohlig-Hellman with
-    brute-forced digits (all prime factors here are tiny)."""
-    residues = []
-    moduli = []
-    for ell, e in factorize(N).items():
-        ne = ell**e
-        cof = N // ne
-        b = base**cof
-        t = target**cof
-        gamma = b ** (ell ** (e - 1))
-        x = 0
-        for k in range(e):
-            cur = (t * b ** (-x)) ** (ell ** (e - 1 - k))
-            g = Fp2.one(base.p)
-            for d in range(ell):
-                if g == cur:
-                    x += d * ell**k
-                    break
-                g = g * gamma
-            else:
-                raise NotABasis("discrete log does not exist")
-        residues.append(x)
-        moduli.append(ne)
-    x = 0
-    M = 1
-    for r, m in zip(residues, moduli):
-        # CRT fold
-        inv = pow(M, -1, m) if M > 1 else 1
-        x = x + M * ((r - x) * inv % m)
-        M *= m
-    return x % N
-
-
 def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecomposition:
-    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N]."""
+    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N].
+
+    Pohlig-Hellman on the points: for each ell^e || N, U, V and T are
+    projected by [N/ell^e], the ell^2 points [a]U1 + [b]V1 of E[ell] are
+    tabulated (U1, V1 the projections times ell^(e-1); a collision means the
+    basis is dependent at ell), and the base-ell digits of x and y are read
+    from the low end by looking up [ell^(e-1-k)] times what is left of T.
+    Every prime here is at most 7, so a table has at most 49 points.
+    """
     for P in (U, V, T):
+        E.check(P)
         if not _mul(E, N, P).is_inf:
             raise OrderMismatch(f"point not killed by {N}")
-    z = weil_pairing(E, U, V, N)
-    if not is_primitive_root_of_unity(z, N):
-        raise NotABasis("pairing of the basis does not have exact order N")
-    x = dlog_root_of_unity(weil_pairing(E, T, V, N), z, N)
-    y = dlog_root_of_unity(weil_pairing(E, U, T, N), z, N)
+    x = y = 0
+    M = 1
+    for ell, e in factorize(N).items():
+        m = ell**e
+        # [ell^k] times the projections of U and V, for k = 0 .. e-1
+        Us, Vs = [_mul(E, N // m, U)], [_mul(E, N // m, V)]
+        for _ in range(e - 1):
+            Us.append(_mul(E, ell, Us[-1]))
+            Vs.append(_mul(E, ell, Vs[-1]))
+        table = {}
+        row = Point.infinity()
+        for a in range(ell):
+            R = row
+            for b in range(ell):
+                if R in table:
+                    raise NotABasis(f"basis is dependent at {ell}")
+                table[R] = (a, b)
+                R = _add(E, R, Vs[-1])
+            row = _add(E, row, Us[-1])
+        rest = _mul(E, N // m, T)
+        xm = ym = 0
+        for k in range(e):
+            a, b = table[_mul(E, m // ell ** (k + 1), rest)]
+            rest = _add(E, rest, _neg(_add(E, _mul(E, a, Us[k]), _mul(E, b, Vs[k]))))
+            xm += a * ell**k
+            ym += b * ell**k
+        # CRT fold
+        inv = pow(M, -1, m)
+        x += M * ((xm - x) * inv % m)
+        y += M * ((ym - y) * inv % m)
+        M *= m
     if _add(E, _mul(E, x, U), _mul(E, y, V)) != T:
         raise NotABasis("reconstruction failed")  # pragma: no cover
     return BasisDecomposition(x, y)

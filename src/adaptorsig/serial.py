@@ -140,7 +140,9 @@ def orientation_doc(o: Orientation) -> dict:
     }
 
 
-def parse_orientation(doc, ps_p, group_order, path) -> Orientation:
+def parse_orientation(doc, ps_p, group_order, primes, path) -> Orientation:
+    """Decode an orientation whose pairs must use `primes`, in order; the
+    primes are checked before the order scans of orientation_valid."""
     E = parse_curve(_field(doc, "curve", path), ps_p, f"{path}.curve")
     pairs = []
     for i, entry in enumerate(_list(doc, "pairs", path)):
@@ -152,6 +154,8 @@ def parse_orientation(doc, ps_p, group_order, path) -> Orientation:
         G2 = parse_point(entry[2], E, f"{sub}[2]")
         pairs.append((ell, G1, G2))
     o = Orientation(E, pairs)
+    if o.primes != primes:
+        raise InvariantViolation(path, "wrong orientation primes")
     if not orientation_valid(o, group_order):
         raise InvariantViolation(path, "orientation generators invalid")
     return o
@@ -204,7 +208,7 @@ def parse_params(doc) -> ParamSet:
     ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))
     _require(ps, f"{path}.e0", E0_RULE)
     orientation = parse_orientation(
-        _field(doc, "orientation", path), p, p + 1, f"{path}.orientation"
+        _field(doc, "orientation", path), p, p + 1, primes, f"{path}.orientation"
     )
     pq_doc = _list(doc, "pq", path, 2)
     pq = tuple(parse_point(pq_doc[i], ps.e0, f"{path}.pq[{i}]") for i in range(2))
@@ -337,15 +341,12 @@ def statement_doc(s: Statement) -> dict:
 
 def parse_statement(doc, ps: ParamSet) -> Statement:
     ew = parse_curve(_field(doc, "ew", "statement"), ps.p, "statement.ew")
+    path = "statement.orientation"
     o = parse_orientation(
-        _field(doc, "orientation", "statement"), ps.p, ps.group_order, "statement.orientation"
+        _field(doc, "orientation", "statement"), ps.p, ps.group_order, ps.primes, path
     )
     if o.curve != ew:
-        raise InvariantViolation(
-            "statement.orientation", "orientation lives on a different curve"
-        )
-    if o.primes != ps.primes:
-        raise InvariantViolation("statement.orientation", "wrong orientation primes")
+        raise InvariantViolation(path, "orientation lives on a different curve")
     return Statement(ew, o)
 
 

@@ -6,6 +6,7 @@ import pytest
 from adaptorsig.curve import (
     Curve,
     Point,
+    _miller,
     canonical_torsion_basis,
     factorize,
     has_exact_order,
@@ -123,6 +124,30 @@ def test_basis_pairing_has_exact_order(t0, which):
     assert z**N == Fp2.one(t0.p)
     for ell in factorize(N):
         assert z ** (N // ell) != Fp2.one(t0.p)
+
+
+@pytest.mark.parametrize(
+    "which,inversions,pairing",
+    [("A", 7, (17351, 22868)), ("C", 2, (13439, 4810)), ("AC", 9, (20325, 5936))],
+)
+def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairing):
+    # one inversion per slope and one at the end of the loop; the step that
+    # reaches a point of order 2 (or its negative) takes no slope
+    N = {"A": t0.A, "C": t0.C, "AC": t0.A * t0.C}[which]
+    E = t0.e0
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    calls = []
+    inv = Fp2.inv
+
+    def counted(x):
+        calls.append(x)
+        return inv(x)
+
+    monkeypatch.setattr(Fp2, "inv", counted)
+    _miller(E, U, N, V)
+    monkeypatch.undo()
+    assert len(calls) == inversions
+    assert weil_pairing(E, U, V, N) == Fp2(t0.p, *pairing)
 
 
 def test_pairing_alternating(t0):

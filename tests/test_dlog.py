@@ -60,6 +60,13 @@ def test_decompose_rejects_dependent_basis(t0):
     U, V = canonical_torsion_basis(E, t0.A, t0.group_order)
     with pytest.raises(NotABasis):
         decompose_2d(E, U, E.mul(3, U), V, t0.A)
+    # on E[A*C], each prime on its own: [C]V + [A]U is independent of U at 2
+    # but not at 3, and [2]V drops order at 2 only
+    N = t0.A * t0.C
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    for W in (E.add(E.mul(t0.C, V), E.mul(t0.A, U)), E.mul(2, V)):
+        with pytest.raises(NotABasis):
+            decompose_2d(E, U, W, U, N)
 
 
 def test_decompose_rejects_wrong_order(t0):

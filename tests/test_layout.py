@@ -3,6 +3,7 @@ package depends on the Python standard library alone, and every global
 cache is named here."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -138,3 +139,29 @@ def test_readme_lists_every_rejection_tag():
     }
     assert code, "no tags collected"
     assert listed == code
+
+
+def test_perfbench_bindings_resolve():
+    # perfbench/tracing.py wraps these by a bare getattr, so a renamed or
+    # deleted function would crash only the traced benchmark; its tables are
+    # read from the source, not imported
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("FUNCTIONS", "METHODS")
+    }
+    assert tables["FUNCTIONS"] and tables["METHODS"]
+    missing = [
+        f"{module}.{name}"
+        for module, name in tables["FUNCTIONS"]
+        if not hasattr(importlib.import_module(f"adaptorsig.{module}"), name)
+    ]
+    missing += [
+        f"{module}.{cls}.{name}"
+        for module, cls, name, _ in tables["METHODS"]
+        if not hasattr(getattr(importlib.import_module(f"adaptorsig.{module}"), cls, None), name)
+    ]
+    assert missing == []

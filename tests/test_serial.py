@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptorsig import serial
+from adaptorsig import orientation, serial
 from adaptorsig.adaptor import adapt, presign
 from adaptorsig.curve import Point, canonical_torsion_basis, twist_curve, twist_point
 from adaptorsig.errors import InvariantViolation, ParseError
@@ -266,3 +266,23 @@ def test_composite_step_degree_rejected():
     with pytest.raises(InvariantViolation) as err:
         serial.parse_keypair(doc, ps)
     assert err.value.path == "key.sk.steps[0].ell"
+
+
+def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
+    # pairs with ell = p+1 pass every order check on E0, and each one costs
+    # orientation_valid an _in_cyclic scan of up to p+1 additions
+    ps = serial.parse_params(_vector("params.json"))
+    E = ps.e0
+    rng = random.Random(0)
+    pair = [format(ps.p + 1, "x"), *(serial.point_doc(E.random_point(rng)) for _ in range(2))]
+    doc = {
+        "ew": serial.curve_doc(E),
+        "orientation": {"curve": serial.curve_doc(E), "pairs": [pair] * 4},
+    }
+    scans = []
+    monkeypatch.setattr(orientation, "_in_cyclic", lambda *args: scans.append(args))
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_statement(doc, ps)
+    assert err.value.path == "statement.orientation"
+    assert err.value.message == "wrong orientation primes"
+    assert scans == []
