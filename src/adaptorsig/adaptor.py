@@ -19,7 +19,6 @@ from .curve import (
     canonical_torsion_basis,
     has_exact_order,
     isomorphisms,
-    weil_pairing,
 )
 from .dlog import decompose_2d, evaluate_rep, recover_isogeny
 from .errors import (
@@ -38,6 +37,7 @@ from .isogeny import (
     dual,
     efficient_rep,
     isogeny_from_kernel,
+    pairing_law,
 )
 from .nizk import NizkProof, prove_parallel, verify_parallel
 from .orientation import oriented_kernel
@@ -118,12 +118,7 @@ def preverify(
     if not (has_exact_order(epsi, S1, C) and has_exact_order(epsi, S2, C)):
         fail("s-points:order")
         return False
-    P, Q = ps.pq
-    try:
-        if weil_pairing(epsi, S1, S2, C) != weil_pairing(ps.e0, P, Q, C) ** ps.B:
-            fail("s-points:pairing")
-            return False
-    except OrderMismatch:
+    if not pairing_law(EfficientRep(ps.e0, epsi, ps.B, C, ps.pq, presig.s)):
         fail("s-points:pairing")
         return False
 

@@ -20,6 +20,7 @@ from .curve import (
     small_torsion_basis,
     twist_curve,
     twist_point,
+    weil_pairing,
 )
 from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
 from .field import Fp2, batch_inv
@@ -326,6 +327,16 @@ class EfficientRep:
 
     def __repr__(self):
         return f"EfficientRep(degree={self.degree}, order={self.order})"
+
+
+def pairing_law(rep: EfficientRep) -> bool:
+    """Whether e_N(images) = e_N(basis)^degree for N-torsion inputs, N the
+    basis order; e_N(basis) is an N-th root of unity, so the degree is
+    reduced mod N and a decoded degree of any length costs nothing."""
+    N = rep.order
+    zb = weil_pairing(rep.domain, *rep.basis, N)
+    zi = weil_pairing(rep.codomain, *rep.images, N)
+    return zi == zb ** (rep.degree % N)
 
 
 def efficient_rep(chain: IsogenyChain, N: int, group_order: int) -> EfficientRep:

@@ -16,17 +16,15 @@ from .curve import (
     Point,
     _mul,
     has_exact_order,
-    weil_pairing,
 )
 from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
-from .isogeny import EfficientRep, IsogenyChain, Step
+from .isogeny import EfficientRep, IsogenyChain, Step, pairing_law
 from .nizk import NizkProof, NizkRound
 from .orientation import Orientation, orientation_valid
 from .params import (
     BASIS_RULE,
     E0_RULE,
-    ORIENTATION_RULE,
     P_BOUND_RULE,
     P_RULES,
     SHAPE_RULES,
@@ -140,10 +138,12 @@ def orientation_doc(o: Orientation) -> dict:
     }
 
 
-def parse_orientation(doc, ps_p, group_order, primes, path) -> Orientation:
-    """Decode an orientation whose pairs must use `primes`, in order; the
-    primes are checked before the order scans of orientation_valid."""
-    E = parse_curve(_field(doc, "curve", path), ps_p, f"{path}.curve")
+def parse_orientation(doc, curve, group_order, primes, path) -> Orientation:
+    """Decode an orientation that must live on `curve` and use `primes`, in
+    order; both are checked before the order scans of orientation_valid."""
+    E = parse_curve(_field(doc, "curve", path), curve.p, f"{path}.curve")
+    if E != curve:
+        raise InvariantViolation(path, "orientation lives on a different curve")
     pairs = []
     for i, entry in enumerate(_list(doc, "pairs", path)):
         sub = f"{path}.pairs[{i}]"
@@ -208,13 +208,12 @@ def parse_params(doc) -> ParamSet:
     ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))
     _require(ps, f"{path}.e0", E0_RULE)
     orientation = parse_orientation(
-        _field(doc, "orientation", path), p, p + 1, primes, f"{path}.orientation"
+        _field(doc, "orientation", path), ps.e0, p + 1, primes, f"{path}.orientation"
     )
     pq_doc = _list(doc, "pq", path, 2)
     pq = tuple(parse_point(pq_doc[i], ps.e0, f"{path}.pq[{i}]") for i in range(2))
     ps = replace(ps, orientation=orientation, pq=pq)
     _require(ps, f"{path}.pq", BASIS_RULE)
-    _require(ps, f"{path}.orientation", ORIENTATION_RULE)
     return ps
 
 
@@ -243,6 +242,9 @@ def parse_chain(doc, p, path) -> IsogenyChain:
     for i, sdoc in enumerate(_list(doc, "steps", path)):
         sub = f"{path}.steps[{i}]"
         ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
+        # every Vélu step here has ell | p + 1; this bounds is_prime's input
+        if ell == 0 or (p + 1) % ell:
+            raise InvariantViolation(f"{sub}.ell", "step degree does not divide p+1")
         if not is_prime(ell):
             raise InvariantViolation(f"{sub}.ell", "step degree is not prime")
         K = parse_point(_field(sdoc, "kernel", sub), cur, f"{sub}.kernel")
@@ -295,12 +297,10 @@ def parse_rep(doc, p, group_order, path) -> EfficientRep:
     for i, X in enumerate(images):
         if not _mul(codomain, order, X).is_inf:
             raise InvariantViolation(f"{path}.images[{i}]", "not killed by the order")
-    if math.gcd(degree, order) == 1:
-        zb = weil_pairing(domain, basis[0], basis[1], order)
-        zi = weil_pairing(codomain, images[0], images[1], order)
-        if zi != zb**degree:
-            raise InvariantViolation(f"{path}.images", "pairing law violated")
-    return EfficientRep(domain, codomain, degree, order, basis, images)
+    rep = EfficientRep(domain, codomain, degree, order, basis, images)
+    if math.gcd(degree, order) == 1 and not pairing_law(rep):
+        raise InvariantViolation(f"{path}.images", "pairing law violated")
+    return rep
 
 
 # -- keys, witnesses, statements ----------------------------------------------
@@ -343,10 +343,8 @@ def parse_statement(doc, ps: ParamSet) -> Statement:
     ew = parse_curve(_field(doc, "ew", "statement"), ps.p, "statement.ew")
     path = "statement.orientation"
     o = parse_orientation(
-        _field(doc, "orientation", "statement"), ps.p, ps.group_order, ps.primes, path
+        _field(doc, "orientation", "statement"), ew, ps.group_order, ps.primes, path
     )
-    if o.curve != ew:
-        raise InvariantViolation(path, "orientation lives on a different curve")
     return Statement(ew, o)
 
 

@@ -10,9 +10,9 @@ stated degree that maps the full basis to the torsion images.
 
 import hashlib
 
-from .curve import Curve, _mul, canonical_torsion_basis, factorize, weil_pairing
+from .curve import Curve, _mul, canonical_torsion_basis, factorize
 from .dlog import find_isogeny
-from .errors import IndexOutOfRange, NotFound, OrderMismatch, ProtocolError
+from .errors import IndexOutOfRange, NotFound, ProtocolError
 from .field import Fp2
 from .isogeny import (
     EfficientRep,
@@ -21,6 +21,7 @@ from .isogeny import (
     dual,
     efficient_rep,
     isogeny_from_kernel,
+    pairing_law,
 )
 from .params import ParamSet
 
@@ -145,12 +146,7 @@ def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
     E2 = rep.codomain
     if not all(E2.on_curve(T) and _mul(E2, N, T).is_inf for T in rep.images):
         return "rep:images"
-    try:
-        zb = weil_pairing(rep.domain, rep.basis[0], rep.basis[1], N)
-        zi = weil_pairing(E2, rep.images[0], rep.images[1], N)
-    except OrderMismatch:
-        return "rep:pairing"
-    if zi != zb**rep.degree:
+    if not pairing_law(rep):
         return "rep:pairing"
     return None
 

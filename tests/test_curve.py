@@ -3,10 +3,15 @@ import random
 
 import pytest
 
+from adaptorsig import curve
 from adaptorsig.curve import (
     Curve,
     Point,
+    _add,
+    _Degenerate,
     _miller,
+    _mul,
+    _neg,
     canonical_torsion_basis,
     factorize,
     has_exact_order,
@@ -20,6 +25,7 @@ from adaptorsig.curve import (
 from adaptorsig.errors import OrderMismatch, PointNotOnCurve, SingularCurve
 from adaptorsig.field import Fp2
 from adaptorsig.isogeny import isogeny_from_kernel
+from adaptorsig.sig import keygen
 
 
 def test_singular_curve_rejected(t0):
@@ -148,6 +154,57 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
     monkeypatch.undo()
     assert len(calls) == inversions
     assert weil_pairing(E, U, V, N) == Fp2(t0.p, *pairing)
+    # Miller's formula: one loop per argument and no offset point
+    millers, scans = [], []
+    scan = Curve.scan_points
+    monkeypatch.setattr(curve, "_miller", lambda *args: millers.append(args) or _miller(*args))
+    monkeypatch.setattr(Curve, "scan_points", lambda E: scans.append(E) or scan(E))
+    weil_pairing(E, U, V, N)
+    monkeypatch.undo()
+    assert len(millers) == 2
+    assert scans == []
+
+
+def offset_weil_pairing(E, P, Q, N):
+    """Reference: f_P on [Q+S] - [S] over f_Q on [P-S] - [-S], for the first
+    offset S of the point scan that dodges every zero and pole."""
+    one = Fp2.one(E.p)
+    if N == 1 or P.is_inf or Q.is_inf or P == Q or P == _neg(Q):
+        return one
+    for S in E.scan_points():
+        for T in (S, _neg(S)):
+            try:
+                num = _miller(E, P, N, _add(E, Q, T)) / _miller(E, P, N, T)
+                den = _miller(E, Q, N, _add(E, P, _neg(T))) / _miller(E, Q, N, _neg(T))
+                return num / den
+            except (_Degenerate, ZeroDivisionError):
+                continue
+    raise AssertionError("no usable offset point")
+
+
+def test_pairing_matches_the_offset_reference(t0):
+    rng = random.Random(12)
+    n = t0.group_order
+    A, C = t0.A, t0.C
+    inf = Point.infinity()
+    for E in (t0.e0, keygen(t0, random.Random(3)).pk):
+        for N in sorted({2, 4, A, 3, C, 5, 7, A * C}):
+            U, V = canonical_torsion_basis(E, N, n)
+
+            def sample():
+                return _add(E, _mul(E, rng.randrange(N), U), _mul(E, rng.randrange(N), V))
+
+            ell = min(factorize(N))
+            pairs = [(sample(), sample()) for _ in range(4)]  # mostly independent
+            pairs += [(U, V), (V, U), (inf, U), (V, inf), (inf, inf)]  # and P or Q = O
+            for _ in range(3):
+                P, k = sample(), rng.randrange(N)
+                pairs += [(P, _mul(E, k, P)), (_mul(E, k, P), P)]  # dependent
+                if ell < N:  # half-dependent: [ell]Q lies in <U>, Q does not
+                    Q = _add(E, _mul(E, k, U), _mul(E, N // ell, V))
+                    pairs += [(U, Q), (Q, U)]
+            for P, Q in pairs:
+                assert weil_pairing(E, P, Q, N) == offset_weil_pairing(E, P, Q, N), (N, P, Q)
 
 
 def test_pairing_alternating(t0):

@@ -165,3 +165,19 @@ def test_perfbench_bindings_resolve():
         if not hasattr(getattr(importlib.import_module(f"adaptorsig.{module}"), cls, None), name)
     ]
     assert missing == []
+
+
+def test_pairing_law_has_one_home():
+    # e_N(images) = e_N(basis)^degree is checked by isogeny.pairing_law
+    # alone; the params basis rule is the only other pairing
+    callers = set()
+    for name, tree in _trees():
+        scope = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "weil_pairing":
+                callers.add(f"{name[:-3]}.{scope.get(id(node), '<module>')}")
+    assert callers == {"isogeny.pairing_law", "params._basis_ok"}

@@ -12,7 +12,7 @@ from adaptorsig.errors import InvariantViolation, ParseError
 from adaptorsig.field import Fp2
 from adaptorsig.orientation import Orientation, sample_orientation
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import keygen, sign
+from adaptorsig.sig import keygen, sign, verify
 
 
 def test_params_roundtrip_bytes(t0):
@@ -286,3 +286,63 @@ def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
     assert err.value.path == "statement.orientation"
     assert err.value.message == "wrong orientation primes"
     assert scans == []
+
+
+def test_orientation_decoded_once_on_its_expected_curve(monkeypatch):
+    scans = []
+    in_cyclic = orientation._in_cyclic
+    monkeypatch.setattr(
+        orientation, "_in_cyclic", lambda *args: scans.append(args) or in_cyclic(*args)
+    )
+    ps = serial.parse_params(_vector("params.json"))
+    assert len(scans) == len(ps.primes)  # one orientation_valid pass
+    # an orientation on E0 where the statement's curve is expected, and the
+    # other way round, is rejected before any generator scan
+    statement = _vector("relation.json")["statement"]
+    params = _vector("params.json")
+    statement["orientation"], params["orientation"] = params["orientation"], statement["orientation"]
+    for parse, doc, path in (
+        (lambda d: serial.parse_statement(d, ps), statement, "statement.orientation"),
+        (serial.parse_params, params, "params.orientation"),
+    ):
+        scans.clear()
+        with pytest.raises(InvariantViolation) as err:
+            parse(doc)
+        assert err.value.path == path
+        assert err.value.message == "orientation lives on a different curve"
+        assert scans == []
+
+
+def test_pairing_law_exponent_reduced_by_the_order(monkeypatch):
+    # e_N(basis) is an N-th root of unity, so a long degree coprime to N
+    # costs the decoder nothing beyond its reduction mod N
+    ps = serial.parse_params(_vector("params.json"))
+    pk = serial.parse_pk(_vector("key.json"), ps)
+    doc = _vector("plain.json")
+    rep = doc["rep"]
+    order = int(rep["order"], 16)
+    rep["degree"] = format(int(rep["degree"], 16) + order * 2**20000, "x")
+    exponents = []
+    power = Fp2.__pow__
+    monkeypatch.setattr(Fp2, "__pow__", lambda z, e: exponents.append(e) or power(z, e))
+    sig = serial.parse_signature(doc, ps)
+    assert exponents
+    assert [e.bit_length() for e in exponents if e >= order] == []
+    reasons = []
+    assert not verify(pk, b"golden vector", sig, "light", ps, reasons)
+    assert reasons == ["rep:shape"]
+
+
+def test_long_step_degree_rejected_before_the_primality_test(monkeypatch):
+    ps = serial.parse_params(_vector("params.json"))
+    doc = _vector("key.json")
+    ell = 2**2000 + 1
+    assert (ps.p + 1) % ell != 0
+    doc["sk"]["steps"][0]["ell"] = format(ell, "x")
+    tests = []
+    is_prime = serial.is_prime
+    monkeypatch.setattr(serial, "is_prime", lambda n: tests.append(n) or is_prime(n))
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_keypair(doc, ps)
+    assert err.value.path == "key.sk.steps[0].ell"
+    assert tests == []
