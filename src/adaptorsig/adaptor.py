@@ -73,6 +73,11 @@ class AdaptedSignature:
         self.rep = rep
 
 
+def presignature_shapes(ps: ParamSet) -> dict:
+    """Shifted response degree by order: the AC-basis only."""
+    return {ps.A * ps.C: response_degree(ps)}
+
+
 def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignature:
     """Produce the shifted signature tuple (E1, proof, E_psi, S, rep)."""
     bits = [rng.randrange(1, 3) for _ in range(ps.t)]
@@ -128,7 +133,7 @@ def preverify(
         return False
 
     # (3) the challenge walk and the representation of the shifted response
-    shapes = {ps.A * C: response_degree(ps)}
+    shapes = presignature_shapes(ps)
     tag = response_rejection(pk, m, presig.e1, presig.rep_tilde, epsi, shapes, mode, ps)
     if tag is not None:
         fail(tag)

@@ -54,19 +54,20 @@ class BasisDecomposition:
 
 
 def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecomposition:
-    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N].
+    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N], N > 1.
 
     Pohlig-Hellman on the points: for each ell^e || N, U, V and T are
     projected by [N/ell^e], the ell^2 points [a]U1 + [b]V1 of E[ell] are
     tabulated (U1, V1 the projections times ell^(e-1); a collision means the
     basis is dependent at ell), and the base-ell digits of x and y are read
     from the low end by looking up [ell^(e-1-k)] times what is left of T.
-    Every prime here is at most 7, so a table has at most 49 points.
+    Every prime here is at most 7, so a table has at most 49 points.  As
+    [ell][N/ell]P = [N]P, the first prime's projections show whether N kills
+    U, V (times ell) and T (its first lookup), before any NotABasis.
     """
     for P in (U, V, T):
         E.check(P)
-        if not _mul(E, N, P).is_inf:
-            raise OrderMismatch(f"point not killed by {N}")
+    unkilled = f"point not killed by {N}"
     x = y = 0
     M = 1
     for ell, e in factorize(N).items():
@@ -76,12 +77,16 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
         for _ in range(e - 1):
             Us.append(_mul(E, ell, Us[-1]))
             Vs.append(_mul(E, ell, Vs[-1]))
+        if M == 1 and not (_mul(E, ell, Us[-1]).is_inf and _mul(E, ell, Vs[-1]).is_inf):
+            raise OrderMismatch(unkilled)
         table = {}
         row = Point.infinity()
         for a in range(ell):
             R = row
             for b in range(ell):
                 if R in table:
+                    if not _mul(E, N, T).is_inf:
+                        raise OrderMismatch(unkilled)
                     raise NotABasis(f"basis is dependent at {ell}")
                 table[R] = (a, b)
                 R = _add(E, R, Vs[-1])
@@ -89,7 +94,10 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
         rest = _mul(E, N // m, T)
         xm = ym = 0
         for k in range(e):
-            a, b = table[_mul(E, m // ell ** (k + 1), rest)]
+            digits = table.get(_mul(E, m // ell ** (k + 1), rest))
+            if digits is None:  # a full table is E[ell], so [N]T != O
+                raise OrderMismatch(unkilled)
+            a, b = digits
             rest = _add(E, rest, _neg(_add(E, _mul(E, a, Us[k]), _mul(E, b, Vs[k]))))
             xm += a * ell**k
             ym += b * ell**k

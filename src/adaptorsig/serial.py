@@ -10,13 +10,8 @@ import json
 import math
 from dataclasses import replace
 
-from .adaptor import AdaptedSignature, PreSignature
-from .curve import (
-    Curve,
-    Point,
-    _mul,
-    has_exact_order,
-)
+from .adaptor import AdaptedSignature, PreSignature, presignature_shapes
+from .curve import Curve, Point, _mul, canonical_torsion_basis, has_exact_order
 from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step, pairing_law
@@ -34,7 +29,7 @@ from .params import (
     is_prime,
 )
 from .relation import Statement, Witness, witness_chain
-from .sig import KeyPair, PlainSignature
+from .sig import KeyPair, PlainSignature, signature_shapes
 
 
 def encode(doc) -> bytes:
@@ -265,40 +260,30 @@ def parse_chain(doc, p, path) -> IsogenyChain:
 
 def rep_doc(rep: EfficientRep) -> dict:
     return {
-        "domain": curve_doc(rep.domain),
         "codomain": curve_doc(rep.codomain),
-        "degree": _hex(rep.degree),
         "order": _hex(rep.order),
-        "basis": [point_doc(rep.basis[0]), point_doc(rep.basis[1])],
         "images": [point_doc(rep.images[0]), point_doc(rep.images[1])],
     }
 
 
-def parse_rep(doc, p, group_order, path) -> EfficientRep:
-    domain = parse_curve(_field(doc, "domain", path), p, f"{path}.domain")
-    codomain = parse_curve(_field(doc, "codomain", path), p, f"{path}.codomain")
-    degree = _unhex(_field(doc, "degree", path), f"{path}.degree")
+def parse_rep(doc, domain: Curve, shapes: dict, group_order, path) -> EfficientRep:
+    """A response from `domain` sent as codomain, order and images; `shapes`
+    maps each admissible order to its degree, the basis is the canonical one."""
+    codomain = parse_curve(_field(doc, "codomain", path), domain.p, f"{path}.codomain")
     order = _unhex(_field(doc, "order", path), f"{path}.order")
-    bdoc = _list(doc, "basis", path, 2)
     idoc = _list(doc, "images", path, 2)
-    basis = tuple(
-        parse_point(bdoc[i], domain, f"{path}.basis[{i}]") for i in range(2)
-    )
-    images = tuple(
-        parse_point(idoc[i], codomain, f"{path}.images[{i}]") for i in range(2)
-    )
-    if order < 1 or group_order % order != 0:
-        raise InvariantViolation(f"{path}.order", "order does not divide p+1")
-    if degree < 1:
-        raise InvariantViolation(f"{path}.degree", "degree must be positive")
-    for i, X in enumerate(basis):
-        if not has_exact_order(domain, X, order):
-            raise InvariantViolation(f"{path}.basis[{i}]", "not of exact basis order")
+    images = tuple(parse_point(idoc[i], codomain, f"{path}.images[{i}]") for i in range(2))
+    if order not in shapes:
+        raise InvariantViolation(f"{path}.order", "order not admitted by the document")
     for i, X in enumerate(images):
         if not _mul(codomain, order, X).is_inf:
             raise InvariantViolation(f"{path}.images[{i}]", "not killed by the order")
-    rep = EfficientRep(domain, codomain, degree, order, basis, images)
-    if math.gcd(degree, order) == 1 and not pairing_law(rep):
+    try:
+        basis = canonical_torsion_basis(domain, order, group_order)
+    except ProtocolError as exc:
+        raise InvariantViolation(path, f"no canonical basis: {exc}") from exc
+    rep = EfficientRep(domain, codomain, shapes[order], order, basis, images)
+    if math.gcd(rep.degree, order) == 1 and not pairing_law(rep):
         raise InvariantViolation(f"{path}.images", "pairing law violated")
     return rep
 
@@ -409,9 +394,8 @@ def parse_presig(doc, ps: ParamSet, s: Statement) -> PreSignature:
     for i, X in enumerate(S):
         if not has_exact_order(epsi, X, ps.C):
             raise InvariantViolation(f"{path}.s[{i}]", "not of exact order C")
-    rep = parse_rep(_field(doc, "rep", path), ps.p, ps.group_order, f"{path}.rep")
-    if rep.domain != epsi:
-        raise InvariantViolation(f"{path}.rep.domain", "representation not on E_psi")
+    shapes = presignature_shapes(ps)
+    rep = parse_rep(_field(doc, "rep", path), epsi, shapes, ps.group_order, f"{path}.rep")
     proof = parse_proof(_field(doc, "proof", path), ps, s.ew, e1, f"{path}.proof")
     return PreSignature(e1, proof, epsi, S, rep)
 
@@ -421,12 +405,11 @@ def signature_doc(sig) -> dict:
 
 
 def parse_signature(doc, ps: ParamSet):
-    """Signature from its document; the basis order tells plain from adapted."""
+    """Signature from its document; the order tells plain from adapted."""
     path = "signature"
     e1 = parse_curve(_field(doc, "e1", path), ps.p, f"{path}.e1")
-    rep = parse_rep(_field(doc, "rep", path), ps.p, ps.group_order, f"{path}.rep")
-    if rep.domain != e1:
-        raise InvariantViolation(f"{path}.rep.domain", "representation not on e1")
+    shapes = signature_shapes(ps)
+    rep = parse_rep(_field(doc, "rep", path), e1, shapes, ps.group_order, f"{path}.rep")
     if rep.order == ps.A * ps.C:
         return AdaptedSignature(e1, rep)
     return PlainSignature(e1, rep)

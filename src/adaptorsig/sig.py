@@ -117,6 +117,11 @@ def response_degree(ps: ParamSet) -> int:
     return ps.B * ps.d_tau * ps.d_phi
 
 
+def signature_shapes(ps: ParamSet) -> dict:
+    """Response degree by order: a plain (A) or an adapted (AC) signature."""
+    return {ps.A: response_degree(ps), ps.A * ps.C: response_degree(ps) * ps.C}
+
+
 def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     """Commit, derive the challenge walk, respond by explicit composition."""
     gens = _random_smooth_kernel(ps.e0, ps.B, ps.group_order, rng)
@@ -193,9 +198,7 @@ def verify(
     failed check is appended to `reasons` when one is given."""
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
-    q = response_degree(ps)
-    shapes = {ps.A: q, ps.A * ps.C: q * ps.C}
-    tag = response_rejection(pk, m, sig.e1, sig.rep, sig.e1, shapes, mode, ps)
+    tag = response_rejection(pk, m, sig.e1, sig.rep, sig.e1, signature_shapes(ps), mode, ps)
     if tag is not None and reasons is not None:
         reasons.append(tag)
     return tag is None

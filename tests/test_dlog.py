@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from adaptorsig import curve, dlog
 from adaptorsig.curve import Point, canonical_torsion_basis, isomorphisms, twist_point
 from adaptorsig.dlog import (
     count_kernel_candidates,
@@ -75,6 +76,40 @@ def test_decompose_rejects_wrong_order(t0):
     W, _ = canonical_torsion_basis(E, t0.C, t0.group_order)
     with pytest.raises(OrderMismatch):
         decompose_2d(E, U, V, W, t0.A)
+
+
+def test_decompose_rejects_unkilled_basis_points(t0):
+    E = t0.e0
+    U, V = canonical_torsion_basis(E, t0.A, t0.group_order)
+    W, _ = canonical_torsion_basis(E, t0.C, t0.group_order)
+    for args in ((W, V, U), (U, W, U), (U, E.add(V, W), U)):
+        with pytest.raises(OrderMismatch):
+            decompose_2d(E, *args, t0.A)
+    # a dependent basis and a point that A does not kill: the order wins
+    with pytest.raises(OrderMismatch):
+        decompose_2d(E, U, E.mul(3, U), W, t0.A)
+
+
+@pytest.mark.parametrize("N,adds", [(128, 94), (384, 142)])
+def test_decompose_order_check_reuses_the_projections(t0, monkeypatch, N, adds):
+    """T = [5]U + [7]V on E0: the entry check is [2] times the projections
+    of U and V plus T's first lookup, where [N]U, [N]V and [N]T took 24
+    additions at N = 128 and 30 at N = 384 (114 and 168 in all)."""
+    E = t0.e0
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    T = E.add(E.mul(5, U), E.mul(7, V))
+    calls = []
+    add = curve._add
+
+    def counted_add(E, P, Q):
+        calls.append(1)
+        return add(E, P, Q)
+
+    monkeypatch.setattr(curve, "_add", counted_add)
+    monkeypatch.setattr(dlog, "_add", counted_add)
+    d = decompose_2d(E, U, V, T, N)
+    assert (d.x, d.y) == (5, 7)
+    assert len(calls) == adds
 
 
 def test_evaluate_rep_matches_chain(t0, rng):

@@ -6,13 +6,15 @@ from pathlib import Path
 import pytest
 
 from adaptorsig import orientation, serial
-from adaptorsig.adaptor import adapt, presign
-from adaptorsig.curve import Point, canonical_torsion_basis, twist_curve, twist_point
+from adaptorsig.adaptor import adapt, presign, presignature_shapes
+from adaptorsig.cli import main
+from adaptorsig.curve import Curve, Point, canonical_torsion_basis, twist_curve, twist_point
 from adaptorsig.errors import InvariantViolation, ParseError
 from adaptorsig.field import Fp2
 from adaptorsig.orientation import Orientation, sample_orientation
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import keygen, sign, verify
+from adaptorsig.isogeny import EfficientRep, pairing_law
+from adaptorsig.sig import PlainSignature, keygen, sign, signature_shapes, verify
 
 
 def test_params_roundtrip_bytes(t0):
@@ -176,9 +178,9 @@ def _first_tag1_round(doc):
     "name,locate,key,bad",
     [
         ("params.json", lambda d: d, "primes", "57"),
-        ("signature.json", lambda d: d["rep"], "basis", {}),
-        ("signature.json", lambda d: d["rep"], "basis", 5),
-        ("signature.json", lambda d: d["rep"], "basis", []),
+        ("signature.json", lambda d: d["rep"], "images", {}),
+        ("signature.json", lambda d: d["rep"], "images", 5),
+        ("signature.json", lambda d: d["rep"], "images", []),
         ("presignature.json", lambda d: d, "s", {}),
         ("presignature.json", lambda d: d, "s", 5),
         ("presignature.json", lambda d: d, "s", []),
@@ -186,9 +188,9 @@ def _first_tag1_round(doc):
     ],
     ids=[
         "primes-string",
-        "basis-dict",
-        "basis-int",
-        "basis-empty",
+        "images-dict",
+        "images-int",
+        "images-empty",
         "s-dict",
         "s-int",
         "s-empty",
@@ -223,10 +225,10 @@ def test_noncanonical_hex_in_documents_rejected():
         serial.parse_witness({"alpha": "-1"}, ps)
     assert "witness.alpha" in str(err.value)
     doc = _vector("signature.json")
-    doc["rep"]["degree"] = "5_0"
+    doc["rep"]["order"] = "5_0"
     with pytest.raises(ParseError) as err:
         serial.parse_signature(doc, ps)
-    assert "signature.rep.degree" in str(err.value)
+    assert "signature.rep.order" in str(err.value)
 
 
 def test_zero_order_degree_and_prime_rejected():
@@ -238,10 +240,10 @@ def test_zero_order_degree_and_prime_rejected():
         serial.parse_signature(doc, ps)
     assert err.value.path == "signature.rep.order"
     doc = _vector("presignature.json")
-    doc["rep"]["degree"] = "0"
+    doc["rep"]["order"] = "0"
     with pytest.raises(InvariantViolation) as err:
         serial.parse_presig(doc, ps, s)
-    assert err.value.path == "presignature.rep.degree"
+    assert err.value.path == "presignature.rep.order"
     doc = _vector("params.json")
     doc["orientation"]["pairs"][0][0] = "0"
     with pytest.raises(InvariantViolation) as err:
@@ -315,22 +317,72 @@ def test_orientation_decoded_once_on_its_expected_curve(monkeypatch):
 
 def test_pairing_law_exponent_reduced_by_the_order(monkeypatch):
     # e_N(basis) is an N-th root of unity, so a long degree coprime to N
-    # costs the decoder nothing beyond its reduction mod N
+    # costs the pairing law nothing beyond its reduction mod N
     ps = serial.parse_params(_vector("params.json"))
     pk = serial.parse_pk(_vector("key.json"), ps)
-    doc = _vector("plain.json")
-    rep = doc["rep"]
-    order = int(rep["order"], 16)
-    rep["degree"] = format(int(rep["degree"], 16) + order * 2**20000, "x")
+    plain = serial.parse_signature(_vector("plain.json"), ps)
+    rep = plain.rep
+    degree = rep.degree + rep.order * 2**20000
+    long = EfficientRep(rep.domain, rep.codomain, degree, rep.order, rep.basis, rep.images)
     exponents = []
     power = Fp2.__pow__
     monkeypatch.setattr(Fp2, "__pow__", lambda z, e: exponents.append(e) or power(z, e))
-    sig = serial.parse_signature(doc, ps)
+    assert pairing_law(long)
     assert exponents
-    assert [e.bit_length() for e in exponents if e >= order] == []
+    assert [e.bit_length() for e in exponents if e >= rep.order] == []
     reasons = []
+    sig = PlainSignature(plain.e1, long)
     assert not verify(pk, b"golden vector", sig, "light", ps, reasons)
     assert reasons == ["rep:shape"]
+
+
+def test_decoder_fills_in_domain_degree_and_basis():
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    pre = serial.parse_presig(_vector("presignature.json"), ps, s)
+    cases = [(pre.rep_tilde, pre.epsi, presignature_shapes(ps))]
+    for name in ("plain.json", "signature.json"):
+        sig = serial.parse_signature(_vector(name), ps)
+        cases.append((sig.rep, sig.e1, signature_shapes(ps)))
+    assert [rep.order for rep, _, _ in cases] == [ps.A * ps.C, ps.A, ps.A * ps.C]
+    for rep, domain, shapes in cases:
+        assert rep.domain == domain
+        assert rep.degree == shapes[rep.order]
+        assert rep.basis == canonical_torsion_basis(domain, rep.order, ps.group_order)
+        assert set(serial.rep_doc(rep)) == {"codomain", "order", "images"}
+
+
+def test_order_outside_the_shape_table_rejected():
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    # a pre-signature's response is on the AC-basis only
+    doc = _vector("presignature.json")
+    doc["rep"]["order"] = format(ps.A, "x")
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_presig(doc, ps, s)
+    assert err.value.path == "presignature.rep.order"
+    doc = _vector("signature.json")
+    doc["rep"]["order"] = format(ps.C, "x")
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_signature(doc, ps)
+    assert err.value.path == "signature.rep.order"
+
+
+def test_ordinary_e1_has_no_canonical_basis(tmp_path, capsys):
+    ps = serial.parse_params(_vector("params.json"))
+    doc = _vector("plain.json")
+    doc["e1"] = serial.curve_doc(Curve(Fp2(ps.p, 1), Fp2(ps.p, 1)))  # y^2 = x^3 + x + 1
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_signature(doc, ps)
+    assert err.value.path == "signature.rep"
+    forged = tmp_path / "ordinary.json"
+    forged.write_bytes(serial.encode(doc))
+    params, key = VECTORS / "params.json", VECTORS / "key.json"
+    argv = ["verify", "--params", str(params), "--key", str(key), "--message", "golden vector"]
+    assert main([*argv, str(forged)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: signature.rep: no canonical basis")
+    assert "Traceback" not in err
 
 
 def test_long_step_degree_rejected_before_the_primality_test(monkeypatch):
