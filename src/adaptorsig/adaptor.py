@@ -42,7 +42,7 @@ from .isogeny import (
 from .nizk import NizkProof, prove_parallel, verify_parallel
 from .orientation import oriented_kernel
 from .params import ParamSet
-from .relation import Statement, Witness, verify_relation, witness_chain
+from .relation import Statement, Witness, verify_relation
 from .sig import (
     KeyPair,
     challenge,
@@ -259,7 +259,7 @@ def extract(
         return None
     alpha = d.y * pow(d.x, -1, C) % C
 
-    wit = Witness(alpha, witness_chain(ps, alpha))
+    wit = Witness(alpha)
     if not verify_relation(wit, s, ps):
         fail("relation-check")
         return None

@@ -82,15 +82,17 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
         table = {}
         row = Point.infinity()
         for a in range(ell):
+            if a:
+                row = _add(E, row, Us[-1])
             R = row
             for b in range(ell):
+                if b:
+                    R = _add(E, R, Vs[-1])
                 if R in table:
                     if not _mul(E, N, T).is_inf:
                         raise OrderMismatch(unkilled)
                     raise NotABasis(f"basis is dependent at {ell}")
                 table[R] = (a, b)
-                R = _add(E, R, Vs[-1])
-            row = _add(E, row, Us[-1])
         rest = _mul(E, N // m, T)
         xm = ym = 0
         for k in range(e):

@@ -1,10 +1,10 @@
 """Proof that the commitment curve is honestly derived from the statement.
 
 A Fiat-Shamir sigma protocol over parallel-isogeny squares: each round
-masks the statement curve with a random 2-power isogeny, pushes the
-oriented isogeny through the mask to close the square, commits to the two
-new corner curves, and reveals either both masks (challenge 0) or the
-parallel kernel (challenge 1).  Soundness error is 2^-rounds.
+masks the statement curve with a random 2-power isogeny, pushes the mask
+through the oriented isogeny, commits to the two new corner curves, and
+reveals either both masks (challenge 0) or the oriented kernel pushed
+through the mask (challenge 1).  Soundness error is 2^-rounds.
 """
 
 import hashlib
@@ -78,27 +78,21 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
         raise WitnessMismatch("choice vector does not produce the commitment curve")
 
     A = ps.A
-    witness_rounds = []
     corners = []
+    reveals = []
     for _ in range(ps.nizk_rounds):
         h = rng.randrange(1, mu(A) + 1)
         mask = challenge_walk(ew, h, A, ps.group_order)
-        par = push_forward(mask, psip)  # F -> F'' with j(F'') = j(F')
         maskp = push_forward(psip, mask)  # e1 -> F'
-        F = mask.codomain
-        Fp = maskp.codomain
-        witness_rounds.append((F, Fp, mask, maskp, par))
-        corners.append((F, Fp))
+        corners.append((mask.codomain, maskp.codomain))
+        # tag 0 reveals both masks, tag 1 the kernel of F -> F'' (j(F'') = j(F'))
+        masks = (mask.kernel_gens[0], maskp.kernel_gens[0])
+        reveals.append((masks, tuple(mask.evaluate(g) for g in gens)))
 
     bits = _challenge_bits(statement, corners, ps.nizk_rounds)
-    rounds = []
-    for (F, Fp, mask, maskp, par), bit in zip(witness_rounds, bits):
-        if bit == 0:
-            reveal = (mask.kernel_gens[0], maskp.kernel_gens[0])
-        else:
-            reveal = tuple(par.kernel_gens)
-        rounds.append(NizkRound(F, Fp, bit, reveal))
-    return NizkProof(rounds)
+    return NizkProof(
+        [NizkRound(F, Fp, bit, r[bit]) for (F, Fp), r, bit in zip(corners, reveals, bits)]
+    )
 
 
 def verify_parallel(statement, proof: NizkProof, ps: ParamSet, reasons=None) -> bool:

@@ -1,9 +1,9 @@
 """The hard relation: witnesses alpha (mod C) against oriented statements.
 
-A witness is a residue alpha together with the isogeny of degree C whose
-kernel is generated by P + [alpha]Q on the base curve; the statement is the
-codomain curve plus the transported orientation.  At desk scale membership
-is decided by direct recomputation.
+A witness is a residue alpha mod C, naming the degree-C isogeny with kernel
+<P + [alpha]Q> on the base curve; the statement is its codomain curve plus
+the transported orientation.  gen_r and verify_relation build the isogeny
+from alpha: at desk scale membership is decided by direct recomputation.
 """
 
 from dataclasses import dataclass
@@ -18,7 +18,6 @@ from .params import ParamSet
 @dataclass
 class Witness:
     alpha: int
-    chain: IsogenyChain
 
 
 @dataclass
@@ -39,7 +38,7 @@ def gen_r(ps: ParamSet, rng):
     alpha = rng.randrange(ps.C)
     w = witness_chain(ps, alpha)
     img = orientation_image(w, ps.orientation)
-    return Witness(alpha, w), Statement(w.codomain, img)
+    return Witness(alpha), Statement(w.codomain, img)
 
 
 def verify_relation(w: Witness, s: Statement, ps: ParamSet, reasons=None) -> bool:

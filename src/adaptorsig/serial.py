@@ -28,7 +28,7 @@ from .params import (
     failed_rule,
     is_prime,
 )
-from .relation import Statement, Witness, witness_chain
+from .relation import Statement, Witness
 from .sig import KeyPair, PlainSignature, signature_shapes
 
 
@@ -317,7 +317,7 @@ def parse_witness(doc, ps: ParamSet) -> Witness:
     alpha = _unhex(_field(doc, "alpha", "witness"), "witness.alpha")
     if alpha >= ps.C:
         raise InvariantViolation("witness.alpha", "alpha not reduced mod C")
-    return Witness(alpha, witness_chain(ps, alpha))
+    return Witness(alpha)
 
 
 def statement_doc(s: Statement) -> dict:

@@ -16,7 +16,7 @@ from .adaptor import AdaptedSignature, adapt, extract, presign, preverify
 from .errors import ProtocolError
 from .isogeny import EfficientRep
 from .params import ParamSet
-from .relation import gen_r, verify_relation
+from .relation import gen_r
 from .sig import keygen, verify
 
 ALICE_MESSAGE = b"alice funds the swap"
@@ -151,10 +151,7 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
     verdict = (
         verify(bob.pk, BOB_MESSAGE, sig_b, "light", ps)
         and verify(alice.pk, ALICE_MESSAGE, sig_a, "light", ps)
-        and w_bob is not None
-        and verify_relation(w_bob, s, ps)
         and w_alice is not None
-        and verify_relation(w_alice, s, ps)
     )
     events.append({"type": "verdict", "success": verdict, "reason": None})
     return {"seed": seed, "fault": fault, "events": events, "verdict": verdict}

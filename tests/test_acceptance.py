@@ -175,10 +175,9 @@ def test_criterion_5_exhaustive_witness_recovery(t0, t1):
         rng = random.Random(50_000 + ps.C)
         kp = keygen(ps, rng)
         for alpha in range(ps.C):
-            w = Witness(alpha, witness_chain(ps, alpha))
-            s = Statement(
-                w.chain.codomain, orientation_image(w.chain, ps.orientation)
-            )
+            w = Witness(alpha)
+            chain = witness_chain(ps, w.alpha)
+            s = Statement(chain.codomain, orientation_image(chain, ps.orientation))
             m = b"exhaustive %d" % alpha
             pre = presign(kp, m, s, ps, rng)
             assert preverify(kp.pk, m, s, pre, "light", ps)
@@ -231,7 +230,7 @@ def test_criterion_6_tamper_suite(t0):
         classes["nizk-corner"] += 1
 
         wrong_alpha = (w.alpha + 1 + rng.randrange(t0.C - 1)) % t0.C
-        wrong = Witness(wrong_alpha, witness_chain(t0, wrong_alpha))
+        wrong = Witness(wrong_alpha)
         try:
             stray = adapt(pre, wrong, t0)
             rec = extract(stray, pre, s, t0)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from adaptorsig import serial
+from adaptorsig import adaptor, isogeny, relation, serial
 from adaptorsig.adaptor import (
     AdaptedSignature,
     PreSignature,
@@ -40,6 +40,25 @@ def test_roundtrip_light(t0):
     rec = extract(full, pre, s, t0)
     assert rec is not None and rec.alpha == w.alpha
     assert verify_relation(rec, s, t0)
+
+
+def test_extract_builds_the_witness_isogeny_once(t0, monkeypatch):
+    """The degree-C chain is rebuilt from alpha by verify_relation alone:
+    the witness extract returns is its residue."""
+    kp, w, s, m, pre = session(t0, 1)
+    full = adapt(pre, w, t0)
+    degrees = []
+    build = isogeny.isogeny_from_kernel
+
+    def counted(E, gens, degree):
+        degrees.append(degree)
+        return build(E, gens, degree)
+
+    for module in (isogeny, relation, adaptor):
+        monkeypatch.setattr(module, "isogeny_from_kernel", counted)
+    rec = extract(full, pre, s, t0)
+    assert rec is not None and rec.alpha == w.alpha
+    assert degrees.count(t0.C) == 1
 
 
 def test_roundtrip_strict(t0):
@@ -101,7 +120,7 @@ def test_wrong_witness_exhaustive(t0):
     kp, w, s, m, pre = session(t0, 9)
     adapted = 0
     for alpha in range(t0.C):
-        cand = Witness(alpha, witness_chain(t0, alpha))
+        cand = Witness(alpha)
         try:
             full = adapt(pre, cand, t0)
         except WitnessStatementMismatch:
@@ -150,10 +169,9 @@ def test_exhaustive_alpha_pipeline(t0, t1):
         rng = random.Random(15)
         kp = keygen(ps, rng)
         for alpha in range(ps.C):
-            w = Witness(alpha, witness_chain(ps, alpha))
-            s = Statement(
-                w.chain.codomain, orientation_image(w.chain, ps.orientation)
-            )
+            w = Witness(alpha)
+            chain = witness_chain(ps, w.alpha)
+            s = Statement(chain.codomain, orientation_image(chain, ps.orientation))
             m = b"alpha %d" % alpha
             pre = presign(kp, m, s, ps, rng)
             assert preverify(kp.pk, m, s, pre, "light", ps)

@@ -90,11 +90,12 @@ def test_decompose_rejects_unkilled_basis_points(t0):
         decompose_2d(E, U, E.mul(3, U), W, t0.A)
 
 
-@pytest.mark.parametrize("N,adds", [(128, 94), (384, 142)])
+@pytest.mark.parametrize("N,adds", [(128, 91), (384, 135)])
 def test_decompose_order_check_reuses_the_projections(t0, monkeypatch, N, adds):
     """T = [5]U + [7]V on E0: the entry check is [2] times the projections
-    of U and V plus T's first lookup, where [N]U, [N]V and [N]T took 24
-    additions at N = 128 and 30 at N = 384 (114 and 168 in all)."""
+    of U and V plus T's first lookup, where [N]U, [N]V and [N]T would take
+    24 additions at N = 128 and 30 at N = 384, and each prime's table forms
+    only the ell^2 sums it stores."""
     E = t0.e0
     U, V = canonical_torsion_basis(E, N, t0.group_order)
     T = E.add(E.mul(5, U), E.mul(7, V))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from adaptorsig import isogeny, nizk, sig
 from adaptorsig.curve import canonical_torsion_basis
 from adaptorsig.errors import WitnessMismatch
 from adaptorsig.isogeny import isogeny_from_kernel
@@ -42,6 +43,28 @@ def test_wrong_witness_bits_rejected_at_prove_time(t0):
     wrong = [3 - b for b in bits]
     with pytest.raises(WitnessMismatch):
         prove_parallel(stmt, wrong, t0, rng)
+
+
+def test_prover_builds_two_chains_per_round(t0, monkeypatch):
+    """psi' once, then the mask and its push through psi' per round: a bit-1
+    round reveals the pushed kernel generators without building their
+    isogeny, which is left to the verifier."""
+    rng = random.Random(26)
+    stmt, bits = make_statement(t0, rng)
+    degrees = []
+    build = isogeny.isogeny_from_kernel
+
+    def counted(E, gens, degree):
+        degrees.append(degree)
+        return build(E, gens, degree)
+
+    for module in (isogeny, sig, nizk):
+        monkeypatch.setattr(module, "isogeny_from_kernel", counted)
+    proof = prove_parallel(stmt, bits, t0, rng)
+    assert len(degrees) == 2 * t0.nizk_rounds + 1 == 49
+    assert degrees.count(t0.B) == 1
+    monkeypatch.undo()
+    assert verify_parallel(stmt, proof, t0)
 
 
 def test_corner_substitution_rejected(t0):
