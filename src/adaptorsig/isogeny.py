@@ -140,23 +140,38 @@ def compose_chains(*chains) -> IsogenyChain:
     return IsogenyChain(first.domain, cur, steps, deg, None)
 
 
-def _cyclic_walk(E: Curve, R: Point, ell: int, r: int):
-    """Yield the r steps of degree ell whose kernels generate <R>, |R| = ell^r.
+def _ladder(E: Curve, R: Point, ell: int, r: int) -> list:
+    """[R, [ell]R, ..., [ell^(k-1)]R] with k = r, or the k < r with [ell^k]R = O."""
+    out = [R]
+    while len(out) < r:
+        R = _mul(E, ell, R)
+        if R.is_inf:
+            break
+        out.append(R)
+    return out
+
+
+def _cyclic_walk(E: Curve, ladder: list, ell: int):
+    """Yield the r steps of degree ell whose kernels generate <R>, |R| = ell^r,
+    given the ladder [R, [ell]R, ..., [ell^(r-1)]R].
 
     Step i has kernel [ell^(r-1-i)]R pushed through the steps before it.
     The balanced strategy of De Feo, Jao and Plût walks <[ell^h]R>, h = r//2,
-    while pushing R along, then walks the pushed R: O(r log r)
-    multiplications by ell and evaluations, where recomputing each kernel
-    point from R costs r(r-1)/2 multiplications.
+    on the ladder's tail while pushing R along, then walks the pushed R:
+    O(r log r) multiplications by ell and evaluations, where recomputing each
+    kernel point from R costs r(r-1)/2 multiplications.  The first step built
+    is Step(E, [ell^(r-1)]R, ell), so a walk that starts certifies |R| = ell^r.
     """
+    r = len(ladder)
     if r == 1:
-        yield Step(E, R, ell)
+        yield Step(E, ladder[0], ell)
         return
     h = r // 2
-    for step in _cyclic_walk(E, _mul(E, ell**h, R), ell, r - h):
+    R = ladder[0]
+    for step in _cyclic_walk(E, ladder[h:], ell):
         R = step.evaluate(R)
         yield step
-    yield from _cyclic_walk(step.codomain, R, ell, h)
+    yield from _cyclic_walk(step.codomain, _ladder(step.codomain, R, ell, h), ell)
 
 
 def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
@@ -164,10 +179,17 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
 
     Steps are taken prime by prime in ascending order; ties among the
     generators are broken by their enumeration order.  The picked generator
-    g, of order n, gives a run of r = min(v_ell(n), v_ell(degree left))
-    steps with kernel <[n/ell^r]g>, walked by _cyclic_walk.  Raises
-    BadKernel if the generators do not span a subgroup of exactly the
-    stated order.
+    g, of order n = n1 * ell^v with ell not dividing n1, gives a run of
+    r = min(v, v_ell(degree left)) steps with kernel <[n/ell^r]g>, walked by
+    _cyclic_walk.  Raises BadKernel if the generators do not span a
+    subgroup of exactly the stated order.
+
+    Where each order comes from: every generator starts with the degree as
+    a multiple of its order, and each step's update keeps it one.  n1 is
+    point_order of [ell^f]g on the rest of that multiple (ell^f its ell
+    part), and 1 when there is no rest.  v is the length of the ladder
+    [n1]g, [ell n1]g, ... up to ell^(f-1) or the first O: that ladder is the
+    walk's own spine, and the walk's first step certifies its last rung.
     """
     for g in gens:
         if not E.on_curve(g):
@@ -180,51 +202,68 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
         if any(not g.is_inf for g in gens):
             raise BadKernel("nontrivial generators for a degree-1 isogeny")
         return IsogenyChain.identity(E)
+    try:
+        steps = list(_kernel_steps(E, gens, degree))
+    except BadKernel:
+        # the walk takes the degree as a multiple of every generator's order;
+        # where it is not one, the walk fails, and the message says so
+        if any(point_order(E, g, degree) is None for g in gens):
+            raise BadKernel("generator order does not divide the degree") from None
+        raise
+    return IsogenyChain(E, steps[-1].codomain, steps, degree, list(gens))
 
-    work = []
-    for g in gens:
-        if g.is_inf:
-            continue
-        n = point_order(E, g, degree)
-        if n is None:
-            raise BadKernel("generator order does not divide the degree")
-        work.append((g, n))
 
-    original = list(gens)
-    steps = []
+def _kernel_steps(E: Curve, gens, degree: int):
+    """The steps of isogeny_from_kernel, given a degree above 1."""
+    work = [(g, degree) for g in gens if not g.is_inf]
     cur = E
     D = degree
     while D > 1:
         ell = min(factorize(D))
-        pick = next((i for i, (_, n) in enumerate(work) if n % ell == 0), None)
-        if pick is None:
+        for pick, (g, m) in enumerate(work):
+            if m % ell:
+                continue
+            f = factorize(m)[ell]
+            n1 = 1
+            if m > ell**f:
+                n1 = point_order(cur, _mul(cur, ell**f, g), m // ell**f)
+                if n1 is None:
+                    raise BadKernel("generator order does not divide the degree")
+            Q = _mul(cur, n1, g)
+            if not Q.is_inf:
+                break
+            work[pick] = (g, n1)
+        else:
             raise BadKernel(f"no kernel point of order {ell} available")
-        g, n = work.pop(pick)
-        r = min(factorize(n)[ell], factorize(D)[ell])
-        rest = n // ell**r
-        for step in _cyclic_walk(cur, _mul(cur, rest, g), ell, r):
+        del work[pick]
+        ladder = _ladder(cur, Q, ell, f)
+        v = len(ladder)
+        r = min(v, factorize(D)[ell])
+        rest = n1 * ell ** (v - r)
+        for step in _cyclic_walk(cur, ladder[v - r :], ell):
             cur = step.codomain
             # ord(step(h)) = ord(h) / |<h> ∩ ker step|, and ker step has prime
             # order ell: h loses a factor ell exactly when [m/ell]h is in it
+            # if m is ord(h) up to a factor prime to ell; if m has more ell,
+            # [m/ell]h = O and m/ell is still a multiple of ord(h)
             nxt = []
             for h, m in work:
                 h = step.evaluate(h)
                 if m % ell == 0 and _mul(cur, m // ell, h).is_inf:
                     m //= ell
-                if m > 1:
+                if not h.is_inf:
                     nxt.append((h, m))
             work = nxt
             if rest > 1:
                 g = step.evaluate(g)
-            steps.append(step)
+            yield step
         # the generators before the picked one kept their orders (ell does
-        # not divide them), so it goes back to its place
+        # not divide their multiples), so it goes back to its place
         if rest > 1:
             work.insert(pick, (g, rest))
         D //= ell**r
     if work:
         raise BadKernel("generators span a larger subgroup than the degree")
-    return IsogenyChain(E, cur, steps, degree, original)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from adaptorsig.isogeny import (
     pull_back,
     push_forward,
 )
+from adaptorsig.orientation import oriented_kernel
 from adaptorsig.sig import challenge_walk, cyclic_kernel, keygen, mu
 
 
@@ -124,6 +125,24 @@ def test_bad_kernels_rejected(t0):
     # its run ends early and pushes it on with order 2
     with pytest.raises(BadKernel, match="larger subgroup"):
         isogeny_from_kernel(E, [E.mul(A // 2, VA), UA], A)
+
+
+def test_bad_kernel_messages(t0):
+    """A walk that fails on a bad kernel reports what is wrong with it."""
+    E, n, A = t0.e0, t0.group_order, t0.A
+    UA, VA = canonical_torsion_basis(E, A, n)
+    K5, _ = canonical_torsion_basis(E, 5, n)
+    cases = [
+        ([E.mul(2, VA)], A, "no kernel point of order 2 available"),
+        ([VA], A // 2, "does not divide"),
+        ([Point.infinity()], A, "no kernel point of order 2 available"),
+        ([UA, VA], A, "larger subgroup"),
+        ([K5], 35, "no kernel point of order 7 available"),
+        ([K5], 7, "does not divide"),
+    ]
+    for gens, degree, message in cases:
+        with pytest.raises(BadKernel, match=message):
+            isogeny_from_kernel(E, gens, degree)
 
 
 def translation_sum_image(step, P):
@@ -267,14 +286,11 @@ def test_b_kernels_match_the_reference(t0, rng):
             assert_steps_match_reference(E, gens, 35)
 
 
-def test_cyclic_two_power_walk_cost(t1, monkeypatch):
-    """One T1 cyclic 2^9 chain: 9 doublings find the generator's order and
-    13 walk the balanced strategy, which pushes 16 intermediate points.
-    Recomputing each kernel point from the generator took 53 + 9."""
-    E = t1.e0
-    K = cyclic_kernel(E, t1.A, 3, t1.group_order)
-    adds, evals = [], []
-    add, evaluate = curve._add, Step.evaluate
+def count_chain_work(monkeypatch):
+    """Lists that record each _add of two finite points and each
+    Step.evaluate and Step construction from here on."""
+    adds, evals, steps = [], [], []
+    add, evaluate, init = curve._add, Step.evaluate, Step.__init__
 
     def counted_add(E, P, Q):
         if not (P.is_inf or Q.is_inf):
@@ -284,9 +300,32 @@ def test_cyclic_two_power_walk_cost(t1, monkeypatch):
     monkeypatch.setattr(curve, "_add", counted_add)
     monkeypatch.setattr(isogeny, "_add", counted_add)
     monkeypatch.setattr(Step, "evaluate", lambda self, P: evals.append(1) or evaluate(self, P))
+    monkeypatch.setattr(Step, "__init__", lambda self, *a: steps.append(1) or init(self, *a))
+    return adds, evals, steps
+
+
+def test_cyclic_two_power_walk_cost(t1, monkeypatch):
+    """One T1 cyclic 2^9 chain: 13 additions walk the balanced strategy,
+    which pushes 16 intermediate points; its first step certifies the
+    generator's order.  Recomputing each kernel point from the generator
+    took 53."""
+    E = t1.e0
+    K = cyclic_kernel(E, t1.A, 3, t1.group_order)
+    adds, evals, _ = count_chain_work(monkeypatch)
     chain = isogeny_from_kernel(E, [K], t1.A)
     assert len(chain.steps) == 9
-    assert (len(adds), len(evals)) == (22, 16)
+    assert (len(adds), len(evals)) == (13, 16)
+
+
+def test_two_generator_b_kernel_cost(t0, monkeypatch):
+    """The T0 B-kernel [K5, K7]: 3 additions find that K5 has no 7-part,
+    2 build the 5-step, 4 find that K7 has no 5-part and 3 build the 7-step.
+    With a point_order ladder on each generator first, it took 26."""
+    gens = oriented_kernel(t0.orientation, (1, 2))
+    adds, _, steps = count_chain_work(monkeypatch)
+    chain = isogeny_from_kernel(t0.e0, gens, t0.B)
+    assert [s.ell for s in chain.steps] == [5, 7]
+    assert (len(adds), len(steps)) == (12, 2)
 
 
 def test_evaluate_does_one_inversion(t0, rng, monkeypatch):
