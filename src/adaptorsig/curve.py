@@ -2,12 +2,21 @@
 
 Everything here is affine; at desk-scale moduli a field inversion is a single
 word-size pow, so projective tricks buy nothing worth their complexity.
+
+The hot formulas run on integer coordinates: a finite point is the reduced
+4-tuple (x0, x1, y0, y1) and O is None; _chord is the one addition of every
+ladder, walk, table and Miller loop.  Fp2 and Point exist only at entry and
+exit (_add, _mul, _miller and point_order convert once each way).  The
+integer formulas trust their inputs: membership is checked where points come
+in, at the public Curve.add/mul/neg, IsogenyChain.evaluate, the Step
+constructor, isogeny_from_kernel's generators, decompose_2d, weil_pairing
+and the decoders.
 """
 
 import functools
 
 from .errors import NoBasis, OrderMismatch, PointNotOnCurve, SingularCurve
-from .field import Fp2, cube_roots
+from .field import Fp2, cube_roots, inv_pair
 
 
 class Point:
@@ -50,7 +59,10 @@ class Curve:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, a: Fp2, b: Fp2):
-        if (4 * (a * a * a) + 27 * (b * b)).is_zero():
+        (a0, a1), (b0, b1) = a.lex_key(), b.lex_key()
+        s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1  # a^2
+        d0 = 4 * (s0 * a0 - s1 * a1) + 27 * (b0 * b0 - b1 * b1)  # 4 a^3 + 27 b^2
+        if d0 % a.p == 0 and (4 * (s0 * a1 + s1 * a0) + 54 * b0 * b1) % a.p == 0:
             raise SingularCurve("discriminant is zero")
         self.p = a.p
         self.a = a
@@ -70,7 +82,10 @@ class Curve:
     def on_curve(self, P: Point) -> bool:
         if P.is_inf:
             return True
-        return P.y * P.y == P.x * P.x * P.x + self.a * P.x + self.b
+        (x0, x1, y0, y1), a, b = _coords(P), self.a, self.b
+        s0, s1 = x0 * x0 - x1 * x1 + a.c0, 2 * x0 * x1 + a.c1  # y^2 = (x^2 + a) x + b
+        r0 = (y0 * y0 - y1 * y1 - s0 * x0 + s1 * x1 - b.c0) % self.p
+        return r0 == (2 * y0 * y1 - s0 * x1 - s1 * x0 - b.c1) % self.p == 0
 
     def check(self, P: Point):
         if not self.on_curve(P):
@@ -131,6 +146,59 @@ class Curve:
 # ---------------------------------------------------------------------------
 
 
+def _coords(P: Point):
+    """P as the int 4-tuple (x0, x1, y0, y1), or None for O."""
+    return None if P.x is None else (P.x.c0, P.x.c1, P.y.c0, P.y.c1)
+
+
+def _point(p: int, R) -> Point:
+    """The Point of an int 4-tuple (or None) from _coords."""
+    return _INF if R is None else Point(Fp2(p, R[0], R[1]), Fp2(p, R[2], R[3]))
+
+
+def _chord(p, a0, a1, P, Q):
+    """(P + Q, slope) on y^2 = x^3 + a x + b, a = a0 + a1*i, in int coordinates.
+
+    The slope (l0, l1) is that of the line through P and Q, the tangent when
+    P = Q; it is None when an operand is O or the line is vertical (P = -Q).
+    """
+    if P is None:
+        return Q, None
+    if Q is None:
+        return P, None
+    x0, x1, y0, y1 = P
+    u0, u1, v0, v1 = Q
+    if x0 == u0 and x1 == u1:
+        if (y0 + v0) % p == 0 and (y1 + v1) % p == 0:
+            return None, None
+        n0, n1 = 3 * (x0 * x0 - x1 * x1) + a0, 6 * x0 * x1 + a1
+        d0, d1 = inv_pair(p, 2 * y0, 2 * y1)
+    else:
+        n0, n1 = v0 - y0, v1 - y1
+        d0, d1 = inv_pair(p, u0 - x0, u1 - x1)
+    l0 = (n0 * d0 - n1 * d1) % p
+    l1 = (n0 * d1 + n1 * d0) % p
+    s0 = (l0 * l0 - l1 * l1 - x0 - u0) % p
+    s1 = (2 * l0 * l1 - x1 - u1) % p
+    t0, t1 = x0 - s0, x1 - s1
+    return (s0, s1, (l0 * t0 - l1 * t1 - y0) % p, (l0 * t1 + l1 * t0 - y1) % p), (l0, l1)
+
+
+def _scale(E: Curve, k: int, P):
+    """[k]P in int coordinates, by double-and-add from the low bit."""
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    if k < 0 and P is not None:
+        P = (P[0], P[1], -P[2] % p, -P[3] % p)
+    k, R = abs(k), None
+    while k:
+        if k & 1:
+            R = _chord(p, a0, a1, R, P)[0]
+        k >>= 1
+        if k:
+            P = _chord(p, a0, a1, P, P)[0]
+    return R
+
+
 def _neg(P: Point) -> Point:
     if P.is_inf:
         return P
@@ -138,32 +206,11 @@ def _neg(P: Point) -> Point:
 
 
 def _add(E: Curve, P: Point, Q: Point) -> Point:
-    if P.is_inf:
-        return Q
-    if Q.is_inf:
-        return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return _INF
-        lam = (3 * (P.x * P.x) + E.a) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return Point(x3, y3)
+    return _point(E.p, _chord(E.p, E.a.c0, E.a.c1, _coords(P), _coords(Q))[0])
 
 
 def _mul(E: Curve, k: int, P: Point) -> Point:
-    if k < 0:
-        return _mul(E, -k, _neg(P))
-    R = _INF
-    while k:
-        if k & 1:
-            R = _add(E, R, P)
-        k >>= 1
-        if k:
-            P = _add(E, P, P)
-    return R
+    return _point(E.p, _scale(E, k, _coords(P)))
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +242,15 @@ def point_order(E: Curve, P: Point, N: int) -> int | None:
     """
     if N == 1:
         return 1 if P.is_inf else None
+    P = _coords(P)
     n = 1
     for ell, e in factorize(N).items():
-        Q = _mul(E, N // ell**e, P)
+        Q = _scale(E, N // ell**e, P)
         k = 0
-        while not Q.is_inf:
+        while Q is not None:
             if k == e:
                 return None
-            Q = _mul(E, ell, Q)
+            Q = _scale(E, ell, Q)
             k += 1
         n *= ell**k
     return n
@@ -232,42 +280,47 @@ class _Degenerate(Exception):
 def _miller(E: Curve, P: Point, n: int, X: Point) -> Fp2:
     """f_{n,P}(X) for finite X; raises _Degenerate on a zero or pole.
 
-    Each step takes one slope for both the sum and the line through its
-    two points, and f is kept as a fraction num/den, so the loop divides
-    once at its end.
+    The loop runs on integer coordinates and int pairs for GF(p^2) values;
+    Point and Fp2 exist only on entry and exit.  It checks no membership:
+    weil_pairing does, like Curve.add/mul/neg, IsogenyChain.evaluate, the
+    Step constructor, isogeny_from_kernel's generators, decompose_2d and the
+    decoders.  Each step takes _chord's one slope for both the sum and the
+    line through its two points, and f is kept as a fraction num/den, so the
+    loop divides once at its end.
     """
     if X.is_inf:
         raise _Degenerate
-    one = Fp2.one(E.p)
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    X0, X1, Y0, Y1 = _coords(X)
+    P = _coords(P)
+
+    def mul(f, g):
+        return (f[0] * g[0] - f[1] * g[1]) % p, (f[0] * g[1] + f[1] * g[0]) % p
 
     def step(T, Q):
         """(T + Q, line through T and Q at X, vertical at T + Q at X)."""
-        if T.is_inf or Q.is_inf:
-            R = Q if T.is_inf else T
-            l = v = one if R.is_inf else X.x - R.x
-        elif T.x == Q.x and T.y == -Q.y:
-            R, l, v = _INF, X.x - T.x, one
+        R, lam = _chord(p, a0, a1, T, Q)
+        if T is None or Q is None:
+            l = v = (1, 0) if R is None else (X0 - R[0], X1 - R[1])
+        elif lam is None:  # T = -Q
+            l, v = (X0 - T[0], X1 - T[1]), (1, 0)
         else:
-            if T.x == Q.x:
-                lam = (3 * (T.x * T.x) + E.a) / (2 * T.y)
-            else:
-                lam = (Q.y - T.y) / (Q.x - T.x)
-            x3 = lam * lam - T.x - Q.x
-            R = Point(x3, lam * (T.x - x3) - T.y)
-            l, v = (X.y - T.y) - lam * (X.x - T.x), X.x - x3
-        if l.is_zero() or v.is_zero():
+            (l0, l1), d0, d1 = lam, X0 - T[0], X1 - T[1]
+            l = (Y0 - T[2] - l0 * d0 + l1 * d1, Y1 - T[3] - l0 * d1 - l1 * d0)
+            v = (X0 - R[0], X1 - R[1])
+        if l[0] % p == l[1] % p == 0 or v[0] % p == v[1] % p == 0:
             raise _Degenerate
         return R, l, v
 
-    num = den = one
+    num = den = (1, 0)
     T = P
     for bit in bin(n)[3:]:
         T, l, v = step(T, T)
-        num, den = num * num * l, den * den * v
+        num, den = mul(mul(num, num), l), mul(mul(den, den), v)
         if bit == "1":
             T, l, v = step(T, P)
-            num, den = num * l, den * v
-    return num / den
+            num, den = mul(num, l), mul(den, v)
+    return Fp2(p, *mul(num, inv_pair(p, *den)))
 
 
 def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
@@ -350,11 +403,13 @@ def small_torsion_basis(E: Curve, ell: int, group_order: int):
 
 def _in_cyclic(E: Curve, P: Point, G: Point, n: int) -> bool:
     """Whether P lies in the cyclic group generated by G (n = |G|, tiny)."""
-    R = _INF
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    P, G = _coords(P), _coords(G)
+    R = None
     for _ in range(n):
         if P == R:
             return True
-        R = _add(E, R, G)
+        R = _chord(p, a0, a1, R, G)[0]
     return False
 
 

@@ -33,9 +33,11 @@ from .curve import (
     Curve,
     Point,
     _add,
+    _chord,
+    _coords,
     _in_cyclic,
     _mul,
-    _neg,
+    _scale,
     factorize,
     isomorphisms,
     small_torsion_basis,
@@ -63,44 +65,48 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
     from the low end by looking up [ell^(e-1-k)] times what is left of T.
     Every prime here is at most 7, so a table has at most 49 points.  As
     [ell][N/ell]P = [N]P, the first prime's projections show whether N kills
-    U, V (times ell) and T (its first lookup), before any NotABasis.
+    U, V (times ell) and T (its first lookup), before any NotABasis.  The
+    points are checked on entry, then the work runs on int coordinates.
     """
     for P in (U, V, T):
         E.check(P)
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    U, V, T = _coords(U), _coords(V), _coords(T)
     unkilled = f"point not killed by {N}"
     x = y = 0
     M = 1
     for ell, e in factorize(N).items():
         m = ell**e
         # [ell^k] times the projections of U and V, for k = 0 .. e-1
-        Us, Vs = [_mul(E, N // m, U)], [_mul(E, N // m, V)]
+        Us, Vs = [_scale(E, N // m, U)], [_scale(E, N // m, V)]
         for _ in range(e - 1):
-            Us.append(_mul(E, ell, Us[-1]))
-            Vs.append(_mul(E, ell, Vs[-1]))
-        if M == 1 and not (_mul(E, ell, Us[-1]).is_inf and _mul(E, ell, Vs[-1]).is_inf):
+            Us.append(_scale(E, ell, Us[-1]))
+            Vs.append(_scale(E, ell, Vs[-1]))
+        if M == 1 and not (_scale(E, ell, Us[-1]) is None and _scale(E, ell, Vs[-1]) is None):
             raise OrderMismatch(unkilled)
         table = {}
-        row = Point.infinity()
+        row = None
         for a in range(ell):
             if a:
-                row = _add(E, row, Us[-1])
+                row = _chord(p, a0, a1, row, Us[-1])[0]
             R = row
             for b in range(ell):
                 if b:
-                    R = _add(E, R, Vs[-1])
+                    R = _chord(p, a0, a1, R, Vs[-1])[0]
                 if R in table:
-                    if not _mul(E, N, T).is_inf:
+                    if _scale(E, N, T) is not None:
                         raise OrderMismatch(unkilled)
                     raise NotABasis(f"basis is dependent at {ell}")
                 table[R] = (a, b)
-        rest = _mul(E, N // m, T)
+        rest = _scale(E, N // m, T)
         xm = ym = 0
         for k in range(e):
-            digits = table.get(_mul(E, m // ell ** (k + 1), rest))
+            digits = table.get(_scale(E, m // ell ** (k + 1), rest))
             if digits is None:  # a full table is E[ell], so [N]T != O
                 raise OrderMismatch(unkilled)
             a, b = digits
-            rest = _add(E, rest, _neg(_add(E, _mul(E, a, Us[k]), _mul(E, b, Vs[k]))))
+            S = _chord(p, a0, a1, _scale(E, -a, Us[k]), _scale(E, -b, Vs[k]))[0]
+            rest = _chord(p, a0, a1, rest, S)[0]
             xm += a * ell**k
             ym += b * ell**k
         # CRT fold
@@ -108,7 +114,7 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
         x += M * ((xm - x) * inv % m)
         y += M * ((ym - y) * inv % m)
         M *= m
-    if _add(E, _mul(E, x, U), _mul(E, y, V)) != T:
+    if _chord(p, a0, a1, _scale(E, x, U), _scale(E, y, V))[0] != T:
         raise NotABasis("reconstruction failed")  # pragma: no cover
     return BasisDecomposition(x, y)
 

@@ -3,6 +3,10 @@
 The modulus i^2 = -1 is irreducible exactly when p = 3 (mod 4), which every
 parameter set guarantees.  Elements are kept in canonical reduced form
 c0 + c1*i with 0 <= c0, c1 < p.
+
+Fp2 is the type of the public API and the wire; the hot formulas of curve,
+isogeny and dlog run on the int pairs (c0, c1), inverted by inv_pair and
+batch_inv.
 """
 
 
@@ -66,14 +70,7 @@ class Fp2:
     __rmul__ = __mul__
 
     def inv(self):
-        # (c0 + c1 i)^-1 = (c0 - c1 i) / (c0^2 + c1^2); the norm vanishes
-        # only at zero because -1 is a non-square mod p.
-        p = self.p
-        n = (self.c0 * self.c0 + self.c1 * self.c1) % p
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p^2)")
-        ninv = pow(n, p - 2, p)
-        return Fp2(p, self.c0 * ninv, -self.c1 * ninv)
+        return Fp2(self.p, *inv_pair(self.p, self.c0, self.c1))
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -141,26 +138,39 @@ class Fp2:
         return f"Fp2({self.c0}, {self.c1})"
 
 
-def batch_inv(xs):
-    """Inverses of the nonzero elements xs with one field inversion.
+def inv_pair(p, c0, c1):
+    """(c0 + c1*i)^-1 as a reduced pair of ints: (c0 - c1*i) / (c0^2 + c1^2).
 
-    1/x = conj(x) / N(x) with the norm N(x) = c0^2 + c1^2 in GF(p), so
-    Montgomery's trick runs on the integer norms: one inversion of their
-    product, then each norm's inverse peeled off with the prefix products.
+    The norm c0^2 + c1^2 vanishes only at zero, because -1 is a non-square
+    mod p, so one inversion in GF(p) does it.
+    """
+    n = (c0 * c0 + c1 * c1) % p
+    if n == 0:
+        raise ZeroDivisionError("inverse of zero in GF(p^2)")
+    n = pow(n, -1, p)
+    return c0 * n % p, -c1 * n % p
+
+
+def batch_inv(p, xs):
+    """Inverses of the nonzero pairs xs = [(c0, c1), ...] with one inversion.
+
+    1/x = conj(x) / N(x), so Montgomery's trick runs on the integer norms:
+    one inversion of their product, then each norm's inverse peeled off with
+    the prefix products.
     """
     if len(xs) == 1:
-        return [xs[0].inv()]
-    p = xs[0].p
-    norms = [(x.c0 * x.c0 + x.c1 * x.c1) % p for x in xs]
-    prefix = [norms[0]]
-    for n in norms[1:]:
+        return [inv_pair(p, *xs[0])]
+    norms = [(c0 * c0 + c1 * c1) % p for c0, c1 in xs]
+    prefix = [1]
+    for n in norms:
         prefix.append(prefix[-1] * n % p)
-    inv = Fp2(p, prefix[-1]).inv().c0
+    inv = inv_pair(p, prefix[-1], 0)[0]
     out = [None] * len(xs)
     for i in range(len(xs) - 1, -1, -1):
-        ninv = inv * prefix[i - 1] if i else inv
+        ninv = inv * prefix[i] % p
         inv = inv * norms[i] % p
-        out[i] = Fp2(p, xs[i].c0 * ninv, -xs[i].c1 * ninv)
+        c0, c1 = xs[i]
+        out[i] = (c0 * ninv % p, -c1 * ninv % p)
     return out
 
 

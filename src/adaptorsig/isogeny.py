@@ -12,14 +12,16 @@ import math
 from .curve import (
     Curve,
     Point,
-    _add,
+    _chord,
+    _coords,
     _mul,
+    _point,
+    _scale,
     canonical_torsion_basis,
     factorize,
     point_order,
     small_torsion_basis,
     twist_curve,
-    twist_point,
     weil_pairing,
 )
 from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
@@ -33,65 +35,86 @@ class Step:
     for ell = 2, and K, 2K, ..., ((ell-1)/2)K for odd ell, whose negatives
     are the other half.  Per point T it stores (x_T, v_T, u_T) with
     g_T = 3 x_T^2 + a, v_T = g_T for ell = 2 and 2 g_T otherwise, and
-    u_T = 4 y_T^2.
+    u_T = 4 y_T^2.  Those values, u^2 and u^3 are int pairs: construction
+    and image() run on integer coordinates, and evaluate() converts its Point
+    once each way.  image() trusts its input; membership is checked where
+    points enter: this constructor, Curve.add/mul/neg, IsogenyChain.evaluate,
+    isogeny_from_kernel's generators, decompose_2d, weil_pairing, decoders.
     """
 
-    __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_half")
+    __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_half", "_twist")
 
     def __init__(self, domain: Curve, kernel: Point, ell: int, u: Fp2 = None):
         if kernel.is_inf or not domain.on_curve(kernel):
             raise BadKernel("kernel generator must be a finite point on the domain")
-        E = domain
-        half = [kernel]
+        p, a0, a1 = domain.p, domain.a.c0, domain.a.c1
+        K = _coords(kernel)
+        half = [K]
         for _ in range((ell - 3) // 2):
-            T = _add(E, half[-1], kernel)
-            if T.is_inf:
+            T = _chord(p, a0, a1, half[-1], K)[0]
+            if T is None:
                 raise BadKernel(f"kernel generator has order below {ell}")
             half.append(T)
         # order ell: y_K = 0 for ell = 2, else ((ell+1)/2)K = -((ell-1)/2)K
         last = half[-1]
-        if not (kernel.y.is_zero() if ell == 2 else _add(E, last, kernel).x == last.x):
+        S = None if ell == 2 else _chord(p, a0, a1, last, K)[0]
+        if not (K[2] == K[3] == 0 if ell == 2 else S is not None and S[:2] == last[:2]):
             raise BadKernel(f"kernel generator does not have order {ell}")
-        self.domain = domain
-        self.ell = ell
-        self.kernel = kernel
-        self.u = Fp2.one(E.p) if u is None else u
-        v = w = Fp2.zero(E.p)
+        self.domain, self.ell, self.kernel = domain, ell, kernel
+        self.u = Fp2.one(p) if u is None else u
+        v0 = v1 = w0 = w1 = 0
         triples = []
-        for T in half:
-            gx = 3 * (T.x * T.x) + E.a
-            vT = gx if ell == 2 else 2 * gx
-            uT = 4 * (T.y * T.y)
-            v = v + vT
-            w = w + uT + T.x * vT
-            triples.append((T.x, vT, uT))
+        m = 1 if ell == 2 else 2
+        for x0, x1, y0, y1 in half:
+            g0, g1 = m * (3 * (x0 * x0 - x1 * x1) + a0), m * (6 * x0 * x1 + a1)
+            t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
+            v0, v1 = v0 + g0, v1 + g1
+            w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
+            triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
         self._half = triples
-        self.codomain = twist_curve(Curve(E.a - 5 * v, E.b - 7 * w), self.u)
+        a = Fp2(p, a0 - 5 * v0, a1 - 5 * v1)
+        b = Fp2(p, domain.b.c0 - 7 * w0, domain.b.c1 - 7 * w1)
+        self.codomain = twist_curve(Curve(a, b), self.u)
+        self._twist = None
+        if not self.u.is_one():
+            u2 = self.u * self.u
+            self._twist = (*u2.lex_key(), *(u2 * self.u).lex_key())
 
     def evaluate(self, P: Point) -> Point:
-        """Image of P: Vélu's rational map over half the kernel, then the twist.
+        """Image of P: image() on P's integer coordinates."""
+        return _point(self.domain.p, self.image(_coords(P)))
+
+    def image(self, P):
+        """Image of P in int coordinates: Vélu's rational map over half the
+        kernel, then the twist.
 
         x' = x + sum(v_T/(x - x_T) + u_T/(x - x_T)^2) and
         y' = y (1 - sum(v_T/(x - x_T)^2 + 2 u_T/(x - x_T)^3)).  The
         denominators share one inversion; x = x_T means P = +-T, a kernel point.
         """
-        if P.is_inf:
-            return P
-        x = P.x
+        if P is None:
+            return None
+        p = self.domain.p
+        x0, x1, y0, y1 = P
         ds = []
-        for xT, _, _ in self._half:
-            d = x - xT
-            if d.is_zero():
-                return Point.infinity()
-            ds.append(d)
-        sx = x
-        sy = Fp2.zero(x.p)
-        for (_, vT, uT), t in zip(self._half, batch_inv(ds)):
-            ut = uT * t
-            vu = vT + ut
-            sx = sx + t * vu
-            sy = sy + t * t * (vu + ut)
-        return twist_point(Point(sx, P.y - P.y * sy), self.u)
+        for T in self._half:
+            if T[0] == x0 and T[1] == x1:
+                return None
+            ds.append((x0 - T[0], x1 - T[1]))
+        sx0, sx1, sy0, sy1 = x0, x1, 0, 0
+        for (_, _, v0, v1, u0, u1), (t0, t1) in zip(self._half, batch_inv(p, ds)):
+            # with ut = u_T t and vu = v_T + ut: sx += t vu, sy += t^2 (vu + ut)
+            ut0, ut1 = (u0 * t0 - u1 * t1) % p, (u0 * t1 + u1 * t0) % p
+            vu0, vu1, r0, r1 = v0 + ut0, v1 + ut1, v0 + 2 * ut0, v1 + 2 * ut1
+            q0, q1 = (t0 * t0 - t1 * t1) % p, 2 * t0 * t1 % p
+            sx0, sx1 = sx0 + t0 * vu0 - t1 * vu1, sx1 + t0 * vu1 + t1 * vu0
+            sy0, sy1 = sy0 + q0 * r0 - q1 * r1, sy1 + q0 * r1 + q1 * r0
+        Y0, Y1 = y0 * (1 - sy0) + y1 * sy1, y1 * (1 - sy0) - y0 * sy1
+        if self._twist is not None:
+            s0, s1, c0, c1 = self._twist
+            sx0, sx1 = s0 * sx0 - s1 * sx1, s0 * sx1 + s1 * sx0
+            Y0, Y1 = c0 * Y0 - c1 * Y1, c0 * Y1 + c1 * Y0
+        return (sx0 % p, sx1 % p, Y0 % p, Y1 % p)
 
     def retwist(self, u: Fp2) -> "Step":
         """Same isogeny with the twist multiplied by u."""
@@ -116,9 +139,10 @@ class IsogenyChain:
 
     def evaluate(self, P: Point) -> Point:
         self.domain.check(P)
+        R = _coords(P)
         for s in self.steps:
-            P = s.evaluate(P)
-        return P
+            R = s.image(R)
+        return _point(self.domain.p, R)
 
     def __repr__(self):
         ells = [s.ell for s in self.steps]
@@ -140,12 +164,13 @@ def compose_chains(*chains) -> IsogenyChain:
     return IsogenyChain(first.domain, cur, steps, deg, None)
 
 
-def _ladder(E: Curve, R: Point, ell: int, r: int) -> list:
-    """[R, [ell]R, ..., [ell^(k-1)]R] with k = r, or the k < r with [ell^k]R = O."""
+def _ladder(E: Curve, R, ell: int, r: int) -> list:
+    """[R, [ell]R, ..., [ell^(k-1)]R] with k = r, or the k < r with [ell^k]R = O,
+    in int coordinates."""
     out = [R]
     while len(out) < r:
-        R = _mul(E, ell, R)
-        if R.is_inf:
+        R = _scale(E, ell, R)
+        if R is None:
             break
         out.append(R)
     return out
@@ -153,7 +178,7 @@ def _ladder(E: Curve, R: Point, ell: int, r: int) -> list:
 
 def _cyclic_walk(E: Curve, ladder: list, ell: int):
     """Yield the r steps of degree ell whose kernels generate <R>, |R| = ell^r,
-    given the ladder [R, [ell]R, ..., [ell^(r-1)]R].
+    given the ladder [R, [ell]R, ..., [ell^(r-1)]R] in int coordinates.
 
     Step i has kernel [ell^(r-1-i)]R pushed through the steps before it.
     The balanced strategy of De Feo, Jao and Plût walks <[ell^h]R>, h = r//2,
@@ -164,12 +189,12 @@ def _cyclic_walk(E: Curve, ladder: list, ell: int):
     """
     r = len(ladder)
     if r == 1:
-        yield Step(E, ladder[0], ell)
+        yield Step(E, _point(E.p, ladder[0]), ell)
         return
     h = r // 2
     R = ladder[0]
     for step in _cyclic_walk(E, ladder[h:], ell):
-        R = step.evaluate(R)
+        R = step.image(R)
         yield step
     yield from _cyclic_walk(step.codomain, _ladder(step.codomain, R, ell, h), ell)
 
@@ -214,8 +239,9 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
 
 
 def _kernel_steps(E: Curve, gens, degree: int):
-    """The steps of isogeny_from_kernel, given a degree above 1."""
-    work = [(g, degree) for g in gens if not g.is_inf]
+    """The steps of isogeny_from_kernel, given a degree above 1; the
+    generators are carried in int coordinates."""
+    work = [(_coords(g), degree) for g in gens if not g.is_inf]
     cur = E
     D = degree
     while D > 1:
@@ -226,11 +252,11 @@ def _kernel_steps(E: Curve, gens, degree: int):
             f = factorize(m)[ell]
             n1 = 1
             if m > ell**f:
-                n1 = point_order(cur, _mul(cur, ell**f, g), m // ell**f)
+                n1 = point_order(cur, _point(cur.p, _scale(cur, ell**f, g)), m // ell**f)
                 if n1 is None:
                     raise BadKernel("generator order does not divide the degree")
-            Q = _mul(cur, n1, g)
-            if not Q.is_inf:
+            Q = _scale(cur, n1, g)
+            if Q is not None:
                 break
             work[pick] = (g, n1)
         else:
@@ -248,14 +274,14 @@ def _kernel_steps(E: Curve, gens, degree: int):
             # [m/ell]h = O and m/ell is still a multiple of ord(h)
             nxt = []
             for h, m in work:
-                h = step.evaluate(h)
-                if m % ell == 0 and _mul(cur, m // ell, h).is_inf:
+                h = step.image(h)
+                if m % ell == 0 and _scale(cur, m // ell, h) is None:
                     m //= ell
-                if not h.is_inf:
+                if h is not None:
                     nxt.append((h, m))
             work = nxt
             if rest > 1:
-                g = step.evaluate(g)
+                g = step.image(g)
             yield step
         # the generators before the picked one kept their orders (ell does
         # not divide their multiples), so it goes back to its place

@@ -143,13 +143,13 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
     E = t0.e0
     U, V = canonical_torsion_basis(E, N, t0.group_order)
     calls = []
-    inv = Fp2.inv
+    inv = curve.inv_pair
 
-    def counted(x):
-        calls.append(x)
-        return inv(x)
+    def counted(p, c0, c1):
+        calls.append((c0, c1))
+        return inv(p, c0, c1)
 
-    monkeypatch.setattr(Fp2, "inv", counted)
+    monkeypatch.setattr(curve, "inv_pair", counted)
     _miller(E, U, N, V)
     monkeypatch.undo()
     assert len(calls) == inversions
@@ -163,6 +163,148 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
     monkeypatch.undo()
     assert len(millers) == 2
     assert scans == []
+
+
+# -- the integer kernels against Fp2 reference formulas ----------------------
+
+
+def ref_add(E, P, Q):
+    """The affine chord-and-tangent law on Fp2 objects."""
+    if P.is_inf:
+        return Q
+    if Q.is_inf:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return Point.infinity()
+        lam = (3 * (P.x * P.x) + E.a) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return Point(x3, lam * (P.x - x3) - P.y)
+
+
+def ref_mul(E, k, P):
+    """[k]P by double-and-add on ref_add."""
+    if k < 0:
+        return ref_mul(E, -k, _neg(P))
+    R = Point.infinity()
+    while k:
+        if k & 1:
+            R = ref_add(E, R, P)
+        k >>= 1
+        P = ref_add(E, P, P)
+    return R
+
+
+def ref_miller(E, P, n, X):
+    """f_{n,P}(X) on Fp2 objects: one slope per step for the sum and the
+    line, a vertical line at P = -Q, and a zero or pole raises _Degenerate."""
+    if X.is_inf:
+        raise _Degenerate
+    one = Fp2.one(E.p)
+
+    def step(T, Q):
+        if T.is_inf or Q.is_inf:
+            R = Q if T.is_inf else T
+            l = v = one if R.is_inf else X.x - R.x
+        elif T.x == Q.x and T.y == -Q.y:
+            R, l, v = Point.infinity(), X.x - T.x, one
+        else:
+            if T.x == Q.x:
+                lam = (3 * (T.x * T.x) + E.a) / (2 * T.y)
+            else:
+                lam = (Q.y - T.y) / (Q.x - T.x)
+            R = ref_add(E, T, Q)
+            l, v = (X.y - T.y) - lam * (X.x - T.x), X.x - R.x
+        if l.is_zero() or v.is_zero():
+            raise _Degenerate
+        return R, l, v
+
+    f = one
+    T = P
+    for bit in bin(n)[3:]:
+        T, l, v = step(T, T)
+        f = f * f * l / v
+        if bit == "1":
+            T, l, v = step(T, P)
+            f = f * l / v
+    return f
+
+
+def curves(ps):
+    """E0 (a in GF(p), b = 0) and a model of it with a and b off GF(p)."""
+    return (ps.e0, twist_curve(ps.e0, Fp2(ps.p, 3, 5)))
+
+
+def point_of_order_dividing(E, ps, N, rng):
+    """[group order / N] times a random point: killed by N."""
+    return _mul(E, ps.group_order // N, E.random_point(rng))
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+@pytest.mark.parametrize("model", [0, 1])
+def test_add_matches_the_reference(profile, model, request, rng):
+    ps = request.getfixturevalue(profile)
+    E = curves(ps)[model]
+    inf = Point.infinity()
+    pts = [E.random_point(rng) for _ in range(8)]
+    two = point_of_order_dividing(E, ps, 2, rng)
+    while two.is_inf:
+        two = point_of_order_dividing(E, ps, 2, rng)
+    assert two.y.is_zero()
+    pairs = [(inf, pts[0]), (pts[0], inf), (inf, inf), (two, two), (two, inf)]
+    pairs += [(P, _neg(P)) for P in pts[:3]] + [(P, P) for P in pts[:3]]
+    pairs += list(zip(pts, pts[1:]))
+    for P, Q in pairs:
+        R = ref_add(E, P, Q)
+        assert _add(E, P, Q) == R and E.add(P, Q) == R, (P, Q)
+    assert _add(E, two, two).is_inf
+    assert all(_add(E, P, _neg(P)).is_inf for P in pts)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+@pytest.mark.parametrize("model", [0, 1])
+def test_mul_matches_the_reference(profile, model, request, rng):
+    ps = request.getfixturevalue(profile)
+    E, n = curves(ps)[model], ps.group_order
+    for _ in range(4):
+        P = E.random_point(rng)
+        order = point_order(E, P, n)
+        ks = [0, 1, -1, 2, -5, order, -order, order + 3, rng.getrandbits(60), -rng.getrandbits(60)]
+        for k in ks:
+            assert _mul(E, k, P) == ref_mul(E, k, P) == E.mul(k, P), (k, P)
+        assert _mul(E, order, P).is_inf
+        assert _mul(E, k, Point.infinity()).is_inf
+
+
+@pytest.mark.parametrize("profile,N", [("t0", 3), ("t0", 128), ("t1", 9), ("t1", 20), ("t2", 27)])
+@pytest.mark.parametrize("model", [0, 1])
+def test_miller_matches_the_reference(profile, N, model, request, rng):
+    ps = request.getfixturevalue(profile)
+    E = curves(ps)[model]
+    for _ in range(6):
+        P = point_of_order_dividing(E, ps, N, rng)
+        X = E.random_point(rng)
+        for args in ((P, N, X), (P, N, P), (Point.infinity(), N, X), (P, N, _mul(E, 2, P))):
+            try:
+                want = ref_miller(E, *args)
+            except _Degenerate:
+                with pytest.raises(_Degenerate):
+                    _miller(E, *args)
+            else:
+                assert _miller(E, *args) == want
+
+
+@pytest.mark.parametrize(
+    "which,pairing", [("A", (17351, 22868)), ("C", (13439, 4810)), ("AC", (20325, 5936))]
+)
+def test_pairing_on_e0_bases_matches_the_reference(t0, which, pairing):
+    N = {"A": t0.A, "C": t0.C, "AC": t0.A * t0.C}[which]
+    E = t0.e0
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    z = ref_miller(E, U, N, V) / ref_miller(E, V, N, U)
+    assert (-z if N & 1 else z) == weil_pairing(E, U, V, N) == Fp2(t0.p, *pairing)
 
 
 def offset_weil_pairing(E, P, Q, N):

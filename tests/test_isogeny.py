@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from adaptorsig import curve, isogeny
+from adaptorsig import curve, field, isogeny
 from adaptorsig.curve import (
     Curve,
     Point,
-    _add,
     _mul,
     canonical_torsion_basis,
     factorize,
@@ -145,22 +144,39 @@ def test_bad_kernel_messages(t0):
             isogeny_from_kernel(E, gens, degree)
 
 
+def fp2_add(E, P, Q):
+    """The affine chord-and-tangent law on Fp2 objects, apart from the
+    library's integer formulas."""
+    if P.is_inf:
+        return Q
+    if Q.is_inf:
+        return P
+    if P.x == Q.x:
+        if P.y == -Q.y:
+            return Point.infinity()
+        lam = (3 * (P.x * P.x) + E.a) / (2 * P.y)
+    else:
+        lam = (Q.y - P.y) / (Q.x - P.x)
+    x3 = lam * lam - P.x - Q.x
+    return Point(x3, lam * (P.x - x3) - P.y)
+
+
 def translation_sum_image(step, P):
     """Vélu's translation sums: x + sum(x(P+T) - x(T)) and the same for y
     over every nonzero kernel point T, then the u-twist; the independent
-    oracle for Step.evaluate's rational map."""
+    oracle for Step.evaluate's rational map, on Fp2 objects."""
     if P.is_inf:
         return P
     E, K, u = step.domain, step.kernel, step.u
     x, y = P.x, P.y
     T = K
     for _ in range(step.ell - 1):
-        S = _add(E, P, T)
+        S = fp2_add(E, P, T)
         if S.is_inf:
             return Point.infinity()
         x = x + S.x - T.x
         y = y + S.y - T.y
-        T = _add(E, T, K)
+        T = fp2_add(E, T, K)
     return Point(u**2 * x, u**3 * y)
 
 
@@ -169,6 +185,51 @@ def point_of_order(E, N, group_order, rng):
         K = E.mul(group_order // N, E.random_point(rng))
         if has_exact_order(E, K, N):
             return K
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_step_matches_translation_sums_at_every_profile(profile, ell, request, rng):
+    ps = request.getfixturevalue(profile)
+    E = ps.e0
+    K = point_of_order(E, ell, ps.group_order, rng)
+    s = Step(E, K, ell, Fp2(ps.p, 3, 5))
+    assert all(s.evaluate(E.mul(k, K)).is_inf for k in range(ell + 1))
+    for _ in range(8):
+        P = E.random_point(rng)
+        assert s.evaluate(P) == translation_sum_image(s, P)
+
+
+def test_hot_paths_build_fp2_only_at_the_edges(t0, t1, monkeypatch):
+    """Fp2 objects are built on exit, not per loop iteration: [k]P builds
+    its two coordinates, a twisted step's image the same, and a Miller loop
+    its one value whatever its length."""
+    builds = []
+    init = Fp2.__init__
+
+    def counted(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    def count(f, *args):
+        builds.clear()
+        monkeypatch.setattr(Fp2, "__init__", counted)
+        f(*args)
+        monkeypatch.undo()
+        return len(builds)
+
+    rng = random.Random(5)
+    E = t1.e0
+    assert count(_mul, E, rng.getrandbits(60) | 1 << 59, E.random_point(rng)) <= 2
+    for ell in (2, 7):
+        s = Step(E, point_of_order(E, ell, t1.group_order, rng), ell, Fp2(t1.p, 3, 5))
+        assert count(s.evaluate, E.random_point(rng)) <= 4
+    E = t0.e0
+    millers = set()
+    for N in (t0.C, t0.A, t0.A * t0.C):
+        U, V = canonical_torsion_basis(E, N, t0.group_order)
+        millers.add(count(curve._miller, E, U, N, V))
+    assert len(millers) == 1
 
 
 @pytest.mark.parametrize("ell", [2, 3, 5, 7])
@@ -287,19 +348,19 @@ def test_b_kernels_match_the_reference(t0, rng):
 
 
 def count_chain_work(monkeypatch):
-    """Lists that record each _add of two finite points and each
-    Step.evaluate and Step construction from here on."""
+    """Lists that record each _chord of two finite points and each
+    Step.image and Step construction from here on."""
     adds, evals, steps = [], [], []
-    add, evaluate, init = curve._add, Step.evaluate, Step.__init__
+    chord, image, init = curve._chord, Step.image, Step.__init__
 
-    def counted_add(E, P, Q):
-        if not (P.is_inf or Q.is_inf):
+    def counted_chord(p, a0, a1, P, Q):
+        if not (P is None or Q is None):
             adds.append(1)
-        return add(E, P, Q)
+        return chord(p, a0, a1, P, Q)
 
-    monkeypatch.setattr(curve, "_add", counted_add)
-    monkeypatch.setattr(isogeny, "_add", counted_add)
-    monkeypatch.setattr(Step, "evaluate", lambda self, P: evals.append(1) or evaluate(self, P))
+    monkeypatch.setattr(curve, "_chord", counted_chord)
+    monkeypatch.setattr(isogeny, "_chord", counted_chord)
+    monkeypatch.setattr(Step, "image", lambda self, P: evals.append(1) or image(self, P))
     monkeypatch.setattr(Step, "__init__", lambda self, *a: steps.append(1) or init(self, *a))
     return adds, evals, steps
 
@@ -333,8 +394,8 @@ def test_evaluate_does_one_inversion(t0, rng, monkeypatch):
     s = Step(E, point_of_order(E, 7, t0.group_order, rng), 7)
     P = E.random_point(rng)
     calls = []
-    inv = Fp2.inv
-    monkeypatch.setattr(Fp2, "inv", lambda self: calls.append(1) or inv(self))
+    inv = field.inv_pair
+    monkeypatch.setattr(field, "inv_pair", lambda *args: calls.append(1) or inv(*args))
     img = s.evaluate(P)
     assert not img.is_inf
     assert len(calls) == 1
