@@ -13,13 +13,7 @@ from the A-part, where 4C < A^2 makes it unique.
 import logging
 import math
 
-from .curve import (
-    Curve,
-    _mul,
-    canonical_torsion_basis,
-    has_exact_order,
-    isomorphisms,
-)
+from .curve import Curve, canonical_torsion_basis, has_exact_order, isomorphisms
 from .dlog import decompose_2d, evaluate_rep, recover_isogeny
 from .errors import (
     AmbiguityBound,
@@ -152,7 +146,7 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     C = ps.C
     epsi = presig.epsi
     S1, S2 = presig.s
-    K = epsi.add(S1, _mul(epsi, w.alpha % C, S2))
+    K = epsi.add(S1, epsi.mul(w.alpha % C, S2))
     try:
         wprime = isogeny_from_kernel(epsi, [K], C)
     except ProtocolError as exc:
@@ -215,25 +209,18 @@ def extract(
         fail(tag)
         return None
     sig_a = a_part(rep, A)
-    P1, Q1 = sig_a.basis
-    Pp, Qp = sig_a.images
 
-    # sigma-tilde's action on the A-basis of E_psi, from the pre-signature
+    # sigma-tilde inverted on the A-torsion: its A-part with basis and
+    # images swapped maps E2[A] back to E_psi[A] (evaluate_rep reads no degree)
     tilde = a_part(presig.rep_tilde, A)
-    (R1A, R2A) = tilde.basis
-    (T1A, T2A) = tilde.images
-    epsi = presig.epsi
-    E2 = rep.codomain
+    back = EfficientRep(tilde.codomain, tilde.domain, tilde.degree, A, tilde.images, tilde.basis)
     try:
-        da = decompose_2d(E2, T1A, T2A, Pp, A)
-        db = decompose_2d(E2, T1A, T2A, Qp, A)
+        images = tuple(evaluate_rep(back, T) for T in sig_a.images)
     except (NotABasis, OrderMismatch):
         fail("a-torsion-decomposition")
         return None
-    X = epsi.add(_mul(epsi, da.x, R1A), _mul(epsi, da.y, R2A))
-    Y = epsi.add(_mul(epsi, db.x, R1A), _mul(epsi, db.y, R2A))
-
-    synth = EfficientRep(e1, epsi, C, A, (P1, Q1), (X, Y))
+    epsi = presig.epsi
+    synth = EfficientRep(e1, epsi, C, A, sig_a.basis, images)
     try:
         rec = recover_isogeny(synth, ps.group_order)
     except NotFound:

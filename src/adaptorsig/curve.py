@@ -3,14 +3,18 @@
 Everything here is affine; at desk-scale moduli a field inversion is a single
 word-size pow, so projective tricks buy nothing worth their complexity.
 
-The hot formulas run on integer coordinates: a finite point is the reduced
-4-tuple (x0, x1, y0, y1) and O is None; _chord is the one addition of every
-ladder, walk, table and Miller loop.  Fp2 and Point exist only at entry and
-exit (_add, _mul, _miller and point_order convert once each way).  The
-integer formulas trust their inputs: membership is checked where points come
-in, at the public Curve.add/mul/neg, IsogenyChain.evaluate, the Step
-constructor, isogeny_from_kernel's generators, decompose_2d, weil_pairing
-and the decoders.
+One coordinate boundary: public functions and methods take and return Fp2
+and Point, and the private loops of field, curve, isogeny and dlog take ints
+(a finite point is the reduced 4-tuple (x0, x1, y0, y1), O is None, and
+_chord is the one addition of every ladder, walk, table and Miller loop).
+Points are converted once on entry (_coords) and once on exit (_point), and
+never built only for a callee to unpack; no other module imports an
+underscore name of curve, isogeny or dlog.  The one exception is
+dlog.iter_kernel_candidates, which carries the search's images as ints.
+The int loops trust their inputs, so membership is checked where points
+come in: Curve.add/mul/neg, IsogenyChain.evaluate, the Step constructor,
+isogeny_from_kernel's generators, decompose_2d, weil_pairing and the
+decoders.
 """
 
 import functools
@@ -96,15 +100,15 @@ class Curve:
     def add(self, P: Point, Q: Point) -> Point:
         self.check(P)
         self.check(Q)
-        return _add(self, P, Q)
+        return _point(self.p, _chord(self.p, self.a.c0, self.a.c1, _coords(P), _coords(Q))[0])
 
     def neg(self, P: Point) -> Point:
         self.check(P)
-        return _neg(P)
+        return P if P.is_inf else Point(P.x, -P.y)
 
     def mul(self, k: int, P: Point) -> Point:
         self.check(P)
-        return _mul(self, k, P)
+        return _point(self.p, _scale(self, k, _coords(P)))
 
     # -- invariants --------------------------------------------------------
 
@@ -137,12 +141,12 @@ class Curve:
             if P is None:
                 continue
             if rng.randrange(2):
-                P = _neg(P)
+                P = self.neg(P)
             return P
 
 
 # ---------------------------------------------------------------------------
-# unchecked group-law internals (hot paths)
+# the int group law: unchecked, for the hot loops
 # ---------------------------------------------------------------------------
 
 
@@ -199,20 +203,6 @@ def _scale(E: Curve, k: int, P):
     return R
 
 
-def _neg(P: Point) -> Point:
-    if P.is_inf:
-        return P
-    return Point(P.x, -P.y)
-
-
-def _add(E: Curve, P: Point, Q: Point) -> Point:
-    return _point(E.p, _chord(E.p, E.a.c0, E.a.c1, _coords(P), _coords(Q))[0])
-
-
-def _mul(E: Curve, k: int, P: Point) -> Point:
-    return _point(E.p, _scale(E, k, _coords(P)))
-
-
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------
@@ -240,9 +230,13 @@ def point_order(E: Curve, P: Point, N: int) -> int | None:
     exponent of ell in the order.  Returns None when e multiplications do
     not reach O, that is when [N]P != O.
     """
+    return _order(E, _coords(P), N)
+
+
+def _order(E: Curve, P, N: int) -> int | None:
+    """point_order in int coordinates."""
     if N == 1:
-        return 1 if P.is_inf else None
-    P = _coords(P)
+        return 1 if P is None else None
     n = 1
     for ell, e in factorize(N).items():
         Q = _scale(E, N // ell**e, P)
@@ -277,22 +271,18 @@ class _Degenerate(Exception):
     """Internal: a line of f_{n,P} vanishes at X, so X lies in <P>."""
 
 
-def _miller(E: Curve, P: Point, n: int, X: Point) -> Fp2:
-    """f_{n,P}(X) for finite X; raises _Degenerate on a zero or pole.
+def _miller(E: Curve, P, n: int, X) -> Fp2:
+    """f_{n,P}(X) for finite X, P and X in int coordinates; raises
+    _Degenerate on a zero or pole.
 
-    The loop runs on integer coordinates and int pairs for GF(p^2) values;
-    Point and Fp2 exist only on entry and exit.  It checks no membership:
-    weil_pairing does, like Curve.add/mul/neg, IsogenyChain.evaluate, the
-    Step constructor, isogeny_from_kernel's generators, decompose_2d and the
-    decoders.  Each step takes _chord's one slope for both the sum and the
-    line through its two points, and f is kept as a fraction num/den, so the
-    loop divides once at its end.
+    GF(p^2) values are int pairs until the Fp2 result.  Each step takes
+    _chord's one slope for both the sum and the line through its two points,
+    and f is kept as a fraction num/den, so the loop divides once at its end.
     """
-    if X.is_inf:
+    if X is None:
         raise _Degenerate
     p, a0, a1 = E.p, E.a.c0, E.a.c1
-    X0, X1, Y0, Y1 = _coords(X)
-    P = _coords(P)
+    X0, X1, Y0, Y1 = X
 
     def mul(f, g):
         return (f[0] * g[0] - f[1] * g[1]) % p, (f[0] * g[1] + f[1] * g[0]) % p
@@ -332,7 +322,8 @@ def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
     """
     E.check(P)
     E.check(Q)
-    if N < 1 or not _mul(E, N, P).is_inf or not _mul(E, N, Q).is_inf:
+    P, Q = _coords(P), _coords(Q)
+    if N < 1 or _scale(E, N, P) is not None or _scale(E, N, Q) is not None:
         raise OrderMismatch(f"inputs not killed by {N}")
     try:
         z = _miller(E, P, N, Q) / _miller(E, Q, N, P)
@@ -376,19 +367,19 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
             support *= ell
     first = None
     for S in E.scan_points():
-        P = _mul(E, cof, S)
-        n = point_order(E, P, support)
+        P = _scale(E, cof, _coords(S))
+        n = _order(E, P, support)
         if n is None:
             raise NoBasis(f"the group exponent does not divide {group_order}")
         if n % N != 0:
             continue
-        P = _mul(E, n // N, P)
+        P = _scale(E, n // N, P)
         if first is None:
             first = P
-            first_ell = [(ell, _mul(E, N // ell, P)) for ell in primes]
+            first_ell = [(ell, _scale(E, N // ell, P)) for ell in primes]
             continue
-        if not any(_in_cyclic(E, _mul(E, N // ell, P), G, ell) for ell, G in first_ell):
-            return (first, P)
+        if not any(_in_cyclic(E, _scale(E, N // ell, P), G, ell) for ell, G in first_ell):
+            return (_point(E.p, first), _point(E.p, P))
     raise NoBasis(f"no basis of order {N} found")  # pragma: no cover
 
 
@@ -401,10 +392,10 @@ def small_torsion_basis(E: Curve, ell: int, group_order: int):
     return canonical_torsion_basis(E, ell, group_order)
 
 
-def _in_cyclic(E: Curve, P: Point, G: Point, n: int) -> bool:
-    """Whether P lies in the cyclic group generated by G (n = |G|, tiny)."""
+def _in_cyclic(E: Curve, P, G, n: int) -> bool:
+    """Whether P lies in the cyclic group generated by G (n = |G|, tiny), in
+    int coordinates."""
     p, a0, a1 = E.p, E.a.c0, E.a.c1
-    P, G = _coords(P), _coords(G)
     R = None
     for _ in range(n):
         if P == R:

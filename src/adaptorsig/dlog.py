@@ -32,11 +32,10 @@ from dataclasses import dataclass
 from .curve import (
     Curve,
     Point,
-    _add,
     _chord,
     _coords,
     _in_cyclic,
-    _mul,
+    _point,
     _scale,
     factorize,
     isomorphisms,
@@ -44,7 +43,7 @@ from .curve import (
     twist_point,
 )
 from .errors import AmbiguityBound, NotABasis, NotFound, OrderMismatch
-from .isogeny import EfficientRep, IsogenyChain, Step, dual, dual_kernel, dual_step
+from .isogeny import EfficientRep, IsogenyChain, Step, _dual_kernel, dual, dual_step
 
 logger = logging.getLogger(__name__)
 
@@ -123,7 +122,7 @@ def evaluate_rep(rep: EfficientRep, X: Point) -> Point:
     """Evaluate the represented isogeny at X in E[order] from basis images."""
     d = decompose_2d(rep.domain, rep.basis[0], rep.basis[1], X, rep.order)
     E2 = rep.codomain
-    return _add(E2, _mul(E2, d.x, rep.images[0]), _mul(E2, d.y, rep.images[1]))
+    return E2.add(E2.mul(d.x, rep.images[0]), E2.mul(d.y, rep.images[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -132,53 +131,58 @@ def evaluate_rep(rep: EfficientRep, X: Point) -> Point:
 
 
 def _subgroup_gens(E: Curve, ell: int, group_order: int):
-    """Canonical generators of the ell+1 order-ell subgroups of E[ell]."""
+    """Canonical generators of the ell+1 order-ell subgroups of E[ell]: U + [k]V
+    for k < ell, then V, with (U, V) the canonical basis; in int coordinates."""
     U, V = small_torsion_basis(E, ell, group_order)
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    W, V = _coords(U), _coords(V)
     gens = []
-    W = U
     for _ in range(ell):
         gens.append(W)
-        W = _add(E, W, V)
+        W = _chord(p, a0, a1, W, V)[0]
     gens.append(V)
     return gens
 
 
 def _ell_block(E: Curve, ell: int, group_order: int):
     """Two steps composing to exact multiplication by ell on E."""
-    s0 = Step(E, _subgroup_gens(E, ell, group_order)[0], ell)
+    s0 = Step(E, small_torsion_basis(E, ell, group_order)[0], ell)
     return [s0, dual_step(s0, group_order)]
 
 
 def _pp_candidates(E, ell, e, U, V, group_order):
     """Yield (steps, codomain, imgU, imgV) for every order-ell^e kernel
-    subgroup of E, each exactly once."""
+    subgroup of E, each exactly once; U, V and their images in int
+    coordinates."""
     for b in range(e // 2 + 1):
         r = e - 2 * b
         prefix = []
         for _ in range(b):
             prefix = prefix + _ell_block(E, ell, group_order)
-        U0 = _mul(E, ell**b, U)
-        V0 = _mul(E, ell**b, V)
+        U0 = _scale(E, ell**b, U)
+        V0 = _scale(E, ell**b, V)
         yield from _walks(E, ell, r, prefix, U0, V0, group_order, None)
 
 
 def _walks(E, ell, r, steps, U, V, group_order, back_gen):
+    """The cyclic walks of r steps of degree ell that do not backtrack into
+    back_gen's subgroup; back_gen, U, V and the images in int coordinates."""
     if r == 0:
         yield steps, E, U, V
         return
     for G in _subgroup_gens(E, ell, group_order):
         if back_gen is not None and _in_cyclic(E, G, back_gen, ell):
             continue
-        s = Step(E, G, ell)
+        s = Step(E, _point(E.p, G), ell)
         yield from _walks(
             s.codomain,
             ell,
             r - 1,
             steps + [s],
-            s.evaluate(U),
-            s.evaluate(V),
+            s.image(U),
+            s.image(V),
             group_order,
-            dual_kernel(s, group_order),
+            _dual_kernel(s, group_order),
         )
 
 
@@ -190,12 +194,13 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def iter_kernel_candidates(E: Curve, degree: int, U: Point, V: Point, group_order: int):
+def iter_kernel_candidates(E: Curve, degree: int, U, V, group_order: int):
     """Every order-`degree` kernel subgroup of E as a candidate chain.
 
     Yields (steps, codomain, image of U, image of V), enumerating prime
     powers in ascending order and subgroups in canonical generator order;
-    each subgroup appears exactly once.
+    each subgroup appears exactly once.  U, V and their images are in int
+    coordinates (None for O): the search carries them through Step.image.
     """
     fac = sorted(factorize(degree).items())
 
@@ -235,14 +240,14 @@ def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
     degree splits as d = d1*d2 with coprime halves (see _split).  The
     backward half lists every degree-d2 isogeny out of rep.codomain, indexed
     by the j-invariant of its codomain; the forward half walks the degree-d1
-    candidates from rep.domain, carrying the basis images.  A degree-d
-    isogeny with kernel K factors as phi2 o phi1 with ker phi1 the d1-part
-    of K, and the dual of phi2 is, up to an isomorphism of its codomain,
-    one backward candidate beta.  So phi2 = dual(beta) o u for some u in
-    isomorphisms(codomain of phi1, codomain of beta), and the join tries
-    every j-match and every such u: the twisted images go through the exact
-    dual of beta, which lands on rep.codomain itself, and must equal
-    rep.images.  Every candidate of the full walk is ruled in or out this
+    candidates from rep.domain, carrying the basis images in int coordinates
+    (they become Points only at a j-match).  A degree-d isogeny with kernel
+    K factors as phi2 o phi1 with ker phi1 the d1-part of K, and the dual of
+    phi2 is, up to an isomorphism of its codomain, one backward candidate
+    beta.  So phi2 = dual(beta) o u for some u in isomorphisms(codomain of
+    phi1, codomain of beta), and the join tries every j-match and every such
+    u: the twisted images go through the exact dual of beta, which lands on
+    rep.codomain itself, and must equal rep.images.  Every candidate of the full walk is ruled in or out this
     way: for the response degree 3^c*5^2*7^2, 181, 460 and 1 297
     half-candidates at T0, T1 and T2 stand for 7 068, 22 971 and 70 680, and
     for the adapted degree 3^(2c)*5^2*7^2, 460, 1 888 and 2 860 stand for
@@ -266,24 +271,25 @@ def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
     t0 = time.perf_counter()
     total = count_kernel_candidates(d)
     d1, d2 = _split(d)
-    inf = Point.infinity()
     back = {}  # j-invariant -> [(index, steps, codomain)] of the backward half
     built = 0
-    for steps, mid, _, _ in iter_kernel_candidates(E2, d2, inf, inf, group_order):
+    for steps, mid, _, _ in iter_kernel_candidates(E2, d2, None, None, group_order):
         back.setdefault(mid.j_invariant(), []).append((built, steps, mid))
         built += 1
     duals = {}  # index -> exact dual of that backward chain, built on its first j-match
     tried = 0
-    for steps, cur, curU, curV in iter_kernel_candidates(E, d1, U, V, group_order):
+    basis = _coords(U), _coords(V)
+    for steps, cur, curU, curV in iter_kernel_candidates(E, d1, *basis, group_order):
         tried += 1
         for i, bsteps, mid in back.get(cur.j_invariant(), ()):
             if i not in duals:
                 duals[i] = dual(IsogenyChain(E2, mid, bsteps, d2), group_order)
             hat = duals[i]
+            imgU, imgV = _point(E.p, curU), _point(E.p, curV)
             for u in isomorphisms(cur, mid):
-                if hat.evaluate(twist_point(curU, u)) != T1:
+                if hat.evaluate(twist_point(imgU, u)) != T1:
                     continue
-                if hat.evaluate(twist_point(curV, u)) != T2:
+                if hat.evaluate(twist_point(imgV, u)) != T2:
                     continue
                 out = steps[:-1] + [steps[-1].retwist(u)] + hat.steps
                 logger.debug(

@@ -14,7 +14,7 @@ from .curve import (
     Point,
     _chord,
     _coords,
-    _mul,
+    _order,
     _point,
     _scale,
     canonical_torsion_basis,
@@ -37,9 +37,7 @@ class Step:
     g_T = 3 x_T^2 + a, v_T = g_T for ell = 2 and 2 g_T otherwise, and
     u_T = 4 y_T^2.  Those values, u^2 and u^3 are int pairs: construction
     and image() run on integer coordinates, and evaluate() converts its Point
-    once each way.  image() trusts its input; membership is checked where
-    points enter: this constructor, Curve.add/mul/neg, IsogenyChain.evaluate,
-    isogeny_from_kernel's generators, decompose_2d, weil_pairing, decoders.
+    once each way.  The constructor checks that the kernel is on the domain.
     """
 
     __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_half", "_twist")
@@ -252,7 +250,7 @@ def _kernel_steps(E: Curve, gens, degree: int):
             f = factorize(m)[ell]
             n1 = 1
             if m > ell**f:
-                n1 = point_order(cur, _point(cur.p, _scale(cur, ell**f, g)), m // ell**f)
+                n1 = _order(cur, _scale(cur, ell**f, g), m // ell**f)
                 if n1 is None:
                     raise BadKernel("generator order does not divide the degree")
             Q = _scale(cur, n1, g)
@@ -297,8 +295,9 @@ def _kernel_steps(E: Curve, gens, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def dual_kernel(step: Step, group_order: int) -> Point:
-    """Generator of the dual step's kernel, the step-image of E[ell].
+def _dual_kernel(step: Step, group_order: int):
+    """Generator of the dual step's kernel, the step-image of E[ell], in int
+    coordinates.
 
     That image is cyclic of order ell, so the image of whichever canonical
     E[ell]-basis point the step does not kill generates it.  For ell = 2 the
@@ -312,16 +311,17 @@ def dual_kernel(step: Step, group_order: int) -> Point:
         r = (-3 * (xK * xK) - 4 * E.a).sqrt()
         if r is None:
             raise NoBasis("E[2] is not rational")
-        return step.evaluate(Point((r - xK) * pow(2, -1, E.p), Fp2.zero(E.p)))
+        x = (r - xK) * pow(2, -1, E.p)
+        return step.image((x.c0, x.c1, 0, 0))
     U, V = small_torsion_basis(E, ell, group_order)
-    K = step.evaluate(U)
-    return step.evaluate(V) if K.is_inf else K
+    K = step.image(_coords(U))
+    return step.image(_coords(V)) if K is None else K
 
 
 def dual_step(step: Step, group_order: int) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
-    Its kernel is dual_kernel(step), and its twist is computed, not searched
+    Its kernel is _dual_kernel(step), and its twist is computed, not searched
     for.  A Vélu step pulls the invariant differential dx/2y back to itself
     and a u-twist pulls it back to 1/u times itself, so with v the twist of
     s_hat, s_hat composed with s pulls it back to 1/(u v) times itself.  That
@@ -330,7 +330,8 @@ def dual_step(step: Step, group_order: int) -> Step:
     exactly when it keeps the differential.  So v = 1/(ell u) makes the
     composite [ell] and lands s_hat on the domain of s.
     """
-    d = Step(step.codomain, dual_kernel(step, group_order), step.ell, (step.ell * step.u).inv())
+    K = _point(step.domain.p, _dual_kernel(step, group_order))
+    d = Step(step.codomain, K, step.ell, (step.ell * step.u).inv())
     if d.codomain != step.domain:
         raise BadKernel("the dual step does not return to the domain")
     return d
@@ -425,6 +426,6 @@ def a_part(rep: EfficientRep, A: int) -> EfficientRep:
         rep.codomain,
         rep.degree,
         A,
-        tuple(_mul(rep.domain, k, X) for X in rep.basis),
-        tuple(_mul(rep.codomain, k, T) for T in rep.images),
+        tuple(rep.domain.mul(k, X) for X in rep.basis),
+        tuple(rep.codomain.mul(k, T) for T in rep.images),
     )

@@ -8,7 +8,7 @@ needs: a choice vector picks one generator per prime.
 
 import math
 
-from .curve import Curve, Point, _in_cyclic, _mul, canonical_torsion_basis
+from .curve import Curve, Point, canonical_torsion_basis
 from .errors import LengthMismatch, NonCoprimeDegree, TorsionUnavailable
 from .isogeny import IsogenyChain
 
@@ -54,7 +54,7 @@ def sample_orientation(E: Curve, primes, group_order: int, rng) -> Orientation:
         G1 = _random_order_ell_point(E, U, V, ell, rng)
         while True:
             G2 = _random_order_ell_point(E, U, V, ell, rng)
-            if not _in_cyclic(E, G2, G1, ell):
+            if not _in_subgroup(E, G2, G1, ell):
                 break
         pairs.append((ell, G1, G2))
     return Orientation(E, pairs)
@@ -65,7 +65,12 @@ def _random_order_ell_point(E, U, V, ell, rng) -> Point:
         u, v = rng.randrange(ell), rng.randrange(ell)
         if u == 0 and v == 0:
             continue
-        return E.add(_mul(E, u, U), _mul(E, v, V))
+        return E.add(E.mul(u, U), E.mul(v, V))
+
+
+def _in_subgroup(E: Curve, P: Point, G: Point, ell: int) -> bool:
+    """Whether P lies in <G>, by scanning its ell multiples (ell is tiny)."""
+    return P in {E.mul(k, G) for k in range(ell)}
 
 
 def oriented_kernel(o: Orientation, bits):
@@ -100,8 +105,8 @@ def orientation_valid(o: Orientation, group_order: int) -> bool:
         if ell < 2 or group_order % ell != 0:
             return False
         for G in (G1, G2):
-            if not E.on_curve(G) or G.is_inf or not _mul(E, ell, G).is_inf:
+            if not E.on_curve(G) or G.is_inf or not E.mul(ell, G).is_inf:
                 return False
-        if _in_cyclic(E, G2, G1, ell):
+        if _in_subgroup(E, G2, G1, ell):
             return False
     return True

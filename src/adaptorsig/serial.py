@@ -11,7 +11,7 @@ import math
 from dataclasses import replace
 
 from .adaptor import AdaptedSignature, PreSignature, presignature_shapes
-from .curve import Curve, Point, _mul, canonical_torsion_basis, has_exact_order
+from .curve import Curve, Point, canonical_torsion_basis, has_exact_order
 from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
 from .isogeny import EfficientRep, IsogenyChain, Step, pairing_law
@@ -276,7 +276,7 @@ def parse_rep(doc, domain: Curve, shapes: dict, group_order, path) -> EfficientR
     if order not in shapes:
         raise InvariantViolation(f"{path}.order", "order not admitted by the document")
     for i, X in enumerate(images):
-        if not _mul(codomain, order, X).is_inf:
+        if not codomain.mul(order, X).is_inf:
             raise InvariantViolation(f"{path}.images[{i}]", "not killed by the order")
     try:
         basis = canonical_torsion_basis(domain, order, group_order)

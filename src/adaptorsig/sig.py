@@ -10,7 +10,7 @@ stated degree that maps the full basis to the torsion images.
 
 import hashlib
 
-from .curve import Curve, _mul, canonical_torsion_basis, factorize
+from .curve import Curve, canonical_torsion_basis, factorize
 from .dlog import find_isogeny
 from .errors import IndexOutOfRange, NotFound, ProtocolError
 from .field import Fp2
@@ -149,7 +149,7 @@ def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
     except ProtocolError:
         return "rep:basis"
     E2 = rep.codomain
-    if not all(E2.on_curve(T) and _mul(E2, N, T).is_inf for T in rep.images):
+    if not all(E2.on_curve(T) and E2.mul(N, T).is_inf for T in rep.images):
         return "rep:images"
     if not pairing_law(rep):
         return "rep:pairing"

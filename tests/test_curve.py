@@ -7,11 +7,12 @@ from adaptorsig import curve
 from adaptorsig.curve import (
     Curve,
     Point,
-    _add,
+    _chord,
+    _coords,
     _Degenerate,
     _miller,
-    _mul,
-    _neg,
+    _point,
+    _scale,
     canonical_torsion_basis,
     factorize,
     has_exact_order,
@@ -150,7 +151,7 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
         return inv(p, c0, c1)
 
     monkeypatch.setattr(curve, "inv_pair", counted)
-    _miller(E, U, N, V)
+    miller(E, U, N, V)
     monkeypatch.undo()
     assert len(calls) == inversions
     assert weil_pairing(E, U, V, N) == Fp2(t0.p, *pairing)
@@ -166,6 +167,21 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
 
 
 # -- the integer kernels against Fp2 reference formulas ----------------------
+
+
+def int_add(E, P, Q):
+    """P + Q through the int addition _chord."""
+    return _point(E.p, _chord(E.p, E.a.c0, E.a.c1, _coords(P), _coords(Q))[0])
+
+
+def int_mul(E, k, P):
+    """[k]P through the int ladder _scale."""
+    return _point(E.p, _scale(E, k, _coords(P)))
+
+
+def miller(E, P, n, X):
+    """_miller on the int coordinates of P and X."""
+    return _miller(E, _coords(P), n, _coords(X))
 
 
 def ref_add(E, P, Q):
@@ -187,7 +203,7 @@ def ref_add(E, P, Q):
 def ref_mul(E, k, P):
     """[k]P by double-and-add on ref_add."""
     if k < 0:
-        return ref_mul(E, -k, _neg(P))
+        return ref_mul(E, -k, E.neg(P))
     R = Point.infinity()
     while k:
         if k & 1:
@@ -239,7 +255,7 @@ def curves(ps):
 
 def point_of_order_dividing(E, ps, N, rng):
     """[group order / N] times a random point: killed by N."""
-    return _mul(E, ps.group_order // N, E.random_point(rng))
+    return E.mul(ps.group_order // N, E.random_point(rng))
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
@@ -254,13 +270,13 @@ def test_add_matches_the_reference(profile, model, request, rng):
         two = point_of_order_dividing(E, ps, 2, rng)
     assert two.y.is_zero()
     pairs = [(inf, pts[0]), (pts[0], inf), (inf, inf), (two, two), (two, inf)]
-    pairs += [(P, _neg(P)) for P in pts[:3]] + [(P, P) for P in pts[:3]]
+    pairs += [(P, E.neg(P)) for P in pts[:3]] + [(P, P) for P in pts[:3]]
     pairs += list(zip(pts, pts[1:]))
     for P, Q in pairs:
         R = ref_add(E, P, Q)
-        assert _add(E, P, Q) == R and E.add(P, Q) == R, (P, Q)
-    assert _add(E, two, two).is_inf
-    assert all(_add(E, P, _neg(P)).is_inf for P in pts)
+        assert int_add(E, P, Q) == R and E.add(P, Q) == R, (P, Q)
+    assert int_add(E, two, two).is_inf
+    assert all(int_add(E, P, E.neg(P)).is_inf for P in pts)
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
@@ -273,9 +289,9 @@ def test_mul_matches_the_reference(profile, model, request, rng):
         order = point_order(E, P, n)
         ks = [0, 1, -1, 2, -5, order, -order, order + 3, rng.getrandbits(60), -rng.getrandbits(60)]
         for k in ks:
-            assert _mul(E, k, P) == ref_mul(E, k, P) == E.mul(k, P), (k, P)
-        assert _mul(E, order, P).is_inf
-        assert _mul(E, k, Point.infinity()).is_inf
+            assert int_mul(E, k, P) == ref_mul(E, k, P) == E.mul(k, P), (k, P)
+        assert int_mul(E, order, P).is_inf
+        assert int_mul(E, k, Point.infinity()).is_inf
 
 
 @pytest.mark.parametrize("profile,N", [("t0", 3), ("t0", 128), ("t1", 9), ("t1", 20), ("t2", 27)])
@@ -286,14 +302,14 @@ def test_miller_matches_the_reference(profile, N, model, request, rng):
     for _ in range(6):
         P = point_of_order_dividing(E, ps, N, rng)
         X = E.random_point(rng)
-        for args in ((P, N, X), (P, N, P), (Point.infinity(), N, X), (P, N, _mul(E, 2, P))):
+        for args in ((P, N, X), (P, N, P), (Point.infinity(), N, X), (P, N, E.mul(2, P))):
             try:
                 want = ref_miller(E, *args)
             except _Degenerate:
                 with pytest.raises(_Degenerate):
-                    _miller(E, *args)
+                    miller(E, *args)
             else:
-                assert _miller(E, *args) == want
+                assert miller(E, *args) == want
 
 
 @pytest.mark.parametrize(
@@ -311,13 +327,13 @@ def offset_weil_pairing(E, P, Q, N):
     """Reference: f_P on [Q+S] - [S] over f_Q on [P-S] - [-S], for the first
     offset S of the point scan that dodges every zero and pole."""
     one = Fp2.one(E.p)
-    if N == 1 or P.is_inf or Q.is_inf or P == Q or P == _neg(Q):
+    if N == 1 or P.is_inf or Q.is_inf or P == Q or P == E.neg(Q):
         return one
     for S in E.scan_points():
-        for T in (S, _neg(S)):
+        for T in (S, E.neg(S)):
             try:
-                num = _miller(E, P, N, _add(E, Q, T)) / _miller(E, P, N, T)
-                den = _miller(E, Q, N, _add(E, P, _neg(T))) / _miller(E, Q, N, _neg(T))
+                num = miller(E, P, N, E.add(Q, T)) / miller(E, P, N, T)
+                den = miller(E, Q, N, E.add(P, E.neg(T))) / miller(E, Q, N, E.neg(T))
                 return num / den
             except (_Degenerate, ZeroDivisionError):
                 continue
@@ -334,16 +350,16 @@ def test_pairing_matches_the_offset_reference(t0):
             U, V = canonical_torsion_basis(E, N, n)
 
             def sample():
-                return _add(E, _mul(E, rng.randrange(N), U), _mul(E, rng.randrange(N), V))
+                return E.add(E.mul(rng.randrange(N), U), E.mul(rng.randrange(N), V))
 
             ell = min(factorize(N))
             pairs = [(sample(), sample()) for _ in range(4)]  # mostly independent
             pairs += [(U, V), (V, U), (inf, U), (V, inf), (inf, inf)]  # and P or Q = O
             for _ in range(3):
                 P, k = sample(), rng.randrange(N)
-                pairs += [(P, _mul(E, k, P)), (_mul(E, k, P), P)]  # dependent
+                pairs += [(P, E.mul(k, P)), (E.mul(k, P), P)]  # dependent
                 if ell < N:  # half-dependent: [ell]Q lies in <U>, Q does not
-                    Q = _add(E, _mul(E, k, U), _mul(E, N // ell, V))
+                    Q = E.add(E.mul(k, U), E.mul(N // ell, V))
                     pairs += [(U, Q), (Q, U)]
             for P, Q in pairs:
                 assert weil_pairing(E, P, Q, N) == offset_weil_pairing(E, P, Q, N), (N, P, Q)

@@ -1,14 +1,24 @@
+import hashlib
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
-from adaptorsig import curve, dlog
-from adaptorsig.curve import Point, canonical_torsion_basis, isomorphisms, twist_point
+from adaptorsig import curve, dlog, isogeny, serial
+from adaptorsig.curve import (
+    Point,
+    _coords,
+    _point,
+    canonical_torsion_basis,
+    isomorphisms,
+    twist_point,
+)
 from adaptorsig.dlog import (
     count_kernel_candidates,
     decompose_2d,
     evaluate_rep,
+    find_isogeny,
     iter_kernel_candidates,
     recover_isogeny,
 )
@@ -132,7 +142,7 @@ def test_candidate_counts_match_closed_form(t0):
     n = t0.group_order
     U, V = canonical_torsion_basis(E, t0.A, n)
     for degree in (3, 9, 5, 35, 45):
-        actual = sum(1 for _ in iter_kernel_candidates(E, degree, U, V, n))
+        actual = sum(1 for _ in iter_kernel_candidates(E, degree, _coords(U), _coords(V), n))
         assert actual == count_kernel_candidates(degree)
     assert count_kernel_candidates(3675) == 4 * 31 * 57 == 7068
 
@@ -233,9 +243,11 @@ def _full_walk(rep, n):
     whose twisted images are rep.images."""
     T1, T2 = rep.images
     target = rep.codomain.j_invariant()
-    for steps, cur, curU, curV in iter_kernel_candidates(rep.domain, rep.degree, *rep.basis, n):
+    basis = map(_coords, rep.basis)
+    for steps, cur, curU, curV in iter_kernel_candidates(rep.domain, rep.degree, *basis, n):
         if cur.j_invariant() != target:
             continue
+        curU, curV = _point(cur.p, curU), _point(cur.p, curV)
         for u in isomorphisms(cur, rep.codomain):
             if twist_point(curU, u) == T1 and twist_point(curV, u) == T2:
                 out = steps[:-1] + [steps[-1].retwist(u)]
@@ -320,12 +332,51 @@ def test_split_search_tries_every_twist_at_j_1728(t0, name):
         assert rec.evaluate(P) == act(P)
 
 
-def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplog):
+def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplog, monkeypatch):
     """A forged T0 response is ruled out against all 7 068 candidates of
-    degree 3^1*5^2*7^2 from 57 forward and 124 backward half-candidates."""
+    degree 3^1*5^2*7^2 from 57 forward and 124 backward half-candidates.
+
+    The search carries the basis images as ints through Step.image, so the
+    strict check (basis cache cleared) makes no Point-level Step.evaluate
+    and 349 int-to-Point conversions, each a Point that is kept: a step's
+    kernel, a canonical basis, the forward images at a j-match."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
+    evaluations, points = [], []
+    evaluate, point = Step.evaluate, curve._point
+    monkeypatch.setattr(Step, "evaluate", lambda s, P: evaluations.append(1) or evaluate(s, P))
+    for module in (curve, isogeny, dlog):
+        monkeypatch.setattr(module, "_point", lambda p, R: points.append(1) or point(p, R))
+    canonical_torsion_basis.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
+    assert (len(evaluations), len(points)) == (0, 349)
+
+
+# SHA-256 of the chain document that find_isogeny returns for the responses
+# of the golden plain signature and pre-signature: which steps and twists
+# the search picks is part of its behaviour
+CHAIN_PINS = {
+    "plain.json": "c7ecbf2b59e28bfd8d3a5078caf5ce98f989cd99690d1070851ca0ed8b7d34e4",
+    "presignature.json": "0a12e8a1c0eeb6d9d1207ae8a81e5a32006200662e038d13fbd457ed23dd744e",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_PINS))
+def test_search_returns_the_pinned_chain(name):
+    vectors = Path(__file__).parent / "vectors" / "t0"
+
+    def load(file):
+        return serial.loads((vectors / file).read_bytes())
+
+    ps = serial.parse_params(load("params.json"))
+    if name == "plain.json":
+        rep = serial.parse_signature(load(name), ps).rep
+    else:
+        s = serial.parse_statement(load("relation.json")["statement"], ps)
+        rep = serial.parse_presig(load(name), ps, s).rep_tilde
+    chain = find_isogeny(rep, ps.group_order)
+    digest = hashlib.sha256(serial.encode(serial.chain_doc(chain))).hexdigest()
+    assert digest == CHAIN_PINS[name]

@@ -46,6 +46,26 @@ def test_absolute_imports_are_stdlib():
     assert foreign == []
 
 
+# the modules whose private loops run on int coordinates
+ARITHMETIC = {"field", "curve", "isogeny", "dlog"}
+
+
+def test_int_helpers_stay_in_the_arithmetic_modules():
+    # every other module works on Points through public names: it imports
+    # no underscore name of curve, isogeny or dlog
+    leaks = [
+        f"{name}:{node.lineno} {alias.name}"
+        for name, tree in _trees()
+        if name[:-3] not in ARITHMETIC
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").split(".")[-1] in ("curve", "isogeny", "dlog")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert leaks == []
+
+
 # module-level containers that start empty and grow for the life of the
 # process; there are none, and a new one has to be added here
 UNBOUNDED_CACHES = set()

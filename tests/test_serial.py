@@ -272,7 +272,7 @@ def test_composite_step_degree_rejected():
 
 def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
     # pairs with ell = p+1 pass every order check on E0, and each one costs
-    # orientation_valid an _in_cyclic scan of up to p+1 additions
+    # orientation_valid an _in_subgroup scan of p+1 multiples
     ps = serial.parse_params(_vector("params.json"))
     E = ps.e0
     rng = random.Random(0)
@@ -282,7 +282,7 @@ def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
         "orientation": {"curve": serial.curve_doc(E), "pairs": [pair] * 4},
     }
     scans = []
-    monkeypatch.setattr(orientation, "_in_cyclic", lambda *args: scans.append(args))
+    monkeypatch.setattr(orientation, "_in_subgroup", lambda *args: scans.append(args))
     with pytest.raises(InvariantViolation) as err:
         serial.parse_statement(doc, ps)
     assert err.value.path == "statement.orientation"
@@ -292,9 +292,9 @@ def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
 
 def test_orientation_decoded_once_on_its_expected_curve(monkeypatch):
     scans = []
-    in_cyclic = orientation._in_cyclic
+    in_subgroup = orientation._in_subgroup
     monkeypatch.setattr(
-        orientation, "_in_cyclic", lambda *args: scans.append(args) or in_cyclic(*args)
+        orientation, "_in_subgroup", lambda *args: scans.append(args) or in_subgroup(*args)
     )
     ps = serial.parse_params(_vector("params.json"))
     assert len(scans) == len(ps.primes)  # one orientation_valid pass
