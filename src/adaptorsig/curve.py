@@ -11,6 +11,9 @@ Points are converted once on entry (_coords) and once on exit (_point), and
 never built only for a callee to unpack; no other module imports an
 underscore name of curve, isogeny or dlog.  The one exception is
 dlog.iter_kernel_candidates, which carries the search's images as ints.
+The point scan (_scan, square roots by field.sqrt_pair) and the
+j-invariant run on ints as well; lift_x and scan_points wrap _lift and
+_scan.
 The int loops trust their inputs, so membership is checked where points
 come in: Curve.add/mul/neg, IsogenyChain.evaluate, the Step constructor,
 isogeny_from_kernel's generators, decompose_2d, weil_pairing and the
@@ -20,7 +23,7 @@ decoders.
 import functools
 
 from .errors import NoBasis, OrderMismatch, PointNotOnCurve, SingularCurve
-from .field import Fp2, cube_roots, inv_pair
+from .field import Fp2, cube_roots, inv_pair, sqrt_pair
 
 
 class Point:
@@ -63,10 +66,8 @@ class Curve:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, a: Fp2, b: Fp2):
-        (a0, a1), (b0, b1) = a.lex_key(), b.lex_key()
-        s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1  # a^2
-        d0 = 4 * (s0 * a0 - s1 * a1) + 27 * (b0 * b0 - b1 * b1)  # 4 a^3 + 27 b^2
-        if d0 % a.p == 0 and (4 * (s0 * a1 + s1 * a0) + 54 * b0 * b1) % a.p == 0:
+        _, (d0, d1) = _j_parts(a, b)
+        if d0 % a.p == 0 and d1 % a.p == 0:
             raise SingularCurve("discriminant is zero")
         self.p = a.p
         self.a = a
@@ -113,26 +114,22 @@ class Curve:
     # -- invariants --------------------------------------------------------
 
     def j_invariant(self) -> Fp2:
-        a3 = 4 * (self.a**3)
-        return 1728 * a3 / (a3 + 27 * (self.b**2))
+        """1728 * 4a^3 / (4a^3 + 27b^2), on int pairs with one inversion."""
+        (c0, c1), (d0, d1) = _j_parts(self.a, self.b)
+        d0, d1 = inv_pair(self.p, d0, d1)
+        return Fp2(self.p, 1728 * (c0 * d0 - c1 * d1), 1728 * (c0 * d1 + c1 * d0))
 
     # -- deterministic point enumeration -----------------------------------
 
     def lift_x(self, x: Fp2):
         """Point with abscissa x and the canonical square-root ordinate."""
-        y = (x * x * x + self.a * x + self.b).sqrt()
-        if y is None:
-            return None
-        return Point(x, y)
+        R = _lift(self, x.c0, x.c1)
+        return None if R is None else _point(self.p, R)
 
     def scan_points(self):
         """Yield curve points in lexicographic x order, canonical lift only."""
-        p = self.p
-        for c0 in range(p):
-            for c1 in range(p):
-                P = self.lift_x(Fp2(p, c0, c1))
-                if P is not None:
-                    yield P
+        for R in _scan(self):
+            yield _point(self.p, R)
 
     def random_point(self, rng):
         p = self.p
@@ -143,6 +140,16 @@ class Curve:
             if rng.randrange(2):
                 P = self.neg(P)
             return P
+
+
+def _j_parts(a: Fp2, b: Fp2):
+    """(4a^3, 4a^3 + 27b^2) as unreduced int pairs: the j-invariant's
+    numerator over 1728 and the discriminant's share that vanishes when the
+    curve is singular."""
+    (a0, a1), (b0, b1) = a.lex_key(), b.lex_key()
+    s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1  # a^2
+    c0, c1 = 4 * (s0 * a0 - s1 * a1), 4 * (s0 * a1 + s1 * a0)
+    return (c0, c1), (c0 + 27 * (b0 * b0 - b1 * b1), c1 + 54 * b0 * b1)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +165,24 @@ def _coords(P: Point):
 def _point(p: int, R) -> Point:
     """The Point of an int 4-tuple (or None) from _coords."""
     return _INF if R is None else Point(Fp2(p, R[0], R[1]), Fp2(p, R[2], R[3]))
+
+
+def _lift(E: Curve, x0: int, x1: int):
+    """lift_x in int coordinates: (x0, x1, y0, y1) with the canonical root
+    y of x^3 + a x + b, or None when that is not a square."""
+    a, b = E.a, E.b
+    s0, s1 = x0 * x0 - x1 * x1 + a.c0, 2 * x0 * x1 + a.c1  # y^2 = (x^2 + a) x + b
+    y = sqrt_pair(E.p, s0 * x0 - s1 * x1 + b.c0, s0 * x1 + s1 * x0 + b.c1)
+    return None if y is None else (x0, x1, *y)
+
+
+def _scan(E: Curve):
+    """scan_points in int coordinates: x = x0 + x1*i in lexicographic order."""
+    for x0 in range(E.p):
+        for x1 in range(E.p):
+            R = _lift(E, x0, x1)
+            if R is not None:
+                yield R
 
 
 def _chord(p, a0, a1, P, Q):
@@ -336,23 +361,26 @@ def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
 # canonical torsion bases
 # ---------------------------------------------------------------------------
 
-# a strict check asks for up to 700 bases at T0 (106 distinct) and 2 500 at T1
-# (313) on an adapted signature, else 190-280 (33-40) and 630-700 (101-107)
+# a strict check asks for 220-290 bases at T0 (101-106 distinct) and 630-770
+# at T1 (298-341) on an adapted signature, else 69-106 (33-40) and 215-255
+# (100-107), over keys, signatures and forgeries of four seeds
 @functools.lru_cache(maxsize=4096)
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.
 
     Scans abscissas in lexicographic field order, lifts with the canonical
-    square root, clears the cofactor and keeps the first point P of exact
-    order N, then the first later point Q that is independent of it.  N must
-    divide the group exponent, and the group exponent must divide
-    group_order (p+1 for the supersingular curves used here); a scan point
-    with [group_order]S != O, as on an ordinary curve, raises NoBasis.
+    square root (_scan, on ints), clears the cofactor and keeps the first
+    point P of exact order N, then the first later point Q that is
+    independent of it.  N must divide the group exponent, and the group
+    exponent must divide group_order (p+1 for the supersingular curves used
+    here); a scan point with [group_order]S != O, as on an ordinary curve,
+    raises NoBasis.
     The cofactor clearing is adaptive: the prime-to-N part is stripped and
     each remaining prime power divided down to its share of N, so any scan
     point whose order is a multiple of N contributes.  Q is independent of P
     when [N/ell]Q is outside <[N/ell]P> for every prime ell | N: the same as
-    e_N(P, Q) having exact order N, at most ell additions per prime.
+    e_N(P, Q) having exact order N.  Each <[N/ell]P> is listed once by
+    _span, ell - 1 additions, and every later point is looked up in it.
     """
     if N == 1:
         return (_INF, _INF)
@@ -366,8 +394,8 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
             cof //= ell
             support *= ell
     first = None
-    for S in E.scan_points():
-        P = _scale(E, cof, _coords(S))
+    for S in _scan(E):
+        P = _scale(E, cof, S)
         n = _order(E, P, support)
         if n is None:
             raise NoBasis(f"the group exponent does not divide {group_order}")
@@ -376,9 +404,9 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
         P = _scale(E, n // N, P)
         if first is None:
             first = P
-            first_ell = [(ell, _scale(E, N // ell, P)) for ell in primes]
+            spans = [(N // ell, _span(E, _scale(E, N // ell, P), ell)) for ell in primes]
             continue
-        if not any(_in_cyclic(E, _scale(E, N // ell, P), G, ell) for ell, G in first_ell):
+        if not any(_scale(E, m, P) in span for m, span in spans):
             return (_point(E.p, first), _point(E.p, P))
     raise NoBasis(f"no basis of order {N} found")  # pragma: no cover
 
@@ -392,16 +420,14 @@ def small_torsion_basis(E: Curve, ell: int, group_order: int):
     return canonical_torsion_basis(E, ell, group_order)
 
 
-def _in_cyclic(E: Curve, P, G, n: int) -> bool:
-    """Whether P lies in the cyclic group generated by G (n = |G|, tiny), in
-    int coordinates."""
+def _span(E: Curve, G, n: int) -> list:
+    """[O, G, [2]G, ..., [n-1]G] in int coordinates: the cyclic group of G
+    when n = |G| (tiny here), built once for every membership test."""
     p, a0, a1 = E.p, E.a.c0, E.a.c1
-    R = None
-    for _ in range(n):
-        if P == R:
-            return True
-        R = _chord(p, a0, a1, R, G)[0]
-    return False
+    out = [None]
+    for _ in range(n - 1):
+        out.append(_chord(p, a0, a1, out[-1], G)[0])
+    return out
 
 
 # ---------------------------------------------------------------------------

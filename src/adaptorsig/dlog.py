@@ -34,9 +34,9 @@ from .curve import (
     Point,
     _chord,
     _coords,
-    _in_cyclic,
     _point,
     _scale,
+    _span,
     factorize,
     isomorphisms,
     small_torsion_basis,
@@ -166,12 +166,18 @@ def _pp_candidates(E, ell, e, U, V, group_order):
 
 def _walks(E, ell, r, steps, U, V, group_order, back_gen):
     """The cyclic walks of r steps of degree ell that do not backtrack into
-    back_gen's subgroup; back_gen, U, V and the images in int coordinates."""
+    back_gen's subgroup; back_gen, U, V and the images in int coordinates.
+
+    The backtrack subgroup is listed once per node for all its ell + 1
+    siblings, and a step's dual kernel only where the walk goes on: a leaf
+    (r = 1) has no children to keep from backtracking.
+    """
     if r == 0:
         yield steps, E, U, V
         return
+    back = () if back_gen is None else _span(E, back_gen, ell)
     for G in _subgroup_gens(E, ell, group_order):
-        if back_gen is not None and _in_cyclic(E, G, back_gen, ell):
+        if G in back:
             continue
         s = Step(E, _point(E.p, G), ell)
         yield from _walks(
@@ -182,7 +188,7 @@ def _walks(E, ell, r, steps, U, V, group_order, back_gen):
             s.image(U),
             s.image(V),
             group_order,
-            _dual_kernel(s, group_order),
+            _dual_kernel(s, group_order) if r > 1 else None,
         )
 
 

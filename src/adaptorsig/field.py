@@ -95,39 +95,9 @@ class Fp2:
     # -- square roots ----------------------------------------------------
 
     def sqrt(self):
-        """Canonical square root, or None if the element is not a square.
-
-        Of the two roots +-r the one with the lexicographically smaller
-        (c0, c1) pair is returned, so the choice is deterministic.
-        """
-        p = self.p
-        if self.is_zero():
-            return Fp2.zero(p)
-        if self.c1 == 0:
-            # root stays in GF(p) or is purely imaginary
-            s = pow(self.c0, (p + 1) // 4, p)
-            if s * s % p == self.c0:
-                return _lex_min(Fp2(p, s, 0))
-            t = pow(p - self.c0, (p + 1) // 4, p)
-            if t * t % p == p - self.c0:
-                return _lex_min(Fp2(p, 0, t))
-            return None
-        # write self = (u + v i)^2; the norm of a square is a square mod p
-        n = (self.c0 * self.c0 + self.c1 * self.c1) % p
-        s = pow(n, (p + 1) // 4, p)
-        if s * s % p != n:
-            return None
-        inv2 = pow(2, p - 2, p)
-        for sign in (s, p - s):
-            u2 = (self.c0 + sign) * inv2 % p
-            u = pow(u2, (p + 1) // 4, p)
-            if u * u % p != u2 or u == 0:
-                continue
-            v = self.c1 * pow(2 * u, p - 2, p) % p
-            r = Fp2(p, u, v)
-            if r * r == self:
-                return _lex_min(r)
-        return None
+        """Canonical square root (see sqrt_pair), or None for a non-square."""
+        r = sqrt_pair(self.p, self.c0, self.c1)
+        return None if r is None else Fp2(self.p, *r)
 
     # -- misc -------------------------------------------------------------
 
@@ -151,6 +121,38 @@ def inv_pair(p, c0, c1):
     return c0 * n % p, -c1 * n % p
 
 
+def sqrt_pair(p, c0, c1):
+    """The square root of c0 + c1*i as a reduced pair of ints, or None.
+
+    Of the two roots +-r the one with the lexicographically smaller (c0, c1)
+    pair is returned, so the choice is deterministic.  With p = 3 (mod 4) a
+    GF(p) square root is one pow.  An element of GF(p) is a square in GF(p^2):
+    its root is real or purely imaginary.  Otherwise the norm of a square is a
+    square s^2 mod p, and (u + v i)^2 = c0 + c1 i has u^2 = (c0 + s)/2 for
+    one sign of s and v = c1 / (2u).
+    """
+    c0, c1 = c0 % p, c1 % p
+    e = (p + 1) // 4
+    if c1 == 0:
+        s = pow(c0, e, p)
+        if s * s % p == c0:
+            return min(s, p - s), 0
+        t = pow(p - c0, e, p)
+        return 0, min(t, p - t)
+    n = (c0 * c0 + c1 * c1) % p
+    s = pow(n, e, p)
+    if s * s % p != n:
+        return None
+    half = (p + 1) // 2  # the inverse of 2
+    for sign in (s, p - s):
+        u2 = (c0 + sign) * half % p
+        u = pow(u2, e, p)
+        if u and u * u % p == u2:
+            v = c1 * pow(2 * u, -1, p) % p
+            return (u, v) if u < p - u else (p - u, -v % p)
+    return None  # pragma: no cover  (a norm square has one sign that works)
+
+
 def batch_inv(p, xs):
     """Inverses of the nonzero pairs xs = [(c0, c1), ...] with one inversion.
 
@@ -172,11 +174,6 @@ def batch_inv(p, xs):
         c0, c1 = xs[i]
         out[i] = (c0 * ninv % p, -c1 * ninv % p)
     return out
-
-
-def _lex_min(r: Fp2) -> Fp2:
-    m = -r
-    return r if r.lex_key() <= m.lex_key() else m
 
 
 def cube_roots(x: Fp2):

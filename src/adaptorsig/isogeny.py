@@ -25,7 +25,7 @@ from .curve import (
     weil_pairing,
 )
 from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
-from .field import Fp2, batch_inv
+from .field import Fp2, batch_inv, sqrt_pair
 
 
 class Step:
@@ -307,12 +307,11 @@ def _dual_kernel(step: Step, group_order: int):
     """
     E, ell = step.domain, step.ell
     if ell == 2:
-        xK = step.kernel.x
-        r = (-3 * (xK * xK) - 4 * E.a).sqrt()
+        (k0, k1), (a0, a1), h = step.kernel.x.lex_key(), E.a.lex_key(), (E.p + 1) // 2
+        r = sqrt_pair(E.p, -3 * (k0 * k0 - k1 * k1) - 4 * a0, -6 * k0 * k1 - 4 * a1)
         if r is None:
             raise NoBasis("E[2] is not rational")
-        x = (r - xK) * pow(2, -1, E.p)
-        return step.image((x.c0, x.c1, 0, 0))
+        return step.image(((r[0] - k0) * h % E.p, (r[1] - k1) * h % E.p, 0, 0))
     U, V = small_torsion_basis(E, ell, group_order)
     K = step.image(_coords(U))
     return step.image(_coords(V)) if K is None else K

@@ -13,6 +13,7 @@ from adaptorsig.curve import (
     _miller,
     _point,
     _scale,
+    _span,
     canonical_torsion_basis,
     factorize,
     has_exact_order,
@@ -80,6 +81,75 @@ def test_j_invariants(t0):
     assert t0.e0.j_invariant() == Fp2(p, 1728)
     E = Curve(Fp2.zero(p), Fp2.one(p))
     assert E.j_invariant() == Fp2.zero(p)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_j_invariant_matches_the_fp2_formula(request, profile):
+    ps = request.getfixturevalue(profile)
+    p = ps.p
+    rng = random.Random(p)
+    zero, one = Fp2.zero(p), Fp2.one(p)
+    Es = [ps.e0, Curve(zero, one), Curve(one, zero), Curve(zero, Fp2(p, 3, 5))]  # j = 1728, 0
+    Es += [twist_curve(ps.e0, Fp2(p, 3, 5)), keygen(ps, random.Random(1)).pk]
+    while len(Es) < 40:
+        a, b = Fp2(p, rng.randrange(p), rng.randrange(p)), Fp2(p, rng.randrange(p), rng.randrange(p))
+        a3 = 4 * (a * a * a)
+        if a3 + 27 * (b * b):
+            Es.append(Curve(a, b))
+    for E in Es:
+        a3 = 4 * (E.a * E.a * E.a)
+        assert E.j_invariant() == 1728 * a3 / (a3 + 27 * (E.b * E.b))
+    assert [E.j_invariant() for E in Es[:4]] == [Fp2(p, 1728), zero, Fp2(p, 1728), zero]
+
+
+def ref_scan(E):
+    """Scan points by the nested loop over x = c0 + c1*i, each lifted on
+    Fp2 objects with the canonical square root."""
+    p = E.p
+    for c0 in range(p):
+        for c1 in range(p):
+            x = Fp2(p, c0, c1)
+            y = (x * x * x + E.a * x + E.b).sqrt()
+            if y is not None:
+                yield Point(x, y)
+
+
+def test_scan_points_match_the_nested_lift_loop(t0):
+    for E in (t0.e0, keygen(t0, random.Random(2)).pk):
+        scan, ref = E.scan_points(), ref_scan(E)
+        points = [next(scan) for _ in range(50)]
+        assert points == [next(ref) for _ in range(50)]
+        assert all(E.lift_x(P.x) == P and E.on_curve(P) for P in points)
+        x = next(x for x in (Fp2(t0.p, c, 1) for c in range(t0.p)) if E.lift_x(x) is None)
+        assert (x * x * x + E.a * x + E.b).sqrt() is None and E.lift_x(x) is None
+
+
+def test_span_matches_repeated_add(t0):
+    n = t0.group_order
+    for E in (t0.e0, keygen(t0, random.Random(4)).pk):
+        for N in (2, 3, 5, 7, t0.A, t0.C):
+            for G in canonical_torsion_basis(E, N, n):
+                R, want = Point.infinity(), []
+                for _ in range(N):
+                    want.append(R)
+                    R = E.add(R, G)
+                assert R.is_inf
+                assert [_point(t0.p, S) for S in _span(E, _coords(G), N)] == want
+        assert _span(E, None, 3) == [None, None, None]
+
+
+@pytest.mark.parametrize("N", [2, 7, 128, 384])
+def test_fresh_basis_builds_only_its_two_points(t0, monkeypatch, N):
+    """The scan, cofactor clearing and independence test run on ints: a
+    fresh basis on E0 builds the four Fp2 coordinates it returns."""
+    builds = []
+    init = Fp2.__init__
+    canonical_torsion_basis.cache_clear()
+    monkeypatch.setattr(Fp2, "__init__", lambda self, *a: builds.append(1) or init(self, *a))
+    P, Q = canonical_torsion_basis(t0.e0, N, t0.group_order)
+    monkeypatch.undo()
+    assert not P.is_inf and not Q.is_inf
+    assert len(builds) == 4
 
 
 def test_canonical_basis_trivial(t0):
@@ -157,9 +227,9 @@ def test_miller_divides_once_per_loop(t0, monkeypatch, which, inversions, pairin
     assert weil_pairing(E, U, V, N) == Fp2(t0.p, *pairing)
     # Miller's formula: one loop per argument and no offset point
     millers, scans = [], []
-    scan = Curve.scan_points
+    scan = curve._scan
     monkeypatch.setattr(curve, "_miller", lambda *args: millers.append(args) or _miller(*args))
-    monkeypatch.setattr(Curve, "scan_points", lambda E: scans.append(E) or scan(E))
+    monkeypatch.setattr(curve, "_scan", lambda E: scans.append(E) or scan(E))
     weil_pairing(E, U, V, N)
     monkeypatch.undo()
     assert len(millers) == 2

@@ -339,20 +339,30 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     The search carries the basis images as ints through Step.image, so the
     strict check (basis cache cleared) makes no Point-level Step.evaluate
     and 349 int-to-Point conversions, each a Point that is kept: a step's
-    kernel, a canonical basis, the forward images at a j-match."""
+    kernel, a canonical basis, the forward images at a j-match.  A walk
+    takes a step's dual kernel only where it goes on, so the check makes 52
+    _dual_kernel calls and 95 small_torsion_basis requests, where building
+    one for every step, leaves included, makes 232 and 275."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
-    evaluations, points = [], []
+    evaluations, points, duals, bases = [], [], [], []
     evaluate, point = Step.evaluate, curve._point
+    dual_kernel, small_basis = isogeny._dual_kernel, curve.small_torsion_basis
     monkeypatch.setattr(Step, "evaluate", lambda s, P: evaluations.append(1) or evaluate(s, P))
     for module in (curve, isogeny, dlog):
         monkeypatch.setattr(module, "_point", lambda p, R: points.append(1) or point(p, R))
+    for module in (isogeny, dlog):
+        monkeypatch.setattr(module, "_dual_kernel", lambda *a: duals.append(1) or dual_kernel(*a))
+        monkeypatch.setattr(
+            module, "small_torsion_basis", lambda *a: bases.append(1) or small_basis(*a)
+        )
     canonical_torsion_basis.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
     assert (len(evaluations), len(points)) == (0, 349)
+    assert (len(duals), len(bases)) == (52, 95)
 
 
 # SHA-256 of the chain document that find_isogeny returns for the responses

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from adaptorsig.field import Fp2, cube_roots
+from adaptorsig.field import Fp2, cube_roots, sqrt_pair
 
 P = 26879  # T0 modulus
 
@@ -79,6 +79,61 @@ def test_sqrt_roundtrip_canonical():
         assert s == r or s == -r
         # canonical: lexicographically no larger than its negation
         assert s.lex_key() <= (-s).lex_key()
+
+
+def ref_sqrt(x):
+    """The canonical square root on Fp2 objects: a GF(p) element's root is
+    real or imaginary, else u^2 = (c0 +- sqrt(norm))/2 and v = c1/(2u), each
+    root checked by squaring, the smaller of +-r by lex_key."""
+    p = x.p
+
+    def lex_min(r):
+        return r if r.lex_key() <= (-r).lex_key() else -r
+
+    if x.is_zero():
+        return Fp2.zero(p)
+    if x.c1 == 0:
+        s = pow(x.c0, (p + 1) // 4, p)
+        if s * s % p == x.c0:
+            return lex_min(Fp2(p, s, 0))
+        t = pow(p - x.c0, (p + 1) // 4, p)
+        if t * t % p == p - x.c0:
+            return lex_min(Fp2(p, 0, t))
+        return None
+    n = (x.c0 * x.c0 + x.c1 * x.c1) % p
+    s = pow(n, (p + 1) // 4, p)
+    if s * s % p != n:
+        return None
+    inv2 = pow(2, p - 2, p)
+    for sign in (s, p - s):
+        u2 = (x.c0 + sign) * inv2 % p
+        u = pow(u2, (p + 1) // 4, p)
+        if u * u % p != u2 or u == 0:
+            continue
+        r = Fp2(p, u, x.c1 * pow(2 * u, p - 2, p))
+        if r * r == x:
+            return lex_min(r)
+    return None
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_sqrt_pair_matches_the_fp2_reference(request, profile):
+    p = request.getfixturevalue(profile).p
+    rng = random.Random(p)
+    xs = [Fp2(p, 0, 0), Fp2(p, 1, 0), Fp2(p, p - 1, 0), Fp2(p, 0, 1), Fp2(p, 0, p - 1)]
+    for _ in range(300):
+        c = rng.randrange(1, p)
+        xs += [Fp2(p, c, 0), Fp2(p, 0, c), rand_elt(rng, p)]  # the c1 = 0 and c0 = 0 lines
+        r = rand_elt(rng, p)
+        xs.append(r * r)
+    misses = 0
+    for x in xs:
+        want = ref_sqrt(x)
+        got = sqrt_pair(p, x.c0, x.c1)
+        assert got == (None if want is None else want.lex_key())
+        assert x.sqrt() == want
+        misses += want is None
+    assert misses > 100  # about half of the random elements are non-squares
 
 
 def test_first_nonsquare_has_no_root():
