@@ -88,8 +88,8 @@ def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignat
     e1 = psip.codomain
     proof = prove_parallel((s.ew, s.oriented_image, e1), bits, ps, rng)
     phi = challenge(kp.pk, e1, m, ps)
-    sigma_tilde = compose_chains(dual(psi, ps.group_order), kp.sk, phi)
-    rep_tilde = efficient_rep(sigma_tilde, ps.A * ps.C, ps.group_order)
+    sigma_tilde = compose_chains(dual(psi), kp.sk, phi)
+    rep_tilde = efficient_rep(sigma_tilde, ps.A * ps.C)
     return PreSignature(e1, proof, psi.codomain, S, rep_tilde)
 
 
@@ -158,10 +158,10 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
         )
     steps = list(wprime.steps)
     steps[-1] = steps[-1].retwist(isos[0])
-    wprime = IsogenyChain(epsi, presig.e1, steps, C, wprime.kernel_gens)
-    what = dual(wprime, ps.group_order)  # E1 -> E_psi, exact
+    wprime = IsogenyChain(epsi, steps, wprime.kernel_gens)
+    what = dual(wprime)  # E1 -> E_psi, exact
 
-    P0, Q0 = canonical_torsion_basis(presig.e1, ps.A * C, ps.group_order)
+    P0, Q0 = canonical_torsion_basis(presig.e1, ps.A * C, presig.e1.p + 1)
     sigP = evaluate_rep(presig.rep_tilde, what.evaluate(P0))
     sigQ = evaluate_rep(presig.rep_tilde, what.evaluate(Q0))
     rep = EfficientRep(
@@ -204,7 +204,7 @@ def extract(
     if rep.domain != e1 or rep.codomain != presig.rep_tilde.codomain:
         fail("rep:endpoints")
         return None
-    tag = rep_rejection(rep, {A * C: presig.rep_tilde.degree * C}, ps.group_order)
+    tag = rep_rejection(rep, {A * C: presig.rep_tilde.degree * C})
     if tag is not None:
         fail(tag)
         return None
@@ -222,7 +222,7 @@ def extract(
     epsi = presig.epsi
     synth = EfficientRep(e1, epsi, C, A, sig_a.basis, images)
     try:
-        rec = recover_isogeny(synth, ps.group_order)
+        rec = recover_isogeny(synth)
     except NotFound:
         fail("recovery:not-found")
         return None
@@ -231,7 +231,7 @@ def extract(
         return None
 
     # kernel of the parallel witness isogeny = image of E1[C] under the dual
-    Uc, Vc = canonical_torsion_basis(e1, C, ps.group_order)
+    Uc, Vc = canonical_torsion_basis(e1, C, e1.p + 1)
     K = rec.evaluate(Uc)
     if not has_exact_order(epsi, K, C):
         K = rec.evaluate(Vc)

@@ -65,7 +65,7 @@ def cmd_params(args):
             keys = ("a", "primes", "c", "d_tau", "d_phi")
             a, primes, c, d_tau, d_phi = (spec[key] for key in keys)
             rounds = spec.get("nizk_rounds", 24)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise ParseError(f"bad --custom-spec: {exc!r}") from exc
         if not isinstance(primes, list) or any(
             type(v) is not int for v in (a, c, d_tau, d_phi, rounds, *primes)

@@ -372,9 +372,10 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     square root (_scan, on ints), clears the cofactor and keeps the first
     point P of exact order N, then the first later point Q that is
     independent of it.  N must divide the group exponent, and the group
-    exponent must divide group_order (p+1 for the supersingular curves used
-    here); a scan point with [group_order]S != O, as on an ordinary curve,
-    raises NoBasis.
+    exponent must divide group_order: the package always passes E.p + 1,
+    the exponent of every curve it admits, and perfbench passes it too; a
+    scan point with [group_order]S != O, as on an ordinary curve, raises
+    NoBasis.
     The cofactor clearing is adaptive: the prime-to-N part is stripped and
     each remaining prime power divided down to its share of N, so any scan
     point whose order is a multiple of N contributes.  Q is independent of P

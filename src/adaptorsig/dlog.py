@@ -130,10 +130,10 @@ def evaluate_rep(rep: EfficientRep, X: Point) -> Point:
 # ---------------------------------------------------------------------------
 
 
-def _subgroup_gens(E: Curve, ell: int, group_order: int):
+def _subgroup_gens(E: Curve, ell: int):
     """Canonical generators of the ell+1 order-ell subgroups of E[ell]: U + [k]V
     for k < ell, then V, with (U, V) the canonical basis; in int coordinates."""
-    U, V = small_torsion_basis(E, ell, group_order)
+    U, V = small_torsion_basis(E, ell, E.p + 1)
     p, a0, a1 = E.p, E.a.c0, E.a.c1
     W, V = _coords(U), _coords(V)
     gens = []
@@ -144,13 +144,13 @@ def _subgroup_gens(E: Curve, ell: int, group_order: int):
     return gens
 
 
-def _ell_block(E: Curve, ell: int, group_order: int):
+def _ell_block(E: Curve, ell: int):
     """Two steps composing to exact multiplication by ell on E."""
-    s0 = Step(E, small_torsion_basis(E, ell, group_order)[0], ell)
-    return [s0, dual_step(s0, group_order)]
+    s0 = Step(E, small_torsion_basis(E, ell, E.p + 1)[0], ell)
+    return [s0, dual_step(s0)]
 
 
-def _pp_candidates(E, ell, e, U, V, group_order):
+def _pp_candidates(E, ell, e, U, V):
     """Yield (steps, codomain, imgU, imgV) for every order-ell^e kernel
     subgroup of E, each exactly once; U, V and their images in int
     coordinates."""
@@ -158,13 +158,13 @@ def _pp_candidates(E, ell, e, U, V, group_order):
         r = e - 2 * b
         prefix = []
         for _ in range(b):
-            prefix = prefix + _ell_block(E, ell, group_order)
+            prefix = prefix + _ell_block(E, ell)
         U0 = _scale(E, ell**b, U)
         V0 = _scale(E, ell**b, V)
-        yield from _walks(E, ell, r, prefix, U0, V0, group_order, None)
+        yield from _walks(E, ell, r, prefix, U0, V0, None)
 
 
-def _walks(E, ell, r, steps, U, V, group_order, back_gen):
+def _walks(E, ell, r, steps, U, V, back_gen):
     """The cyclic walks of r steps of degree ell that do not backtrack into
     back_gen's subgroup; back_gen, U, V and the images in int coordinates.
 
@@ -176,7 +176,7 @@ def _walks(E, ell, r, steps, U, V, group_order, back_gen):
         yield steps, E, U, V
         return
     back = () if back_gen is None else _span(E, back_gen, ell)
-    for G in _subgroup_gens(E, ell, group_order):
+    for G in _subgroup_gens(E, ell):
         if G in back:
             continue
         s = Step(E, _point(E.p, G), ell)
@@ -187,8 +187,7 @@ def _walks(E, ell, r, steps, U, V, group_order, back_gen):
             steps + [s],
             s.image(U),
             s.image(V),
-            group_order,
-            _dual_kernel(s, group_order) if r > 1 else None,
+            _dual_kernel(s) if r > 1 else None,
         )
 
 
@@ -200,7 +199,7 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def iter_kernel_candidates(E: Curve, degree: int, U, V, group_order: int):
+def iter_kernel_candidates(E: Curve, degree: int, U, V):
     """Every order-`degree` kernel subgroup of E as a candidate chain.
 
     Yields (steps, codomain, image of U, image of V), enumerating prime
@@ -215,7 +214,7 @@ def iter_kernel_candidates(E: Curve, degree: int, U, V, group_order: int):
             yield steps, cur, curU, curV
             return
         ell, e = fac[idx]
-        for seg, nxt, nU, nV in _pp_candidates(cur, ell, e, curU, curV, group_order):
+        for seg, nxt, nU, nV in _pp_candidates(cur, ell, e, curU, curV):
             yield from rec(nxt, nU, nV, idx + 1, steps + seg)
 
     yield from rec(E, U, V, 0, [])
@@ -237,7 +236,7 @@ def _split(degree: int):
     return min(splits, key=lambda s: (count(s[0]) + count(s[1]), count(s[0])))
 
 
-def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
+def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
 
     An existence certificate: the search stops at the first match and needs
@@ -279,17 +278,17 @@ def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
     d1, d2 = _split(d)
     back = {}  # j-invariant -> [(index, steps, codomain)] of the backward half
     built = 0
-    for steps, mid, _, _ in iter_kernel_candidates(E2, d2, None, None, group_order):
+    for steps, mid, _, _ in iter_kernel_candidates(E2, d2, None, None):
         back.setdefault(mid.j_invariant(), []).append((built, steps, mid))
         built += 1
     duals = {}  # index -> exact dual of that backward chain, built on its first j-match
     tried = 0
     basis = _coords(U), _coords(V)
-    for steps, cur, curU, curV in iter_kernel_candidates(E, d1, *basis, group_order):
+    for steps, cur, curU, curV in iter_kernel_candidates(E, d1, *basis):
         tried += 1
         for i, bsteps, mid in back.get(cur.j_invariant(), ()):
             if i not in duals:
-                duals[i] = dual(IsogenyChain(E2, mid, bsteps, d2), group_order)
+                duals[i] = dual(IsogenyChain(E2, bsteps))
             hat = duals[i]
             imgU, imgV = _point(E.p, curU), _point(E.p, curV)
             for u in isomorphisms(cur, mid):
@@ -307,7 +306,7 @@ def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
                     tried + built,
                     time.perf_counter() - t0,
                 )
-                return IsogenyChain(E, E2, out, d, None)
+                return IsogenyChain(E, out)
     logger.debug(
         "recovery of degree %d: exhausted %d candidates (%d halves built), %.3fs",
         d,
@@ -318,7 +317,7 @@ def find_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
     raise NotFound(f"no degree-{d} isogeny matches the images ({total} candidates)")
 
 
-def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
+def recover_isogeny(rep: EfficientRep) -> IsogenyChain:
     """The unique chain of rep.degree matching rep.images: find_isogeny
     under the precondition that pins it, else AmbiguityBound."""
     d, N = rep.degree, rep.order
@@ -326,4 +325,4 @@ def recover_isogeny(rep: EfficientRep, group_order: int) -> IsogenyChain:
         raise AmbiguityBound(f"4*{d} >= {N}^2: images do not pin the isogeny")
     if math.gcd(d, N) != 1:
         raise AmbiguityBound(f"gcd({d}, {N}) != 1: torsion images may degenerate")
-    return find_isogeny(rep, group_order)
+    return find_isogeny(rep)

@@ -120,20 +120,21 @@ class Step:
 
 
 class IsogenyChain:
-    """Composable sequence of steps with explicit endpoints and degree."""
+    """Composable sequence of steps from a domain; the codomain (the domain
+    when there are no steps) and the degree are the steps' own."""
 
     __slots__ = ("domain", "codomain", "steps", "degree", "kernel_gens")
 
-    def __init__(self, domain, codomain, steps, degree, kernel_gens=None):
+    def __init__(self, domain, steps, kernel_gens=None):
         self.domain = domain
-        self.codomain = codomain
+        self.codomain = steps[-1].codomain if steps else domain
         self.steps = steps
-        self.degree = degree
+        self.degree = math.prod(s.ell for s in steps)
         self.kernel_gens = kernel_gens
 
     @classmethod
     def identity(cls, E: Curve):
-        return cls(E, E, [], 1, [])
+        return cls(E, [], [])
 
     def evaluate(self, P: Point) -> Point:
         self.domain.check(P)
@@ -149,17 +150,12 @@ class IsogenyChain:
 
 def compose_chains(*chains) -> IsogenyChain:
     """Compose chains in pipeline order: the first argument is applied first."""
-    first = chains[0]
-    steps = list(first.steps)
-    deg = first.degree
-    cur = first.codomain
-    for c in chains[1:]:
-        if c.domain != cur:
+    steps = list(chains[0].steps)
+    for prev, c in zip(chains, chains[1:]):
+        if c.domain != prev.codomain:
             raise DomainMismatch("chain endpoints do not line up")
         steps.extend(c.steps)
-        deg *= c.degree
-        cur = c.codomain
-    return IsogenyChain(first.domain, cur, steps, deg, None)
+    return IsogenyChain(chains[0].domain, steps)
 
 
 def _ladder(E: Curve, R, ell: int, r: int) -> list:
@@ -233,7 +229,7 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
         if any(point_order(E, g, degree) is None for g in gens):
             raise BadKernel("generator order does not divide the degree") from None
         raise
-    return IsogenyChain(E, steps[-1].codomain, steps, degree, list(gens))
+    return IsogenyChain(E, steps, list(gens))
 
 
 def _kernel_steps(E: Curve, gens, degree: int):
@@ -295,7 +291,7 @@ def _kernel_steps(E: Curve, gens, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def _dual_kernel(step: Step, group_order: int):
+def _dual_kernel(step: Step):
     """Generator of the dual step's kernel, the step-image of E[ell], in int
     coordinates.
 
@@ -312,12 +308,12 @@ def _dual_kernel(step: Step, group_order: int):
         if r is None:
             raise NoBasis("E[2] is not rational")
         return step.image(((r[0] - k0) * h % E.p, (r[1] - k1) * h % E.p, 0, 0))
-    U, V = small_torsion_basis(E, ell, group_order)
+    U, V = small_torsion_basis(E, ell, E.p + 1)
     K = step.image(_coords(U))
     return step.image(_coords(V)) if K is None else K
 
 
-def dual_step(step: Step, group_order: int) -> Step:
+def dual_step(step: Step) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
     Its kernel is _dual_kernel(step), and its twist is computed, not searched
@@ -329,17 +325,16 @@ def dual_step(step: Step, group_order: int) -> Step:
     exactly when it keeps the differential.  So v = 1/(ell u) makes the
     composite [ell] and lands s_hat on the domain of s.
     """
-    K = _point(step.domain.p, _dual_kernel(step, group_order))
+    K = _point(step.domain.p, _dual_kernel(step))
     d = Step(step.codomain, K, step.ell, (step.ell * step.u).inv())
     if d.codomain != step.domain:
         raise BadKernel("the dual step does not return to the domain")
     return d
 
 
-def dual(chain: IsogenyChain, group_order: int) -> IsogenyChain:
+def dual(chain: IsogenyChain) -> IsogenyChain:
     """Chain d with d(chain(P)) = [degree]P on all rational points."""
-    steps = [dual_step(s, group_order) for s in reversed(chain.steps)]
-    return IsogenyChain(chain.codomain, chain.domain, steps, chain.degree, None)
+    return IsogenyChain(chain.codomain, [dual_step(s) for s in reversed(chain.steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,7 @@ def push_forward(phi2: IsogenyChain, phi1: IsogenyChain) -> IsogenyChain:
     return isogeny_from_kernel(phi2.codomain, gens, phi1.degree)
 
 
-def pull_back(phi2: IsogenyChain, psi1: IsogenyChain, group_order: int) -> IsogenyChain:
+def pull_back(phi2: IsogenyChain, psi1: IsogenyChain) -> IsogenyChain:
     """[phi2]^* psi1: the phi1 with [phi2]_* phi1 = psi1 (kernels as subgroups)."""
     if psi1.domain != phi2.codomain:
         raise DomainMismatch("pull-back needs domain(psi1) = codomain(phi2)")
@@ -367,7 +362,7 @@ def pull_back(phi2: IsogenyChain, psi1: IsogenyChain, group_order: int) -> Isoge
         raise NonCoprimeDegree("pull-back needs coprime degrees")
     if psi1.kernel_gens is None:
         raise NoPreimage("kernel certificate unavailable for pull-back")
-    back = dual(phi2, group_order)
+    back = dual(phi2)
     gens = [back.evaluate(g) for g in psi1.kernel_gens]
     return isogeny_from_kernel(phi2.domain, gens, psi1.degree)
 
@@ -404,9 +399,9 @@ def pairing_law(rep: EfficientRep) -> bool:
     return zi == zb ** (rep.degree % N)
 
 
-def efficient_rep(chain: IsogenyChain, N: int, group_order: int) -> EfficientRep:
+def efficient_rep(chain: IsogenyChain, N: int) -> EfficientRep:
     """Represent the chain by the images of the canonical N-basis."""
-    U, V = canonical_torsion_basis(chain.domain, N, group_order)
+    U, V = canonical_torsion_basis(chain.domain, N, chain.domain.p + 1)
     return EfficientRep(
         chain.domain,
         chain.codomain,

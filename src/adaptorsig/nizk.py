@@ -82,7 +82,7 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
     reveals = []
     for _ in range(ps.nizk_rounds):
         h = rng.randrange(1, mu(A) + 1)
-        mask = challenge_walk(ew, h, A, ps.group_order)
+        mask = challenge_walk(ew, h, A)
         maskp = push_forward(psip, mask)  # e1 -> F'
         corners.append((mask.codomain, maskp.codomain))
         # tag 0 reveals both masks, tag 1 the kernel of F -> F'' (j(F'') = j(F'))

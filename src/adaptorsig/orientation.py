@@ -40,7 +40,7 @@ class Orientation:
         return f"Orientation(primes={self.primes})"
 
 
-def sample_orientation(E: Curve, primes, group_order: int, rng) -> Orientation:
+def sample_orientation(E: Curve, primes, rng) -> Orientation:
     """Random orientation on E: per prime, two independent order-ell points.
 
     Independence is certified by a scalar scan over the tiny cyclic group,
@@ -48,9 +48,9 @@ def sample_orientation(E: Curve, primes, group_order: int, rng) -> Orientation:
     """
     pairs = []
     for ell in primes:
-        if group_order % ell != 0:
+        if (E.p + 1) % ell != 0:
             raise TorsionUnavailable(f"no rational {ell}-torsion")
-        U, V = canonical_torsion_basis(E, ell, group_order)
+        U, V = canonical_torsion_basis(E, ell, E.p + 1)
         G1 = _random_order_ell_point(E, U, V, ell, rng)
         while True:
             G2 = _random_order_ell_point(E, U, V, ell, rng)
@@ -98,11 +98,11 @@ def orientation_image(phi: IsogenyChain, o: Orientation) -> Orientation:
     return Orientation(phi.codomain, pairs)
 
 
-def orientation_valid(o: Orientation, group_order: int) -> bool:
+def orientation_valid(o: Orientation) -> bool:
     """Re-check generator orders and pairwise trivial intersections."""
     E = o.curve
     for ell, G1, G2 in o.pairs:
-        if ell < 2 or group_order % ell != 0:
+        if ell < 2 or (E.p + 1) % ell != 0:
             return False
         for G in (G1, G2):
             if not E.on_curve(G) or G.is_inf or not E.mul(ell, G).is_inf:

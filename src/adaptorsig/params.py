@@ -176,7 +176,7 @@ def _basis_ok(ps) -> bool:
 
 def _orientation_ok(ps) -> bool:
     o = ps.orientation
-    return o.curve == ps.e0 and o.primes == ps.primes and orientation_valid(o, ps.group_order)
+    return o.curve == ps.e0 and o.primes == ps.primes and orientation_valid(o)
 
 
 E0_RULE = ("E0 is y^2 = x^3 + x", lambda ps: ps.e0 == base_curve(ps.p), "not a twist of it")
@@ -229,8 +229,8 @@ def generate_params(profile, rng) -> ParamSet:
         raise NoPrimeFound(f"no prime of the form {base}*f - 1 with f <= {top}")
 
     e0 = base_curve(p)
-    orientation = sample_orientation(e0, primes, p + 1, rng)
-    pq = canonical_torsion_basis(e0, shape.C, p + 1)
+    orientation = sample_orientation(e0, primes, rng)
+    pq = canonical_torsion_basis(e0, shape.C, e0.p + 1)
     return replace(shape, p=p, f=f, e0=e0, orientation=orientation, pq=pq)
 
 

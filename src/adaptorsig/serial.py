@@ -38,9 +38,11 @@ def encode(doc) -> bytes:
 
 
 def loads(data: bytes):
+    # bad UTF-8, bad JSON and an integer past the int-string digit limit
+    # raise ValueError, and deep nesting raises RecursionError
     try:
         return json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"not a JSON document: {exc}") from exc
 
 
@@ -133,7 +135,7 @@ def orientation_doc(o: Orientation) -> dict:
     }
 
 
-def parse_orientation(doc, curve, group_order, primes, path) -> Orientation:
+def parse_orientation(doc, curve, primes, path) -> Orientation:
     """Decode an orientation that must live on `curve` and use `primes`, in
     order; both are checked before the order scans of orientation_valid."""
     E = parse_curve(_field(doc, "curve", path), curve.p, f"{path}.curve")
@@ -151,7 +153,7 @@ def parse_orientation(doc, curve, group_order, primes, path) -> Orientation:
     o = Orientation(E, pairs)
     if o.primes != primes:
         raise InvariantViolation(path, "wrong orientation primes")
-    if not orientation_valid(o, group_order):
+    if not orientation_valid(o):
         raise InvariantViolation(path, "orientation generators invalid")
     return o
 
@@ -203,7 +205,7 @@ def parse_params(doc) -> ParamSet:
     ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))
     _require(ps, f"{path}.e0", E0_RULE)
     orientation = parse_orientation(
-        _field(doc, "orientation", path), ps.e0, p + 1, primes, f"{path}.orientation"
+        _field(doc, "orientation", path), ps.e0, primes, f"{path}.orientation"
     )
     pq_doc = _list(doc, "pq", path, 2)
     pq = tuple(parse_point(pq_doc[i], ps.e0, f"{path}.pq[{i}]") for i in range(2))
@@ -233,12 +235,11 @@ def parse_chain(doc, p, path) -> IsogenyChain:
     degree = _unhex(_field(doc, "degree", path), f"{path}.degree")
     steps = []
     cur = domain
-    deg = 1
     for i, sdoc in enumerate(_list(doc, "steps", path)):
         sub = f"{path}.steps[{i}]"
         ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
         # every Vélu step here has ell | p + 1; this bounds is_prime's input
-        if ell == 0 or (p + 1) % ell:
+        if ell == 0 or (cur.p + 1) % ell:
             raise InvariantViolation(f"{sub}.ell", "step degree does not divide p+1")
         if not is_prime(ell):
             raise InvariantViolation(f"{sub}.ell", "step degree is not prime")
@@ -250,12 +251,12 @@ def parse_chain(doc, p, path) -> IsogenyChain:
             raise InvariantViolation(sub, f"invalid step: {exc}") from exc
         steps.append(step)
         cur = step.codomain
-        deg *= ell
-    if cur != codomain:
+    chain = IsogenyChain(domain, steps)
+    if chain.codomain != codomain:
         raise InvariantViolation(f"{path}.codomain", "steps do not reach the codomain")
-    if deg != degree:
+    if chain.degree != degree:
         raise InvariantViolation(f"{path}.degree", "degree != product of step primes")
-    return IsogenyChain(domain, codomain, steps, degree, None)
+    return chain
 
 
 def rep_doc(rep: EfficientRep) -> dict:
@@ -266,7 +267,7 @@ def rep_doc(rep: EfficientRep) -> dict:
     }
 
 
-def parse_rep(doc, domain: Curve, shapes: dict, group_order, path) -> EfficientRep:
+def parse_rep(doc, domain: Curve, shapes: dict, path) -> EfficientRep:
     """A response from `domain` sent as codomain, order and images; `shapes`
     maps each admissible order to its degree, the basis is the canonical one."""
     codomain = parse_curve(_field(doc, "codomain", path), domain.p, f"{path}.codomain")
@@ -279,7 +280,7 @@ def parse_rep(doc, domain: Curve, shapes: dict, group_order, path) -> EfficientR
         if not codomain.mul(order, X).is_inf:
             raise InvariantViolation(f"{path}.images[{i}]", "not killed by the order")
     try:
-        basis = canonical_torsion_basis(domain, order, group_order)
+        basis = canonical_torsion_basis(domain, order, domain.p + 1)
     except ProtocolError as exc:
         raise InvariantViolation(path, f"no canonical basis: {exc}") from exc
     rep = EfficientRep(domain, codomain, shapes[order], order, basis, images)
@@ -300,9 +301,10 @@ def parse_keypair(doc, ps: ParamSet) -> KeyPair:
     pk = parse_curve(_field(doc, "pk", "key"), ps.p, "key.pk")
     if sk.domain != ps.e0 or sk.degree != ps.d_tau:
         raise InvariantViolation("key.sk", "secret isogeny has the wrong shape")
-    if sk.codomain != pk:
+    kp = KeyPair(sk)
+    if kp.pk != pk:
         raise InvariantViolation("key.pk", "pk is not the codomain of sk")
-    return KeyPair(sk, pk)
+    return kp
 
 
 def parse_pk(doc, ps: ParamSet) -> Curve:
@@ -327,9 +329,7 @@ def statement_doc(s: Statement) -> dict:
 def parse_statement(doc, ps: ParamSet) -> Statement:
     ew = parse_curve(_field(doc, "ew", "statement"), ps.p, "statement.ew")
     path = "statement.orientation"
-    o = parse_orientation(
-        _field(doc, "orientation", "statement"), ew, ps.group_order, ps.primes, path
-    )
+    o = parse_orientation(_field(doc, "orientation", "statement"), ew, ps.primes, path)
     return Statement(ew, o)
 
 
@@ -395,7 +395,7 @@ def parse_presig(doc, ps: ParamSet, s: Statement) -> PreSignature:
         if not has_exact_order(epsi, X, ps.C):
             raise InvariantViolation(f"{path}.s[{i}]", "not of exact order C")
     shapes = presignature_shapes(ps)
-    rep = parse_rep(_field(doc, "rep", path), epsi, shapes, ps.group_order, f"{path}.rep")
+    rep = parse_rep(_field(doc, "rep", path), epsi, shapes, f"{path}.rep")
     proof = parse_proof(_field(doc, "proof", path), ps, s.ew, e1, f"{path}.proof")
     return PreSignature(e1, proof, epsi, S, rep)
 
@@ -409,7 +409,7 @@ def parse_signature(doc, ps: ParamSet):
     path = "signature"
     e1 = parse_curve(_field(doc, "e1", path), ps.p, f"{path}.e1")
     shapes = signature_shapes(ps)
-    rep = parse_rep(_field(doc, "rep", path), e1, shapes, ps.group_order, f"{path}.rep")
+    rep = parse_rep(_field(doc, "rep", path), e1, shapes, f"{path}.rep")
     if rep.order == ps.A * ps.C:
         return AdaptedSignature(e1, rep)
     return PlainSignature(e1, rep)

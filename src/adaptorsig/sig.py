@@ -29,9 +29,9 @@ from .params import ParamSet
 class KeyPair:
     __slots__ = ("sk", "pk")
 
-    def __init__(self, sk: IsogenyChain, pk: Curve):
+    def __init__(self, sk: IsogenyChain):
         self.sk = sk
-        self.pk = pk
+        self.pk = sk.codomain
 
 
 class PlainSignature:
@@ -63,7 +63,7 @@ def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
     return 1 + int.from_bytes(digest, "big") % mu_val
 
 
-def cyclic_kernel(E: Curve, D: int, idx: int, group_order: int):
+def cyclic_kernel(E: Curve, D: int, idx: int):
     """Generator of the idx-th cyclic subgroup of order D = ell^e in E.
 
     Kernels are indexed on the canonical D-basis (P, Q): indices up to
@@ -78,39 +78,38 @@ def cyclic_kernel(E: Curve, D: int, idx: int, group_order: int):
     bound = mu(D)
     if not 1 <= idx <= bound:
         raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
-    P, Q = canonical_torsion_basis(E, D, group_order)
+    P, Q = canonical_torsion_basis(E, D, E.p + 1)
     if idx <= D:
         return E.add(P, E.mul(idx - 1, Q))
     return E.add(E.mul(ell * (idx - D - 1), P), Q)
 
 
-def challenge_walk(E: Curve, h: int, D: int, group_order: int) -> IsogenyChain:
+def challenge_walk(E: Curve, h: int, D: int) -> IsogenyChain:
     """The h-th cyclic degree-D isogeny from E, D a prime power."""
-    return isogeny_from_kernel(E, [cyclic_kernel(E, D, h, group_order)], D)
+    return isogeny_from_kernel(E, [cyclic_kernel(E, D, h)], D)
 
 
 def challenge(pk: Curve, e1: Curve, m: bytes, ps: ParamSet) -> IsogenyChain:
     """The Fiat-Shamir challenge: the walk from pk indexed by (j(e1), m)."""
     h = hash_to_challenge_index(e1.j_invariant(), m, mu(ps.d_phi))
-    return challenge_walk(pk, h, ps.d_phi, ps.group_order)
+    return challenge_walk(pk, h, ps.d_phi)
 
 
-def _random_smooth_kernel(E: Curve, degree: int, group_order: int, rng):
+def _random_smooth_kernel(E: Curve, degree: int, rng):
     """Generators of a uniformly random cyclic subgroup of order `degree`
     (degree squarefree and odd here, so every order-degree subgroup is
     cyclic and splits per prime)."""
     gens = []
     for ell, e in factorize(degree).items():
         D = ell**e
-        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1), group_order))
+        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1)))
     return gens
 
 
 def keygen(ps: ParamSet, rng) -> KeyPair:
     """Secret isogeny of degree D_tau from the base curve; pk its codomain."""
-    gens = _random_smooth_kernel(ps.e0, ps.d_tau, ps.group_order, rng)
-    tau = isogeny_from_kernel(ps.e0, gens, ps.d_tau)
-    return KeyPair(tau, tau.codomain)
+    gens = _random_smooth_kernel(ps.e0, ps.d_tau, rng)
+    return KeyPair(isogeny_from_kernel(ps.e0, gens, ps.d_tau))
 
 
 def response_degree(ps: ParamSet) -> int:
@@ -124,16 +123,16 @@ def signature_shapes(ps: ParamSet) -> dict:
 
 def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     """Commit, derive the challenge walk, respond by explicit composition."""
-    gens = _random_smooth_kernel(ps.e0, ps.B, ps.group_order, rng)
+    gens = _random_smooth_kernel(ps.e0, ps.B, rng)
     psi0 = isogeny_from_kernel(ps.e0, gens, ps.B)
     e1 = psi0.codomain
     phi = challenge(kp.pk, e1, m, ps)
-    sigma = compose_chains(dual(psi0, ps.group_order), kp.sk, phi)
-    rep = efficient_rep(sigma, ps.A, ps.group_order)
+    sigma = compose_chains(dual(psi0), kp.sk, phi)
+    rep = efficient_rep(sigma, ps.A)
     return PlainSignature(e1, rep)
 
 
-def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
+def rep_rejection(rep: EfficientRep, shapes: dict):
     """Reason tag of the first representation check that fails, or None.
 
     `shapes` maps each admissible basis order to its degree.  The basis
@@ -144,7 +143,7 @@ def rep_rejection(rep: EfficientRep, shapes: dict, group_order: int):
     if shapes.get(N) != rep.degree:
         return "rep:shape"
     try:
-        if rep.basis != canonical_torsion_basis(rep.domain, N, group_order):
+        if rep.basis != canonical_torsion_basis(rep.domain, N, rep.domain.p + 1):
             return "rep:basis"
     except ProtocolError:
         return "rep:basis"
@@ -180,11 +179,11 @@ def response_rejection(
         return "challenge"
     if rep.domain != domain or rep.codomain != phi.codomain:
         return "rep:endpoints"
-    tag = rep_rejection(rep, shapes, ps.group_order)
+    tag = rep_rejection(rep, shapes)
     if tag is not None or mode == "light":
         return tag
     try:
-        find_isogeny(rep, ps.group_order)
+        find_isogeny(rep)
     except NotFound:
         return "rep:recovery"
     return None

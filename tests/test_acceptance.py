@@ -37,12 +37,12 @@ def _report(num, desc, detail=""):
     print(f"[acceptance] criterion {num} ({desc}): PASS {detail}")
 
 
-def _random_cyclic_chain(E, degree, group_order, rng):
+def _random_cyclic_chain(E, degree, rng):
     """Uniformly random cyclic-kernel chain of smooth degree from E."""
     gens = []
     for ell, e in factorize(degree).items():
         D = ell**e
-        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1), group_order))
+        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1)))
     return isogeny_from_kernel(E, gens, degree)
 
 
@@ -82,8 +82,8 @@ def test_criterion_1_algebraic_laws(t0):
 
     for i in range(1000):
         ell = (2, 3, 5, 7)[rng.randrange(4)]
-        chain = _random_cyclic_chain(E, ell, n, rng)
-        back = dual(chain, n)
+        chain = _random_cyclic_chain(E, ell, rng)
+        back = dual(chain)
         R = E.random_point(rng)
         assert back.evaluate(chain.evaluate(R)) == E.mul(ell, R)
 
@@ -96,13 +96,12 @@ def test_criterion_2_diagram_suite(t0):
     """Push-forward/pull-back and orientation-parallel squares, exhaustive
     over choice vectors x 20 random coprime isogenies."""
     E = t0.e0
-    n = t0.group_order
     rng = random.Random(202)
     vectors = list(product((1, 2), repeat=t0.t))
     for trial in range(20):
         # degrees coprime to B with rational cyclic torsion at T0
         deg = (2, 4, 8, 3, 6, 12, 24)[rng.randrange(7)]
-        phi = _random_cyclic_chain(E, deg, n, rng)
+        phi = _random_cyclic_chain(E, deg, rng)
         img = orientation_image(phi, t0.orientation)
         for bits in vectors:
             g1 = oriented_kernel(t0.orientation, list(bits))
@@ -120,7 +119,7 @@ def test_criterion_2_diagram_suite(t0):
             jB = compose_chains(psi1, moved).codomain.j_invariant()
             assert jA == jB
             # pull-back inverts the push-forward on kernels
-            back = pull_back(phi, other, n)
+            back = pull_back(phi, other)
             for g in psi1.kernel_gens:
                 assert back.evaluate(g).is_inf
     _report(2, "diagram suite", f"{20 * len(vectors)} squares")
@@ -134,7 +133,7 @@ def test_criterion_3_walk_count_identity(t0, t1, t2):
         E = ps.e0
         kernels = set()
         for h in range(1, mu(D) + 1):
-            chain = challenge_walk(E, h, D, ps.group_order)
+            chain = challenge_walk(E, h, D)
             K = chain.kernel_gens[0]
             pts = set()
             R = K
@@ -264,14 +263,14 @@ def test_criterion_7_oracle_soundness(t0):
         assert 4 * deg < t0.A * t0.A
         if deg == qt:
             # response-shaped composite: dual commitment, key, challenge
-            psi = _random_cyclic_chain(E, t0.B, n, rng)
-            tau = _random_cyclic_chain(E, t0.d_tau, n, rng)
-            phi = _random_cyclic_chain(tau.codomain, t0.d_phi, n, rng)
-            chain = compose_chains(dual(psi, n), tau, phi)
+            psi = _random_cyclic_chain(E, t0.B, rng)
+            tau = _random_cyclic_chain(E, t0.d_tau, rng)
+            phi = _random_cyclic_chain(tau.codomain, t0.d_phi, rng)
+            chain = compose_chains(dual(psi), tau, phi)
         else:
-            chain = _random_cyclic_chain(E, deg, n, rng)
-        rep = efficient_rep(chain, t0.A, n)
-        rec = recover_isogeny(rep, n)
+            chain = _random_cyclic_chain(E, deg, rng)
+        rep = efficient_rep(chain, t0.A)
+        rec = recover_isogeny(rep)
         assert rec.degree == deg and rec.codomain == rep.codomain
         if chain.kernel_gens:
             for g in chain.kernel_gens:
@@ -288,10 +287,10 @@ def test_criterion_7_oracle_soundness(t0):
     small = EfficientRep(E, w3.codomain, t0.C, t0.C, (U, V),
                          (w3.evaluate(U), w3.evaluate(V)))
     with pytest.raises(AmbiguityBound):
-        recover_isogeny(small, n)
-    shared = efficient_rep(w3, t0.A * t0.C, n)
+        recover_isogeny(small)
+    shared = efficient_rep(w3, t0.A * t0.C)
     with pytest.raises(AmbiguityBound):
-        recover_isogeny(shared, n)
+        recover_isogeny(shared)
     _report(7, "oracle soundness", "100 recoveries + bound violations")
 
 

@@ -258,6 +258,7 @@ def test_string_statement_and_witness_exit_2(workspace, tmp_path):
         '{"a":"7","primes":[5,7],"c":1,"d_tau":35,"d_phi":3}',
         '{"a":7,"primes":"57","c":1,"d_tau":35,"d_phi":3}',
         '{"a":7,"primes":[5,7],"c":true,"d_tau":35,"d_phi":3}',
+        pytest.param("[" * 100_000, id="nested-100000"),
     ],
 )
 def test_bad_custom_spec_exit_2(spec, capsys):

@@ -130,7 +130,7 @@ def test_evaluate_rep_matches_chain(t0, rng):
     n = t0.group_order
     P5, Q5 = canonical_torsion_basis(E, 5, n)
     chain = isogeny_from_kernel(E, [E.add(P5, Q5)], 5)
-    rep = efficient_rep(chain, t0.A, n)
+    rep = efficient_rep(chain, t0.A)
     U, V = rep.basis
     for _ in range(20):
         X = E.add(E.mul(rng.randrange(t0.A), U), E.mul(rng.randrange(t0.A), V))
@@ -142,7 +142,7 @@ def test_candidate_counts_match_closed_form(t0):
     n = t0.group_order
     U, V = canonical_torsion_basis(E, t0.A, n)
     for degree in (3, 9, 5, 35, 45):
-        actual = sum(1 for _ in iter_kernel_candidates(E, degree, _coords(U), _coords(V), n))
+        actual = sum(1 for _ in iter_kernel_candidates(E, degree, _coords(U), _coords(V)))
         assert actual == count_kernel_candidates(degree)
     assert count_kernel_candidates(3675) == 4 * 31 * 57 == 7068
 
@@ -155,8 +155,8 @@ def test_recover_degree9_dual_witness(t1):
     n = ps.group_order
     U9, V9 = canonical_torsion_basis(E, 9, n)
     w = isogeny_from_kernel(E, [E.add(U9, V9)], 9)
-    rep = efficient_rep(w, ps.A, n)
-    rec = recover_isogeny(rep, n)
+    rep = efficient_rep(w, ps.A)
+    rec = recover_isogeny(rep)
     assert rec.codomain == rep.codomain
     for g in w.kernel_gens:
         assert rec.evaluate(g).is_inf
@@ -174,10 +174,10 @@ def test_recover_sigma_tilde_shape(t0, rng):
     psi = isogeny_from_kernel(E, [P5, Q7], 35)
     P3t, _ = canonical_torsion_basis(kp.pk, 3, n)
     phi = isogeny_from_kernel(kp.pk, [P3t], 3)
-    sigma = compose_chains(dual(psi, n), kp.sk, phi)
+    sigma = compose_chains(dual(psi), kp.sk, phi)
     assert sigma.degree == 3675
-    rep = efficient_rep(sigma, ps.A, n)
-    rec = recover_isogeny(rep, n)
+    rep = efficient_rep(sigma, ps.A)
+    rec = recover_isogeny(rep)
     assert rec.evaluate(rep.basis[0]) == rep.images[0]
     assert rec.evaluate(rep.basis[1]) == rep.images[1]
 
@@ -192,8 +192,8 @@ def test_recover_rejects_negated_single_image(t0):
     # a prime degree, and a split one with [5] and [7] blocks
     for gens, degree in (([E.add(P5, E.mul(2, Q5))], 5), ([P3, P5, Q5, P7, Q7], 3675)):
         chain = isogeny_from_kernel(E, gens, degree)
-        rep = efficient_rep(chain, ps.A, n)
-        assert recover_isogeny(rep, n).evaluate(rep.basis[1]) == rep.images[1]
+        rep = efficient_rep(chain, ps.A)
+        assert recover_isogeny(rep).evaluate(rep.basis[1]) == rep.images[1]
         bad = EfficientRep(
             rep.domain,
             rep.codomain,
@@ -203,7 +203,7 @@ def test_recover_rejects_negated_single_image(t0):
             (rep.images[0], rep.codomain.neg(rep.images[1])),
         )
         with pytest.raises(NotFound):
-            recover_isogeny(bad, n)
+            recover_isogeny(bad)
 
 
 def test_recover_ambiguity_bound(t0):
@@ -217,12 +217,12 @@ def test_recover_ambiguity_bound(t0):
     rep = EfficientRep(E, chain.codomain, 5, ps.C, (U, V),
                        (chain.evaluate(U), chain.evaluate(V)))
     with pytest.raises(AmbiguityBound):
-        recover_isogeny(rep, n)
+        recover_isogeny(rep)
     # shared factor between degree and basis order is also rejected
     w3 = isogeny_from_kernel(E, [canonical_torsion_basis(E, 3, n)[0]], 3)
-    repAC = efficient_rep(w3, ps.A * ps.C, n)
+    repAC = efficient_rep(w3, ps.A * ps.C)
     with pytest.raises(AmbiguityBound):
-        recover_isogeny(repAC, n)
+        recover_isogeny(repAC)
 
 
 def test_recover_kernel_equality_random(t0, rng):
@@ -233,32 +233,32 @@ def test_recover_kernel_equality_random(t0, rng):
         P3, Q3 = canonical_torsion_basis(E, 3, n)
         K = E.add(P3, E.mul(rng.randrange(3), Q3)) if rng.randrange(2) else Q3
         chain = isogeny_from_kernel(E, [K], 3)
-        rep = efficient_rep(chain, ps.A, n)
-        rec = recover_isogeny(rep, n)
+        rep = efficient_rep(chain, ps.A)
+        rec = recover_isogeny(rep)
         assert rec.evaluate(K).is_inf
 
 
-def _full_walk(rep, n):
+def _full_walk(rep):
     """The exhaustive oracle: the first candidate of the whole kernel walk
     whose twisted images are rep.images."""
     T1, T2 = rep.images
     target = rep.codomain.j_invariant()
     basis = map(_coords, rep.basis)
-    for steps, cur, curU, curV in iter_kernel_candidates(rep.domain, rep.degree, *basis, n):
+    for steps, cur, curU, curV in iter_kernel_candidates(rep.domain, rep.degree, *basis):
         if cur.j_invariant() != target:
             continue
         curU, curV = _point(cur.p, curU), _point(cur.p, curV)
         for u in isomorphisms(cur, rep.codomain):
             if twist_point(curU, u) == T1 and twist_point(curV, u) == T2:
                 out = steps[:-1] + [steps[-1].retwist(u)]
-                return IsogenyChain(rep.domain, rep.codomain, out, rep.degree)
+                return IsogenyChain(rep.domain, out)
     return None
 
 
-def _assert_same_map(rep, n, rng):
+def _assert_same_map(rep, rng):
     """Recover rep, check it against the full walk and return it."""
-    found = recover_isogeny(rep, n)
-    oracle = _full_walk(rep, n)
+    found = recover_isogeny(rep)
+    oracle = _full_walk(rep)
     assert oracle is not None
     assert found.codomain == oracle.codomain == rep.codomain
     assert found.degree == rep.degree
@@ -276,7 +276,7 @@ def _random_steps(E, ell, block, n, rng):
     U, V = canonical_torsion_basis(E, ell, n)
     s1 = Step(E, E.add(U, E.mul(rng.randrange(ell), V)), ell)
     if block:
-        return [s1, dual_step(s1, n)]
+        return [s1, dual_step(s1)]
     E1 = s1.codomain
     U1, V1 = canonical_torsion_basis(E1, ell, n)
     while True:
@@ -297,8 +297,8 @@ def test_split_search_agrees_with_the_full_walk(t0, block5, block7):
     steps = [Step(E, E.add(P3, E.mul(rng.randrange(3), Q3)), 3)]
     steps += _random_steps(steps[-1].codomain, 5, block5, n, rng)
     steps += _random_steps(steps[-1].codomain, 7, block7, n, rng)
-    chain = IsogenyChain(E, steps[-1].codomain, steps, 3675)
-    _assert_same_map(efficient_rep(chain, ps.A, n), n, rng)
+    chain = IsogenyChain(E, steps)
+    _assert_same_map(efficient_rep(chain, ps.A), rng)
 
 
 def _iota(P):
@@ -326,7 +326,7 @@ def test_split_search_tries_every_twist_at_j_1728(t0, name):
     U, V = canonical_torsion_basis(E, ps.A, n)
     rep = EfficientRep(E, E, 35 * 35, ps.A, (U, V), (act(U), act(V)))
     rng = random.Random(35)
-    rec = _assert_same_map(rep, n, rng)
+    rec = _assert_same_map(rep, rng)
     for _ in range(8):
         P = E.random_point(rng)
         assert rec.evaluate(P) == act(P)
@@ -387,6 +387,6 @@ def test_search_returns_the_pinned_chain(name):
     else:
         s = serial.parse_statement(load("relation.json")["statement"], ps)
         rep = serial.parse_presig(load(name), ps, s).rep_tilde
-    chain = find_isogeny(rep, ps.group_order)
+    chain = find_isogeny(rep)
     digest = hashlib.sha256(serial.encode(serial.chain_doc(chain))).hexdigest()
     assert digest == CHAIN_PINS[name]

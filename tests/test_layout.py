@@ -4,10 +4,12 @@ cache is named here."""
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "adaptorsig").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "adaptorsig").glob("*.py"))
 
 
 def _trees():
@@ -152,7 +154,7 @@ def test_readme_lists_every_rejection_tag():
         for fn in tree.body:
             if isinstance(fn, ast.FunctionDef) and fn.name in wanted:
                 code.update(_tags_in(fn))
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     section = readme.split("## Verification\n")[1].split("\n## ")[0]
     listed = {
         line.split("`")[1] for line in section.splitlines() if line.startswith("| `")
@@ -165,7 +167,7 @@ def test_perfbench_bindings_resolve():
     # perfbench/tracing.py wraps these by a bare getattr, so a renamed or
     # deleted function would crash only the traced benchmark; its tables are
     # read from the source, not imported
-    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    path = ROOT / "perfbench" / "tracing.py"
     tables = {
         node.targets[0].id: ast.literal_eval(node.value)
         for node in ast.parse(path.read_text()).body
@@ -201,3 +203,95 @@ def test_pairing_law_has_one_home():
             if getattr(func, "id", getattr(func, "attr", None)) == "weil_pairing":
                 callers.add(f"{name[:-3]}.{scope.get(id(node), '<module>')}")
     assert callers == {"isogeny.pairing_law", "params._basis_ok"}
+
+
+def test_group_order_is_an_argument_of_the_basis_scan_alone():
+    # every admitted curve has exponent p + 1, so the library derives it as
+    # E.p + 1; the two basis functions keep the argument, which perfbench's
+    # kernels pass positionally
+    takers = {
+        f"{name[:-3]}.{fn.name}"
+        for name, tree in _trees()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.arg == "group_order"
+    }
+    assert takers == {"curve.canonical_torsion_basis", "curve.small_torsion_basis"}
+
+
+def _perfbench_calls(tree):
+    """(line, module, attribute path, call) for every call into the library
+    that a perfbench file makes: lib.<module>.<name>(...), with lib also
+    spelled self.lib, or a call through a local name bound to lib.<module>
+    or to one of its attributes (ser = lib.serial, Step = lib.isogeny.Step)."""
+
+    def is_lib(node):
+        if isinstance(node, ast.Name):
+            return node.id == "lib"
+        return isinstance(node, ast.Attribute) and node.attr == "lib" and (
+            getattr(node.value, "id", None) == "self"
+        )
+
+    aliases = {}
+
+    def resolve(node):
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id)
+        if not isinstance(node, ast.Attribute):
+            return None
+        if is_lib(node.value):
+            return node.attr, ()
+        base = resolve(node.value)
+        return None if base is None else (base[0], base[1] + (node.attr,))
+
+    # to a fixed point, so an alias of an alias resolves too; a name has one
+    # meaning per file
+    while True:
+        known = len(aliases)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, bound = node.targets[0], resolve(node.value)
+                if isinstance(target, ast.Name) and bound is not None:
+                    assert aliases.setdefault(target.id, bound) == bound, target.id
+        if len(aliases) == known:
+            break
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            bound = resolve(node.func)
+            if bound is not None and bound[1]:
+                yield node.lineno, bound[0], bound[1], node
+
+
+def test_perfbench_calls_bind_to_the_library():
+    # perfbench is not edited with the library, and only its own slow tests
+    # run its kernels; a call whose arity no longer fits a library signature
+    # is caught here
+    checked, broken = set(), []
+    for name in ("kernels.py", "workloads.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        for line, module, attrs, call in _perfbench_calls(tree):
+            target = importlib.import_module(f"adaptorsig.{module}")
+            for attr in attrs:
+                target = getattr(target, attr)
+            where = f"{name}:{line} {module}.{'.'.join(attrs)}"
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                kw.arg is None for kw in call.keywords
+            ):
+                broken.append(f"{where}: unpacked arguments cannot be checked")
+                continue
+            try:
+                inspect.signature(target).bind(
+                    *call.args, **{kw.arg: kw.value for kw in call.keywords}
+                )
+            except TypeError as exc:
+                broken.append(f"{where}: {exc}")
+            checked.add(f"{module}.{'.'.join(attrs)}")
+    assert broken == []
+    # the traced kernels' basis scans and the aliased serial and Step calls
+    assert {
+        "curve.canonical_torsion_basis",
+        "curve.small_torsion_basis",
+        "isogeny.Step",
+        "serial.parse_presig",
+    } <= checked

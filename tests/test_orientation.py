@@ -15,7 +15,7 @@ from adaptorsig.relation import witness_chain
 
 
 def test_sampled_orientation_orders_and_intersections(t0, rng):
-    o = sample_orientation(t0.e0, t0.primes, t0.group_order, rng)
+    o = sample_orientation(t0.e0, t0.primes, rng)
     for ell, G1, G2 in o.pairs:
         assert has_exact_order(t0.e0, G1, ell)
         assert has_exact_order(t0.e0, G2, ell)
@@ -24,14 +24,14 @@ def test_sampled_orientation_orders_and_intersections(t0, rng):
 
 
 def test_empty_orientation(t0, rng):
-    o = sample_orientation(t0.e0, (), t0.group_order, rng)
+    o = sample_orientation(t0.e0, (), rng)
     assert o.pairs == [] and o.order() == 1
     assert oriented_kernel(o, []) == []
 
 
 def test_resampling_same_seed_identical(t0):
-    a = sample_orientation(t0.e0, t0.primes, t0.group_order, random.Random(7))
-    b = sample_orientation(t0.e0, t0.primes, t0.group_order, random.Random(7))
+    a = sample_orientation(t0.e0, t0.primes, random.Random(7))
+    b = sample_orientation(t0.e0, t0.primes, random.Random(7))
     assert a == b
 
 

@@ -113,7 +113,7 @@ def test_parse_params_runs_the_shape_checks(t0):
     # B = 35 keeps p = ABCf - 1, but 35 is not a prime
     doc = serial.params_doc(t0)
     doc["primes"] = [format(35, "x")]
-    o = sample_orientation(t0.e0, (35,), t0.p + 1, random.Random(7))
+    o = sample_orientation(t0.e0, (35,), random.Random(7))
     doc["orientation"] = serial.orientation_doc(o)
     with pytest.raises(InvariantViolation) as err:
         serial.parse_params(doc)
@@ -398,3 +398,46 @@ def test_long_step_degree_rejected_before_the_primality_test(monkeypatch):
         serial.parse_keypair(doc, ps)
     assert err.value.path == "key.sk.steps[0].ell"
     assert tests == []
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"e1": ' + b"1" * 5000 + b"}", b"[" * 100_000, b'{"a": ' * 100_000],
+    ids=["int-5000-digits", "nested-lists", "nested-objects"],
+)
+def test_loads_is_total(data, tmp_path, capsys):
+    # json.loads raises ValueError past the int-string digit limit and
+    # RecursionError on deep nesting; both are bad documents
+    with pytest.raises(ParseError):
+        serial.loads(data)
+    forged = tmp_path / "signature.json"
+    forged.write_bytes(data)
+    params, key = VECTORS / "params.json", VECTORS / "key.json"
+    argv = ["verify", "--params", str(params), "--key", str(key), "--message", "m"]
+    assert main([*argv, str(forged)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: not a JSON document")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "mutate,path,message",
+    [
+        (lambda d, ps: d["sk"].update(codomain=serial.curve_doc(ps.e0)),
+         "key.sk.codomain", "steps do not reach the codomain"),
+        (lambda d, ps: d["sk"].update(degree=format(ps.d_tau * 5, "x")),
+         "key.sk.degree", "degree != product of step primes"),
+        (lambda d, ps: d.update(sk=dict(d["sk"], domain=d["pk"], steps=[], degree="1")),
+         "key.sk", "secret isogeny has the wrong shape"),
+        (lambda d, ps: d.update(pk=serial.curve_doc(ps.e0)),
+         "key.pk", "pk is not the codomain of sk"),
+    ],
+    ids=["codomain", "degree", "shape", "pk"],
+)
+def test_keypair_decoder_compares_stated_and_computed_ends(mutate, path, message):
+    ps = serial.parse_params(_vector("params.json"))
+    doc = _vector("key.json")
+    mutate(doc, ps)
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_keypair(doc, ps)
+    assert (err.value.path, err.value.message) == (path, message)

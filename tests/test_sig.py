@@ -62,7 +62,7 @@ def test_challenge_walks_distinct(t0, t1, t2, D, expected):
     E = ps.e0
     kernels = set()
     for h in range(1, mu(D) + 1):
-        chain = challenge_walk(E, h, D, ps.group_order)
+        chain = challenge_walk(E, h, D)
         assert chain.degree == D
         # canonical fingerprint of the kernel subgroup: the set of x-keys of
         # all generator multiples of exact order D
@@ -78,11 +78,11 @@ def test_challenge_walks_distinct(t0, t1, t2, D, expected):
 
 def test_challenge_walk_index_bounds(t0):
     with pytest.raises(IndexOutOfRange):
-        challenge_walk(t0.e0, 0, 3, t0.group_order)
+        challenge_walk(t0.e0, 0, 3)
     with pytest.raises(IndexOutOfRange):
-        challenge_walk(t0.e0, mu(3) + 1, 3, t0.group_order)
+        challenge_walk(t0.e0, mu(3) + 1, 3)
     with pytest.raises(IndexOutOfRange):
-        challenge_walk(t0.e0, 1, 35, t0.group_order)  # not a prime power
+        challenge_walk(t0.e0, 1, 35)  # not a prime power
 
 
 def test_keygen_deterministic(t0):
@@ -182,7 +182,7 @@ def test_rep_rejection_names_the_failed_check(t0):
     rep = sign(kp, b"tags", t0, random.Random(12)).rep
     shapes = {t0.A: response_degree(t0)}
     n = t0.group_order
-    assert rep_rejection(rep, shapes, n) is None
+    assert rep_rejection(rep, shapes) is None
 
     def tampered(**kw):
         fields = dict(
@@ -197,14 +197,14 @@ def test_rep_rejection_names_the_failed_check(t0):
         return EfficientRep(**fields)
 
     E2 = rep.codomain
-    assert rep_rejection(tampered(degree=rep.degree + 2), shapes, n) == "rep:shape"
-    assert rep_rejection(tampered(order=t0.A * t0.C), shapes, n) == "rep:shape"
+    assert rep_rejection(tampered(degree=rep.degree + 2), shapes) == "rep:shape"
+    assert rep_rejection(tampered(order=t0.A * t0.C), shapes) == "rep:shape"
     swapped = (rep.basis[1], rep.basis[0])
-    assert rep_rejection(tampered(basis=swapped), shapes, n) == "rep:basis"
+    assert rep_rejection(tampered(basis=swapped), shapes) == "rep:basis"
     X, Y = canonical_torsion_basis(E2, t0.A * t0.C, n)
-    assert rep_rejection(tampered(images=(X, Y)), shapes, n) == "rep:images"
+    assert rep_rejection(tampered(images=(X, Y)), shapes) == "rep:images"
     flipped = (rep.images[1], rep.images[0])
-    assert rep_rejection(tampered(images=flipped), shapes, n) == "rep:pairing"
+    assert rep_rejection(tampered(images=flipped), shapes) == "rep:pairing"
 
 
 def test_basis_scan_failure_rejects_as_rep_basis(t0, monkeypatch):
