@@ -43,6 +43,7 @@ from .sig import (
     rep_rejection,
     response_degree,
     response_rejection,
+    signature_shapes,
 )
 
 logger = logging.getLogger(__name__)
@@ -93,6 +94,19 @@ def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignat
     return PreSignature(e1, proof, psi.codomain, S, rep_tilde)
 
 
+def s_rejection(epsi: Curve, S, ps: ParamSet):
+    """Reason tag of the first failing check on S, or None: both points on
+    E_psi, of exact order C, and e(S) = e(P, Q)^B, as the images of E0's
+    C-basis (P, Q) under a degree-B isogeny."""
+    if not all(epsi.on_curve(X) for X in S):
+        return "s-points:off-curve"
+    if not all(has_exact_order(epsi, X, ps.C) for X in S):
+        return "s-points:order"
+    if not pairing_law(EfficientRep(ps.e0, epsi, ps.B, ps.C, ps.pq, S)):
+        return "s-points:pairing"
+    return None
+
+
 def preverify(
     pk: Curve,
     m: bytes,
@@ -106,19 +120,11 @@ def preverify(
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     fail = reasons.append if reasons is not None else (lambda tag: None)
-    C = ps.C
-    epsi = presig.epsi
-    S1, S2 = presig.s
 
     # (1) S well-formed and the pairing identity with exponent B
-    if not (epsi.on_curve(S1) and epsi.on_curve(S2)):
-        fail("s-points:off-curve")
-        return False
-    if not (has_exact_order(epsi, S1, C) and has_exact_order(epsi, S2, C)):
-        fail("s-points:order")
-        return False
-    if not pairing_law(EfficientRep(ps.e0, epsi, ps.B, C, ps.pq, presig.s)):
-        fail("s-points:pairing")
+    tag = s_rejection(presig.epsi, presig.s, ps)
+    if tag is not None:
+        fail(tag)
         return False
 
     # (2) the commitment curve is honestly derived from the statement
@@ -128,7 +134,7 @@ def preverify(
 
     # (3) the challenge walk and the representation of the shifted response
     shapes = presignature_shapes(ps)
-    tag = response_rejection(pk, m, presig.e1, presig.rep_tilde, epsi, shapes, mode, ps)
+    tag = response_rejection(pk, m, presig.e1, presig.rep_tilde, presig.epsi, shapes, mode, ps)
     if tag is not None:
         fail(tag)
         return False
@@ -161,16 +167,12 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     wprime = IsogenyChain(epsi, steps, wprime.kernel_gens)
     what = dual(wprime)  # E1 -> E_psi, exact
 
-    P0, Q0 = canonical_torsion_basis(presig.e1, ps.A * C, presig.e1.p + 1)
+    N = ps.A * C
+    P0, Q0 = canonical_torsion_basis(presig.e1, N, presig.e1.p + 1)
     sigP = evaluate_rep(presig.rep_tilde, what.evaluate(P0))
     sigQ = evaluate_rep(presig.rep_tilde, what.evaluate(Q0))
     rep = EfficientRep(
-        presig.e1,
-        presig.rep_tilde.codomain,
-        presig.rep_tilde.degree * C,
-        ps.A * C,
-        (P0, Q0),
-        (sigP, sigQ),
+        presig.e1, presig.rep_tilde.codomain, signature_shapes(ps)[N], N, (P0, Q0), (sigP, sigQ)
     )
     return AdaptedSignature(presig.e1, rep)
 
@@ -204,7 +206,7 @@ def extract(
     if rep.domain != e1 or rep.codomain != presig.rep_tilde.codomain:
         fail("rep:endpoints")
         return None
-    tag = rep_rejection(rep, {A * C: presig.rep_tilde.degree * C})
+    tag = rep_rejection(rep, {A * C: signature_shapes(ps)[A * C]})
     if tag is not None:
         fail(tag)
         return None

@@ -132,6 +132,8 @@ SHAPE_RULES = (
     ("c >= 1", lambda ps: ps.c >= 1, "c = {ps.c}"),
     ("A, B, C pairwise coprime", lambda ps: math.gcd(ps.B, 6) == 1, "A={ps.A} B={ps.B} C={ps.C}"),
     ("primes distinct, odd, not 3", _primes_ok, "primes = {ps.primes}"),
+    # orientation sampling and checks list the ell points of a subgroup
+    ("primes below 256", lambda ps: all(ell < 256 for ell in ps.primes), "primes = {ps.primes}"),
     ("D_tau | B and D_phi | C", _divisors_ok, "D_tau = {ps.d_tau}, D_phi = {ps.d_phi}"),
     ("extraction bound 4C < A^2", lambda ps: 4 * ps.C < ps.A**2, "C = {ps.C}, A = {ps.A}"),
     (

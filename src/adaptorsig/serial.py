@@ -2,19 +2,20 @@
 
 Documents are plain dicts with lowercase big-endian hex integers and sorted
 keys; encoding the same object twice is byte-identical.  Parsing validates
-the type invariants (points on their curves, orders, degrees, recomputed
-codomains) and names the offending JSON path on failure.
+the type invariants (points on their curves, degrees, recomputed codomains)
+and names the offending JSON path on failure.  A response's images and a
+pre-signature's S run the verifiers' own checks, `sig.rep_rejection` and
+`adaptor.s_rejection`, and a failure names their tag.
 """
 
 import json
-import math
 from dataclasses import replace
 
-from .adaptor import AdaptedSignature, PreSignature, presignature_shapes
-from .curve import Curve, Point, canonical_torsion_basis, has_exact_order
+from .adaptor import AdaptedSignature, PreSignature, presignature_shapes, s_rejection
+from .curve import Curve, Point, canonical_torsion_basis
 from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
-from .isogeny import EfficientRep, IsogenyChain, Step, pairing_law
+from .isogeny import EfficientRep, IsogenyChain, Step
 from .nizk import NizkProof, NizkRound
 from .orientation import Orientation, orientation_valid
 from .params import (
@@ -29,7 +30,7 @@ from .params import (
     is_prime,
 )
 from .relation import Statement, Witness
-from .sig import KeyPair, PlainSignature, signature_shapes
+from .sig import KeyPair, PlainSignature, rep_rejection, signature_shapes
 
 
 def encode(doc) -> bytes:
@@ -269,23 +270,22 @@ def rep_doc(rep: EfficientRep) -> dict:
 
 def parse_rep(doc, domain: Curve, shapes: dict, path) -> EfficientRep:
     """A response from `domain` sent as codomain, order and images; `shapes`
-    maps each admissible order to its degree, the basis is the canonical one."""
+    maps each admissible order to its degree, the basis is the canonical one.
+    The images must then pass `sig.rep_rejection`, as in the verifiers."""
     codomain = parse_curve(_field(doc, "codomain", path), domain.p, f"{path}.codomain")
     order = _unhex(_field(doc, "order", path), f"{path}.order")
     idoc = _list(doc, "images", path, 2)
     images = tuple(parse_point(idoc[i], codomain, f"{path}.images[{i}]") for i in range(2))
     if order not in shapes:
         raise InvariantViolation(f"{path}.order", "order not admitted by the document")
-    for i, X in enumerate(images):
-        if not codomain.mul(order, X).is_inf:
-            raise InvariantViolation(f"{path}.images[{i}]", "not killed by the order")
     try:
         basis = canonical_torsion_basis(domain, order, domain.p + 1)
     except ProtocolError as exc:
         raise InvariantViolation(path, f"no canonical basis: {exc}") from exc
     rep = EfficientRep(domain, codomain, shapes[order], order, basis, images)
-    if math.gcd(rep.degree, order) == 1 and not pairing_law(rep):
-        raise InvariantViolation(f"{path}.images", "pairing law violated")
+    tag = rep_rejection(rep, shapes)
+    if tag is not None:
+        raise InvariantViolation(f"{path}.images", f"fails {tag}")
     return rep
 
 
@@ -391,9 +391,9 @@ def parse_presig(doc, ps: ParamSet, s: Statement) -> PreSignature:
     epsi = parse_curve(_field(doc, "epsi", path), ps.p, f"{path}.epsi")
     sdoc = _list(doc, "s", path, 2)
     S = tuple(parse_point(sdoc[i], epsi, f"{path}.s[{i}]") for i in range(2))
-    for i, X in enumerate(S):
-        if not has_exact_order(epsi, X, ps.C):
-            raise InvariantViolation(f"{path}.s[{i}]", "not of exact order C")
+    tag = s_rejection(epsi, S, ps)
+    if tag is not None:
+        raise InvariantViolation(f"{path}.s", f"fails {tag}")
     shapes = presignature_shapes(ps)
     rep = parse_rep(_field(doc, "rep", path), epsi, shapes, f"{path}.rep")
     proof = parse_proof(_field(doc, "proof", path), ps, s.ew, e1, f"{path}.proof")

@@ -40,13 +40,14 @@ def demo_swap(ps: ParamSet, seed: int, fault: bool = False) -> dict:
     """
     events = []
     try:
-        return _run_swap(ps, seed, fault, events)
+        verdict = _run_swap(ps, seed, fault, events)
     except ProtocolError as exc:
         events.append({"type": "abort", "error": str(exc)})
-        return {"seed": seed, "fault": fault, "events": events, "verdict": False}
+        verdict = False
+    return {"seed": seed, "fault": fault, "events": events, "verdict": verdict}
 
 
-def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
+def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> bool:
     pdoc = serial.params_doc(ps)
     events.append({"type": "params", "fingerprint": _fingerprint(pdoc)})
 
@@ -63,29 +64,23 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
     w, s = gen_r(ps, _sub_rng(seed, "relation"))
     events.append({"type": "statement", "statement": serial.statement_doc(s)})
 
-    pre_a = presign(alice, ALICE_MESSAGE, s, ps, _sub_rng(seed, "alice-presign"))
-    ok_a = preverify(alice.pk, ALICE_MESSAGE, s, pre_a, "light", ps)
-    events.append(
-        {
-            "type": "presignature",
-            "party": "alice",
-            "presignature": serial.presig_doc(pre_a),
-            "preverified": ok_a,
-        }
-    )
-    pre_b = presign(bob, BOB_MESSAGE, s, ps, _sub_rng(seed, "bob-presign"))
-    ok_b = preverify(bob.pk, BOB_MESSAGE, s, pre_b, "light", ps)
-    events.append(
-        {
-            "type": "presignature",
-            "party": "bob",
-            "presignature": serial.presig_doc(pre_b),
-            "preverified": ok_b,
-        }
-    )
+    legs = []
+    for name, kp, m in (("alice", alice, ALICE_MESSAGE), ("bob", bob, BOB_MESSAGE)):
+        pre = presign(kp, m, s, ps, _sub_rng(seed, f"{name}-presign"))
+        ok = preverify(kp.pk, m, s, pre, "light", ps)
+        events.append(
+            {
+                "type": "presignature",
+                "party": name,
+                "presignature": serial.presig_doc(pre),
+                "preverified": ok,
+            }
+        )
+        legs.append((pre, ok))
+    (pre_a, ok_a), (pre_b, ok_b) = legs
     if not (ok_a and ok_b):
         events.append({"type": "verdict", "success": False, "reason": "preverify"})
-        return {"seed": seed, "fault": fault, "events": events, "verdict": False}
+        return False
 
     # Alice completes Bob's pre-signature with her witness
     sig_b = adapt(pre_b, w, ps)
@@ -125,7 +120,7 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
     )
     if w_bob is None:
         events.append({"type": "verdict", "success": False, "reason": "extract"})
-        return {"seed": seed, "fault": fault, "events": events, "verdict": False}
+        return False
 
     # and uses it to complete Alice's pre-signature
     sig_a = adapt(pre_a, w_bob, ps)
@@ -154,4 +149,4 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> dict:
         and w_alice is not None
     )
     events.append({"type": "verdict", "success": verdict, "reason": None})
-    return {"seed": seed, "fault": fault, "events": events, "verdict": verdict}
+    return verdict

@@ -283,6 +283,17 @@ def test_custom_spec_with_a_huge_c_exit_2(capsys):
     assert "extraction bound" in capsys.readouterr().err
 
 
+def test_custom_spec_with_a_large_b_prime_exit_2(capsys):
+    # orientation sampling and checks list the ell points of a subgroup, so
+    # their work grows with ell; the shape rules reject ell = 65537 first
+    spec = {"a": 13, "primes": [5, 65537], "c": 1, "d_tau": 5, "d_phi": 3, "nizk_rounds": 1}
+    start = time.perf_counter()
+    code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert "primes below 256" in capsys.readouterr().err
+
+
 def test_custom_spec_beyond_the_primality_bound_exit_2(capsys):
     # every candidate p is above 2^4096; none is tested for primality
     spec = {"a": 4096, "primes": [5, 7], "c": 1, "d_tau": 35, "d_phi": 3}

@@ -129,7 +129,7 @@ def test_function_caches_have_a_fixed_size():
 # the relation check and the proof check pass them to fail()
 TAG_SOURCES = {
     "sig.py": ("rep_rejection", "response_rejection"),
-    "adaptor.py": ("preverify", "extract"),
+    "adaptor.py": ("s_rejection", "preverify", "extract"),
     "relation.py": ("verify_relation",),
     "nizk.py": ("verify_parallel",),
 }
@@ -203,6 +203,21 @@ def test_pairing_law_has_one_home():
             if getattr(func, "id", getattr(func, "attr", None)) == "weil_pairing":
                 callers.add(f"{name[:-3]}.{scope.get(id(node), '<module>')}")
     assert callers == {"isogeny.pairing_law", "params._basis_ok"}
+
+
+def test_pairing_law_is_called_by_the_two_rejections_alone():
+    # decoders and verifiers share one owner per rule: sig.rep_rejection for
+    # a response's images, adaptor.s_rejection for a pre-signature's S
+    callers = set()
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                func = getattr(node, "func", None)
+                if getattr(func, "id", getattr(func, "attr", None)) == "pairing_law":
+                    callers.add(f"{name[:-3]}.{fn.name}")
+    assert callers == {"sig.rep_rejection", "adaptor.s_rejection"}
 
 
 def test_group_order_is_an_argument_of_the_basis_scan_alone():

@@ -153,6 +153,7 @@ SHAPE_VIOLATIONS = {
     "c >= 1": {"c": 0},
     "A, B, C pairwise coprime": {"primes": (3, 5)},
     "primes distinct, odd, not 3": {"primes": (5, 5)},
+    "primes below 256": {"primes": (5, 263)},
     "D_tau | B and D_phi | C": {"d_tau": 0},
     "extraction bound 4C < A^2": {"c": 8},
     "recovery bound 4*B*D_tau*D_phi < A^2": {"c": 2, "d_phi": 9},

@@ -368,6 +368,29 @@ def test_order_outside_the_shape_table_rejected():
     assert err.value.path == "signature.rep.order"
 
 
+def test_adapted_signature_with_swapped_images_rejected():
+    # the decoder runs sig.rep_rejection, pairing law included, on every
+    # degree; the adapted degree shares the factor C with the order
+    ps = serial.parse_params(_vector("params.json"))
+    doc = _vector("signature.json")
+    doc["rep"]["images"].reverse()
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_signature(doc, ps)
+    assert (err.value.path, err.value.message) == ("signature.rep.images", "fails rep:pairing")
+
+
+def test_presignature_s_runs_the_pairing_check():
+    # [2]S2 keeps order C and stays on E_psi, but e(S) != e(P, Q)^B
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    doc = _vector("presignature.json")
+    epsi = serial.parse_curve(doc["epsi"], ps.p, "epsi")
+    doc["s"][1] = serial.point_doc(epsi.mul(2, serial.parse_point(doc["s"][1], epsi, "s")))
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_presig(doc, ps, s)
+    assert (err.value.path, err.value.message) == ("presignature.s", "fails s-points:pairing")
+
+
 def test_ordinary_e1_has_no_canonical_basis(tmp_path, capsys):
     ps = serial.parse_params(_vector("params.json"))
     doc = _vector("plain.json")
