@@ -1,10 +1,19 @@
 """Proof that the commitment curve is honestly derived from the statement.
 
 A Fiat-Shamir sigma protocol over parallel-isogeny squares: each round
-masks the statement curve with a random 2-power isogeny, pushes the mask
-through the oriented isogeny, commits to the two new corner curves, and
-reveals either both masks (challenge 0) or the oriented kernel pushed
-through the mask (challenge 1).  Soundness error is 2^-rounds.
+masks the statement curve E_w with a random 2-power isogeny to F, pushes
+the oriented kernel through the mask to reach F' = F/<mask(ker psi')>,
+commits to the two new corners, and reveals either both masks (challenge
+0) or the oriented kernel pushed through the mask (challenge 1).
+Soundness error is 2^-rounds.
+
+The square commutes on the nose: the mask pushed through psi' (E1 -> F')
+and the parallel isogeny (F -> F') have the same kernel from E_w, and every
+Vélu step built here has u = 1, so it pulls dx/2y back to itself and both
+composites reach the same curve model, not only the same j-invariant.  So
+the prover builds F' on the B-side (the chain a tag-1 verifier rebuilds)
+and never walks the mask a second time on E1, and the tag-1 check compares
+curves exactly.
 """
 
 import hashlib
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch
-from .isogeny import isogeny_from_kernel, push_forward
+from .isogeny import isogeny_from_kernel
 from .orientation import oriented_kernel
 from .params import ParamSet
 from .sig import challenge_walk, fp2_bytes, mu
@@ -24,7 +33,8 @@ class NizkRound:
     fp: Curve
     tag: int
     reveal: tuple  # tag 0: (mask kernel on E_w, mask kernel on E1)
-    #                tag 1: tuple of parallel kernel generators on f
+    #                tag 1: tuple of parallel kernel generators on f,
+    #                       whose isogeny lands on fp itself
 
 
 @dataclass
@@ -83,11 +93,13 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
     for _ in range(ps.nizk_rounds):
         h = rng.randrange(1, mu(A) + 1)
         mask = challenge_walk(ew, h, A)
-        maskp = push_forward(psip, mask)  # e1 -> F'
-        corners.append((mask.codomain, maskp.codomain))
-        # tag 0 reveals both masks, tag 1 the kernel of F -> F'' (j(F'') = j(F'))
-        masks = (mask.kernel_gens[0], maskp.kernel_gens[0])
-        reveals.append((masks, tuple(mask.evaluate(g) for g in gens)))
+        km = mask.kernel_gens[0]
+        par = tuple(mask.evaluate(g) for g in gens)
+        # F' from F on the B-side: the curve the mask pushed to e1 reaches
+        fp = isogeny_from_kernel(mask.codomain, list(par), ps.B).codomain
+        corners.append((mask.codomain, fp))
+        # tag 0 reveals both masks, tag 1 the kernel of F -> F'
+        reveals.append(((km, psip.evaluate(km)), par))
 
     bits = _challenge_bits(statement, corners, ps.nizk_rounds)
     return NizkProof(
@@ -123,7 +135,7 @@ def verify_parallel(statement, proof: NizkProof, ps: ParamSet, reasons=None) -> 
                     return False
             else:
                 par = isogeny_from_kernel(r.f, list(r.reveal), ps.B)
-                if par.codomain.j_invariant() != r.fp.j_invariant():
+                if par.codomain != r.fp:
                     fail("nizk:parallel")
                     return False
         except ProtocolError:

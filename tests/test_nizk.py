@@ -1,16 +1,19 @@
 import copy
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
-from adaptorsig import isogeny, nizk, sig
-from adaptorsig.curve import canonical_torsion_basis
+from adaptorsig import adaptor, isogeny, nizk, relation, sig
+from adaptorsig.curve import canonical_torsion_basis, twist_curve, twist_point
 from adaptorsig.errors import WitnessMismatch
+from adaptorsig.field import Fp2
 from adaptorsig.isogeny import isogeny_from_kernel
 from adaptorsig.nizk import NizkProof, NizkRound, prove_parallel, verify_parallel
 from adaptorsig.orientation import oriented_kernel
 from adaptorsig.relation import gen_r
+from adaptorsig.swap import demo_swap
 
 
 def make_statement(ps, rng):
@@ -45,26 +48,100 @@ def test_wrong_witness_bits_rejected_at_prove_time(t0):
         prove_parallel(stmt, wrong, t0, rng)
 
 
-def test_prover_builds_two_chains_per_round(t0, monkeypatch):
-    """psi' once, then the mask and its push through psi' per round: a bit-1
-    round reveals the pushed kernel generators without building their
-    isogeny, which is left to the verifier."""
-    rng = random.Random(26)
-    stmt, bits = make_statement(t0, rng)
-    degrees = []
+def count_chain_degrees(monkeypatch):
+    """A Counter of the degrees that isogeny_from_kernel is called with, from
+    every module that builds chains, while monkeypatch holds."""
+    degrees = Counter()
     build = isogeny.isogeny_from_kernel
 
     def counted(E, gens, degree):
-        degrees.append(degree)
+        degrees[degree] += 1
         return build(E, gens, degree)
 
-    for module in (isogeny, sig, nizk):
+    for module in (isogeny, sig, nizk, adaptor, relation):
         monkeypatch.setattr(module, "isogeny_from_kernel", counted)
+    return degrees
+
+
+def test_prover_builds_two_chains_per_round(t0, monkeypatch):
+    """psi' once, then per round the mask from E_w (degree A) and the
+    parallel isogeny from its codomain (degree B), whose codomain is F'.  No
+    round walks the mask a second time on E1: the tag-0 reveal there is
+    psi' of the mask's kernel generator."""
+    rng = random.Random(26)
+    stmt, bits = make_statement(t0, rng)
+    degrees = count_chain_degrees(monkeypatch)
     proof = prove_parallel(stmt, bits, t0, rng)
-    assert len(degrees) == 2 * t0.nizk_rounds + 1 == 49
-    assert degrees.count(t0.B) == 1
+    assert sum(degrees.values()) == 2 * t0.nizk_rounds + 1 == 49
+    assert degrees == {t0.A: t0.nizk_rounds, t0.B: t0.nizk_rounds + 1}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
+
+
+def test_swap_chain_count(t0, monkeypatch):
+    """Chains built by one T0 swap, by degree.  Each round of the swap's two
+    proofs builds one mask (degree A) and one parallel isogeny (degree B);
+    walking the mask again on E1 would show as 48 more degree-A chains and
+    48 fewer degree-B ones."""
+    degrees = count_chain_degrees(monkeypatch)
+    assert demo_swap(t0, 1)["verdict"] is True
+    assert degrees == {t0.C: 11, t0.B: 78, t0.A: 100}
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_square_commutes_exactly(request, profile):
+    """The two ways round a proof's square reach the same curve, not only
+    the same j-invariant, which the prover and the tag-1 check rely on.
+
+    Both composites from E_w, psi' then the pushed mask, and the mask then
+    the parallel isogeny, have kernel <ker mask, ker psi'>.  Every step is
+    a Vélu step with u = 1, which pulls dx/2y back to itself.  So the
+    isomorphism between the two codomains keeps dx/2y too: its u is +-1,
+    and a u = +-1 twist is the same curve."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(28)
+    for _ in range(4):
+        stmt, bits = make_statement(ps, rng)
+        ew, wB, e1 = stmt
+        gens = oriented_kernel(wB, bits)
+        psip = isogeny_from_kernel(ew, gens, ps.B)
+        for _ in range(3):
+            mask = sig.challenge_walk(ew, rng.randrange(1, sig.mu(ps.A) + 1), ps.A)
+            km = mask.kernel_gens[0]
+            via_e1 = isogeny_from_kernel(e1, [psip.evaluate(km)], ps.A).codomain
+            via_f = isogeny_from_kernel(
+                mask.codomain, [mask.evaluate(g) for g in gens], ps.B
+            ).codomain
+            assert via_e1 == via_f
+
+
+def test_twisted_second_corner(t0):
+    """Tag 1 checks F' exactly: a u-twist of F' alone keeps every j-invariant
+    and so the challenge, and is rejected.  Twisting F, the revealed kernel
+    and F' together still passes, because the challenge hashes j-invariants
+    only and a Vélu step commutes with the twist."""
+    rng = random.Random(27)
+    stmt, bits = make_statement(t0, rng)
+    proof = prove_parallel(stmt, bits, t0, rng)
+    i = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
+    r = proof.rounds[i]
+    u = Fp2(t0.p, 2, 1)
+    assert twist_curve(r.fp, u) != r.fp
+
+    def with_round(**changes):
+        rounds = list(proof.rounds)
+        rounds[i] = dataclasses.replace(r, **changes)
+        return NizkProof(rounds)
+
+    reasons = []
+    assert not verify_parallel(stmt, with_round(fp=twist_curve(r.fp, u)), t0, reasons)
+    assert reasons == ["nizk:parallel"]
+    twisted = with_round(
+        f=twist_curve(r.f, u),
+        fp=twist_curve(r.fp, u),
+        reveal=tuple(twist_point(P, u) for P in r.reveal),
+    )
+    assert verify_parallel(stmt, twisted, t0)
 
 
 def test_corner_substitution_rejected(t0):
