@@ -8,14 +8,18 @@ and Point, and the private loops of field, curve, isogeny and dlog take ints
 (a finite point is the reduced 4-tuple (x0, x1, y0, y1), O is None, and
 _chord is the one addition of every ladder, walk, table and Miller loop).
 Points are converted once on entry (_coords) and once on exit (_point), and
-never built only for a callee to unpack; no other module imports an
-underscore name of curve, isogeny or dlog.  The one exception is
-dlog.iter_kernel_candidates, which carries the search's images as ints.
+never built only for a callee to unpack: isogeny.Step takes its kernel as a
+Point or as the int 4-tuple, so the walks of isogeny and dlog hand over the
+ints they hold, and Step.kernel builds its Point only when read.  No other
+module imports an underscore name of curve, isogeny or dlog.  The one
+exception is dlog.iter_kernel_candidates, which carries the search's images
+as ints.
 The point scan (_scan, square roots by field.sqrt_pair) and the
 j-invariant run on ints as well; lift_x and scan_points wrap _lift and
 _scan.
 The int loops trust their inputs, so membership is checked where points
-come in: Curve.add/mul/neg, IsogenyChain.evaluate, the Step constructor,
+come in: Curve.add/mul/neg, IsogenyChain.evaluate, the Step constructor
+(on ints, by _on_curve, whichever form its kernel takes),
 isogeny_from_kernel's generators, decompose_2d, weil_pairing and the
 decoders.
 """
@@ -85,12 +89,7 @@ class Curve:
     # -- membership -----------------------------------------------------
 
     def on_curve(self, P: Point) -> bool:
-        if P.is_inf:
-            return True
-        (x0, x1, y0, y1), a, b = _coords(P), self.a, self.b
-        s0, s1 = x0 * x0 - x1 * x1 + a.c0, 2 * x0 * x1 + a.c1  # y^2 = (x^2 + a) x + b
-        r0 = (y0 * y0 - y1 * y1 - s0 * x0 + s1 * x1 - b.c0) % self.p
-        return r0 == (2 * y0 * y1 - s0 * x1 - s1 * x0 - b.c1) % self.p == 0
+        return P.is_inf or _on_curve(self, _coords(P))
 
     def check(self, P: Point):
         if not self.on_curve(P):
@@ -165,6 +164,14 @@ def _coords(P: Point):
 def _point(p: int, R) -> Point:
     """The Point of an int 4-tuple (or None) from _coords."""
     return _INF if R is None else Point(Fp2(p, R[0], R[1]), Fp2(p, R[2], R[3]))
+
+
+def _on_curve(E: Curve, R) -> bool:
+    """on_curve for a finite point in int coordinates."""
+    (x0, x1, y0, y1), a, b = R, E.a, E.b
+    s0, s1 = x0 * x0 - x1 * x1 + a.c0, 2 * x0 * x1 + a.c1  # y^2 = (x^2 + a) x + b
+    r0 = (y0 * y0 - y1 * y1 - s0 * x0 + s1 * x1 - b.c0) % E.p
+    return r0 == (2 * y0 * y1 - s0 * x1 - s1 * x0 - b.c1) % E.p == 0
 
 
 def _lift(E: Curve, x0: int, x1: int):

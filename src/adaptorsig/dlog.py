@@ -179,7 +179,7 @@ def _walks(E, ell, r, steps, U, V, back_gen):
     for G in _subgroup_gens(E, ell):
         if G in back:
             continue
-        s = Step(E, _point(E.p, G), ell)
+        s = Step(E, G, ell)
         yield from _walks(
             s.codomain,
             ell,

@@ -14,6 +14,7 @@ from .curve import (
     Point,
     _chord,
     _coords,
+    _on_curve,
     _order,
     _point,
     _scale,
@@ -25,88 +26,118 @@ from .curve import (
     weil_pairing,
 )
 from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
-from .field import Fp2, batch_inv, sqrt_pair
+from .field import Fp2, batch_inv, inv_pair, sqrt_pair
 
 
 class Step:
     """One Vélu step of prime degree ell, post-composed with a u-twist.
 
-    The step keeps Vélu's data for half the kernel: the kernel point itself
-    for ell = 2, and K, 2K, ..., ((ell-1)/2)K for odd ell, whose negatives
-    are the other half.  Per point T it stores (x_T, v_T, u_T) with
-    g_T = 3 x_T^2 + a, v_T = g_T for ell = 2 and 2 g_T otherwise, and
-    u_T = 4 y_T^2.  Those values, u^2 and u^3 are int pairs: construction
-    and image() run on integer coordinates, and evaluate() converts its Point
-    once each way.  The constructor checks that the kernel is on the domain.
+    The kernel generator comes as a Point or as its int 4-tuple, which is
+    what the walks hold; the step keeps the ints, and `kernel` builds the
+    Point only when it is read.  The constructor checks on those ints that
+    the kernel is a finite point of the domain of order ell.
+
+    For ell = 2 the kernel is K = (x_K, 0), and with g = 3 x_K^2 + a the
+    step has a closed form, for which it keeps (x_K, g): the codomain is
+    a' = a - 5g, b' = b - 7 x_K g, and (x, y) maps to
+    (x + g t, y (1 - g t^2)) with t = 1/(x - x_K).  For odd ell the step
+    keeps Vélu's data for half the kernel, K, 2K, ..., ((ell-1)/2)K, whose
+    negatives are the other half: per point T the values (x_T, v_T, u_T)
+    with v_T = 2(3 x_T^2 + a) and u_T = 4 y_T^2.  Those values, u^2 and u^3
+    are int pairs: construction and image() run on integer coordinates, and
+    evaluate() converts its Point once each way.
     """
 
-    __slots__ = ("domain", "codomain", "ell", "kernel", "u", "_half", "_twist")
+    __slots__ = ("domain", "codomain", "ell", "u", "_kernel", "_half", "_twist")
 
-    def __init__(self, domain: Curve, kernel: Point, ell: int, u: Fp2 = None):
-        if kernel.is_inf or not domain.on_curve(kernel):
+    def __init__(self, domain: Curve, kernel, ell: int, u: Fp2 = None):
+        K = _coords(kernel) if isinstance(kernel, Point) else kernel
+        if K is None or not _on_curve(domain, K):
             raise BadKernel("kernel generator must be a finite point on the domain")
         p, a0, a1 = domain.p, domain.a.c0, domain.a.c1
-        K = _coords(kernel)
-        half = [K]
-        for _ in range((ell - 3) // 2):
-            T = _chord(p, a0, a1, half[-1], K)[0]
-            if T is None:
-                raise BadKernel(f"kernel generator has order below {ell}")
-            half.append(T)
-        # order ell: y_K = 0 for ell = 2, else ((ell+1)/2)K = -((ell-1)/2)K
-        last = half[-1]
-        S = None if ell == 2 else _chord(p, a0, a1, last, K)[0]
-        if not (K[2] == K[3] == 0 if ell == 2 else S is not None and S[:2] == last[:2]):
-            raise BadKernel(f"kernel generator does not have order {ell}")
-        self.domain, self.ell, self.kernel = domain, ell, kernel
+        b0, b1 = domain.b.c0, domain.b.c1
+        if ell == 2:
+            k0, k1, y0, y1 = K
+            if y0 or y1:
+                raise BadKernel("kernel generator does not have order 2")
+            g0, g1 = (3 * (k0 * k0 - k1 * k1) + a0) % p, (6 * k0 * k1 + a1) % p
+            self._half = (k0, k1, g0, g1)
+            a0, a1 = a0 - 5 * g0, a1 - 5 * g1
+            b0, b1 = b0 - 7 * (k0 * g0 - k1 * g1), b1 - 7 * (k0 * g1 + k1 * g0)
+        else:
+            half = [K]
+            for _ in range((ell - 3) // 2):
+                T = _chord(p, a0, a1, half[-1], K)[0]
+                if T is None:
+                    raise BadKernel(f"kernel generator has order below {ell}")
+                half.append(T)
+            # order ell: ((ell+1)/2)K = -((ell-1)/2)K
+            S = _chord(p, a0, a1, half[-1], K)[0]
+            if S is None or S[:2] != half[-1][:2]:
+                raise BadKernel(f"kernel generator does not have order {ell}")
+            v0 = v1 = w0 = w1 = 0
+            triples = []
+            for x0, x1, y0, y1 in half:
+                g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
+                t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
+                v0, v1 = v0 + g0, v1 + g1
+                w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
+                triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
+            self._half = triples
+            a0, a1 = a0 - 5 * v0, a1 - 5 * v1
+            b0, b1 = b0 - 7 * w0, b1 - 7 * w1
+        self.domain, self.ell, self._kernel = domain, ell, K
         self.u = Fp2.one(p) if u is None else u
-        v0 = v1 = w0 = w1 = 0
-        triples = []
-        m = 1 if ell == 2 else 2
-        for x0, x1, y0, y1 in half:
-            g0, g1 = m * (3 * (x0 * x0 - x1 * x1) + a0), m * (6 * x0 * x1 + a1)
-            t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
-            v0, v1 = v0 + g0, v1 + g1
-            w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
-            triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
-        self._half = triples
-        a = Fp2(p, a0 - 5 * v0, a1 - 5 * v1)
-        b = Fp2(p, domain.b.c0 - 7 * w0, domain.b.c1 - 7 * w1)
-        self.codomain = twist_curve(Curve(a, b), self.u)
+        self.codomain = twist_curve(Curve(Fp2(p, a0, a1), Fp2(p, b0, b1)), self.u)
         self._twist = None
         if not self.u.is_one():
             u2 = self.u * self.u
             self._twist = (*u2.lex_key(), *(u2 * self.u).lex_key())
+
+    @property
+    def kernel(self) -> Point:
+        """The kernel generator as a Point."""
+        return _point(self.domain.p, self._kernel)
 
     def evaluate(self, P: Point) -> Point:
         """Image of P: image() on P's integer coordinates."""
         return _point(self.domain.p, self.image(_coords(P)))
 
     def image(self, P):
-        """Image of P in int coordinates: Vélu's rational map over half the
-        kernel, then the twist.
+        """Image of P in int coordinates: Vélu's rational map, then the twist.
 
-        x' = x + sum(v_T/(x - x_T) + u_T/(x - x_T)^2) and
-        y' = y (1 - sum(v_T/(x - x_T)^2 + 2 u_T/(x - x_T)^3)).  The
-        denominators share one inversion; x = x_T means P = +-T, a kernel point.
+        For ell = 2, x' = x + g t and y' = y (1 - g t^2) with t = 1/(x - x_K).
+        For odd ell, over half the kernel, x' = x + sum(v_T/(x - x_T) +
+        u_T/(x - x_T)^2) and y' = y (1 - sum(v_T/(x - x_T)^2 + 2 u_T/(x -
+        x_T)^3)); the denominators share one inversion.  x = x_T means
+        P = +-T, a kernel point.
         """
         if P is None:
             return None
         p = self.domain.p
         x0, x1, y0, y1 = P
-        ds = []
-        for T in self._half:
-            if T[0] == x0 and T[1] == x1:
+        if self.ell == 2:
+            k0, k1, g0, g1 = self._half
+            if x0 == k0 and x1 == k1:
                 return None
-            ds.append((x0 - T[0], x1 - T[1]))
-        sx0, sx1, sy0, sy1 = x0, x1, 0, 0
-        for (_, _, v0, v1, u0, u1), (t0, t1) in zip(self._half, batch_inv(p, ds)):
-            # with ut = u_T t and vu = v_T + ut: sx += t vu, sy += t^2 (vu + ut)
-            ut0, ut1 = (u0 * t0 - u1 * t1) % p, (u0 * t1 + u1 * t0) % p
-            vu0, vu1, r0, r1 = v0 + ut0, v1 + ut1, v0 + 2 * ut0, v1 + 2 * ut1
-            q0, q1 = (t0 * t0 - t1 * t1) % p, 2 * t0 * t1 % p
-            sx0, sx1 = sx0 + t0 * vu0 - t1 * vu1, sx1 + t0 * vu1 + t1 * vu0
-            sy0, sy1 = sy0 + q0 * r0 - q1 * r1, sy1 + q0 * r1 + q1 * r0
+            t0, t1 = inv_pair(p, x0 - k0, x1 - k1)
+            gt0, gt1 = (g0 * t0 - g1 * t1) % p, (g0 * t1 + g1 * t0) % p
+            sx0, sx1 = x0 + gt0, x1 + gt1
+            sy0, sy1 = gt0 * t0 - gt1 * t1, gt0 * t1 + gt1 * t0
+        else:
+            ds = []
+            for T in self._half:
+                if T[0] == x0 and T[1] == x1:
+                    return None
+                ds.append((x0 - T[0], x1 - T[1]))
+            sx0, sx1, sy0, sy1 = x0, x1, 0, 0
+            for (_, _, v0, v1, u0, u1), (t0, t1) in zip(self._half, batch_inv(p, ds)):
+                # with ut = u_T t and vu = v_T + ut: sx += t vu, sy += t^2 (vu + ut)
+                ut0, ut1 = (u0 * t0 - u1 * t1) % p, (u0 * t1 + u1 * t0) % p
+                vu0, vu1, r0, r1 = v0 + ut0, v1 + ut1, v0 + 2 * ut0, v1 + 2 * ut1
+                q0, q1 = (t0 * t0 - t1 * t1) % p, 2 * t0 * t1 % p
+                sx0, sx1 = sx0 + t0 * vu0 - t1 * vu1, sx1 + t0 * vu1 + t1 * vu0
+                sy0, sy1 = sy0 + q0 * r0 - q1 * r1, sy1 + q0 * r1 + q1 * r0
         Y0, Y1 = y0 * (1 - sy0) + y1 * sy1, y1 * (1 - sy0) - y0 * sy1
         if self._twist is not None:
             s0, s1, c0, c1 = self._twist
@@ -116,7 +147,7 @@ class Step:
 
     def retwist(self, u: Fp2) -> "Step":
         """Same isogeny with the twist multiplied by u."""
-        return Step(self.domain, self.kernel, self.ell, self.u * u)
+        return Step(self.domain, self._kernel, self.ell, self.u * u)
 
 
 class IsogenyChain:
@@ -161,9 +192,10 @@ def compose_chains(*chains) -> IsogenyChain:
 def _ladder(E: Curve, R, ell: int, r: int) -> list:
     """[R, [ell]R, ..., [ell^(k-1)]R] with k = r, or the k < r with [ell^k]R = O,
     in int coordinates."""
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
     out = [R]
     while len(out) < r:
-        R = _scale(E, ell, R)
+        R = _chord(p, a0, a1, R, R)[0] if ell == 2 else _scale(E, ell, R)
         if R is None:
             break
         out.append(R)
@@ -183,7 +215,7 @@ def _cyclic_walk(E: Curve, ladder: list, ell: int):
     """
     r = len(ladder)
     if r == 1:
-        yield Step(E, _point(E.p, ladder[0]), ell)
+        yield Step(E, ladder[0], ell)
         return
     h = r // 2
     R = ladder[0]
@@ -303,7 +335,7 @@ def _dual_kernel(step: Step):
     """
     E, ell = step.domain, step.ell
     if ell == 2:
-        (k0, k1), (a0, a1), h = step.kernel.x.lex_key(), E.a.lex_key(), (E.p + 1) // 2
+        (k0, k1, _, _), (a0, a1), h = step._kernel, E.a.lex_key(), (E.p + 1) // 2
         r = sqrt_pair(E.p, -3 * (k0 * k0 - k1 * k1) - 4 * a0, -6 * k0 * k1 - 4 * a1)
         if r is None:
             raise NoBasis("E[2] is not rational")
@@ -325,8 +357,7 @@ def dual_step(step: Step) -> Step:
     exactly when it keeps the differential.  So v = 1/(ell u) makes the
     composite [ell] and lands s_hat on the domain of s.
     """
-    K = _point(step.domain.p, _dual_kernel(step))
-    d = Step(step.codomain, K, step.ell, (step.ell * step.u).inv())
+    d = Step(step.codomain, _dual_kernel(step), step.ell, (step.ell * step.u).inv())
     if d.codomain != step.domain:
         raise BadKernel("the dual step does not return to the domain")
     return d

@@ -89,21 +89,24 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
 
     A = ps.A
     corners = []
-    reveals = []
+    kernels = []
     for _ in range(ps.nizk_rounds):
         h = rng.randrange(1, mu(A) + 1)
         mask = challenge_walk(ew, h, A)
-        km = mask.kernel_gens[0]
         par = tuple(mask.evaluate(g) for g in gens)
         # F' from F on the B-side: the curve the mask pushed to e1 reaches
         fp = isogeny_from_kernel(mask.codomain, list(par), ps.B).codomain
         corners.append((mask.codomain, fp))
-        # tag 0 reveals both masks, tag 1 the kernel of F -> F'
-        reveals.append(((km, psip.evaluate(km)), par))
+        kernels.append((mask.kernel_gens[0], par))
 
+    # tag 0 reveals both masks, tag 1 the kernel of F -> F'; psi' of the
+    # mask kernel is computed only for the rounds that reveal it
     bits = _challenge_bits(statement, corners, ps.nizk_rounds)
     return NizkProof(
-        [NizkRound(F, Fp, bit, r[bit]) for (F, Fp), r, bit in zip(corners, reveals, bits)]
+        [
+            NizkRound(F, Fp, bit, par if bit else (km, psip.evaluate(km)))
+            for (F, Fp), (km, par), bit in zip(corners, kernels, bits)
+        ]
     )
 
 

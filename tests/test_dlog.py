@@ -338,8 +338,10 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
 
     The search carries the basis images as ints through Step.image, so the
     strict check (basis cache cleared) makes no Point-level Step.evaluate
-    and 349 int-to-Point conversions, each a Point that is kept: a step's
-    kernel, a canonical basis, the forward images at a j-match.  A walk
+    and 116 int-to-Point conversions, each a Point that is kept: a canonical
+    basis, the forward images at a j-match, their images through the dual
+    and the verifier's own few group operations.  Steps take their kernels
+    as ints, so no kernel is converted.  A walk
     takes a step's dual kernel only where it goes on, so the check makes 52
     _dual_kernel calls and 95 small_torsion_basis requests, where building
     one for every step, leaves included, makes 232 and 275."""
@@ -361,7 +363,7 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(evaluations), len(points)) == (0, 349)
+    assert (len(evaluations), len(points)) == (0, 116)
     assert (len(duals), len(bases)) == (52, 95)
 
 

@@ -25,6 +25,7 @@ from adaptorsig.isogeny import (
     push_forward,
 )
 from adaptorsig.orientation import oriented_kernel
+from adaptorsig.relation import gen_r
 from adaptorsig.sig import challenge_walk, cyclic_kernel, keygen, mu
 
 
@@ -387,6 +388,41 @@ def test_two_generator_b_kernel_cost(t0, monkeypatch):
     chain = isogeny_from_kernel(t0.e0, gens, t0.B)
     assert [s.ell for s in chain.steps] == [5, 7]
     assert (len(adds), len(steps)) == (12, 2)
+
+
+def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch):
+    """One T0 cyclic 2^7 chain: 7 steps, each built through the Step
+    constructor from the int kernel the walk holds, and no Point made
+    between the generator and the chain."""
+    E = t0.e0
+    K = cyclic_kernel(E, t0.A, 5)
+    _, _, steps = count_chain_work(monkeypatch)
+    points = []
+    point = curve._point
+    for module in (curve, isogeny):
+        monkeypatch.setattr(module, "_point", lambda p, R: points.append(1) or point(p, R))
+    chain = isogeny_from_kernel(E, [K], t0.A)
+    assert (len(chain.steps), len(steps), len(points)) == (7, 7, 0)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_walk_built_two_steps_match_translation_sums(request, rng, profile):
+    """The closed-form 2-steps of mask chains, which the walk builds from
+    int kernels, on E0 and on a statement curve E_w: the images of random
+    points and of the kernel points are Vélu's translation sums, and the
+    codomain is that of the step built from the kernel as a Point."""
+    ps = request.getfixturevalue(profile)
+    _, statement = gen_r(ps, rng)
+    for E in (ps.e0, statement.ew):
+        for h in (1, rng.randrange(1, mu(ps.A) + 1)):
+            chain = challenge_walk(E, h, ps.A)
+            assert [s.ell for s in chain.steps] == [2] * ps.a
+            for s in chain.steps:
+                D = s.domain
+                assert Step(D, s.kernel, 2).codomain == s.codomain
+                pts = [D.random_point(rng) for _ in range(6)] + [s.kernel, Point.infinity()]
+                for P in pts:
+                    assert s.evaluate(P) == translation_sum_image(s, P)
 
 
 def test_evaluate_does_one_inversion(t0, rng, monkeypatch):

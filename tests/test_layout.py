@@ -310,3 +310,23 @@ def test_perfbench_calls_bind_to_the_library():
         "isogeny.Step",
         "serial.parse_presig",
     } <= checked
+
+
+def test_steps_are_built_by_calling_step_alone():
+    # perfbench's isogeny.Step.init span and the tests' count_chain_work
+    # wrap Step.__init__, so every step must be made by Step(...): no module
+    # reaches for __new__ (Step.__new__, object.__new__) or copies an object
+    # past its constructor with copy or pickle
+    bypasses = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                found = [node.module]
+            else:
+                found = [getattr(node, "attr", None)]
+            bypasses += [
+                f"{name}:{node.lineno} {x}" for x in found if x in ("__new__", "copy", "pickle")
+            ]
+    assert bypasses == []

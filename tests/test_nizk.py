@@ -78,6 +78,28 @@ def test_prover_builds_two_chains_per_round(t0, monkeypatch):
     assert verify_parallel(stmt, proof, t0)
 
 
+def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
+    """psi'(km), the tag-0 reveal on E1, is evaluated after the challenge
+    and only for the rounds whose bit is 0."""
+    rng = random.Random(27)
+    stmt, bits = make_statement(t0, rng)
+    pushed = []
+    evaluate = isogeny.IsogenyChain.evaluate
+
+    def counted(chain, P):
+        if chain.degree == t0.B:
+            pushed.append(1)
+        return evaluate(chain, P)
+
+    monkeypatch.setattr(isogeny.IsogenyChain, "evaluate", counted)
+    proof = prove_parallel(stmt, bits, t0, rng)
+    zeros = sum(r.tag == 0 for r in proof.rounds)
+    assert 0 < zeros < t0.nizk_rounds
+    assert len(pushed) == zeros
+    monkeypatch.undo()
+    assert verify_parallel(stmt, proof, t0)
+
+
 def test_swap_chain_count(t0, monkeypatch):
     """Chains built by one T0 swap, by degree.  Each round of the swap's two
     proofs builds one mask (degree A) and one parallel isogeny (degree B);
