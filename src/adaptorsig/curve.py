@@ -70,7 +70,7 @@ class Curve:
     __slots__ = ("p", "a", "b")
 
     def __init__(self, a: Fp2, b: Fp2):
-        _, (d0, d1) = _j_parts(a, b)
+        _, (d0, d1) = _j_parts(a.c0, a.c1, b.c0, b.c1)
         if d0 % a.p == 0 and d1 % a.p == 0:
             raise SingularCurve("discriminant is zero")
         self.p = a.p
@@ -114,7 +114,7 @@ class Curve:
 
     def j_invariant(self) -> Fp2:
         """1728 * 4a^3 / (4a^3 + 27b^2), on int pairs with one inversion."""
-        (c0, c1), (d0, d1) = _j_parts(self.a, self.b)
+        (c0, c1), (d0, d1) = _j_parts(self.a.c0, self.a.c1, self.b.c0, self.b.c1)
         d0, d1 = inv_pair(self.p, d0, d1)
         return Fp2(self.p, 1728 * (c0 * d0 - c1 * d1), 1728 * (c0 * d1 + c1 * d0))
 
@@ -141,11 +141,10 @@ class Curve:
             return P
 
 
-def _j_parts(a: Fp2, b: Fp2):
-    """(4a^3, 4a^3 + 27b^2) as unreduced int pairs: the j-invariant's
-    numerator over 1728 and the discriminant's share that vanishes when the
-    curve is singular."""
-    (a0, a1), (b0, b1) = a.lex_key(), b.lex_key()
+def _j_parts(a0: int, a1: int, b0: int, b1: int):
+    """(4a^3, 4a^3 + 27b^2) as unreduced int pairs, for a = a0 + a1*i and
+    b = b0 + b1*i: the j-invariant's numerator over 1728 and the
+    discriminant's share that vanishes when the curve is singular."""
     s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1  # a^2
     c0, c1 = 4 * (s0 * a0 - s1 * a1), 4 * (s0 * a1 + s1 * a0)
     return (c0, c1), (c0 + 27 * (b0 * b0 - b1 * b1), c1 + 54 * b0 * b1)

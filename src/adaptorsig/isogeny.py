@@ -7,7 +7,9 @@ dual(phi) composed with phi is literally multiplication by the degree on
 rational points rather than "up to isomorphism".
 """
 
+import functools
 import math
+from dataclasses import dataclass
 
 from .curve import (
     Curve,
@@ -45,10 +47,12 @@ class Step:
     negatives are the other half: per point T the values (x_T, v_T, u_T)
     with v_T = 2(3 x_T^2 + a) and u_T = 4 y_T^2.  Those values, u^2 and u^3
     are int pairs: construction and image() run on integer coordinates, and
-    evaluate() converts its Point once each way.
+    evaluate() converts its Point once each way.  A step without a twist
+    (u = 1) keeps none: its codomain is Vélu's curve as computed, and `u`
+    builds the 1 only when it is read.
     """
 
-    __slots__ = ("domain", "codomain", "ell", "u", "_kernel", "_half", "_twist")
+    __slots__ = ("domain", "codomain", "ell", "_u", "_kernel", "_half", "_twist")
 
     def __init__(self, domain: Curve, kernel, ell: int, u: Fp2 = None):
         K = _coords(kernel) if isinstance(kernel, Point) else kernel
@@ -87,12 +91,18 @@ class Step:
             a0, a1 = a0 - 5 * v0, a1 - 5 * v1
             b0, b1 = b0 - 7 * w0, b1 - 7 * w1
         self.domain, self.ell, self._kernel = domain, ell, K
-        self.u = Fp2.one(p) if u is None else u
-        self.codomain = twist_curve(Curve(Fp2(p, a0, a1), Fp2(p, b0, b1)), self.u)
-        self._twist = None
-        if not self.u.is_one():
-            u2 = self.u * self.u
-            self._twist = (*u2.lex_key(), *(u2 * self.u).lex_key())
+        self._u = self._twist = None
+        codomain = Curve(Fp2(p, a0, a1), Fp2(p, b0, b1))
+        if u is not None and not u.is_one():
+            u2 = u * u
+            self._u, self._twist = u, (*u2.lex_key(), *(u2 * u).lex_key())
+            codomain = twist_curve(codomain, u)
+        self.codomain = codomain
+
+    @property
+    def u(self) -> Fp2:
+        """The twist factor."""
+        return Fp2.one(self.domain.p) if self._u is None else self._u
 
     @property
     def kernel(self) -> Point:
@@ -202,9 +212,10 @@ def _ladder(E: Curve, R, ell: int, r: int) -> list:
     return out
 
 
-def _cyclic_walk(E: Curve, ladder: list, ell: int):
-    """Yield the r steps of degree ell whose kernels generate <R>, |R| = ell^r,
-    given the ladder [R, [ell]R, ..., [ell^(r-1)]R] in int coordinates.
+def _cyclic_walk(E: Curve, ladder: list, ell: int, steps: list):
+    """Append to steps the r steps of degree ell whose kernels generate <R>,
+    |R| = ell^r, given the ladder [R, [ell]R, ..., [ell^(r-1)]R] in int
+    coordinates.
 
     Step i has kernel [ell^(r-1-i)]R pushed through the steps before it.
     The balanced strategy of De Feo, Jao and Plût walks <[ell^h]R>, h = r//2,
@@ -215,14 +226,14 @@ def _cyclic_walk(E: Curve, ladder: list, ell: int):
     """
     r = len(ladder)
     if r == 1:
-        yield Step(E, ladder[0], ell)
+        steps.append(Step(E, ladder[0], ell))
         return
-    h = r // 2
-    R = ladder[0]
-    for step in _cyclic_walk(E, ladder[h:], ell):
+    h, start, R = r // 2, len(steps), ladder[0]
+    _cyclic_walk(E, ladder[h:], ell, steps)
+    for step in steps[start:]:
         R = step.image(R)
-        yield step
-    yield from _cyclic_walk(step.codomain, _ladder(step.codomain, R, ell, h), ell)
+    E = steps[-1].codomain
+    _cyclic_walk(E, _ladder(E, R, ell, h), ell, steps)
 
 
 def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
@@ -254,7 +265,7 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
             raise BadKernel("nontrivial generators for a degree-1 isogeny")
         return IsogenyChain.identity(E)
     try:
-        steps = list(_kernel_steps(E, gens, degree))
+        steps = _kernel_steps(E, gens, degree)
     except BadKernel:
         # the walk takes the degree as a multiple of every generator's order;
         # where it is not one, the walk fails, and the message says so
@@ -264,58 +275,64 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     return IsogenyChain(E, steps, list(gens))
 
 
-def _kernel_steps(E: Curve, gens, degree: int):
+def _kernel_steps(E: Curve, gens, degree: int) -> list:
     """The steps of isogeny_from_kernel, given a degree above 1; the
-    generators are carried in int coordinates."""
+    generators are carried in int coordinates.  The degree is factored
+    once, and e counts the steps of degree ell still to take."""
     work = [(_coords(g), degree) for g in gens if not g.is_inf]
     cur = E
-    D = degree
-    while D > 1:
-        ell = min(factorize(D))
-        for pick, (g, m) in enumerate(work):
-            if m % ell:
-                continue
-            f = factorize(m)[ell]
-            n1 = 1
-            if m > ell**f:
-                n1 = _order(cur, _scale(cur, ell**f, g), m // ell**f)
-                if n1 is None:
-                    raise BadKernel("generator order does not divide the degree")
-            Q = _scale(cur, n1, g)
-            if Q is not None:
-                break
-            work[pick] = (g, n1)
-        else:
-            raise BadKernel(f"no kernel point of order {ell} available")
-        del work[pick]
-        ladder = _ladder(cur, Q, ell, f)
-        v = len(ladder)
-        r = min(v, factorize(D)[ell])
-        rest = n1 * ell ** (v - r)
-        for step in _cyclic_walk(cur, ladder[v - r :], ell):
-            cur = step.codomain
-            # ord(step(h)) = ord(h) / |<h> ∩ ker step|, and ker step has prime
-            # order ell: h loses a factor ell exactly when [m/ell]h is in it
-            # if m is ord(h) up to a factor prime to ell; if m has more ell,
-            # [m/ell]h = O and m/ell is still a multiple of ord(h)
-            nxt = []
-            for h, m in work:
-                h = step.image(h)
-                if m % ell == 0 and _scale(cur, m // ell, h) is None:
-                    m //= ell
-                if h is not None:
-                    nxt.append((h, m))
-            work = nxt
+    steps = []
+    for ell, e in sorted(factorize(degree).items()):
+        while e:
+            for pick, (g, m) in enumerate(work):
+                if m % ell:
+                    continue
+                f, n1 = 0, m  # m = n1 * ell^f, ell not dividing n1
+                while n1 % ell == 0:
+                    n1 //= ell
+                    f += 1
+                if n1 > 1:
+                    n1 = _order(cur, _scale(cur, m // n1, g), n1)
+                    if n1 is None:
+                        raise BadKernel("generator order does not divide the degree")
+                Q = _scale(cur, n1, g)
+                if Q is not None:
+                    break
+                work[pick] = (g, n1)
+            else:
+                raise BadKernel(f"no kernel point of order {ell} available")
+            del work[pick]
+            ladder = _ladder(cur, Q, ell, f)
+            v = len(ladder)
+            r = min(v, e)
+            rest = n1 * ell ** (v - r)
+            start = len(steps)
+            _cyclic_walk(cur, ladder[v - r :], ell, steps)
+            for step in steps[start:]:
+                cur = step.codomain
+                # ord(step(h)) = ord(h) / |<h> ∩ ker step|, and ker step has
+                # prime order ell: h loses a factor ell exactly when [m/ell]h
+                # is in it if m is ord(h) up to a factor prime to ell; if m
+                # has more ell, [m/ell]h = O and m/ell is still a multiple of
+                # ord(h)
+                nxt = []
+                for h, m in work:
+                    h = step.image(h)
+                    if m % ell == 0 and _scale(cur, m // ell, h) is None:
+                        m //= ell
+                    if h is not None:
+                        nxt.append((h, m))
+                work = nxt
+                if rest > 1:
+                    g = step.image(g)
+            # the generators before the picked one kept their orders (ell
+            # does not divide their multiples), so it goes back to its place
             if rest > 1:
-                g = step.image(g)
-            yield step
-        # the generators before the picked one kept their orders (ell does
-        # not divide their multiples), so it goes back to its place
-        if rest > 1:
-            work.insert(pick, (g, rest))
-        D //= ell**r
+                work.insert(pick, (g, rest))
+            e -= r
     if work:
         raise BadKernel("generators span a larger subgroup than the degree")
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -403,27 +420,36 @@ def pull_back(phi2: IsogenyChain, psi1: IsogenyChain) -> IsogenyChain:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class EfficientRep:
-    """Degree plus images of an N-torsion basis: enough data to evaluate."""
+    """Degree plus images of an N-torsion basis: enough data to evaluate.
 
-    __slots__ = ("domain", "codomain", "degree", "order", "basis", "images")
+    A value: the fields cannot be reassigned, basis and images are tuples,
+    and two representations with equal fields are equal and hash alike.
+    That is what lets pairing_law remember its verdict per representation.
+    """
 
-    def __init__(self, domain, codomain, degree, order, basis, images):
-        self.domain = domain
-        self.codomain = codomain
-        self.degree = degree
-        self.order = order
-        self.basis = basis
-        self.images = images
+    domain: Curve
+    codomain: Curve
+    degree: int
+    order: int
+    basis: tuple
+    images: tuple
 
     def __repr__(self):
         return f"EfficientRep(degree={self.degree}, order={self.order})"
 
 
+@functools.lru_cache(maxsize=4096)
 def pairing_law(rep: EfficientRep) -> bool:
     """Whether e_N(images) = e_N(basis)^degree for N-torsion inputs, N the
     basis order; e_N(basis) is an N-th root of unity, so the degree is
-    reduced mod N and a decoded degree of any length costs nothing."""
+    reduced mod N and a decoded degree of any length costs nothing.
+
+    The verdict is remembered per representation value, so a decoder and
+    the verifier it hands the object to compute it once; a representation
+    that differs in any field is a new key and is checked afresh.
+    """
     N = rep.order
     zb = weil_pairing(rep.domain, *rep.basis, N)
     zi = weil_pairing(rep.codomain, *rep.images, N)

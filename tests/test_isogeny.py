@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from adaptorsig.curve import (
 from adaptorsig.errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree
 from adaptorsig.field import Fp2
 from adaptorsig.isogeny import (
+    EfficientRep,
     Step,
     compose_chains,
     dual,
@@ -405,6 +407,22 @@ def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch):
     assert (len(chain.steps), len(steps), len(points)) == (7, 7, 0)
 
 
+def test_untwisted_two_step_builds_two_field_elements(t0, monkeypatch):
+    """An ell = 2 step from an int kernel at u = 1 makes the codomain's a
+    and b and no other Fp2: no 1 for a twist it does not have."""
+    E = t0.e0
+    K = (0, 0, 0, 0)
+    made = []
+    init = Fp2.__init__
+    monkeypatch.setattr(Fp2, "__init__", lambda self, *a: made.append(1) or init(self, *a))
+    step = Step(E, K, 2)
+    assert len(made) == 2
+    monkeypatch.undo()
+    assert step.u == Fp2.one(t0.p)
+    assert step.codomain == isogeny_from_kernel(E, [step.kernel], 2).codomain
+    assert step.codomain == Step(E, K, 2, Fp2.one(t0.p)).codomain
+
+
 @pytest.mark.parametrize("profile", ["t0", "t1"])
 def test_walk_built_two_steps_match_translation_sums(request, rng, profile):
     """The closed-form 2-steps of mask chains, which the walk builds from
@@ -606,6 +624,16 @@ def test_efficient_rep_identity(t0):
     ident = isogeny_from_kernel(E, [], 1)
     rep = efficient_rep(ident, t0.A)
     assert rep.images == rep.basis
+
+
+def test_efficient_rep_is_a_value(t0):
+    rep = efficient_rep(two_isogeny_from_origin(t0), t0.A)
+    fields = (rep.domain, rep.codomain, rep.degree, rep.order, rep.basis, rep.images)
+    twin = EfficientRep(*fields)
+    assert twin is not rep and twin == rep and hash(twin) == hash(rep)
+    assert dataclasses.replace(rep, degree=rep.degree + rep.order) != rep
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.images = rep.images[::-1]
 
 
 def test_efficient_rep_pairing_law(t0):

@@ -124,6 +124,46 @@ def test_function_caches_have_a_fixed_size():
     assert unbounded == []
 
 
+def test_every_functools_cache_has_an_int_maxsize():
+    # memory stays bounded in long runs: every cache of the package is a
+    # functools.lru_cache(maxsize=<int>) call, spelled through the module,
+    # so functools.cache, a bare lru_cache and maxsize=None are caught as a
+    # decorator or anywhere else
+    unbounded = []
+    for name, tree in _trees():
+        called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [
+                    f"{name}:{node.lineno} from functools import {alias.name}"
+                    for alias in node.names
+                    if alias.name in ("cache", "lru_cache")
+                ]
+            if not (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "functools"
+                and node.attr in ("cache", "lru_cache")
+            ):
+                continue
+            call, size = called.get(id(node)), None
+            if call is not None and node.attr == "lru_cache":
+                sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"]
+                size = (sizes + call.args[:1] + [None])[0]
+            if not (isinstance(size, ast.Constant) and type(size.value) is int):
+                unbounded.append(f"{name}:{node.lineno} functools.{node.attr}")
+    assert unbounded == []
+    # and at run time, each cached function reports an int bound
+    bounds = {
+        f"{path.stem}.{attr}": fn.cache_info().maxsize
+        for path in SOURCES
+        if not path.stem.startswith("__")
+        for attr, fn in vars(importlib.import_module(f"adaptorsig.{path.stem}")).items()
+        if hasattr(fn, "cache_info")
+    }
+    assert {"curve.canonical_torsion_basis", "isogeny.pairing_law"} <= set(bounds)
+    assert {k: v for k, v in bounds.items() if type(v) is not int} == {}
+
+
 # per source file, the functions whose rejection tags README "Verification"
 # lists: the two response helpers return them, the two adaptor verifiers,
 # the relation check and the proof check pass them to fail()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from adaptorsig import orientation, serial
+from adaptorsig import isogeny, orientation, serial
 from adaptorsig.adaptor import adapt, presign, presignature_shapes
 from adaptorsig.cli import main
 from adaptorsig.curve import Curve, Point, canonical_torsion_basis, twist_curve, twist_point
@@ -464,3 +465,42 @@ def test_keypair_decoder_compares_stated_and_computed_ends(mutate, path, message
     with pytest.raises(InvariantViolation) as err:
         serial.parse_keypair(doc, ps)
     assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_verify_of_a_decoded_signature_pairs_once(monkeypatch, capsys):
+    # the decoder's rep_rejection and the verifier's see one representation
+    # value, so the pairing law's two Miller pairs run once between them
+    pairings = []
+    weil = isogeny.weil_pairing
+    monkeypatch.setattr(isogeny, "weil_pairing", lambda *a: pairings.append(a[-1]) or weil(*a))
+    pairing_law.cache_clear()
+    params, key = VECTORS / "params.json", VECTORS / "key.json"
+    argv = ["verify", "--params", str(params), "--key", str(key), "--message", "golden vector"]
+    assert main([*argv, str(VECTORS / "signature.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert pairings == [384, 384]
+
+
+def test_pairing_memo_rechecks_a_changed_representation():
+    pairing_law.cache_clear()
+    ps = serial.parse_params(_vector("params.json"))
+    pk = serial.parse_pk(_vector("key.json"), ps)
+    sig = serial.parse_signature(_vector("signature.json"), ps)
+    m = b"golden vector"
+    assert verify(pk, m, sig, "light", ps)
+    assert pairing_law.cache_info().hits == 1  # the verifier's, after the decoder's
+    rep = sig.rep
+    changed = [
+        (dataclasses.replace(rep, images=rep.images[::-1]), "rep:pairing"),
+        (dataclasses.replace(rep, degree=rep.degree + rep.order), "rep:shape"),
+    ]
+    misses = pairing_law.cache_info().misses
+    for bad, tag in changed:
+        assert bad != rep
+        reasons = []
+        assert not verify(pk, m, type(sig)(sig.e1, bad), "light", ps, reasons)
+        assert reasons == [tag]
+    # the swapped images are a key of their own, checked afresh; the shape
+    # check stops the other one before the pairing law
+    assert pairing_law.cache_info().misses == misses + 1
+    assert type(pairing_law.cache_info().maxsize) is int
