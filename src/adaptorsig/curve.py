@@ -15,13 +15,13 @@ module imports an underscore name of curve, isogeny or dlog.  The one
 exception is dlog.iter_kernel_candidates, which carries the search's images
 as ints.
 The point scan (_scan, square roots by field.sqrt_pair) and the
-j-invariant run on ints as well; lift_x and scan_points wrap _lift and
-_scan.
+j-invariant (_j_pair) run on ints as well; lift_x and scan_points wrap
+_lift and _scan.
 The int loops trust their inputs, so membership is checked where points
-come in: Curve.add/mul/neg, IsogenyChain.evaluate, the Step constructor
-(on ints, by _on_curve, whichever form its kernel takes),
-isogeny_from_kernel's generators, decompose_2d, weil_pairing and the
-decoders.
+come in: Curve.add/mul/neg, IsogenyChain.evaluate, isogeny._velu for a
+Step and for a search leaf's j (on ints, by _on_curve, whichever form the
+kernel takes), isogeny_from_kernel's generators, decompose_2d,
+weil_pairing and the decoders.
 """
 
 import functools
@@ -113,10 +113,8 @@ class Curve:
     # -- invariants --------------------------------------------------------
 
     def j_invariant(self) -> Fp2:
-        """1728 * 4a^3 / (4a^3 + 27b^2), on int pairs with one inversion."""
-        (c0, c1), (d0, d1) = _j_parts(self.a.c0, self.a.c1, self.b.c0, self.b.c1)
-        d0, d1 = inv_pair(self.p, d0, d1)
-        return Fp2(self.p, 1728 * (c0 * d0 - c1 * d1), 1728 * (c0 * d1 + c1 * d0))
+        """1728 * 4a^3 / (4a^3 + 27b^2), from _j_pair."""
+        return Fp2(self.p, *_j_pair(self.p, self.a.c0, self.a.c1, self.b.c0, self.b.c1))
 
     # -- deterministic point enumeration -----------------------------------
 
@@ -148,6 +146,14 @@ def _j_parts(a0: int, a1: int, b0: int, b1: int):
     s0, s1 = a0 * a0 - a1 * a1, 2 * a0 * a1  # a^2
     c0, c1 = 4 * (s0 * a0 - s1 * a1), 4 * (s0 * a1 + s1 * a0)
     return (c0, c1), (c0 + 27 * (b0 * b0 - b1 * b1), c1 + 54 * b0 * b1)
+
+
+def _j_pair(p: int, a0: int, a1: int, b0: int, b1: int):
+    """The j-invariant of y^2 = x^3 + a*x + b as a reduced int pair, with
+    one inversion; a and b come as int pairs, reduced or not."""
+    (c0, c1), (d0, d1) = _j_parts(a0, a1, b0, b1)
+    d0, d1 = inv_pair(p, d0, d1)
+    return 1728 * (c0 * d0 - c1 * d1) % p, 1728 * (c0 * d1 + c1 * d0) % p
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ degree into coprime halves d1*d2 and meets in the middle (the claw search
 of Jao and De Feo, PQCrypto 2011, used here as a verifier): degree-d1
 candidates walk forward from the domain, degree-d2 candidates backward from
 the codomain, and a j-invariant match joins them through the exact dual of
-the backward half.
+the backward half.  Halves meet on j alone: the last step of a walk is
+built only on a match.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from .curve import (
     Point,
     _chord,
     _coords,
+    _j_pair,
     _point,
     _scale,
     _span,
@@ -43,7 +45,15 @@ from .curve import (
     twist_point,
 )
 from .errors import AmbiguityBound, NotABasis, NotFound, OrderMismatch
-from .isogeny import EfficientRep, IsogenyChain, Step, _dual_kernel, dual, dual_step
+from .isogeny import (
+    EfficientRep,
+    IsogenyChain,
+    Step,
+    _dual_kernel,
+    _velu,
+    dual,
+    dual_step,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -151,9 +161,9 @@ def _ell_block(E: Curve, ell: int):
 
 
 def _pp_candidates(E, ell, e, U, V):
-    """Yield (steps, codomain, imgU, imgV) for every order-ell^e kernel
-    subgroup of E, each exactly once; U, V and their images in int
-    coordinates."""
+    """Yield (steps, node, imgU, imgV, leaf) for every order-ell^e kernel
+    subgroup of E, each exactly once, with the last step left lazy as in
+    _walks; U, V and their images in int coordinates."""
     for b in range(e // 2 + 1):
         r = e - 2 * b
         prefix = []
@@ -168,27 +178,45 @@ def _walks(E, ell, r, steps, U, V, back_gen):
     """The cyclic walks of r steps of degree ell that do not backtrack into
     back_gen's subgroup; back_gen, U, V and the images in int coordinates.
 
-    The backtrack subgroup is listed once per node for all its ell + 1
-    siblings, and a step's dual kernel only where the walk goes on: a leaf
-    (r = 1) has no children to keep from backtracking.
+    Each walk yields (steps, node, U, V, leaf).  Its last step (r = 1) is a
+    lazy leaf: leaf is (G, ell), the step's kernel generator on node, and
+    steps, U and V stop at node, so a leaf builds no Step, codomain or
+    image until _finish does.  A walk of r = 0 yields leaf None.  The
+    backtrack subgroup is listed once per node for all its ell + 1
+    siblings, and a step's dual kernel only where the walk goes on.
     """
     if r == 0:
-        yield steps, E, U, V
+        yield steps, E, U, V, None
         return
     back = () if back_gen is None else _span(E, back_gen, ell)
     for G in _subgroup_gens(E, ell):
         if G in back:
             continue
+        if r == 1:
+            yield steps, E, U, V, (G, ell)
+            continue
         s = Step(E, G, ell)
         yield from _walks(
-            s.codomain,
-            ell,
-            r - 1,
-            steps + [s],
-            s.image(U),
-            s.image(V),
-            _dual_kernel(s) if r > 1 else None,
+            s.codomain, ell, r - 1, steps + [s], s.image(U), s.image(V), _dual_kernel(s)
         )
+
+
+def _finish(steps, node, U, V, leaf):
+    """The candidate (steps, codomain, image of U, image of V) of a lazy one:
+    its leaf step built, its codomain and the images pushed through it."""
+    if leaf is None:
+        return steps, node, U, V
+    s = Step(node, *leaf)
+    return steps + [s], s.codomain, s.image(U), s.image(V)
+
+
+def _leaf_j(steps, node, U, V, leaf):
+    """The j-invariant of a lazy candidate's codomain, as an int pair: the
+    node's own, or, for a leaf, that of _velu's curve, with _velu's checks
+    and no Step, twist, Curve or Fp2."""
+    if leaf is None:
+        return node.j_invariant().lex_key()
+    return _j_pair(node.p, *_velu(node, *leaf)[1])
 
 
 def count_kernel_candidates(degree: int) -> int:
@@ -199,6 +227,28 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
+def _candidates(E: Curve, degree: int, U, V):
+    """iter_kernel_candidates with the last step left lazy: yields (steps,
+    node, image of U, image of V, leaf) as _walks does.  Only the last
+    prime power's leaves stay lazy; an earlier prime's walk goes on from
+    its leaf's codomain, so that leaf is finished."""
+    fac = sorted(factorize(degree).items())
+
+    def rec(cur, curU, curV, idx, steps):
+        ell, e = fac[idx]
+        for seg, node, nU, nV, leaf in _pp_candidates(cur, ell, e, curU, curV):
+            if idx + 1 == len(fac):
+                yield steps + seg, node, nU, nV, leaf
+            else:
+                seg, node, nU, nV = _finish(seg, node, nU, nV, leaf)
+                yield from rec(node, nU, nV, idx + 1, steps + seg)
+
+    if not fac:
+        yield [], E, U, V, None
+        return
+    yield from rec(E, U, V, 0, [])
+
+
 def iter_kernel_candidates(E: Curve, degree: int, U, V):
     """Every order-`degree` kernel subgroup of E as a candidate chain.
 
@@ -206,18 +256,11 @@ def iter_kernel_candidates(E: Curve, degree: int, U, V):
     powers in ascending order and subgroups in canonical generator order;
     each subgroup appears exactly once.  U, V and their images are in int
     coordinates (None for O): the search carries them through Step.image.
+    Every candidate is finished, its leaf step built (see _candidates,
+    which find_isogeny walks instead).
     """
-    fac = sorted(factorize(degree).items())
-
-    def rec(cur, curU, curV, idx, steps):
-        if idx == len(fac):
-            yield steps, cur, curU, curV
-            return
-        ell, e = fac[idx]
-        for seg, nxt, nU, nV in _pp_candidates(cur, ell, e, curU, curV):
-            yield from rec(nxt, nU, nV, idx + 1, steps + seg)
-
-    yield from rec(E, U, V, 0, [])
+    for cand in _candidates(E, degree, U, V):
+        yield _finish(*cand)
 
 
 def _split(degree: int):
@@ -252,12 +295,20 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     beta.  So phi2 = dual(beta) o u for some u in isomorphisms(codomain of
     phi1, codomain of beta), and the join tries every j-match and every such
     u: the twisted images go through the exact dual of beta, which lands on
-    rep.codomain itself, and must equal rep.images.  Every candidate of the full walk is ruled in or out this
-    way: for the response degree 3^c*5^2*7^2, 181, 460 and 1 297
-    half-candidates at T0, T1 and T2 stand for 7 068, 22 971 and 70 680, and
-    for the adapted degree 3^(2c)*5^2*7^2, 460, 1 888 and 2 860 stand for
-    22 971, 213 807 and 1 931 331.  A prime-power degree has d2 = 1, one
-    backward candidate (the identity) and the plain walk.
+    rep.codomain itself, and must equal rep.images.
+
+    Every candidate of the full walk is ruled in or out this way: for the
+    response degree 3^c*5^2*7^2, 181, 460 and 1 297 half-candidates at T0,
+    T1 and T2 stand for 7 068, 22 971 and 70 680, and for the adapted degree
+    3^(2c)*5^2*7^2, 460, 1 888 and 2 860 stand for 22 971, 213 807 and
+    1 931 331.  A prime-power degree has d2 = 1, one backward candidate (the
+    identity) and the plain walk.
+
+    What a half costs: the walk to its last node, then only the j-invariant
+    of its leaf's codomain from Vélu's formula (_leaf_j), with no Step,
+    Curve or image.  A leaf is built, and the forward basis images pushed
+    through it, only when its j matches (_finish); a backward chain is
+    finished and dualized on its first match.
 
     The returned chain is the forward steps, the last retwisted by u, then
     the dual steps, so its codomain is rep.codomain and its basis images are
@@ -276,20 +327,25 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     t0 = time.perf_counter()
     total = count_kernel_candidates(d)
     d1, d2 = _split(d)
-    back = {}  # j-invariant -> [(index, steps, codomain)] of the backward half
+    back = {}  # j-invariant -> [(index, lazy candidate)] of the backward half
     built = 0
-    for steps, mid, _, _ in iter_kernel_candidates(E2, d2, None, None):
-        back.setdefault(mid.j_invariant(), []).append((built, steps, mid))
+    for cand in _candidates(E2, d2, None, None):
+        back.setdefault(_leaf_j(*cand), []).append((built, cand))
         built += 1
-    duals = {}  # index -> exact dual of that backward chain, built on its first j-match
+    duals = {}  # index -> (codomain, exact dual) of that backward chain, on its first j-match
     tried = 0
     basis = _coords(U), _coords(V)
-    for steps, cur, curU, curV in iter_kernel_candidates(E, d1, *basis):
+    for cand in _candidates(E, d1, *basis):
         tried += 1
-        for i, bsteps, mid in back.get(cur.j_invariant(), ()):
+        matches = back.get(_leaf_j(*cand))
+        if matches is None:
+            continue
+        steps, cur, curU, curV = _finish(*cand)
+        for i, bcand in matches:
             if i not in duals:
-                duals[i] = dual(IsogenyChain(E2, bsteps))
-            hat = duals[i]
+                bsteps, mid, _, _ = _finish(*bcand)
+                duals[i] = mid, dual(IsogenyChain(E2, bsteps))
+            mid, hat = duals[i]
             imgU, imgV = _point(E.p, curU), _point(E.p, curV)
             for u in isomorphisms(cur, mid):
                 if hat.evaluate(twist_point(imgU, u)) != T1:

@@ -31,21 +31,67 @@ from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPrei
 from .field import Fp2, batch_inv, inv_pair, sqrt_pair
 
 
+def _velu(domain: Curve, K, ell: int):
+    """Vélu's data for the degree-ell step out of domain with kernel <K>, K
+    in int coordinates: (half, (a0, a1, b0, b1)) with the codomain's a' and
+    b' as unreduced int pairs.  Raises BadKernel unless K is a finite point
+    of the domain of order ell.  The one home of Vélu's codomain formula:
+    Step builds its steps from it, and the recovery search (dlog._leaf_j)
+    reads a leaf's j from its curve.
+
+    For ell = 2 the kernel is K = (x_K, 0) and half is (x_K, g) with
+    g = 3 x_K^2 + a: a' = a - 5g, b' = b - 7 x_K g.  For odd ell, half holds
+    per point T of K, 2K, ..., ((ell-1)/2)K, whose negatives are the rest of
+    the kernel, (x_T, v_T, u_T) with v_T = 2(3 x_T^2 + a) and u_T = 4 y_T^2;
+    with v and w the sums of v_T and of u_T + x_T v_T, a' = a - 5v and
+    b' = b - 7w.  The order test is y_K = 0 for ell = 2, and
+    ((ell+1)/2)K = -((ell-1)/2)K with no smaller multiple at O otherwise.
+    """
+    if K is None or not _on_curve(domain, K):
+        raise BadKernel("kernel generator must be a finite point on the domain")
+    p, a0, a1 = domain.p, domain.a.c0, domain.a.c1
+    b0, b1 = domain.b.c0, domain.b.c1
+    if ell == 2:
+        k0, k1, y0, y1 = K
+        if y0 or y1:
+            raise BadKernel("kernel generator does not have order 2")
+        g0, g1 = (3 * (k0 * k0 - k1 * k1) + a0) % p, (6 * k0 * k1 + a1) % p
+        return (k0, k1, g0, g1), (
+            a0 - 5 * g0,
+            a1 - 5 * g1,
+            b0 - 7 * (k0 * g0 - k1 * g1),
+            b1 - 7 * (k0 * g1 + k1 * g0),
+        )
+    half = [K]
+    for _ in range((ell - 3) // 2):
+        T = _chord(p, a0, a1, half[-1], K)[0]
+        if T is None:
+            raise BadKernel(f"kernel generator has order below {ell}")
+        half.append(T)
+    S = _chord(p, a0, a1, half[-1], K)[0]
+    if S is None or S[:2] != half[-1][:2]:
+        raise BadKernel(f"kernel generator does not have order {ell}")
+    v0 = v1 = w0 = w1 = 0
+    triples = []
+    for x0, x1, y0, y1 in half:
+        g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
+        t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
+        v0, v1 = v0 + g0, v1 + g1
+        w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
+        triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
+    return triples, (a0 - 5 * v0, a1 - 5 * v1, b0 - 7 * w0, b1 - 7 * w1)
+
+
 class Step:
     """One Vélu step of prime degree ell, post-composed with a u-twist.
 
     The kernel generator comes as a Point or as its int 4-tuple, which is
     what the walks hold; the step keeps the ints, and `kernel` builds the
-    Point only when it is read.  The constructor checks on those ints that
-    the kernel is a finite point of the domain of order ell.
-
-    For ell = 2 the kernel is K = (x_K, 0), and with g = 3 x_K^2 + a the
-    step has a closed form, for which it keeps (x_K, g): the codomain is
-    a' = a - 5g, b' = b - 7 x_K g, and (x, y) maps to
-    (x + g t, y (1 - g t^2)) with t = 1/(x - x_K).  For odd ell the step
-    keeps Vélu's data for half the kernel, K, 2K, ..., ((ell-1)/2)K, whose
-    negatives are the other half: per point T the values (x_T, v_T, u_T)
-    with v_T = 2(3 x_T^2 + a) and u_T = 4 y_T^2.  Those values, u^2 and u^3
+    Point only when it is read.  _velu checks on those ints that the kernel
+    is a finite point of the domain of order ell and gives the codomain and
+    the data image() reads: for ell = 2, (x_K, g) with g = 3 x_K^2 + a, and
+    (x, y) maps to (x + g t, y (1 - g t^2)) with t = 1/(x - x_K); for odd
+    ell, (x_T, v_T, u_T) for half the kernel.  Those values, u^2 and u^3
     are int pairs: construction and image() run on integer coordinates, and
     evaluate() converts its Point once each way.  A step without a twist
     (u = 1) keeps none: its codomain is Vélu's curve as computed, and `u`
@@ -56,42 +102,10 @@ class Step:
 
     def __init__(self, domain: Curve, kernel, ell: int, u: Fp2 = None):
         K = _coords(kernel) if isinstance(kernel, Point) else kernel
-        if K is None or not _on_curve(domain, K):
-            raise BadKernel("kernel generator must be a finite point on the domain")
-        p, a0, a1 = domain.p, domain.a.c0, domain.a.c1
-        b0, b1 = domain.b.c0, domain.b.c1
-        if ell == 2:
-            k0, k1, y0, y1 = K
-            if y0 or y1:
-                raise BadKernel("kernel generator does not have order 2")
-            g0, g1 = (3 * (k0 * k0 - k1 * k1) + a0) % p, (6 * k0 * k1 + a1) % p
-            self._half = (k0, k1, g0, g1)
-            a0, a1 = a0 - 5 * g0, a1 - 5 * g1
-            b0, b1 = b0 - 7 * (k0 * g0 - k1 * g1), b1 - 7 * (k0 * g1 + k1 * g0)
-        else:
-            half = [K]
-            for _ in range((ell - 3) // 2):
-                T = _chord(p, a0, a1, half[-1], K)[0]
-                if T is None:
-                    raise BadKernel(f"kernel generator has order below {ell}")
-                half.append(T)
-            # order ell: ((ell+1)/2)K = -((ell-1)/2)K
-            S = _chord(p, a0, a1, half[-1], K)[0]
-            if S is None or S[:2] != half[-1][:2]:
-                raise BadKernel(f"kernel generator does not have order {ell}")
-            v0 = v1 = w0 = w1 = 0
-            triples = []
-            for x0, x1, y0, y1 in half:
-                g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
-                t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
-                v0, v1 = v0 + g0, v1 + g1
-                w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
-                triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
-            self._half = triples
-            a0, a1 = a0 - 5 * v0, a1 - 5 * v1
-            b0, b1 = b0 - 7 * w0, b1 - 7 * w1
+        self._half, (a0, a1, b0, b1) = _velu(domain, K, ell)
         self.domain, self.ell, self._kernel = domain, ell, K
         self._u = self._twist = None
+        p = domain.p
         codomain = Curve(Fp2(p, a0, a1), Fp2(p, b0, b1))
         if u is not None and not u.is_one():
             u2 = u * u
@@ -247,11 +261,14 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     subgroup of exactly the stated order.
 
     Where each order comes from: every generator starts with the degree as
-    a multiple of its order, and each step's update keeps it one.  n1 is
-    point_order of [ell^f]g on the rest of that multiple (ell^f its ell
-    part), and 1 when there is no rest.  v is the length of the ladder
-    [n1]g, [ell n1]g, ... up to ell^(f-1) or the first O: that ladder is the
-    walk's own spine, and the walk's first step certifies its last rung.
+    a multiple of its order, and a step never raises an order, so that
+    multiple stays one.  The walk first takes g as if its order were a
+    power of ell: v is the length of the ladder g, [ell]g, ... up to
+    ell^(f-1) (ell^f the ell part of the multiple) or the first O, and the
+    walk's first step certifies the ladder's last rung, so a step that
+    builds certifies |g| = ell^v.  Only when that step raises BadKernel and
+    the multiple has a rest prime to ell is n1 computed, as point_order of
+    [ell^f]g on that rest, and the walk taken on [n1]g.
     """
     for g in gens:
         if not E.on_curve(g):
@@ -275,15 +292,27 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     return IsogenyChain(E, steps, list(gens))
 
 
+def _run(E: Curve, Q, ell: int, f: int, e: int, steps: list):
+    """Walk Q's run, appending its steps: the ladder of Q up to f rungs,
+    of length v, and its last r = min(v, e) rungs.  Returns (v, r)."""
+    ladder = _ladder(E, Q, ell, f)
+    v = len(ladder)
+    r = min(v, e)
+    _cyclic_walk(E, ladder[v - r :], ell, steps)
+    return v, r
+
+
 def _kernel_steps(E: Curve, gens, degree: int) -> list:
     """The steps of isogeny_from_kernel, given a degree above 1; the
-    generators are carried in int coordinates.  The degree is factored
-    once, and e counts the steps of degree ell still to take."""
+    generators are carried in int coordinates, each with a multiple m of
+    its order.  The degree is factored once, and e counts the steps of
+    degree ell still to take."""
     work = [(_coords(g), degree) for g in gens if not g.is_inf]
     cur = E
     steps = []
     for ell, e in sorted(factorize(degree).items()):
         while e:
+            start = len(steps)
             for pick, (g, m) in enumerate(work):
                 if m % ell:
                     continue
@@ -291,38 +320,32 @@ def _kernel_steps(E: Curve, gens, degree: int) -> list:
                 while n1 % ell == 0:
                     n1 //= ell
                     f += 1
-                if n1 > 1:
-                    n1 = _order(cur, _scale(cur, m // n1, g), n1)
-                    if n1 is None:
-                        raise BadKernel("generator order does not divide the degree")
+                try:
+                    v, r = _run(cur, g, ell, f, e, steps)
+                    n1 = 1
+                    break
+                except BadKernel:
+                    if n1 == 1:
+                        raise
+                # the step raised: g's order has a part prime to ell, which
+                # [n1]g clears (to O when g has no ell part), or m is no
+                # multiple of it, which _order reports
+                n1 = _order(cur, _scale(cur, m // n1, g), n1)
+                if n1 is None:
+                    raise BadKernel("generator order does not divide the degree")
                 Q = _scale(cur, n1, g)
                 if Q is not None:
+                    v, r = _run(cur, Q, ell, f, e, steps)
                     break
                 work[pick] = (g, n1)
             else:
                 raise BadKernel(f"no kernel point of order {ell} available")
             del work[pick]
-            ladder = _ladder(cur, Q, ell, f)
-            v = len(ladder)
-            r = min(v, e)
             rest = n1 * ell ** (v - r)
-            start = len(steps)
-            _cyclic_walk(cur, ladder[v - r :], ell, steps)
             for step in steps[start:]:
                 cur = step.codomain
-                # ord(step(h)) = ord(h) / |<h> ∩ ker step|, and ker step has
-                # prime order ell: h loses a factor ell exactly when [m/ell]h
-                # is in it if m is ord(h) up to a factor prime to ell; if m
-                # has more ell, [m/ell]h = O and m/ell is still a multiple of
-                # ord(h)
-                nxt = []
-                for h, m in work:
-                    h = step.image(h)
-                    if m % ell == 0 and _scale(cur, m // ell, h) is None:
-                        m //= ell
-                    if h is not None:
-                        nxt.append((h, m))
-                work = nxt
+                moved = ((step.image(h), m) for h, m in work)
+                work = [(h, m) for h, m in moved if h is not None]
                 if rest > 1:
                     g = step.image(g)
             # the generators before the picked one kept their orders (ell
@@ -441,6 +464,20 @@ class EfficientRep:
 
 
 @functools.lru_cache(maxsize=4096)
+def _basis_pairing(pair, domain: Curve, basis: tuple, N: int) -> Fp2:
+    """pair(domain, *basis, N), remembered per (domain, basis, N), so that
+    distinct representations on one basis, such as the S points of a swap's
+    two pre-signatures on E0's C-basis, pair it once.
+
+    pairing_law hands in the weil_pairing its module holds at the call, so
+    the law's pairings keep their one call site there, a wrapped pairing
+    (a tracer's span, a test's counter) sees the basis pairing too, and a
+    remembered value is always one the function in its key computed.
+    """
+    return pair(domain, *basis, N)
+
+
+@functools.lru_cache(maxsize=4096)
 def pairing_law(rep: EfficientRep) -> bool:
     """Whether e_N(images) = e_N(basis)^degree for N-torsion inputs, N the
     basis order; e_N(basis) is an N-th root of unity, so the degree is
@@ -448,10 +485,11 @@ def pairing_law(rep: EfficientRep) -> bool:
 
     The verdict is remembered per representation value, so a decoder and
     the verifier it hands the object to compute it once; a representation
-    that differs in any field is a new key and is checked afresh.
+    that differs in any field is a new key and is checked afresh.  e_N(basis)
+    is remembered per basis (_basis_pairing).
     """
     N = rep.order
-    zb = weil_pairing(rep.domain, *rep.basis, N)
+    zb = _basis_pairing(weil_pairing, rep.domain, rep.basis, N)
     zi = weil_pairing(rep.codomain, *rep.images, N)
     return zi == zb ** (rep.degree % N)
 

@@ -240,6 +240,20 @@ def test_strict_verify_recovers_adapted_signatures_below_the_bound(forge):
     assert not verify(kp.pk, m, fake, "strict", ps)
 
 
+def test_s_checks_on_one_basis_pair_it_once(t0, monkeypatch):
+    """The S points of a swap's two pre-signatures are both images of E0's
+    C-basis: their two checks pair that basis once and each S pair once,
+    3 Weil pairings where pairing the basis per check made 4."""
+    pres = [session(t0, seed)[-1] for seed in (1, 2)]
+    pairings = []
+    weil = isogeny.weil_pairing
+    monkeypatch.setattr(isogeny, "weil_pairing", lambda *a: pairings.append(a[-1]) or weil(*a))
+    isogeny.pairing_law.cache_clear()
+    isogeny._basis_pairing.cache_clear()
+    assert [adaptor.s_rejection(pre.epsi, pre.s, t0) for pre in pres] == [None, None]
+    assert pairings == [t0.C] * 3
+
+
 def test_extract_checks_the_pairing_law(t0):
     kp, w, s, m, pre = session(t0, 18)
     rep = adapt(pre, w, t0).rep

@@ -367,6 +367,48 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     assert (len(duals), len(bases)) == (52, 95)
 
 
+def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog, monkeypatch):
+    """The forged T0 strict check of the test above, counted by what it
+    builds.  A leaf, the last step of a walk, is compared by the j-invariant
+    of its codomain alone: 56 forward and 120 backward leaves give 176
+    j-invariants from Vélu's formula and no Step.  Only the leaves of the 8
+    j-matching pairs, 6 forward and 4 backward, are built, each once, with
+    their images.  So the check makes 72 Step constructions, 204
+    Step.image calls and 6 Curve.j_invariant calls, where building every
+    leaf made 238, 536 and 182."""
+    kp = keygen(t0, random.Random(21))
+    sig = sign(kp, b"count", t0, random.Random(22))
+    fake = PlainSignature(sig.e1, forge(sig.rep, t0))
+    steps, images, js, leaves, pairs = [], [], [], [], []
+    init, image, j_invariant = Step.__init__, Step.image, curve.Curve.j_invariant
+    velu, isos = dlog._velu, dlog.isomorphisms
+
+    def counted_init(self, domain, kernel, ell, *rest):
+        steps.append((domain, kernel, ell))
+        return init(self, domain, kernel, ell, *rest)
+
+    def counted_velu(E, G, ell):
+        leaves.append((E, G, ell))
+        return velu(E, G, ell)
+
+    monkeypatch.setattr(Step, "__init__", counted_init)
+    monkeypatch.setattr(Step, "image", lambda s, P: images.append(1) or image(s, P))
+    monkeypatch.setattr(curve.Curve, "j_invariant", lambda E: js.append(1) or j_invariant(E))
+    monkeypatch.setattr(dlog, "_velu", counted_velu)
+    monkeypatch.setattr(dlog, "isomorphisms", lambda E, F: pairs.append(1) or isos(E, F))
+    canonical_torsion_basis.cache_clear()
+    with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
+        assert not verify(kp.pk, b"count", fake, "strict", t0)
+    assert "exhausted 7068 candidates (181 halves built)" in caplog.text
+    assert (len(steps), len(images), len(js)) == (72, 204, 6)
+    lazy = set(leaves)
+    built_leaves = [key for key in steps if key in lazy]
+    assert (len(leaves), len(pairs)) == (176, 8)
+    assert len(set(built_leaves)) == len(built_leaves)
+    # forward leaves are 7-steps out of the domain, backward ones 5-steps
+    assert sorted(ell for _, _, ell in built_leaves) == [5] * 4 + [7] * 6
+
+
 # SHA-256 of the chain document that find_isogeny returns for the responses
 # of the golden plain signature and pre-signature: which steps and twists
 # the search picks is part of its behaviour

@@ -382,14 +382,37 @@ def test_cyclic_two_power_walk_cost(t1, monkeypatch):
 
 
 def test_two_generator_b_kernel_cost(t0, monkeypatch):
-    """The T0 B-kernel [K5, K7]: 3 additions find that K5 has no 7-part,
-    2 build the 5-step, 4 find that K7 has no 5-part and 3 build the 7-step.
-    With a point_order ladder on each generator first, it took 26."""
+    """The T0 B-kernel [K5, K7]: 2 additions build the 5-step and 3 the
+    7-step, and each step certifies its generator's order.  Finding first
+    that K5 has no 7-part and K7 no 5-part took 12; with a point_order
+    ladder on each generator first, it took 26."""
     gens = oriented_kernel(t0.orientation, (1, 2))
     adds, _, steps = count_chain_work(monkeypatch)
     chain = isogeny_from_kernel(t0.e0, gens, t0.B)
     assert [s.ell for s in chain.steps] == [5, 7]
-    assert (len(adds), len(steps)) == (12, 2)
+    assert (len(adds), len(steps)) == (5, 2)
+
+
+def test_composite_order_generator_takes_the_order_fallback(t0, monkeypatch):
+    """One generator of order 35 for a degree-35 kernel: the 5-step on it
+    raises, so its order prime to 5 is computed once, and the steps are
+    the reference ones, the 5-step on [7]G and the 7-step on its image of G.
+    Three constructions: the one that raised, then the two steps."""
+    E = t0.e0
+    n = t0.group_order
+    G = E.add(canonical_torsion_basis(E, 5, n)[0], canonical_torsion_basis(E, 7, n)[0])
+    s5 = Step(E, E.mul(7, G), 5)
+    s7 = Step(s5.codomain, s5.evaluate(G), 7)
+    orders = []
+    order = isogeny._order
+    monkeypatch.setattr(isogeny, "_order", lambda *a: orders.append(a[-1]) or order(*a))
+    _, _, built = count_chain_work(monkeypatch)
+    chain = isogeny_from_kernel(E, [G], 35)
+    assert (orders, len(built)) == ([7], 3)
+    assert [(s.ell, s.domain, s.kernel, s.codomain) for s in chain.steps] == [
+        (s.ell, s.domain, s.kernel, s.codomain) for s in (s5, s7)
+    ]
+    assert chain.evaluate(G).is_inf
 
 
 def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch):

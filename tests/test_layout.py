@@ -245,6 +245,28 @@ def test_pairing_law_has_one_home():
     assert callers == {"isogeny.pairing_law", "params._basis_ok"}
 
 
+def test_velu_codomain_formula_has_one_home():
+    # a' = a - 5v and b' = b - 7w (for ell = 2, a - 5g and b - 7 x_K g) are
+    # written once, in isogeny._velu: Step builds its codomain from it and
+    # the recovery search reads a leaf's j from it, so neither has a copy
+    homes = set()
+    for name, tree in _trees():
+        scope = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+                continue
+            term = node.right
+            if not (isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)):
+                continue
+            factors = (term.left, term.right)
+            if any(isinstance(f, ast.Constant) and f.value in (5, 7) for f in factors):
+                homes.add(f"{name[:-3]}.{scope.get(id(node), '<module>')}")
+    assert homes == {"isogeny._velu"}
+
+
 def test_pairing_law_is_called_by_the_two_rejections_alone():
     # decoders and verifiers share one owner per rule: sig.rep_rejection for
     # a response's images, adaptor.s_rejection for a pre-signature's S
