@@ -16,7 +16,8 @@ exception is dlog.iter_kernel_candidates, which carries the search's images
 as ints.
 The point scan (_scan, square roots by field.sqrt_pair) and the
 j-invariant (_j_pair) run on ints as well; lift_x and scan_points wrap
-_lift and _scan.
+_lift and _scan, and _cleared is the one loop that clears scan points to
+an order, which canonical_torsion_basis and _outside read.
 The int loops trust their inputs, so membership is checked where points
 come in: Curve.add/mul/neg, IsogenyChain.evaluate, isogeny._velu for a
 Step and for a search leaf's j (on ints, by _on_curve, whichever form the
@@ -150,8 +151,9 @@ def _j_parts(a0: int, a1: int, b0: int, b1: int):
 
 def _j_pair(p: int, a0: int, a1: int, b0: int, b1: int):
     """The j-invariant of y^2 = x^3 + a*x + b as a reduced int pair, with
-    one inversion; a and b come as int pairs, reduced or not."""
-    (c0, c1), (d0, d1) = _j_parts(a0, a1, b0, b1)
+    one inversion; a and b come as int pairs, reduced or not, and are
+    reduced before they are cubed."""
+    (c0, c1), (d0, d1) = _j_parts(a0 % p, a1 % p, b0 % p, b1 % p)
     d0, d1 = inv_pair(p, d0, d1)
     return 1728 * (c0 * d0 - c1 * d1) % p, 1728 * (c0 * d1 + c1 * d0) % p
 
@@ -373,55 +375,75 @@ def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
 # canonical torsion bases
 # ---------------------------------------------------------------------------
 
-# a strict check asks for 220-290 bases at T0 (101-106 distinct) and 630-770
-# at T1 (298-341) on an adapted signature, else 69-106 (33-40) and 215-255
-# (100-107), over keys, signatures and forgeries of four seeds
+def _cleared(E: Curve, N: int, exponent: int):
+    """The scan's points cleared to exact order N, in int coordinates and
+    scan order: the one source of canonical_torsion_basis and _outside.
+
+    Each point of _scan (on ints) has the prime-to-N part of `exponent`
+    stripped and each remaining prime power divided down to its share of
+    N, so any scan point whose order is a multiple of N contributes.  N
+    must divide the group exponent, and the exponent must divide
+    `exponent`: the package always passes E.p + 1, the exponent of every
+    curve it admits; a scan point with [exponent]S != O, as on an ordinary
+    curve, raises NoBasis.
+    """
+    if exponent % N != 0:
+        raise NoBasis(f"{N} does not divide the group exponent")
+    support = 1  # N-supported part of the group exponent
+    cof = exponent
+    for ell in factorize(N):
+        while cof % ell == 0:
+            cof //= ell
+            support *= ell
+    for S in _scan(E):
+        P = _scale(E, cof, S)
+        n = _order(E, P, support)
+        if n is None:
+            raise NoBasis(f"the group exponent does not divide {exponent}")
+        if n % N == 0:
+            yield _scale(E, n // N, P)
+
+
+# a strict check asks for 141-172 bases at T0 (18-22 distinct) and 369-397
+# at T1 (35-40) on an adapted signature, else 49-64 (8-10) and 135-153
+# (17-20), over keys, signatures and forgeries of four seeds: a recovery
+# search asks at the roots of its walks and on a returned chain alone
 @functools.lru_cache(maxsize=4096)
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.
 
     Scans abscissas in lexicographic field order, lifts with the canonical
-    square root (_scan, on ints), clears the cofactor and keeps the first
-    point P of exact order N, then the first later point Q that is
-    independent of it.  N must divide the group exponent, and the group
-    exponent must divide group_order: the package always passes E.p + 1,
-    the exponent of every curve it admits, and perfbench passes it too; a
-    scan point with [group_order]S != O, as on an ordinary curve, raises
-    NoBasis.
-    The cofactor clearing is adaptive: the prime-to-N part is stripped and
-    each remaining prime power divided down to its share of N, so any scan
-    point whose order is a multiple of N contributes.  Q is independent of P
-    when [N/ell]Q is outside <[N/ell]P> for every prime ell | N: the same as
-    e_N(P, Q) having exact order N.  Each <[N/ell]P> is listed once by
-    _span, ell - 1 additions, and every later point is looked up in it.
+    square root and clears the cofactor (_cleared), keeps the first point P
+    of exact order N, then the first later point Q that is independent of
+    it.  N must divide the group exponent, and the group exponent must
+    divide group_order: the package always passes E.p + 1, and perfbench
+    passes it too; otherwise NoBasis.
+    Q is independent of P when [N/ell]Q is outside <[N/ell]P> for every
+    prime ell | N: the same as e_N(P, Q) having exact order N.  Each
+    <[N/ell]P> is listed once by _span, ell - 1 additions, and every later
+    point is looked up in it.
     """
     if N == 1:
         return (_INF, _INF)
-    if group_order % N != 0:
-        raise NoBasis(f"{N} does not divide the group exponent")
-    primes = list(factorize(N))
-    support = 1  # N-supported part of the group exponent
-    cof = group_order
-    for ell in primes:
-        while cof % ell == 0:
-            cof //= ell
-            support *= ell
-    first = None
-    for S in _scan(E):
-        P = _scale(E, cof, S)
-        n = _order(E, P, support)
-        if n is None:
-            raise NoBasis(f"the group exponent does not divide {group_order}")
-        if n % N != 0:
-            continue
-        P = _scale(E, n // N, P)
-        if first is None:
-            first = P
-            spans = [(N // ell, _span(E, _scale(E, N // ell, P), ell)) for ell in primes]
-            continue
-        if not any(_scale(E, m, P) in span for m, span in spans):
-            return (_point(E.p, first), _point(E.p, P))
+    points = _cleared(E, N, group_order)
+    first = next(points, None)
+    if first is not None:
+        spans = [(N // ell, _span(E, _scale(E, N // ell, first), ell)) for ell in factorize(N)]
+        for P in points:
+            if not any(_scale(E, m, P) in span for m, span in spans):
+                return (_point(E.p, first), _point(E.p, P))
     raise NoBasis(f"no basis of order {N} found")  # pragma: no cover
+
+
+def _outside(E: Curve, span: list, N: int):
+    """The first of the scan's points of exact order N (_cleared) outside
+    span, in int coordinates.  For N = ell prime and span the group <B> of
+    a point of order ell (_span), that point and B are a basis of E[ell],
+    with one point scanned where a canonical basis scans two."""
+    for P in _cleared(E, N, E.p + 1):
+        if P not in span:
+            return P
+    raise NoBasis(f"no point of order {N} outside the span")  # pragma: no cover
 
 
 def small_torsion_basis(E: Curve, ell: int, group_order: int):

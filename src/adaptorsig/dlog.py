@@ -21,7 +21,10 @@ of Jao and De Feo, PQCrypto 2011, used here as a verifier): degree-d1
 candidates walk forward from the domain, degree-d2 candidates backward from
 the codomain, and a j-invariant match joins them through the exact dual of
 the backward half.  Halves meet on j alone: the last step of a walk is
-built only on a match.
+built only on a match.  Only a walk's root lists its subgroups by a
+canonical basis; a node below it completes its backtrack generator with
+one scan point, and a returned chain has its steps put back on canonical
+kernel generators.
 """
 
 import itertools
@@ -36,6 +39,7 @@ from .curve import (
     _chord,
     _coords,
     _j_pair,
+    _outside,
     _point,
     _scale,
     _span,
@@ -160,63 +164,105 @@ def _ell_block(E: Curve, ell: int):
     return [s0, dual_step(s0)]
 
 
-def _pp_candidates(E, ell, e, U, V):
-    """Yield (steps, node, imgU, imgV, leaf) for every order-ell^e kernel
-    subgroup of E, each exactly once, with the last step left lazy as in
-    _walks; U, V and their images in int coordinates."""
+def _pp_candidates(E, ell, e, steps, U, V, loose):
+    """Yield a lazy candidate (see _walks) for every order-ell^e kernel
+    subgroup of E, each exactly once, after the given steps; U, V and their
+    images in int coordinates."""
     for b in range(e // 2 + 1):
         r = e - 2 * b
-        prefix = []
+        prefix = steps
         for _ in range(b):
             prefix = prefix + _ell_block(E, ell)
         U0 = _scale(E, ell**b, U)
         V0 = _scale(E, ell**b, V)
-        yield from _walks(E, ell, r, prefix, U0, V0, None)
+        yield from _walks(E, ell, r, prefix, U0, V0, None, loose)
 
 
-def _walks(E, ell, r, steps, U, V, back_gen):
+def _walks(E, ell, r, steps, U, V, back_gen, loose):
     """The cyclic walks of r steps of degree ell that do not backtrack into
     back_gen's subgroup; back_gen, U, V and the images in int coordinates.
 
-    Each walk yields (steps, node, U, V, leaf).  Its last step (r = 1) is a
-    lazy leaf: leaf is (G, ell), the step's kernel generator on node, and
-    steps, U and V stop at node, so a leaf builds no Step, codomain or
-    image until _finish does.  A walk of r = 0 yields leaf None.  The
-    backtrack subgroup is listed once per node for all its ell + 1
-    siblings, and a step's dual kernel only where the walk goes on.
+    Each walk yields a lazy candidate (steps, node, U, V, leaf, loose).
+    Its last step (r = 1) is a lazy leaf: leaf is (G, ell), the step's
+    kernel generator on node, and steps, U and V stop at node, so a leaf
+    builds no Step, codomain or image until _finish does.  A walk of r = 0
+    yields leaf None.
+
+    The root (back_gen None) lists its ell + 1 subgroups by their canonical
+    generators.  A node reached by a step holds its backtrack generator B,
+    the pushed dual kernel, which is half of a basis of E[ell]: with P the
+    first scan point outside <B> (_outside), <P + [k]B> for k < ell are
+    exactly the ell subgroups that do not backtrack, so the node computes
+    no canonical basis.  A child's B is the image of its parent's B (at the
+    root, _dual_kernel of the step).  A step taken from such a node adds
+    (its index in the candidate's steps, the leaf's included, B) to loose:
+    its kernel generator is not the canonical one, which _canonical puts
+    back on a chain that is returned, and its image of B generates its
+    dual's kernel (_hat).
     """
     if r == 0:
-        yield steps, E, U, V, None
+        yield steps, E, U, V, None, loose
         return
-    back = () if back_gen is None else _span(E, back_gen, ell)
-    for G in _subgroup_gens(E, ell):
-        if G in back:
-            continue
+    if back_gen is None:
+        gens = _subgroup_gens(E, ell)
+    else:
+        back = _span(E, back_gen, ell)
+        P = _outside(E, back, ell)
+        gens = [_chord(E.p, E.a.c0, E.a.c1, P, X)[0] for X in back]
+        loose += ((len(steps), back_gen),)
+    for G in gens:
         if r == 1:
-            yield steps, E, U, V, (G, ell)
+            yield steps, E, U, V, (G, ell), loose
             continue
         s = Step(E, G, ell)
-        yield from _walks(
-            s.codomain, ell, r - 1, steps + [s], s.image(U), s.image(V), _dual_kernel(s)
-        )
+        B = _dual_kernel(s) if back_gen is None else s.image(back_gen)
+        yield from _walks(s.codomain, ell, r - 1, steps + [s], s.image(U), s.image(V), B, loose)
 
 
-def _finish(steps, node, U, V, leaf):
+def _finish(cand):
     """The candidate (steps, codomain, image of U, image of V) of a lazy one:
     its leaf step built, its codomain and the images pushed through it."""
+    steps, node, U, V, leaf, _ = cand
     if leaf is None:
         return steps, node, U, V
     s = Step(node, *leaf)
     return steps + [s], s.codomain, s.image(U), s.image(V)
 
 
-def _leaf_j(steps, node, U, V, leaf):
+def _leaf_j(cand):
     """The j-invariant of a lazy candidate's codomain, as an int pair: the
     node's own, or, for a leaf, that of _velu's curve, with _velu's checks
     and no Step, twist, Curve or Fp2."""
+    _, node, _, _, leaf, _ = cand
     if leaf is None:
         return node.j_invariant().lex_key()
     return _j_pair(node.p, *_velu(node, *leaf)[1])
+
+
+def _canonical(steps, loose) -> list:
+    """steps with each step at an index in loose rebuilt on the canonical
+    generator of its kernel (the one of _subgroup_gens in its span).  Vélu's
+    codomain and images depend on the subgroup alone, so only the kernel
+    generator changes."""
+    steps = list(steps)
+    for i, _ in loose:
+        s = steps[i]
+        span = _span(s.domain, s._kernel, s.ell)
+        G = next(G for G in _subgroup_gens(s.domain, s.ell) if G in span)
+        steps[i] = Step(s.domain, G, s.ell)
+    return steps
+
+
+def _hat(codomain: Curve, steps, loose) -> IsogenyChain:
+    """The exact dual of the chain of steps that ends on codomain, as the
+    join tests it: a loose step's dual kernel is generated by its image of
+    its node's B (dual_step's back), so no canonical basis is computed
+    below a root.  The map is dual()'s; only those kernel generators
+    differ, so a chain that is returned takes dual()'s steps instead."""
+    back = dict(loose)
+    return IsogenyChain(
+        codomain, [dual_step(s, back.get(i)) for i, s in reversed(list(enumerate(steps)))]
+    )
 
 
 def count_kernel_candidates(degree: int) -> int:
@@ -228,39 +274,41 @@ def count_kernel_candidates(degree: int) -> int:
 
 
 def _candidates(E: Curve, degree: int, U, V):
-    """iter_kernel_candidates with the last step left lazy: yields (steps,
-    node, image of U, image of V, leaf) as _walks does.  Only the last
-    prime power's leaves stay lazy; an earlier prime's walk goes on from
-    its leaf's codomain, so that leaf is finished."""
+    """iter_kernel_candidates with the last step left lazy: yields lazy
+    candidates (steps, node, image of U, image of V, leaf, loose) as _walks
+    does.  Only the last prime power's leaves stay lazy; an earlier prime's
+    walk goes on from its leaf's codomain, so that leaf is finished."""
     fac = sorted(factorize(degree).items())
 
-    def rec(cur, curU, curV, idx, steps):
+    def rec(cur, curU, curV, idx, steps, loose):
         ell, e = fac[idx]
-        for seg, node, nU, nV, leaf in _pp_candidates(cur, ell, e, curU, curV):
+        for cand in _pp_candidates(cur, ell, e, steps, curU, curV, loose):
             if idx + 1 == len(fac):
-                yield steps + seg, node, nU, nV, leaf
+                yield cand
             else:
-                seg, node, nU, nV = _finish(seg, node, nU, nV, leaf)
-                yield from rec(node, nU, nV, idx + 1, steps + seg)
+                done, node, nU, nV = _finish(cand)
+                yield from rec(node, nU, nV, idx + 1, done, cand[-1])
 
     if not fac:
-        yield [], E, U, V, None
+        yield [], E, U, V, None, ()
         return
-    yield from rec(E, U, V, 0, [])
+    yield from rec(E, U, V, 0, [], ())
 
 
 def iter_kernel_candidates(E: Curve, degree: int, U, V):
     """Every order-`degree` kernel subgroup of E as a candidate chain.
 
     Yields (steps, codomain, image of U, image of V), enumerating prime
-    powers in ascending order and subgroups in canonical generator order;
-    each subgroup appears exactly once.  U, V and their images are in int
-    coordinates (None for O): the search carries them through Step.image.
-    Every candidate is finished, its leaf step built (see _candidates,
-    which find_isogeny walks instead).
+    powers in ascending order, each subgroup exactly once.  A walk's first
+    step takes the canonical generators in order; a step below it takes
+    the generators <P + [k]B> of _walks, so its kernel generator is not the
+    canonical one.  U, V and their images are in int coordinates (None for
+    O): the search carries them through Step.image.  Every candidate is
+    finished, its leaf step built (see _candidates, which find_isogeny
+    walks instead).
     """
     for cand in _candidates(E, degree, U, V):
-        yield _finish(*cand)
+        yield _finish(cand)
 
 
 def _split(degree: int):
@@ -306,14 +354,24 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
 
     What a half costs: the walk to its last node, then only the j-invariant
     of its leaf's codomain from Vélu's formula (_leaf_j), with no Step,
-    Curve or image.  A leaf is built, and the forward basis images pushed
-    through it, only when its j matches (_finish); a backward chain is
-    finished and dualized on its first match.
+    Curve or image.  A node below a walk's root lists its subgroups from
+    its backtrack generator and one scan point, with no canonical basis
+    (_walks).  A leaf is built, and the forward basis images pushed through
+    it, only when its j matches (_finish); a backward chain is finished and
+    dualized on its first match, a loose step's dual kernel being its image
+    of its node's backtrack generator (_hat).  So a rejection asks for a
+    canonical basis at walk roots alone (and on the middle curve of a
+    matched backward [ell] block, whose dual is found as dual_step finds it).
 
     The returned chain is the forward steps, the last retwisted by u, then
     the dual steps, so its codomain is rep.codomain and its basis images are
-    rep.images exactly.  Raises NotFound when no candidate matches (a
-    forgery signal).
+    rep.images exactly.  Its steps are those of a canonical basis at every
+    node: a forward step taken below a root is rebuilt on the canonical
+    generator of its kernel (_canonical) and the backward chain dualized by
+    dual(), with the bases of the matched path alone, and as Vélu's
+    codomain and images depend on the subgroup alone, the curves and maps
+    are the ones the search matched.  Raises NotFound when no candidate
+    matches (a forgery signal).
     """
     d = rep.degree
     E, E2 = rep.domain, rep.codomain
@@ -330,28 +388,30 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     back = {}  # j-invariant -> [(index, lazy candidate)] of the backward half
     built = 0
     for cand in _candidates(E2, d2, None, None):
-        back.setdefault(_leaf_j(*cand), []).append((built, cand))
+        back.setdefault(_leaf_j(cand), []).append((built, cand))
         built += 1
-    duals = {}  # index -> (codomain, exact dual) of that backward chain, on its first j-match
+    duals = {}  # index -> (steps, codomain, exact dual) of that backward chain, on its first j-match
     tried = 0
     basis = _coords(U), _coords(V)
     for cand in _candidates(E, d1, *basis):
         tried += 1
-        matches = back.get(_leaf_j(*cand))
+        matches = back.get(_leaf_j(cand))
         if matches is None:
             continue
-        steps, cur, curU, curV = _finish(*cand)
+        steps, cur, curU, curV = _finish(cand)
         for i, bcand in matches:
             if i not in duals:
-                bsteps, mid, _, _ = _finish(*bcand)
-                duals[i] = mid, dual(IsogenyChain(E2, bsteps))
-            mid, hat = duals[i]
+                bsteps, mid, _, _ = _finish(bcand)
+                duals[i] = bsteps, mid, _hat(mid, bsteps, bcand[-1])
+            bsteps, mid, hat = duals[i]
             imgU, imgV = _point(E.p, curU), _point(E.p, curV)
             for u in isomorphisms(cur, mid):
                 if hat.evaluate(twist_point(imgU, u)) != T1:
                     continue
                 if hat.evaluate(twist_point(imgV, u)) != T2:
                     continue
+                steps = _canonical(steps, cand[-1])
+                hat = dual(IsogenyChain(E2, bsteps))
                 out = steps[:-1] + [steps[-1].retwist(u)] + hat.steps
                 logger.debug(
                     "recovery of degree %d: matched after %d of %d candidates"

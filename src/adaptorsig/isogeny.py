@@ -31,13 +31,15 @@ from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPrei
 from .field import Fp2, batch_inv, inv_pair, sqrt_pair
 
 
-def _velu(domain: Curve, K, ell: int):
+def _velu(domain: Curve, K, ell: int, images: bool = False):
     """Vélu's data for the degree-ell step out of domain with kernel <K>, K
     in int coordinates: (half, (a0, a1, b0, b1)) with the codomain's a' and
     b' as unreduced int pairs.  Raises BadKernel unless K is a finite point
     of the domain of order ell.  The one home of Vélu's codomain formula:
-    Step builds its steps from it, and the recovery search (dlog._leaf_j)
-    reads a leaf's j from its curve.
+    Step builds its steps from it, with images=True for the data image()
+    reads, and the recovery search (dlog._leaf_j) reads a leaf's j from its
+    curve with the default, which keeps no per-point data (half is None for
+    odd ell).
 
     For ell = 2 the kernel is K = (x_K, 0) and half is (x_K, g) with
     g = 3 x_K^2 + a: a' = a - 5g, b' = b - 7 x_K g.  For odd ell, half holds
@@ -56,30 +58,28 @@ def _velu(domain: Curve, K, ell: int):
         if y0 or y1:
             raise BadKernel("kernel generator does not have order 2")
         g0, g1 = (3 * (k0 * k0 - k1 * k1) + a0) % p, (6 * k0 * k1 + a1) % p
-        return (k0, k1, g0, g1), (
-            a0 - 5 * g0,
-            a1 - 5 * g1,
-            b0 - 7 * (k0 * g0 - k1 * g1),
-            b1 - 7 * (k0 * g1 + k1 * g0),
-        )
-    half = [K]
-    for _ in range((ell - 3) // 2):
-        T = _chord(p, a0, a1, half[-1], K)[0]
-        if T is None:
-            raise BadKernel(f"kernel generator has order below {ell}")
-        half.append(T)
-    S = _chord(p, a0, a1, half[-1], K)[0]
-    if S is None or S[:2] != half[-1][:2]:
-        raise BadKernel(f"kernel generator does not have order {ell}")
-    v0 = v1 = w0 = w1 = 0
-    triples = []
-    for x0, x1, y0, y1 in half:
-        g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
-        t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
-        v0, v1 = v0 + g0, v1 + g1
-        w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
-        triples.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
-    return triples, (a0 - 5 * v0, a1 - 5 * v1, b0 - 7 * w0, b1 - 7 * w1)
+        half = k0, k1, g0, g1
+        v0, v1, w0, w1 = g0, g1, k0 * g0 - k1 * g1, k0 * g1 + k1 * g0
+    else:
+        points = [K]
+        for _ in range((ell - 3) // 2):
+            T = _chord(p, a0, a1, points[-1], K)[0]
+            if T is None:
+                raise BadKernel(f"kernel generator has order below {ell}")
+            points.append(T)
+        S = _chord(p, a0, a1, points[-1], K)[0]
+        if S is None or S[:2] != points[-1][:2]:
+            raise BadKernel(f"kernel generator does not have order {ell}")
+        v0 = v1 = w0 = w1 = 0
+        half = [] if images else None
+        for x0, x1, y0, y1 in points:
+            g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
+            t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
+            v0, v1 = v0 + g0, v1 + g1
+            w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
+            if images:
+                half.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
+    return half, (a0 - 5 * v0, a1 - 5 * v1, b0 - 7 * w0, b1 - 7 * w1)
 
 
 class Step:
@@ -102,7 +102,7 @@ class Step:
 
     def __init__(self, domain: Curve, kernel, ell: int, u: Fp2 = None):
         K = _coords(kernel) if isinstance(kernel, Point) else kernel
-        self._half, (a0, a1, b0, b1) = _velu(domain, K, ell)
+        self._half, (a0, a1, b0, b1) = _velu(domain, K, ell, True)
         self.domain, self.ell, self._kernel = domain, ell, K
         self._u = self._twist = None
         p = domain.p
@@ -385,19 +385,23 @@ def _dual_kernel(step: Step):
     return step.image(_coords(V)) if K is None else K
 
 
-def dual_step(step: Step) -> Step:
+def dual_step(step: Step, back=None) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
-    Its kernel is _dual_kernel(step), and its twist is computed, not searched
-    for.  A Vélu step pulls the invariant differential dx/2y back to itself
-    and a u-twist pulls it back to 1/u times itself, so with v the twist of
-    s_hat, s_hat composed with s pulls it back to 1/(u v) times itself.  That
-    composite has kernel E[ell], so it is [ell], which multiplies the
-    differential by ell, followed by an isomorphism, which is the identity
-    exactly when it keeps the differential.  So v = 1/(ell u) makes the
-    composite [ell] and lands s_hat on the domain of s.
+    Its kernel is _dual_kernel(step), or, given back, a point of E[ell] on
+    the step's domain outside its kernel in int coordinates, the image of
+    back, which generates the same subgroup with no basis.  Its twist is
+    computed, not searched for.  A Vélu step pulls the invariant
+    differential dx/2y back to itself and a u-twist pulls it back to 1/u
+    times itself, so with v the twist of s_hat, s_hat composed with s pulls
+    it back to 1/(u v) times itself.  That composite has kernel E[ell], so
+    it is [ell], which multiplies the differential by ell, followed by an
+    isomorphism, which is the identity exactly when it keeps the
+    differential.  So v = 1/(ell u) makes the composite [ell] and lands
+    s_hat on the domain of s.
     """
-    d = Step(step.codomain, _dual_kernel(step), step.ell, (step.ell * step.u).inv())
+    K = _dual_kernel(step) if back is None else step.image(back)
+    d = Step(step.codomain, K, step.ell, (step.ell * step.u).inv())
     if d.codomain != step.domain:
         raise BadKernel("the dual step does not return to the domain")
     return d

@@ -11,6 +11,7 @@ from adaptorsig.curve import (
     _coords,
     _Degenerate,
     _miller,
+    _outside,
     _point,
     _scale,
     _span,
@@ -189,6 +190,33 @@ def test_canonical_basis_matches_the_pairing_rule(t0):
         assert E.j_invariant() != t0.e0.j_invariant()
         for N in (5, 7, t0.A, t0.C, t0.A * t0.C):
             assert canonical_torsion_basis(E, N, n) == _pairing_scan_basis(E, N, n)
+
+
+def _cleared_scan(E, N, group_order):
+    """Reference: the scan points cleared to exact order N, on Points."""
+    support = math.prod(ell**e for ell, e in factorize(group_order).items() if N % ell == 0)
+    for S in E.scan_points():
+        P = E.mul(group_order // support, S)
+        n = point_order(E, P, support)
+        if n % N == 0:
+            yield E.mul(n // N, P)
+
+
+def test_outside_is_the_first_cleared_point_off_the_span(t0):
+    """_outside reads the scan as canonical_torsion_basis does: off the empty
+    span it is the basis's first point, off <P> its second, and off any <B>
+    the first cleared point whose Weil pairing with B is not 1."""
+    n = t0.group_order
+    one = Fp2.one(t0.p)
+    for E in (t0.e0, keygen(t0, random.Random(4)).pk):
+        for ell in (2, 3, 5, 7):
+            P, Q = canonical_torsion_basis(E, ell, n)
+            assert _point(t0.p, _outside(E, [], ell)) == P
+            assert _point(t0.p, _outside(E, _span(E, _coords(P), ell), ell)) == Q
+            for B in (Q, E.add(P, Q), E.add(P, E.mul(ell - 1, Q))):
+                got = _point(t0.p, _outside(E, _span(E, _coords(B), ell), ell))
+                want = next(S for S in _cleared_scan(E, ell, n) if weil_pairing(E, B, S, ell) != one)
+                assert got == want
 
 
 @pytest.mark.parametrize("which", ["A", "C", "AC"])

@@ -338,13 +338,16 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
 
     The search carries the basis images as ints through Step.image, so the
     strict check (basis cache cleared) makes no Point-level Step.evaluate
-    and 116 int-to-Point conversions, each a Point that is kept: a canonical
+    and 54 int-to-Point conversions, each a Point that is kept: a canonical
     basis, the forward images at a j-match, their images through the dual
     and the verifier's own few group operations.  Steps take their kernels
     as ints, so no kernel is converted.  A walk
-    takes a step's dual kernel only where it goes on, so the check makes 52
-    _dual_kernel calls and 95 small_torsion_basis requests, where building
-    one for every step, leaves included, makes 232 and 275."""
+    takes a step's dual kernel only where it goes on.  A node reached by a
+    step lists its subgroups from its backtrack generator and one scan
+    point, and a matched backward leaf's dual kernel is the leaf's image of
+    that generator, so neither asks for a basis: the check makes 48
+    _dual_kernel calls and 59 small_torsion_basis requests, where a
+    canonical basis at every node made 52 and 95 (and 116 conversions)."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
@@ -363,8 +366,8 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(evaluations), len(points)) == (0, 116)
-    assert (len(duals), len(bases)) == (52, 95)
+    assert (len(evaluations), len(points)) == (0, 54)
+    assert (len(duals), len(bases)) == (48, 59)
 
 
 def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog, monkeypatch):
@@ -409,6 +412,66 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     assert sorted(ell for _, _, ell in built_leaves) == [5] * 4 + [7] * 6
 
 
+def test_a_cold_strict_check_computes_bases_only_at_roots(t0, forge):
+    """Bases a cold T0 strict check computes (basis cache cleared): the
+    challenge walk's E[3] and the response's E[A], then E[ell] at the root
+    of each prime power's walks, one for the forward 7^2 half and one plus
+    four for the backward 3*5^2 half.  A node reached by a step completes
+    its backtrack generator with one scan point instead, so the forged
+    check adds no basis there, where a basis at every node made 40.  An
+    honest check adds two on its matched path: the forward leaf's canonical
+    generator and the returned dual of the backward leaf."""
+    kp = keygen(t0, random.Random(21))
+    sig = sign(kp, b"count", t0, random.Random(22))
+    canonical_torsion_basis.cache_clear()
+    assert not verify(kp.pk, b"count", PlainSignature(sig.e1, forge(sig.rep, t0)), "strict", t0)
+    assert canonical_torsion_basis.cache_info().misses <= 9
+    canonical_torsion_basis.cache_clear()
+    assert verify(kp.pk, b"count", sig, "strict", t0)
+    assert canonical_torsion_basis.cache_info().misses <= 10
+
+
+def _canonical_walk_keys(E, ell, r, U, V, back=None):
+    """Reference enumeration: the cyclic walks of r steps of degree ell from
+    E that do not backtrack, each node listing its subgroups by a canonical
+    basis and dropping the backtrack one; a walk is keyed by its codomain
+    and its images of U and V, which no other walk of its degree shares."""
+    if r == 0:
+        return [(E, U, V)]
+    P, Q = canonical_torsion_basis(E, ell, E.p + 1)
+    keys = []
+    for G in [E.add(P, E.mul(k, Q)) for k in range(ell)] + [Q]:
+        s = Step(E, G, ell)
+        if back is not None and s.evaluate(back).is_inf:
+            continue
+        kernel = _point(E.p, isogeny._dual_kernel(s))
+        keys += _canonical_walk_keys(s.codomain, ell, r - 1, s.evaluate(U), s.evaluate(V), kernel)
+    return keys
+
+
+@pytest.mark.parametrize("ell,r", [(2, 3), (3, 3), (5, 2), (7, 2)])
+def test_completion_walk_lists_the_canonical_walks_subgroups(t0, ell, r):
+    """The walks of _walks, whose nodes below the root list <P + [k]B> from
+    one scan point P, are those of a canonical basis at every node, each
+    once; the first steps keep the canonical order."""
+    E = keygen(t0, random.Random(ell)).pk
+    U, V = canonical_torsion_basis(E, t0.A, t0.group_order)
+    want = _canonical_walk_keys(E, ell, r, U, V)
+    got = [
+        (cur, _point(t0.p, curU), _point(t0.p, curV))
+        for _, cur, curU, curV in (
+            dlog._finish(c) for c in dlog._walks(E, ell, r, [], _coords(U), _coords(V), None, ())
+        )
+    ]
+    assert len(got) == len(set(got)) == (ell + 1) * ell ** (r - 1)
+    assert set(got) == set(want)
+    firsts = []
+    for steps, *_ in dlog._walks(E, ell, r, [], None, None, None, ()):
+        if steps[0]._kernel not in firsts:
+            firsts.append(steps[0]._kernel)
+    assert firsts == dlog._subgroup_gens(E, ell)
+
+
 # SHA-256 of the chain document that find_isogeny returns for the responses
 # of the golden plain signature and pre-signature: which steps and twists
 # the search picks is part of its behaviour
@@ -434,3 +497,54 @@ def test_search_returns_the_pinned_chain(name):
     chain = find_isogeny(rep)
     digest = hashlib.sha256(serial.encode(serial.chain_doc(chain))).hexdigest()
     assert digest == CHAIN_PINS[name]
+
+
+def _cyclic_steps(E, ell, r, n, rng):
+    """r random steps of degree ell from E that never backtrack: the steps
+    of a cyclic kernel of order ell^r."""
+    steps = []
+    while len(steps) < r:
+        U, V = canonical_torsion_basis(E, ell, n)
+        k = rng.randrange(ell + 1)
+        s = Step(E, V if k == ell else E.add(U, E.mul(k, V)), ell)
+        if steps:
+            prev = steps[-1]
+            U0, V0 = canonical_torsion_basis(prev.domain, ell, n)
+            if all(s.evaluate(prev.evaluate(X)).is_inf for X in (U0, V0)):
+                continue
+        steps.append(s)
+        E = s.codomain
+    return steps
+
+
+def _seeded_t1_plain(t1):
+    kp = keygen(t1, random.Random(31))
+    return sign(kp, b"pin", t1, random.Random(32)).rep
+
+
+def _seeded_t0_cyclic_27(t0):
+    E = keygen(t0, random.Random(27)).pk
+    chain = IsogenyChain(E, _cyclic_steps(E, 3, 3, t0.group_order, random.Random(27)))
+    return efficient_rep(chain, t0.A)
+
+
+# the same for seeded searches off the golden pair: an honest T1 plain
+# response (degree 3^2*5^2*7^2), and a cyclic degree-27 chain at T0, whose
+# walk of three 3-steps goes through nodes with two steps still to take
+SEEDED_CHAIN_PINS = {
+    "t1-plain": (_seeded_t1_plain, "0de473c73a1bf12fc014c3c738bd7b9d58d47d571a43f3985d266a50bc6b384c"),
+    "t0-cyclic-27": (
+        _seeded_t0_cyclic_27,
+        "1379a6714a09e1a580a7b6a0cbb182fa36a858f300c24d6889d8653a70e9cbb2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_CHAIN_PINS))
+def test_search_returns_the_pinned_seeded_chain(t0, t1, name):
+    make, pin = SEEDED_CHAIN_PINS[name]
+    rep = make(t1 if name.startswith("t1") else t0)
+    chain = find_isogeny(rep)
+    assert chain.codomain == rep.codomain and chain.degree == rep.degree
+    digest = hashlib.sha256(serial.encode(serial.chain_doc(chain))).hexdigest()
+    assert digest == pin

@@ -267,6 +267,21 @@ def test_velu_codomain_formula_has_one_home():
     assert homes == {"isogeny._velu"}
 
 
+def test_the_point_scan_is_read_by_one_clearing_loop():
+    # curve._scan is iterated by curve._cleared, the one scan-and-clear loop
+    # that both canonical_torsion_basis and _outside read, and by the public
+    # scan_points alone
+    readers = set()
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_scan":
+                    readers.add(f"{name[:-3]}.{fn.name}")
+    assert readers == {"curve._cleared", "curve.scan_points"}
+
+
 def test_pairing_law_is_called_by_the_two_rejections_alone():
     # decoders and verifiers share one owner per rule: sig.rep_rejection for
     # a response's images, adaptor.s_rejection for a pre-signature's S
