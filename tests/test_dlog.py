@@ -412,15 +412,16 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     assert sorted(ell for _, _, ell in built_leaves) == [5] * 4 + [7] * 6
 
 
-def test_a_cold_strict_check_computes_bases_only_at_roots(t0, forge):
+def test_cold_strict_check_basis_misses(t0, forge):
     """Bases a cold T0 strict check computes (basis cache cleared): the
     challenge walk's E[3] and the response's E[A], then E[ell] at the root
     of each prime power's walks, one for the forward 7^2 half and one plus
     four for the backward 3*5^2 half.  A node reached by a step completes
     its backtrack generator with one scan point instead, so the forged
-    check adds no basis there, where a basis at every node made 40.  An
-    honest check adds two on its matched path: the forward leaf's canonical
-    generator and the returned dual of the backward leaf."""
+    check adds only the middle curve of one matched backward [5] block,
+    9 in all, where a basis at every node made 40.  The honest check adds
+    two on its matched path: the forward leaf's canonical generator and
+    the returned dual of the backward leaf."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     canonical_torsion_basis.cache_clear()
