@@ -13,7 +13,7 @@ from the A-part, where 4C < A^2 makes it unique.
 import logging
 import math
 
-from .curve import Curve, canonical_torsion_basis, has_exact_order, isomorphisms
+from .curve import Curve, canonical_torsion_basis, has_exact_order, isomorphisms, twist_point
 from .dlog import decompose_2d, evaluate_rep, recover_isogeny
 from .errors import (
     AmbiguityBound,
@@ -177,6 +177,15 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     return AdaptedSignature(presig.e1, rep)
 
 
+def _on_commitment(rep: EfficientRep, e1: Curve, u) -> EfficientRep:
+    """rep, a signature on a twist of e1, after the isomorphism (x, y) ->
+    (u^2 x, u^3 y) from e1 onto its domain: the images of e1's canonical
+    basis under the composite, a signature on e1 itself."""
+    basis = canonical_torsion_basis(e1, rep.order, e1.p + 1)
+    images = tuple(evaluate_rep(rep, twist_point(X, u)) for X in basis)
+    return EfficientRep(e1, rep.codomain, rep.degree, rep.order, basis, images)
+
+
 def extract(
     sig: AdaptedSignature,
     presig: PreSignature,
@@ -190,6 +199,14 @@ def extract(
     action of the dual parallel isogeny on a basis of E1[A], the recovery
     oracle turns that into a kernel, and a change of basis to (psi(P),
     psi(Q)) yields alpha.  Every failure returns None (bottom).
+
+    The challenge hashes j(E1) alone, so a signature on any twist of the
+    committed E1 verifies as well.  Such a signature is first moved onto
+    E1 through an isomorphism from E1 (_on_commitment), and the witness
+    read from there; where j(E1) is 0 or 1728 the isomorphisms differ by
+    automorphisms of E1, so each is tried until the witness passes the
+    relation.  A signature on a curve not isomorphic to E1 is
+    commitment-curve-mismatch.
     """
 
     def fail(tag):
@@ -198,58 +215,60 @@ def extract(
             reasons.append(tag)
 
     A, C = ps.A, ps.C
-    if sig.e1 != presig.e1:
+    e1, epsi, rep = presig.e1, presig.epsi, sig.rep
+    isos = [None] if sig.e1 == e1 else isomorphisms(e1, sig.e1)
+    if not isos:
         fail("commitment-curve-mismatch")
         return None
-    e1 = sig.e1
-    rep = sig.rep
-    if rep.domain != e1 or rep.codomain != presig.rep_tilde.codomain:
+    if rep.domain != sig.e1 or rep.codomain != presig.rep_tilde.codomain:
         fail("rep:endpoints")
         return None
     tag = rep_rejection(rep, {A * C: signature_shapes(ps)[A * C]})
     if tag is not None:
         fail(tag)
         return None
-    sig_a = a_part(rep, A)
 
     # sigma-tilde inverted on the A-torsion: its A-part with basis and
     # images swapped maps E2[A] back to E_psi[A] (evaluate_rep reads no degree)
     tilde = a_part(presig.rep_tilde, A)
     back = EfficientRep(tilde.codomain, tilde.domain, tilde.degree, A, tilde.images, tilde.basis)
-    try:
-        images = tuple(evaluate_rep(back, T) for T in sig_a.images)
-    except (NotABasis, OrderMismatch):
-        fail("a-torsion-decomposition")
-        return None
-    epsi = presig.epsi
-    synth = EfficientRep(e1, epsi, C, A, sig_a.basis, images)
-    try:
-        rec = recover_isogeny(synth)
-    except NotFound:
-        fail("recovery:not-found")
-        return None
-    except AmbiguityBound:  # pragma: no cover - parameters forbid this
-        fail("recovery:ambiguity")
-        return None
 
-    # kernel of the parallel witness isogeny = image of E1[C] under the dual
-    Uc, Vc = canonical_torsion_basis(e1, C, e1.p + 1)
-    K = rec.evaluate(Uc)
-    if not has_exact_order(epsi, K, C):
-        K = rec.evaluate(Vc)
-    S1, S2 = presig.s
-    try:
-        d = decompose_2d(epsi, S1, S2, K, C)
-    except (NotABasis, OrderMismatch):
-        fail("c-torsion-decomposition")
-        return None
-    if math.gcd(d.x, C) != 1:
-        fail("non-invertible-first-coefficient")
-        return None
-    alpha = d.y * pow(d.x, -1, C) % C
+    def witness(rep):
+        """The witness read from a signature on E1 itself, or the tag of the
+        first check that fails."""
+        sig_a = a_part(rep, A)
+        try:
+            images = tuple(evaluate_rep(back, T) for T in sig_a.images)
+        except (NotABasis, OrderMismatch):
+            return "a-torsion-decomposition"
+        synth = EfficientRep(e1, epsi, C, A, sig_a.basis, images)
+        try:
+            rec = recover_isogeny(synth)
+        except NotFound:
+            return "recovery:not-found"
+        except AmbiguityBound:  # pragma: no cover - parameters forbid this
+            return "recovery:ambiguity"
 
-    wit = Witness(alpha)
-    if not verify_relation(wit, s, ps):
-        fail("relation-check")
-        return None
-    return wit
+        # kernel of the parallel witness isogeny = image of E1[C] under the dual
+        Uc, Vc = canonical_torsion_basis(e1, C, e1.p + 1)
+        K = rec.evaluate(Uc)
+        if not has_exact_order(epsi, K, C):
+            K = rec.evaluate(Vc)
+        S1, S2 = presig.s
+        try:
+            d = decompose_2d(epsi, S1, S2, K, C)
+        except (NotABasis, OrderMismatch):
+            return "c-torsion-decomposition"
+        if math.gcd(d.x, C) != 1:
+            return "non-invertible-first-coefficient"
+        wit = Witness(d.y * pow(d.x, -1, C) % C)
+        if not verify_relation(wit, s, ps):
+            return "relation-check"
+        return wit
+
+    for u in isos:
+        found = witness(rep if u is None else _on_commitment(rep, e1, u))
+        if isinstance(found, Witness):
+            return found
+    fail(found)
+    return None

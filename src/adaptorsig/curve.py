@@ -404,10 +404,11 @@ def _cleared(E: Curve, N: int, exponent: int):
             yield _scale(E, n // N, P)
 
 
-# a strict check asks for 141-172 bases at T0 (18-22 distinct) and 369-397
-# at T1 (35-40) on an adapted signature, else 49-64 (8-10) and 135-153
-# (17-20), over keys, signatures and forgeries of four seeds: a recovery
-# search asks at the roots of its walks and on a returned chain alone
+# a strict check asks for 49-70 bases at T0 (8-10 distinct) and 137-145 at
+# T1 (17-20) on a plain signature, 20-33 (5-7) and 25-36 (6-8) on a
+# pre-signature, 53-79 (9-11) and 376-396 (35-40) on an adapted one, over
+# keys, honest and forged responses of four seeds: a recovery search asks
+# at the roots of its walks, on pinned steps and on a returned chain alone
 @functools.lru_cache(maxsize=4096)
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.

@@ -20,11 +20,13 @@ degree into coprime halves d1*d2 and meets in the middle (the claw search
 of Jao and De Feo, PQCrypto 2011, used here as a verifier): degree-d1
 candidates walk forward from the domain, degree-d2 candidates backward from
 the codomain, and a j-invariant match joins them through the exact dual of
-the backward half.  Halves meet on j alone: the last step of a walk is
-built only on a match.  Only a walk's root lists its subgroups by a
-canonical basis; a node below it completes its backtrack generator with
-one scan point, and a returned chain has its steps put back on canonical
-kernel generators.
+the backward half.  Where the basis order N shares a prime ell with d2,
+the images times N/ell^m already show part of every matching backward
+kernel, and the backward half walks that part once as a fixed prefix
+(_pin).  Halves meet on j alone: the last step of a walk is built only on
+a match.  Only a walk's root lists its subgroups by a canonical basis; a
+node below it completes its backtrack generator with one scan point, and
+a returned chain has its steps put back on canonical kernel generators.
 """
 
 import itertools
@@ -39,6 +41,7 @@ from .curve import (
     _chord,
     _coords,
     _j_pair,
+    _order,
     _outside,
     _point,
     _scale,
@@ -239,30 +242,43 @@ def _leaf_j(cand):
     return _j_pair(node.p, *_velu(node, *leaf)[1])
 
 
+def _canonical_gen(E: Curve, K, ell: int):
+    """The generator of _subgroup_gens(E, ell) in <K>, K of order ell, in int
+    coordinates."""
+    span = _span(E, K, ell)
+    return next(G for G in _subgroup_gens(E, ell) if G in span)
+
+
 def _canonical(steps, loose) -> list:
     """steps with each step at an index in loose rebuilt on the canonical
-    generator of its kernel (the one of _subgroup_gens in its span).  Vélu's
-    codomain and images depend on the subgroup alone, so only the kernel
-    generator changes."""
+    generator of its kernel (_canonical_gen).  Vélu's codomain and images
+    depend on the subgroup alone, so only the kernel generator changes."""
     steps = list(steps)
     for i, _ in loose:
         s = steps[i]
-        span = _span(s.domain, s._kernel, s.ell)
-        G = next(G for G in _subgroup_gens(s.domain, s.ell) if G in span)
-        steps[i] = Step(s.domain, G, s.ell)
+        steps[i] = Step(s.domain, _canonical_gen(s.domain, s._kernel, s.ell), s.ell)
     return steps
 
 
 def _hat(codomain: Curve, steps, loose) -> IsogenyChain:
     """The exact dual of the chain of steps that ends on codomain, as the
     join tests it: a loose step's dual kernel is generated by its image of
-    its node's B (dual_step's back), so no canonical basis is computed
-    below a root.  The map is dual()'s; only those kernel generators
-    differ, so a chain that is returned takes dual()'s steps instead."""
+    its node's B (dual_step's back), and an [ell] block (_ell_block), the
+    one kind of search step with a twist, is its own dual, so no canonical
+    basis is computed below a root.  The map is dual()'s; only those kernel
+    generators differ, so a chain that is returned takes dual()'s steps
+    instead."""
     back = dict(loose)
-    return IsogenyChain(
-        codomain, [dual_step(s, back.get(i)) for i, s in reversed(list(enumerate(steps)))]
-    )
+    out = []
+    i = len(steps)
+    while i:
+        i -= 1
+        if steps[i]._u is not None:  # the exact dual closing an [ell] block
+            out += steps[i - 1 : i + 1]
+            i -= 1
+        else:
+            out.append(dual_step(steps[i], back.get(i)))
+    return IsogenyChain(codomain, out)
 
 
 def count_kernel_candidates(degree: int) -> int:
@@ -273,12 +289,15 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def _candidates(E: Curve, degree: int, U, V):
+def _candidates(E: Curve, degree: int, U, V, steps=()):
     """iter_kernel_candidates with the last step left lazy: yields lazy
     candidates (steps, node, image of U, image of V, leaf, loose) as _walks
     does.  Only the last prime power's leaves stay lazy; an earlier prime's
-    walk goes on from its leaf's codomain, so that leaf is finished."""
+    walk goes on from its leaf's codomain, so that leaf is finished.  Every
+    candidate goes on from the given steps, which end on E (find_isogeny's
+    pinned prefix, see _pin), as rec's own steps do."""
     fac = sorted(factorize(degree).items())
+    steps = list(steps)
 
     def rec(cur, curU, curV, idx, steps, loose):
         ell, e = fac[idx]
@@ -290,9 +309,9 @@ def _candidates(E: Curve, degree: int, U, V):
                 yield from rec(node, nU, nV, idx + 1, done, cand[-1])
 
     if not fac:
-        yield [], E, U, V, None, ()
+        yield steps, E, U, V, None, ()
         return
-    yield from rec(E, U, V, 0, [], ())
+    yield from rec(E, U, V, 0, steps, ())
 
 
 def iter_kernel_candidates(E: Curve, degree: int, U, V):
@@ -327,6 +346,47 @@ def _split(degree: int):
     return min(splits, key=lambda s: (count(s[0]) + count(s[1]), count(s[0])))
 
 
+def _pin(rep: EfficientRep, d2: int) -> IsogenyChain:
+    """The steps out of rep.codomain that every backward candidate of
+    degree d2 starts with, read off the images.
+
+    Take ell | gcd(d2, N), N the basis order, and ell^m with m the smaller
+    of v_ell(d2) = v_ell(d) and v_ell(N).  Any phi of degree d with the
+    images maps the basis times N/ell^m, a basis of E[ell^m], to the images
+    times N/ell^m, so these generate H = phi(E[ell^m]), and the dual of phi
+    kills H, as [d]E[ell^m] = O.  Its degree-d2 part, the dual of a
+    backward candidate, kills H as well: the kernel of every backward
+    candidate that can match contains H.  Where H is nontrivial and
+    cyclic, the chain walks it, each step on the canonical generator of
+    its kernel (_canonical_gen), and the degree-d2 kernels that contain H
+    are exactly the degree-(d2/|H|) kernels out of the chain's codomain.
+    Where H is trivial or not cyclic, or the images times N/ell^m are not
+    ell^m-torsion, ell is enumerated in full.
+    """
+    E2, N = rep.codomain, rep.order
+    fac = factorize(N)
+    steps, cur = [], E2
+    for ell, e in sorted(factorize(d2).items()):
+        q = ell ** min(e, fac.get(ell, 0))
+        if q == 1:
+            continue
+        X, Y = (_scale(E2, N // q, _coords(T)) for T in rep.images)
+        nX, nY = _order(E2, X, q), _order(E2, Y, q)
+        if nX is None or nY is None:
+            continue
+        R, S, n = (X, Y, nX) if nX >= nY else (Y, X, nY)
+        if n == 1 or S not in _span(E2, R, n):
+            continue
+        for s in steps:
+            R = s.image(R)
+        while n > 1:
+            n //= ell
+            s = Step(cur, _canonical_gen(cur, _scale(cur, n, R), ell), ell)
+            steps.append(s)
+            R, cur = s.image(R), s.codomain
+    return IsogenyChain(E2, steps)
+
+
 def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
 
@@ -334,10 +394,11 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     no uniqueness, since any such isogeny is what the representation claims.
     A meet-in-the-middle search over all kernel-subgroup candidates.  The
     degree splits as d = d1*d2 with coprime halves (see _split).  The
-    backward half lists every degree-d2 isogeny out of rep.codomain, indexed
-    by the j-invariant of its codomain; the forward half walks the degree-d1
-    candidates from rep.domain, carrying the basis images in int coordinates
-    (they become Points only at a j-match).  A degree-d isogeny with kernel
+    backward half lists the degree-d2 isogenies out of rep.codomain that
+    can match (see _pin), indexed by the j-invariant of their codomains;
+    the forward half walks the degree-d1 candidates from rep.domain,
+    carrying the basis images in int coordinates (they become Points only
+    at a j-match).  A degree-d isogeny with kernel
     K factors as phi2 o phi1 with ker phi1 the d1-part of K, and the dual of
     phi2 is, up to an isomorphism of its codomain, one backward candidate
     beta.  So phi2 = dual(beta) o u for some u in isomorphisms(codomain of
@@ -345,12 +406,21 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     u: the twisted images go through the exact dual of beta, which lands on
     rep.codomain itself, and must equal rep.images.
 
-    Every candidate of the full walk is ruled in or out this way: for the
-    response degree 3^c*5^2*7^2, 181, 460 and 1 297 half-candidates at T0,
-    T1 and T2 stand for 7 068, 22 971 and 70 680, and for the adapted degree
-    3^(2c)*5^2*7^2, 460, 1 888 and 2 860 stand for 22 971, 213 807 and
-    1 931 331.  A prime-power degree has d2 = 1, one backward candidate (the
-    identity) and the plain walk.
+    Every candidate of the full walk is ruled in or out this way.  The
+    backward half starts with the steps of _pin, the part of every
+    matching backward kernel that the images show, and enumerates only
+    what is left of d2 from their codomain.  On the AC-basis of a
+    pre-signature or an adapted signature, with 3 | d2, the images times A
+    pin up to min(v_3(d), c) 3-steps.  So for the pre-signature degree
+    3^c*5^2*7^2, 88 half-candidates at T0, T1 and T2 stand for 7 068,
+    22 971 and 70 680 (a plain response, on the A-basis, pins nothing and
+    builds 181, 460 and 1 297), and for the adapted degree 3^(2c)*5^2*7^2,
+    181, 1 888 and 2 860 stand for 22 971, 213 807 and 1 931 331 (at T1
+    and T2 the 3-part falls in the forward half).  A prime-power degree
+    has d2 = 1, one backward candidate (the identity) and the plain walk.
+    The log line counts the candidates of the full walk, tried forward
+    halves times all the degree-d2 kernels, however many the pin left to
+    build, and the halves that were built.
 
     What a half costs: the walk to its last node, then only the j-invariant
     of its leaf's codomain from Vélu's formula (_leaf_j), with no Step,
@@ -359,9 +429,9 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     (_walks).  A leaf is built, and the forward basis images pushed through
     it, only when its j matches (_finish); a backward chain is finished and
     dualized on its first match, a loose step's dual kernel being its image
-    of its node's backtrack generator (_hat).  So a rejection asks for a
-    canonical basis at walk roots alone (and on the middle curve of a
-    matched backward [ell] block, whose dual is found as dual_step finds it).
+    of its node's backtrack generator and an [ell] block its own dual
+    (_hat).  So a rejection asks for a canonical basis at walk roots and
+    pinned steps alone.
 
     The returned chain is the forward steps, the last retwisted by u, then
     the dual steps, so its codomain is rep.codomain and its basis images are
@@ -385,9 +455,10 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     t0 = time.perf_counter()
     total = count_kernel_candidates(d)
     d1, d2 = _split(d)
+    pin = _pin(rep, d2)
     back = {}  # j-invariant -> [(index, lazy candidate)] of the backward half
     built = 0
-    for cand in _candidates(E2, d2, None, None):
+    for cand in _candidates(pin.codomain, d2 // pin.degree, None, None, pin.steps):
         back.setdefault(_leaf_j(cand), []).append((built, cand))
         built += 1
     duals = {}  # index -> (steps, codomain, exact dual) of that backward chain, on its first j-match
@@ -417,7 +488,7 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
                     "recovery of degree %d: matched after %d of %d candidates"
                     " (%d halves built), %.3fs",
                     d,
-                    tried * built,
+                    tried * count_kernel_candidates(d2),
                     total,
                     tried + built,
                     time.perf_counter() - t0,

@@ -260,12 +260,12 @@ class ValidationReport:
 
 
 def validate_params(ps: ParamSet) -> ValidationReport:
-    """Every parameter rule, plus a point count of E0; failures are
-    reported, not raised."""
-    own = ("E0 supersingular, |E0(GF(p^2))| = (p+1)^2", _supersingular, "point count over GF(p)")
+    """Every parameter rule; failures are reported, not raised.  No rule
+    does work that grows with p: E0's group over GF(p^2) is (Z/(p+1))^2 by
+    "p = 3 (mod 4)" and E0_RULE, with no point count."""
     checks = [
         (name, check(ps), detail.format(ps=ps))
-        for name, check, detail in SHAPE_RULES + P_RULES + CURVE_RULES + (own,)
+        for name, check, detail in SHAPE_RULES + P_RULES + CURVE_RULES
     ]
     lp = math.log(ps.p)
     info = [
@@ -274,18 +274,3 @@ def validate_params(ps: ParamSet) -> ValidationReport:
         ("log_p(C) vs 1/10", f"{math.log(ps.C)/lp:.3f} (target 0.100, not enforced)"),
     ]
     return ValidationReport(checks, info)
-
-
-def _supersingular(ps: ParamSet) -> bool:
-    """|y^2 = x^3 + x over GF(p)| = p + 1 via a Legendre-symbol sum, which
-    forces |E0(GF(p^2))| = (p+1)^2 for a trace-zero curve."""
-    p = ps.p
-    total = 1  # infinity, then one point per x with rhs = 0, etc.
-    for x in range(p):
-        rhs = (x * x * x + x) % p
-        if rhs == 0:
-            total += 1
-        else:
-            ls = pow(rhs, (p - 1) // 2, p)
-            total += 2 if ls == 1 else 0
-    return total == p + 1

@@ -12,7 +12,10 @@ from adaptorsig.adaptor import (
     presign,
     preverify,
 )
+from adaptorsig.curve import canonical_torsion_basis, twist_curve, twist_point
+from adaptorsig.dlog import evaluate_rep
 from adaptorsig.errors import WitnessStatementMismatch
+from adaptorsig.field import Fp2
 from adaptorsig.isogeny import EfficientRep
 from adaptorsig.nizk import NizkRound
 from adaptorsig.relation import Statement, Witness, gen_r, verify_relation, witness_chain
@@ -262,3 +265,41 @@ def test_extract_checks_the_pairing_law(t0):
     reasons = []
     assert extract(AdaptedSignature(pre.e1, swapped), pre, s, t0, reasons) is None
     assert reasons == ["rep:pairing"]
+
+
+def _on_twist(full, u):
+    """full moved onto the twist of its E1 by u: the images of the twisted
+    curve's canonical basis under full after the isomorphism back onto E1.
+    The challenge hashes j(E1) alone, so the result verifies like full."""
+    rep = full.rep
+    E = twist_curve(full.e1, u)
+    basis = canonical_torsion_basis(E, rep.order, E.p + 1)
+    images = tuple(evaluate_rep(rep, twist_point(X, u.inv())) for X in basis)
+    return AdaptedSignature(E, EfficientRep(E, rep.codomain, rep.degree, rep.order, basis, images))
+
+
+def _negated(full):
+    rep = full.rep
+    images = tuple(rep.codomain.neg(T) for T in rep.images)
+    return AdaptedSignature(full.e1, EfficientRep(rep.domain, rep.codomain, rep.degree,
+                                                  rep.order, rep.basis, images))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_every_mauled_adapted_signature_that_verifies_gives_the_witness(request, profile, seed):
+    """Witness extractability against the public maulings of an adapted
+    signature: its E1 twisted by u = 2 + i and by u = i, the images
+    re-expressed on the twist's canonical basis, and its images negated.
+    Each verifies light and strict, and extract recovers the witness."""
+    ps = request.getfixturevalue(profile)
+    kp, w, s, m, pre = session(ps, seed)
+    full = adapt(pre, w, ps)
+    mauled = [_on_twist(full, Fp2(ps.p, 2, 1)), _on_twist(full, Fp2(ps.p, 0, 1)), _negated(full)]
+    assert mauled[0].e1 != pre.e1 and mauled[1].e1 != pre.e1
+    for sig in mauled:
+        assert verify(kp.pk, m, sig, "light", ps)
+        assert verify(kp.pk, m, sig, "strict", ps)
+        reasons = []
+        rec = extract(sig, pre, s, ps, reasons)
+        assert rec is not None and rec.alpha == w.alpha, reasons

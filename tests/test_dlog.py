@@ -1,11 +1,13 @@
 import hashlib
 import logging
 import random
+import re
 from pathlib import Path
 
 import pytest
 
 from adaptorsig import curve, dlog, isogeny, serial
+from adaptorsig.adaptor import AdaptedSignature, PreSignature, adapt, presign, preverify
 from adaptorsig.curve import (
     Point,
     _coords,
@@ -34,6 +36,7 @@ from adaptorsig.isogeny import (
     efficient_rep,
     isogeny_from_kernel,
 )
+from adaptorsig.relation import gen_r
 from adaptorsig.sig import PlainSignature, keygen, mu, sign, verify
 
 
@@ -338,16 +341,18 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
 
     The search carries the basis images as ints through Step.image, so the
     strict check (basis cache cleared) makes no Point-level Step.evaluate
-    and 54 int-to-Point conversions, each a Point that is kept: a canonical
+    and 52 int-to-Point conversions, each a Point that is kept: a canonical
     basis, the forward images at a j-match, their images through the dual
     and the verifier's own few group operations.  Steps take their kernels
     as ints, so no kernel is converted.  A walk
     takes a step's dual kernel only where it goes on.  A node reached by a
     step lists its subgroups from its backtrack generator and one scan
     point, and a matched backward leaf's dual kernel is the leaf's image of
-    that generator, so neither asks for a basis: the check makes 48
-    _dual_kernel calls and 59 small_torsion_basis requests, where a
-    canonical basis at every node made 52 and 95 (and 116 conversions)."""
+    that generator, so neither asks for a basis; nor does a matched
+    backward [5] block, its own dual: the check makes 46 _dual_kernel
+    calls, 57 small_torsion_basis requests and 52 conversions, where
+    dualizing the block step by step made 48, 59 and 54, and a canonical
+    basis at every node 52, 95 and 116."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
@@ -366,8 +371,8 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(evaluations), len(points)) == (0, 54)
-    assert (len(duals), len(bases)) == (48, 59)
+    assert (len(evaluations), len(points)) == (0, 52)
+    assert (len(duals), len(bases)) == (46, 57)
 
 
 def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog, monkeypatch):
@@ -376,9 +381,11 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     of its codomain alone: 56 forward and 120 backward leaves give 176
     j-invariants from Vélu's formula and no Step.  Only the leaves of the 8
     j-matching pairs, 6 forward and 4 backward, are built, each once, with
-    their images.  So the check makes 72 Step constructions, 204
-    Step.image calls and 6 Curve.j_invariant calls, where building every
-    leaf made 238, 536 and 182."""
+    their images.  A matched backward [5] block is its own dual, so the
+    join builds no dual of its two steps.  So the check makes 70 Step
+    constructions, 201 Step.image calls and 6 Curve.j_invariant calls,
+    where dualizing the block made 72, 204 and 6, and building every leaf
+    238, 536 and 182."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
@@ -403,7 +410,7 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(steps), len(images), len(js)) == (72, 204, 6)
+    assert (len(steps), len(images), len(js)) == (70, 201, 6)
     lazy = set(leaves)
     built_leaves = [key for key in steps if key in lazy]
     assert (len(leaves), len(pairs)) == (176, 8)
@@ -417,16 +424,17 @@ def test_cold_strict_check_basis_misses(t0, forge):
     challenge walk's E[3] and the response's E[A], then E[ell] at the root
     of each prime power's walks, one for the forward 7^2 half and one plus
     four for the backward 3*5^2 half.  A node reached by a step completes
-    its backtrack generator with one scan point instead, so the forged
-    check adds only the middle curve of one matched backward [5] block,
-    9 in all, where a basis at every node made 40.  The honest check adds
-    two on its matched path: the forward leaf's canonical generator and
-    the returned dual of the backward leaf."""
+    its backtrack generator with one scan point instead, and a matched
+    backward [5] block is its own dual, so the forged check computes no
+    other basis: 8 in all, where dualizing the block made 9 and a basis at
+    every node 40.  The honest check adds two on its matched path: the
+    forward leaf's canonical generator and the returned dual of the
+    backward leaf."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     canonical_torsion_basis.cache_clear()
     assert not verify(kp.pk, b"count", PlainSignature(sig.e1, forge(sig.rep, t0)), "strict", t0)
-    assert canonical_torsion_basis.cache_info().misses <= 9
+    assert canonical_torsion_basis.cache_info().misses <= 8
     canonical_torsion_basis.cache_clear()
     assert verify(kp.pk, b"count", sig, "strict", t0)
     assert canonical_torsion_basis.cache_info().misses <= 10
@@ -549,3 +557,92 @@ def test_search_returns_the_pinned_seeded_chain(t0, t1, name):
     assert chain.codomain == rep.codomain and chain.degree == rep.degree
     digest = hashlib.sha256(serial.encode(serial.chain_doc(chain))).hexdigest()
     assert digest == pin
+
+
+def _session(ps, seed):
+    """Keys, witness, statement, message and pre-signature of one seed."""
+    rng = random.Random(seed)
+    kp = keygen(ps, rng)
+    w, s = gen_r(ps, rng)
+    m = b"pin %d" % seed
+    return kp, w, s, m, presign(kp, m, s, ps, rng)
+
+
+def _recovery_log(caplog, check):
+    """The log line of the one recovery that check() makes."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
+        check()
+    (line,) = [r.getMessage() for r in caplog.records if r.name == "adaptorsig.dlog"]
+    return line
+
+
+@pytest.mark.parametrize("profile,shape,line", [
+    ("t0", "pre", "exhausted 7068 candidates (88 halves built)"),
+    ("t1", "pre", "exhausted 22971 candidates (88 halves built)"),
+    ("t0", "adapted", "exhausted 22971 candidates (181 halves built)"),
+])
+def test_forged_ac_response_pins_the_backward_c_part(request, forge, caplog, profile, shape, line):
+    """A response's images on the AC-basis fix the C-part of the backward
+    half's kernel.  A pre-signature's backward 3^c*5^2 half is one pinned
+    3^c-walk and then 5^2: a forged check builds 57 forward and 31 backward
+    halves, where enumerating the 3^c-part built 124 and 403 backward
+    halves (181 and 460 in all).  An adapted T0 signature (degree
+    3^2*5^2*7^2) has its first backward 3-step pinned and enumerates 3*5^2
+    from its codomain: 57 + 124 = 181 halves, not 460."""
+    ps = request.getfixturevalue(profile)
+    kp, w, s, m, pre = _session(ps, 5)
+    if shape == "pre":
+        fake = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, ps))
+        got = _recovery_log(caplog, lambda: preverify(kp.pk, m, s, fake, "strict", ps))
+    else:
+        full = adapt(pre, w, ps)
+        fake = AdaptedSignature(full.e1, forge(full.rep, ps))
+        got = _recovery_log(caplog, lambda: verify(kp.pk, m, fake, "strict", ps))
+    assert line in got
+
+
+def _chain_digest(rep):
+    return hashlib.sha256(serial.encode(serial.chain_doc(find_isogeny(rep)))).hexdigest()
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2", "t0-adapted"])
+def test_pinned_search_returns_the_unpinned_chain(request, monkeypatch, profile):
+    """The oracle: with no prefix pinned, the search enumerates the whole
+    backward half and returns the same chain document."""
+    ps = request.getfixturevalue(profile[:2])
+    reps = []
+    for seed in (1, 2, 3):
+        kp, w, s, m, pre = _session(ps, seed)
+        reps.append(adapt(pre, w, ps).rep if profile.endswith("adapted") else pre.rep_tilde)
+    pinned = [_chain_digest(rep) for rep in reps]
+    assert all(dlog._pin(rep, dlog._split(rep.degree)[1]).degree > 1 for rep in reps)
+    monkeypatch.setattr(dlog, "_pin", lambda rep, d2: IsogenyChain.identity(rep.codomain))
+    assert [_chain_digest(rep) for rep in reps] == pinned
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"], ids=["t0-trivial", "t1-not-cyclic"])
+def test_degenerate_scaled_images_take_the_unpinned_search(request, caplog, profile):
+    """A degree-3^2*5^2*7^2 map on the AC-basis whose kernel's 3-part is
+    E[3]: at T0 (3 || A*C) the images times A map E[3] to O, and at T1
+    (9 || A*C) the images times A map E[9] onto a copy of E[3], which is not
+    cyclic.  Nothing is pinned, the backward 3^2*5^2 half is enumerated in
+    full (13 * 31 = 403 halves), and the search still finds the map."""
+    ps = request.getfixturevalue(profile)
+    n = ps.group_order
+    rng = random.Random(9)
+    E = keygen(ps, rng).pk
+    steps = _random_steps(E, 3, True, n, rng)
+    steps += _random_steps(steps[-1].codomain, 5, False, n, rng)
+    steps += _random_steps(steps[-1].codomain, 7, False, n, rng)
+    rep = efficient_rep(IsogenyChain(E, steps), ps.A * ps.C)
+    d2 = dlog._split(rep.degree)[1]
+    assert d2 == 225
+    assert dlog._pin(rep, d2).degree == 1
+    chains = []
+    line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep)))
+    # "matched after (forward halves tried * per) of ... (halves built)"
+    after, halves = map(int, re.search(r"after (\d+) of .*\((\d+) halves", line).groups())
+    per = count_kernel_candidates(d2)
+    assert (per, halves - after // per) == (403, 403)
+    assert tuple(chains[0].evaluate(X) for X in rep.basis) == rep.images

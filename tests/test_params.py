@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -63,9 +64,9 @@ def test_p_bound_rejected_alike_by_generate_parse_and_validate(t0):
         serial.parse_params(doc)
     assert (err.value.path, err.value.message) == ("params.p", f"violates {rule}")
 
-    # the point count of validate_params walks GF(p), so only the passing
-    # side is checked here
     assert (rule, True) in {(name, passed) for name, passed, _ in validate_params(t0).checks}
+    report = validate_params(replace(t0, p=MR_BOUND + 2))
+    assert (rule, False) in {(name, passed) for name, passed, _ in report.checks}
 
 
 def test_t1_recovery_bound_quote():
@@ -91,6 +92,17 @@ def test_no_prime_found(monkeypatch):
 
 def test_validate_passes_on_generated(t0):
     report = validate_params(t0)
+    assert report.ok, report.lines()
+
+
+def test_validate_does_no_work_that_grows_with_p():
+    """At a = 40 (p of 52 bits) every rule runs in well under a second: no
+    rule walks GF(p), as a point count of E0 would."""
+    ps = generate_params((40, (5, 7), 1, 35, 3, 2), random.Random(0))
+    assert ps.p.bit_length() == 52
+    start = time.perf_counter()
+    report = validate_params(ps)
+    assert time.perf_counter() - start < 1.0
     assert report.ok, report.lines()
 
 
