@@ -246,7 +246,7 @@ def extract(
             rec = recover_isogeny(synth)
         except NotFound:
             return "recovery:not-found"
-        except AmbiguityBound:  # pragma: no cover - parameters forbid this
+        except AmbiguityBound:  # the extraction bound 4C < A^2 rules this out
             return "recovery:ambiguity"
 
         # kernel of the parallel witness isogeny = image of E1[C] under the dual

@@ -204,7 +204,9 @@ def cube_roots(x: Fp2):
 
 
 def _mu_power_group(p, ell, s):
-    """All elements of order dividing ell^s in GF(p^2)*."""
+    """All elements of order dividing ell^s in GF(p^2)*.  The scan stops at
+    the first field element that is not an ell-th power (for cube_roots, not
+    a cube)."""
     n = p * p - 1
     co = n // (ell**s)
     # scan field elements until a generator of the full ell^s-subgroup shows up

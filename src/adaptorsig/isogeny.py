@@ -31,15 +31,13 @@ from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPrei
 from .field import Fp2, batch_inv, inv_pair, sqrt_pair
 
 
-def _velu(domain: Curve, K, ell: int, images: bool = False):
+def _velu(domain: Curve, K, ell: int):
     """Vélu's data for the degree-ell step out of domain with kernel <K>, K
     in int coordinates: (half, (a0, a1, b0, b1)) with the codomain's a' and
     b' as unreduced int pairs.  Raises BadKernel unless K is a finite point
     of the domain of order ell.  The one home of Vélu's codomain formula:
-    Step builds its steps from it, with images=True for the data image()
-    reads, and the recovery search (dlog._leaf_j) reads a leaf's j from its
-    curve with the default, which keeps no per-point data (half is None for
-    odd ell).
+    Step builds its steps from it and keeps half for image(), and the
+    recovery search (dlog._leaf_j) reads a leaf's j from its curve.
 
     For ell = 2 the kernel is K = (x_K, 0) and half is (x_K, g) with
     g = 3 x_K^2 + a: a' = a - 5g, b' = b - 7 x_K g.  For odd ell, half holds
@@ -71,14 +69,13 @@ def _velu(domain: Curve, K, ell: int, images: bool = False):
         if S is None or S[:2] != points[-1][:2]:
             raise BadKernel(f"kernel generator does not have order {ell}")
         v0 = v1 = w0 = w1 = 0
-        half = [] if images else None
+        half = []
         for x0, x1, y0, y1 in points:
             g0, g1 = 2 * (3 * (x0 * x0 - x1 * x1) + a0), 2 * (6 * x0 * x1 + a1)
             t0, t1 = 4 * (y0 * y0 - y1 * y1), 8 * y0 * y1
             v0, v1 = v0 + g0, v1 + g1
             w0, w1 = w0 + t0 + x0 * g0 - x1 * g1, w1 + t1 + x0 * g1 + x1 * g0
-            if images:
-                half.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
+            half.append((x0, x1, g0 % p, g1 % p, t0 % p, t1 % p))
     return half, (a0 - 5 * v0, a1 - 5 * v1, b0 - 7 * w0, b1 - 7 * w1)
 
 
@@ -102,7 +99,7 @@ class Step:
 
     def __init__(self, domain: Curve, kernel, ell: int, u: Fp2 = None):
         K = _coords(kernel) if isinstance(kernel, Point) else kernel
-        self._half, (a0, a1, b0, b1) = _velu(domain, K, ell, True)
+        self._half, (a0, a1, b0, b1) = _velu(domain, K, ell)
         self.domain, self.ell, self._kernel = domain, ell, K
         self._u = self._twist = None
         p = domain.p

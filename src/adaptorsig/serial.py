@@ -21,10 +21,9 @@ from .orientation import Orientation, orientation_valid
 from .params import (
     BASIS_RULE,
     E0_RULE,
-    P_BOUND_RULE,
     P_RULES,
     SHAPE_RULES,
-    SIZE_RULE,
+    SIZE_RULES,
     ParamSet,
     failed_rule,
     is_prime,
@@ -200,7 +199,7 @@ def parse_params(doc) -> ParamSet:
     d_phi = _unhex(_field(doc, "d_phi", path), f"{path}.d_phi")
     k = _unhex(_field(doc, "nizk_rounds", path), f"{path}.nizk_rounds")
     ps = ParamSet(p, a, primes, c, f, d_tau, d_phi, None, None, None, k)
-    _require(ps, f"{path}.p", SIZE_RULE, P_BOUND_RULE)
+    _require(ps, f"{path}.p", *SIZE_RULES)
     _require(ps, path, *SHAPE_RULES)
     _require(ps, f"{path}.p", *P_RULES)
     ps = replace(ps, e0=parse_curve(_field(doc, "e0", path), p, f"{path}.e0"))

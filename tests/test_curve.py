@@ -543,6 +543,22 @@ def test_isomorphisms_roundtrip(t0, rng):
     assert E2.on_curve(twist_point(P, u))
 
 
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_isomorphisms_at_j_0(request, profile):
+    # y^2 = x^3 + 1: the j = 0 branch, through field.cube_roots
+    ps = request.getfixturevalue(profile)
+    p = ps.p
+    E = Curve(Fp2.zero(p), Fp2.one(p))
+    autos = isomorphisms(E, E)
+    assert len(autos) == 6
+    assert autos == sorted(autos, key=Fp2.lex_key)
+    assert all(u**4 * E.a == E.a and u**6 * E.b == E.b for u in autos)
+    u = Fp2(p, 2, 1)
+    assert u in isomorphisms(E, twist_curve(E, u))
+    # E0, at j = 1728, has four
+    assert len(isomorphisms(ps.e0, ps.e0)) == 4
+
+
 def test_isomorphisms_distinct_j_empty(t0):
     E = t0.e0
     other = Curve(Fp2.zero(t0.p), Fp2.one(t0.p))

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from adaptorsig import field
 from adaptorsig.field import Fp2, cube_roots, sqrt_pair
+from adaptorsig.params import generate_params
 
 P = 26879  # T0 modulus
 
@@ -167,3 +169,32 @@ def test_cube_roots():
             seen_nonzero += 1
             assert len(roots) == 3  # 3 | p+1, so mu_3 lies in GF(p^2)
     assert seen_nonzero > 0
+
+
+@pytest.mark.parametrize(
+    "spec, tried",
+    [
+        ("T0", 3),
+        ("T1", 3),
+        ("T2", 5),
+        ((40, (5, 7), 1, 35, 3, 2), 3),
+        ((70, (5, 7), 1, 35, 3, 2), 10),
+    ],
+)
+def test_mu_power_group_scan_stops_at_the_first_non_cube(monkeypatch, spec, tried):
+    p = generate_params(spec, random.Random(0)).p
+    n = p * p - 1
+    s = 0
+    while (p + 1) % 3 ** (s + 1) == 0:
+        s += 1
+    co = n // 3**s
+    powers = []
+    power = Fp2.__pow__
+    monkeypatch.setattr(Fp2, "__pow__", lambda x, e: powers.append(e) or power(x, e))
+    mu = field._mu_power_group(p, 3, s)
+    assert powers.count(co) == tried
+    monkeypatch.undo()
+    assert len(set(mu)) == 3**s and all(z ** (3**s) == Fp2.one(p) for z in mu)
+    # the scan reads 1, 1 + i, 1 + 2i, ...: every element but the last is a cube
+    scanned = [Fp2(p, 1, c1) ** (n // 3) for c1 in range(tried)]
+    assert [z.is_one() for z in scanned] == [True] * (tried - 1) + [False]

@@ -203,6 +203,22 @@ def test_readme_lists_every_rejection_tag():
     assert listed == code
 
 
+def test_readme_lists_every_parameter_rule():
+    params = importlib.import_module("adaptorsig.params")
+    tables = (params.SIZE_RULES, params.SHAPE_RULES, params.P_RULES, params.CURVE_RULES)
+    code = {name for table in tables for name, _, _ in table}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Profiles\n")[1].split("\n## ")[0]
+    table = section.split("| rule (table) |")[1].split("\n\n")[0]
+    # a table cell escapes the | of a rule name
+    listed = {
+        line.split("`")[1].replace("\\|", "|")
+        for line in table.splitlines()
+        if line.startswith("| `")
+    }
+    assert listed == code
+
+
 def test_perfbench_bindings_resolve():
     # perfbench/tracing.py wraps these by a bare getattr, so a renamed or
     # deleted function would crash only the traced benchmark; its tables are
