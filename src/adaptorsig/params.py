@@ -195,10 +195,10 @@ def failed_rule(ps, rules):
 def generate_params(profile, rng) -> ParamSet:
     """Build a full parameter set for a named profile or a custom tuple.
 
-    The shape rules run on the tuple first, then the p bound on the least
-    candidate A*B*C - 1.  The cofactor search is ascending from f = 1 and
-    stops below the bound; the base curve, the C-torsion basis and the
-    orientation are all deterministic given rng.
+    A negative exponent is refused, then the shape rules run on the tuple,
+    then the p bound on the least candidate A*B*C - 1.  The cofactor search
+    is ascending from f = 1 and stops below the bound; the base curve, the
+    C-torsion basis and the orientation are all deterministic given rng.
     """
     if isinstance(profile, str):
         try:
@@ -207,6 +207,9 @@ def generate_params(profile, rng) -> ParamSet:
             raise ConstraintViolation(f"unknown profile {profile!r}") from None
     else:
         a, primes, c, d_tau, d_phi, k = profile
+    # the rules take 2^a and 3^c as integers; 3^-1000 is the float 0.0
+    if a < 0 or c < 0:
+        raise ConstraintViolation("negative exponent a or c")
     # p, f and the curve data are filled in once the shape holds
     shape = ParamSet(None, a, primes, c, None, d_tau, d_phi, None, None, None, k)
     failed = failed_rule(shape, SHAPE_RULES)

@@ -132,14 +132,20 @@ def test_validate_does_no_work_that_grows_with_p():
 
 def test_validate_fails_on_shifted_p(t0):
     # p+2 = 26881 happens to be prime, so the failing check is the shape
-    # p = ABCf - 1, which with 4 | A also gives p = 3 (mod 4); p+4 also
-    # breaks primality
+    # p = ABCf - 1, which with 4 | A also gives p = 3 (mod 4); the decoder
+    # rejects it by that rule too; p+4 also breaks primality
+    assert t0.A % 4 == 0
     bad = replace(t0, p=t0.p + 2)
     report = validate_params(bad)
     assert not report.ok
     failed = {name for name, passed, _ in report.checks if not passed}
     assert "p = ABCf - 1" in failed
     assert sympy.isprime(t0.p + 2)
+    doc = serial.params_doc(t0)
+    doc["p"] = format(t0.p + 2, "x")
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert (err.value.path, err.value.message) == ("params.p", "violates p = ABCf - 1")
 
     worse = replace(t0, p=t0.p + 4)
     report = validate_params(worse)
@@ -184,10 +190,11 @@ def test_zero_nizk_rounds_rejected():
 
 
 # one violation per shape rule, changing T0 so that no earlier rule fails;
-# the first three rows are named after conditions that other rules imply,
+# the first four rows are named after conditions that other rules imply,
 # and IMPLIED names the rule that rejects each
 SHAPE_VIOLATIONS = {
     "a >= 2": {"a": 1},
+    "a >= 2, at a = 0": {"a": 0},
     "c >= 1": {"c": 0},
     "A, B, C pairwise coprime": {"primes": (3, 5)},
     "primes distinct, odd, not 3": {"primes": (5, 5)},
@@ -202,6 +209,7 @@ SHAPE_VIOLATIONS = {
 IMPLIED = {
     # with c >= 1, 4C < A^2 needs A >= 4
     "a >= 2": "extraction bound 4C < A^2",
+    "a >= 2, at a = 0": "extraction bound 4C < A^2",
     # D_phi > 1 divides C = 3^c
     "c >= 1": "D_tau | B and D_phi | C",
     # the rule checked gcd(B, 6) = 1: B is a product of primes other than 2, 3
@@ -235,44 +243,23 @@ def test_shape_rule_rejected_alike_by_generate_parse_and_validate(t0, rule):
     assert rule in {name for name, passed, _ in report.checks if not passed}
 
 
-def test_negative_exponents_rejected_by_the_implying_rules(t0):
-    """a = 0, a = -3 and c = -2 fail the rules that imply a >= 2 and c >= 1:
-    generation and validation name them, and the decoder takes no negative
-    integer at all."""
-    for change, rule in (
-        ({"a": 0}, "extraction bound 4C < A^2"),
-        ({"a": -3}, "extraction bound 4C < A^2"),
-        ({"c": -2}, "D_tau | B and D_phi | C"),
-    ):
-        profile = _profile(change)
-        with pytest.raises(ConstraintViolation) as err:
-            generate_params(profile, random.Random(0))
-        assert str(err.value) == f"violates {rule}"
-        report = validate_params(replace(t0, **change))
-        assert rule in {name for name, passed, _ in report.checks if not passed}
-        ((key, value),) = change.items()
-        doc = serial.params_doc(t0)
-        doc[key] = format(value, "x")
-        if value < 0:
-            with pytest.raises(ParseError):
-                serial.parse_params(doc)
-            continue
-        with pytest.raises(InvariantViolation) as err:
-            serial.parse_params(doc)
-        assert err.value.message == f"violates {rule}"
-
-
-def test_p_of_the_shape_is_3_mod_4(t0):
-    """"p = 3 (mod 4)" is no rule: p = ABCf - 1 with 4 | A gives it, and a p
-    of the other class fails that rule in the decoder and in validation."""
-    assert t0.p % 4 == 3 and t0.A % 4 == 0
-    bad = t0.p + 2
-    assert bad % 4 == 1 and is_prime(bad)
+@pytest.mark.parametrize(
+    "change",
+    [{"a": -3}, {"a": -2000}, {"c": -2}, {"c": -1000}],
+    ids=["a=-3", "a=-2000", "c=-2", "c=-1000"],
+)
+def test_negative_exponents_rejected(t0, change):
+    """Generation refuses a negative exponent before any rule reads 2^a or
+    3^c as a float (3^-1000 is 0.0, which every divisor divides), and the
+    decoder takes no negative integer at all."""
+    with pytest.raises(ConstraintViolation) as err:
+        generate_params(_profile(change), random.Random(0))
+    assert str(err.value) == "negative exponent a or c"
+    ((key, value),) = change.items()
     doc = serial.params_doc(t0)
-    doc["p"] = format(bad, "x")
-    with pytest.raises(InvariantViolation) as err:
+    doc[key] = format(value, "x")
+    with pytest.raises(ParseError):
         serial.parse_params(doc)
-    assert (err.value.path, err.value.message) == ("params.p", "violates p = ABCf - 1")
 
 
 # -- every kept rule prevents something ---------------------------------------
