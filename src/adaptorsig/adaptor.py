@@ -10,7 +10,6 @@ verification checks the full images; extraction recovers a degree-C isogeny
 from the A-part, where 4C < A^2 makes it unique.
 """
 
-import logging
 import math
 
 from .curve import Curve, canonical_torsion_basis, has_exact_order, isomorphisms, twist_point
@@ -22,6 +21,7 @@ from .errors import (
     OrderMismatch,
     ProtocolError,
     WitnessStatementMismatch,
+    report,
 )
 from .isogeny import (
     EfficientRep,
@@ -33,10 +33,10 @@ from .isogeny import (
     isogeny_from_kernel,
     pairing_law,
 )
-from .nizk import NizkProof, prove_parallel, verify_parallel
+from .nizk import NizkProof, proof_rejection, prove_parallel
 from .orientation import oriented_kernel
 from .params import ParamSet
-from .relation import Statement, Witness, verify_relation
+from .relation import Statement, Witness, relation_rejection
 from .sig import (
     KeyPair,
     challenge,
@@ -45,8 +45,6 @@ from .sig import (
     response_rejection,
     signature_shapes,
 )
-
-logger = logging.getLogger(__name__)
 
 
 class PreSignature:
@@ -119,26 +117,19 @@ def preverify(
     """Check a pre-signature: S-pairing, proof, challenge, representation."""
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
-    fail = reasons.append if reasons is not None else (lambda tag: None)
-
-    # (1) S well-formed and the pairing identity with exponent B
-    tag = s_rejection(presig.epsi, presig.s, ps)
-    if tag is not None:
-        fail(tag)
-        return False
-
-    # (2) the commitment curve is honestly derived from the statement
-    if not verify_parallel((s.ew, s.oriented_image, presig.e1), presig.proof, ps):
-        fail("nizk")
-        return False
-
-    # (3) the challenge walk and the representation of the shifted response
-    shapes = presignature_shapes(ps)
-    tag = response_rejection(pk, m, presig.e1, presig.rep_tilde, presig.epsi, shapes, mode, ps)
-    if tag is not None:
-        fail(tag)
-        return False
-    return True
+    # the first failing tag, in order: (1) S well-formed and the pairing
+    # identity with exponent B, (2) the proof that the commitment curve is
+    # honestly derived from the statement, (3) the challenge walk and the
+    # representation of the shifted response
+    statement = (s.ew, s.oriented_image, presig.e1)
+    tag = (
+        s_rejection(presig.epsi, presig.s, ps)
+        or (proof_rejection(statement, presig.proof, ps) and "nizk")
+        or response_rejection(
+            pk, m, presig.e1, presig.rep_tilde, presig.epsi, presignature_shapes(ps), mode, ps
+        )
+    )
+    return report(tag, reasons)
 
 
 def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
@@ -208,24 +199,16 @@ def extract(
     relation.  A signature on a curve not isomorphic to E1 is
     commitment-curve-mismatch.
     """
-
-    def fail(tag):
-        logger.debug("extraction returned bottom: %s", tag)
-        if reasons is not None:
-            reasons.append(tag)
-
     A, C = ps.A, ps.C
     e1, epsi, rep = presig.e1, presig.epsi, sig.rep
     isos = [None] if sig.e1 == e1 else isomorphisms(e1, sig.e1)
     if not isos:
-        fail("commitment-curve-mismatch")
-        return None
-    if rep.domain != sig.e1 or rep.codomain != presig.rep_tilde.codomain:
-        fail("rep:endpoints")
-        return None
-    tag = rep_rejection(rep, {A * C: signature_shapes(ps)[A * C]})
-    if tag is not None:
-        fail(tag)
+        tag = "commitment-curve-mismatch"
+    elif rep.domain != sig.e1 or rep.codomain != presig.rep_tilde.codomain:
+        tag = "rep:endpoints"
+    else:
+        tag = rep_rejection(rep, {A * C: signature_shapes(ps)[A * C]})
+    if not report(tag, reasons):
         return None
 
     # sigma-tilde inverted on the A-torsion: its A-part with basis and
@@ -262,7 +245,7 @@ def extract(
         if math.gcd(d.x, C) != 1:
             return "non-invertible-first-coefficient"
         wit = Witness(d.y * pow(d.x, -1, C) % C)
-        if not verify_relation(wit, s, ps):
+        if relation_rejection(wit, s, ps) is not None:
             return "relation-check"
         return wit
 
@@ -270,5 +253,5 @@ def extract(
         found = witness(rep if u is None else _on_commitment(rep, e1, u))
         if isinstance(found, Witness):
             return found
-    fail(found)
+    report(found, reasons)
     return None

@@ -19,8 +19,6 @@ from .relation import gen_r
 from .sig import keygen, sign, verify
 from .swap import demo_swap
 
-logger = logging.getLogger(__name__)
-
 #: strict-mode results rest on exhaustive recovery at toy sizes, not on the
 #: full-scale verification machinery
 TOY_VERIFIED_NOTE = "toy-verified: desk-scale exhaustive recovery, not a full-scale verifier"

@@ -1,4 +1,13 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the one reporter of
+reason tags."""
+
+
+def report(tag, reasons) -> bool:
+    """Whether a check passed (tag is None); a failing tag is appended to
+    `reasons` when one is given.  Every verifier reports through this."""
+    if tag is not None and reasons is not None:
+        reasons.append(tag)
+    return tag is None
 
 
 class ProtocolError(Exception):

@@ -20,7 +20,7 @@ import hashlib
 from dataclasses import dataclass
 
 from .curve import Curve, Point
-from .errors import ProtocolError, WitnessMismatch
+from .errors import ProtocolError, WitnessMismatch, report
 from .isogeny import isogeny_from_kernel
 from .orientation import oriented_kernel
 from .params import ParamSet
@@ -110,38 +110,32 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
     )
 
 
-def verify_parallel(statement, proof: NizkProof, ps: ParamSet, reasons=None) -> bool:
-    """Recompute the challenge and check every revealed branch.  The tag of
-    a failed check is appended to `reasons` when one is given."""
-    fail = reasons.append if reasons is not None else (lambda tag: None)
+def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
+    """Reason tag of the first failing check, or None: the challenge is
+    recomputed from the corners and every revealed branch is checked."""
     ew, wB, e1 = statement
     if len(proof.rounds) != ps.nizk_rounds:
-        fail("nizk:rounds")
-        return False
+        return "nizk:rounds"
     bits = _challenge_bits(
         statement, [(r.f, r.fp) for r in proof.rounds], ps.nizk_rounds
     )
     for r, bit in zip(proof.rounds, bits):
         if r.tag != bit:
-            fail("nizk:challenge")
-            return False
+            return "nizk:challenge"
         try:
             if bit == 0:
                 km, kmp = r.reveal
-                mask = isogeny_from_kernel(ew, [km], ps.A)
-                if mask.codomain != r.f:
-                    fail("nizk:mask")
-                    return False
-                maskp = isogeny_from_kernel(e1, [kmp], ps.A)
-                if maskp.codomain != r.fp:
-                    fail("nizk:mask-commitment")
-                    return False
-            else:
-                par = isogeny_from_kernel(r.f, list(r.reveal), ps.B)
-                if par.codomain != r.fp:
-                    fail("nizk:parallel")
-                    return False
+                if isogeny_from_kernel(ew, [km], ps.A).codomain != r.f:
+                    return "nizk:mask"
+                if isogeny_from_kernel(e1, [kmp], ps.A).codomain != r.fp:
+                    return "nizk:mask-commitment"
+            elif isogeny_from_kernel(r.f, list(r.reveal), ps.B).codomain != r.fp:
+                return "nizk:parallel"
         except ProtocolError:
-            fail("nizk:kernel")
-            return False
-    return True
+            return "nizk:kernel"
+    return None
+
+
+def verify_parallel(statement, proof: NizkProof, ps: ParamSet, reasons=None) -> bool:
+    """Whether `proof_rejection` passes; its tag is reported to `reasons`."""
+    return report(proof_rejection(statement, proof, ps), reasons)

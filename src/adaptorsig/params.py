@@ -127,8 +127,13 @@ def _divisors_ok(ps) -> bool:
 
 
 def _fits(ps) -> bool:
+    # the count and size of the B-primes are bounded before B is taken, as
+    # a 0 entry makes B = 0 whatever the others are; each kept prime is >= 5,
+    # so B < 2^n bounds both already
     n = ps.group_order.bit_length()
-    return ps.a < n and ps.c < n and ps.B.bit_length() <= n
+    ells = ps.primes
+    bounded = len(ells) <= n and all(ell.bit_length() <= n for ell in ells)
+    return ps.a < n and ps.c < n and bounded and ps.B.bit_length() <= n
 
 
 #: run first on a decoded document, so that no later rule builds a power or
@@ -144,13 +149,20 @@ SIZE_RULES = (
     P_BOUND_RULE,
 )
 
+#: named, as generation refuses c >= 2a by it before 3^c is built
+EXTRACTION_RULE = (
+    "extraction bound 4C < A^2",
+    lambda ps: 4 * ps.C < ps.A**2,
+    "C = {ps.C}, A = {ps.A}",
+)
+
 #: read the profile tuple alone: a, primes, c, D_tau, D_phi, nizk_rounds
 SHAPE_RULES = (
     ("primes distinct, odd, not 3", _primes_ok, "primes = {ps.primes}"),
     # orientation sampling and checks list the ell points of a subgroup
     ("primes below 256", lambda ps: all(ell < 256 for ell in ps.primes), "primes = {ps.primes}"),
     ("D_tau | B and D_phi | C", _divisors_ok, "D_tau = {ps.d_tau}, D_phi = {ps.d_phi}"),
-    ("extraction bound 4C < A^2", lambda ps: 4 * ps.C < ps.A**2, "C = {ps.C}, A = {ps.A}"),
+    EXTRACTION_RULE,
     (
         "recovery bound 4*B*D_tau*D_phi < A^2",
         lambda ps: 4 * ps.B * ps.d_tau * ps.d_phi < ps.A**2,
@@ -195,10 +207,12 @@ def failed_rule(ps, rules):
 def generate_params(profile, rng) -> ParamSet:
     """Build a full parameter set for a named profile or a custom tuple.
 
-    A negative exponent is refused, then the shape rules run on the tuple,
-    then the p bound on the least candidate A*B*C - 1.  The cofactor search
-    is ascending from f = 1 and stops below the bound; the base curve, the
-    C-torsion basis and the orientation are all deterministic given rng.
+    A negative exponent is refused, then an exponent whose power alone
+    breaks a bound (a the p bound, c the extraction bound), then the shape
+    rules run on the tuple, then the p bound on the least candidate
+    A*B*C - 1.  The cofactor search is ascending from f = 1 and stops
+    below the bound; the base curve, the C-torsion basis and the
+    orientation are all deterministic given rng.
     """
     if isinstance(profile, str):
         try:
@@ -210,6 +224,12 @@ def generate_params(profile, rng) -> ParamSet:
     # the rules take 2^a and 3^c as integers; 3^-1000 is the float 0.0
     if a < 0 or c < 0:
         raise ConstraintViolation("negative exponent a or c")
+    # refused before any rule builds 2^a or 3^c: p + 1 >= 2^a, and c >= 2a
+    # gives 4*3^c > 4^a, so 3^c is built only for c < 2a < 164
+    if a >= MR_BOUND.bit_length():
+        raise ConstraintViolation(f"violates {P_BOUND_RULE[0]}")
+    if c >= 2 * a:
+        raise ConstraintViolation(f"violates {EXTRACTION_RULE[0]}")
     # p, f and the curve data are filled in once the shape holds
     shape = ParamSet(None, a, primes, c, None, d_tau, d_phi, None, None, None, k)
     failed = failed_rule(shape, SHAPE_RULES)

@@ -2,14 +2,14 @@
 
 A witness is a residue alpha mod C, naming the degree-C isogeny with kernel
 <P + [alpha]Q> on the base curve; the statement is its codomain curve plus
-the transported orientation.  gen_r and verify_relation build the isogeny
+the transported orientation.  gen_r and relation_rejection build the isogeny
 from alpha: at desk scale membership is decided by direct recomputation.
 """
 
 from dataclasses import dataclass
 
 from .curve import Curve, isomorphisms, twist_point
-from .errors import ProtocolError
+from .errors import ProtocolError, report
 from .isogeny import IsogenyChain, isogeny_from_kernel
 from .orientation import Orientation, orientation_image
 from .params import ParamSet
@@ -41,29 +41,28 @@ def gen_r(ps: ParamSet, rng):
     return Witness(alpha), Statement(w.codomain, img)
 
 
-def verify_relation(w: Witness, s: Statement, ps: ParamSet, reasons=None) -> bool:
-    """Recompute the quotient from alpha and compare against the statement.
-
-    The recomputed curve must be isomorphic to the statement curve and one
-    single isomorphism must carry every transported orientation generator
-    to the stated generator literally (points, not just subgroups).  The tag
-    of a failed check is appended to `reasons` when one is given.
-    """
-    fail = reasons.append if reasons is not None else (lambda tag: None)
+def relation_rejection(w: Witness, s: Statement, ps: ParamSet):
+    """Reason tag of the first failing check, or None: the quotient is
+    recomputed from alpha, and it must be isomorphic to the statement curve
+    by one single isomorphism that carries every transported orientation
+    generator to the stated generator literally (points, not just
+    subgroups)."""
     try:
         chain = witness_chain(ps, w.alpha)
         img = orientation_image(chain, ps.orientation)
     except ProtocolError:
-        fail("relation:witness")
-        return False
+        return "relation:witness"
     if s.oriented_image.primes != ps.primes:
-        fail("relation:primes")
-        return False
+        return "relation:primes"
     for u in isomorphisms(chain.codomain, s.ew):
         if all(
             twist_point(G1, u) == H1 and twist_point(G2, u) == H2
             for (_, G1, G2), (_, H1, H2) in zip(img.pairs, s.oriented_image.pairs)
         ):
-            return True
-    fail("relation:image")
-    return False
+            return None
+    return "relation:image"
+
+
+def verify_relation(w: Witness, s: Statement, ps: ParamSet, reasons=None) -> bool:
+    """Whether `relation_rejection` passes; its tag is reported to `reasons`."""
+    return report(relation_rejection(w, s, ps), reasons)

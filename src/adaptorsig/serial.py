@@ -229,22 +229,24 @@ def chain_doc(chain: IsogenyChain) -> dict:
     }
 
 
-def parse_chain(doc, p, path) -> IsogenyChain:
-    domain = parse_curve(_field(doc, "domain", path), p, f"{path}.domain")
-    codomain = parse_curve(_field(doc, "codomain", path), p, f"{path}.codomain")
+def parse_chain(doc, ps: ParamSet, path) -> IsogenyChain:
+    """A secret key's chain: every step degree is a prime of D_tau."""
+    domain = parse_curve(_field(doc, "domain", path), ps.p, f"{path}.domain")
+    codomain = parse_curve(_field(doc, "codomain", path), ps.p, f"{path}.codomain")
     degree = _unhex(_field(doc, "degree", path), f"{path}.degree")
     steps = []
     cur = domain
     for i, sdoc in enumerate(_list(doc, "steps", path)):
         sub = f"{path}.steps[{i}]"
         ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
-        # every Vélu step here has ell | p + 1; this bounds is_prime's input
-        if ell == 0 or (cur.p + 1) % ell:
-            raise InvariantViolation(f"{sub}.ell", "step degree does not divide p+1")
+        # before any kernel is parsed: this bounds is_prime's input and the
+        # Vélu work of the step
+        if ell == 0 or ps.d_tau % ell:
+            raise InvariantViolation(f"{sub}.ell", "step degree does not divide D_tau")
         if not is_prime(ell):
             raise InvariantViolation(f"{sub}.ell", "step degree is not prime")
         K = parse_point(_field(sdoc, "kernel", sub), cur, f"{sub}.kernel")
-        u = parse_fp2(_field(sdoc, "u", sub), p, f"{sub}.u")
+        u = parse_fp2(_field(sdoc, "u", sub), ps.p, f"{sub}.u")
         try:
             step = Step(cur, K, ell, u)
         except ProtocolError as exc:
@@ -296,7 +298,7 @@ def keypair_doc(kp: KeyPair) -> dict:
 
 
 def parse_keypair(doc, ps: ParamSet) -> KeyPair:
-    sk = parse_chain(_field(doc, "sk", "key"), ps.p, "key.sk")
+    sk = parse_chain(_field(doc, "sk", "key"), ps, "key.sk")
     pk = parse_curve(_field(doc, "pk", "key"), ps.p, "key.pk")
     if sk.domain != ps.e0 or sk.degree != ps.d_tau:
         raise InvariantViolation("key.sk", "secret isogeny has the wrong shape")

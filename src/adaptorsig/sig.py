@@ -12,7 +12,7 @@ import hashlib
 
 from .curve import Curve, canonical_torsion_basis, factorize
 from .dlog import find_isogeny
-from .errors import IndexOutOfRange, NotFound, ProtocolError
+from .errors import IndexOutOfRange, NotFound, ProtocolError, report
 from .field import Fp2
 from .isogeny import (
     EfficientRep,
@@ -193,11 +193,9 @@ def verify(
     pk: Curve, m: bytes, sig: PlainSignature, mode: str, ps: ParamSet, reasons=None
 ) -> bool:
     """Layered verification of a signature (plain or adapted shape); see
-    `response_rejection` for the light and strict checks.  The tag of a
-    failed check is appended to `reasons` when one is given."""
+    `response_rejection` for the light and strict checks, whose tag is
+    reported to `reasons`."""
     if mode not in ("light", "strict"):
         raise ValueError(f"unknown mode {mode!r}")
     tag = response_rejection(pk, m, sig.e1, sig.rep, sig.e1, signature_shapes(ps), mode, ps)
-    if tag is not None and reasons is not None:
-        reasons.append(tag)
-    return tag is None
+    return report(tag, reasons)

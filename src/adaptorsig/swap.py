@@ -10,11 +10,11 @@ replayable byte for byte from the seed.
 
 import hashlib
 import random
+from dataclasses import replace
 
 from . import serial
 from .adaptor import AdaptedSignature, adapt, extract, presign, preverify
 from .errors import ProtocolError
-from .isogeny import EfficientRep
 from .params import ParamSet
 from .relation import gen_r
 from .sig import keygen, verify
@@ -86,18 +86,7 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> bool:
     sig_b = adapt(pre_b, w, ps)
     if fault:
         # simulate a corrupted adaptation: swap the published images
-        rep = sig_b.rep
-        sig_b = AdaptedSignature(
-            sig_b.e1,
-            EfficientRep(
-                rep.domain,
-                rep.codomain,
-                rep.degree,
-                rep.order,
-                rep.basis,
-                (rep.images[1], rep.images[0]),
-            ),
-        )
+        sig_b = AdaptedSignature(sig_b.e1, replace(sig_b.rep, images=sig_b.rep.images[::-1]))
     events.append(
         {
             "type": "adapt",

@@ -302,3 +302,14 @@ def test_custom_spec_beyond_the_primality_bound_exit_2(capsys):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert "Miller-Rabin bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a,c", [(4 * 10**7, 1), (7, 10**7)], ids=["a=4e7", "c=1e7"])
+def test_custom_spec_with_a_large_exponent_exit_2(a, c, capsys):
+    # refused before 2^a or 3^c is built: 2^(4e7) and its square need about 55 MB
+    spec = {"a": a, "primes": [5, 7], "c": c, "d_tau": 35, "d_phi": 3}
+    start = time.perf_counter()
+    code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
+    assert time.perf_counter() - start < 0.05
+    assert code == 2
+    assert "bound" in capsys.readouterr().err

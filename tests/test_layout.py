@@ -165,26 +165,22 @@ def test_every_functools_cache_has_an_int_maxsize():
 
 
 # per source file, the functions whose rejection tags README "Verification"
-# lists: the two response helpers return them, the two adaptor verifiers,
-# the relation check and the proof check pass them to fail()
+# lists: the rejection functions return them, and the two adaptor verifiers
+# return or assign the tags they report themselves
 TAG_SOURCES = {
     "sig.py": ("rep_rejection", "response_rejection"),
     "adaptor.py": ("s_rejection", "preverify", "extract"),
-    "relation.py": ("verify_relation",),
-    "nizk.py": ("verify_parallel",),
+    "relation.py": ("relation_rejection",),
+    "nizk.py": ("proof_rejection",),
 }
 
 
 def _tags_in(fn):
     for node in ast.walk(fn):
-        if isinstance(node, ast.Return):
-            value = node.value
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fail" and node.args:
-            value = node.args[0]
-        else:
-            continue
-        if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            yield value.value
+        if isinstance(node, (ast.Return, ast.Assign)) and node.value is not None:
+            for value in ast.walk(node.value):
+                if isinstance(value, ast.Constant) and isinstance(value.value, str):
+                    yield value.value
 
 
 def test_readme_lists_every_rejection_tag():
@@ -201,6 +197,31 @@ def test_readme_lists_every_rejection_tag():
     }
     assert code, "no tags collected"
     assert listed == code
+
+
+def test_reasons_are_reported_in_one_place():
+    # every verifier hands its tag to errors.report, the one reasons.append;
+    # none defines a fail() closure of its own
+    appends, closures = [], []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "append"
+                and getattr(func.value, "id", None) == "reasons"
+            ):
+                appends.append(f"{name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                bound = [node.name]
+            elif isinstance(node, ast.Assign):
+                bound = [getattr(t, "id", None) for t in node.targets]
+            else:
+                continue
+            if "fail" in bound:
+                closures.append(f"{name}:{node.lineno}")
+    assert len(appends) == 1 and appends[0].startswith("errors.py:")
+    assert closures == []
 
 
 def test_readme_lists_every_parameter_rule():

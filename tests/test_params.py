@@ -25,6 +25,7 @@ from adaptorsig.nizk import NizkProof, verify_parallel
 from adaptorsig.orientation import Orientation, orientation_valid, sample_orientation
 from adaptorsig.params import (
     CURVE_RULES,
+    EXTRACTION_RULE,
     MR_BOUND,
     ORIENTATION_RULE,
     P_BOUND_RULE,
@@ -402,6 +403,45 @@ def test_the_size_rule_runs_before_any_power_is_built(t0, monkeypatch):
         serial.parse_params(doc)
     assert err.value.message == "violates p = ABCf - 1"
     assert set(built) == {2**16}
+
+
+def _odd_without_small_factors(bits):
+    n = 2 ** (bits - 1) + 1
+    while math.gcd(n, math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41))) != 1:
+        n += 2
+    return n
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [["5"] * 20_000, [format(_odd_without_small_factors(16_000), "x"), "0"]],
+    ids=["20000-fives", "16000-bits-then-0"],
+)
+def test_the_size_rule_bounds_the_b_primes_before_b_is_taken(t0, monkeypatch, primes):
+    """A 0 entry makes B = 0, and the product of a long list costs time
+    quadratic in its length: the size rule bounds the count and the size of
+    the entries by the bit length of p + 1 first, so B is never taken."""
+    taken = []
+    monkeypatch.setattr(ParamSet, "B", property(lambda ps: taken.append(1) or math.prod(ps.primes)))
+    doc = dict(serial.params_doc(t0), primes=primes)
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert time.perf_counter() - start < 0.1
+    assert (err.value.path, err.value.message) == ("params.p", f"violates {SIZE_RULES[0][0]}")
+    assert taken == []
+
+
+@pytest.mark.parametrize("change", [{"a": 4 * 10**7}, {"c": 10**7}], ids=["a=4e7", "c=1e7"])
+def test_large_exponents_refused_before_a_power_is_built(change):
+    """2^a alone puts p past the p bound, and c >= 2a alone breaks the
+    extraction bound, so neither power is built to refuse them."""
+    start = time.perf_counter()
+    with pytest.raises(ConstraintViolation) as err:
+        generate_params(_profile(change), random.Random(0))
+    assert time.perf_counter() - start < 0.05
+    rule = P_BOUND_RULE if "a" in change else EXTRACTION_RULE
+    assert str(err.value) == f"violates {rule[0]}"
 
 
 def test_parse_params_runs_each_rule_once(t0, monkeypatch):

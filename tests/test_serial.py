@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import time
@@ -13,6 +14,7 @@ from adaptorsig.curve import Curve, Point, canonical_torsion_basis, twist_curve,
 from adaptorsig.errors import InvariantViolation, ParseError
 from adaptorsig.field import Fp2
 from adaptorsig.orientation import Orientation, sample_orientation
+from adaptorsig.params import ParamSet, base_curve, is_prime
 from adaptorsig.relation import gen_r
 from adaptorsig.isogeny import EfficientRep, pairing_law
 from adaptorsig.sig import PlainSignature, keygen, sign, signature_shapes, verify
@@ -422,6 +424,30 @@ def test_long_step_degree_rejected_before_the_primality_test(monkeypatch):
         serial.parse_keypair(doc, ps)
     assert err.value.path == "key.sk.steps[0].ell"
     assert tests == []
+
+
+def test_step_degree_must_divide_d_tau():
+    # custom params p = 2^7 * 35 * 3 * f - 1 with a 41-bit prime cofactor f
+    # pass every rule, and f | p + 1; a step of degree f on E0 would cost
+    # Vélu (f - 3)/2 additions, but f does not divide D_tau
+    base = 2**7 * 35 * 3
+    f = next(f for f in itertools.count(2**40 + 1) if is_prime(f) and is_prime(base * f - 1))
+    p = base * f - 1
+    e0 = base_curve(p)
+    o = sample_orientation(e0, (5, 7), random.Random(0))
+    ps = ParamSet(p, 7, (5, 7), 1, f, 35, 3, e0, o, canonical_torsion_basis(e0, 3, p + 1), 24)
+    ps = serial.parse_params(serial.params_doc(ps))
+    K = e0.mul((p + 1) // f, e0.random_point(random.Random(1)))
+    assert not K.is_inf and e0.mul(f, K).is_inf
+    step = {"ell": format(f, "x"), "kernel": serial.point_doc(K), "u": serial.fp2_doc(ps.one())}
+    sk = {**serial.chain_doc(isogeny.IsogenyChain(e0, [])), "degree": format(f, "x")}
+    doc = {"sk": {**sk, "steps": [step]}, "pk": serial.curve_doc(e0)}
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_keypair(doc, ps)
+    assert time.perf_counter() - start < 0.1
+    assert err.value.path == "key.sk.steps[0].ell"
+    assert "D_tau" in err.value.message
 
 
 @pytest.mark.parametrize(
