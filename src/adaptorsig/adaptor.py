@@ -25,7 +25,6 @@ from .errors import (
 )
 from .isogeny import (
     EfficientRep,
-    IsogenyChain,
     a_part,
     compose_chains,
     dual,
@@ -135,10 +134,10 @@ def preverify(
 def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
     """Complete a pre-signature with the witness.
 
-    The parallel copy of the witness isogeny is built from S alone; its
-    codomain must match the committed curve E1 up to isomorphism, the
-    signature images are the represented response evaluated at the dual's
-    images of the canonical AC-basis of E1.
+    The parallel copy w' of the witness isogeny is built from S alone; its
+    codomain W must be isomorphic to the committed curve E1.  The signature
+    images are the response at dual(w') o iota^-1 of E1's canonical
+    AC-basis, for an isomorphism iota: W -> E1: the exact dual of iota o w'.
     """
     C = ps.C
     epsi = presig.epsi
@@ -153,28 +152,16 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
         raise WitnessStatementMismatch(
             "parallel witness isogeny does not land on the commitment curve"
         )
-    steps = list(wprime.steps)
-    steps[-1] = steps[-1].retwist(isos[0])
-    wprime = IsogenyChain(epsi, steps, wprime.kernel_gens)
-    what = dual(wprime)  # E1 -> E_psi, exact
+    what = dual(wprime)  # W -> E_psi, exact
+    back = isos[0].inv()  # E1 -> W
 
     N = ps.A * C
-    P0, Q0 = canonical_torsion_basis(presig.e1, N, presig.e1.p + 1)
-    sigP = evaluate_rep(presig.rep_tilde, what.evaluate(P0))
-    sigQ = evaluate_rep(presig.rep_tilde, what.evaluate(Q0))
+    basis = canonical_torsion_basis(presig.e1, N, presig.e1.p + 1)
+    images = tuple(evaluate_rep(presig.rep_tilde, what.evaluate(twist_point(X, back))) for X in basis)
     rep = EfficientRep(
-        presig.e1, presig.rep_tilde.codomain, signature_shapes(ps)[N], N, (P0, Q0), (sigP, sigQ)
+        presig.e1, presig.rep_tilde.codomain, signature_shapes(ps)[N], N, basis, images
     )
     return AdaptedSignature(presig.e1, rep)
-
-
-def _on_commitment(rep: EfficientRep, e1: Curve, u) -> EfficientRep:
-    """rep, a signature on a twist of e1, after the isomorphism (x, y) ->
-    (u^2 x, u^3 y) from e1 onto its domain: the images of e1's canonical
-    basis under the composite, a signature on e1 itself."""
-    basis = canonical_torsion_basis(e1, rep.order, e1.p + 1)
-    images = tuple(evaluate_rep(rep, twist_point(X, u)) for X in basis)
-    return EfficientRep(e1, rep.codomain, rep.degree, rep.order, basis, images)
 
 
 def extract(
@@ -191,20 +178,18 @@ def extract(
     oracle turns that into a kernel, and a change of basis to (psi(P),
     psi(Q)) yields alpha.  Every failure returns None (bottom).
 
-    The challenge hashes j(E1) alone, so a signature on any twist of the
-    committed E1 verifies as well.  Such a signature is first moved onto
-    E1 through an isomorphism from E1 (_on_commitment), and the witness
-    read from there; where j(E1) is 0 or 1728 the isomorphisms differ by
-    automorphisms of E1, so each is tried until the witness passes the
-    relation.  A signature on a curve not isomorphic to E1 is
-    commitment-curve-mismatch.
+    The challenge hashes j(E1) alone, so a signature on any model E1' of
+    the committed E1 verifies as well, and the recovery runs on E1' itself:
+    an isomorphism iota: E1 -> E1' maps E1[C] onto E1'[C], so the recovered
+    isogeny dual(w') o iota^-1 maps E1'[C] onto the kernel of w', and
+    alpha is the same at every j, automorphisms included.  A signature on a
+    curve not isomorphic to E1 is commitment-curve-mismatch.
     """
     A, C = ps.A, ps.C
-    e1, epsi, rep = presig.e1, presig.epsi, sig.rep
-    isos = [None] if sig.e1 == e1 else isomorphisms(e1, sig.e1)
-    if not isos:
+    e1, epsi, rep = sig.e1, presig.epsi, sig.rep
+    if e1 != presig.e1 and not isomorphisms(presig.e1, e1):
         tag = "commitment-curve-mismatch"
-    elif rep.domain != sig.e1 or rep.codomain != presig.rep_tilde.codomain:
+    elif rep.domain != e1 or rep.codomain != presig.rep_tilde.codomain:
         tag = "rep:endpoints"
     else:
         tag = rep_rejection(rep, {A * C: signature_shapes(ps)[A * C]})
@@ -216,9 +201,8 @@ def extract(
     tilde = a_part(presig.rep_tilde, A)
     back = EfficientRep(tilde.codomain, tilde.domain, tilde.degree, A, tilde.images, tilde.basis)
 
-    def witness(rep):
-        """The witness read from a signature on E1 itself, or the tag of the
-        first check that fails."""
+    def witness():
+        """The witness, or the tag of the first check that fails."""
         sig_a = a_part(rep, A)
         try:
             images = tuple(evaluate_rep(back, T) for T in sig_a.images)
@@ -249,9 +233,8 @@ def extract(
             return "relation-check"
         return wit
 
-    for u in isos:
-        found = witness(rep if u is None else _on_commitment(rep, e1, u))
-        if isinstance(found, Witness):
-            return found
+    found = witness()
+    if isinstance(found, Witness):
+        return found
     report(found, reasons)
     return None

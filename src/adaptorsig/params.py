@@ -129,8 +129,8 @@ def _divisors_ok(ps) -> bool:
 def _fits(ps) -> bool:
     # the count and size of the B-primes are bounded before B is taken, as
     # a 0 entry makes B = 0 whatever the others are; each kept prime is >= 5,
-    # so B < 2^n bounds both already
-    n = ps.group_order.bit_length()
+    # so B < 2^n bounds both; n is capped by the p bound's, not p's, length
+    n = min(ps.group_order.bit_length(), MR_BOUND.bit_length())
     ells = ps.primes
     bounded = len(ells) <= n and all(ell.bit_length() <= n for ell in ells)
     return ps.a < n and ps.c < n and bounded and ps.B.bit_length() <= n

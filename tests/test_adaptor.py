@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from adaptorsig import adaptor, isogeny, relation, serial
+from adaptorsig import adaptor, dlog, isogeny, relation, serial
 from adaptorsig.adaptor import (
     AdaptedSignature,
     PreSignature,
@@ -21,7 +21,7 @@ from adaptorsig.nizk import NizkRound
 from adaptorsig.relation import Statement, Witness, gen_r, verify_relation, witness_chain
 from adaptorsig.orientation import orientation_image
 from adaptorsig.params import generate_params
-from adaptorsig.sig import keygen, response_degree, verify
+from adaptorsig.sig import cyclic_kernel, keygen, mu, response_degree, verify
 
 
 def session(ps, seed):
@@ -303,3 +303,53 @@ def test_every_mauled_adapted_signature_that_verifies_gives_the_witness(request,
         reasons = []
         rec = extract(sig, pre, s, ps, reasons)
         assert rec is not None and rec.alpha == w.alpha, reasons
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_extraction_does_the_same_work_on_every_model_of_e1(request, monkeypatch, profile, seed):
+    """extract recovers on the signature's own curve: on a twist of E1 it
+    decomposes as many points as on E1 itself, and still yields alpha."""
+    ps = request.getfixturevalue(profile)
+    kp, w, s, m, pre = session(ps, seed)
+    full = adapt(pre, w, ps)
+    models = [full, _on_twist(full, Fp2(ps.p, 2, 1)), _on_twist(full, Fp2(ps.p, 0, 1))]
+    calls = []
+    decompose = dlog.decompose_2d
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return decompose(*args, **kwargs)
+
+    for module in (dlog, adaptor):
+        monkeypatch.setattr(module, "decompose_2d", counted)
+    counts = []
+    for sig in models:
+        calls.clear()
+        rec = extract(sig, pre, s, ps)
+        assert rec is not None and rec.alpha == w.alpha
+        counts.append(len(calls))
+    assert counts == [counts[0]] * 3
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_no_honest_e1_or_e2_has_extra_automorphisms(request, profile):
+    """E1 is the codomain of psi' o w and E2 that of phi o sk, cyclic
+    isogenies of degree B*C and D_tau*D_phi from E0, both 35*3^c here.  No
+    codomain of such an isogeny has j = 0 or 1728, so E1 and E2 have only
+    the automorphisms +-1, and negated images cover them.  Each cyclic
+    kernel is a 3^c kernel on E0 followed by a 35 kernel on its codomain."""
+    ps = request.getfixturevalue(profile)
+    C = ps.C
+    assert ps.B * C == ps.d_tau * ps.d_phi == 35 * 3**ps.c
+    js = []
+    for i in range(1, mu(C) + 1):
+        E = isogeny.isogeny_from_kernel(ps.e0, [cyclic_kernel(ps.e0, C, i)], C).codomain
+        for i5 in range(1, mu(5) + 1):
+            for i7 in range(1, mu(7) + 1):
+                gens = [cyclic_kernel(E, 5, i5), cyclic_kernel(E, 7, i7)]
+                js.append(isogeny.isogeny_from_kernel(E, gens, 35).codomain.j_invariant())
+    assert len(js) == mu(35 * C) == {"t0": 192, "t1": 576, "t2": 1728}[profile]
+    special = {Fp2(ps.p, 0, 0), Fp2(ps.p, 1728, 0)}
+    assert ps.e0.j_invariant() in special
+    assert special.isdisjoint(js)

@@ -68,6 +68,27 @@ def test_int_helpers_stay_in_the_arithmetic_modules():
     assert leaks == []
 
 
+
+def test_every_private_definition_is_used():
+    # a private module-level function or class that no name, attribute or
+    # import in the package refers to is left over from a deletion
+    defined, used = [], set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+        defined += [
+            (name, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_")
+        ]
+    assert [f"{name}:{fn}" for name, fn in defined if fn not in used] == []
+
 # module-level containers that start empty and grow for the life of the
 # process; there are none, and a new one has to be added here
 UNBOUNDED_CACHES = set()

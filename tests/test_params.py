@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -10,6 +11,7 @@ from sympy.ntheory.modular import crt
 
 import adaptorsig.params as params_mod
 from adaptorsig import serial
+from adaptorsig.cli import main
 from adaptorsig.curve import (
     Curve,
     Point,
@@ -430,6 +432,24 @@ def test_the_size_rule_bounds_the_b_primes_before_b_is_taken(t0, monkeypatch, pr
     assert time.perf_counter() - start < 0.1
     assert (err.value.path, err.value.message) == ("params.p", f"violates {SIZE_RULES[0][0]}")
     assert taken == []
+
+
+def test_the_size_rule_bound_does_not_grow_with_p(t0, monkeypatch, tmp_path):
+    """A long p buys no longer list of B-primes: the size rule's bound is
+    capped at the p bound's bit length, so 20 000 entries fail it at once,
+    before B is taken and before the p bound runs."""
+    taken = []
+    monkeypatch.setattr(ParamSet, "B", property(lambda ps: taken.append(1) or math.prod(ps.primes)))
+    doc = dict(serial.params_doc(t0), p=format(2**300_010 + 1, "x"), primes=["5"] * 20_000)
+    start = time.perf_counter()
+    with pytest.raises(InvariantViolation) as err:
+        serial.parse_params(doc)
+    assert time.perf_counter() - start < 0.1
+    assert (err.value.path, err.value.message) == ("params.p", f"violates {SIZE_RULES[0][0]}")
+    assert taken == []
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(doc))
+    assert main(["keygen", "--params", str(path), "--seed", "0", "--out", "-"]) == 2
 
 
 @pytest.mark.parametrize("change", [{"a": 4 * 10**7}, {"c": 10**7}], ids=["a=4e7", "c=1e7"])
