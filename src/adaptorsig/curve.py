@@ -26,9 +26,14 @@ weil_pairing and the decoders.
 """
 
 import functools
+import hashlib
+import itertools
 
 from .errors import NoBasis, OrderMismatch, PointNotOnCurve, SingularCurve
-from .field import Fp2, cube_roots, inv_pair, sqrt_pair
+from .field import Fp2, cube_roots, fp2_bytes, inv_pair, sqrt_pair
+
+#: how many points the scan takes in lexicographic order before it hashes
+_LEX_POINTS = 64
 
 
 class Point:
@@ -125,7 +130,8 @@ class Curve:
         return None if R is None else _point(self.p, R)
 
     def scan_points(self):
-        """Yield curve points in lexicographic x order, canonical lift only."""
+        """Yield the scan's points (_scan: 64 in lexicographic x order, then
+        hashed abscissas), each lifted with the canonical square root."""
         for R in _scan(self):
             yield _point(self.p, R)
 
@@ -191,12 +197,21 @@ def _lift(E: Curve, x0: int, x1: int):
 
 
 def _scan(E: Curve):
-    """scan_points in int coordinates: x = x0 + x1*i in lexicographic order."""
-    for x0 in range(E.p):
-        for x1 in range(E.p):
-            R = _lift(E, x0, x1)
-            if R is not None:
-                yield R
+    """scan_points in int coordinates: the first _LEX_POINTS points of
+    x = x0 + x1*i in lexicographic order, then the x_k for k = 0, 1, ...
+    whose x0 and x1 are the two 16-byte halves of SHA-256(fp2_bytes(a) ||
+    fp2_bytes(b) || k as 8 bytes), each mod p.  A fixed line order stalls on
+    some curve shape (for a in GF(p) and b in i*GF(p), the line x0 = 0
+    clears to one 2-torsion point); the hash points do not."""
+    p = E.p
+    lex = (_lift(E, x0, x1) for x0 in range(p) for x1 in range(p))
+    yield from itertools.islice(filter(None, lex), _LEX_POINTS)
+    seed = fp2_bytes(E.a) + fp2_bytes(E.b)
+    for k in itertools.count():
+        h = hashlib.sha256(seed + k.to_bytes(8, "big")).digest()
+        R = _lift(E, int.from_bytes(h[:16], "big") % p, int.from_bytes(h[16:], "big") % p)
+        if R is not None:
+            yield R
 
 
 def _chord(p, a0, a1, P, Q):

@@ -15,18 +15,10 @@ Candidates are enumerated per prime power ell^e and combined
 multiplicatively: a subgroup of order ell^e splits uniquely into b
 multiplication-by-ell blocks (realized as a step followed by its exact
 dual) and a cyclic part walked without backtracking, giving the closed
-candidate count sum(ell^i, i=0..e) per prime power.  The search splits the
-degree into coprime halves d1*d2 and meets in the middle (the claw search
-of Jao and De Feo, PQCrypto 2011, used here as a verifier): degree-d1
-candidates walk forward from the domain, degree-d2 candidates backward from
-the codomain, and a j-invariant match joins them through the exact dual of
-the backward half.  Where the basis order N shares a prime ell with d2,
-the images times N/ell^m already show part of every matching backward
-kernel, and the backward half walks that part once as a fixed prefix
-(_pin).  Halves meet on j alone: the last step of a walk is built only on
-a match.  Only a walk's root lists its subgroups by a canonical basis; a
-node below it completes its backtrack generator with one scan point, and
-a returned chain has its steps put back on canonical kernel generators.
+candidate count sum(ell^i, i=0..e) per prime power.  The search meets in
+the middle on j-invariants (the claw search of Jao and De Feo, PQCrypto
+2011, used here as a verifier); find_isogeny says how its halves are
+walked, what the images pin (_pin) and which branch a challenge names.
 """
 
 import itertools
@@ -242,6 +234,11 @@ def _leaf_j(cand):
     return _j_pair(node.p, *_velu(node, *leaf)[1])
 
 
+def _js(curves) -> list:
+    """The j-invariants of curves as int pairs (_j_pair, no Fp2)."""
+    return [_j_pair(C.p, *C.a.lex_key(), *C.b.lex_key()) for C in curves]
+
+
 def _canonical_gen(E: Curve, K, ell: int):
     """The generator of _subgroup_gens(E, ell) in <K>, K of order ell, in int
     coordinates."""
@@ -289,24 +286,30 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def _candidates(E: Curve, degree: int, U, V, steps=()):
+def _candidates(E: Curve, degree: int, U, V, steps=(), ahead=None):
     """iter_kernel_candidates with the last step left lazy: yields lazy
     candidates (steps, node, image of U, image of V, leaf, loose) as _walks
     does.  Only the last prime power's leaves stay lazy; an earlier prime's
     walk goes on from its leaf's codomain, so that leaf is finished.  Every
     candidate goes on from the given steps, which end on E (find_isogeny's
-    pinned prefix, see _pin), as rec's own steps do."""
+    pinned prefix, see _pin), as rec's own steps do.  With `ahead`, a list
+    of j-invariants (_js), the first of several prime powers has all its
+    candidates finished before any goes on, and those whose steps land on
+    ahead's curves go on first."""
     fac = sorted(factorize(degree).items())
     steps = list(steps)
 
     def rec(cur, curU, curV, idx, steps, loose):
         ell, e = fac[idx]
-        for cand in _pp_candidates(cur, ell, e, steps, curU, curV, loose):
-            if idx + 1 == len(fac):
-                yield cand
-            else:
-                done, node, nU, nV = _finish(cand)
-                yield from rec(node, nU, nV, idx + 1, done, cand[-1])
+        cands = _pp_candidates(cur, ell, e, steps, curU, curV, loose)
+        if idx + 1 == len(fac):
+            yield from cands
+            return
+        done = (_finish(cand) + (cand[-1],) for cand in cands)
+        if idx == 0 and ahead:
+            done = sorted(done, key=lambda c: _js(s.codomain for s in c[0]) != ahead)
+        for steps, node, nU, nV, loose in done:
+            yield from rec(node, nU, nV, idx + 1, steps, loose)
 
     if not fac:
         yield steps, E, U, V, None, ()
@@ -387,61 +390,43 @@ def _pin(rep: EfficientRep, d2: int) -> IsogenyChain:
     return IsogenyChain(E2, steps)
 
 
-def find_isogeny(rep: EfficientRep) -> IsogenyChain:
+def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain:
     """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
 
     An existence certificate: the search stops at the first match and needs
     no uniqueness, since any such isogeny is what the representation claims.
-    A meet-in-the-middle search over all kernel-subgroup candidates.  The
-    degree splits as d = d1*d2 with coprime halves (see _split).  The
-    backward half lists the degree-d2 isogenies out of rep.codomain that
-    can match (see _pin), indexed by the j-invariant of their codomains;
-    the forward half walks the degree-d1 candidates from rep.domain,
-    carrying the basis images in int coordinates (they become Points only
-    at a j-match).  A degree-d isogeny with kernel
-    K factors as phi2 o phi1 with ker phi1 the d1-part of K, and the dual of
-    phi2 is, up to an isomorphism of its codomain, one backward candidate
-    beta.  So phi2 = dual(beta) o u for some u in isomorphisms(codomain of
-    phi1, codomain of beta), and the join tries every j-match and every such
-    u: the twisted images go through the exact dual of beta, which lands on
-    rep.codomain itself, and must equal rep.images.
+    It meets in the middle over all kernel-subgroup candidates, with the
+    degree split as d = d1*d2 into coprime halves (_split).  The backward
+    half, the degree-d2 isogenies out of rep.codomain after the steps _pin
+    reads off the images, is indexed by the j-invariant of its codomains;
+    the forward half walks the degree-d1 candidates from rep.domain with the
+    basis images in int coordinates.  A degree-d isogeny is phi2 o phi1 with
+    ker phi1 the d1-part of its kernel, and the dual of phi2 is, up to an
+    isomorphism u, one backward candidate beta.  So the join tries every
+    j-match and every u: the twisted images go through the exact dual of
+    beta (_hat) and must equal rep.images.
 
-    Every candidate of the full walk is ruled in or out this way.  The
-    backward half starts with the steps of _pin, the part of every
-    matching backward kernel that the images show, and enumerates only
-    what is left of d2 from their codomain.  On the AC-basis of a
-    pre-signature or an adapted signature, with 3 | d2, the images times A
-    pin up to min(v_3(d), c) 3-steps.  So for the pre-signature degree
-    3^c*5^2*7^2, 88 half-candidates at T0, T1 and T2 stand for 7 068,
-    22 971 and 70 680 (a plain response, on the A-basis, pins nothing and
-    builds 181, 460 and 1 297), and for the adapted degree 3^(2c)*5^2*7^2,
-    181, 1 888 and 2 860 stand for 22 971, 213 807 and 1 931 331 (at T1
-    and T2 the 3-part falls in the forward half).  A prime-power degree
-    has d2 = 1, one backward candidate (the identity) and the plain walk.
-    The log line counts the candidates of the full walk, tried forward
-    halves times all the degree-d2 kernels, however many the pin left to
-    build, and the halves that were built.
+    prefer, a chain that ends on rep.codomain (a plain response's challenge
+    walk), names the branch an honest response takes.  Where nothing is
+    pinned and prefer's degree is the first of several prime powers of d2,
+    the backward candidates that start on prefer's curves, last to first,
+    are built first, and the forward half is walked once and kept by j.
+    The other backward candidates are built only if nothing matched, each
+    looked up there, so the search stays exhaustive.  At T0, T1 and T2 an
+    honest plain response builds 31 backward and at most 57 forward halves,
+    and a forgery 181, 460 and 1 297; a pre-signature, its 3^c-part pinned,
+    builds 88 (for 7 068, 22 971 and 70 680 candidates), an adapted one 181,
+    1 888 and 2 860.  The log line counts tried forward halves times all
+    degree-d2 kernels, and the halves built.
 
-    What a half costs: the walk to its last node, then only the j-invariant
-    of its leaf's codomain from Vélu's formula (_leaf_j), with no Step,
-    Curve or image.  A node below a walk's root lists its subgroups from
-    its backtrack generator and one scan point, with no canonical basis
-    (_walks).  A leaf is built, and the forward basis images pushed through
-    it, only when its j matches (_finish); a backward chain is finished and
-    dualized on its first match, a loose step's dual kernel being its image
-    of its node's backtrack generator and an [ell] block its own dual
-    (_hat).  So a rejection asks for a canonical basis at walk roots and
-    pinned steps alone.
-
-    The returned chain is the forward steps, the last retwisted by u, then
-    the dual steps, so its codomain is rep.codomain and its basis images are
-    rep.images exactly.  Its steps are those of a canonical basis at every
-    node: a forward step taken below a root is rebuilt on the canonical
-    generator of its kernel (_canonical) and the backward chain dualized by
-    dual(), with the bases of the matched path alone, and as Vélu's
-    codomain and images depend on the subgroup alone, the curves and maps
-    are the ones the search matched.  Raises NotFound when no candidate
-    matches (a forgery signal).
+    A half costs the walk to its last node and the j-invariant of its leaf's
+    codomain (_leaf_j).  Leaves are built, images pushed and backward chains
+    dualized only on a j-match, each once; a node below a walk's root lists
+    its subgroups from its backtrack generator and one scan point (_walks).
+    The returned chain is the forward steps, put on canonical kernel
+    generators (_canonical), the last retwisted by u, then dual() of the
+    backward chain: it ends on rep.codomain with rep.images exactly.  Raises
+    NotFound when no candidate matches (a forgery signal).
     """
     d = rep.degree
     E, E2 = rep.domain, rep.codomain
@@ -456,49 +441,63 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     total = count_kernel_candidates(d)
     d1, d2 = _split(d)
     pin = _pin(rep, d2)
-    back = {}  # j-invariant -> [(index, lazy candidate)] of the backward half
-    built = 0
-    for cand in _candidates(pin.codomain, d2 // pin.degree, None, None, pin.steps):
-        back.setdefault(_leaf_j(cand), []).append((built, cand))
-        built += 1
-    duals = {}  # index -> (steps, codomain, exact dual) of that backward chain, on its first j-match
-    tried = 0
-    basis = _coords(U), _coords(V)
-    for cand in _candidates(E, d1, *basis):
-        tried += 1
-        matches = back.get(_leaf_j(cand))
-        if matches is None:
-            continue
-        steps, cur, curU, curV = _finish(cand)
-        for i, bcand in matches:
-            if i not in duals:
-                bsteps, mid, _, _ = _finish(bcand)
-                duals[i] = bsteps, mid, _hat(mid, bsteps, bcand[-1])
-            bsteps, mid, hat = duals[i]
-            imgU, imgV = _point(E.p, curU), _point(E.p, curV)
-            for u in isomorphisms(cur, mid):
-                if hat.evaluate(twist_point(imgU, u)) != T1:
-                    continue
-                if hat.evaluate(twist_point(imgV, u)) != T2:
-                    continue
-                steps = _canonical(steps, cand[-1])
-                hat = dual(IsogenyChain(E2, bsteps))
-                out = steps[:-1] + [steps[-1].retwist(u)] + hat.steps
-                logger.debug(
-                    "recovery of degree %d: matched after %d of %d candidates"
-                    " (%d halves built), %.3fs",
-                    d,
-                    tried * count_kernel_candidates(d2),
-                    total,
-                    tried + built,
-                    time.perf_counter() - t0,
-                )
-                return IsogenyChain(E, out)
+    rest = d2 // pin.degree
+    first, ahead = count_kernel_candidates(rest), None
+    fac = sorted(factorize(rest).items())
+    lead = fac[0][0] ** fac[0][1] if len(fac) > 1 else 0
+    if prefer is not None and pin.degree == 1 and lead == prefer.degree:
+        ahead = _js(s.domain for s in reversed(prefer.steps))
+        first //= count_kernel_candidates(prefer.degree)
+    backward = _candidates(pin.codomain, rest, None, None, pin.steps, ahead)
+    back, fwd = {}, {}  # j -> [(index, lazy candidate)]: first backward batch, forward half
+    for i, cand in enumerate(itertools.islice(backward, first)):
+        back.setdefault(_leaf_j(cand), []).append((i, cand))
+    n = [0, first]  # forward halves tried, backward halves built
+
+    def pairs():  # each j-matching (forward, backward) pair of (index, lazy candidate) once
+        for cand in _candidates(E, d1, _coords(U), _coords(V)):
+            n[0] += 1
+            j = _leaf_j(cand)
+            if ahead:
+                fwd.setdefault(j, []).append((n[0], cand))
+            yield from (((n[0], cand), b) for b in back.get(j, ()))
+        for cand in backward:
+            n[1] += 1
+            yield from ((f, (n[1], cand)) for f in fwd.get(_leaf_j(cand), ()))
+
+    fins, duals = {}, {}  # index -> finished forward / (steps, codomain, exact dual) of backward
+    for (f, fcand), (b, bcand) in pairs():
+        if f not in fins:
+            fins[f] = _finish(fcand)
+        if b not in duals:
+            bsteps, mid, _, _ = _finish(bcand)
+            duals[b] = bsteps, mid, _hat(mid, bsteps, bcand[-1])
+        steps, cur, curU, curV = fins[f]
+        bsteps, mid, hat = duals[b]
+        imgU, imgV = _point(E.p, curU), _point(E.p, curV)
+        for u in isomorphisms(cur, mid):
+            if hat.evaluate(twist_point(imgU, u)) != T1:
+                continue
+            if hat.evaluate(twist_point(imgV, u)) != T2:
+                continue
+            steps = _canonical(steps, fcand[-1])
+            hat = dual(IsogenyChain(E2, bsteps))
+            out = steps[:-1] + [steps[-1].retwist(u)] + hat.steps
+            logger.debug(
+                "recovery of degree %d: matched after %d of %d candidates"
+                " (%d halves built), %.3fs",
+                d,
+                n[0] * count_kernel_candidates(d2),
+                total,
+                sum(n),
+                time.perf_counter() - t0,
+            )
+            return IsogenyChain(E, out)
     logger.debug(
         "recovery of degree %d: exhausted %d candidates (%d halves built), %.3fs",
         d,
         total,
-        tried + built,
+        sum(n),
         time.perf_counter() - t0,
     )
     raise NotFound(f"no degree-{d} isogeny matches the images ({total} candidates)")

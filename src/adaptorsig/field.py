@@ -108,6 +108,12 @@ class Fp2:
         return f"Fp2({self.c0}, {self.c1})"
 
 
+def fp2_bytes(x: Fp2) -> bytes:
+    """c0 || c1, each big-endian in the byte length of p."""
+    w = (x.p.bit_length() + 7) // 8
+    return x.c0.to_bytes(w, "big") + x.c1.to_bytes(w, "big")
+
+
 def inv_pair(p, c0, c1):
     """(c0 + c1*i)^-1 as a reduced pair of ints: (c0 - c1*i) / (c0^2 + c1^2).
 

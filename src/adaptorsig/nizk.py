@@ -21,10 +21,11 @@ from dataclasses import dataclass
 
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
+from .field import fp2_bytes
 from .isogeny import isogeny_from_kernel
 from .orientation import oriented_kernel
 from .params import ParamSet
-from .sig import challenge_walk, fp2_bytes, mu
+from .sig import challenge_walk, mu
 
 
 @dataclass

@@ -13,7 +13,7 @@ import hashlib
 from .curve import Curve, canonical_torsion_basis, factorize
 from .dlog import find_isogeny
 from .errors import IndexOutOfRange, NotFound, ProtocolError, report
-from .field import Fp2
+from .field import Fp2, fp2_bytes
 from .isogeny import (
     EfficientRep,
     IsogenyChain,
@@ -48,11 +48,6 @@ def mu(D: int) -> int:
     for ell, e in factorize(D).items():
         out *= ell ** (e - 1) * (ell + 1)
     return out
-
-
-def fp2_bytes(x: Fp2) -> bytes:
-    w = (x.p.bit_length() + 7) // 8
-    return x.c0.to_bytes(w, "big") + x.c1.to_bytes(w, "big")
 
 
 def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
@@ -167,11 +162,14 @@ def response_rejection(
 ):
     """Reason tag of the first failing check on a response, or None.
 
-    The challenge walk is recomputed from (pk, j(e1), m); the response must
-    run from `domain` to its codomain and pass `rep_rejection` with
+    The challenge walk phi is recomputed from (pk, j(e1), m); the response
+    must run from `domain` to its codomain and pass `rep_rejection` with
     `shapes`.  Strict mode then certifies an isogeny behind the images:
     find_isogeny searches the stated degree on the full basis.  That needs
     no uniqueness, so plain, pre- and adapted signatures take this one path.
+    An honest response ends with phi, so the search is handed phi and builds
+    the branch through its dual first; the search stays exhaustive, so that
+    order changes no verdict.
     """
     try:
         phi = challenge(pk, e1, m, ps)
@@ -183,7 +181,7 @@ def response_rejection(
     if tag is not None or mode == "light":
         return tag
     try:
-        find_isogeny(rep)
+        find_isogeny(rep, phi)
     except NotFound:
         return "rep:recovery"
     return None

@@ -1,9 +1,14 @@
+import hashlib
+import itertools
 import math
 import random
+import time
+from types import SimpleNamespace
 
 import pytest
 
 from adaptorsig import curve
+from adaptorsig.adaptor import adapt, extract, presign, preverify
 from adaptorsig.curve import (
     Curve,
     Point,
@@ -26,9 +31,12 @@ from adaptorsig.curve import (
     weil_pairing,
 )
 from adaptorsig.errors import OrderMismatch, PointNotOnCurve, SingularCurve
-from adaptorsig.field import Fp2
+from adaptorsig.field import Fp2, fp2_bytes
 from adaptorsig.isogeny import isogeny_from_kernel
-from adaptorsig.sig import keygen
+from adaptorsig.params import generate_params
+from adaptorsig.relation import gen_r
+from adaptorsig.sig import keygen, sign
+from adaptorsig.swap import demo_swap
 
 
 def test_singular_curve_rejected(t0):
@@ -123,6 +131,83 @@ def test_scan_points_match_the_nested_lift_loop(t0):
         assert all(E.lift_x(P.x) == P and E.on_curve(P) for P in points)
         x = next(x for x in (Fp2(t0.p, c, 1) for c in range(t0.p)) if E.lift_x(x) is None)
         assert (x * x * x + E.a * x + E.b).sqrt() is None and E.lift_x(x) is None
+
+
+def test_scan_hashes_after_64_lexicographic_points(t0):
+    """After 64 points in lexicographic order, the scan lifts x_k for
+    k = 0, 1, ...: the two 16-byte halves of SHA-256(a || b || k as 8
+    bytes), each mod p, skipping the x_k with no point above them."""
+    E = keygen(t0, random.Random(2)).pk
+    p = t0.p
+    points = list(itertools.islice(E.scan_points(), 70))
+    assert points[:64] == list(itertools.islice(ref_scan(E), 64))
+    want = []
+    for k in itertools.count():
+        h = hashlib.sha256(fp2_bytes(E.a) + fp2_bytes(E.b) + k.to_bytes(8, "big")).digest()
+        x = Fp2(p, int.from_bytes(h[:16], "big"), int.from_bytes(h[16:], "big"))
+        if E.lift_x(x) is not None:
+            want.append(E.lift_x(x))
+        if len(want) == 6:
+            break
+    assert points[64:] == want
+
+
+def _counted_hashes(monkeypatch):
+    """The scan's hashed abscissas, counted by wrapping curve's SHA-256."""
+    calls = []
+    sha256 = hashlib.sha256
+    monkeypatch.setattr(curve, "hashlib", SimpleNamespace(sha256=lambda b: calls.append(b) or sha256(b)))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["t0-E[2]", "t0-E[128]", "t2-plain-E1[A]"])
+def test_stall_shaped_bases_take_the_hash_points(request, monkeypatch, case):
+    """Bases on which the lexicographic scan stalled: for a in GF(p) and b
+    in i*GF(p), every scan point on the line c0 = 0 clears to one point, so
+    the scan walked about p abscissas.  They took 2.2 s (the T0 curve) and
+    33.6-39.8 s (E1 of the T2 plain signature of keys Random(3), signer
+    Random(103)); the hash points give each in under 0.1 s."""
+    if case.startswith("t0"):
+        ps = request.getfixturevalue("t0")
+        E, N = Curve(Fp2(ps.p, 15498), Fp2(ps.p, 0, 20797)), int(case[5:-1])
+    else:
+        ps = request.getfixturevalue("t2")
+        kp = keygen(ps, random.Random(3))
+        E, N = sign(kp, b"m3", ps, random.Random(103)).e1, ps.A
+    hashes = _counted_hashes(monkeypatch)
+    canonical_torsion_basis.cache_clear()
+    start = time.perf_counter()
+    P, Q = canonical_torsion_basis(E, N, E.p + 1)
+    assert time.perf_counter() - start < 0.1
+    assert hashes, "the basis was found among the lexicographic points"
+    assert is_primitive_root_of_unity(weil_pairing(E, P, Q, N), N)
+
+
+def test_stall_shaped_statement_curve_presigns(monkeypatch):
+    """The custom spec (40, (5, 7), 1, 35, 3, 2): gen_r with Random(4)
+    draws alpha = 0, so E_w has a in GF(p) and b in i*GF(p), and presign
+    had not finished in 120 s in its canonical basis of E_w[2^40].  It
+    presigns in under a second, preverifies strict, adapts and extracts."""
+    ps = generate_params((40, (5, 7), 1, 35, 3, 2), random.Random(0))
+    kp = keygen(ps, random.Random(2))
+    w, s = gen_r(ps, random.Random(4))
+    assert s.ew.a.c1 == 0 and s.ew.b.c0 == 0
+    hashes = _counted_hashes(monkeypatch)
+    start = time.perf_counter()
+    pre = presign(kp, b"m", s, ps, random.Random(5))
+    assert time.perf_counter() - start < 1
+    assert hashes
+    assert preverify(kp.pk, b"m", s, pre, "strict", ps)
+    assert extract(adapt(pre, w, ps), pre, s, ps) is not None
+
+
+def test_t2_swap_that_stalled_completes(t2, monkeypatch):
+    """demo_swap at T2 with this seed spent 32.5 s in the lexicographic
+    scan of one basis."""
+    hashes = _counted_hashes(monkeypatch)
+    canonical_torsion_basis.cache_clear()
+    assert demo_swap(t2, 1390851128)["verdict"] is True
+    assert hashes
 
 
 def test_span_matches_repeated_add(t0):

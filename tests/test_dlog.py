@@ -37,7 +37,7 @@ from adaptorsig.isogeny import (
     isogeny_from_kernel,
 )
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import PlainSignature, keygen, mu, sign, verify
+from adaptorsig.sig import PlainSignature, challenge, challenge_walk, keygen, mu, sign, verify
 
 
 def test_decompose_trivial(t0):
@@ -646,3 +646,66 @@ def test_degenerate_scaled_images_take_the_unpinned_search(request, caplog, prof
     per = count_kernel_candidates(d2)
     assert (per, halves - after // per) == (403, 403)
     assert tuple(chains[0].evaluate(X) for X in rep.basis) == rep.images
+
+
+def _plain(ps, seed):
+    """Key, message and honest plain signature of one seed."""
+    kp = keygen(ps, random.Random(seed))
+    m = b"plain %d" % seed
+    return kp, m, sign(kp, m, ps, random.Random(100 + seed))
+
+
+def _halves(line):
+    return int(re.search(r"\((\d+) halves built\)", line).group(1))
+
+
+@pytest.mark.parametrize("profile,forged", [("t0", 181), ("t1", 460), ("t2", 1297)])
+def test_plain_check_builds_the_challenge_branch_first(request, forge, caplog, profile, forged):
+    """A plain response is phi o sk o dual(psi0), so the dual of every match
+    starts with the dual of the challenge walk phi: of the backward
+    3^c*5^2 candidates, the 31 through that branch are built first, and an
+    honest strict check (basis cache cleared) builds at most 31 + 57 = 88
+    halves, where a single pass builds every backward half first (124, 403
+    and 1 240) and then its forward ones.  A forged check
+    finds no match there, builds the other backward candidates and still
+    rules out every candidate from the same 181, 460 and 1 297 halves."""
+    ps = request.getfixturevalue(profile)
+    for seed in range(1, 9):
+        kp, m, sig = _plain(ps, seed)
+        canonical_torsion_basis.cache_clear()
+        verdicts = []
+        line = _recovery_log(caplog, lambda: verdicts.append(verify(kp.pk, m, sig, "strict", ps)))
+        assert verdicts == [True] and "matched" in line and _halves(line) <= 88
+    fake = PlainSignature(sig.e1, forge(sig.rep, ps))
+    line = _recovery_log(caplog, lambda: verify(kp.pk, m, fake, "strict", ps))
+    assert "exhausted" in line and _halves(line) == forged
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_preferred_branch_returns_the_chain_of_the_single_pass(request, caplog, profile):
+    """The oracle: handed the challenge walk, the search returns the chain
+    document it returns without it.  Handed a walk whose dual names another
+    branch out of the codomain, it finds nothing in the first batch, walks
+    the whole forward half, and finds the map among the other backward
+    candidates: more than 31 + 57 halves, and the same document."""
+    ps = request.getfixturevalue(profile)
+    for seed in (1, 2, 3):
+        kp, m, sig = _plain(ps, seed)
+        rep = sig.rep
+        phi = challenge(kp.pk, sig.e1, m, ps)
+        want = _chain_digest(rep)
+        chains = []
+        line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep, phi)))
+        assert _halves(line) <= 88
+        assert hashlib.sha256(serial.encode(serial.chain_doc(chains[0]))).hexdigest() == want
+        back = phi.steps[-1].domain.j_invariant()
+        other = next(
+            walk
+            for h in range(1, mu(ps.d_phi) + 1)
+            for walk in [challenge_walk(rep.codomain, h, ps.d_phi)]
+            if walk.steps[0].codomain.j_invariant() != back
+        )
+        chains = []
+        line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep, dual(other))))
+        assert "matched" in line and _halves(line) > 88
+        assert hashlib.sha256(serial.encode(serial.chain_doc(chains[0]))).hexdigest() == want
