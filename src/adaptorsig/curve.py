@@ -419,11 +419,12 @@ def _cleared(E: Curve, N: int, exponent: int):
             yield _scale(E, n // N, P)
 
 
-# a strict check asks for 49-70 bases at T0 (8-10 distinct) and 137-145 at
-# T1 (17-20) on a plain signature, 20-33 (5-7) and 25-36 (6-8) on a
-# pre-signature, 53-79 (9-11) and 376-396 (35-40) on an adapted one, over
-# keys, honest and forged responses of four seeds: a recovery search asks
-# at the roots of its walks, on pinned steps and on a returned chain alone
+# a strict check asks for 18-70 bases at T0 (5-8 distinct) and 24-149 at
+# T1 (5-17) on a plain signature, 16-33 (5) and 20-36 (6) on a
+# pre-signature, 48-79 (9) and 363-399 (35) on an adapted one, over keys,
+# honest and forged responses of seeds 1-4: a recovery search asks at the
+# roots of its walks and on pinned steps, and a strict check asks for a
+# verdict, so it builds no chain and asks for nothing on its match
 @functools.lru_cache(maxsize=4096)
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.

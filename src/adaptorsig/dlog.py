@@ -390,43 +390,14 @@ def _pin(rep: EfficientRep, d2: int) -> IsogenyChain:
     return IsogenyChain(E2, steps)
 
 
-def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain:
-    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
-
-    An existence certificate: the search stops at the first match and needs
-    no uniqueness, since any such isogeny is what the representation claims.
-    It meets in the middle over all kernel-subgroup candidates, with the
-    degree split as d = d1*d2 into coprime halves (_split).  The backward
-    half, the degree-d2 isogenies out of rep.codomain after the steps _pin
-    reads off the images, is indexed by the j-invariant of its codomains;
-    the forward half walks the degree-d1 candidates from rep.domain with the
-    basis images in int coordinates.  A degree-d isogeny is phi2 o phi1 with
-    ker phi1 the d1-part of its kernel, and the dual of phi2 is, up to an
-    isomorphism u, one backward candidate beta.  So the join tries every
-    j-match and every u: the twisted images go through the exact dual of
-    beta (_hat) and must equal rep.images.
-
-    prefer, a chain that ends on rep.codomain (a plain response's challenge
-    walk), names the branch an honest response takes.  Where nothing is
-    pinned and prefer's degree is the first of several prime powers of d2,
-    the backward candidates that start on prefer's curves, last to first,
-    are built first, and the forward half is walked once and kept by j.
-    The other backward candidates are built only if nothing matched, each
-    looked up there, so the search stays exhaustive.  At T0, T1 and T2 an
-    honest plain response builds 31 backward and at most 57 forward halves,
-    and a forgery 181, 460 and 1 297; a pre-signature, its 3^c-part pinned,
-    builds 88 (for 7 068, 22 971 and 70 680 candidates), an adapted one 181,
-    1 888 and 2 860.  The log line counts tried forward halves times all
-    degree-d2 kernels, and the halves built.
-
-    A half costs the walk to its last node and the j-invariant of its leaf's
-    codomain (_leaf_j).  Leaves are built, images pushed and backward chains
-    dualized only on a j-match, each once; a node below a walk's root lists
-    its subgroups from its backtrack generator and one scan point (_walks).
-    The returned chain is the forward steps, put on canonical kernel
-    generators (_canonical), the last retwisted by u, then dual() of the
-    backward chain: it ends on rep.codomain with rep.images exactly.  Raises
-    NotFound when no candidate matches (a forgery signal).
+def _match(rep: EfficientRep, prefer: IsogenyChain = None):
+    """find_isogeny's search up to its first verified match: (forward
+    steps, their loose, backward steps, u), where the forward steps
+    twisted by u, then the exact dual of the backward chain, map rep.basis
+    to rep.images; for degree 1, ([], (), [], None) when the images are the
+    identity's.  Writes the log line and raises NotFound when no candidate
+    matches.  It builds no canonical generator and no dual() chain: those
+    are find_isogeny's alone, so a verdict (isogeny_exists) stops here.
     """
     d = rep.degree
     E, E2 = rep.domain, rep.codomain
@@ -434,7 +405,7 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
     U, V = rep.basis
     if d == 1:
         if E == E2 and U == T1 and V == T2:
-            return IsogenyChain.identity(E)
+            return [], (), [], None
         raise NotFound("images are not the identity's")
 
     t0 = time.perf_counter()
@@ -480,9 +451,6 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
                 continue
             if hat.evaluate(twist_point(imgV, u)) != T2:
                 continue
-            steps = _canonical(steps, fcand[-1])
-            hat = dual(IsogenyChain(E2, bsteps))
-            out = steps[:-1] + [steps[-1].retwist(u)] + hat.steps
             logger.debug(
                 "recovery of degree %d: matched after %d of %d candidates"
                 " (%d halves built), %.3fs",
@@ -492,7 +460,7 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
                 sum(n),
                 time.perf_counter() - t0,
             )
-            return IsogenyChain(E, out)
+            return steps, fcand[-1], bsteps, u
     logger.debug(
         "recovery of degree %d: exhausted %d candidates (%d halves built), %.3fs",
         d,
@@ -501,6 +469,64 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
         time.perf_counter() - t0,
     )
     raise NotFound(f"no degree-{d} isogeny matches the images ({total} candidates)")
+
+
+def isogeny_exists(rep: EfficientRep, prefer: IsogenyChain = None) -> bool:
+    """Whether find_isogeny(rep, prefer) returns a chain, with the same
+    search and log line: the verdict stops at the match (_match) and builds
+    no chain, so a strict check builds only what it reads."""
+    try:
+        _match(rep, prefer)
+    except NotFound:
+        return False
+    return True
+
+
+def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain:
+    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
+
+    An existence certificate: the search stops at the first match and needs
+    no uniqueness, since any such isogeny is what the representation claims.
+    It meets in the middle over all kernel-subgroup candidates, with the
+    degree split as d = d1*d2 into coprime halves (_split).  The backward
+    half, the degree-d2 isogenies out of rep.codomain after the steps _pin
+    reads off the images, is indexed by the j-invariant of its codomains;
+    the forward half walks the degree-d1 candidates from rep.domain with the
+    basis images in int coordinates.  A degree-d isogeny is phi2 o phi1 with
+    ker phi1 the d1-part of its kernel, and the dual of phi2 is, up to an
+    isomorphism u, one backward candidate beta.  So the join tries every
+    j-match and every u: the twisted images go through the exact dual of
+    beta (_hat) and must equal rep.images.
+
+    prefer, a chain that ends on rep.codomain (a plain response's challenge
+    walk), names the branch an honest response takes.  Where nothing is
+    pinned and prefer's degree is the first of several prime powers of d2,
+    the backward candidates that start on prefer's curves, last to first,
+    are built first, and the forward half is walked once and kept by j.
+    The other backward candidates are built only if nothing matched, each
+    looked up there, so the search stays exhaustive.  At T0, T1 and T2 an
+    honest plain response builds 31 backward and at most 57 forward halves,
+    and a forgery 181, 460 and 1 297; a pre-signature, its 3^c-part pinned,
+    builds 88 (for 7 068, 22 971 and 70 680 candidates), an adapted one 181,
+    1 888 and 2 860.  The log line counts tried forward halves times all
+    degree-d2 kernels, and the halves built.
+
+    A half costs the walk to its last node and the j-invariant of its leaf's
+    codomain (_leaf_j).  Leaves are built, images pushed and backward chains
+    dualized only on a j-match, each once; a node below a walk's root lists
+    its subgroups from its backtrack generator and one scan point (_walks).
+    That search, up to the match, is _match, which isogeny_exists shares.
+    Only here is the chain built: the forward steps, put on canonical
+    kernel generators (_canonical), the last retwisted by u, then dual() of
+    the backward chain; it ends on rep.codomain with rep.images exactly.
+    Raises NotFound when no candidate matches (a forgery signal).
+    """
+    steps, loose, bsteps, u = _match(rep, prefer)
+    if rep.degree == 1:
+        return IsogenyChain.identity(rep.domain)
+    steps = _canonical(steps, loose)
+    hat = dual(IsogenyChain(rep.codomain, bsteps))
+    return IsogenyChain(rep.domain, steps[:-1] + [steps[-1].retwist(u)] + hat.steps)
 
 
 def recover_isogeny(rep: EfficientRep) -> IsogenyChain:

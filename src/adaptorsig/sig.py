@@ -11,8 +11,8 @@ stated degree that maps the full basis to the torsion images.
 import hashlib
 
 from .curve import Curve, canonical_torsion_basis, factorize
-from .dlog import find_isogeny
-from .errors import IndexOutOfRange, NotFound, ProtocolError, report
+from .dlog import isogeny_exists
+from .errors import IndexOutOfRange, ProtocolError, report
 from .field import Fp2, fp2_bytes
 from .isogeny import (
     EfficientRep,
@@ -164,11 +164,13 @@ def response_rejection(
 
     The challenge walk phi is recomputed from (pk, j(e1), m); the response
     must run from `domain` to its codomain and pass `rep_rejection` with
-    `shapes`.  Strict mode then certifies an isogeny behind the images:
-    find_isogeny searches the stated degree on the full basis.  That needs
-    no uniqueness, so plain, pre- and adapted signatures take this one path.
-    An honest response ends with phi, so the search is handed phi and builds
-    the branch through its dual first; the search stays exhaustive, so that
+    `shapes`.  Strict mode then asks for a verdict: isogeny_exists runs
+    find_isogeny's search of the stated degree on the full basis and
+    returns at its first match, building none of the canonical chain that
+    find_isogeny and recover_isogeny return.  That needs no uniqueness, so
+    plain, pre- and adapted signatures take this one path.  An honest
+    response ends with phi, so the search is handed phi and builds the
+    branch through its dual first; the search stays exhaustive, so that
     order changes no verdict.
     """
     try:
@@ -180,9 +182,7 @@ def response_rejection(
     tag = rep_rejection(rep, shapes)
     if tag is not None or mode == "light":
         return tag
-    try:
-        find_isogeny(rep, phi)
-    except NotFound:
+    if not isogeny_exists(rep, phi):
         return "rep:recovery"
     return None
 

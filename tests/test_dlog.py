@@ -21,6 +21,7 @@ from adaptorsig.dlog import (
     decompose_2d,
     evaluate_rep,
     find_isogeny,
+    isogeny_exists,
     iter_kernel_candidates,
     recover_isogeny,
 )
@@ -427,9 +428,10 @@ def test_cold_strict_check_basis_misses(t0, forge):
     its backtrack generator with one scan point instead, and a matched
     backward [5] block is its own dual, so the forged check computes no
     other basis: 8 in all, where dualizing the block made 9 and a basis at
-    every node 40.  The honest check adds two on its matched path: the
-    forward leaf's canonical generator and the returned dual of the
-    backward leaf."""
+    every node 40.  The honest check asks for a verdict and stops at its
+    match, on the challenge's backward branch: 5 in all, where building the
+    returned chain added the forward leaf's canonical generator and the
+    dual of the backward leaf."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     canonical_torsion_basis.cache_clear()
@@ -437,7 +439,7 @@ def test_cold_strict_check_basis_misses(t0, forge):
     assert canonical_torsion_basis.cache_info().misses <= 8
     canonical_torsion_basis.cache_clear()
     assert verify(kp.pk, b"count", sig, "strict", t0)
-    assert canonical_torsion_basis.cache_info().misses <= 10
+    assert canonical_torsion_basis.cache_info().misses <= 5
 
 
 def _canonical_walk_keys(E, ell, r, U, V, back=None):
@@ -709,3 +711,96 @@ def test_preferred_branch_returns_the_chain_of_the_single_pass(request, caplog, 
         line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep, dual(other))))
         assert "matched" in line and _halves(line) > 88
         assert hashlib.sha256(serial.encode(serial.chain_doc(chains[0]))).hexdigest() == want
+
+
+def _line(caplog, check):
+    """The recovery log line of check() without its timing."""
+    return _recovery_log(caplog, check).rsplit(", ", 1)[0]
+
+
+def _degenerate_rep(ps):
+    """The degenerate scaled-image representation of
+    test_degenerate_scaled_images_take_the_unpinned_search."""
+    n = ps.group_order
+    rng = random.Random(9)
+    E = keygen(ps, rng).pk
+    steps = _random_steps(E, 3, True, n, rng)
+    steps += _random_steps(steps[-1].codomain, 5, False, n, rng)
+    steps += _random_steps(steps[-1].codomain, 7, False, n, rng)
+    return efficient_rep(IsogenyChain(E, steps), ps.A * ps.C)
+
+
+def _negated(rep, count):
+    """rep with its first `count` images negated."""
+    images = tuple(rep.codomain.neg(T) if k < count else T for k, T in enumerate(rep.images))
+    return EfficientRep(rep.domain, rep.codomain, rep.degree, rep.order, rep.basis, images)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_verdict_is_find_isogenys(request, forge, caplog, profile):
+    """The oracle: isogeny_exists(rep, prefer) is True exactly when
+    find_isogeny(rep, prefer) returns a chain, and both write the same log
+    line up to its timing.  The representations: an honest plain response,
+    with and without its challenge walk, and an honest pre-signature; their
+    forgeries; both images negated, which [-1] after the response matches;
+    one image negated, which nothing matches; and the degenerate scaled
+    images."""
+    ps = request.getfixturevalue(profile)
+    kp, m, sig = _plain(ps, 1)
+    phi = challenge(kp.pk, sig.e1, m, ps)
+    pre = _session(ps, 2)[-1].rep_tilde
+    cases = [
+        (sig.rep, phi),
+        (sig.rep, None),
+        (pre, None),
+        (forge(sig.rep, ps), phi),
+        (forge(pre, ps), None),
+        (_negated(sig.rep, 2), phi),
+        (_negated(pre, 2), None),
+        (_negated(sig.rep, 1), phi),
+        (_degenerate_rep(ps), None),
+    ]
+    verdicts = []
+    for rep, prefer in cases:
+        found = []
+        verdict = _line(caplog, lambda: found.append(isogeny_exists(rep, prefer)))
+
+        def chain():
+            try:
+                found.append(find_isogeny(rep, prefer))
+            except NotFound:
+                found.append(None)
+
+        assert _line(caplog, chain) == verdict
+        assert found[0] is (found[1] is not None)
+        verdicts.append(found[0])
+    assert verdicts == [True, True, True, False, False, True, True, False, True]
+
+
+@pytest.mark.parametrize("profile,plain,pre", [("t0", 5, 5), ("t1", 5, 6), ("t2", 5, 7)])
+def test_honest_strict_check_builds_no_chain(request, monkeypatch, profile, plain, pre):
+    """An honest strict verify or preverify asks isogeny_exists for its
+    verdict, which stops at the match: it never puts the forward steps on
+    canonical generators (dlog._canonical) or takes dual() of the backward
+    chain.  So with the basis cache cleared it computes exactly `plain` and
+    `pre` bases on each of seeds 1-8, where building find_isogeny's chain
+    computed 7, 8 and 9 for both at T0, T1 and T2."""
+    ps = request.getfixturevalue(profile)
+    checks = []
+    for seed in range(1, 9):
+        kp, m, sig = _plain(ps, seed)
+        checks.append((plain, lambda kp=kp, m=m, sig=sig: verify(kp.pk, m, sig, "strict", ps)))
+        kp, _, s, m, presig = _session(ps, seed)
+        checks.append(
+            (pre, lambda kp=kp, m=m, s=s, p=presig: preverify(kp.pk, m, s, p, "strict", ps))
+        )
+    built = []
+    canonical, full_dual = dlog._canonical, isogeny.dual
+    monkeypatch.setattr(dlog, "_canonical", lambda *a: built.append(1) or canonical(*a))
+    for module in (dlog, isogeny):
+        monkeypatch.setattr(module, "dual", lambda c: built.append(1) or full_dual(c))
+    for bases, check in checks:
+        canonical_torsion_basis.cache_clear()
+        assert check()
+        assert canonical_torsion_basis.cache_info().misses == bases
+    assert built == []

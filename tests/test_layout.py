@@ -355,6 +355,23 @@ def test_pairing_law_is_called_by_the_two_rejections_alone():
     assert callers == {"sig.rep_rejection", "adaptor.s_rejection"}
 
 
+def test_strict_verification_asks_for_a_verdict():
+    # sig.response_rejection reads only whether an isogeny exists, so it asks
+    # dlog.isogeny_exists, which stops at the match; the matched chain is
+    # built by find_isogeny and recover_isogeny alone
+    tree = dict(_trees())["sig.py"]
+    fn = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "response_rejection"
+    )
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+    }
+    assert "isogeny_exists" in called and "find_isogeny" not in called
+
+
 def test_group_order_is_an_argument_of_the_basis_scan_alone():
     # every admitted curve has exponent p + 1, so the library derives it as
     # E.p + 1; the two basis functions keep the argument, which perfbench's
