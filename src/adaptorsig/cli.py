@@ -309,10 +309,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.fn(args)
-    except ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,7 +35,6 @@ from .curve import (
     _j_pair,
     _order,
     _outside,
-    _point,
     _scale,
     _span,
     factorize,
@@ -159,29 +158,26 @@ def _ell_block(E: Curve, ell: int):
     return [s0, dual_step(s0)]
 
 
-def _pp_candidates(E, ell, e, steps, U, V, loose):
+def _pp_candidates(E, ell, e, steps, loose):
     """Yield a lazy candidate (see _walks) for every order-ell^e kernel
-    subgroup of E, each exactly once, after the given steps; U, V and their
-    images in int coordinates."""
+    subgroup of E, each exactly once, after the given steps."""
     for b in range(e // 2 + 1):
-        r = e - 2 * b
         prefix = steps
         for _ in range(b):
             prefix = prefix + _ell_block(E, ell)
-        U0 = _scale(E, ell**b, U)
-        V0 = _scale(E, ell**b, V)
-        yield from _walks(E, ell, r, prefix, U0, V0, None, loose)
+        yield from _walks(E, ell, e - 2 * b, prefix, None, loose)
 
 
-def _walks(E, ell, r, steps, U, V, back_gen, loose):
+def _walks(E, ell, r, steps, back_gen, loose):
     """The cyclic walks of r steps of degree ell that do not backtrack into
-    back_gen's subgroup; back_gen, U, V and the images in int coordinates.
+    back_gen's subgroup, back_gen in int coordinates.
 
-    Each walk yields a lazy candidate (steps, node, U, V, leaf, loose).
-    Its last step (r = 1) is a lazy leaf: leaf is (G, ell), the step's
-    kernel generator on node, and steps, U and V stop at node, so a leaf
-    builds no Step, codomain or image until _finish does.  A walk of r = 0
-    yields leaf None.
+    Each walk yields a lazy candidate (steps, node, leaf, loose).  Its
+    last step (r = 1) is a lazy leaf: leaf is (G, ell), the step's kernel
+    generator on node, and steps stop at node, so a leaf builds no Step or
+    codomain until _finish does.  A walk of r = 0 yields leaf None.  No
+    walk carries basis images: whoever reads a candidate at a point pushes
+    the basis through its steps.
 
     The root (back_gen None) lists its ell + 1 subgroups by their canonical
     generators.  A node reached by a step holds its backtrack generator B,
@@ -196,7 +192,7 @@ def _walks(E, ell, r, steps, U, V, back_gen, loose):
     dual's kernel (_hat).
     """
     if r == 0:
-        yield steps, E, U, V, None, loose
+        yield steps, E, None, loose
         return
     if back_gen is None:
         gens = _subgroup_gens(E, ell)
@@ -207,30 +203,29 @@ def _walks(E, ell, r, steps, U, V, back_gen, loose):
         loose += ((len(steps), back_gen),)
     for G in gens:
         if r == 1:
-            yield steps, E, U, V, (G, ell), loose
+            yield steps, E, (G, ell), loose
             continue
         s = Step(E, G, ell)
         B = _dual_kernel(s) if back_gen is None else s.image(back_gen)
-        yield from _walks(s.codomain, ell, r - 1, steps + [s], s.image(U), s.image(V), B, loose)
+        yield from _walks(s.codomain, ell, r - 1, steps + [s], B, loose)
 
 
 def _finish(cand):
-    """The candidate (steps, codomain, image of U, image of V) of a lazy one:
-    its leaf step built, its codomain and the images pushed through it."""
-    steps, node, U, V, leaf, _ = cand
+    """The candidate (steps, codomain) of a lazy one: its leaf step built."""
+    steps, node, leaf, _ = cand
     if leaf is None:
-        return steps, node, U, V
+        return steps, node
     s = Step(node, *leaf)
-    return steps + [s], s.codomain, s.image(U), s.image(V)
+    return steps + [s], s.codomain
 
 
 def _leaf_j(cand):
     """The j-invariant of a lazy candidate's codomain, as an int pair: the
-    node's own, or, for a leaf, that of _velu's curve, with _velu's checks
-    and no Step, twist, Curve or Fp2."""
-    _, node, _, _, leaf, _ = cand
+    node's own (_js), or, for a leaf, that of _velu's curve, with _velu's
+    checks and no Step, twist, Curve or Fp2."""
+    _, node, leaf, _ = cand
     if leaf is None:
-        return node.j_invariant().lex_key()
+        return _js([node])[0]
     return _j_pair(node.p, *_velu(node, *leaf)[1])
 
 
@@ -286,11 +281,11 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def _candidates(E: Curve, degree: int, U, V, steps=(), ahead=None):
-    """iter_kernel_candidates with the last step left lazy: yields lazy
-    candidates (steps, node, image of U, image of V, leaf, loose) as _walks
-    does.  Only the last prime power's leaves stay lazy; an earlier prime's
-    walk goes on from its leaf's codomain, so that leaf is finished.  Every
+def _candidates(E: Curve, degree: int, steps=(), ahead=None):
+    """iter_kernel_candidates with the last step left lazy and no images:
+    yields lazy candidates (steps, node, leaf, loose) as _walks does.  Only
+    the last prime power's leaves stay lazy; an earlier prime's walk goes
+    on from its leaf's codomain, so that leaf is finished.  Every
     candidate goes on from the given steps, which end on E (find_isogeny's
     pinned prefix, see _pin), as rec's own steps do.  With `ahead`, a list
     of j-invariants (_js), the first of several prime powers has all its
@@ -299,22 +294,22 @@ def _candidates(E: Curve, degree: int, U, V, steps=(), ahead=None):
     fac = sorted(factorize(degree).items())
     steps = list(steps)
 
-    def rec(cur, curU, curV, idx, steps, loose):
+    def rec(cur, idx, steps, loose):
         ell, e = fac[idx]
-        cands = _pp_candidates(cur, ell, e, steps, curU, curV, loose)
+        cands = _pp_candidates(cur, ell, e, steps, loose)
         if idx + 1 == len(fac):
             yield from cands
             return
         done = (_finish(cand) + (cand[-1],) for cand in cands)
         if idx == 0 and ahead:
             done = sorted(done, key=lambda c: _js(s.codomain for s in c[0]) != ahead)
-        for steps, node, nU, nV, loose in done:
-            yield from rec(node, nU, nV, idx + 1, steps, loose)
+        for steps, node, loose in done:
+            yield from rec(node, idx + 1, steps, loose)
 
     if not fac:
-        yield steps, E, U, V, None, ()
+        yield steps, E, None, ()
         return
-    yield from rec(E, U, V, 0, steps, ())
+    yield from rec(E, 0, steps, ())
 
 
 def iter_kernel_candidates(E: Curve, degree: int, U, V):
@@ -325,12 +320,15 @@ def iter_kernel_candidates(E: Curve, degree: int, U, V):
     step takes the canonical generators in order; a step below it takes
     the generators <P + [k]B> of _walks, so its kernel generator is not the
     canonical one.  U, V and their images are in int coordinates (None for
-    O): the search carries them through Step.image.  Every candidate is
-    finished, its leaf step built (see _candidates, which find_isogeny
-    walks instead).
+    O), pushed through each candidate's steps by Step.image.  Every
+    candidate is finished, its leaf step built (see _candidates, which
+    find_isogeny walks instead, with no images).
     """
-    for cand in _candidates(E, degree, U, V):
-        yield _finish(cand)
+    for steps, cur in map(_finish, _candidates(E, degree)):
+        imgU, imgV = U, V
+        for s in steps:
+            imgU, imgV = s.image(imgU), s.image(imgV)
+        yield steps, cur, imgU, imgV
 
 
 def _split(degree: int):
@@ -419,14 +417,14 @@ def _match(rep: EfficientRep, prefer: IsogenyChain = None):
     if prefer is not None and pin.degree == 1 and lead == prefer.degree:
         ahead = _js(s.domain for s in reversed(prefer.steps))
         first //= count_kernel_candidates(prefer.degree)
-    backward = _candidates(pin.codomain, rest, None, None, pin.steps, ahead)
+    backward = _candidates(pin.codomain, rest, pin.steps, ahead)
     back, fwd = {}, {}  # j -> [(index, lazy candidate)]: first backward batch, forward half
     for i, cand in enumerate(itertools.islice(backward, first)):
         back.setdefault(_leaf_j(cand), []).append((i, cand))
     n = [0, first]  # forward halves tried, backward halves built
 
     def pairs():  # each j-matching (forward, backward) pair of (index, lazy candidate) once
-        for cand in _candidates(E, d1, _coords(U), _coords(V)):
+        for cand in _candidates(E, d1):
             n[0] += 1
             j = _leaf_j(cand)
             if ahead:
@@ -436,17 +434,17 @@ def _match(rep: EfficientRep, prefer: IsogenyChain = None):
             n[1] += 1
             yield from ((f, (n[1], cand)) for f in fwd.get(_leaf_j(cand), ()))
 
-    fins, duals = {}, {}  # index -> finished forward / (steps, codomain, exact dual) of backward
+    fins, duals = {}, {}  # index -> forward chain, images of rep.basis / backward, exact dual
     for (f, fcand), (b, bcand) in pairs():
         if f not in fins:
-            fins[f] = _finish(fcand)
+            chain = IsogenyChain(E, _finish(fcand)[0])
+            fins[f] = chain, chain.evaluate(U), chain.evaluate(V)
         if b not in duals:
-            bsteps, mid, _, _ = _finish(bcand)
+            bsteps, mid = _finish(bcand)
             duals[b] = bsteps, mid, _hat(mid, bsteps, bcand[-1])
-        steps, cur, curU, curV = fins[f]
+        chain, imgU, imgV = fins[f]
         bsteps, mid, hat = duals[b]
-        imgU, imgV = _point(E.p, curU), _point(E.p, curV)
-        for u in isomorphisms(cur, mid):
+        for u in isomorphisms(chain.codomain, mid):
             if hat.evaluate(twist_point(imgU, u)) != T1:
                 continue
             if hat.evaluate(twist_point(imgV, u)) != T2:
@@ -460,7 +458,7 @@ def _match(rep: EfficientRep, prefer: IsogenyChain = None):
                 sum(n),
                 time.perf_counter() - t0,
             )
-            return steps, fcand[-1], bsteps, u
+            return chain.steps, fcand[-1], bsteps, u
     logger.debug(
         "recovery of degree %d: exhausted %d candidates (%d halves built), %.3fs",
         d,
@@ -491,12 +489,12 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
     degree split as d = d1*d2 into coprime halves (_split).  The backward
     half, the degree-d2 isogenies out of rep.codomain after the steps _pin
     reads off the images, is indexed by the j-invariant of its codomains;
-    the forward half walks the degree-d1 candidates from rep.domain with the
-    basis images in int coordinates.  A degree-d isogeny is phi2 o phi1 with
-    ker phi1 the d1-part of its kernel, and the dual of phi2 is, up to an
-    isomorphism u, one backward candidate beta.  So the join tries every
-    j-match and every u: the twisted images go through the exact dual of
-    beta (_hat) and must equal rep.images.
+    the forward half walks the degree-d1 candidates from rep.domain.  A
+    degree-d isogeny is phi2 o phi1 with ker phi1 the d1-part of its
+    kernel, and the dual of phi2 is, up to an isomorphism u, one backward
+    candidate beta.  So the join tries every j-match and every u: rep.basis
+    goes through the forward steps, and its twisted images through the
+    exact dual of beta (_hat) must equal rep.images.
 
     prefer, a chain that ends on rep.codomain (a plain response's challenge
     walk), names the branch an honest response takes.  Where nothing is
@@ -512,14 +510,15 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
     degree-d2 kernels, and the halves built.
 
     A half costs the walk to its last node and the j-invariant of its leaf's
-    codomain (_leaf_j).  Leaves are built, images pushed and backward chains
-    dualized only on a j-match, each once; a node below a walk's root lists
-    its subgroups from its backtrack generator and one scan point (_walks).
-    That search, up to the match, is _match, which isogeny_exists shares.
-    Only here is the chain built: the forward steps, put on canonical
-    kernel generators (_canonical), the last retwisted by u, then dual() of
-    the backward chain; it ends on rep.codomain with rep.images exactly.
-    Raises NotFound when no candidate matches (a forgery signal).
+    codomain (_leaf_j).  Leaves are built, the basis pushed and backward
+    chains dualized only on a j-match, each once; a node below a walk's
+    root lists its subgroups from its backtrack generator and one scan
+    point (_walks).  That search, up to the match, is _match, which
+    isogeny_exists shares.  Only here is the chain built: the forward
+    steps, put on canonical kernel generators (_canonical), the last
+    retwisted by u, then dual() of the backward chain; it ends on
+    rep.codomain with rep.images exactly.  Raises NotFound when no
+    candidate matches (a forgery signal).
     """
     steps, loose, bsteps, u = _match(rep, prefer)
     if rep.degree == 1:

@@ -166,8 +166,6 @@ def batch_inv(p, xs):
     one inversion of their product, then each norm's inverse peeled off with
     the prefix products.
     """
-    if len(xs) == 1:
-        return [inv_pair(p, *xs[0])]
     norms = [(c0 * c0 + c1 * c1) % p for c0, c1 in xs]
     prefix = [1]
     for n in norms:

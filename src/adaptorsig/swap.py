@@ -82,60 +82,42 @@ def _run_swap(ps: ParamSet, seed: int, fault: bool, events: list) -> bool:
         events.append({"type": "verdict", "success": False, "reason": "preverify"})
         return False
 
-    # Alice completes Bob's pre-signature with her witness
-    sig_b = adapt(pre_b, w, ps)
-    if fault:
-        # simulate a corrupted adaptation: swap the published images
-        sig_b = AdaptedSignature(sig_b.e1, replace(sig_b.rep, images=sig_b.rep.images[::-1]))
-    events.append(
-        {
-            "type": "adapt",
-            "party": "alice",
-            "signature": serial.signature_doc(sig_b),
-            "faulted": fault,
-        }
-    )
+    # Alice completes Bob's pre-signature with her witness and Bob extracts
+    # it from the published signature; he completes Alice's with it in turn
+    sigs = []
+    claims = (("alice", "bob", pre_b, fault), ("bob", "alice", pre_a, False))
+    for adapter, extractor, pre, faulted in claims:
+        sig = adapt(pre, w, ps)
+        if faulted:
+            # simulate a corrupted adaptation: swap the published images
+            sig = AdaptedSignature(sig.e1, replace(sig.rep, images=sig.rep.images[::-1]))
+        events.append(
+            {
+                "type": "adapt",
+                "party": adapter,
+                "signature": serial.signature_doc(sig),
+                "faulted": faulted,
+            }
+        )
+        reasons = []
+        w = extract(sig, pre, s, ps, reasons)
+        events.append(
+            {
+                "type": "extract",
+                "party": extractor,
+                "witness": None if w is None else serial.witness_doc(w),
+                "reasons": reasons,
+            }
+        )
+        if w is None:
+            events.append({"type": "verdict", "success": False, "reason": "extract"})
+            return False
+        sigs.append(sig)
 
-    # Bob learns the witness from the published signature
-    reasons = []
-    w_bob = extract(sig_b, pre_b, s, ps, reasons)
-    events.append(
-        {
-            "type": "extract",
-            "party": "bob",
-            "witness": None if w_bob is None else serial.witness_doc(w_bob),
-            "reasons": reasons,
-        }
-    )
-    if w_bob is None:
-        events.append({"type": "verdict", "success": False, "reason": "extract"})
-        return False
-
-    # and uses it to complete Alice's pre-signature
-    sig_a = adapt(pre_a, w_bob, ps)
-    events.append(
-        {
-            "type": "adapt",
-            "party": "bob",
-            "signature": serial.signature_doc(sig_a),
-            "faulted": False,
-        }
-    )
-    reasons_a = []
-    w_alice = extract(sig_a, pre_a, s, ps, reasons_a)
-    events.append(
-        {
-            "type": "extract",
-            "party": "alice",
-            "witness": None if w_alice is None else serial.witness_doc(w_alice),
-            "reasons": reasons_a,
-        }
-    )
-
+    sig_b, sig_a = sigs
     verdict = (
         verify(bob.pk, BOB_MESSAGE, sig_b, "light", ps)
         and verify(alice.pk, ALICE_MESSAGE, sig_a, "light", ps)
-        and w_alice is not None
     )
     events.append({"type": "verdict", "success": verdict, "reason": None})
     return verdict

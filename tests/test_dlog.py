@@ -340,20 +340,22 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     """A forged T0 response is ruled out against all 7 068 candidates of
     degree 3^1*5^2*7^2 from 57 forward and 124 backward half-candidates.
 
-    The search carries the basis images as ints through Step.image, so the
-    strict check (basis cache cleared) makes no Point-level Step.evaluate
-    and 52 int-to-Point conversions, each a Point that is kept: a canonical
-    basis, the forward images at a j-match, their images through the dual
-    and the verifier's own few group operations.  Steps take their kernels
+    The search pushes the basis through a forward candidate only at a
+    j-match, once per candidate, on ints through Step.image, so the strict
+    check (basis cache cleared) makes no Point-level Step.evaluate and 48
+    int-to-Point conversions, each a Point that is kept: a canonical basis,
+    the images of a j-matched forward candidate, their images through the
+    dual and the verifier's own few group operations.  Steps take their kernels
     as ints, so no kernel is converted.  A walk
     takes a step's dual kernel only where it goes on.  A node reached by a
     step lists its subgroups from its backtrack generator and one scan
     point, and a matched backward leaf's dual kernel is the leaf's image of
     that generator, so neither asks for a basis; nor does a matched
     backward [5] block, its own dual: the check makes 46 _dual_kernel
-    calls, 57 small_torsion_basis requests and 52 conversions, where
-    dualizing the block step by step made 48, 59 and 54, and a canonical
-    basis at every node 52, 95 and 116."""
+    calls, 57 small_torsion_basis requests and 48 conversions, where
+    converting the images once per j-matching pair made 52, dualizing the
+    block step by step 48, 59 and 54, and a canonical basis at every node
+    52, 95 and 116."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
@@ -361,7 +363,7 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     evaluate, point = Step.evaluate, curve._point
     dual_kernel, small_basis = isogeny._dual_kernel, curve.small_torsion_basis
     monkeypatch.setattr(Step, "evaluate", lambda s, P: evaluations.append(1) or evaluate(s, P))
-    for module in (curve, isogeny, dlog):
+    for module in (curve, isogeny):
         monkeypatch.setattr(module, "_point", lambda p, R: points.append(1) or point(p, R))
     for module in (isogeny, dlog):
         monkeypatch.setattr(module, "_dual_kernel", lambda *a: duals.append(1) or dual_kernel(*a))
@@ -372,7 +374,7 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(evaluations), len(points)) == (0, 52)
+    assert (len(evaluations), len(points)) == (0, 48)
     assert (len(duals), len(bases)) == (46, 57)
 
 
@@ -381,12 +383,14 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     builds.  A leaf, the last step of a walk, is compared by the j-invariant
     of its codomain alone: 56 forward and 120 backward leaves give 176
     j-invariants from Vélu's formula and no Step.  Only the leaves of the 8
-    j-matching pairs, 6 forward and 4 backward, are built, each once, with
-    their images.  A matched backward [5] block is its own dual, so the
-    join builds no dual of its two steps.  So the check makes 70 Step
-    constructions, 201 Step.image calls and 6 Curve.j_invariant calls,
-    where dualizing the block made 72, 204 and 6, and building every leaf
-    238, 536 and 182."""
+    j-matching pairs, 6 forward and 4 backward, are built, each once, and
+    only the 6 forward candidates push the basis through their steps: no
+    walk carries images, and a leafless candidate's j comes from its ints.
+    A matched backward [5] block is its own dual, so the join builds no
+    dual of its two steps.  So the check makes 70 Step constructions, 133
+    Step.image calls and 1 Curve.j_invariant call, where carrying the
+    images through every walk made 70, 201 and 6, dualizing the block 72,
+    204 and 6, and building every leaf 238, 536 and 182."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     fake = PlainSignature(sig.e1, forge(sig.rep, t0))
@@ -411,7 +415,7 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
         assert not verify(kp.pk, b"count", fake, "strict", t0)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(steps), len(images), len(js)) == (70, 201, 6)
+    assert (len(steps), len(images), len(js)) == (70, 133, 1)
     lazy = set(leaves)
     built_leaves = [key for key in steps if key in lazy]
     assert (len(leaves), len(pairs)) == (176, 8)
@@ -468,16 +472,14 @@ def test_completion_walk_lists_the_canonical_walks_subgroups(t0, ell, r):
     E = keygen(t0, random.Random(ell)).pk
     U, V = canonical_torsion_basis(E, t0.A, t0.group_order)
     want = _canonical_walk_keys(E, ell, r, U, V)
-    got = [
-        (cur, _point(t0.p, curU), _point(t0.p, curV))
-        for _, cur, curU, curV in (
-            dlog._finish(c) for c in dlog._walks(E, ell, r, [], _coords(U), _coords(V), None, ())
-        )
-    ]
+    got = []
+    for steps, cur in map(dlog._finish, dlog._walks(E, ell, r, [], None, ())):
+        chain = IsogenyChain(E, steps)
+        got.append((cur, chain.evaluate(U), chain.evaluate(V)))
     assert len(got) == len(set(got)) == (ell + 1) * ell ** (r - 1)
     assert set(got) == set(want)
     firsts = []
-    for steps, *_ in dlog._walks(E, ell, r, [], None, None, None, ()):
+    for steps, *_ in dlog._walks(E, ell, r, [], None, ()):
         if steps[0]._kernel not in firsts:
             firsts.append(steps[0]._kernel)
     assert firsts == dlog._subgroup_gens(E, ell)
@@ -804,3 +806,29 @@ def test_honest_strict_check_builds_no_chain(request, monkeypatch, profile, plai
         assert check()
         assert canonical_torsion_basis.cache_info().misses == bases
     assert built == []
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_strict_checks_push_no_identity_through_a_step(request, forge, monkeypatch, profile):
+    """No walk carries basis images: the basis goes through a forward
+    candidate's steps only at a j-match, so a strict verify or preverify of
+    an honest or forged plain, pre- or adapted signature never hands O
+    (None) to Step.image, where a backward walk carried (None, None)
+    through each of its steps."""
+    ps = request.getfixturevalue(profile)
+    kp, m, sig = _plain(ps, 1)
+    qk, w, s, n, pre = _session(ps, 2)
+    full = adapt(pre, w, ps)
+    fakes = (
+        PlainSignature(sig.e1, forge(sig.rep, ps)),
+        PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, ps)),
+        AdaptedSignature(full.e1, forge(full.rep, ps)),
+    )
+    pushed = []
+    image = Step.image
+    monkeypatch.setattr(Step, "image", lambda st, P: pushed.append(P) or image(st, P))
+    for honest, (plain, presig, adapted) in ((True, (sig, pre, full)), (False, fakes)):
+        assert verify(kp.pk, m, plain, "strict", ps) is honest
+        assert preverify(qk.pk, n, s, presig, "strict", ps) is honest
+        assert verify(qk.pk, n, adapted, "strict", ps) is honest
+    assert pushed and None not in pushed

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from adaptorsig import serial
+from adaptorsig import serial, swap
 from adaptorsig.swap import demo_swap
 
 DIGESTS = [
@@ -27,3 +27,20 @@ def test_demo_swap_transcript_digest(request, profile, seed, fault, digest):
     ps = request.getfixturevalue(profile)
     doc = demo_swap(ps, seed, fault=fault)
     assert hashlib.sha256(serial.encode(doc)).hexdigest() == digest
+
+
+def test_demo_swap_ends_a_failed_extract_of_either_leg_alike(t0, monkeypatch):
+    # Alice's extract, the second, fails as Bob's would: the swap ends there
+    calls = []
+    extract = swap.extract
+
+    def second_fails(*args):
+        calls.append(1)
+        return None if len(calls) == 2 else extract(*args)
+
+    monkeypatch.setattr(swap, "extract", second_fails)
+    t = demo_swap(t0, 21)
+    assert t["verdict"] is False
+    last, verdict = t["events"][-2:]
+    assert (last["type"], last["party"], last["witness"]) == ("extract", "alice", None)
+    assert verdict == {"type": "verdict", "success": False, "reason": "extract"}
