@@ -84,7 +84,7 @@ def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignat
         s.ew, oriented_kernel(s.oriented_image, bits), ps.B
     )
     e1 = psip.codomain
-    proof = prove_parallel((s.ew, s.oriented_image, e1), bits, ps, rng)
+    proof = prove_parallel((s.ew, s.oriented_image, e1), psip, ps, rng)
     phi = challenge(kp.pk, e1, m, ps)
     sigma_tilde = compose_chains(dual(psi), kp.sk, phi)
     rep_tilde = efficient_rep(sigma_tilde, ps.A * ps.C)

@@ -277,16 +277,44 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     if degree == 1:
         if any(not g.is_inf for g in gens):
             raise BadKernel("nontrivial generators for a degree-1 isogeny")
-        return IsogenyChain.identity(E)
-    try:
-        steps = _kernel_steps(E, gens, degree)
-    except BadKernel:
-        # the walk takes the degree as a multiple of every generator's order;
-        # where it is not one, the walk fails, and the message says so
-        if any(point_order(E, g, degree) is None for g in gens):
-            raise BadKernel("generator order does not divide the degree") from None
-        raise
-    return IsogenyChain(E, steps, list(gens))
+        chain = IsogenyChain.identity(E)
+    else:
+        try:
+            steps = _kernel_steps(E, gens, degree)
+        except BadKernel:
+            # the walk takes the degree as a multiple of every generator's
+            # order; where it is not one, the walk fails, and the message
+            # says so
+            if any(point_order(E, g, degree) is None for g in gens):
+                raise BadKernel("generator order does not divide the degree") from None
+            raise
+        chain = IsogenyChain(E, steps, list(gens))
+    _walked(E, tuple(gens), degree)[:] = [chain.codomain]
+    return chain
+
+
+@functools.lru_cache(maxsize=64)
+def _walked(E: Curve, gens: tuple, degree: int) -> list:
+    """The slot of one walk's codomain: empty until isogeny_from_kernel
+    returns the chain of (E, gens, degree), then [its codomain].
+
+    The key is the walk's whole input, so a recorded codomain is the one a
+    fresh walk gives.  A walk that raises fills nothing: the slot that
+    kernel_codomain asked for stays empty, and the next ask walks again.
+    The slots hold codomains, not chains, and 64 of them cover a proof's
+    corners (two per round, 48 at 24 rounds) and psi' with room to spare,
+    so the check that follows a proof in the same process finds every
+    corner the prover walked.
+    """
+    return []
+
+
+def kernel_codomain(E: Curve, gens, degree: int) -> Curve:
+    """isogeny_from_kernel(E, gens, degree).codomain, walked only when this
+    process has not returned that chain lately (_walked); raises as the
+    walk does."""
+    slot = _walked(E, tuple(gens), degree)
+    return slot[0] if slot else isogeny_from_kernel(E, gens, degree).codomain
 
 
 def _run(E: Curve, Q, ell: int, f: int, e: int, steps: list):

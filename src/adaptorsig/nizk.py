@@ -14,6 +14,14 @@ composites reach the same curve model, not only the same j-invariant.  So
 the prover builds F' on the B-side (the chain a tag-1 verifier rebuilds)
 and never walks the mask a second time on E1, and the tag-1 check compares
 curves exactly.
+
+The prover takes psi' as the chain `presign` has built, not the choice
+vector, so it walks two chains per round and none before them.  Both
+sides read corners through `isogeny.kernel_codomain`, which remembers the
+codomain of every chain this process walked lately, keyed by the walk's
+whole input: a check right after its proof in one process (both parties
+of `swap.demo_swap`) walks only the tag-0 masks on E1, which no prover
+walks, and reaches every verdict a fresh process reaches.
 """
 
 import hashlib
@@ -22,8 +30,7 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import isogeny_from_kernel
-from .orientation import oriented_kernel
+from .isogeny import IsogenyChain, kernel_codomain
 from .params import ParamSet
 from .sig import challenge_walk, mu
 
@@ -80,13 +87,14 @@ def _challenge_bits(statement, corners, k: int):
     return [(stream[i // 8] >> (7 - i % 8)) & 1 for i in range(k)]
 
 
-def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
-    """Prove that e1 = E_w / <oriented kernel of witness_bits>."""
-    ew, wB, e1 = statement
-    gens = oriented_kernel(wB, witness_bits)
-    psip = isogeny_from_kernel(ew, gens, ps.B)
-    if psip.codomain != e1:
-        raise WitnessMismatch("choice vector does not produce the commitment curve")
+def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProof:
+    """Prove that e1 = E_w / <ker psip>, given psi': the degree-B chain from
+    E_w to e1 that `presign` builds from the statement's oriented kernel of
+    its choice vector, whose kernel generators are the ones pushed."""
+    ew, _, e1 = statement
+    if psip.domain != ew or psip.codomain != e1 or psip.degree != ps.B:
+        raise WitnessMismatch("psi' does not run from E_w to the commitment curve")
+    gens = psip.kernel_gens
 
     A = ps.A
     corners = []
@@ -96,7 +104,7 @@ def prove_parallel(statement, witness_bits, ps: ParamSet, rng) -> NizkProof:
         mask = challenge_walk(ew, h, A)
         par = tuple(mask.evaluate(g) for g in gens)
         # F' from F on the B-side: the curve the mask pushed to e1 reaches
-        fp = isogeny_from_kernel(mask.codomain, list(par), ps.B).codomain
+        fp = kernel_codomain(mask.codomain, par, ps.B)
         corners.append((mask.codomain, fp))
         kernels.append((mask.kernel_gens[0], par))
 
@@ -126,11 +134,11 @@ def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
         try:
             if bit == 0:
                 km, kmp = r.reveal
-                if isogeny_from_kernel(ew, [km], ps.A).codomain != r.f:
+                if kernel_codomain(ew, [km], ps.A) != r.f:
                     return "nizk:mask"
-                if isogeny_from_kernel(e1, [kmp], ps.A).codomain != r.fp:
+                if kernel_codomain(e1, [kmp], ps.A) != r.fp:
                     return "nizk:mask-commitment"
-            elif isogeny_from_kernel(r.f, list(r.reveal), ps.B).codomain != r.fp:
+            elif kernel_codomain(r.f, r.reveal, ps.B) != r.fp:
                 return "nizk:parallel"
         except ProtocolError:
             return "nizk:kernel"

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
+from adaptorsig import isogeny
 from adaptorsig.isogeny import EfficientRep
 from adaptorsig.params import generate_params
+
+
+@pytest.fixture(autouse=True)
+def cold_walk_memo():
+    """Each test starts with isogeny.kernel_codomain's memo empty, so what it
+    walks and counts does not depend on the tests that ran before it."""
+    isogeny._walked.cache_clear()
 
 
 @pytest.fixture(scope="session")

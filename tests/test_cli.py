@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 
@@ -308,6 +309,9 @@ def test_custom_spec_beyond_the_primality_bound_exit_2(capsys):
 def test_custom_spec_with_a_large_exponent_exit_2(a, c, capsys):
     # refused before 2^a or 3^c is built: 2^(4e7) and its square need about 55 MB
     spec = {"a": a, "primes": [5, 7], "c": c, "d_tau": 35, "d_phi": 3}
+    # the call takes about 2 ms; a full collection of the suite's live
+    # objects landing in it would take 40-75 ms, so it runs before the clock
+    gc.collect()
     start = time.perf_counter()
     code = main(["params", "--profile", "custom", "--custom-spec", json.dumps(spec)])
     assert time.perf_counter() - start < 0.05

@@ -23,6 +23,7 @@ from adaptorsig.isogeny import (
     dual_step,
     efficient_rep,
     isogeny_from_kernel,
+    kernel_codomain,
     pull_back,
     push_forward,
 )
@@ -145,6 +146,88 @@ def test_bad_kernel_messages(t0):
     for gens, degree, message in cases:
         with pytest.raises(BadKernel, match=message):
             isogeny_from_kernel(E, gens, degree)
+
+
+def walk_inputs(ps):
+    """(gens, degree) on E0: honest kernels of every degree the protocol
+    walks, then the bad kernels of the two tests above."""
+    E, n, A = ps.e0, ps.group_order, ps.A
+    UA, VA = canonical_torsion_basis(E, A, n)
+    P5, Q5 = canonical_torsion_basis(E, 5, n)
+    P7, Q7 = canonical_torsion_basis(E, 7, n)
+    honest = [
+        ([], 1),
+        ([Point.infinity()], 1),
+        ([cyclic_kernel(E, A, 3)], A),
+        (oriented_kernel(ps.orientation, (1, 2)), ps.B),
+        ([E.add(P5, Q5), P7], 35),
+        ([cyclic_kernel(E, ps.C, 2)], ps.C),
+    ]
+    bad = [
+        ([P5], 35),
+        ([P5], 7),
+        ([P7, Q7], 7),
+        ([Point(Fp2(ps.p, 1), Fp2(ps.p, 1))], 2),
+        ([P5], 0),
+        ([VA], A // 2),
+        ([E.mul(A // 2, VA), UA], A),
+        ([E.mul(2, VA)], A),
+        ([Point.infinity()], A),
+        ([UA, VA], A),
+    ]
+    return honest, bad
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_kernel_codomain_is_the_walks_codomain(request, profile, monkeypatch):
+    """kernel_codomain gives the codomain isogeny_from_kernel gives and
+    raises the error it raises.  It walks an input once and then reads the
+    memo, and a walk that raises records nothing: asked again, it walks
+    again and raises again."""
+    ps = request.getfixturevalue(profile)
+    E = ps.e0
+    honest, bad = walk_inputs(ps)
+    walks = []
+    build = isogeny.isogeny_from_kernel
+    monkeypatch.setattr(
+        isogeny, "isogeny_from_kernel", lambda *a: walks.append(1) or build(*a)
+    )
+    for gens, degree in honest:
+        codomain = build(E, gens, degree).codomain
+        isogeny._walked.cache_clear()
+        assert [kernel_codomain(E, gens, degree) for _ in range(3)] == [codomain] * 3
+        assert len(walks) == 1
+        walks.clear()
+    for gens, degree in bad:
+        with pytest.raises(BadKernel) as walked:
+            build(E, gens, degree)
+        for _ in range(2):
+            with pytest.raises(BadKernel) as read:
+                kernel_codomain(E, gens, degree)
+            assert str(read.value) == str(walked.value)
+        assert len(walks) == 2
+        walks.clear()
+
+
+def test_walk_memo_holds_at_most_its_maxsize(t0):
+    """The memo is bounded: it keeps the codomains of the last maxsize
+    walks, at least a proof's two corners per round and psi', and drops the
+    least recently used one; a failed walk adds none."""
+    maxsize = isogeny._walked.cache_info().maxsize
+    assert maxsize >= 2 * t0.nizk_rounds + 1
+    E, A = t0.e0, t0.A
+    kernels = [cyclic_kernel(E, A, h) for h in range(1, maxsize + 20)]
+    for i, K in enumerate(kernels):
+        isogeny_from_kernel(E, [K], A)
+        assert isogeny._walked.cache_info().currsize == min(i + 1, maxsize)
+    with pytest.raises(BadKernel):
+        isogeny_from_kernel(E, [E.mul(2, kernels[0])], A)
+    assert isogeny._walked.cache_info().currsize == maxsize
+    misses = isogeny._walked.cache_info().misses
+    kernel_codomain(E, [kernels[-maxsize]], A)  # the oldest one kept
+    assert isogeny._walked.cache_info().misses == misses
+    kernel_codomain(E, [kernels[-maxsize - 1]], A)  # dropped: walked again
+    assert isogeny._walked.cache_info().misses == misses + 1
 
 
 def fp2_add(E, P, Q):

@@ -16,10 +16,17 @@ from adaptorsig.relation import gen_r
 from adaptorsig.swap import demo_swap
 
 
+def psi_prime(stmt, bits, ps):
+    """psi' as presign builds it: the oriented kernel of the choice vector
+    on E_w, the chain the prover takes."""
+    ew, wB, _ = stmt
+    return isogeny_from_kernel(ew, oriented_kernel(wB, bits), ps.B)
+
+
 def make_statement(ps, rng):
     w, s = gen_r(ps, rng)
     bits = [rng.randrange(1, 3) for _ in range(ps.t)]
-    psip = isogeny_from_kernel(s.ew, oriented_kernel(s.oriented_image, bits), ps.B)
+    psip = psi_prime((s.ew, s.oriented_image, None), bits, ps)
     return (s.ew, s.oriented_image, psip.codomain), bits
 
 
@@ -28,7 +35,7 @@ def test_completeness_100_of_100(t0):
     good = 0
     for _ in range(100):
         stmt, bits = make_statement(t0, rng)
-        proof = prove_parallel(stmt, bits, t0, rng)
+        proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
         good += verify_parallel(stmt, proof, t0)
     assert good == 100
 
@@ -36,7 +43,7 @@ def test_completeness_100_of_100(t0):
 def test_round_count(t1):
     rng = random.Random(18)
     stmt, bits = make_statement(t1, rng)
-    proof = prove_parallel(stmt, bits, t1, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t1), t1, rng)
     assert len(proof.rounds) == t1.nizk_rounds == 24
 
 
@@ -45,12 +52,14 @@ def test_wrong_witness_bits_rejected_at_prove_time(t0):
     stmt, bits = make_statement(t0, rng)
     wrong = [3 - b for b in bits]
     with pytest.raises(WitnessMismatch):
-        prove_parallel(stmt, wrong, t0, rng)
+        prove_parallel(stmt, psi_prime(stmt, wrong, t0), t0, rng)
 
 
 def count_chain_degrees(monkeypatch):
     """A Counter of the degrees that isogeny_from_kernel is called with, from
-    every module that builds chains, while monkeypatch holds."""
+    every module that builds chains, while monkeypatch holds.  The walks of
+    isogeny.kernel_codomain count, and the codomains its memo returns do
+    not; the memo starts each test empty (conftest)."""
     degrees = Counter()
     build = isogeny.isogeny_from_kernel
 
@@ -58,22 +67,24 @@ def count_chain_degrees(monkeypatch):
         degrees[degree] += 1
         return build(E, gens, degree)
 
-    for module in (isogeny, sig, nizk, adaptor, relation):
+    for module in (isogeny, sig, adaptor, relation):
         monkeypatch.setattr(module, "isogeny_from_kernel", counted)
     return degrees
 
 
 def test_prover_builds_two_chains_per_round(t0, monkeypatch):
-    """psi' once, then per round the mask from E_w (degree A) and the
-    parallel isogeny from its codomain (degree B), whose codomain is F'.  No
-    round walks the mask a second time on E1: the tag-0 reveal there is
-    psi' of the mask's kernel generator."""
+    """Per round the mask from E_w (degree A) and the parallel isogeny from
+    its codomain (degree B), whose codomain is F', and nothing else: psi'
+    comes in built, as presign hands it over.  No round walks the mask a
+    second time on E1: the tag-0 reveal there is psi' of the mask's kernel
+    generator."""
     rng = random.Random(26)
     stmt, bits = make_statement(t0, rng)
+    psip = psi_prime(stmt, bits, t0)
     degrees = count_chain_degrees(monkeypatch)
-    proof = prove_parallel(stmt, bits, t0, rng)
-    assert sum(degrees.values()) == 2 * t0.nizk_rounds + 1 == 49
-    assert degrees == {t0.A: t0.nizk_rounds, t0.B: t0.nizk_rounds + 1}
+    proof = prove_parallel(stmt, psip, t0, rng)
+    assert sum(degrees.values()) == 2 * t0.nizk_rounds == 48
+    assert degrees == {t0.A: t0.nizk_rounds, t0.B: t0.nizk_rounds}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
 
@@ -92,7 +103,7 @@ def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
         return evaluate(chain, P)
 
     monkeypatch.setattr(isogeny.IsogenyChain, "evaluate", counted)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     zeros = sum(r.tag == 0 for r in proof.rounds)
     assert 0 < zeros < t0.nizk_rounds
     assert len(pushed) == zeros
@@ -102,12 +113,16 @@ def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
 
 def test_swap_chain_count(t0, monkeypatch):
     """Chains built by one T0 swap, by degree.  Each round of the swap's two
-    proofs builds one mask (degree A) and one parallel isogeny (degree B);
-    walking the mask again on E1 would show as 48 more degree-A chains and
-    48 fewer degree-B ones."""
+    proofs builds one mask (degree A, 48) and one parallel isogeny (degree
+    B), but a round that repeats an earlier mask reads F' from the walk
+    memo (45 parallel isogenies for 45 distinct masks).  The check that
+    follows each proof reads every corner the prover walked from the memo,
+    and walks only the tag-0 masks on E1, which no prover walks (25 for 26
+    tag-0 rounds).  The other degree-B chains are the two keys and presign's
+    psi and psi'."""
     degrees = count_chain_degrees(monkeypatch)
     assert demo_swap(t0, 1)["verdict"] is True
-    assert degrees == {t0.C: 11, t0.B: 78, t0.A: 100}
+    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 73}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])
@@ -144,7 +159,7 @@ def test_twisted_second_corner(t0):
     only and a Vélu step commutes with the twist."""
     rng = random.Random(27)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     i = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
     r = proof.rounds[i]
     u = Fp2(t0.p, 2, 1)
@@ -169,7 +184,7 @@ def test_twisted_second_corner(t0):
 def test_corner_substitution_rejected(t0):
     rng = random.Random(20)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     bad = copy.deepcopy(proof)
     r0, r1 = bad.rounds[0], bad.rounds[1]
     bad.rounds[0] = NizkRound(r1.f, r0.fp, r0.tag, r0.reveal)
@@ -179,7 +194,7 @@ def test_corner_substitution_rejected(t0):
 def test_shuffled_rounds_rejected(t0):
     rng = random.Random(21)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     shuffled = NizkProof(list(reversed(proof.rounds)))
     assert not verify_parallel(stmt, shuffled, t0)
 
@@ -187,7 +202,7 @@ def test_shuffled_rounds_rejected(t0):
 def test_wrong_commitment_curve_rejected(t0):
     rng = random.Random(22)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     # replace E1 by a curve from an unrelated run
     stmt2, _ = make_statement(t0, random.Random(23))
     forged = (stmt[0], stmt[1], stmt2[2])
@@ -199,14 +214,14 @@ def test_wrong_commitment_curve_rejected(t0):
 def test_truncated_proof_rejected(t0):
     rng = random.Random(24)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     assert not verify_parallel(stmt, NizkProof(proof.rounds[:-1]), t0)
 
 
 def test_malformed_reveal_is_an_error_not_a_rejection(t0):
     rng = random.Random(24)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     i = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
     r = proof.rounds[i]
     proof.rounds[i] = NizkRound(r.f, r.fp, r.tag, None)
@@ -214,16 +229,38 @@ def test_malformed_reveal_is_an_error_not_a_rejection(t0):
         verify_parallel(stmt, proof, t0)
 
 
+def other_mask(ps, E, K):
+    """A kernel point of order A on E whose quotient is not the one of <K>."""
+    U, V = canonical_torsion_basis(E, ps.A, ps.group_order)
+    target = isogeny_from_kernel(E, [K], ps.A).codomain
+    return next(
+        G for G in (U, V, E.add(U, V))
+        if isogeny_from_kernel(E, [G], ps.A).codomain != target
+    )
+
+
+def other_parallel(ps, r):
+    """Generators of a degree-B kernel on a tag-1 round's F whose quotient
+    is not F' up to isomorphism."""
+    F, n = r.f, ps.group_order
+    U5, V5 = canonical_torsion_basis(F, 5, n)
+    U7, V7 = canonical_torsion_basis(F, 7, n)
+    return next(
+        gens
+        for gens in ((U5, U7), (V5, V7), (F.add(U5, V5), F.add(U7, V7)))
+        if isogeny_from_kernel(F, list(gens), ps.B).codomain.j_invariant()
+        != r.fp.j_invariant()
+    )
+
+
 def test_every_rejection_tag_is_reached(t0):
     rng = random.Random(25)
     stmt, bits = make_statement(t0, rng)
-    proof = prove_parallel(stmt, bits, t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
     ew, _, e1 = stmt
-    n = t0.group_order
     i0 = next(i for i, r in enumerate(proof.rounds) if r.tag == 0)
     i1 = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
     km, kmp = proof.rounds[i0].reveal
-    r1 = proof.rounds[i1]
 
     def tags(proof):
         reasons = []
@@ -235,32 +272,108 @@ def test_every_rejection_tag_is_reached(t0):
         rounds[i] = dataclasses.replace(rounds[i], **changes)
         return NizkProof(rounds)
 
-    def other_mask(E, K):
-        # a kernel point of order A whose quotient is not the one of <K>
-        U, V = canonical_torsion_basis(E, t0.A, n)
-        target = isogeny_from_kernel(E, [K], t0.A).codomain
-        return next(
-            G for G in (U, V, E.add(U, V))
-            if isogeny_from_kernel(E, [G], t0.A).codomain != target
-        )
-
-    F = r1.f
-    U5, V5 = canonical_torsion_basis(F, 5, n)
-    U7, V7 = canonical_torsion_basis(F, 7, n)
-    other_parallel = next(
-        gens
-        for gens in ((U5, U7), (V5, V7), (F.add(U5, V5), F.add(U7, V7)))
-        if isogeny_from_kernel(F, list(gens), t0.B).codomain.j_invariant()
-        != r1.fp.j_invariant()
-    )
-
     reasons = []
     assert verify_parallel(stmt, proof, t0, reasons) and reasons == []
     assert tags(NizkProof(proof.rounds[:-1])) == ["nizk:rounds"]
     assert tags(with_round(i0, tag=1)) == ["nizk:challenge"]
-    assert tags(with_round(i0, reveal=(other_mask(ew, km), kmp))) == ["nizk:mask"]
-    assert tags(with_round(i0, reveal=(km, other_mask(e1, kmp)))) == [
+    assert tags(with_round(i0, reveal=(other_mask(t0, ew, km), kmp))) == ["nizk:mask"]
+    assert tags(with_round(i0, reveal=(km, other_mask(t0, e1, kmp)))) == [
         "nizk:mask-commitment"
     ]
-    assert tags(with_round(i1, reveal=other_parallel)) == ["nizk:parallel"]
+    assert tags(with_round(i1, reveal=other_parallel(t0, proof.rounds[i1]))) == [
+        "nizk:parallel"
+    ]
     assert tags(with_round(i0, reveal=(ew.mul(2, km), kmp))) == ["nizk:kernel"]
+
+
+def tampered_proofs(ps, stmt, proof):
+    """Every tampering of an honest proof that this file checks, as
+    (what, statement, proof, tag) with the tag the check gives: the first
+    tag-0 and tag-1 rounds are the ones changed, u twists a curve to another
+    model of it, and a malformed reveal is a TypeError, not a tag."""
+    ew, _, e1 = stmt
+    i0 = next(i for i, r in enumerate(proof.rounds) if r.tag == 0)
+    i1 = next(i for i, r in enumerate(proof.rounds) if r.tag == 1)
+    r0, r1 = proof.rounds[i0], proof.rounds[i1]
+    km, kmp = r0.reveal
+    u = Fp2(ps.p, 2, 1)
+
+    def with_round(i, **changes):
+        rounds = list(proof.rounds)
+        rounds[i] = dataclasses.replace(rounds[i], **changes)
+        return NizkProof(rounds)
+
+    other_e1 = next(
+        E for seed in range(23, 99) if (E := make_statement(ps, random.Random(seed))[0][2]) != e1
+    )
+    proofs = [
+        ("honest", proof, None),
+        ("truncated", NizkProof(proof.rounds[:-1]), "nizk:rounds"),
+        ("shuffled", NizkProof(list(reversed(proof.rounds))), "nizk:challenge"),
+        # round 0's new challenge bit is its tag, 1, and its reveal is off F
+        ("substituted corner", with_round(0, f=proof.rounds[1].f), "nizk:kernel"),
+        ("flipped tag", with_round(i0, tag=1), "nizk:challenge"),
+        ("other mask", with_round(i0, reveal=(other_mask(ps, ew, km), kmp)), "nizk:mask"),
+        # the mask reveal lands on F, an isomorphic model of the claimed F
+        ("twisted F, tag 0", with_round(i0, f=twist_curve(r0.f, u)), "nizk:mask"),
+        (
+            "other mask on E1",
+            with_round(i0, reveal=(km, other_mask(ps, e1, kmp))),
+            "nizk:mask-commitment",
+        ),
+        ("twisted F', tag 0", with_round(i0, fp=twist_curve(r0.fp, u)), "nizk:mask-commitment"),
+        ("other parallel", with_round(i1, reveal=other_parallel(ps, r1)), "nizk:parallel"),
+        ("twisted F', tag 1", with_round(i1, fp=twist_curve(r1.fp, u)), "nizk:parallel"),
+        (
+            "twisted tag-1 round",
+            with_round(
+                i1,
+                f=twist_curve(r1.f, u),
+                fp=twist_curve(r1.fp, u),
+                reveal=tuple(twist_point(P, u) for P in r1.reveal),
+            ),
+            None,
+        ),
+        ("doubled mask kernel", with_round(i0, reveal=(ew.mul(2, km), kmp)), "nizk:kernel"),
+        ("malformed reveal", with_round(i1, reveal=None), TypeError),
+    ]
+    cases = [(what, stmt, p, tag) for what, p, tag in proofs]
+    return cases + [("other commitment curve", (ew, stmt[1], other_e1), proof, "nizk:challenge")]
+
+
+def rejection(stmt, proof, ps):
+    """proof_rejection's tag, or the type of the error it raises."""
+    try:
+        return nizk.proof_rejection(stmt, proof, ps)
+    except TypeError as exc:
+        return type(exc)
+
+
+def test_warm_walk_memo_keeps_every_tag(t0):
+    """Every tampered proof gets the tag a fresh process gives it, also
+    right after an honest prove of the same statement in this process has
+    filled isogeny.kernel_codomain's memo with the prover's corners: the memo
+    keys the whole walk input, so a tampered corner or reveal is walked."""
+    rng = random.Random(25)
+    stmt, bits = make_statement(t0, rng)
+    psip = psi_prime(stmt, bits, t0)
+    proof = prove_parallel(stmt, psip, t0, random.Random(29))
+    for what, s, p, tag in tampered_proofs(t0, stmt, proof):
+        isogeny._walked.cache_clear()
+        cold = rejection(s, p, t0)
+        assert prove_parallel(stmt, psip, t0, random.Random(29)) == proof
+        assert (what, rejection(s, p, t0)) == (what, cold) == (what, tag)
+
+
+def test_check_after_its_proof_walks_only_the_tag_0_masks_on_e1(t0, monkeypatch):
+    """A check right after its proof in one process reads every corner the
+    prover walked from the memo: the masks from E_w and the parallel
+    isogenies.  It walks one degree-A chain per distinct tag-0 round, the
+    mask on E1, which no prover walks, and no degree-B chain."""
+    rng = random.Random(26)
+    stmt, bits = make_statement(t0, rng)
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
+    tag_0 = {(r.f, r.fp) for r in proof.rounds if r.tag == 0}
+    degrees = count_chain_degrees(monkeypatch)
+    assert verify_parallel(stmt, proof, t0)
+    assert degrees == {t0.A: len(tag_0)}
