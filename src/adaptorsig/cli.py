@@ -22,6 +22,8 @@ from .swap import demo_swap
 #: strict-mode results rest on exhaustive recovery at toy sizes, not on the
 #: full-scale verification machinery
 TOY_VERIFIED_NOTE = "toy-verified: desk-scale exhaustive recovery, not a full-scale verifier"
+#: light mode checks shapes, the canonical basis and the pairing law only
+LIGHT_NOTE = "light: necessary conditions only, not a certificate; a forgery can pass"
 
 
 def _write(path, doc):
@@ -51,6 +53,14 @@ def _load_statement(doc, ps):
 
 def _message(args) -> bytes:
     return args.message.encode()
+
+
+def _mode(args) -> dict:
+    """verify and preverify run strict unless --light is given: the mode and
+    what its verdict means, for the printed result."""
+    if args.light:
+        return {"mode": "light", "light_note": LIGHT_NOTE}
+    return {"mode": "strict", "strict_note": TOY_VERIFIED_NOTE}
 
 
 def cmd_params(args):
@@ -115,11 +125,9 @@ def cmd_preverify(args):
     s = _load_statement(_read_doc(args.statement), ps)
     pre = serial.parse_presig(_read_doc(args.presignature), ps, s)
     reasons = []
-    mode = "strict" if args.strict else "light"
-    ok = preverify(pk, _message(args), s, pre, mode, ps, reasons)
-    out = {"ok": ok, "mode": mode, "failed_checks": reasons}
-    if args.strict:
-        out["strict_note"] = TOY_VERIFIED_NOTE
+    mode = _mode(args)
+    ok = preverify(pk, _message(args), s, pre, mode["mode"], ps, reasons)
+    out = {"ok": ok, "failed_checks": reasons, **mode}
     print(json.dumps(out, sort_keys=True))
     return 0 if ok else 1
 
@@ -170,12 +178,10 @@ def cmd_verify(args):
     pk = serial.parse_pk(_read_doc(args.key), ps)
     sig = serial.parse_signature(_read_doc(args.signature), ps)
     reasons = []
-    mode = "strict" if args.strict else "light"
-    ok = verify(pk, _message(args), sig, mode, ps, reasons)
+    mode = _mode(args)
+    ok = verify(pk, _message(args), sig, mode["mode"], ps, reasons)
     report = size_report(serial.encode(serial.signature_doc(sig)), sig, ps)
-    out = {"ok": ok, "mode": mode, "failed_checks": reasons, "size_report": report}
-    if args.strict:
-        out["strict_note"] = TOY_VERIFIED_NOTE
+    out = {"ok": ok, "failed_checks": reasons, "size_report": report, **mode}
     print(json.dumps(out, sort_keys=True))
     return 0 if ok else 1
 
@@ -221,6 +227,12 @@ def size_report(encoded: bytes, sig, ps) -> dict:
     }
 
 
+def _add_mode(p):
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--strict", action="store_true", help="the default: certify by recovery")
+    mode.add_argument("--light", action="store_true", help="necessary conditions only")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="adaptorsig",
@@ -264,7 +276,7 @@ def build_parser():
     p.add_argument("--key", required=True)
     p.add_argument("--statement", required=True)
     p.add_argument("--message", required=True)
-    p.add_argument("--strict", action="store_true")
+    _add_mode(p)
     p.add_argument("presignature")
 
     p = add("adapt", cmd_adapt, help="complete a pre-signature with a witness")
@@ -292,7 +304,7 @@ def build_parser():
     p.add_argument("--params", required=True)
     p.add_argument("--key", required=True)
     p.add_argument("--message", required=True)
-    p.add_argument("--strict", action="store_true")
+    _add_mode(p)
     p.add_argument("signature")
 
     p = add("demo-swap", cmd_demo_swap, help="run the two-party atomic swap")

@@ -7,7 +7,8 @@ Two tools stand in for the heavy machinery a full-scale verifier would use:
   are read from a table of the ell^2 points of E[ell];
 * find_isogeny finds a chain of a given degree matching a set of torsion
   images by a meet-in-the-middle search over kernel-subgroup candidates,
-  an existence certificate for strict verification; recover_isogeny adds
+  an existence certificate for strict verification, which hands it the
+  challenge the response must end with; recover_isogeny adds
   the precondition that makes the chain unique, 4*degree < order^2 and
   gcd(degree, order) = 1, for extraction.
 
@@ -18,7 +19,8 @@ dual) and a cyclic part walked without backtracking, giving the closed
 candidate count sum(ell^i, i=0..e) per prime power.  The search meets in
 the middle on j-invariants (the claw search of Jao and De Feo, PQCrypto
 2011, used here as a verifier); find_isogeny says how its halves are
-walked, what the images pin (_pin) and which branch a challenge names.
+walked, and how a challenge phi handed to it becomes the fixed start of
+every backward half, so that only the part before phi is searched.
 """
 
 import itertools
@@ -37,6 +39,7 @@ from .curve import (
     _outside,
     _scale,
     _span,
+    canonical_torsion_basis,
     factorize,
     isomorphisms,
     small_torsion_basis,
@@ -281,16 +284,13 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def _candidates(E: Curve, degree: int, steps=(), ahead=None):
+def _candidates(E: Curve, degree: int, steps=()):
     """iter_kernel_candidates with the last step left lazy and no images:
     yields lazy candidates (steps, node, leaf, loose) as _walks does.  Only
     the last prime power's leaves stay lazy; an earlier prime's walk goes
     on from its leaf's codomain, so that leaf is finished.  Every
     candidate goes on from the given steps, which end on E (find_isogeny's
-    pinned prefix, see _pin), as rec's own steps do.  With `ahead`, a list
-    of j-invariants (_js), the first of several prime powers has all its
-    candidates finished before any goes on, and those whose steps land on
-    ahead's curves go on first."""
+    prefix, see _prefix), as rec's own steps do."""
     fac = sorted(factorize(degree).items())
     steps = list(steps)
 
@@ -300,11 +300,9 @@ def _candidates(E: Curve, degree: int, steps=(), ahead=None):
         if idx + 1 == len(fac):
             yield from cands
             return
-        done = (_finish(cand) + (cand[-1],) for cand in cands)
-        if idx == 0 and ahead:
-            done = sorted(done, key=lambda c: _js(s.codomain for s in c[0]) != ahead)
-        for steps, node, loose in done:
-            yield from rec(node, idx + 1, steps, loose)
+        for cand in cands:
+            steps, node = _finish(cand)
+            yield from rec(node, idx + 1, steps, cand[-1])
 
     if not fac:
         yield steps, E, None, ()
@@ -331,64 +329,64 @@ def iter_kernel_candidates(E: Curve, degree: int, U, V):
         yield steps, cur, imgU, imgV
 
 
-def _split(degree: int):
-    """(d1, d2) with degree = d1*d2, gcd(d1, d2) = 1 and d1 > 1.
+def _split(degree: int, prefix: int = 1):
+    """(d1, d2) with degree = d1*d2, gcd(d1, d2) = 1, prefix | d2 and
+    d1*prefix > 1.
 
-    The split has the fewest candidates over both halves, and d1 is the
-    half with fewer candidates; a prime power gives (degree, 1).
+    The split builds the fewest halves, count(d1) + count(d2/prefix), the
+    backward half being the degree-(d2/prefix) kernels after a fixed walk
+    of degree prefix; ties go to the fewest candidates over both halves,
+    then to the d1 with fewer candidates.  With prefix 1 a prime power
+    gives (degree, 1).
     """
     parts = [ell**e for ell, e in factorize(degree).items()]
     splits = [
         (math.prod(sub), degree // math.prod(sub))
-        for r in range(1, len(parts) + 1)
+        for r in range(len(parts) + 1)
         for sub in itertools.combinations(parts, r)
     ]
     count = count_kernel_candidates
-    return min(splits, key=lambda s: (count(s[0]) + count(s[1]), count(s[0])))
+    return min(
+        (s for s in splits if s[1] % prefix == 0 and s[0] * prefix > 1),
+        key=lambda s: (
+            count(s[0]) + count(s[1] // prefix),
+            count(s[0]) + count(s[1]),
+            count(s[0]),
+        ),
+    )
 
 
-def _pin(rep: EfficientRep, d2: int) -> IsogenyChain:
-    """The steps out of rep.codomain that every backward candidate of
-    degree d2 starts with, read off the images.
+def _prefix(phi: IsogenyChain) -> IsogenyChain:
+    """The walk of ker phi_hat out of phi.codomain, each step on the
+    canonical generator of its kernel (_canonical_gen), so with no twist.
 
-    Take ell | gcd(d2, N), N the basis order, and ell^m with m the smaller
-    of v_ell(d2) = v_ell(d) and v_ell(N).  Any phi of degree d with the
-    images maps the basis times N/ell^m, a basis of E[ell^m], to the images
-    times N/ell^m, so these generate H = phi(E[ell^m]), and the dual of phi
-    kills H, as [d]E[ell^m] = O.  Its degree-d2 part, the dual of a
-    backward candidate, kills H as well: the kernel of every backward
-    candidate that can match contains H.  Where H is nontrivial and
-    cyclic, the chain walks it, each step on the canonical generator of
-    its kernel (_canonical_gen), and the degree-d2 kernels that contain H
-    are exactly the degree-(d2/|H|) kernels out of the chain's codomain.
-    Where H is trivial or not cyclic, or the images times N/ell^m are not
-    ell^m-torsion, ell is enumerated in full.
+    For phi cyclic of degree D, ker phi_hat = phi(pk[D]) (pk = phi.domain)
+    is cyclic of order D, generated by the image of whichever point of pk's
+    canonical D-basis has the larger order there.  The walk ends on a curve
+    isomorphic to pk, and its exact dual is phi up to that isomorphism.
     """
-    E2, N = rep.codomain, rep.order
-    fac = factorize(N)
+    pk, E2, D = phi.domain, phi.codomain, phi.degree
+    R, n = None, 1
+    for T in canonical_torsion_basis(pk, D, pk.p + 1):
+        X = _coords(T)
+        for s in phi.steps:
+            X = s.image(X)
+        m = _order(E2, X, D)
+        if m > n:
+            R, n = X, m
     steps, cur = [], E2
-    for ell, e in sorted(factorize(d2).items()):
-        q = ell ** min(e, fac.get(ell, 0))
-        if q == 1:
-            continue
-        X, Y = (_scale(E2, N // q, _coords(T)) for T in rep.images)
-        nX, nY = _order(E2, X, q), _order(E2, Y, q)
-        if nX is None or nY is None:
-            continue
-        R, S, n = (X, Y, nX) if nX >= nY else (Y, X, nY)
-        if n == 1 or S not in _span(E2, R, n):
-            continue
-        for s in steps:
+    while n > 1:
+        ell = min(factorize(n))
+        n //= ell
+        s = Step(cur, _canonical_gen(cur, _scale(cur, n, R), ell), ell)
+        steps.append(s)
+        cur = s.codomain
+        if n > 1:
             R = s.image(R)
-        while n > 1:
-            n //= ell
-            s = Step(cur, _canonical_gen(cur, _scale(cur, n, R), ell), ell)
-            steps.append(s)
-            R, cur = s.image(R), s.codomain
     return IsogenyChain(E2, steps)
 
 
-def _match(rep: EfficientRep, prefer: IsogenyChain = None):
+def _match(rep: EfficientRep, phi: IsogenyChain = None):
     """find_isogeny's search up to its first verified match: (forward
     steps, their loose, backward steps, u), where the forward steps
     twisted by u, then the exact dual of the backward chain, map rep.basis
@@ -405,34 +403,22 @@ def _match(rep: EfficientRep, prefer: IsogenyChain = None):
         if E == E2 and U == T1 and V == T2:
             return [], (), [], None
         raise NotFound("images are not the identity's")
+    if phi is not None and (phi.codomain != E2 or d % phi.degree):
+        raise NotFound(f"no degree-{d} isogeny ends with the given one")
 
     t0 = time.perf_counter()
     total = count_kernel_candidates(d)
-    d1, d2 = _split(d)
-    pin = _pin(rep, d2)
-    rest = d2 // pin.degree
-    first, ahead = count_kernel_candidates(rest), None
-    fac = sorted(factorize(rest).items())
-    lead = fac[0][0] ** fac[0][1] if len(fac) > 1 else 0
-    if prefer is not None and pin.degree == 1 and lead == prefer.degree:
-        ahead = _js(s.domain for s in reversed(prefer.steps))
-        first //= count_kernel_candidates(prefer.degree)
-    backward = _candidates(pin.codomain, rest, pin.steps, ahead)
-    back, fwd = {}, {}  # j -> [(index, lazy candidate)]: first backward batch, forward half
-    for i, cand in enumerate(itertools.islice(backward, first)):
+    pre = IsogenyChain(E2, []) if phi is None else _prefix(phi)
+    d1, d2 = _split(d, pre.degree)
+    back = {}  # j -> [(index, lazy candidate)] of the backward half
+    for i, cand in enumerate(_candidates(pre.codomain, d2 // pre.degree, pre.steps)):
         back.setdefault(_leaf_j(cand), []).append((i, cand))
-    n = [0, first]  # forward halves tried, backward halves built
+    n = [0, i + 1]  # forward halves tried, backward halves built
 
     def pairs():  # each j-matching (forward, backward) pair of (index, lazy candidate) once
         for cand in _candidates(E, d1):
             n[0] += 1
-            j = _leaf_j(cand)
-            if ahead:
-                fwd.setdefault(j, []).append((n[0], cand))
-            yield from (((n[0], cand), b) for b in back.get(j, ()))
-        for cand in backward:
-            n[1] += 1
-            yield from ((f, (n[1], cand)) for f in fwd.get(_leaf_j(cand), ()))
+            yield from (((n[0], cand), b) for b in back.get(_leaf_j(cand), ()))
 
     fins, duals = {}, {}  # index -> forward chain, images of rep.basis / backward, exact dual
     for (f, fcand), (b, bcand) in pairs():
@@ -469,45 +455,48 @@ def _match(rep: EfficientRep, prefer: IsogenyChain = None):
     raise NotFound(f"no degree-{d} isogeny matches the images ({total} candidates)")
 
 
-def isogeny_exists(rep: EfficientRep, prefer: IsogenyChain = None) -> bool:
-    """Whether find_isogeny(rep, prefer) returns a chain, with the same
-    search and log line: the verdict stops at the match (_match) and builds
-    no chain, so a strict check builds only what it reads."""
+def isogeny_exists(rep: EfficientRep, phi: IsogenyChain = None) -> bool:
+    """Whether find_isogeny(rep, phi) returns a chain, with the same search
+    and log line: the verdict stops at the match (_match) and builds no
+    chain, so a strict check builds only what it reads."""
     try:
-        _match(rep, prefer)
+        _match(rep, phi)
     except NotFound:
         return False
     return True
 
 
-def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain:
-    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
+def find_isogeny(rep: EfficientRep, phi: IsogenyChain = None) -> IsogenyChain:
+    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images,
+    and, given phi, one that ends with phi (up to an isomorphism before it).
 
     An existence certificate: the search stops at the first match and needs
     no uniqueness, since any such isogeny is what the representation claims.
-    It meets in the middle over all kernel-subgroup candidates, with the
-    degree split as d = d1*d2 into coprime halves (_split).  The backward
-    half, the degree-d2 isogenies out of rep.codomain after the steps _pin
-    reads off the images, is indexed by the j-invariant of its codomains;
-    the forward half walks the degree-d1 candidates from rep.domain.  A
-    degree-d isogeny is phi2 o phi1 with ker phi1 the d1-part of its
-    kernel, and the dual of phi2 is, up to an isomorphism u, one backward
-    candidate beta.  So the join tries every j-match and every u: rep.basis
-    goes through the forward steps, and its twisted images through the
-    exact dual of beta (_hat) must equal rep.images.
+    It meets in the middle over kernel-subgroup candidates, with the degree
+    split as d = d1*d2 into coprime halves (_split).  The backward half,
+    the degree-d2 isogenies out of rep.codomain, is indexed by the
+    j-invariant of its codomains; the forward half walks the degree-d1
+    candidates from rep.domain.  A degree-d isogeny is phi2 o phi1 with ker
+    phi1 the d1-part of its kernel, and the dual of phi2 is, up to an
+    isomorphism u, one backward candidate beta.  So the join tries every
+    j-match and every u: rep.basis goes through the forward steps, and its
+    twisted images through the exact dual of beta (_hat) must equal
+    rep.images.
 
-    prefer, a chain that ends on rep.codomain (a plain response's challenge
-    walk), names the branch an honest response takes.  Where nothing is
-    pinned and prefer's degree is the first of several prime powers of d2,
-    the backward candidates that start on prefer's curves, last to first,
-    are built first, and the forward half is walked once and kept by j.
-    The other backward candidates are built only if nothing matched, each
-    looked up there, so the search stays exhaustive.  At T0, T1 and T2 an
-    honest plain response builds 31 backward and at most 57 forward halves,
-    and a forgery 181, 460 and 1 297; a pre-signature, its 3^c-part pinned,
-    builds 88 (for 7 068, 22 971 and 70 680 candidates), an adapted one 181,
-    1 888 and 2 860.  The log line counts tried forward halves times all
-    degree-d2 kernels, and the halves built.
+    phi, a chain of degree D that ends on rep.codomain (a response's
+    challenge walk), restricts the search to the isogenies phi o tau: every
+    backward candidate starts with the walk of ker phi_hat (_prefix), whose
+    exact dual is phi after an isomorphism, and goes on with the
+    degree-(d2/D) kernels out of where that walk lands, so only tau is
+    searched.  The split then puts D in d2 and minimizes the halves built.
+    The match test is unchanged: the whole basis must reach the images.  At
+    T0, T1 and T2 a plain response or a pre-signature (degree
+    3^c*5^2*7^2) builds 31 backward and at most 57 forward halves, honest
+    or forged; an adapted one (3^(2c)*5^2*7^2) builds at most 181, 460 and
+    1 297.  Without phi a plain response builds 181, 460 and 1 297 halves,
+    for 7 068, 22 971 and 70 680 candidates.  The log line counts tried
+    forward halves times all degree-d2 kernels, of the full walk's
+    candidates, and the halves built.
 
     A half costs the walk to its last node and the j-invariant of its leaf's
     codomain (_leaf_j).  Leaves are built, the basis pushed and backward
@@ -520,7 +509,7 @@ def find_isogeny(rep: EfficientRep, prefer: IsogenyChain = None) -> IsogenyChain
     rep.codomain with rep.images exactly.  Raises NotFound when no
     candidate matches (a forgery signal).
     """
-    steps, loose, bsteps, u = _match(rep, prefer)
+    steps, loose, bsteps, u = _match(rep, phi)
     if rep.degree == 1:
         return IsogenyChain.identity(rep.domain)
     steps = _canonical(steps, loose)

@@ -289,32 +289,39 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
                 raise BadKernel("generator order does not divide the degree") from None
             raise
         chain = IsogenyChain(E, steps, list(gens))
-    _walked(E, tuple(gens), degree)[:] = [chain.codomain]
     return chain
 
 
-@functools.lru_cache(maxsize=64)
-def _walked(E: Curve, gens: tuple, degree: int) -> list:
-    """The slot of one walk's codomain: empty until isogeny_from_kernel
-    returns the chain of (E, gens, degree), then [its codomain].
+#: the walks remember_walk recorded, (domain, kernel generators, degree) ->
+#: codomain, oldest first; at most _WALKS_KEPT of them
+_WALKS = {}
+_WALKS_KEPT = 64
+
+
+def remember_walk(E: Curve, gens, degree: int, codomain: Curve):
+    """Record codomain, that of isogeny_from_kernel(E, gens, degree), for
+    kernel_codomain.
 
     The key is the walk's whole input, so a recorded codomain is the one a
-    fresh walk gives.  A walk that raises fills nothing: the slot that
-    kernel_codomain asked for stays empty, and the next ask walks again.
-    The slots hold codomains, not chains, and 64 of them cover a proof's
-    corners (two per round, 48 at 24 rounds) and psi' with room to spare,
-    so the check that follows a proof in the same process finds every
-    corner the prover walked.
+    fresh walk gives.  Only a prover records (nizk.prove_parallel: its masks
+    and F'), so a check that follows its proof in one process reads those
+    corners, and a process that only checks keeps nothing.  The oldest
+    record goes first; 64 cover a proof's corners (two per round, 48 at 24
+    rounds) with room to spare.
     """
-    return []
+    key = (E, tuple(gens), degree)
+    _WALKS.pop(key, None)
+    _WALKS[key] = codomain
+    if len(_WALKS) > _WALKS_KEPT:
+        del _WALKS[next(iter(_WALKS))]
 
 
 def kernel_codomain(E: Curve, gens, degree: int) -> Curve:
-    """isogeny_from_kernel(E, gens, degree).codomain, walked only when this
-    process has not returned that chain lately (_walked); raises as the
+    """isogeny_from_kernel(E, gens, degree).codomain, read from the walks
+    remember_walk recorded, else walked and not recorded; raises as the
     walk does."""
-    slot = _walked(E, tuple(gens), degree)
-    return slot[0] if slot else isogeny_from_kernel(E, gens, degree).codomain
+    found = _WALKS.get((E, tuple(gens), degree))
+    return found if found is not None else isogeny_from_kernel(E, gens, degree).codomain
 
 
 def _run(E: Curve, Q, ell: int, f: int, e: int, steps: list):

@@ -16,12 +16,13 @@ and never walks the mask a second time on E1, and the tag-1 check compares
 curves exactly.
 
 The prover takes psi' as the chain `presign` has built, not the choice
-vector, so it walks two chains per round and none before them.  Both
-sides read corners through `isogeny.kernel_codomain`, which remembers the
-codomain of every chain this process walked lately, keyed by the walk's
-whole input: a check right after its proof in one process (both parties
-of `swap.demo_swap`) walks only the tag-0 masks on E1, which no prover
-walks, and reaches every verdict a fresh process reaches.
+vector, so it walks two chains per round and none before them, and
+records both corners (`isogeny.remember_walk`), keyed by the walk's whole
+input.  The check reads corners through `isogeny.kernel_codomain`, which
+walks only what no prover recorded: a check right after its proof in one
+process (both parties of `swap.demo_swap`) walks only the tag-0 masks on
+E1, which no prover walks, and reaches every verdict a fresh process
+reaches.  A process that only checks records nothing.
 """
 
 import hashlib
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, kernel_codomain
+from .isogeny import IsogenyChain, kernel_codomain, remember_walk
 from .params import ParamSet
 from .sig import challenge_walk, mu
 
@@ -102,9 +103,11 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     for _ in range(ps.nizk_rounds):
         h = rng.randrange(1, mu(A) + 1)
         mask = challenge_walk(ew, h, A)
+        remember_walk(ew, mask.kernel_gens, A, mask.codomain)
         par = tuple(mask.evaluate(g) for g in gens)
         # F' from F on the B-side: the curve the mask pushed to e1 reaches
         fp = kernel_codomain(mask.codomain, par, ps.B)
+        remember_walk(mask.codomain, par, ps.B, fp)
         corners.append((mask.codomain, fp))
         kernels.append((mask.kernel_gens[0], par))
 

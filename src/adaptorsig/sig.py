@@ -4,8 +4,9 @@ explicit composition, and layered verification.
 The response isogeny is the literal composition (challenge) o (secret key)
 o (dual commitment), so its degree is the fixed composite B*D_tau*D_phi
 rather than a short random prime; that is all the adaptor layer consumes.
-Strict verification certifies every shape by finding an isogeny of the
-stated degree that maps the full basis to the torsion images.
+Strict verification certifies every shape by finding an isogeny phi o tau
+of the stated degree that maps the full basis to the torsion images, with
+phi the recomputed challenge walk and tau running to pk.
 """
 
 import hashlib
@@ -164,14 +165,14 @@ def response_rejection(
 
     The challenge walk phi is recomputed from (pk, j(e1), m); the response
     must run from `domain` to its codomain and pass `rep_rejection` with
-    `shapes`.  Strict mode then asks for a verdict: isogeny_exists runs
-    find_isogeny's search of the stated degree on the full basis and
-    returns at its first match, building none of the canonical chain that
+    `shapes`.  Strict mode then asks for a verdict: isogeny_exists(rep,
+    phi) searches for sigma = phi o tau, tau from `domain` to pk, of the
+    stated degree, that maps the full basis to the images, and returns at
+    its first match, building none of the canonical chain that
     find_isogeny and recover_isogeny return.  That needs no uniqueness, so
-    plain, pre- and adapted signatures take this one path.  An honest
-    response ends with phi, so the search is handed phi and builds the
-    branch through its dual first; the search stays exhaustive, so that
-    order changes no verdict.
+    plain, pre- and adapted signatures take this one path, and on an
+    AC-basis the match certifies the C-part images as well.  Every honest
+    response is phi o tau, so only tau, of degree d/D_phi, is searched.
     """
     try:
         phi = challenge(pk, e1, m, ps)

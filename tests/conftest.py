@@ -11,7 +11,7 @@ from adaptorsig.params import generate_params
 def cold_walk_memo():
     """Each test starts with isogeny.kernel_codomain's memo empty, so what it
     walks and counts does not depend on the tests that ran before it."""
-    isogeny._walked.cache_clear()
+    isogeny._WALKS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from adaptorsig import serial
-from adaptorsig.adaptor import AdaptedSignature
+from adaptorsig.adaptor import AdaptedSignature, PreSignature
 from adaptorsig.cli import main
 from adaptorsig.swap import demo_swap
 
@@ -118,11 +118,50 @@ def test_verify_and_size_report(workspace, capsys, forge, tmp_path):
     fake = tmp_path / "forged-sig.json"
     forged = AdaptedSignature(sig.e1, forge(sig.rep, ps))
     fake.write_bytes(serial.encode(serial.signature_doc(forged)))
-    code, out = run_verify(fake)
+    code, out = run_verify(fake, "--light")
     assert code == 0
+    assert out["mode"] == "light" and "not a certificate" in out["light_note"]
+    code, out = run_verify(fake)
+    assert code == 1
+    assert out["ok"] is False and out["failed_checks"] == ["rep:recovery"]
+    assert out["mode"] == "strict" and "light_note" not in out
     code, out = run_verify(fake, "--strict")
     assert code == 1
     assert out["ok"] is False and out["failed_checks"] == ["rep:recovery"]
+
+
+def test_forged_presignature_fails_preverify_by_default(workspace, capsys, forge, tmp_path):
+    """preverify runs strict unless --light is given: a forged pre-signature
+    that passes every light check exits 1 by default and with --strict,
+    and 0 only with --light, whose output says it is not a certificate."""
+    ps = serial.parse_params(serial.loads(workspace["params"].read_bytes()))
+    s = serial.parse_statement(serial.loads(workspace["rel"].read_bytes())["statement"], ps)
+    pre = serial.parse_presig(serial.loads(workspace["presig"].read_bytes()), ps, s)
+    fake = tmp_path / "forged-presig.json"
+    forged = PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, ps))
+    fake.write_bytes(serial.encode(serial.presig_doc(forged)))
+
+    def run_preverify(*flags):
+        code = main(
+            [
+                "preverify",
+                "--params", str(workspace["params"]),
+                "--key", str(workspace["key"]),
+                "--statement", str(workspace["rel"]),
+                "--message", "swap leg",
+                *flags,
+                str(fake),
+            ]
+        )
+        return code, json.loads(capsys.readouterr().out)
+
+    for flags in ((), ("--strict",)):
+        code, out = run_preverify(*flags)
+        assert code == 1 and out["mode"] == "strict"
+        assert out["ok"] is False and out["failed_checks"] == ["rep:recovery"]
+    code, out = run_preverify("--light")
+    assert code == 0 and out["ok"] is True and out["mode"] == "light"
+    assert "not a certificate" in out["light_note"]
 
 
 def test_extract_roundtrip_and_bottom(workspace, capsys, tmp_path):

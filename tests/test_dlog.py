@@ -14,6 +14,7 @@ from adaptorsig.curve import (
     _point,
     canonical_torsion_basis,
     isomorphisms,
+    twist_curve,
     twist_point,
 )
 from adaptorsig.dlog import (
@@ -337,28 +338,31 @@ def test_split_search_tries_every_twist_at_j_1728(t0, name):
 
 
 def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplog, monkeypatch):
-    """A forged T0 response is ruled out against all 7 068 candidates of
-    degree 3^1*5^2*7^2 from 57 forward and 124 backward half-candidates.
+    """The search without the challenge, as find_isogeny(rep) runs it,
+    rules a forged T0 response out against all 7 068 candidates of degree
+    3^1*5^2*7^2 from 57 forward and 124 backward half-candidates (a strict
+    check, handed the challenge, builds 88: see
+    test_strict_checks_build_at_most_the_halves_of_their_split).
 
     The search pushes the basis through a forward candidate only at a
-    j-match, once per candidate, on ints through Step.image, so the strict
-    check (basis cache cleared) makes no Point-level Step.evaluate and 48
-    int-to-Point conversions, each a Point that is kept: a canonical basis,
-    the images of a j-matched forward candidate, their images through the
-    dual and the verifier's own few group operations.  Steps take their kernels
-    as ints, so no kernel is converted.  A walk
+    j-match, once per candidate, on ints through Step.image, so it (basis
+    cache cleared) makes no Point-level Step.evaluate and 40 int-to-Point
+    conversions, each a Point that is kept: a canonical basis, the images
+    of a j-matched forward candidate and their images through the dual.
+    Steps take their kernels as ints, so no kernel is converted.  A walk
     takes a step's dual kernel only where it goes on.  A node reached by a
     step lists its subgroups from its backtrack generator and one scan
     point, and a matched backward leaf's dual kernel is the leaf's image of
     that generator, so neither asks for a basis; nor does a matched
-    backward [5] block, its own dual: the check makes 46 _dual_kernel
-    calls, 57 small_torsion_basis requests and 48 conversions, where
+    backward [5] block, its own dual: the search makes 46 _dual_kernel
+    calls, 57 small_torsion_basis requests and 40 conversions.  Counted
+    around a strict verify that ran this search (48 conversions then),
     converting the images once per j-matching pair made 52, dualizing the
     block step by step 48, 59 and 54, and a canonical basis at every node
     52, 95 and 116."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
-    fake = PlainSignature(sig.e1, forge(sig.rep, t0))
+    fake = forge(sig.rep, t0)
     evaluations, points, duals, bases = [], [], [], []
     evaluate, point = Step.evaluate, curve._point
     dual_kernel, small_basis = isogeny._dual_kernel, curve.small_torsion_basis
@@ -372,28 +376,30 @@ def test_forged_response_covers_every_candidate_from_181_halves(t0, forge, caplo
         )
     canonical_torsion_basis.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
-        assert not verify(kp.pk, b"count", fake, "strict", t0)
+        assert not isogeny_exists(fake)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(evaluations), len(points)) == (0, 48)
+    assert (len(evaluations), len(points)) == (0, 40)
     assert (len(duals), len(bases)) == (46, 57)
 
 
 def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog, monkeypatch):
-    """The forged T0 strict check of the test above, counted by what it
-    builds.  A leaf, the last step of a walk, is compared by the j-invariant
+    """The search of the test above, without the challenge, counted by what
+    it builds.  A leaf, the last step of a walk, is compared by the j-invariant
     of its codomain alone: 56 forward and 120 backward leaves give 176
     j-invariants from Vélu's formula and no Step.  Only the leaves of the 8
     j-matching pairs, 6 forward and 4 backward, are built, each once, and
     only the 6 forward candidates push the basis through their steps: no
     walk carries images, and a leafless candidate's j comes from its ints.
     A matched backward [5] block is its own dual, so the join builds no
-    dual of its two steps.  So the check makes 70 Step constructions, 133
-    Step.image calls and 1 Curve.j_invariant call, where carrying the
-    images through every walk made 70, 201 and 6, dualizing the block 72,
-    204 and 6, and building every leaf 238, 536 and 182."""
+    dual of its two steps.  So the search makes 69 Step constructions, 133
+    Step.image calls and no Curve.j_invariant call.  Counted around a
+    strict verify that ran this search (70, 133 and 1 then, with the
+    challenge walk's step and its hash's j-invariant), carrying the images
+    through every walk made 70, 201 and 6, dualizing the block 72, 204 and
+    6, and building every leaf 238, 536 and 182."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
-    fake = PlainSignature(sig.e1, forge(sig.rep, t0))
+    fake = forge(sig.rep, t0)
     steps, images, js, leaves, pairs = [], [], [], [], []
     init, image, j_invariant = Step.__init__, Step.image, curve.Curve.j_invariant
     velu, isos = dlog._velu, dlog.isomorphisms
@@ -413,9 +419,9 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
     monkeypatch.setattr(dlog, "isomorphisms", lambda E, F: pairs.append(1) or isos(E, F))
     canonical_torsion_basis.cache_clear()
     with caplog.at_level(logging.DEBUG, logger="adaptorsig.dlog"):
-        assert not verify(kp.pk, b"count", fake, "strict", t0)
+        assert not isogeny_exists(fake)
     assert "exhausted 7068 candidates (181 halves built)" in caplog.text
-    assert (len(steps), len(images), len(js)) == (70, 133, 1)
+    assert (len(steps), len(images), len(js)) == (69, 133, 0)
     lazy = set(leaves)
     built_leaves = [key for key in steps if key in lazy]
     assert (len(leaves), len(pairs)) == (176, 8)
@@ -426,21 +432,24 @@ def test_forged_response_builds_a_leaf_step_only_on_a_j_match(t0, forge, caplog,
 
 def test_cold_strict_check_basis_misses(t0, forge):
     """Bases a cold T0 strict check computes (basis cache cleared): the
-    challenge walk's E[3] and the response's E[A], then E[ell] at the root
-    of each prime power's walks, one for the forward 7^2 half and one plus
-    four for the backward 3*5^2 half.  A node reached by a step completes
-    its backtrack generator with one scan point instead, and a matched
-    backward [5] block is its own dual, so the forged check computes no
-    other basis: 8 in all, where dualizing the block made 9 and a basis at
-    every node 40.  The honest check asks for a verdict and stops at its
-    match, on the challenge's backward branch: 5 in all, where building the
-    returned chain added the forward leaf's canonical generator and the
-    dual of the backward leaf."""
+    challenge walk's E[3] on pk and the response's E[A], then E[3] on the
+    codomain for the canonical generator of the walk of ker phi_hat, E[5]
+    where that walk lands, at the root of the backward 5^2 half, and E[7]
+    at the root of the forward 7^2 half.  A node reached by a step
+    completes its backtrack generator with one scan point instead, a
+    matched backward [5] block is its own dual, and the dual of the walk's
+    step reads the codomain's E[3] again, so a forged check computes no
+    other basis: 5 in all, where the search without the challenge made 8
+    (one E[3] and four E[5] for the backward 3*5^2 half), dualizing the
+    block 9 and a basis at every node 40.  The honest check asks for a
+    verdict and stops at its match: 5 in all, where building the returned
+    chain added the forward leaf's canonical generator and the dual of the
+    backward leaf."""
     kp = keygen(t0, random.Random(21))
     sig = sign(kp, b"count", t0, random.Random(22))
     canonical_torsion_basis.cache_clear()
     assert not verify(kp.pk, b"count", PlainSignature(sig.e1, forge(sig.rep, t0)), "strict", t0)
-    assert canonical_torsion_basis.cache_info().misses <= 8
+    assert canonical_torsion_basis.cache_info().misses <= 5
     canonical_torsion_basis.cache_clear()
     assert verify(kp.pk, b"count", sig, "strict", t0)
     assert canonical_torsion_basis.cache_info().misses <= 5
@@ -587,12 +596,13 @@ def _recovery_log(caplog, check):
     ("t0", "adapted", "exhausted 22971 candidates (181 halves built)"),
 ])
 def test_forged_ac_response_pins_the_backward_c_part(request, forge, caplog, profile, shape, line):
-    """A response's images on the AC-basis fix the C-part of the backward
-    half's kernel.  A pre-signature's backward 3^c*5^2 half is one pinned
-    3^c-walk and then 5^2: a forged check builds 57 forward and 31 backward
-    halves, where enumerating the 3^c-part built 124 and 403 backward
-    halves (181 and 460 in all).  An adapted T0 signature (degree
-    3^2*5^2*7^2) has its first backward 3-step pinned and enumerates 3*5^2
+    """A strict check hands the search the challenge phi, so the walk of
+    ker phi_hat, the 3^c-part of the backward half's kernel, is fixed
+    before anything is enumerated.  A pre-signature's backward 3^c*5^2
+    half is that walk and then 5^2: a forged check builds 57 forward and
+    31 backward halves, where enumerating the 3^c-part built 124 and 403
+    backward halves (181 and 460 in all).  An adapted T0 signature (degree
+    3^2*5^2*7^2) has its first backward 3-step fixed and enumerates 3*5^2
     from its codomain: 57 + 124 = 181 halves, not 460."""
     ps = request.getfixturevalue(profile)
     kp, w, s, m, pre = _session(ps, 5)
@@ -606,23 +616,29 @@ def test_forged_ac_response_pins_the_backward_c_part(request, forge, caplog, pro
     assert line in got
 
 
-def _chain_digest(rep):
-    return hashlib.sha256(serial.encode(serial.chain_doc(find_isogeny(rep)))).hexdigest()
+def _chain_digest(rep, phi=None):
+    return hashlib.sha256(serial.encode(serial.chain_doc(find_isogeny(rep, phi)))).hexdigest()
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2", "t0-adapted"])
-def test_pinned_search_returns_the_unpinned_chain(request, monkeypatch, profile):
-    """The oracle: with no prefix pinned, the search enumerates the whole
-    backward half and returns the same chain document."""
+def test_pinned_search_returns_the_unpinned_chain(request, profile):
+    """The oracle: handed the challenge walk, the search of a pre-signature
+    (and of an adapted signature at T0) splits the degree as the search
+    without it does and fixes the backward 3^c walk that it finds, so it
+    returns the same chain document."""
     ps = request.getfixturevalue(profile[:2])
-    reps = []
     for seed in (1, 2, 3):
         kp, w, s, m, pre = _session(ps, seed)
-        reps.append(adapt(pre, w, ps).rep if profile.endswith("adapted") else pre.rep_tilde)
-    pinned = [_chain_digest(rep) for rep in reps]
-    assert all(dlog._pin(rep, dlog._split(rep.degree)[1]).degree > 1 for rep in reps)
-    monkeypatch.setattr(dlog, "_pin", lambda rep, d2: IsogenyChain.identity(rep.codomain))
-    assert [_chain_digest(rep) for rep in reps] == pinned
+        rep = adapt(pre, w, ps).rep if profile.endswith("adapted") else pre.rep_tilde
+        phi = challenge(kp.pk, pre.e1, m, ps)
+        assert dlog._split(rep.degree, ps.d_phi) == dlog._split(rep.degree)
+        assert _chain_digest(rep, phi) == _chain_digest(rep)
+
+
+def _into(E2, ell):
+    """The ell + 1 isogenies of degree ell into E2: the exact duals of the
+    steps out of it."""
+    return [dual(challenge_walk(E2, h, ell)) for h in range(1, ell + 2)]
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"], ids=["t0-trivial", "t1-not-cyclic"])
@@ -630,19 +646,15 @@ def test_degenerate_scaled_images_take_the_unpinned_search(request, caplog, prof
     """A degree-3^2*5^2*7^2 map on the AC-basis whose kernel's 3-part is
     E[3]: at T0 (3 || A*C) the images times A map E[3] to O, and at T1
     (9 || A*C) the images times A map E[9] onto a copy of E[3], which is not
-    cyclic.  Nothing is pinned, the backward 3^2*5^2 half is enumerated in
-    full (13 * 31 = 403 halves), and the search still finds the map."""
+    cyclic.  Without a challenge nothing is fixed, the backward 3^2*5^2 half
+    is enumerated in full (13 * 31 = 403 halves), and the search still
+    finds the map.  The map is [3] o sigma', so it ends with each of the
+    four 3-isogenies phi into its codomain, and handed any of them the
+    search finds it too."""
     ps = request.getfixturevalue(profile)
-    n = ps.group_order
-    rng = random.Random(9)
-    E = keygen(ps, rng).pk
-    steps = _random_steps(E, 3, True, n, rng)
-    steps += _random_steps(steps[-1].codomain, 5, False, n, rng)
-    steps += _random_steps(steps[-1].codomain, 7, False, n, rng)
-    rep = efficient_rep(IsogenyChain(E, steps), ps.A * ps.C)
+    rep = _degenerate_rep(ps)
     d2 = dlog._split(rep.degree)[1]
     assert d2 == 225
-    assert dlog._pin(rep, d2).degree == 1
     chains = []
     line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep)))
     # "matched after (forward halves tried * per) of ... (halves built)"
@@ -650,6 +662,7 @@ def test_degenerate_scaled_images_take_the_unpinned_search(request, caplog, prof
     per = count_kernel_candidates(d2)
     assert (per, halves - after // per) == (403, 403)
     assert tuple(chains[0].evaluate(X) for X in rep.basis) == rep.images
+    assert all(isogeny_exists(rep, phi) for phi in _into(rep.codomain, 3))
 
 
 def _plain(ps, seed):
@@ -666,13 +679,12 @@ def _halves(line):
 @pytest.mark.parametrize("profile,forged", [("t0", 181), ("t1", 460), ("t2", 1297)])
 def test_plain_check_builds_the_challenge_branch_first(request, forge, caplog, profile, forged):
     """A plain response is phi o sk o dual(psi0), so the dual of every match
-    starts with the dual of the challenge walk phi: of the backward
-    3^c*5^2 candidates, the 31 through that branch are built first, and an
-    honest strict check (basis cache cleared) builds at most 31 + 57 = 88
-    halves, where a single pass builds every backward half first (124, 403
-    and 1 240) and then its forward ones.  A forged check
-    finds no match there, builds the other backward candidates and still
-    rules out every candidate from the same 181, 460 and 1 297 halves."""
+    starts with the dual of the challenge walk phi, which the search walks
+    first and then fixes: of the backward 3^c*5^2 candidates only the 31
+    through that walk are built, and a strict check (basis cache cleared)
+    builds at most 31 + 57 = 88 halves, honest or forged.  The search
+    without the challenge builds every backward half (124, 403 and 1 240),
+    and rules a forgery out from 181, 460 and 1 297 halves."""
     ps = request.getfixturevalue(profile)
     for seed in range(1, 9):
         kp, m, sig = _plain(ps, seed)
@@ -680,28 +692,29 @@ def test_plain_check_builds_the_challenge_branch_first(request, forge, caplog, p
         verdicts = []
         line = _recovery_log(caplog, lambda: verdicts.append(verify(kp.pk, m, sig, "strict", ps)))
         assert verdicts == [True] and "matched" in line and _halves(line) <= 88
-    fake = PlainSignature(sig.e1, forge(sig.rep, ps))
-    line = _recovery_log(caplog, lambda: verify(kp.pk, m, fake, "strict", ps))
+    fake = forge(sig.rep, ps)
+    line = _recovery_log(caplog, lambda: verify(kp.pk, m, PlainSignature(sig.e1, fake), "strict", ps))
+    assert "exhausted" in line and _halves(line) == 88
+    line = _recovery_log(caplog, lambda: isogeny_exists(fake))
     assert "exhausted" in line and _halves(line) == forged
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
 def test_preferred_branch_returns_the_chain_of_the_single_pass(request, caplog, profile):
-    """The oracle: handed the challenge walk, the search returns the chain
-    document it returns without it.  Handed a walk whose dual names another
-    branch out of the codomain, it finds nothing in the first batch, walks
-    the whole forward half, and finds the map among the other backward
-    candidates: more than 31 + 57 halves, and the same document."""
+    """The oracle: handed the challenge walk, the search of a plain
+    response returns the chain document it returns without it.  Handed a
+    walk whose dual names another branch out of the codomain, it finds
+    nothing after 31 + 57 halves: the response's 3^c-part is cyclic, so it
+    ends with one walk of degree D_phi alone."""
     ps = request.getfixturevalue(profile)
     for seed in (1, 2, 3):
         kp, m, sig = _plain(ps, seed)
         rep = sig.rep
         phi = challenge(kp.pk, sig.e1, m, ps)
-        want = _chain_digest(rep)
         chains = []
         line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep, phi)))
         assert _halves(line) <= 88
-        assert hashlib.sha256(serial.encode(serial.chain_doc(chains[0]))).hexdigest() == want
+        assert _chain_digest(rep, phi) == _chain_digest(rep)
         back = phi.steps[-1].domain.j_invariant()
         other = next(
             walk
@@ -709,10 +722,9 @@ def test_preferred_branch_returns_the_chain_of_the_single_pass(request, caplog, 
             for walk in [challenge_walk(rep.codomain, h, ps.d_phi)]
             if walk.steps[0].codomain.j_invariant() != back
         )
-        chains = []
-        line = _recovery_log(caplog, lambda: chains.append(find_isogeny(rep, dual(other))))
-        assert "matched" in line and _halves(line) > 88
-        assert hashlib.sha256(serial.encode(serial.chain_doc(chains[0]))).hexdigest() == want
+        found = []
+        line = _recovery_log(caplog, lambda: found.append(isogeny_exists(rep, dual(other))))
+        assert found == [False] and "exhausted" in line and _halves(line) == 88
 
 
 def _line(caplog, check):
@@ -738,55 +750,112 @@ def _negated(rep, count):
     return EfficientRep(rep.domain, rep.codomain, rep.degree, rep.order, rep.basis, images)
 
 
+def _on_twist(rep, u):
+    """rep moved onto the twist of its domain by u: the images of the
+    twisted curve's canonical basis under rep after the isomorphism back."""
+    E = twist_curve(rep.domain, u)
+    basis = canonical_torsion_basis(E, rep.order, E.p + 1)
+    images = tuple(evaluate_rep(rep, twist_point(X, u.inv())) for X in basis)
+    return EfficientRep(E, rep.codomain, rep.degree, rep.order, basis, images)
+
+
 @pytest.mark.parametrize("profile", ["t0", "t1"])
 def test_verdict_is_find_isogenys(request, forge, caplog, profile):
-    """The oracle: isogeny_exists(rep, prefer) is True exactly when
-    find_isogeny(rep, prefer) returns a chain, and both write the same log
-    line up to its timing.  The representations: an honest plain response,
-    with and without its challenge walk, and an honest pre-signature; their
-    forgeries; both images negated, which [-1] after the response matches;
-    one image negated, which nothing matches; and the degenerate scaled
-    images."""
+    """The oracles: isogeny_exists(rep, phi) is True exactly when
+    find_isogeny(rep, phi) returns a chain, and both write the same log
+    line up to its timing; and handed the challenge walk phi, the verdict
+    is the one of find_isogeny(rep) without it, which asks for any isogeny
+    of the degree.  The representations: honest plain,
+    pre- and adapted responses; the adapted one and the plain one on a
+    twist of E1; their forgeries; both images negated, which [-1] after the
+    response matches; one image negated, which nothing matches; and the
+    degenerate scaled images, handed a 3-isogeny into their codomain."""
     ps = request.getfixturevalue(profile)
     kp, m, sig = _plain(ps, 1)
     phi = challenge(kp.pk, sig.e1, m, ps)
-    pre = _session(ps, 2)[-1].rep_tilde
-    cases = [
-        (sig.rep, phi),
-        (sig.rep, None),
-        (pre, None),
-        (forge(sig.rep, ps), phi),
-        (forge(pre, ps), None),
-        (_negated(sig.rep, 2), phi),
-        (_negated(pre, 2), None),
-        (_negated(sig.rep, 1), phi),
-        (_degenerate_rep(ps), None),
-    ]
+    qk, w, s, n, pre = _session(ps, 2)
+    psi = challenge(qk.pk, pre.e1, n, ps)
+    full = adapt(pre, w, ps).rep
+    u = Fp2(ps.p, 2, 1)
+    honest = [(sig.rep, phi), (pre.rep_tilde, psi), (full, psi)]
+    honest += [(_on_twist(sig.rep, u), phi), (_on_twist(full, u), psi)]
+    cases = honest + [(forge(rep, ps), chain) for rep, chain in honest]
+    cases += [(_negated(sig.rep, 2), phi), (_negated(pre.rep_tilde, 2), psi)]
+    cases += [(_negated(sig.rep, 1), phi), (_negated(full, 1), psi)]
+    degenerate = _degenerate_rep(ps)
+    cases += [(degenerate, _into(degenerate.codomain, 3)[0])]
     verdicts = []
-    for rep, prefer in cases:
+    for rep, chain in cases:
         found = []
-        verdict = _line(caplog, lambda: found.append(isogeny_exists(rep, prefer)))
+        verdict = _line(caplog, lambda: found.append(isogeny_exists(rep, chain)))
 
-        def chain():
+        def build(given):
             try:
-                found.append(find_isogeny(rep, prefer))
+                found.append(find_isogeny(rep, given))
             except NotFound:
                 found.append(None)
 
-        assert _line(caplog, chain) == verdict
-        assert found[0] is (found[1] is not None)
+        assert _line(caplog, lambda: build(chain)) == verdict
+        build(None)
+        assert found[0] is (found[1] is not None) is (found[2] is not None)
         verdicts.append(found[0])
-    assert verdicts == [True, True, True, False, False, True, True, False, True]
+    assert verdicts == [True] * 5 + [False] * 5 + [True, True, False, False, True]
 
 
-@pytest.mark.parametrize("profile,plain,pre", [("t0", 5, 5), ("t1", 5, 6), ("t2", 5, 7)])
+@pytest.mark.parametrize("profile,adapted", [("t0", 181), ("t1", 460), ("t2", 1297)])
+def test_strict_checks_build_at_most_the_halves_of_their_split(request, forge, caplog, profile, adapted):
+    """Handed the challenge, a strict check searches only tau in phi o tau:
+    its halves are those of _split with D_phi as the backward prefix,
+    count(d1) + count(d2/D_phi), read off the closed-form counts.  That is
+    57 + 31 = 88 for a plain or pre-signature (degree 3^c*5^2*7^2) and
+    57 + count(3^c*5^2) for an adapted one (3^(2c)*5^2*7^2).  On seeds 1-8
+    an honest check of every shape builds at most that many, and a forged
+    one exactly that many: it rules every candidate out."""
+    ps = request.getfixturevalue(profile)
+    count = count_kernel_candidates
+
+    def bound(degree):
+        d1, d2 = dlog._split(degree, ps.d_phi)
+        return count(d1) + count(d2 // ps.d_phi)
+
+    q = ps.B * ps.d_tau * ps.d_phi
+    assert (bound(q), bound(q * ps.C)) == (88, adapted)
+    for seed in range(1, 9):
+        kp, m, sig = _plain(ps, seed)
+        qk, w, s, n, pre = _session(ps, seed)
+        full = adapt(pre, w, ps)
+        fakes = (
+            PlainSignature(sig.e1, forge(sig.rep, ps)),
+            PreSignature(pre.e1, pre.proof, pre.epsi, pre.s, forge(pre.rep_tilde, ps)),
+            AdaptedSignature(full.e1, forge(full.rep, ps)),
+        )
+        for honest, (plain, presig, signature) in ((True, (sig, pre, full)), (False, fakes)):
+            checks = (
+                (88, lambda: verify(kp.pk, m, plain, "strict", ps)),
+                (88, lambda: preverify(qk.pk, n, s, presig, "strict", ps)),
+                (adapted, lambda: verify(qk.pk, n, signature, "strict", ps)),
+            )
+            for most, check in checks:
+                verdicts = []
+                line = _recovery_log(caplog, lambda: verdicts.append(check()))
+                assert verdicts == [honest]
+                assert _halves(line) <= most if honest else _halves(line) == most
+
+
+@pytest.mark.parametrize("profile,plain,pre", [("t0", 5, 5), ("t1", 6, 6), ("t2", 7, 7)])
 def test_honest_strict_check_builds_no_chain(request, monkeypatch, profile, plain, pre):
     """An honest strict verify or preverify asks isogeny_exists for its
     verdict, which stops at the match: it never puts the forward steps on
     canonical generators (dlog._canonical) or takes dual() of the backward
     chain.  So with the basis cache cleared it computes exactly `plain` and
     `pre` bases on each of seeds 1-8, where building find_isogeny's chain
-    computed 7, 8 and 9 for both at T0, T1 and T2."""
+    computed 7, 8 and 9 for both at T0, T1 and T2.  Those are the
+    challenge's D_phi-basis on pk, the response's basis, E[3] on each of
+    the c nodes the walk of ker phi_hat leaves from (for the canonical
+    generator of its step, which the step's dual reads again), E[5] where
+    that walk lands and E[7] on the domain: 4 + c.  A plain check that
+    built the challenge's branch first, with no fixed walk, computed 5 at
+    each profile."""
     ps = request.getfixturevalue(profile)
     checks = []
     for seed in range(1, 9):

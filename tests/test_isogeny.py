@@ -26,6 +26,7 @@ from adaptorsig.isogeny import (
     kernel_codomain,
     pull_back,
     push_forward,
+    remember_walk,
 )
 from adaptorsig.orientation import oriented_kernel
 from adaptorsig.relation import gen_r
@@ -181,9 +182,10 @@ def walk_inputs(ps):
 @pytest.mark.parametrize("profile", ["t0", "t1"])
 def test_kernel_codomain_is_the_walks_codomain(request, profile, monkeypatch):
     """kernel_codomain gives the codomain isogeny_from_kernel gives and
-    raises the error it raises.  It walks an input once and then reads the
-    memo, and a walk that raises records nothing: asked again, it walks
-    again and raises again."""
+    raises the error it raises.  A walk nobody recorded is walked at every
+    ask and records nothing; once remember_walk has recorded it, it is read
+    with no walk.  A walk that raises records nothing: asked again, it
+    walks again and raises again."""
     ps = request.getfixturevalue(profile)
     E = ps.e0
     honest, bad = walk_inputs(ps)
@@ -194,9 +196,12 @@ def test_kernel_codomain_is_the_walks_codomain(request, profile, monkeypatch):
     )
     for gens, degree in honest:
         codomain = build(E, gens, degree).codomain
-        isogeny._walked.cache_clear()
-        assert [kernel_codomain(E, gens, degree) for _ in range(3)] == [codomain] * 3
-        assert len(walks) == 1
+        assert [kernel_codomain(E, gens, degree) for _ in range(2)] == [codomain] * 2
+        assert len(walks) == 2 and not isogeny._WALKS
+        remember_walk(E, gens, degree, codomain)
+        assert [kernel_codomain(E, gens, degree) for _ in range(2)] == [codomain] * 2
+        assert len(walks) == 2
+        isogeny._WALKS.clear()
         walks.clear()
     for gens, degree in bad:
         with pytest.raises(BadKernel) as walked:
@@ -205,29 +210,33 @@ def test_kernel_codomain_is_the_walks_codomain(request, profile, monkeypatch):
             with pytest.raises(BadKernel) as read:
                 kernel_codomain(E, gens, degree)
             assert str(read.value) == str(walked.value)
-        assert len(walks) == 2
+        assert len(walks) == 2 and not isogeny._WALKS
         walks.clear()
 
 
-def test_walk_memo_holds_at_most_its_maxsize(t0):
+def test_walk_memo_holds_at_most_its_maxsize(t0, monkeypatch):
     """The memo is bounded: it keeps the codomains of the last maxsize
-    walks, at least a proof's two corners per round and psi', and drops the
-    least recently used one; a failed walk adds none."""
-    maxsize = isogeny._walked.cache_info().maxsize
-    assert maxsize >= 2 * t0.nizk_rounds + 1
+    recorded walks, at least a proof's two corners per round, and drops the
+    oldest one; a failed walk adds none."""
+    maxsize = isogeny._WALKS_KEPT
+    assert maxsize >= 2 * t0.nizk_rounds
     E, A = t0.e0, t0.A
     kernels = [cyclic_kernel(E, A, h) for h in range(1, maxsize + 20)]
     for i, K in enumerate(kernels):
-        isogeny_from_kernel(E, [K], A)
-        assert isogeny._walked.cache_info().currsize == min(i + 1, maxsize)
+        remember_walk(E, [K], A, isogeny_from_kernel(E, [K], A).codomain)
+        assert len(isogeny._WALKS) == min(i + 1, maxsize)
     with pytest.raises(BadKernel):
-        isogeny_from_kernel(E, [E.mul(2, kernels[0])], A)
-    assert isogeny._walked.cache_info().currsize == maxsize
-    misses = isogeny._walked.cache_info().misses
+        kernel_codomain(E, [E.mul(2, kernels[0])], A)
+    assert len(isogeny._WALKS) == maxsize
+    walks = []
+    build = isogeny.isogeny_from_kernel
+    monkeypatch.setattr(
+        isogeny, "isogeny_from_kernel", lambda *a: walks.append(1) or build(*a)
+    )
     kernel_codomain(E, [kernels[-maxsize]], A)  # the oldest one kept
-    assert isogeny._walked.cache_info().misses == misses
+    assert walks == []
     kernel_codomain(E, [kernels[-maxsize - 1]], A)  # dropped: walked again
-    assert isogeny._walked.cache_info().misses == misses + 1
+    assert walks == [1]
 
 
 def fp2_add(E, P, Q):

@@ -117,12 +117,12 @@ def test_swap_chain_count(t0, monkeypatch):
     B), but a round that repeats an earlier mask reads F' from the walk
     memo (45 parallel isogenies for 45 distinct masks).  The check that
     follows each proof reads every corner the prover walked from the memo,
-    and walks only the tag-0 masks on E1, which no prover walks (25 for 26
-    tag-0 rounds).  The other degree-B chains are the two keys and presign's
-    psi and psi'."""
+    and walks only the tag-0 masks on E1, which no prover walks and no
+    check records (26 for 26 tag-0 rounds).  The other degree-B chains are
+    the two keys and presign's psi and psi'."""
     degrees = count_chain_degrees(monkeypatch)
     assert demo_swap(t0, 1)["verdict"] is True
-    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 73}
+    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 74}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])
@@ -359,7 +359,7 @@ def test_warm_walk_memo_keeps_every_tag(t0):
     psip = psi_prime(stmt, bits, t0)
     proof = prove_parallel(stmt, psip, t0, random.Random(29))
     for what, s, p, tag in tampered_proofs(t0, stmt, proof):
-        isogeny._walked.cache_clear()
+        isogeny._WALKS.clear()
         cold = rejection(s, p, t0)
         assert prove_parallel(stmt, psip, t0, random.Random(29)) == proof
         assert (what, rejection(s, p, t0)) == (what, cold) == (what, tag)
@@ -377,3 +377,24 @@ def test_check_after_its_proof_walks_only_the_tag_0_masks_on_e1(t0, monkeypatch)
     degrees = count_chain_degrees(monkeypatch)
     assert verify_parallel(stmt, proof, t0)
     assert degrees == {t0.A: len(tag_0)}
+
+
+def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
+    """Only a prover records walks: a strict preverify in a process that
+    made no proof walks every corner it checks and keeps none of them,
+    accepting or rejecting, and a second check walks them again: both
+    masks of each tag-0 round and the parallel isogeny of each tag-1
+    round."""
+    rng = random.Random(30)
+    kp = sig.keygen(t0, rng)
+    _, s = gen_r(t0, rng)
+    pre = adaptor.presign(kp, b"cold", s, t0, rng)
+    assert isogeny._WALKS
+    isogeny._WALKS.clear()
+    degrees = count_chain_degrees(monkeypatch)
+    for m, ok in ((b"cold", True), (b"other", False)):
+        assert adaptor.preverify(kp.pk, m, s, pre, "strict", t0) is ok
+        assert not isogeny._WALKS
+    tag_0 = sum(r.tag == 0 for r in pre.proof.rounds)
+    assert degrees[t0.A] == 2 * 2 * tag_0
+    assert degrees[t0.B] == 2 * (t0.nizk_rounds - tag_0)
