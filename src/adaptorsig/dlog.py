@@ -6,11 +6,11 @@ Two tools stand in for the heavy machinery a full-scale verifier would use:
   points themselves: every prime here is at most 7, so each prime's digits
   are read from a table of the ell^2 points of E[ell];
 * find_isogeny finds a chain of a given degree matching a set of torsion
-  images by a meet-in-the-middle search over kernel-subgroup candidates,
-  an existence certificate for strict verification, which hands it the
-  challenge the response must end with; recover_isogeny adds
-  the precondition that makes the chain unique, 4*degree < order^2 and
-  gcd(degree, order) = 1, for extraction.
+  images by a meet-in-the-middle search over kernel-subgroup candidates;
+  isogeny_exists is its verdict, an existence certificate for strict
+  verification, which hands it the challenge the response must end with;
+  recover_isogeny adds the precondition that makes the chain unique,
+  4*degree < order^2 and gcd(degree, order) = 1, for extraction.
 
 Candidates are enumerated per prime power ell^e and combined
 multiplicatively: a subgroup of order ell^e splits uniquely into b
@@ -19,8 +19,9 @@ dual) and a cyclic part walked without backtracking, giving the closed
 candidate count sum(ell^i, i=0..e) per prime power.  The search meets in
 the middle on j-invariants (the claw search of Jao and De Feo, PQCrypto
 2011, used here as a verifier); find_isogeny says how its halves are
-walked, and how a challenge phi handed to it becomes the fixed start of
-every backward half, so that only the part before phi is searched.
+walked.  A challenge phi handed to the verdict moves the backward half to
+phi's domain and ends the join with phi's own steps (_match), so that only
+the part before phi is searched.
 """
 
 import itertools
@@ -35,11 +36,9 @@ from .curve import (
     _chord,
     _coords,
     _j_pair,
-    _order,
     _outside,
     _scale,
     _span,
-    canonical_torsion_basis,
     factorize,
     isomorphisms,
     small_torsion_basis,
@@ -255,12 +254,12 @@ def _canonical(steps, loose) -> list:
     return steps
 
 
-def _hat(codomain: Curve, steps, loose) -> IsogenyChain:
-    """The exact dual of the chain of steps that ends on codomain, as the
-    join tests it: a loose step's dual kernel is generated by its image of
-    its node's B (dual_step's back), and an [ell] block (_ell_block), the
-    one kind of search step with a twist, is its own dual, so no canonical
-    basis is computed below a root.  The map is dual()'s; only those kernel
+def _hat(steps, loose) -> list:
+    """The steps of the exact dual of the chain of steps, as the join tests
+    it: a loose step's dual kernel is generated by its image of its node's
+    B (dual_step's back), and an [ell] block (_ell_block), the one kind of
+    search step with a twist, is its own dual, so no canonical basis is
+    computed below a root.  The map is dual()'s; only those kernel
     generators differ, so a chain that is returned takes dual()'s steps
     instead."""
     back = dict(loose)
@@ -273,7 +272,7 @@ def _hat(codomain: Curve, steps, loose) -> IsogenyChain:
             i -= 1
         else:
             out.append(dual_step(steps[i], back.get(i)))
-    return IsogenyChain(codomain, out)
+    return out
 
 
 def count_kernel_candidates(degree: int) -> int:
@@ -284,15 +283,12 @@ def count_kernel_candidates(degree: int) -> int:
     return n
 
 
-def _candidates(E: Curve, degree: int, steps=()):
+def _candidates(E: Curve, degree: int):
     """iter_kernel_candidates with the last step left lazy and no images:
-    yields lazy candidates (steps, node, leaf, loose) as _walks does.  Only
-    the last prime power's leaves stay lazy; an earlier prime's walk goes
-    on from its leaf's codomain, so that leaf is finished.  Every
-    candidate goes on from the given steps, which end on E (find_isogeny's
-    prefix, see _prefix), as rec's own steps do."""
+    yields lazy candidates (steps, node, leaf, loose) out of E as _walks
+    does.  Only the last prime power's leaves stay lazy; an earlier prime's
+    walk goes on from its leaf's codomain, so that leaf is finished."""
     fac = sorted(factorize(degree).items())
-    steps = list(steps)
 
     def rec(cur, idx, steps, loose):
         ell, e = fac[idx]
@@ -305,9 +301,9 @@ def _candidates(E: Curve, degree: int, steps=()):
             yield from rec(node, idx + 1, steps, cand[-1])
 
     if not fac:
-        yield steps, E, None, ()
+        yield [], E, None, ()
         return
-    yield from rec(E, 0, steps, ())
+    yield from rec(E, 0, [], ())
 
 
 def iter_kernel_candidates(E: Curve, degree: int, U, V):
@@ -329,15 +325,15 @@ def iter_kernel_candidates(E: Curve, degree: int, U, V):
         yield steps, cur, imgU, imgV
 
 
-def _split(degree: int, prefix: int = 1):
-    """(d1, d2) with degree = d1*d2, gcd(d1, d2) = 1, prefix | d2 and
-    d1*prefix > 1.
+def _split(degree: int, fixed: int = 1):
+    """(d1, d2) with degree = d1*d2, gcd(d1, d2) = 1, fixed | d2 and
+    d1*fixed > 1.
 
-    The split builds the fewest halves, count(d1) + count(d2/prefix), the
-    backward half being the degree-(d2/prefix) kernels after a fixed walk
-    of degree prefix; ties go to the fewest candidates over both halves,
-    then to the d1 with fewer candidates.  With prefix 1 a prime power
-    gives (degree, 1).
+    The split builds the fewest halves, count(d1) + count(d2/fixed), the
+    backward half being the degree-(d2/fixed) kernels out of the domain of
+    a given challenge of degree fixed (_match); ties go to the fewest
+    candidates over both halves, then to the d1 with fewer candidates.
+    With fixed 1 a prime power gives (degree, 1).
     """
     parts = [ell**e for ell, e in factorize(degree).items()]
     splits = [
@@ -347,54 +343,24 @@ def _split(degree: int, prefix: int = 1):
     ]
     count = count_kernel_candidates
     return min(
-        (s for s in splits if s[1] % prefix == 0 and s[0] * prefix > 1),
+        (s for s in splits if s[1] % fixed == 0 and s[0] * fixed > 1),
         key=lambda s: (
-            count(s[0]) + count(s[1] // prefix),
+            count(s[0]) + count(s[1] // fixed),
             count(s[0]) + count(s[1]),
             count(s[0]),
         ),
     )
 
 
-def _prefix(phi: IsogenyChain) -> IsogenyChain:
-    """The walk of ker phi_hat out of phi.codomain, each step on the
-    canonical generator of its kernel (_canonical_gen), so with no twist.
-
-    For phi cyclic of degree D, ker phi_hat = phi(pk[D]) (pk = phi.domain)
-    is cyclic of order D, generated by the image of whichever point of pk's
-    canonical D-basis has the larger order there.  The walk ends on a curve
-    isomorphic to pk, and its exact dual is phi up to that isomorphism.
-    """
-    pk, E2, D = phi.domain, phi.codomain, phi.degree
-    R, n = None, 1
-    for T in canonical_torsion_basis(pk, D, pk.p + 1):
-        X = _coords(T)
-        for s in phi.steps:
-            X = s.image(X)
-        m = _order(E2, X, D)
-        if m > n:
-            R, n = X, m
-    steps, cur = [], E2
-    while n > 1:
-        ell = min(factorize(n))
-        n //= ell
-        s = Step(cur, _canonical_gen(cur, _scale(cur, n, R), ell), ell)
-        steps.append(s)
-        cur = s.codomain
-        if n > 1:
-            R = s.image(R)
-    return IsogenyChain(E2, steps)
-
-
 def _match(rep: EfficientRep, phi: IsogenyChain = None):
-    """find_isogeny's search up to its first verified match: (forward
-    steps, their loose, backward steps, u), where the forward steps
-    twisted by u, then the exact dual of the backward chain, map rep.basis
-    to rep.images; for degree 1, ([], (), [], None) when the images are the
-    identity's.  Writes the log line and raises NotFound when no candidate
-    matches.  It builds no canonical generator and no dual() chain: those
-    are find_isogeny's alone, so a verdict (isogeny_exists) stops here.
-    """
+    """The search up to its first verified match: (forward steps, their
+    loose, backward steps, u), where the forward steps twisted by u, the
+    exact dual of the backward chain, then phi (the identity of
+    rep.codomain when None) map rep.basis to rep.images; for degree 1,
+    ([], (), [], None) when the images are the identity's.  Writes the log
+    line and raises NotFound when no candidate matches.  It builds no
+    canonical generator and no dual() chain: those are find_isogeny's
+    alone, so a verdict (isogeny_exists) stops here."""
     d = rep.degree
     E, E2 = rep.domain, rep.codomain
     T1, T2 = rep.images
@@ -403,15 +369,16 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
         if E == E2 and U == T1 and V == T2:
             return [], (), [], None
         raise NotFound("images are not the identity's")
-    if phi is not None and (phi.codomain != E2 or d % phi.degree):
+    if phi is None:
+        phi = IsogenyChain.identity(E2)
+    if phi.codomain != E2 or d % phi.degree:
         raise NotFound(f"no degree-{d} isogeny ends with the given one")
 
     t0 = time.perf_counter()
     total = count_kernel_candidates(d)
-    pre = IsogenyChain(E2, []) if phi is None else _prefix(phi)
-    d1, d2 = _split(d, pre.degree)
+    d1, d2 = _split(d, phi.degree)
     back = {}  # j -> [(index, lazy candidate)] of the backward half
-    for i, cand in enumerate(_candidates(pre.codomain, d2 // pre.degree, pre.steps)):
+    for i, cand in enumerate(_candidates(phi.domain, d2 // phi.degree)):
         back.setdefault(_leaf_j(cand), []).append((i, cand))
     n = [0, i + 1]  # forward halves tried, backward halves built
 
@@ -420,20 +387,20 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
             n[0] += 1
             yield from (((n[0], cand), b) for b in back.get(_leaf_j(cand), ()))
 
-    fins, duals = {}, {}  # index -> forward chain, images of rep.basis / backward, exact dual
+    fins, joins = {}, {}  # index -> forward chain, images of rep.basis / backward, join
     for (f, fcand), (b, bcand) in pairs():
         if f not in fins:
             chain = IsogenyChain(E, _finish(fcand)[0])
             fins[f] = chain, chain.evaluate(U), chain.evaluate(V)
-        if b not in duals:
+        if b not in joins:
             bsteps, mid = _finish(bcand)
-            duals[b] = bsteps, mid, _hat(mid, bsteps, bcand[-1])
+            joins[b] = bsteps, mid, IsogenyChain(mid, _hat(bsteps, bcand[-1]) + phi.steps)
         chain, imgU, imgV = fins[f]
-        bsteps, mid, hat = duals[b]
+        bsteps, mid, join = joins[b]
         for u in isomorphisms(chain.codomain, mid):
-            if hat.evaluate(twist_point(imgU, u)) != T1:
+            if join.evaluate(twist_point(imgU, u)) != T1:
                 continue
-            if hat.evaluate(twist_point(imgV, u)) != T2:
+            if join.evaluate(twist_point(imgV, u)) != T2:
                 continue
             logger.debug(
                 "recovery of degree %d: matched after %d of %d candidates"
@@ -456,9 +423,21 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
 
 
 def isogeny_exists(rep: EfficientRep, phi: IsogenyChain = None) -> bool:
-    """Whether find_isogeny(rep, phi) returns a chain, with the same search
-    and log line: the verdict stops at the match (_match) and builds no
-    chain, so a strict check builds only what it reads."""
+    """Whether an isogeny of rep.degree maps rep.basis to rep.images, and,
+    given phi, one that ends with phi: find_isogeny's search (_match),
+    stopped at the match, with no chain built, so a strict check builds
+    only what it reads.  Without phi the verdict is whether
+    find_isogeny(rep) returns a chain, and the log line is the same.
+
+    Handed the challenge walk phi of degree D, the search meets tau in
+    phi o tau: the backward half is the degree-(d2/D) kernels out of
+    phi.domain, and the join composes phi after a matched candidate's exact
+    dual instead of searching for it.  The match test is that of the
+    search without phi: the whole basis must reach the images.  At T0, T1
+    and T2 a plain response or a pre-signature (degree 3^c*5^2*7^2) builds
+    31 backward and at most 57 forward halves, honest or forged; an adapted
+    one (3^(2c)*5^2*7^2) builds at most 181, 460 and 1 297.  A response of
+    degree D has tau an isomorphism: its backward half is pk alone."""
     try:
         _match(rep, phi)
     except NotFound:
@@ -466,9 +445,8 @@ def isogeny_exists(rep: EfficientRep, phi: IsogenyChain = None) -> bool:
     return True
 
 
-def find_isogeny(rep: EfficientRep, phi: IsogenyChain = None) -> IsogenyChain:
-    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images,
-    and, given phi, one that ends with phi (up to an isomorphism before it).
+def find_isogeny(rep: EfficientRep) -> IsogenyChain:
+    """A chain of rep.degree from rep.domain mapping rep.basis to rep.images.
 
     An existence certificate: the search stops at the first match and needs
     no uniqueness, since any such isogeny is what the representation claims.
@@ -483,18 +461,9 @@ def find_isogeny(rep: EfficientRep, phi: IsogenyChain = None) -> IsogenyChain:
     twisted images through the exact dual of beta (_hat) must equal
     rep.images.
 
-    phi, a chain of degree D that ends on rep.codomain (a response's
-    challenge walk), restricts the search to the isogenies phi o tau: every
-    backward candidate starts with the walk of ker phi_hat (_prefix), whose
-    exact dual is phi after an isomorphism, and goes on with the
-    degree-(d2/D) kernels out of where that walk lands, so only tau is
-    searched.  The split then puts D in d2 and minimizes the halves built.
-    The match test is unchanged: the whole basis must reach the images.  At
-    T0, T1 and T2 a plain response or a pre-signature (degree
-    3^c*5^2*7^2) builds 31 backward and at most 57 forward halves, honest
-    or forged; an adapted one (3^(2c)*5^2*7^2) builds at most 181, 460 and
-    1 297.  Without phi a plain response builds 181, 460 and 1 297 halves,
-    for 7 068, 22 971 and 70 680 candidates.  The log line counts tried
+    Ruling a forged plain response out builds 181, 460 and 1 297 halves at
+    T0, T1 and T2, for 7 068, 22 971 and 70 680 candidates; a strict check,
+    handed the challenge, builds fewer (isogeny_exists).  The log line counts tried
     forward halves times all degree-d2 kernels, of the full walk's
     candidates, and the halves built.
 
@@ -509,7 +478,7 @@ def find_isogeny(rep: EfficientRep, phi: IsogenyChain = None) -> IsogenyChain:
     rep.codomain with rep.images exactly.  Raises NotFound when no
     candidate matches (a forgery signal).
     """
-    steps, loose, bsteps, u = _match(rep, phi)
+    steps, loose, bsteps, u = _match(rep)
     if rep.degree == 1:
         return IsogenyChain.identity(rep.domain)
     steps = _canonical(steps, loose)

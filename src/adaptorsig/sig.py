@@ -172,7 +172,8 @@ def response_rejection(
     find_isogeny and recover_isogeny return.  That needs no uniqueness, so
     plain, pre- and adapted signatures take this one path, and on an
     AC-basis the match certifies the C-part images as well.  Every honest
-    response is phi o tau, so only tau, of degree d/D_phi, is searched.
+    response is phi o tau, so only tau, of degree d/D_phi, is searched:
+    its backward half starts at pk, and the join ends with phi's own steps.
     """
     try:
         phi = challenge(pk, e1, m, ps)
