@@ -292,6 +292,78 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     return chain
 
 
+def walk_cyclic_tree(E: Curve, X: Point, Y: Point, ts, degree: int, pts) -> list:
+    """For each t in ts, (codomain, images of pts) of
+    isogeny_from_kernel(E, [X + [t]Y], degree), degree = ell^r: one walk of
+    the tree of the steps those chains share, each distinct step built once.
+
+    With r steps left, the next step's kernel is [ell^(r-1)](X + [t]Y) =
+    [ell^(r-1)]X + (t mod ell) Z with Z = [ell^(r-1)]Y, since [ell^r]Y = O
+    (checked), so the members split by t mod ell, and share one step where
+    Z = O.  Past the step s for residue b the state is X' = s(X + [b]Y),
+    Y' = s([ell]Y), t' = (t - b)/ell and Z' = s(Z): Z is carried by one
+    image per step, not doubled again.  A node with one member left walks
+    the rest as isogeny_from_kernel does, on its ladder.  Every step is
+    built by Step from the kernel point that walk builds, so codomains and
+    images are equal, not only isomorphic, and a member's first step raises
+    BadKernel unless X + [t]Y has order exactly degree.
+    """
+    fac = factorize(degree)
+    if len(fac) != 1:
+        raise BadKernel("degree must be a prime power")
+    ((ell, r),) = fac.items()
+    for P in (X, Y, *pts):
+        if not E.on_curve(P):
+            raise BadKernel("point not on the curve")
+    ladder = _ladder(E, _coords(Y), ell, r + 1)
+    if len(ladder) > r:
+        raise BadKernel("[degree]Y is not O")
+    Z = ladder[-1] if len(ladder) == r else None
+    out = {}
+    members = [(t, t) for t in dict.fromkeys(ts)]
+    _tree(E, ell, r, _coords(X), _coords(Y), Z, members, [_coords(P) for P in pts], out)
+    p = E.p
+    return [(out[t][0], tuple(_point(p, R) for R in out[t][1])) for t in ts]
+
+
+def _tree(E: Curve, ell: int, r: int, X, Y, Z, members: list, pts: list, out: dict):
+    """The node of walk_cyclic_tree with r steps left, in int coordinates:
+    members are (t at this node, t asked for) pairs, and out maps each t
+    asked for to (codomain, images of pts)."""
+    if r == 0:
+        for _, key in members:
+            out[key] = E, pts
+        return
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    if len(members) == 1:
+        ((t, key),) = members
+        ladder = _ladder(E, _chord(p, a0, a1, X, _scale(E, t, Y))[0], ell, r)
+        if len(ladder) < r:
+            raise BadKernel(f"kernel generator has order below {ell ** r}")
+        steps = []
+        _cyclic_walk(E, ladder, ell, steps)
+        for step in steps:
+            pts = [step.image(P) for P in pts]
+        out[key] = steps[-1].codomain, pts
+        return
+    ladder = _ladder(E, X, ell, r)
+    KX = ladder[-1] if len(ladder) == r else None
+    Y1 = _scale(E, ell, Y)
+    groups = {}
+    for t, key in members:
+        q, b = divmod(t, ell)
+        groups.setdefault(b, []).append((q, key))
+    built = {}
+    for b, group in groups.items():
+        kb = b if Z is not None else 0  # where Z = O, one step for every b
+        if kb not in built:
+            step = Step(E, _chord(p, a0, a1, KX, _scale(E, kb, Z))[0], ell)
+            built[kb] = step, step.image(Y1), step.image(Z), [step.image(P) for P in pts]
+        step, Yb, Zb, pb = built[kb]
+        Xb = step.image(_chord(p, a0, a1, X, _scale(E, b, Y))[0])
+        _tree(step.codomain, ell, r - 1, Xb, Yb, Zb, group, pb, out)
+
+
 #: the walks remember_walk recorded, (domain, kernel generators, degree) ->
 #: codomain, oldest first; at most _WALKS_KEPT of them
 _WALKS = {}
@@ -303,11 +375,11 @@ def remember_walk(E: Curve, gens, degree: int, codomain: Curve):
     kernel_codomain.
 
     The key is the walk's whole input, so a recorded codomain is the one a
-    fresh walk gives.  Only a prover records (nizk.prove_parallel: its masks
-    and F'), so a check that follows its proof in one process reads those
-    corners, and a process that only checks keeps nothing.  The oldest
-    record goes first; 64 cover a proof's corners (two per round, 48 at 24
-    rounds) with room to spare.
+    fresh walk gives.  Only a prover records (nizk.prove_parallel: the mask
+    of a tag-0 round, F' of a tag-1 round), so a check that follows its
+    proof in one process reads those corners, and a process that only
+    checks keeps nothing.  The oldest record goes first; 64 cover a proof's
+    corners (one per round, 24 at 24 rounds) with room to spare.
     """
     key = (E, tuple(gens), degree)
     _WALKS.pop(key, None)

@@ -16,13 +16,20 @@ and never walks the mask a second time on E1, and the tag-1 check compares
 curves exactly.
 
 The prover takes psi' as the chain `presign` has built, not the choice
-vector, so it walks two chains per round and none before them, and
-records both corners (`isogeny.remember_walk`), keyed by the walk's whole
-input.  The check reads corners through `isogeny.kernel_codomain`, which
-walks only what no prover recorded: a check right after its proof in one
-process (both parties of `swap.demo_swap`) walks only the tag-0 masks on
-E1, which no prover walks, and reaches every verdict a fresh process
-reaches.  A process that only checks records nothing.
+vector.  It draws its masks first and walks them as one tree
+(`isogeny.walk_cyclic_tree`): the masks are cyclic A-kernels indexed on
+one basis of E_w (`sig.cyclic_parts`), so they share step prefixes, and
+each distinct prefix step is built once, pushing the generators of psi'
+along.  Then it walks one parallel isogeny per distinct mask.  Each round
+records the one corner its check reads (`isogeny.remember_walk`), keyed
+by the walk's whole input: (E_w, mask kernel, A) -> F for tag 0 and (F,
+parallel kernel, B) -> F' for tag 1.  The check reads corners through
+`isogeny.kernel_codomain`, which walks only what no prover recorded, and
+walks a corner several rounds reveal alike once: a check right after its
+proof in one process (both parties of `swap.demo_swap`) walks only the
+distinct tag-0 masks on E1, which no prover walks, and reaches every
+verdict a fresh process reaches.  A process that only checks records
+nothing.
 """
 
 import hashlib
@@ -31,9 +38,9 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, kernel_codomain, remember_walk
+from .isogeny import IsogenyChain, kernel_codomain, remember_walk, walk_cyclic_tree
 from .params import ParamSet
-from .sig import challenge_walk, mu
+from .sig import cyclic_kernel, cyclic_parts, mu
 
 
 @dataclass
@@ -97,37 +104,54 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
         raise WitnessMismatch("psi' does not run from E_w to the commitment curve")
     gens = psip.kernel_gens
 
-    A = ps.A
-    corners = []
-    kernels = []
-    for _ in range(ps.nizk_rounds):
-        h = rng.randrange(1, mu(A) + 1)
-        mask = challenge_walk(ew, h, A)
-        remember_walk(ew, mask.kernel_gens, A, mask.codomain)
-        par = tuple(mask.evaluate(g) for g in gens)
-        # F' from F on the B-side: the curve the mask pushed to e1 reaches
-        fp = kernel_codomain(mask.codomain, par, ps.B)
-        remember_walk(mask.codomain, par, ps.B, fp)
-        corners.append((mask.codomain, fp))
-        kernels.append((mask.kernel_gens[0], par))
+    A, rounds = ps.A, ps.nizk_rounds
+    bound = mu(A) + 1
+    draws = [rng.randrange(1, bound) for _ in range(rounds)]
+    # the distinct masks, walked as one tree per index family
+    families = {}
+    for h in dict.fromkeys(draws):
+        X, Y, t = cyclic_parts(ew, A, h)
+        families.setdefault((X, Y), []).append((h, t))
+    walked = {}
+    for (X, Y), members in families.items():
+        tree = walk_cyclic_tree(ew, X, Y, [t for _, t in members], A, gens)
+        for (h, _), (F, par) in zip(members, tree):
+            # F' from F on the B-side: the curve the mask pushed to e1 reaches
+            walked[h] = F, kernel_codomain(F, par, ps.B), par
+    corners = [walked[h][:2] for h in draws]
 
-    # tag 0 reveals both masks, tag 1 the kernel of F -> F'; psi' of the
-    # mask kernel is computed only for the rounds that reveal it
-    bits = _challenge_bits(statement, corners, ps.nizk_rounds)
-    return NizkProof(
-        [
-            NizkRound(F, Fp, bit, par if bit else (km, psip.evaluate(km)))
-            for (F, Fp), (km, par), bit in zip(corners, kernels, bits)
-        ]
-    )
+    # tag 0 reveals both masks, tag 1 the kernel of F -> F'; each round
+    # records the one corner its check reads
+    bits = _challenge_bits(statement, corners, rounds)
+    out = []
+    for h, bit in zip(draws, bits):
+        F, Fp, par = walked[h]
+        if bit:
+            remember_walk(F, par, ps.B, Fp)
+            out.append(NizkRound(F, Fp, bit, par))
+        else:
+            km = cyclic_kernel(ew, A, h)
+            remember_walk(ew, [km], A, F)
+            out.append(NizkRound(F, Fp, bit, (km, psip.evaluate(km))))
+    return NizkProof(out)
 
 
 def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
     """Reason tag of the first failing check, or None: the challenge is
-    recomputed from the corners and every revealed branch is checked."""
+    recomputed from the corners and every revealed branch is checked.  A
+    corner that several rounds reveal alike (a repeated mask) is walked
+    once per check."""
     ew, wB, e1 = statement
     if len(proof.rounds) != ps.nizk_rounds:
         return "nizk:rounds"
+    walked = {}
+
+    def codomain(E, gens, degree):
+        key = (E, tuple(gens), degree)
+        if key not in walked:
+            walked[key] = kernel_codomain(E, gens, degree)
+        return walked[key]
+
     bits = _challenge_bits(
         statement, [(r.f, r.fp) for r in proof.rounds], ps.nizk_rounds
     )
@@ -137,11 +161,11 @@ def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
         try:
             if bit == 0:
                 km, kmp = r.reveal
-                if kernel_codomain(ew, [km], ps.A) != r.f:
+                if codomain(ew, [km], ps.A) != r.f:
                     return "nizk:mask"
-                if kernel_codomain(e1, [kmp], ps.A) != r.fp:
+                if codomain(e1, [kmp], ps.A) != r.fp:
                     return "nizk:mask-commitment"
-            elif kernel_codomain(r.f, r.reveal, ps.B) != r.fp:
+            elif codomain(r.f, r.reveal, ps.B) != r.fp:
                 return "nizk:parallel"
         except ProtocolError:
             return "nizk:kernel"

@@ -59,13 +59,16 @@ def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
     return 1 + int.from_bytes(digest, "big") % mu_val
 
 
-def cyclic_kernel(E: Curve, D: int, idx: int):
-    """Generator of the idx-th cyclic subgroup of order D = ell^e in E.
+def cyclic_parts(E: Curve, D: int, idx: int):
+    """(X, Y, t) with the idx-th cyclic subgroup of order D = ell^e in E equal
+    to <X + [t]Y>: the one home of the kernel index.
 
     Kernels are indexed on the canonical D-basis (P, Q): indices up to
-    ell^e give <P + [idx-1]Q>, the rest give <[ell*(idx - ell^e - 1)]P + Q>;
+    ell^e give (P, Q, idx - 1), the rest give (Q, [ell]P, idx - ell^e - 1);
     this is a bijection between [1, mu(D)] and the cyclic subgroups, i.e.
-    exactly the non-backtracking walks of length e.
+    exactly the non-backtracking walks of length e.  The indices of one
+    family share (X, Y), so their walks share the steps their t's agree on
+    (isogeny.walk_cyclic_tree).
     """
     fac = factorize(D)
     if len(fac) != 1:
@@ -76,8 +79,15 @@ def cyclic_kernel(E: Curve, D: int, idx: int):
         raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
     P, Q = canonical_torsion_basis(E, D, E.p + 1)
     if idx <= D:
-        return E.add(P, E.mul(idx - 1, Q))
-    return E.add(E.mul(ell * (idx - D - 1), P), Q)
+        return P, Q, idx - 1
+    return Q, E.mul(ell, P), idx - D - 1
+
+
+def cyclic_kernel(E: Curve, D: int, idx: int):
+    """Generator X + [t]Y of the idx-th cyclic subgroup of order D = ell^e
+    in E, (X, Y, t) = cyclic_parts(E, D, idx)."""
+    X, Y, t = cyclic_parts(E, D, idx)
+    return E.add(X, E.mul(t, Y))
 
 
 def challenge_walk(E: Curve, h: int, D: int) -> IsogenyChain:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from adaptorsig import isogeny
-from adaptorsig.isogeny import EfficientRep
+from adaptorsig import curve, isogeny
+from adaptorsig.isogeny import EfficientRep, Step
 from adaptorsig.params import generate_params
 
 
@@ -50,3 +50,27 @@ def _forge_rep(rep, ps):
 @pytest.fixture()
 def forge():
     return _forge_rep
+
+
+def _count_chain_work(monkeypatch):
+    """Lists that record each _chord of two finite points, each Step.image
+    and the prime of each Step construction from here on, while
+    monkeypatch holds."""
+    adds, evals, steps = [], [], []
+    chord, image, init = curve._chord, Step.image, Step.__init__
+
+    def counted_chord(p, a0, a1, P, Q):
+        if not (P is None or Q is None):
+            adds.append(1)
+        return chord(p, a0, a1, P, Q)
+
+    monkeypatch.setattr(curve, "_chord", counted_chord)
+    monkeypatch.setattr(isogeny, "_chord", counted_chord)
+    monkeypatch.setattr(Step, "image", lambda self, P: evals.append(1) or image(self, P))
+    monkeypatch.setattr(Step, "__init__", lambda self, *a: steps.append(a[2]) or init(self, *a))
+    return adds, evals, steps
+
+
+@pytest.fixture()
+def count_chain_work():
+    return _count_chain_work

@@ -27,10 +27,11 @@ from adaptorsig.isogeny import (
     pull_back,
     push_forward,
     remember_walk,
+    walk_cyclic_tree,
 )
 from adaptorsig.orientation import oriented_kernel
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import challenge_walk, cyclic_kernel, keygen, mu
+from adaptorsig.sig import challenge_walk, cyclic_kernel, cyclic_parts, keygen, mu
 
 
 def modular_poly_2(j1: Fp2, j2: Fp2) -> Fp2:
@@ -216,8 +217,8 @@ def test_kernel_codomain_is_the_walks_codomain(request, profile, monkeypatch):
 
 def test_walk_memo_holds_at_most_its_maxsize(t0, monkeypatch):
     """The memo is bounded: it keeps the codomains of the last maxsize
-    recorded walks, at least a proof's two corners per round, and drops the
-    oldest one; a failed walk adds none."""
+    recorded walks, at least the corners of a swap's two proofs (one per
+    round each), and drops the oldest one; a failed walk adds none."""
     maxsize = isogeny._WALKS_KEPT
     assert maxsize >= 2 * t0.nizk_rounds
     E, A = t0.e0, t0.A
@@ -237,6 +238,73 @@ def test_walk_memo_holds_at_most_its_maxsize(t0, monkeypatch):
     assert walks == []
     kernel_codomain(E, [kernels[-maxsize - 1]], A)  # dropped: walked again
     assert walks == [1]
+
+
+def tree_inputs(ps):
+    """Curves and points for walk_cyclic_tree: E0 and a statement curve
+    E_w, with the oriented B-kernel of a choice vector, which a proof
+    pushes, and the first canonical A-basis point, which some masks kill."""
+    rng = random.Random(31)
+    _, s = gen_r(ps, rng)
+    for E, orientation in ((ps.e0, ps.orientation), (s.ew, s.oriented_image)):
+        bits = [rng.randrange(1, 3) for _ in range(ps.t)]
+        P = canonical_torsion_basis(E, ps.A, E.p + 1)[0]
+        yield E, [*oriented_kernel(orientation, bits), P]
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_cyclic_tree_gives_the_challenge_walks(request, profile):
+    """Every member of walk_cyclic_tree reaches the codomain of its
+    challenge_walk and the images its evaluate gives, equal as values: the
+    tree builds the same steps.  Index lists repeat indices and take both
+    index families and the boundary indices 1, A, A + 1 and mu(A)."""
+    ps = request.getfixturevalue(profile)
+    A = ps.A
+    rng = random.Random(32)
+    lists = [
+        [1, A, A + 1, mu(A), 1, mu(A)],
+        [rng.randrange(1, mu(A) + 1) for _ in range(24)],
+        [A + 1, A + 2, A + 1, 2, 3, 2],
+    ]
+    for E, pts in tree_inputs(ps):
+        for hs in lists:
+            families = {}
+            for h in hs:
+                X, Y, t = cyclic_parts(E, A, h)
+                families.setdefault((X, Y), []).append((h, t))
+            assert len(families) == 2
+            for (X, Y), members in families.items():
+                tree = walk_cyclic_tree(E, X, Y, [t for _, t in members], A, pts)
+                for (h, _), (F, images) in zip(members, tree):
+                    mask = challenge_walk(E, h, A)
+                    assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
+
+
+def test_cyclic_tree_certifies_the_kernel_order(t0):
+    """A member whose X + [t]Y does not have order exactly the degree
+    raises BadKernel, alone or among others, and so does a Y with
+    [degree]Y != O: X = [2]P gives order A/2 at even t, and a 5-part on X
+    or Y is no multiple the 2-steps can take."""
+    E, A = t0.e0, t0.A
+    P, Q = canonical_torsion_basis(E, A, E.p + 1)
+    K5 = canonical_torsion_basis(E, 5, E.p + 1)[0]
+    cases = [
+        (E.mul(2, P), Q, [0]),
+        (E.mul(2, P), Q, [1, 0]),
+        (E.mul(2, P), Q, [0, 2]),
+        (E.add(P, K5), Q, [3]),
+        (E.add(P, K5), Q, [0, 1, 2]),
+        (P, E.add(Q, K5), [1]),
+        (Point.infinity(), Q, [0, 1]),
+    ]
+    for X, Y, ts in cases:
+        with pytest.raises(BadKernel):
+            walk_cyclic_tree(E, X, Y, ts, A, [])
+    # the same X at an odd t has order A
+    X = E.mul(2, P)
+    assert walk_cyclic_tree(E, X, Q, [1], A, []) == [
+        (isogeny_from_kernel(E, [E.add(X, Q)], A).codomain, ())
+    ]
 
 
 def fp2_add(E, P, Q):
@@ -442,25 +510,7 @@ def test_b_kernels_match_the_reference(t0, rng):
             assert_steps_match_reference(E, gens, 35)
 
 
-def count_chain_work(monkeypatch):
-    """Lists that record each _chord of two finite points and each
-    Step.image and Step construction from here on."""
-    adds, evals, steps = [], [], []
-    chord, image, init = curve._chord, Step.image, Step.__init__
-
-    def counted_chord(p, a0, a1, P, Q):
-        if not (P is None or Q is None):
-            adds.append(1)
-        return chord(p, a0, a1, P, Q)
-
-    monkeypatch.setattr(curve, "_chord", counted_chord)
-    monkeypatch.setattr(isogeny, "_chord", counted_chord)
-    monkeypatch.setattr(Step, "image", lambda self, P: evals.append(1) or image(self, P))
-    monkeypatch.setattr(Step, "__init__", lambda self, *a: steps.append(1) or init(self, *a))
-    return adds, evals, steps
-
-
-def test_cyclic_two_power_walk_cost(t1, monkeypatch):
+def test_cyclic_two_power_walk_cost(t1, monkeypatch, count_chain_work):
     """One T1 cyclic 2^9 chain: 13 additions walk the balanced strategy,
     which pushes 16 intermediate points; its first step certifies the
     generator's order.  Recomputing each kernel point from the generator
@@ -473,7 +523,7 @@ def test_cyclic_two_power_walk_cost(t1, monkeypatch):
     assert (len(adds), len(evals)) == (13, 16)
 
 
-def test_two_generator_b_kernel_cost(t0, monkeypatch):
+def test_two_generator_b_kernel_cost(t0, monkeypatch, count_chain_work):
     """The T0 B-kernel [K5, K7]: 2 additions build the 5-step and 3 the
     7-step, and each step certifies its generator's order.  Finding first
     that K5 has no 7-part and K7 no 5-part took 12; with a point_order
@@ -485,7 +535,7 @@ def test_two_generator_b_kernel_cost(t0, monkeypatch):
     assert (len(adds), len(steps)) == (5, 2)
 
 
-def test_composite_order_generator_takes_the_order_fallback(t0, monkeypatch):
+def test_composite_order_generator_takes_the_order_fallback(t0, monkeypatch, count_chain_work):
     """One generator of order 35 for a degree-35 kernel: the 5-step on it
     raises, so its order prime to 5 is computed once, and the steps are
     the reference ones, the 5-step on [7]G and the 7-step on its image of G.
@@ -507,7 +557,7 @@ def test_composite_order_generator_takes_the_order_fallback(t0, monkeypatch):
     assert chain.evaluate(G).is_inf
 
 
-def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch):
+def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch, count_chain_work):
     """One T0 cyclic 2^7 chain: 7 steps, each built through the Step
     constructor from the int kernel the walk holds, and no Point made
     between the generator and the chain."""

@@ -72,21 +72,48 @@ def count_chain_degrees(monkeypatch):
     return degrees
 
 
-def test_prover_builds_two_chains_per_round(t0, monkeypatch):
-    """Per round the mask from E_w (degree A) and the parallel isogeny from
-    its codomain (degree B), whose codomain is F', and nothing else: psi'
-    comes in built, as presign hands it over.  No round walks the mask a
-    second time on E1: the tag-0 reveal there is psi' of the mask's kernel
-    generator."""
+def test_prover_builds_one_b_chain_per_round_and_no_a_chain(t0, monkeypatch):
+    """Per distinct mask the parallel isogeny from its codomain (degree B),
+    whose codomain is F', and nothing else: the masks are walked as one
+    tree of Steps (isogeny.walk_cyclic_tree), which builds no chain, and
+    psi' comes in built, as presign hands it over.  No round walks the mask
+    a second time on E1: the tag-0 reveal there is psi' of the mask's
+    kernel generator.  This sample draws 24 distinct masks."""
     rng = random.Random(26)
     stmt, bits = make_statement(t0, rng)
     psip = psi_prime(stmt, bits, t0)
     degrees = count_chain_degrees(monkeypatch)
     proof = prove_parallel(stmt, psip, t0, rng)
-    assert sum(degrees.values()) == 2 * t0.nizk_rounds == 48
-    assert degrees == {t0.A: t0.nizk_rounds, t0.B: t0.nizk_rounds}
+    assert degrees == {t0.B: t0.nizk_rounds}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
+
+
+@pytest.mark.parametrize("profile,distinct", [("t0", 103), ("t1", 146)])
+def test_prover_builds_each_mask_prefix_once(
+    request, profile, distinct, monkeypatch, count_chain_work
+):
+    """The prover walks its masks as one tree: its ell = 2 Steps are as many
+    as the distinct step prefixes among the masks' challenge_walk chains,
+    103 of 24 * 7 = 168 steps at T0 and 146 of 24 * 9 = 216 at T1 here,
+    where walking each mask alone built all of them.  The masks are the
+    first draws of the proof's rng."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(26)
+    stmt, bits = make_statement(ps, rng)
+    psip = psi_prime(stmt, bits, ps)
+    draws = random.Random()
+    draws.setstate(rng.getstate())
+    prefixes = set()
+    for _ in range(ps.nizk_rounds):
+        mask = sig.challenge_walk(stmt[0], draws.randrange(1, sig.mu(ps.A) + 1), ps.A)
+        kernels = [s.kernel for s in mask.steps]
+        prefixes.update(tuple(kernels[:k]) for k in range(1, len(kernels) + 1))
+    _, _, built = count_chain_work(monkeypatch)
+    proof = prove_parallel(stmt, psip, ps, rng)
+    assert built.count(2) == len(prefixes) == distinct
+    monkeypatch.undo()
+    assert verify_parallel(stmt, proof, ps)
 
 
 def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
@@ -112,17 +139,18 @@ def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
 
 
 def test_swap_chain_count(t0, monkeypatch):
-    """Chains built by one T0 swap, by degree.  Each round of the swap's two
-    proofs builds one mask (degree A, 48) and one parallel isogeny (degree
-    B), but a round that repeats an earlier mask reads F' from the walk
-    memo (45 parallel isogenies for 45 distinct masks).  The check that
-    follows each proof reads every corner the prover walked from the memo,
-    and walks only the tag-0 masks on E1, which no prover walks and no
-    check records (26 for 26 tag-0 rounds).  The other degree-B chains are
-    the two keys and presign's psi and psi'."""
+    """Chains built by one T0 swap, by degree.  The swap's two proofs walk
+    their masks as trees of Steps, which build no chain, and build one
+    parallel isogeny (degree B) per distinct mask (45 for 48 rounds).  The
+    check that follows each proof reads every corner its prover recorded
+    from the memo, the mask from E_w of each tag-0 round and the parallel
+    isogeny of each tag-1 round, and walks only the tag-0 masks on E1,
+    which no prover walks and no check records, each distinct one once
+    (25 for 26 tag-0 rounds).  The other degree-B chains are the two keys
+    and presign's psi and psi'."""
     degrees = count_chain_degrees(monkeypatch)
     assert demo_swap(t0, 1)["verdict"] is True
-    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 74}
+    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 25}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])
@@ -384,7 +412,8 @@ def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
     made no proof walks every corner it checks and keeps none of them,
     accepting or rejecting, and a second check walks them again: both
     masks of each tag-0 round and the parallel isogeny of each tag-1
-    round."""
+    round, a corner that several rounds reveal alike once per check (this
+    sample repeats a tag-0 mask)."""
     rng = random.Random(30)
     kp = sig.keygen(t0, rng)
     _, s = gen_r(t0, rng)
@@ -395,6 +424,8 @@ def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
     for m, ok in ((b"cold", True), (b"other", False)):
         assert adaptor.preverify(kp.pk, m, s, pre, "strict", t0) is ok
         assert not isogeny._WALKS
-    tag_0 = sum(r.tag == 0 for r in pre.proof.rounds)
-    assert degrees[t0.A] == 2 * 2 * tag_0
-    assert degrees[t0.B] == 2 * (t0.nizk_rounds - tag_0)
+    tag_0 = {r.reveal for r in pre.proof.rounds if r.tag == 0}
+    tag_1 = {(r.f, r.reveal) for r in pre.proof.rounds if r.tag == 1}
+    assert len(tag_0) + len(tag_1) < t0.nizk_rounds
+    assert degrees[t0.A] == 2 * 2 * len(tag_0)
+    assert degrees[t0.B] == 2 * len(tag_1)

@@ -12,6 +12,8 @@ from adaptorsig.relation import gen_r
 from adaptorsig.sig import (
     PlainSignature,
     challenge_walk,
+    cyclic_kernel,
+    cyclic_parts,
     hash_to_challenge_index,
     keygen,
     mu,
@@ -74,6 +76,24 @@ def test_challenge_walks_distinct(t0, t1, t2, D, expected):
             R = E.add(R, K)
         kernels.add(frozenset(pts))
     assert len(kernels) == expected
+
+
+@pytest.mark.parametrize("profile,ell", [("t0", 2), ("t1", 3)])
+def test_cyclic_kernel_is_x_plus_t_y_of_its_parts(request, profile, ell):
+    """cyclic_parts is the one home of the kernel index: for every index,
+    cyclic_kernel is X + [t]Y of its parts, and the parts are (P, Q, idx - 1)
+    up to D and (Q, [ell]P, idx - D - 1) above, on the canonical D-basis,
+    at D = A (T0) and D = C = 9 (T1)."""
+    ps = request.getfixturevalue(profile)
+    E, D = ps.e0, (ps.A if ell == 2 else ps.C)
+    P, Q = canonical_torsion_basis(E, D, E.p + 1)
+    for idx in range(1, mu(D) + 1):
+        X, Y, t = cyclic_parts(E, D, idx)
+        if idx <= D:
+            assert (X, Y, t) == (P, Q, idx - 1)
+        else:
+            assert (X, Y, t) == (Q, E.mul(ell, P), idx - D - 1)
+        assert cyclic_kernel(E, D, idx) == E.add(X, E.mul(t, Y))
 
 
 def test_challenge_walk_index_bounds(t0):
