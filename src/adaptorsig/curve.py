@@ -419,12 +419,12 @@ def _cleared(E: Curve, N: int, exponent: int):
             yield _scale(E, n // N, P)
 
 
-# a strict check asks for 18-70 bases at T0 (5-8 distinct) and 24-149 at
-# T1 (5-17) on a plain signature, 16-33 (5) and 20-36 (6) on a
-# pre-signature, 48-79 (9) and 363-399 (35) on an adapted one, over keys,
-# honest and forged responses of seeds 1-4: a recovery search asks at the
-# roots of its walks and on pinned steps, and a strict check asks for a
-# verdict, so it builds no chain and asks for nothing on its match
+# a strict check asks for 16-26 bases at T0 (4 distinct) and 19-26 at T1
+# (4) on a plain signature, 25-28 (4) and 23-26 (4) on a forged one, 14-17
+# (4) and 14-24 (4) on a pre-signature, 43-57 (7) and 134-147 (17) on an
+# adapted one, with the cache cleared, over seeds 1-4: a recovery search
+# asks at the roots of its walks, and a strict check asks for a verdict,
+# so it builds no chain and asks for nothing on its match
 @functools.lru_cache(maxsize=4096)
 def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     """Deterministic basis (P, Q) of E[N]: the one signer and verifier share.

@@ -223,17 +223,12 @@ def _finish(cand):
 
 def _leaf_j(cand):
     """The j-invariant of a lazy candidate's codomain, as an int pair: the
-    node's own (_js), or, for a leaf, that of _velu's curve, with _velu's
-    checks and no Step, twist, Curve or Fp2."""
+    node's own, or, for a leaf, that of _velu's curve, with _velu's checks
+    and no Step, twist, Curve or Fp2."""
     _, node, leaf, _ = cand
     if leaf is None:
-        return _js([node])[0]
+        return _j_pair(node.p, *node.a.lex_key(), *node.b.lex_key())
     return _j_pair(node.p, *_velu(node, *leaf)[1])
-
-
-def _js(curves) -> list:
-    """The j-invariants of curves as int pairs (_j_pair, no Fp2)."""
-    return [_j_pair(C.p, *C.a.lex_key(), *C.b.lex_key()) for C in curves]
 
 
 def _canonical_gen(E: Curve, K, ell: int):

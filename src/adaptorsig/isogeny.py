@@ -27,8 +27,8 @@ from .curve import (
     twist_curve,
     weil_pairing,
 )
-from .errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree, NoPreimage
-from .field import Fp2, batch_inv, inv_pair, sqrt_pair
+from .errors import BadKernel, DomainMismatch, NonCoprimeDegree, NoPreimage
+from .field import Fp2, batch_inv, inv_pair
 
 
 def _velu(domain: Curve, K, ell: int):
@@ -364,38 +364,6 @@ def _tree(E: Curve, ell: int, r: int, X, Y, Z, members: list, pts: list, out: di
         _tree(step.codomain, ell, r - 1, Xb, Yb, Zb, group, pb, out)
 
 
-#: the walks remember_walk recorded, (domain, kernel generators, degree) ->
-#: codomain, oldest first; at most _WALKS_KEPT of them
-_WALKS = {}
-_WALKS_KEPT = 64
-
-
-def remember_walk(E: Curve, gens, degree: int, codomain: Curve):
-    """Record codomain, that of isogeny_from_kernel(E, gens, degree), for
-    kernel_codomain.
-
-    The key is the walk's whole input, so a recorded codomain is the one a
-    fresh walk gives.  Only a prover records (nizk.prove_parallel: the mask
-    of a tag-0 round, F' of a tag-1 round), so a check that follows its
-    proof in one process reads those corners, and a process that only
-    checks keeps nothing.  The oldest record goes first; 64 cover a proof's
-    corners (one per round, 24 at 24 rounds) with room to spare.
-    """
-    key = (E, tuple(gens), degree)
-    _WALKS.pop(key, None)
-    _WALKS[key] = codomain
-    if len(_WALKS) > _WALKS_KEPT:
-        del _WALKS[next(iter(_WALKS))]
-
-
-def kernel_codomain(E: Curve, gens, degree: int) -> Curve:
-    """isogeny_from_kernel(E, gens, degree).codomain, read from the walks
-    remember_walk recorded, else walked and not recorded; raises as the
-    walk does."""
-    found = _WALKS.get((E, tuple(gens), degree))
-    return found if found is not None else isogeny_from_kernel(E, gens, degree).codomain
-
-
 def _run(E: Curve, Q, ell: int, f: int, e: int, steps: list):
     """Walk Q's run, appending its steps: the ladder of Q up to f rungs,
     of length v, and its last r = min(v, e) rungs.  Returns (v, r)."""
@@ -472,18 +440,11 @@ def _dual_kernel(step: Step):
     coordinates.
 
     That image is cyclic of order ell, so the image of whichever canonical
-    E[ell]-basis point the step does not kill generates it.  For ell = 2 the
-    other 2-torsion points are the roots of x^2 + x_K x + (a + x_K^2), what
-    is left of x^3 + a x + b once the kernel's root x_K is divided out;
-    either one maps to the nonzero point of the image, with no scan.
+    E[ell]-basis point the step does not kill generates it (for ell = 2 the
+    image has one nonzero point, so either point outside the kernel gives
+    it).
     """
     E, ell = step.domain, step.ell
-    if ell == 2:
-        (k0, k1, _, _), (a0, a1), h = step._kernel, E.a.lex_key(), (E.p + 1) // 2
-        r = sqrt_pair(E.p, -3 * (k0 * k0 - k1 * k1) - 4 * a0, -6 * k0 * k1 - 4 * a1)
-        if r is None:
-            raise NoBasis("E[2] is not rational")
-        return step.image(((r[0] - k0) * h % E.p, (r[1] - k1) * h % E.p, 0, 0))
     U, V = small_torsion_basis(E, ell, E.p + 1)
     K = step.image(_coords(U))
     return step.image(_coords(V)) if K is None else K

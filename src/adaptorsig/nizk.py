@@ -20,16 +20,20 @@ vector.  It draws its masks first and walks them as one tree
 (`isogeny.walk_cyclic_tree`): the masks are cyclic A-kernels indexed on
 one basis of E_w (`sig.cyclic_parts`), so they share step prefixes, and
 each distinct prefix step is built once, pushing the generators of psi'
-along.  Then it walks one parallel isogeny per distinct mask.  Each round
-records the one corner its check reads (`isogeny.remember_walk`), keyed
-by the walk's whole input: (E_w, mask kernel, A) -> F for tag 0 and (F,
-parallel kernel, B) -> F' for tag 1.  The check reads corners through
-`isogeny.kernel_codomain`, which walks only what no prover recorded, and
-walks a corner several rounds reveal alike once: a check right after its
-proof in one process (both parties of `swap.demo_swap`) walks only the
-distinct tag-0 masks on E1, which no prover walks, and reaches every
-verdict a fresh process reaches.  A process that only checks records
-nothing.
+along.  Then it walks one parallel isogeny per distinct mask.
+
+The module keeps one bounded memo, _CORNERS: each round records the one
+corner its check reads, keyed by the walk's whole input, (E_w, mask
+kernel, A) -> F for tag 0 and (F, parallel kernel, B) -> F' for tag 1, so
+a recorded codomain is the one a fresh walk gives.  The prover and the
+check read corners through _codomain, from a copy of the memo that keeps
+what the call walks and goes with it.  So a check walks a corner several
+rounds reveal alike once, and a check right after its proof in one
+process (both parties of `swap.demo_swap`) walks only the distinct tag-0
+masks on E1, which no prover walks; a swap's second prover reads the F'
+of a mask the first revealed with tag 1 when both parties chose the same
+psi'.  Every verdict is the one a fresh process reaches, and a process
+that only checks records nothing.
 """
 
 import hashlib
@@ -38,9 +42,35 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, kernel_codomain, remember_walk, walk_cyclic_tree
+from .isogeny import IsogenyChain, isogeny_from_kernel, walk_cyclic_tree
 from .params import ParamSet
 from .sig import cyclic_kernel, cyclic_parts, mu
+
+
+#: the corners prove_parallel recorded, (domain, kernel generators, degree)
+#: -> codomain, oldest first; at most _CORNERS_KEPT of them, which covers
+#: the one corner per round of a swap's two proofs
+_CORNERS = {}
+_CORNERS_KEPT = 64
+
+
+def _record(E: Curve, gens, degree: int, codomain: Curve):
+    """Record codomain, that of isogeny_from_kernel(E, gens, degree), as the
+    newest corner; the oldest goes once there are more than _CORNERS_KEPT."""
+    key = (E, tuple(gens), degree)
+    _CORNERS.pop(key, None)
+    _CORNERS[key] = codomain
+    if len(_CORNERS) > _CORNERS_KEPT:
+        del _CORNERS[next(iter(_CORNERS))]
+
+
+def _codomain(known: dict, E: Curve, gens, degree: int) -> Curve:
+    """isogeny_from_kernel(E, gens, degree).codomain, read from known, a
+    copy of _CORNERS, or walked into it; raises as the walk does."""
+    key = (E, tuple(gens), degree)
+    if key not in known:
+        known[key] = isogeny_from_kernel(E, gens, degree).codomain
+    return known[key]
 
 
 @dataclass
@@ -112,12 +142,12 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     for h in dict.fromkeys(draws):
         X, Y, t = cyclic_parts(ew, A, h)
         families.setdefault((X, Y), []).append((h, t))
-    walked = {}
+    known, walked = dict(_CORNERS), {}
     for (X, Y), members in families.items():
         tree = walk_cyclic_tree(ew, X, Y, [t for _, t in members], A, gens)
         for (h, _), (F, par) in zip(members, tree):
             # F' from F on the B-side: the curve the mask pushed to e1 reaches
-            walked[h] = F, kernel_codomain(F, par, ps.B), par
+            walked[h] = F, _codomain(known, F, par, ps.B), par
     corners = [walked[h][:2] for h in draws]
 
     # tag 0 reveals both masks, tag 1 the kernel of F -> F'; each round
@@ -127,31 +157,25 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     for h, bit in zip(draws, bits):
         F, Fp, par = walked[h]
         if bit:
-            remember_walk(F, par, ps.B, Fp)
+            _record(F, par, ps.B, Fp)
             out.append(NizkRound(F, Fp, bit, par))
         else:
             km = cyclic_kernel(ew, A, h)
-            remember_walk(ew, [km], A, F)
+            _record(ew, [km], A, F)
             out.append(NizkRound(F, Fp, bit, (km, psip.evaluate(km))))
     return NizkProof(out)
 
 
 def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
     """Reason tag of the first failing check, or None: the challenge is
-    recomputed from the corners and every revealed branch is checked.  A
-    corner that several rounds reveal alike (a repeated mask) is walked
-    once per check."""
+    recomputed from the corners and every revealed branch is checked.
+    Corners are read from a dict that starts as the recorded ones and
+    keeps what this check walks, so a corner that several rounds reveal
+    alike (a repeated mask) is walked once per check."""
     ew, wB, e1 = statement
     if len(proof.rounds) != ps.nizk_rounds:
         return "nizk:rounds"
-    walked = {}
-
-    def codomain(E, gens, degree):
-        key = (E, tuple(gens), degree)
-        if key not in walked:
-            walked[key] = kernel_codomain(E, gens, degree)
-        return walked[key]
-
+    known = dict(_CORNERS)
     bits = _challenge_bits(
         statement, [(r.f, r.fp) for r in proof.rounds], ps.nizk_rounds
     )
@@ -161,11 +185,11 @@ def proof_rejection(statement, proof: NizkProof, ps: ParamSet):
         try:
             if bit == 0:
                 km, kmp = r.reveal
-                if codomain(ew, [km], ps.A) != r.f:
+                if _codomain(known, ew, [km], ps.A) != r.f:
                     return "nizk:mask"
-                if codomain(e1, [kmp], ps.A) != r.fp:
+                if _codomain(known, e1, [kmp], ps.A) != r.fp:
                     return "nizk:mask-commitment"
-            elif codomain(r.f, r.reveal, ps.B) != r.fp:
+            elif _codomain(known, r.f, r.reveal, ps.B) != r.fp:
                 return "nizk:parallel"
         except ProtocolError:
             return "nizk:kernel"

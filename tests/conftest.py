@@ -2,16 +2,16 @@ import random
 
 import pytest
 
-from adaptorsig import curve, isogeny
+from adaptorsig import curve, isogeny, nizk
 from adaptorsig.isogeny import EfficientRep, Step
 from adaptorsig.params import generate_params
 
 
 @pytest.fixture(autouse=True)
-def cold_walk_memo():
-    """Each test starts with isogeny.kernel_codomain's memo empty, so what it
-    walks and counts does not depend on the tests that ran before it."""
-    isogeny._WALKS.clear()
+def cold_corner_memo():
+    """Each test starts with the NIZK's corner memo empty, so what it walks
+    and counts does not depend on the tests that ran before it."""
+    nizk._CORNERS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -57,9 +57,9 @@ def test_wrong_witness_bits_rejected_at_prove_time(t0):
 
 def count_chain_degrees(monkeypatch):
     """A Counter of the degrees that isogeny_from_kernel is called with, from
-    every module that builds chains, while monkeypatch holds.  The walks of
-    isogeny.kernel_codomain count, and the codomains its memo returns do
-    not; the memo starts each test empty (conftest)."""
+    every module that builds chains, while monkeypatch holds.  The corners a
+    check walks count, and those it reads from nizk's memo do not; the memo
+    starts each test empty (conftest)."""
     degrees = Counter()
     build = isogeny.isogeny_from_kernel
 
@@ -67,7 +67,7 @@ def count_chain_degrees(monkeypatch):
         degrees[degree] += 1
         return build(E, gens, degree)
 
-    for module in (isogeny, sig, adaptor, relation):
+    for module in (isogeny, sig, adaptor, relation, nizk):
         monkeypatch.setattr(module, "isogeny_from_kernel", counted)
     return degrees
 
@@ -87,6 +87,25 @@ def test_prover_builds_one_b_chain_per_round_and_no_a_chain(t0, monkeypatch):
     assert degrees == {t0.B: t0.nizk_rounds}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
+
+
+def test_prover_reads_the_f_prime_a_proof_recorded(t0, monkeypatch):
+    """A prover reads F' from the memo where an earlier proof on the same
+    statement and psi' revealed that mask with tag 1, as a swap's second
+    pre-signature does when both parties chose the same choice vector:
+    proving again with the same draws walks only the other masks' F'."""
+    rng = random.Random(26)
+    stmt, bits = make_statement(t0, rng)
+    psip = psi_prime(stmt, bits, t0)
+    state = rng.getstate()
+    proof = prove_parallel(stmt, psip, t0, rng)
+    tag_1 = {r.reveal for r in proof.rounds if r.tag == 1}
+    distinct = {r.f for r in proof.rounds}
+    assert 0 < len(tag_1) < len(distinct)
+    degrees = count_chain_degrees(monkeypatch)
+    rng.setstate(state)
+    assert prove_parallel(stmt, psip, t0, rng) == proof
+    assert degrees == {t0.B: len(distinct) - len(tag_1)}
 
 
 @pytest.mark.parametrize("profile,distinct", [("t0", 103), ("t1", 146)])
@@ -143,7 +162,7 @@ def test_swap_chain_count(t0, monkeypatch):
     their masks as trees of Steps, which build no chain, and build one
     parallel isogeny (degree B) per distinct mask (45 for 48 rounds).  The
     check that follows each proof reads every corner its prover recorded
-    from the memo, the mask from E_w of each tag-0 round and the parallel
+    from nizk's memo, the mask from E_w of each tag-0 round and the parallel
     isogeny of each tag-1 round, and walks only the tag-0 masks on E1,
     which no prover walks and no check records, each distinct one once
     (25 for 26 tag-0 rounds).  The other degree-B chains are the two keys
@@ -380,14 +399,14 @@ def rejection(stmt, proof, ps):
 def test_warm_walk_memo_keeps_every_tag(t0):
     """Every tampered proof gets the tag a fresh process gives it, also
     right after an honest prove of the same statement in this process has
-    filled isogeny.kernel_codomain's memo with the prover's corners: the memo
-    keys the whole walk input, so a tampered corner or reveal is walked."""
+    filled nizk's memo with the prover's corners: the memo keys the whole
+    walk input, so a tampered corner or reveal is walked."""
     rng = random.Random(25)
     stmt, bits = make_statement(t0, rng)
     psip = psi_prime(stmt, bits, t0)
     proof = prove_parallel(stmt, psip, t0, random.Random(29))
     for what, s, p, tag in tampered_proofs(t0, stmt, proof):
-        isogeny._WALKS.clear()
+        nizk._CORNERS.clear()
         cold = rejection(s, p, t0)
         assert prove_parallel(stmt, psip, t0, random.Random(29)) == proof
         assert (what, rejection(s, p, t0)) == (what, cold) == (what, tag)
@@ -418,14 +437,72 @@ def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
     kp = sig.keygen(t0, rng)
     _, s = gen_r(t0, rng)
     pre = adaptor.presign(kp, b"cold", s, t0, rng)
-    assert isogeny._WALKS
-    isogeny._WALKS.clear()
+    assert nizk._CORNERS
+    nizk._CORNERS.clear()
     degrees = count_chain_degrees(monkeypatch)
     for m, ok in ((b"cold", True), (b"other", False)):
         assert adaptor.preverify(kp.pk, m, s, pre, "strict", t0) is ok
-        assert not isogeny._WALKS
+        assert not nizk._CORNERS
     tag_0 = {r.reveal for r in pre.proof.rounds if r.tag == 0}
     tag_1 = {(r.f, r.reveal) for r in pre.proof.rounds if r.tag == 1}
     assert len(tag_0) + len(tag_1) < t0.nizk_rounds
     assert degrees[t0.A] == 2 * 2 * len(tag_0)
     assert degrees[t0.B] == 2 * len(tag_1)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1"])
+def test_check_reads_recorded_corners_and_walks_the_rest_once(request, profile, monkeypatch):
+    """The prover records, per round, the corner its check reads, keyed by
+    the walk's whole input, with the codomain a fresh walk gives.  A check
+    reads a recorded corner with no walk, walks an unrecorded one once (the
+    masks on E1 here), and records nothing: a second check walks the same
+    again, and a walk that raises leaves the memo as it was.  With the memo
+    emptied, a check walks every distinct corner once."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(26)
+    stmt, bits = make_statement(ps, rng)
+    ew = stmt[0]
+    proof = prove_parallel(stmt, psi_prime(stmt, bits, ps), ps, rng)
+    recorded = {}
+    for r in proof.rounds:
+        if r.tag:
+            recorded[(r.f, tuple(r.reveal), ps.B)] = r.fp
+        else:
+            recorded[(ew, (r.reveal[0],), ps.A)] = r.f
+    assert nizk._CORNERS == recorded
+    for (E, gens, degree), codomain in recorded.items():
+        assert isogeny_from_kernel(E, list(gens), degree).codomain == codomain
+    on_e1 = {r.reveal[1] for r in proof.rounds if r.tag == 0}
+    degrees = count_chain_degrees(monkeypatch)
+    for checks in (1, 2):
+        assert verify_parallel(stmt, proof, ps)
+        assert degrees == {ps.A: checks * len(on_e1)}
+        assert nizk._CORNERS == recorded
+    i = next(i for i, r in enumerate(proof.rounds) if r.tag == 0)
+    rounds = list(proof.rounds)
+    km, kmp = rounds[i].reveal
+    rounds[i] = dataclasses.replace(rounds[i], reveal=(ew.mul(2, km), kmp))
+    assert nizk.proof_rejection(stmt, NizkProof(rounds), ps) == "nizk:kernel"
+    assert nizk._CORNERS == recorded
+    nizk._CORNERS.clear()
+    degrees.clear()
+    assert verify_parallel(stmt, proof, ps)
+    assert not nizk._CORNERS
+    tag_1 = sum(degree == ps.B for _, _, degree in recorded)
+    assert degrees == {ps.A: len(recorded) - tag_1 + len(on_e1), ps.B: tag_1}
+
+
+def test_corner_memo_holds_at_most_its_maxsize(t0):
+    """The memo is bounded: it keeps the last _CORNERS_KEPT corners recorded,
+    at least those of a swap's two proofs (one per round each), and drops
+    the oldest first; a corner recorded again becomes the newest."""
+    maxsize = nizk._CORNERS_KEPT
+    assert maxsize >= 2 * t0.nizk_rounds
+    E, A = t0.e0, t0.A
+    keys = [(E, (sig.cyclic_kernel(E, A, h),), A) for h in range(1, maxsize + 20)]
+    for i, (_, gens, _) in enumerate(keys):
+        nizk._record(E, gens, A, isogeny_from_kernel(E, list(gens), A).codomain)
+        assert list(nizk._CORNERS) == keys[max(0, i + 1 - maxsize) : i + 1]
+    oldest = keys[-maxsize]
+    nizk._record(*oldest, nizk._CORNERS[oldest])
+    assert list(nizk._CORNERS) == keys[1 - maxsize :] + [oldest]
