@@ -19,6 +19,7 @@ from .isogeny import (
     dual,
     efficient_rep,
     isogeny_from_kernel,
+    mu,
     pull_back,
     push_forward,
 )
@@ -26,7 +27,7 @@ from .nizk import NizkProof, prove_parallel, verify_parallel
 from .orientation import Orientation, orientation_image, oriented_kernel, sample_orientation
 from .params import PROFILES, ParamSet, generate_params, validate_params
 from .relation import Statement, Witness, gen_r, verify_relation
-from .sig import KeyPair, PlainSignature, challenge_walk, hash_to_challenge_index, keygen, mu, sign, verify
+from .sig import KeyPair, PlainSignature, challenge_walk, hash_to_challenge_index, keygen, sign, verify
 from .swap import demo_swap
 
 __all__ = [

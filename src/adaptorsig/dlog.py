@@ -50,6 +50,7 @@ from .isogeny import (
     IsogenyChain,
     Step,
     _dual_kernel,
+    _subgroup_gens,
     _velu,
     dual,
     dual_step,
@@ -138,20 +139,6 @@ def evaluate_rep(rep: EfficientRep, X: Point) -> Point:
 # ---------------------------------------------------------------------------
 # kernel-candidate enumeration
 # ---------------------------------------------------------------------------
-
-
-def _subgroup_gens(E: Curve, ell: int):
-    """Canonical generators of the ell+1 order-ell subgroups of E[ell]: U + [k]V
-    for k < ell, then V, with (U, V) the canonical basis; in int coordinates."""
-    U, V = small_torsion_basis(E, ell, E.p + 1)
-    p, a0, a1 = E.p, E.a.c0, E.a.c1
-    W, V = _coords(U), _coords(V)
-    gens = []
-    for _ in range(ell):
-        gens.append(W)
-        W = _chord(p, a0, a1, W, V)[0]
-    gens.append(V)
-    return gens
 
 
 def _ell_block(E: Curve, ell: int):

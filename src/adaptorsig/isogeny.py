@@ -5,6 +5,9 @@ step's domain, and a twist factor u that fixes the codomain model.  The
 twist is what lets a dual step land exactly on the original curve, so that
 dual(phi) composed with phi is literally multiplication by the degree on
 rational points rather than "up to isomorphism".
+
+The module is also the one home of the cyclic-kernel index (mu,
+cyclic_parts, cyclic_kernel); walk_cyclic_tree walks a list of indices.
 """
 
 import functools
@@ -27,7 +30,7 @@ from .curve import (
     twist_curve,
     weil_pairing,
 )
-from .errors import BadKernel, DomainMismatch, NonCoprimeDegree, NoPreimage
+from .errors import BadKernel, DomainMismatch, IndexOutOfRange, NonCoprimeDegree, NoPreimage
 from .field import Fp2, batch_inv, inv_pair
 
 
@@ -292,44 +295,97 @@ def isogeny_from_kernel(E: Curve, gens, degree: int) -> IsogenyChain:
     return chain
 
 
-def walk_cyclic_tree(E: Curve, X: Point, Y: Point, ts, degree: int, pts) -> list:
-    """For each t in ts, (codomain, images of pts) of
-    isogeny_from_kernel(E, [X + [t]Y], degree), degree = ell^r: one walk of
-    the tree of the steps those chains share, each distinct step built once.
+def mu(D: int) -> int:
+    """Number of cyclic subgroups of order D: prod ell^(e-1) * (ell + 1)."""
+    out = 1
+    for ell, e in factorize(D).items():
+        out *= ell ** (e - 1) * (ell + 1)
+    return out
+
+
+def cyclic_parts(E: Curve, D: int, idx: int):
+    """(X, Y, t) with the idx-th cyclic subgroup of order D = ell^e in E equal
+    to <X + [t]Y>: the one home of the kernel index.
+
+    Kernels are indexed on the canonical D-basis (P, Q): indices up to
+    ell^e give (P, Q, idx - 1), the rest give (Q, [ell]P, idx - ell^e - 1);
+    this is a bijection between [1, mu(D)] and the cyclic subgroups, i.e.
+    exactly the non-backtracking walks of length e, and X + [t]Y has order
+    exactly D.  The indices of one family share (X, Y), so their walks
+    share the steps their t's agree on (walk_cyclic_tree).
+    """
+    fac = factorize(D)
+    if len(fac) != 1:
+        raise IndexOutOfRange(f"kernel order {D} is not a prime power")
+    ((ell, _),) = fac.items()
+    bound = mu(D)
+    if not 1 <= idx <= bound:
+        raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
+    P, Q = canonical_torsion_basis(E, D, E.p + 1)
+    if idx <= D:
+        return P, Q, idx - 1
+    return Q, E.mul(ell, P), idx - D - 1
+
+
+def cyclic_kernel(E: Curve, D: int, idx: int):
+    """Generator X + [t]Y of the idx-th cyclic subgroup of order D = ell^e
+    in E, (X, Y, t) = cyclic_parts(E, D, idx)."""
+    X, Y, t = cyclic_parts(E, D, idx)
+    return E.add(X, E.mul(t, Y))
+
+
+def _subgroup_gens(E: Curve, ell: int):
+    """Canonical generators of the ell+1 order-ell subgroups of E[ell]: U + [k]V
+    for k < ell, then V, with (U, V) the canonical basis; in int coordinates.
+    The index's prime-order case: the i-th is cyclic_kernel(E, ell, i + 1)."""
+    U, V = small_torsion_basis(E, ell, E.p + 1)
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    W, V = _coords(U), _coords(V)
+    gens = []
+    for _ in range(ell):
+        gens.append(W)
+        W = _chord(p, a0, a1, W, V)[0]
+    gens.append(V)
+    return gens
+
+
+def walk_cyclic_tree(E: Curve, D: int, indices, pts) -> list:
+    """For each index in indices, (codomain, images of pts) of
+    isogeny_from_kernel(E, [cyclic_kernel(E, D, idx)], D), D = ell^r: the
+    indices of one family (X, Y) of cyclic_parts share one walk of the tree
+    of their chains' steps, each distinct step built once.
 
     With r steps left, the next step's kernel is [ell^(r-1)](X + [t]Y) =
-    [ell^(r-1)]X + (t mod ell) Z with Z = [ell^(r-1)]Y, since [ell^r]Y = O
-    (checked), so the members split by t mod ell, and share one step where
-    Z = O.  Past the step s for residue b the state is X' = s(X + [b]Y),
+    [ell^(r-1)]X + (t mod ell) Z with Z = [ell^(r-1)]Y, since [ell^r]Y = O,
+    so the members split by t mod ell, and share one step where Z = O.
+    Past the step s for residue b the state is X' = s(X + [b]Y),
     Y' = s([ell]Y), t' = (t - b)/ell and Z' = s(Z): Z is carried by one
     image per step, not doubled again.  A node with one member left walks
     the rest as isogeny_from_kernel does, on its ladder.  Every step is
     built by Step from the kernel point that walk builds, so codomains and
-    images are equal, not only isomorphic, and a member's first step raises
-    BadKernel unless X + [t]Y has order exactly degree.
+    images are equal, not only isomorphic.
     """
-    fac = factorize(degree)
-    if len(fac) != 1:
-        raise BadKernel("degree must be a prime power")
-    ((ell, r),) = fac.items()
-    for P in (X, Y, *pts):
+    for P in pts:
         if not E.on_curve(P):
             raise BadKernel("point not on the curve")
-    ladder = _ladder(E, _coords(Y), ell, r + 1)
-    if len(ladder) > r:
-        raise BadKernel("[degree]Y is not O")
-    Z = ladder[-1] if len(ladder) == r else None
+    families = {}
+    for idx in dict.fromkeys(indices):
+        X, Y, t = cyclic_parts(E, D, idx)
+        families.setdefault((X, Y), []).append((t, idx))
+    ((ell, r),) = factorize(D).items()
+    pts = [_coords(P) for P in pts]
     out = {}
-    members = [(t, t) for t in dict.fromkeys(ts)]
-    _tree(E, ell, r, _coords(X), _coords(Y), Z, members, [_coords(P) for P in pts], out)
-    p = E.p
-    return [(out[t][0], tuple(_point(p, R) for R in out[t][1])) for t in ts]
+    for (X, Y), members in families.items():
+        ladder = _ladder(E, _coords(Y), ell, r)
+        Z = ladder[-1] if len(ladder) == r else None
+        _tree(E, ell, r, _coords(X), _coords(Y), Z, members, pts, out)
+    return [(out[idx][0], tuple(_point(E.p, R) for R in out[idx][1])) for idx in indices]
 
 
 def _tree(E: Curve, ell: int, r: int, X, Y, Z, members: list, pts: list, out: dict):
     """The node of walk_cyclic_tree with r steps left, in int coordinates:
-    members are (t at this node, t asked for) pairs, and out maps each t
-    asked for to (codomain, images of pts)."""
+    members are (t at this node, index) pairs, and out maps each index to
+    (codomain, images of pts)."""
     if r == 0:
         for _, key in members:
             out[key] = E, pts
@@ -338,8 +394,6 @@ def _tree(E: Curve, ell: int, r: int, X, Y, Z, members: list, pts: list, out: di
     if len(members) == 1:
         ((t, key),) = members
         ladder = _ladder(E, _chord(p, a0, a1, X, _scale(E, t, Y))[0], ell, r)
-        if len(ladder) < r:
-            raise BadKernel(f"kernel generator has order below {ell ** r}")
         steps = []
         _cyclic_walk(E, ladder, ell, steps)
         for step in steps:

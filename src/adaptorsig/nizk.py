@@ -16,11 +16,11 @@ and never walks the mask a second time on E1, and the tag-1 check compares
 curves exactly.
 
 The prover takes psi' as the chain `presign` has built, not the choice
-vector.  It draws its masks first and walks them as one tree
-(`isogeny.walk_cyclic_tree`): the masks are cyclic A-kernels indexed on
-one basis of E_w (`sig.cyclic_parts`), so they share step prefixes, and
-each distinct prefix step is built once, pushing the generators of psi'
-along.  Then it walks one parallel isogeny per distinct mask.
+vector.  It draws its masks, indices of cyclic A-kernels of E_w, and
+walks them as one tree (`isogeny.walk_cyclic_tree`): masks share step
+prefixes, and each distinct prefix step is built once, pushing the
+generators of psi' along.  Then it walks one parallel isogeny per
+distinct mask.
 
 The module keeps one bounded memo, _CORNERS: each round records the one
 corner its check reads, keyed by the walk's whole input, (E_w, mask
@@ -42,9 +42,8 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, isogeny_from_kernel, walk_cyclic_tree
+from .isogeny import IsogenyChain, cyclic_kernel, isogeny_from_kernel, mu, walk_cyclic_tree
 from .params import ParamSet
-from .sig import cyclic_kernel, cyclic_parts, mu
 
 
 #: the corners prove_parallel recorded, (domain, kernel generators, degree)
@@ -137,25 +136,19 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     A, rounds = ps.A, ps.nizk_rounds
     bound = mu(A) + 1
     draws = [rng.randrange(1, bound) for _ in range(rounds)]
-    # the distinct masks, walked as one tree per index family
-    families = {}
-    for h in dict.fromkeys(draws):
-        X, Y, t = cyclic_parts(ew, A, h)
-        families.setdefault((X, Y), []).append((h, t))
-    known, walked = dict(_CORNERS), {}
-    for (X, Y), members in families.items():
-        tree = walk_cyclic_tree(ew, X, Y, [t for _, t in members], A, gens)
-        for (h, _), (F, par) in zip(members, tree):
-            # F' from F on the B-side: the curve the mask pushed to e1 reaches
-            walked[h] = F, _codomain(known, F, par, ps.B), par
-    corners = [walked[h][:2] for h in draws]
+    # per round (F, F', parallel kernel), F' from F on the B-side: the
+    # curve the mask pushed to e1 reaches
+    known = dict(_CORNERS)
+    squares = [
+        (F, _codomain(known, F, par, ps.B), par)
+        for F, par in walk_cyclic_tree(ew, A, draws, gens)
+    ]
 
     # tag 0 reveals both masks, tag 1 the kernel of F -> F'; each round
     # records the one corner its check reads
-    bits = _challenge_bits(statement, corners, rounds)
+    bits = _challenge_bits(statement, [sq[:2] for sq in squares], rounds)
     out = []
-    for h, bit in zip(draws, bits):
-        F, Fp, par = walked[h]
+    for h, (F, Fp, par), bit in zip(draws, squares, bits):
         if bit:
             _record(F, par, ps.B, Fp)
             out.append(NizkRound(F, Fp, bit, par))

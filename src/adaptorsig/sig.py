@@ -1,5 +1,6 @@
 """The toy underlying signature: keygen, hash-to-challenge, signing by
-explicit composition, and layered verification.
+explicit composition, and layered verification, on cyclic kernels named by
+their index (isogeny.cyclic_kernel).
 
 The response isogeny is the literal composition (challenge) o (secret key)
 o (dual commitment), so its degree is the fixed composite B*D_tau*D_phi
@@ -19,9 +20,11 @@ from .isogeny import (
     EfficientRep,
     IsogenyChain,
     compose_chains,
+    cyclic_kernel,
     dual,
     efficient_rep,
     isogeny_from_kernel,
+    mu,
     pairing_law,
 )
 from .params import ParamSet
@@ -43,51 +46,12 @@ class PlainSignature:
         self.rep = rep
 
 
-def mu(D: int) -> int:
-    """Number of cyclic subgroups of order D: prod ell^(e-1) * (ell + 1)."""
-    out = 1
-    for ell, e in factorize(D).items():
-        out *= ell ** (e - 1) * (ell + 1)
-    return out
-
-
 def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
     """1 + (SHA-256(c0 || c1 || m) mod mu): deterministic index in [1, mu]."""
     if mu_val < 1:
         raise IndexOutOfRange("mu must be at least 1")
     digest = hashlib.sha256(fp2_bytes(j) + m).digest()
     return 1 + int.from_bytes(digest, "big") % mu_val
-
-
-def cyclic_parts(E: Curve, D: int, idx: int):
-    """(X, Y, t) with the idx-th cyclic subgroup of order D = ell^e in E equal
-    to <X + [t]Y>: the one home of the kernel index.
-
-    Kernels are indexed on the canonical D-basis (P, Q): indices up to
-    ell^e give (P, Q, idx - 1), the rest give (Q, [ell]P, idx - ell^e - 1);
-    this is a bijection between [1, mu(D)] and the cyclic subgroups, i.e.
-    exactly the non-backtracking walks of length e.  The indices of one
-    family share (X, Y), so their walks share the steps their t's agree on
-    (isogeny.walk_cyclic_tree).
-    """
-    fac = factorize(D)
-    if len(fac) != 1:
-        raise IndexOutOfRange(f"kernel order {D} is not a prime power")
-    ((ell, _),) = fac.items()
-    bound = mu(D)
-    if not 1 <= idx <= bound:
-        raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
-    P, Q = canonical_torsion_basis(E, D, E.p + 1)
-    if idx <= D:
-        return P, Q, idx - 1
-    return Q, E.mul(ell, P), idx - D - 1
-
-
-def cyclic_kernel(E: Curve, D: int, idx: int):
-    """Generator X + [t]Y of the idx-th cyclic subgroup of order D = ell^e
-    in E, (X, Y, t) = cyclic_parts(E, D, idx)."""
-    X, Y, t = cyclic_parts(E, D, idx)
-    return E.add(X, E.mul(t, Y))
 
 
 def challenge_walk(E: Curve, h: int, D: int) -> IsogenyChain:

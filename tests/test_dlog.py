@@ -493,6 +493,18 @@ def test_completion_walk_lists_the_canonical_walks_subgroups(t0, ell, r):
     assert firsts == dlog._subgroup_gens(E, ell)
 
 
+@pytest.mark.parametrize("ell", [2, 3, 5, 7])
+def test_subgroup_gens_are_the_kernel_index_generators(t0, ell):
+    """_canonical_gen puts returned chains, and so CHAIN_PINS, on the
+    generators of _subgroup_gens: they are the kernel index's own,
+    cyclic_kernel(E, ell, i) for i = 1 .. ell + 1 in int coordinates, on E0
+    and on a public key."""
+    pk = keygen(t0, random.Random(ell)).pk
+    for E in (t0.e0, pk):
+        index = [_coords(isogeny.cyclic_kernel(E, ell, i)) for i in range(1, ell + 2)]
+        assert dlog._subgroup_gens(E, ell) == index
+
+
 # SHA-256 of the chain document that find_isogeny returns for the responses
 # of the golden plain signature and pre-signature: which steps and twists
 # the search picks is part of its behaviour

@@ -14,12 +14,13 @@ from adaptorsig.curve import (
     has_exact_order,
     point_order,
 )
-from adaptorsig.errors import BadKernel, DomainMismatch, NoBasis, NonCoprimeDegree
+from adaptorsig.errors import BadKernel, DomainMismatch, IndexOutOfRange, NoBasis, NonCoprimeDegree
 from adaptorsig.field import Fp2
 from adaptorsig.isogeny import (
     EfficientRep,
     Step,
     compose_chains,
+    cyclic_parts,
     dual,
     dual_step,
     efficient_rep,
@@ -30,7 +31,7 @@ from adaptorsig.isogeny import (
 )
 from adaptorsig.orientation import oriented_kernel
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import challenge_walk, cyclic_kernel, cyclic_parts, keygen, mu
+from adaptorsig.sig import challenge_walk, cyclic_kernel, keygen, mu
 
 
 def modular_poly_2(j1: Fp2, j2: Fp2) -> Fp2:
@@ -177,43 +178,25 @@ def test_cyclic_tree_gives_the_challenge_walks(request, profile):
     ]
     for E, pts in tree_inputs(ps):
         for hs in lists:
-            families = {}
-            for h in hs:
-                X, Y, t = cyclic_parts(E, A, h)
-                families.setdefault((X, Y), []).append((h, t))
-            assert len(families) == 2
-            for (X, Y), members in families.items():
-                tree = walk_cyclic_tree(E, X, Y, [t for _, t in members], A, pts)
-                for (h, _), (F, images) in zip(members, tree):
-                    mask = challenge_walk(E, h, A)
-                    assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
+            assert len({cyclic_parts(E, A, h)[:2] for h in hs}) == 2
+            for h, (F, images) in zip(hs, walk_cyclic_tree(E, A, hs, pts), strict=True):
+                mask = challenge_walk(E, h, A)
+                assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
 
 
-def test_cyclic_tree_certifies_the_kernel_order(t0):
-    """A member whose X + [t]Y does not have order exactly the degree
-    raises BadKernel, alone or among others, and so does a Y with
-    [degree]Y != O: X = [2]P gives order A/2 at even t, and a 5-part on X
-    or Y is no multiple the 2-steps can take."""
+def test_cyclic_tree_checks_its_indices_and_points(t0):
+    """An index outside [1, mu(A)] or a degree that is no prime power raises
+    IndexOutOfRange, alone or among good indices, a point off the curve
+    raises BadKernel, and no index gives no walk."""
     E, A = t0.e0, t0.A
-    P, Q = canonical_torsion_basis(E, A, E.p + 1)
-    K5 = canonical_torsion_basis(E, 5, E.p + 1)[0]
-    cases = [
-        (E.mul(2, P), Q, [0]),
-        (E.mul(2, P), Q, [1, 0]),
-        (E.mul(2, P), Q, [0, 2]),
-        (E.add(P, K5), Q, [3]),
-        (E.add(P, K5), Q, [0, 1, 2]),
-        (P, E.add(Q, K5), [1]),
-        (Point.infinity(), Q, [0, 1]),
-    ]
-    for X, Y, ts in cases:
-        with pytest.raises(BadKernel):
-            walk_cyclic_tree(E, X, Y, ts, A, [])
-    # the same X at an odd t has order A
-    X = E.mul(2, P)
-    assert walk_cyclic_tree(E, X, Q, [1], A, []) == [
-        (isogeny_from_kernel(E, [E.add(X, Q)], A).codomain, ())
-    ]
+    for D, hs in ((A, [0]), (A, [1, 0]), (A, [mu(A) + 1]), (A, [2, mu(A) + 1]), (35, [1])):
+        with pytest.raises(IndexOutOfRange):
+            walk_cyclic_tree(E, D, hs, [])
+    off = Point(Fp2.zero(E.p), Fp2.one(E.p))
+    assert not E.on_curve(off)
+    with pytest.raises(BadKernel):
+        walk_cyclic_tree(E, A, [1], [off])
+    assert walk_cyclic_tree(E, A, [], []) == []
 
 
 def fp2_add(E, P, Q):

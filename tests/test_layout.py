@@ -68,6 +68,34 @@ def test_int_helpers_stay_in_the_arithmetic_modules():
     assert leaks == []
 
 
+def test_the_kernel_index_lives_in_isogeny():
+    # the cyclic-kernel index (mu, cyclic_parts, cyclic_kernel and its
+    # prime-order case _subgroup_gens) is defined once, in isogeny, and the
+    # hard relation's modules, the NIZK among them, import nothing from sig
+    from_sig = []
+    for name, tree in _trees():
+        if name not in ("orientation.py", "relation.py", "nizk.py"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                bound = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                bound = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "sig" for m in bound):
+                from_sig.append(f"{name}:{node.lineno}")
+    assert from_sig == []
+    index = {"mu", "cyclic_parts", "cyclic_kernel", "_subgroup_gens"}
+    homes = [
+        f"{name}:{node.name}"
+        for name, tree in _trees()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in index
+    ]
+    assert sorted(homes) == sorted(f"isogeny.py:{fn}" for fn in index)
+
 
 def test_every_private_definition_is_used():
     # a private module-level function or class that no name, attribute or

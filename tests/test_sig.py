@@ -7,13 +7,12 @@ from adaptorsig.adaptor import presign, preverify
 from adaptorsig.curve import Curve, canonical_torsion_basis, point_order
 from adaptorsig.errors import IndexOutOfRange, NoBasis
 from adaptorsig.field import Fp2
-from adaptorsig.isogeny import EfficientRep
+from adaptorsig.isogeny import EfficientRep, cyclic_parts
 from adaptorsig.relation import gen_r
 from adaptorsig.sig import (
     PlainSignature,
     challenge_walk,
     cyclic_kernel,
-    cyclic_parts,
     hash_to_challenge_index,
     keygen,
     mu,
