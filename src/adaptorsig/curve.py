@@ -11,9 +11,7 @@ Points are converted once on entry (_coords) and once on exit (_point), and
 never built only for a callee to unpack: isogeny.Step takes its kernel as a
 Point or as the int 4-tuple, so the walks of isogeny and dlog hand over the
 ints they hold, and Step.kernel builds its Point only when read.  No other
-module imports an underscore name of curve, isogeny or dlog.  The one
-exception is dlog.iter_kernel_candidates, the tests' exhaustive oracle,
-which takes the basis and yields its images as ints.
+module imports an underscore name of curve, isogeny or dlog.
 The point scan (_scan, square roots by field.sqrt_pair) and the
 j-invariant (_j_pair) run on ints as well; lift_x and scan_points wrap
 _lift and _scan, and _cleared is the one loop that clears scan points to

@@ -52,7 +52,6 @@ from .isogeny import (
     _dual_kernel,
     _subgroup_gens,
     _velu,
-    dual,
     dual_step,
 )
 
@@ -176,9 +175,8 @@ def _walks(E, ell, r, steps, back_gen, loose):
     no canonical basis.  A child's B is the image of its parent's B (at the
     root, _dual_kernel of the step).  A step taken from such a node adds
     (its index in the candidate's steps, the leaf's included, B) to loose:
-    its kernel generator is not the canonical one, which _canonical puts
-    back on a chain that is returned, and its image of B generates its
-    dual's kernel (_hat).
+    its kernel generator is not the canonical one, and its image of B
+    generates its dual's kernel (_hat).
     """
     if r == 0:
         yield steps, E, None, loose
@@ -218,32 +216,13 @@ def _leaf_j(cand):
     return _j_pair(node.p, *_velu(node, *leaf)[1])
 
 
-def _canonical_gen(E: Curve, K, ell: int):
-    """The generator of _subgroup_gens(E, ell) in <K>, K of order ell, in int
-    coordinates."""
-    span = _span(E, K, ell)
-    return next(G for G in _subgroup_gens(E, ell) if G in span)
-
-
-def _canonical(steps, loose) -> list:
-    """steps with each step at an index in loose rebuilt on the canonical
-    generator of its kernel (_canonical_gen).  Vélu's codomain and images
-    depend on the subgroup alone, so only the kernel generator changes."""
-    steps = list(steps)
-    for i, _ in loose:
-        s = steps[i]
-        steps[i] = Step(s.domain, _canonical_gen(s.domain, s._kernel, s.ell), s.ell)
-    return steps
-
-
 def _hat(steps, loose) -> list:
     """The steps of the exact dual of the chain of steps, as the join tests
     it: a loose step's dual kernel is generated by its image of its node's
     B (dual_step's back), and an [ell] block (_ell_block), the one kind of
     search step with a twist, is its own dual, so no canonical basis is
     computed below a root.  The map is dual()'s; only those kernel
-    generators differ, so a chain that is returned takes dual()'s steps
-    instead."""
+    generators differ."""
     back = dict(loose)
     out = []
     i = len(steps)
@@ -266,10 +245,11 @@ def count_kernel_candidates(degree: int) -> int:
 
 
 def _candidates(E: Curve, degree: int):
-    """iter_kernel_candidates with the last step left lazy and no images:
-    yields lazy candidates (steps, node, leaf, loose) out of E as _walks
-    does.  Only the last prime power's leaves stay lazy; an earlier prime's
-    walk goes on from its leaf's codomain, so that leaf is finished."""
+    """Every order-`degree` kernel subgroup of E, each exactly once, as a
+    lazy candidate (steps, node, leaf, loose) out of E as _walks yields
+    them, prime powers in ascending order.  Only the last prime power's
+    leaves stay lazy; an earlier prime's walk goes on from its leaf's
+    codomain, so that leaf is finished."""
     fac = sorted(factorize(degree).items())
 
     def rec(cur, idx, steps, loose):
@@ -286,25 +266,6 @@ def _candidates(E: Curve, degree: int):
         yield [], E, None, ()
         return
     yield from rec(E, 0, [], ())
-
-
-def iter_kernel_candidates(E: Curve, degree: int, U, V):
-    """Every order-`degree` kernel subgroup of E as a candidate chain.
-
-    Yields (steps, codomain, image of U, image of V), enumerating prime
-    powers in ascending order, each subgroup exactly once.  A walk's first
-    step takes the canonical generators in order; a step below it takes
-    the generators <P + [k]B> of _walks, so its kernel generator is not the
-    canonical one.  U, V and their images are in int coordinates (None for
-    O), pushed through each candidate's steps by Step.image.  Every
-    candidate is finished, its leaf step built (see _candidates, which
-    find_isogeny walks instead, with no images).
-    """
-    for steps, cur in map(_finish, _candidates(E, degree)):
-        imgU, imgV = U, V
-        for s in steps:
-            imgU, imgV = s.image(imgU), s.image(imgV)
-        yield steps, cur, imgU, imgV
 
 
 def _split(degree: int, fixed: int = 1):
@@ -335,21 +296,20 @@ def _split(degree: int, fixed: int = 1):
 
 
 def _match(rep: EfficientRep, phi: IsogenyChain = None):
-    """The search up to its first verified match: (forward steps, their
-    loose, backward steps, u), where the forward steps twisted by u, the
-    exact dual of the backward chain, then phi (the identity of
-    rep.codomain when None) map rep.basis to rep.images; for degree 1,
-    ([], (), [], None) when the images are the identity's.  Writes the log
-    line and raises NotFound when no candidate matches.  It builds no
-    canonical generator and no dual() chain: those are find_isogeny's
-    alone, so a verdict (isogeny_exists) stops here."""
+    """The search up to its first verified match: (forward steps, u, join
+    steps), where the forward steps, the last retwisted by u, then the join
+    steps map rep.basis to rep.images.  The join is the exact dual of the
+    backward chain (_hat) followed by phi (the identity of rep.codomain
+    when None), so it ends on rep.codomain.  For degree 1 it is ([], None,
+    []) when the images are the identity's.  Writes the log line and
+    raises NotFound when no candidate matches."""
     d = rep.degree
     E, E2 = rep.domain, rep.codomain
     T1, T2 = rep.images
     U, V = rep.basis
     if d == 1:
         if E == E2 and U == T1 and V == T2:
-            return [], (), [], None
+            return [], None, []
         raise NotFound("images are not the identity's")
     if phi is None:
         phi = IsogenyChain.identity(E2)
@@ -369,17 +329,17 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
             n[0] += 1
             yield from (((n[0], cand), b) for b in back.get(_leaf_j(cand), ()))
 
-    fins, joins = {}, {}  # index -> forward chain, images of rep.basis / backward, join
+    fins, joins = {}, {}  # index -> forward chain, images of rep.basis / join
     for (f, fcand), (b, bcand) in pairs():
         if f not in fins:
             chain = IsogenyChain(E, _finish(fcand)[0])
             fins[f] = chain, chain.evaluate(U), chain.evaluate(V)
         if b not in joins:
             bsteps, mid = _finish(bcand)
-            joins[b] = bsteps, mid, IsogenyChain(mid, _hat(bsteps, bcand[-1]) + phi.steps)
+            joins[b] = IsogenyChain(mid, _hat(bsteps, bcand[-1]) + phi.steps)
         chain, imgU, imgV = fins[f]
-        bsteps, mid, join = joins[b]
-        for u in isomorphisms(chain.codomain, mid):
+        join = joins[b]
+        for u in isomorphisms(chain.codomain, join.domain):
             if join.evaluate(twist_point(imgU, u)) != T1:
                 continue
             if join.evaluate(twist_point(imgV, u)) != T2:
@@ -393,7 +353,7 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
                 sum(n),
                 time.perf_counter() - t0,
             )
-            return chain.steps, fcand[-1], bsteps, u
+            return chain.steps, u, join.steps
     logger.debug(
         "recovery of degree %d: exhausted %d candidates (%d halves built), %.3fs",
         d,
@@ -407,8 +367,7 @@ def _match(rep: EfficientRep, phi: IsogenyChain = None):
 def isogeny_exists(rep: EfficientRep, phi: IsogenyChain = None) -> bool:
     """Whether an isogeny of rep.degree maps rep.basis to rep.images, and,
     given phi, one that ends with phi: find_isogeny's search (_match),
-    stopped at the match, with no chain built, so a strict check builds
-    only what it reads.  Without phi the verdict is whether
+    read as a verdict.  Without phi the verdict is whether
     find_isogeny(rep) returns a chain, and the log line is the same.
 
     Handed the challenge walk phi of degree D, the search meets tau in
@@ -454,18 +413,16 @@ def find_isogeny(rep: EfficientRep) -> IsogenyChain:
     chains dualized only on a j-match, each once; a node below a walk's
     root lists its subgroups from its backtrack generator and one scan
     point (_walks).  That search, up to the match, is _match, which
-    isogeny_exists shares.  Only here is the chain built: the forward
-    steps, put on canonical kernel generators (_canonical), the last
-    retwisted by u, then dual() of the backward chain; it ends on
-    rep.codomain with rep.images exactly.  Raises NotFound when no
-    candidate matches (a forgery signal).
+    isogeny_exists shares.  The chain returned is the one the match
+    verified: the forward steps, the last retwisted by u, then the join's
+    steps, the exact dual of the backward chain; it ends on rep.codomain
+    with rep.images exactly.  Raises NotFound when no candidate matches (a
+    forgery signal).
     """
-    steps, loose, bsteps, u = _match(rep)
+    steps, u, join = _match(rep)
     if rep.degree == 1:
         return IsogenyChain.identity(rep.domain)
-    steps = _canonical(steps, loose)
-    hat = dual(IsogenyChain(rep.codomain, bsteps))
-    return IsogenyChain(rep.domain, steps[:-1] + [steps[-1].retwist(u)] + hat.steps)
+    return IsogenyChain(rep.domain, steps[:-1] + [steps[-1].retwist(u)] + join)
 
 
 def recover_isogeny(rep: EfficientRep) -> IsogenyChain:

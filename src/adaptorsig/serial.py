@@ -2,7 +2,7 @@
 
 Documents are plain dicts with lowercase big-endian hex integers and sorted
 keys; encoding the same object twice is byte-identical.  Parsing validates
-the type invariants (points on their curves, degrees, recomputed codomains)
+the type invariants (points on curves, index ranges, recomputed codomains)
 and names the offending JSON path on failure.  A response's images and a
 pre-signature's S run the verifiers' own checks, `sig.rep_rejection` and
 `adaptor.s_rejection`, and a failure names their tag.
@@ -12,10 +12,10 @@ import json
 from dataclasses import replace
 
 from .adaptor import AdaptedSignature, PreSignature, presignature_shapes, s_rejection
-from .curve import Curve, Point, canonical_torsion_basis
+from .curve import Curve, Point, canonical_torsion_basis, factorize
 from .errors import InvariantViolation, ParseError, ProtocolError
 from .field import Fp2
-from .isogeny import EfficientRep, IsogenyChain, Step
+from .isogeny import EfficientRep, mu
 from .nizk import NizkProof, NizkRound
 from .orientation import Orientation, orientation_valid
 from .params import (
@@ -26,7 +26,6 @@ from .params import (
     SIZE_RULES,
     ParamSet,
     failed_rule,
-    is_prime,
 )
 from .relation import Statement, Witness
 from .sig import KeyPair, PlainSignature, rep_rejection, signature_shapes
@@ -214,51 +213,7 @@ def parse_params(doc) -> ParamSet:
     return ps
 
 
-# -- chains, representations --------------------------------------------------
-
-
-def chain_doc(chain: IsogenyChain) -> dict:
-    return {
-        "domain": curve_doc(chain.domain),
-        "codomain": curve_doc(chain.codomain),
-        "degree": _hex(chain.degree),
-        "steps": [
-            {"ell": _hex(s.ell), "kernel": point_doc(s.kernel), "u": fp2_doc(s.u)}
-            for s in chain.steps
-        ],
-    }
-
-
-def parse_chain(doc, ps: ParamSet, path) -> IsogenyChain:
-    """A secret key's chain: every step degree is a prime of D_tau."""
-    domain = parse_curve(_field(doc, "domain", path), ps.p, f"{path}.domain")
-    codomain = parse_curve(_field(doc, "codomain", path), ps.p, f"{path}.codomain")
-    degree = _unhex(_field(doc, "degree", path), f"{path}.degree")
-    steps = []
-    cur = domain
-    for i, sdoc in enumerate(_list(doc, "steps", path)):
-        sub = f"{path}.steps[{i}]"
-        ell = _unhex(_field(sdoc, "ell", sub), f"{sub}.ell")
-        # before any kernel is parsed: this bounds is_prime's input and the
-        # Vélu work of the step
-        if ell == 0 or ps.d_tau % ell:
-            raise InvariantViolation(f"{sub}.ell", "step degree does not divide D_tau")
-        if not is_prime(ell):
-            raise InvariantViolation(f"{sub}.ell", "step degree is not prime")
-        K = parse_point(_field(sdoc, "kernel", sub), cur, f"{sub}.kernel")
-        u = parse_fp2(_field(sdoc, "u", sub), ps.p, f"{sub}.u")
-        try:
-            step = Step(cur, K, ell, u)
-        except ProtocolError as exc:
-            raise InvariantViolation(sub, f"invalid step: {exc}") from exc
-        steps.append(step)
-        cur = step.codomain
-    chain = IsogenyChain(domain, steps)
-    if chain.codomain != codomain:
-        raise InvariantViolation(f"{path}.codomain", "steps do not reach the codomain")
-    if chain.degree != degree:
-        raise InvariantViolation(f"{path}.degree", "degree != product of step primes")
-    return chain
+# -- representations ---------------------------------------------------------
 
 
 def rep_doc(rep: EfficientRep) -> dict:
@@ -294,15 +249,23 @@ def parse_rep(doc, domain: Curve, shapes: dict, path) -> EfficientRep:
 
 
 def keypair_doc(kp: KeyPair) -> dict:
-    return {"sk": chain_doc(kp.sk), "pk": curve_doc(kp.pk)}
+    return {"pk": curve_doc(kp.pk), "sk": [_hex(i) for i in kp.indices]}
 
 
 def parse_keypair(doc, ps: ParamSet) -> KeyPair:
-    sk = parse_chain(_field(doc, "sk", "key"), ps, "key.sk")
+    """A key pair from its secret kernel indices, one per prime power of
+    D_tau (factorize order), each in [1, mu(ell^e)] before any isogeny is
+    built; pk must be the codomain of the rebuilt sk."""
+    fac = factorize(ps.d_tau).items()
+    raw = _list(doc, "sk", "key", len(fac))
+    indices = []
+    for i, ((ell, e), x) in enumerate(zip(fac, raw)):
+        idx = _unhex(x, f"key.sk[{i}]")
+        if not 1 <= idx <= mu(ell**e):
+            raise InvariantViolation(f"key.sk[{i}]", "kernel index out of range")
+        indices.append(idx)
     pk = parse_curve(_field(doc, "pk", "key"), ps.p, "key.pk")
-    if sk.domain != ps.e0 or sk.degree != ps.d_tau:
-        raise InvariantViolation("key.sk", "secret isogeny has the wrong shape")
-    kp = KeyPair(sk)
+    kp = KeyPair(ps, indices)
     if kp.pk != pk:
         raise InvariantViolation("key.pk", "pk is not the codomain of sk")
     return kp

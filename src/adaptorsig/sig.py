@@ -31,11 +31,16 @@ from .params import ParamSet
 
 
 class KeyPair:
-    __slots__ = ("sk", "pk")
+    """The secret isogeny sk of degree D_tau from E0, named by one kernel
+    index per prime power of D_tau (_smooth_kernel); pk is its codomain."""
 
-    def __init__(self, sk: IsogenyChain):
-        self.sk = sk
-        self.pk = sk.codomain
+    __slots__ = ("indices", "sk", "pk")
+
+    def __init__(self, ps: ParamSet, indices):
+        self.indices = tuple(indices)
+        gens = _smooth_kernel(ps.e0, ps.d_tau, self.indices)
+        self.sk = isogeny_from_kernel(ps.e0, gens, ps.d_tau)
+        self.pk = self.sk.codomain
 
 
 class PlainSignature:
@@ -65,21 +70,23 @@ def challenge(pk: Curve, e1: Curve, m: bytes, ps: ParamSet) -> IsogenyChain:
     return challenge_walk(pk, h, ps.d_phi)
 
 
-def _random_smooth_kernel(E: Curve, degree: int, rng):
-    """Generators of a uniformly random cyclic subgroup of order `degree`
-    (degree squarefree and odd here, so every order-degree subgroup is
-    cyclic and splits per prime)."""
-    gens = []
-    for ell, e in factorize(degree).items():
-        D = ell**e
-        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1)))
-    return gens
+def _random_indices(degree: int, rng) -> list:
+    """A uniformly random cyclic subgroup of order `degree` (squarefree and
+    odd here, so every order-degree subgroup is cyclic and splits per
+    prime), as one index per prime power, in factorize order."""
+    return [rng.randrange(1, mu(ell**e) + 1) for ell, e in factorize(degree).items()]
+
+
+def _smooth_kernel(E: Curve, degree: int, indices) -> list:
+    """Generators of the subgroup of E that `indices` name, one per prime
+    power of `degree` (_random_indices)."""
+    fac = factorize(degree).items()
+    return [cyclic_kernel(E, ell**e, i) for (ell, e), i in zip(fac, indices, strict=True)]
 
 
 def keygen(ps: ParamSet, rng) -> KeyPair:
     """Secret isogeny of degree D_tau from the base curve; pk its codomain."""
-    gens = _random_smooth_kernel(ps.e0, ps.d_tau, rng)
-    return KeyPair(isogeny_from_kernel(ps.e0, gens, ps.d_tau))
+    return KeyPair(ps, _random_indices(ps.d_tau, rng))
 
 
 def response_degree(ps: ParamSet) -> int:
@@ -93,7 +100,7 @@ def signature_shapes(ps: ParamSet) -> dict:
 
 def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     """Commit, derive the challenge walk, respond by explicit composition."""
-    gens = _random_smooth_kernel(ps.e0, ps.B, rng)
+    gens = _smooth_kernel(ps.e0, ps.B, _random_indices(ps.B, rng))
     psi0 = isogeny_from_kernel(ps.e0, gens, ps.B)
     e1 = psi0.codomain
     phi = challenge(kp.pk, e1, m, ps)

@@ -97,11 +97,10 @@ def test_the_kernel_index_lives_in_isogeny():
     assert sorted(homes) == sorted(f"isogeny.py:{fn}" for fn in index)
 
 
-def test_every_private_definition_is_used():
-    # a private module-level function or class that no name, attribute or
-    # import in the package refers to is left over from a deletion
-    defined, used = [], set()
-    for name, tree in _trees():
+def _names_used(trees) -> set:
+    """Every name, attribute and imported name that the trees refer to."""
+    used = set()
+    for _, tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -109,12 +108,42 @@ def test_every_private_definition_is_used():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-        defined += [
-            (name, node.name)
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and node.name.startswith("_")
-        ]
+    return used
+
+
+def _definitions(trees, private: bool) -> list:
+    """(module, name) of each module-level function or class, private or public."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [
+        (name, node.name)
+        for name, tree in trees
+        for node in tree.body
+        if isinstance(node, kinds) and node.name.startswith("_") == private
+    ]
+
+
+def test_every_private_definition_is_used():
+    # a private module-level function or class that no name, attribute or
+    # import in the package refers to is left over from a deletion
+    trees = list(_trees())
+    used = _names_used(trees)
+    defined = _definitions(trees, private=True)
+    assert [f"{name}:{fn}" for name, fn in defined if fn not in used] == []
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a public module-level function or class that only the tests refer to
+    # is a test helper, and it lives in tests/: the package (the defining
+    # module included) or the benchmark in perfbench/ must refer to it
+    trees = list(_trees())
+    bench = [
+        (path.name, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted((ROOT / "perfbench").glob("*.py"))
+        if not path.name.startswith("test_")
+    ]
+    assert bench, "perfbench sources not found"
+    used = _names_used(trees + bench)
+    defined = _definitions(trees, private=False)
     assert [f"{name}:{fn}" for name, fn in defined if fn not in used] == []
 
 # module-level containers that start empty and grow for the life of the

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import json
 import random
 import time
@@ -8,13 +7,13 @@ from pathlib import Path
 import pytest
 
 from adaptorsig import isogeny, orientation, serial
+from adaptorsig import sig as sig_module
 from adaptorsig.adaptor import adapt, presign, presignature_shapes
 from adaptorsig.cli import main
-from adaptorsig.curve import Curve, Point, canonical_torsion_basis, twist_curve, twist_point
+from adaptorsig.curve import Curve, canonical_torsion_basis, twist_curve, twist_point
 from adaptorsig.errors import InvariantViolation, ParseError
 from adaptorsig.field import Fp2
 from adaptorsig.orientation import Orientation, sample_orientation
-from adaptorsig.params import ParamSet, base_curve, is_prime
 from adaptorsig.relation import gen_r
 from adaptorsig.isogeny import EfficientRep, pairing_law
 from adaptorsig.sig import PlainSignature, keygen, sign, signature_shapes, verify
@@ -80,15 +79,15 @@ def test_missing_key_parse_error(t0):
         serial.parse_witness({"beta": "0"}, t0)
 
 
-def test_off_curve_point_names_path(t0):
-    kp = keygen(t0, random.Random(5))
-    doc = json.loads(serial.encode(serial.keypair_doc(kp)).decode())
-    doc["sk"]["steps"][0]["kernel"]["x"]["c0"] = format(
-        (int(doc["sk"]["steps"][0]["kernel"]["x"]["c0"], 16) + 1) % t0.p, "x"
-    )
+def test_off_curve_point_names_path():
+    ps = serial.parse_params(_vector("params.json"))
+    s = serial.parse_statement(_vector("relation.json")["statement"], ps)
+    doc = _vector("presignature.json")
+    x = doc["s"][0]["x"]
+    x["c0"] = format((int(x["c0"], 16) + 1) % ps.p, "x")
     with pytest.raises(InvariantViolation) as err:
-        serial.parse_keypair(doc, t0)
-    assert "kernel" in str(err.value)
+        serial.parse_presig(doc, ps, s)
+    assert "presignature.s[0]" in str(err.value)
 
 
 def test_unreduced_residue_rejected(t0):
@@ -254,25 +253,6 @@ def test_zero_order_degree_and_prime_rejected():
     assert err.value.path == "params.orientation"
 
 
-def test_composite_step_degree_rejected():
-    # one Vélu step with the whole cyclic kernel of sk (degree 35) computes
-    # the same isogeny, but a chain's steps have prime degree
-    ps = serial.parse_params(_vector("params.json"))
-    doc = _vector("key.json")
-    sk = serial.parse_keypair(doc, ps).sk
-    E = ps.e0
-    K = Point.infinity()
-    for ell in (5, 7):
-        U, V = canonical_torsion_basis(E, ell, ps.group_order)
-        gens = [E.add(U, E.mul(k, V)) for k in range(ell)] + [V]
-        K = E.add(K, next(G for G in gens if sk.evaluate(G).is_inf))
-    step = dict(doc["sk"]["steps"][0], ell="23", kernel=serial.point_doc(K))
-    doc["sk"]["steps"] = [step]
-    with pytest.raises(InvariantViolation) as err:
-        serial.parse_keypair(doc, ps)
-    assert err.value.path == "key.sk.steps[0].ell"
-
-
 def test_orientation_primes_checked_before_the_generator_scans(monkeypatch):
     # pairs with ell = p+1 pass every order check on E0, and each one costs
     # orientation_valid an _in_subgroup scan of p+1 multiples
@@ -411,45 +391,6 @@ def test_ordinary_e1_has_no_canonical_basis(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_long_step_degree_rejected_before_the_primality_test(monkeypatch):
-    ps = serial.parse_params(_vector("params.json"))
-    doc = _vector("key.json")
-    ell = 2**2000 + 1
-    assert (ps.p + 1) % ell != 0
-    doc["sk"]["steps"][0]["ell"] = format(ell, "x")
-    tests = []
-    is_prime = serial.is_prime
-    monkeypatch.setattr(serial, "is_prime", lambda n: tests.append(n) or is_prime(n))
-    with pytest.raises(InvariantViolation) as err:
-        serial.parse_keypair(doc, ps)
-    assert err.value.path == "key.sk.steps[0].ell"
-    assert tests == []
-
-
-def test_step_degree_must_divide_d_tau():
-    # custom params p = 2^7 * 35 * 3 * f - 1 with a 41-bit prime cofactor f
-    # pass every rule, and f | p + 1; a step of degree f on E0 would cost
-    # Vélu (f - 3)/2 additions, but f does not divide D_tau
-    base = 2**7 * 35 * 3
-    f = next(f for f in itertools.count(2**40 + 1) if is_prime(f) and is_prime(base * f - 1))
-    p = base * f - 1
-    e0 = base_curve(p)
-    o = sample_orientation(e0, (5, 7), random.Random(0))
-    ps = ParamSet(p, 7, (5, 7), 1, f, 35, 3, e0, o, canonical_torsion_basis(e0, 3, p + 1), 24)
-    ps = serial.parse_params(serial.params_doc(ps))
-    K = e0.mul((p + 1) // f, e0.random_point(random.Random(1)))
-    assert not K.is_inf and e0.mul(f, K).is_inf
-    step = {"ell": format(f, "x"), "kernel": serial.point_doc(K), "u": serial.fp2_doc(ps.one())}
-    sk = {**serial.chain_doc(isogeny.IsogenyChain(e0, [])), "degree": format(f, "x")}
-    doc = {"sk": {**sk, "steps": [step]}, "pk": serial.curve_doc(e0)}
-    start = time.perf_counter()
-    with pytest.raises(InvariantViolation) as err:
-        serial.parse_keypair(doc, ps)
-    assert time.perf_counter() - start < 0.1
-    assert err.value.path == "key.sk.steps[0].ell"
-    assert "D_tau" in err.value.message
-
-
 @pytest.mark.parametrize(
     "data",
     [b'{"e1": ' + b"1" * 5000 + b"}", b"[" * 100_000, b'{"a": ' * 100_000],
@@ -473,16 +414,10 @@ def test_loads_is_total(data, tmp_path, capsys):
 @pytest.mark.parametrize(
     "mutate,path,message",
     [
-        (lambda d, ps: d["sk"].update(codomain=serial.curve_doc(ps.e0)),
-         "key.sk.codomain", "steps do not reach the codomain"),
-        (lambda d, ps: d["sk"].update(degree=format(ps.d_tau * 5, "x")),
-         "key.sk.degree", "degree != product of step primes"),
-        (lambda d, ps: d.update(sk=dict(d["sk"], domain=d["pk"], steps=[], degree="1")),
-         "key.sk", "secret isogeny has the wrong shape"),
         (lambda d, ps: d.update(pk=serial.curve_doc(ps.e0)),
          "key.pk", "pk is not the codomain of sk"),
     ],
-    ids=["codomain", "degree", "shape", "pk"],
+    ids=["pk"],
 )
 def test_keypair_decoder_compares_stated_and_computed_ends(mutate, path, message):
     ps = serial.parse_params(_vector("params.json"))
@@ -491,6 +426,47 @@ def test_keypair_decoder_compares_stated_and_computed_ends(mutate, path, message
     with pytest.raises(InvariantViolation) as err:
         serial.parse_keypair(doc, ps)
     assert (err.value.path, err.value.message) == (path, message)
+
+
+@pytest.mark.parametrize(
+    "sk,path",
+    [
+        (["0", "2"], "key.sk[0]"),
+        (["2", "9"], "key.sk[1]"),
+        ([format(2**1999 + 1, "x"), "2"], "key.sk[0]"),
+        (["2", "2", "1"], "key.sk"),
+        (["2", 2], "key.sk[1]"),
+    ],
+    ids=["zero", "above-mu", "2000-bit", "length", "non-string"],
+)
+def test_keypair_decoder_checks_each_kernel_index(sk, path, monkeypatch, tmp_path, capsys):
+    # the golden key's sk is ["2", "2"], one index per prime of D_tau = 5 * 7;
+    # each must lie in [1, mu(ell)], 6 and 8, and is checked at its path
+    # before any isogeny is built; the CLI commands that read a secret key
+    # exit 2 on it
+    ps = serial.parse_params(_vector("params.json"))
+    assert (ps.d_tau, isogeny.mu(5), isogeny.mu(7)) == (35, 6, 8)
+    doc = _vector("key.json")
+    assert doc["sk"] == ["2", "2"]
+    doc["sk"] = sk
+    built = []
+    monkeypatch.setattr(sig_module, "isogeny_from_kernel", lambda *args: built.append(args))
+    start = time.perf_counter()
+    with pytest.raises((InvariantViolation, ParseError)) as err:
+        serial.parse_keypair(doc, ps)
+    assert time.perf_counter() - start < 0.1
+    assert built == []
+    assert str(err.value).startswith(f"{path}: ")
+    key = tmp_path / "key.json"
+    key.write_bytes(serial.encode(doc))
+    common = ["--params", str(VECTORS / "params.json"), "--key", str(key), "--message", "m"]
+    statement = ["--statement", str(VECTORS / "relation.json")]
+    for argv in (["presign", *common, *statement], ["sign", *common]):
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith(f"error: {path}: ")
+        assert "Traceback" not in stderr
+    assert built == []
 
 
 def test_verify_of_a_decoded_signature_pairs_once(monkeypatch, capsys):
