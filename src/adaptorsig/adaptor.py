@@ -86,7 +86,10 @@ def presign(kp: KeyPair, m: bytes, s: Statement, ps: ParamSet, rng) -> PreSignat
     e1 = psip.codomain
     proof = prove_parallel((s.ew, s.oriented_image, e1), psip, ps, rng)
     phi = challenge(kp.pk, e1, m, ps)
-    sigma_tilde = compose_chains(dual(psi), kp.sk, phi)
+    # the generators the choice vector left out are outside ker psi, so
+    # they carry the dual kernels of psi's steps (isogeny.dual)
+    unchosen = oriented_kernel(ps.orientation, [3 - b for b in bits])
+    sigma_tilde = compose_chains(dual(psi, dict(zip(ps.orientation.primes, unchosen))), kp.sk, phi)
     rep_tilde = efficient_rep(sigma_tilde, ps.A * ps.C)
     return PreSignature(e1, proof, psi.codomain, S, rep_tilde)
 
@@ -152,12 +155,13 @@ def adapt(presig: PreSignature, w: Witness, ps: ParamSet) -> AdaptedSignature:
         raise WitnessStatementMismatch(
             "parallel witness isogeny does not land on the commitment curve"
         )
-    what = dual(wprime)  # W -> E_psi, exact
+    # W -> E_psi, exact; C = 3^c, and [C/3]S2 is outside ker w' when S is a basis
+    what = dual(wprime, {3: epsi.mul(C // 3, S2)})
     back = isos[0].inv()  # E1 -> W
 
     N = ps.A * C
     basis = canonical_torsion_basis(presig.e1, N, presig.e1.p + 1)
-    images = tuple(evaluate_rep(presig.rep_tilde, what.evaluate(twist_point(X, back))) for X in basis)
+    images = evaluate_rep(presig.rep_tilde, [what.evaluate(twist_point(X, back)) for X in basis])
     rep = EfficientRep(
         presig.e1, presig.rep_tilde.codomain, signature_shapes(ps)[N], N, basis, images
     )
@@ -205,7 +209,7 @@ def extract(
         """The witness, or the tag of the first check that fails."""
         sig_a = a_part(rep, A)
         try:
-            images = tuple(evaluate_rep(back, T) for T in sig_a.images)
+            images = evaluate_rep(back, sig_a.images)
         except (NotABasis, OrderMismatch):
             return "a-torsion-decomposition"
         synth = EfficientRep(e1, epsi, C, A, sig_a.basis, images)
@@ -216,8 +220,9 @@ def extract(
         except AmbiguityBound:  # the extraction bound 4C < A^2 rules this out
             return "recovery:ambiguity"
 
-        # kernel of the parallel witness isogeny = image of E1[C] under the dual
-        Uc, Vc = canonical_torsion_basis(e1, C, e1.p + 1)
+        # kernel of the parallel witness isogeny = image of E1[C] under the
+        # dual; [A] times the AC-basis that rep_rejection checked spans E1[C]
+        Uc, Vc = (e1.mul(A, X) for X in rep.basis)
         K = rec.evaluate(Uc)
         if not has_exact_order(epsi, K, C):
             K = rec.evaluate(Vc)

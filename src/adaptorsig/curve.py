@@ -255,6 +255,22 @@ def _scale(E: Curve, k: int, P):
     return R
 
 
+def _joint(E: Curve, x: int, P, y: int, Q):
+    """[x]P + [y]Q in int coordinates for x, y >= 0, by one ladder from the
+    high bits (Straus): a doubling per bit and one addition of P, Q or
+    P + Q per bit pair that is not 0, where two ladders and a sum double
+    twice."""
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    summands = (None, P, Q, _chord(p, a0, a1, P, Q)[0])
+    R = None
+    for i in range(max(x.bit_length(), y.bit_length()) - 1, -1, -1):
+        R = _chord(p, a0, a1, R, R)[0]
+        k = (x >> i & 1) | (y >> i & 1) << 1
+        if k:
+            R = _chord(p, a0, a1, R, summands[k])[0]
+    return R
+
+
 # ---------------------------------------------------------------------------
 # orders
 # ---------------------------------------------------------------------------

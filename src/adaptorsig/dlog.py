@@ -4,7 +4,8 @@ Two tools stand in for the heavy machinery a full-scale verifier would use:
 
 * decompose_2d writes a torsion point over a basis by Pohlig-Hellman on the
   points themselves: every prime here is at most 7, so each prime's digits
-  are read from a table of the ell^2 points of E[ell];
+  are read from a table of the ell^2 points of E[ell]; evaluate_rep writes
+  all its points over one set of tables (_decompose);
 * find_isogeny finds a chain of a given degree matching a set of torsion
   images by a meet-in-the-middle search over kernel-subgroup candidates;
   isogeny_exists is its verdict, an existence certificate for strict
@@ -36,7 +37,9 @@ from .curve import (
     _chord,
     _coords,
     _j_pair,
+    _joint,
     _outside,
+    _point,
     _scale,
     _span,
     factorize,
@@ -65,24 +68,35 @@ class BasisDecomposition:
 
 
 def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecomposition:
-    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N], N > 1.
+    """(x, y) with T = [x]U + [y]V, for (U, V) a basis of E[N], N > 1: the
+    one-point case of _decompose."""
+    ((x, y),) = _decompose(E, U, V, [T], N)
+    return BasisDecomposition(x, y)
 
-    Pohlig-Hellman on the points: for each ell^e || N, U, V and T are
-    projected by [N/ell^e], the ell^2 points [a]U1 + [b]V1 of E[ell] are
-    tabulated (U1, V1 the projections times ell^(e-1); a collision means the
-    basis is dependent at ell), and the base-ell digits of x and y are read
-    from the low end by looking up [ell^(e-1-k)] times what is left of T.
-    Every prime here is at most 7, so a table has at most 49 points.  As
-    [ell][N/ell]P = [N]P, the first prime's projections show whether N kills
-    U, V (times ell) and T (its first lookup), before any NotABasis.  The
-    points are checked on entry, then the work runs on int coordinates.
+
+def _decompose(E: Curve, U: Point, V: Point, Ts, N: int) -> list:
+    """(x, y) with T = [x]U + [y]V for each T of Ts, for (U, V) a basis of
+    E[N], N > 1.
+
+    Pohlig-Hellman on the points: for each ell^e || N, U and V are
+    projected by [N/ell^e] and laddered by ell (U1, V1 their last rungs),
+    the ell^2 points [a]U1 + [b]V1 of E[ell] are tabulated (a collision
+    means the basis is dependent at ell), and the base-ell digits of each x
+    and y are read from the low end by looking up [ell^(e-1-k)] times what
+    is left of T's projection.  The ladders and tables are built once for
+    all of Ts.  Every prime here is at most 7, so a table has at most 49
+    points.  As [ell][N/ell]P = [N]P, the first prime's projections show
+    whether N kills U, V (times ell) and each T (its first lookup), before
+    any NotABasis; a collision reports the first T.  Each result is checked
+    by one joint ladder (_joint).  The points are checked on entry, then
+    the work runs on int coordinates.
     """
-    for P in (U, V, T):
+    for P in (U, V, *Ts):
         E.check(P)
     p, a0, a1 = E.p, E.a.c0, E.a.c1
-    U, V, T = _coords(U), _coords(V), _coords(T)
+    U, V, Ts = _coords(U), _coords(V), [_coords(T) for T in Ts]
     unkilled = f"point not killed by {N}"
-    x = y = 0
+    xs, ys = [0] * len(Ts), [0] * len(Ts)
     M = 1
     for ell, e in factorize(N).items():
         m = ell**e
@@ -103,36 +117,44 @@ def decompose_2d(E: Curve, U: Point, V: Point, T: Point, N: int) -> BasisDecompo
                 if b:
                     R = _chord(p, a0, a1, R, Vs[-1])[0]
                 if R in table:
-                    if _scale(E, N, T) is not None:
+                    if _scale(E, N, Ts[0]) is not None:
                         raise OrderMismatch(unkilled)
                     raise NotABasis(f"basis is dependent at {ell}")
                 table[R] = (a, b)
-        rest = _scale(E, N // m, T)
-        xm = ym = 0
-        for k in range(e):
-            digits = table.get(_scale(E, m // ell ** (k + 1), rest))
-            if digits is None:  # a full table is E[ell], so [N]T != O
-                raise OrderMismatch(unkilled)
-            a, b = digits
-            S = _chord(p, a0, a1, _scale(E, -a, Us[k]), _scale(E, -b, Vs[k]))[0]
-            rest = _chord(p, a0, a1, rest, S)[0]
-            xm += a * ell**k
-            ym += b * ell**k
-        # CRT fold
         inv = pow(M, -1, m)
-        x += M * ((xm - x) * inv % m)
-        y += M * ((ym - y) * inv % m)
+        for i, T in enumerate(Ts):
+            rest = _scale(E, N // m, T)
+            xm = ym = 0
+            for k in range(e):
+                digits = table.get(_scale(E, m // ell ** (k + 1), rest))
+                if digits is None:  # a full table is E[ell], so [N]T != O
+                    raise OrderMismatch(unkilled)
+                a, b = digits
+                S = _chord(p, a0, a1, _scale(E, -a, Us[k]), _scale(E, -b, Vs[k]))[0]
+                rest = _chord(p, a0, a1, rest, S)[0]
+                xm += a * ell**k
+                ym += b * ell**k
+            # CRT fold
+            xs[i] += M * ((xm - xs[i]) * inv % m)
+            ys[i] += M * ((ym - ys[i]) * inv % m)
         M *= m
-    if _chord(p, a0, a1, _scale(E, x, U), _scale(E, y, V))[0] != T:
-        raise NotABasis("reconstruction failed")  # pragma: no cover
-    return BasisDecomposition(x, y)
+    for x, y, T in zip(xs, ys, Ts):
+        if _joint(E, x, U, y, V) != T:
+            raise NotABasis("reconstruction failed")  # pragma: no cover
+    return list(zip(xs, ys))
 
 
-def evaluate_rep(rep: EfficientRep, X: Point) -> Point:
-    """Evaluate the represented isogeny at X in E[order] from basis images."""
-    d = decompose_2d(rep.domain, rep.basis[0], rep.basis[1], X, rep.order)
+def evaluate_rep(rep: EfficientRep, points) -> tuple:
+    """The represented isogeny at each point of E[order] in points, from the
+    basis images: the points are decomposed together (_decompose), then the
+    images are checked on the codomain, and each result is one joint ladder
+    over them."""
+    coeffs = _decompose(rep.domain, *rep.basis, points, rep.order)
     E2 = rep.codomain
-    return E2.add(E2.mul(d.x, rep.images[0]), E2.mul(d.y, rep.images[1]))
+    for T in rep.images:
+        E2.check(T)
+    T1, T2 = (_coords(T) for T in rep.images)
+    return tuple(_point(E2.p, _joint(E2, x, T1, y, T2)) for x, y in coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ dual(phi) composed with phi is literally multiplication by the degree on
 rational points rather than "up to isomorphism".
 
 The module is also the one home of the cyclic-kernel index (mu,
-cyclic_parts, cyclic_kernel); walk_cyclic_tree walks a list of indices.
+cyclic_parts, cyclic_kernel, each on a list of indices); walk_cyclic_tree
+walks such a list.  A dual takes its kernels from torsion carried along
+the chain, and scans a basis only where it holds none (dual).
 """
 
 import functools
@@ -30,7 +32,14 @@ from .curve import (
     twist_curve,
     weil_pairing,
 )
-from .errors import BadKernel, DomainMismatch, IndexOutOfRange, NonCoprimeDegree, NoPreimage
+from .errors import (
+    BadKernel,
+    DomainMismatch,
+    IndexOutOfRange,
+    NonCoprimeDegree,
+    NoPreimage,
+    OrderMismatch,
+)
 from .field import Fp2, batch_inv, inv_pair
 
 
@@ -303,41 +312,48 @@ def mu(D: int) -> int:
     return out
 
 
-def cyclic_parts(E: Curve, D: int, idx: int):
-    """(X, Y, t) with the idx-th cyclic subgroup of order D = ell^e in E equal
-    to <X + [t]Y>: the one home of the kernel index.
+def cyclic_parts(E: Curve, D: int, indices) -> list:
+    """(X, Y, t) for each idx of indices, with the idx-th cyclic subgroup of
+    order D = ell^e in E equal to <X + [t]Y>: the one home of the kernel
+    index.
 
     Kernels are indexed on the canonical D-basis (P, Q): indices up to
     ell^e give (P, Q, idx - 1), the rest give (Q, [ell]P, idx - ell^e - 1);
     this is a bijection between [1, mu(D)] and the cyclic subgroups, i.e.
     exactly the non-backtracking walks of length e, and X + [t]Y has order
     exactly D.  The indices of one family share (X, Y), so their walks
-    share the steps their t's agree on (walk_cyclic_tree).
+    share the steps their t's agree on (walk_cyclic_tree).  Every index is
+    checked first; then the basis is looked up once and [ell]P computed
+    once for all of them.
     """
     fac = factorize(D)
     if len(fac) != 1:
         raise IndexOutOfRange(f"kernel order {D} is not a prime power")
     ((ell, _),) = fac.items()
     bound = mu(D)
-    if not 1 <= idx <= bound:
-        raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
+    for idx in indices:
+        if not 1 <= idx <= bound:
+            raise IndexOutOfRange(f"kernel index {idx} outside [1, {bound}]")
     P, Q = canonical_torsion_basis(E, D, E.p + 1)
-    if idx <= D:
-        return P, Q, idx - 1
-    return Q, E.mul(ell, P), idx - D - 1
+    lP = E.mul(ell, P) if any(idx > D for idx in indices) else None
+    return [(P, Q, idx - 1) if idx <= D else (Q, lP, idx - D - 1) for idx in indices]
 
 
-def cyclic_kernel(E: Curve, D: int, idx: int):
-    """Generator X + [t]Y of the idx-th cyclic subgroup of order D = ell^e
-    in E, (X, Y, t) = cyclic_parts(E, D, idx)."""
-    X, Y, t = cyclic_parts(E, D, idx)
-    return E.add(X, E.mul(t, Y))
+def cyclic_kernel(E: Curve, D: int, indices) -> list:
+    """The generators X + [t]Y of the cyclic subgroups of order D = ell^e in
+    E that indices name, (X, Y, t) from cyclic_parts, composed on int
+    coordinates."""
+    p, a0, a1 = E.p, E.a.c0, E.a.c1
+    return [
+        _point(p, _chord(p, a0, a1, _coords(X), _scale(E, t, _coords(Y)))[0])
+        for X, Y, t in cyclic_parts(E, D, indices)
+    ]
 
 
 def _subgroup_gens(E: Curve, ell: int):
     """Canonical generators of the ell+1 order-ell subgroups of E[ell]: U + [k]V
     for k < ell, then V, with (U, V) the canonical basis; in int coordinates.
-    The index's prime-order case: the i-th is cyclic_kernel(E, ell, i + 1)."""
+    The index's prime-order case: the i-th is cyclic_kernel(E, ell, [i + 1])."""
     U, V = small_torsion_basis(E, ell, E.p + 1)
     p, a0, a1 = E.p, E.a.c0, E.a.c1
     W, V = _coords(U), _coords(V)
@@ -351,7 +367,7 @@ def _subgroup_gens(E: Curve, ell: int):
 
 def walk_cyclic_tree(E: Curve, D: int, indices, pts) -> list:
     """For each index in indices, (codomain, images of pts) of
-    isogeny_from_kernel(E, [cyclic_kernel(E, D, idx)], D), D = ell^r: the
+    isogeny_from_kernel(E, cyclic_kernel(E, D, [idx]), D), D = ell^r: the
     indices of one family (X, Y) of cyclic_parts share one walk of the tree
     of their chains' steps, each distinct step built once.
 
@@ -368,17 +384,18 @@ def walk_cyclic_tree(E: Curve, D: int, indices, pts) -> list:
     for P in pts:
         if not E.on_curve(P):
             raise BadKernel("point not on the curve")
+    unique = list(dict.fromkeys(indices))
     families = {}
-    for idx in dict.fromkeys(indices):
-        X, Y, t = cyclic_parts(E, D, idx)
+    for idx, (X, Y, t) in zip(unique, cyclic_parts(E, D, unique)):
         families.setdefault((X, Y), []).append((t, idx))
     ((ell, r),) = factorize(D).items()
     pts = [_coords(P) for P in pts]
     out = {}
     for (X, Y), members in families.items():
-        ladder = _ladder(E, _coords(Y), ell, r)
+        X, Y = _coords(X), _coords(Y)
+        ladder = _ladder(E, Y, ell, r)
         Z = ladder[-1] if len(ladder) == r else None
-        _tree(E, ell, r, _coords(X), _coords(Y), Z, members, pts, out)
+        _tree(E, ell, r, X, Y, Z, members, pts, out)
     return [(out[idx][0], tuple(_point(E.p, R) for R in out[idx][1])) for idx in indices]
 
 
@@ -507,9 +524,9 @@ def _dual_kernel(step: Step):
 def dual_step(step: Step, back=None) -> Step:
     """Step s_hat with s_hat(s(P)) = [ell]P for every rational P.
 
-    Its kernel is _dual_kernel(step), or, given back, a point of E[ell] on
-    the step's domain outside its kernel in int coordinates, the image of
-    back, which generates the same subgroup with no basis.  Its twist is
+    Its kernel is the image of back, a point of E[ell] on the step's domain
+    in int coordinates, which generates it with no basis; where back is
+    None or in the step's kernel, it is _dual_kernel(step).  Its twist is
     computed, not searched for.  A Vélu step pulls the invariant
     differential dx/2y back to itself and a u-twist pulls it back to 1/u
     times itself, so with v the twist of s_hat, s_hat composed with s pulls
@@ -519,16 +536,41 @@ def dual_step(step: Step, back=None) -> Step:
     differential.  So v = 1/(ell u) makes the composite [ell] and lands
     s_hat on the domain of s.
     """
-    K = _dual_kernel(step) if back is None else step.image(back)
+    K = None if back is None else step.image(back)
+    if K is None:
+        K = _dual_kernel(step)
     d = Step(step.codomain, K, step.ell, (step.ell * step.u).inv())
     if d.codomain != step.domain:
         raise BadKernel("the dual step does not return to the domain")
     return d
 
 
-def dual(chain: IsogenyChain) -> IsogenyChain:
-    """Chain d with d(chain(P)) = [degree]P on all rational points."""
-    return IsogenyChain(chain.codomain, [dual_step(s) for s in reversed(chain.steps)])
+def dual(chain: IsogenyChain, carried=None) -> IsogenyChain:
+    """Chain d with d(chain(P)) = [degree]P on all rational points.
+
+    One point per prime is carried along the chain, as the back of each
+    step's dual_step: carried maps primes ell to points of E[ell] on the
+    chain's domain (others are dropped).  A step pushes the points of the
+    other primes, and its dual kernel becomes the point of its own prime,
+    so a step scans its domain's canonical basis (_dual_kernel) only when
+    no point of its prime is carried or its kernel holds it.  In a walk
+    of one prime that does not backtrack, such as a cyclic kernel's, a
+    dual kernel is never in the next step's kernel, so only a first step
+    can scan; a point of E[ell] outside the chain's kernel spares that
+    scan as well.  The dual steps are the scanning rule's maps: only their
+    kernel generators may differ.
+    """
+    E, pts = chain.domain, {}
+    for ell, P in (carried or {}).items():
+        if E.on_curve(P) and E.mul(ell, P).is_inf:
+            pts[ell] = _coords(P)
+    steps = []
+    for s in chain.steps:
+        d = dual_step(s, pts.get(s.ell))
+        pts = {ell: s.image(P) for ell, P in pts.items() if ell != s.ell}
+        pts[s.ell] = d._kernel
+        steps.append(d)
+    return IsogenyChain(chain.codomain, steps[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -601,19 +643,27 @@ def _basis_pairing(pair, domain: Curve, basis: tuple, N: int) -> Fp2:
 
 
 @functools.lru_cache(maxsize=4096)
-def pairing_law(rep: EfficientRep) -> bool:
-    """Whether e_N(images) = e_N(basis)^degree for N-torsion inputs, N the
-    basis order; e_N(basis) is an N-th root of unity, so the degree is
-    reduced mod N and a decoded degree of any length costs nothing.
+def pairing_law(rep: EfficientRep):
+    """None unless both images are points of the codomain killed by N, the
+    basis order; else whether e_N(images) = e_N(basis)^degree.  e_N(basis)
+    is an N-th root of unity, so the degree is reduced mod N and a decoded
+    degree of any length costs nothing.
 
-    The verdict is remembered per representation value, so a decoder and
-    the verifier it hands the object to compute it once; a representation
-    that differs in any field is a new key and is checked afresh.  e_N(basis)
-    is remembered per basis (_basis_pairing).
+    The order check is weil_pairing's own on the images, which raises
+    OrderMismatch where [N]T is not O.  The verdict is remembered per
+    representation value, so a decoder and the verifiers it hands the
+    object to check the images once; a representation that differs in any
+    field is a new key and is checked afresh.  e_N(basis) is remembered per
+    basis (_basis_pairing).
     """
-    N = rep.order
+    N, E2 = rep.order, rep.codomain
+    if not all(E2.on_curve(T) for T in rep.images):
+        return None
+    try:
+        zi = weil_pairing(E2, *rep.images, N)
+    except OrderMismatch:
+        return None
     zb = _basis_pairing(weil_pairing, rep.domain, rep.basis, N)
-    zi = weil_pairing(rep.codomain, *rep.images, N)
     return zi == zb ** (rep.degree % N)
 
 

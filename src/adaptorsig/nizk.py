@@ -147,13 +147,14 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     # tag 0 reveals both masks, tag 1 the kernel of F -> F'; each round
     # records the one corner its check reads
     bits = _challenge_bits(statement, [sq[:2] for sq in squares], rounds)
+    masks = iter(cyclic_kernel(ew, A, [h for h, bit in zip(draws, bits) if not bit]))
     out = []
-    for h, (F, Fp, par), bit in zip(draws, squares, bits):
+    for (F, Fp, par), bit in zip(squares, bits):
         if bit:
             _record(F, par, ps.B, Fp)
             out.append(NizkRound(F, Fp, bit, par))
         else:
-            km = cyclic_kernel(ew, A, h)
+            km = next(masks)
             _record(ew, [km], A, F)
             out.append(NizkRound(F, Fp, bit, (km, psip.evaluate(km))))
     return NizkProof(out)

@@ -61,7 +61,7 @@ def hash_to_challenge_index(j: Fp2, m: bytes, mu_val: int) -> int:
 
 def challenge_walk(E: Curve, h: int, D: int) -> IsogenyChain:
     """The h-th cyclic degree-D isogeny from E, D a prime power."""
-    return isogeny_from_kernel(E, [cyclic_kernel(E, D, h)], D)
+    return isogeny_from_kernel(E, cyclic_kernel(E, D, [h]), D)
 
 
 def challenge(pk: Curve, e1: Curve, m: bytes, ps: ParamSet) -> IsogenyChain:
@@ -81,7 +81,7 @@ def _smooth_kernel(E: Curve, degree: int, indices) -> list:
     """Generators of the subgroup of E that `indices` name, one per prime
     power of `degree` (_random_indices)."""
     fac = factorize(degree).items()
-    return [cyclic_kernel(E, ell**e, i) for (ell, e), i in zip(fac, indices, strict=True)]
+    return [cyclic_kernel(E, ell**e, [i])[0] for (ell, e), i in zip(fac, indices, strict=True)]
 
 
 def keygen(ps: ParamSet, rng) -> KeyPair:
@@ -113,8 +113,10 @@ def rep_rejection(rep: EfficientRep, shapes: dict):
     """Reason tag of the first representation check that fails, or None.
 
     `shapes` maps each admissible basis order to its degree.  The basis
-    must be the canonical one of the domain, the images must be killed by
-    the order, and the pairing law e(images) = e(basis)^degree must hold.
+    must be the canonical one of the domain, the images must be points of
+    the codomain killed by the order, and the pairing law e(images) =
+    e(basis)^degree must hold; pairing_law rules on both, once per
+    representation value.
     """
     N = rep.order
     if shapes.get(N) != rep.degree:
@@ -124,10 +126,10 @@ def rep_rejection(rep: EfficientRep, shapes: dict):
             return "rep:basis"
     except ProtocolError:
         return "rep:basis"
-    E2 = rep.codomain
-    if not all(E2.on_curve(T) and E2.mul(N, T).is_inf for T in rep.images):
+    law = pairing_law(rep)
+    if law is None:
         return "rep:images"
-    if not pairing_law(rep):
+    if not law:
         return "rep:pairing"
     return None
 

@@ -42,7 +42,7 @@ def _random_cyclic_chain(E, degree, rng):
     gens = []
     for ell, e in factorize(degree).items():
         D = ell**e
-        gens.append(cyclic_kernel(E, D, rng.randrange(1, mu(D) + 1)))
+        gens += cyclic_kernel(E, D, [rng.randrange(1, mu(D) + 1)])
     return isogeny_from_kernel(E, gens, degree)
 
 

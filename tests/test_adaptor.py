@@ -1,9 +1,10 @@
 import copy
 import random
+import sys
 
 import pytest
 
-from adaptorsig import adaptor, dlog, isogeny, relation, serial
+from adaptorsig import adaptor, curve, dlog, isogeny, relation, serial, swap
 from adaptorsig.adaptor import (
     AdaptedSignature,
     PreSignature,
@@ -21,7 +22,7 @@ from adaptorsig.nizk import NizkRound
 from adaptorsig.relation import Statement, Witness, gen_r, verify_relation, witness_chain
 from adaptorsig.orientation import orientation_image
 from adaptorsig.params import generate_params
-from adaptorsig.sig import cyclic_kernel, keygen, mu, response_degree, verify
+from adaptorsig.sig import cyclic_kernel, keygen, mu, response_degree, sign, verify
 
 
 def session(ps, seed):
@@ -274,7 +275,7 @@ def _on_twist(full, u):
     rep = full.rep
     E = twist_curve(full.e1, u)
     basis = canonical_torsion_basis(E, rep.order, E.p + 1)
-    images = tuple(evaluate_rep(rep, twist_point(X, u.inv())) for X in basis)
+    images = evaluate_rep(rep, [twist_point(X, u.inv()) for X in basis])
     return AdaptedSignature(E, EfficientRep(E, rep.codomain, rep.degree, rep.order, basis, images))
 
 
@@ -309,27 +310,27 @@ def test_every_mauled_adapted_signature_that_verifies_gives_the_witness(request,
 @pytest.mark.parametrize("profile", ["t0", "t1"])
 def test_extraction_does_the_same_work_on_every_model_of_e1(request, monkeypatch, profile, seed):
     """extract recovers on the signature's own curve: on a twist of E1 it
-    decomposes as many points as on E1 itself, and still yields alpha."""
+    decomposes as many points as on E1 itself (two A-part images and one
+    kernel point, through dlog._decompose), and still yields alpha."""
     ps = request.getfixturevalue(profile)
     kp, w, s, m, pre = session(ps, seed)
     full = adapt(pre, w, ps)
     models = [full, _on_twist(full, Fp2(ps.p, 2, 1)), _on_twist(full, Fp2(ps.p, 0, 1))]
     calls = []
-    decompose = dlog.decompose_2d
+    decompose = dlog._decompose
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return decompose(*args, **kwargs)
+    def counted(E, U, V, Ts, N):
+        calls.extend(Ts)
+        return decompose(E, U, V, Ts, N)
 
-    for module in (dlog, adaptor):
-        monkeypatch.setattr(module, "decompose_2d", counted)
+    monkeypatch.setattr(dlog, "_decompose", counted)
     counts = []
     for sig in models:
         calls.clear()
         rec = extract(sig, pre, s, ps)
         assert rec is not None and rec.alpha == w.alpha
         counts.append(len(calls))
-    assert counts == [counts[0]] * 3
+    assert counts == [3] * 3
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
@@ -344,12 +345,94 @@ def test_no_honest_e1_or_e2_has_extra_automorphisms(request, profile):
     assert ps.B * C == ps.d_tau * ps.d_phi == 35 * 3**ps.c
     js = []
     for i in range(1, mu(C) + 1):
-        E = isogeny.isogeny_from_kernel(ps.e0, [cyclic_kernel(ps.e0, C, i)], C).codomain
+        E = isogeny.isogeny_from_kernel(ps.e0, cyclic_kernel(ps.e0, C, [i]), C).codomain
         for i5 in range(1, mu(5) + 1):
             for i7 in range(1, mu(7) + 1):
-                gens = [cyclic_kernel(E, 5, i5), cyclic_kernel(E, 7, i7)]
+                gens = cyclic_kernel(E, 5, [i5]) + cyclic_kernel(E, 7, [i7])
                 js.append(isogeny.isogeny_from_kernel(E, gens, 35).codomain.j_invariant())
     assert len(js) == mu(35 * C) == {"t0": 192, "t1": 576, "t2": 1728}[profile]
     special = {Fp2(ps.p, 0, 0), Fp2(ps.p, 1728, 0)}
     assert ps.e0.j_invariant() in special
     assert special.isdisjoint(js)
+
+
+#: (profile, seed) -> (basis-cache misses, additions of two finite points)
+#: of a demo swap with the caches cleared and fresh parameters; the
+#: scanning duals, per-point decompositions and unshared order checks made
+#: (13, 3424), (12, 3501), (8, 2835) at T0 and (17, 5519), (16, 5139),
+#: (10, 4924) at T1
+COLD_SWAP_COUNTS = {
+    ("t0", 1): (9, 2985),
+    ("t0", 2): (9, 3092),
+    ("t0", 3): (6, 2482),
+    ("t1", 1): (9, 4647),
+    ("t1", 2): (9, 4333),
+    ("t1", 3): (6, 4295),
+}
+
+
+@pytest.mark.parametrize("profile, seed", list(COLD_SWAP_COUNTS))
+def test_a_cold_swap_scans_only_the_bases_that_are_named(monkeypatch, profile, seed):
+    """A swap on a fresh library and fresh parameters misses the basis cache
+    only for bases that a format or the recovery search names: E_psi[AC]
+    and E1[AC] (the representations' bases), pk[D_phi] (the challenge
+    walk's index), E_w[A] (the NIZK's mask index) and E1[3] (the root of
+    extract's search).  Both parties may share E1, hence 6 misses on some
+    seeds.  The duals carry their kernels, extract reads E1[C] off the
+    AC-basis, and no basis of a middle curve is scanned."""
+    for cache in (canonical_torsion_basis, isogeny.pairing_law, isogeny._basis_pairing):
+        cache.cache_clear()
+    ps = generate_params(profile.upper(), random.Random(0))
+    missed, adds = [], []
+    basis, chord = curve.canonical_torsion_basis, curve._chord
+
+    def watched(E, N, group_order):
+        before = basis.cache_info().misses
+        out = basis(E, N, group_order)
+        if basis.cache_info().misses > before:
+            missed.append((E, N))
+        return out
+
+    def counted(p, a0, a1, P, Q):
+        if not (P is None or Q is None):
+            adds.append(1)
+        return chord(p, a0, a1, P, Q)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("adaptorsig.") and hasattr(module, "canonical_torsion_basis"):
+            monkeypatch.setattr(module, "canonical_torsion_basis", watched)
+    for module in (curve, isogeny, dlog):
+        monkeypatch.setattr(module, "_chord", counted)
+    doc = swap.demo_swap(ps, seed)
+    monkeypatch.undo()
+    assert doc["verdict"] is True
+
+    events = doc["events"]
+    pres = [e["presignature"] for e in events if e["type"] == "presignature"]
+    e1s = {serial.parse_curve(d["e1"], ps.p, "e1") for d in pres}
+    epsis = {serial.parse_curve(d["epsi"], ps.p, "epsi") for d in pres}
+    (st,) = [e["statement"] for e in events if e["type"] == "statement"]
+    ew = serial.parse_statement(st, ps).ew
+    pks = {keygen(ps, swap._sub_rng(seed, f"{name}-key")).pk for name in ("alice", "bob")}
+    AC = ps.A * ps.C
+    named = {(E, AC) for E in e1s | epsis} | {(E, 3) for E in e1s}
+    named |= {(pk, ps.d_phi) for pk in pks} | {(ew, ps.A)}
+    assert len(missed) == len(set(missed))
+    assert set(missed) <= named
+    assert (len(missed), len(adds)) == COLD_SWAP_COUNTS[(profile, seed)]
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_a_signature_document_s_order_tells_adapted_from_plain(request, profile):
+    """Adapted signatures link to the swap by their shape: a distinguisher
+    that reads the document's order alone (AC for an adapted signature, A
+    for a plain one) is right on every seed."""
+    ps = request.getfixturevalue(profile)
+
+    def adapted(doc):
+        return int(doc["rep"]["order"], 16) == ps.A * ps.C
+
+    for seed in (1, 2, 3):
+        kp, w, s, m, pre = session(ps, seed)
+        assert adapted(serial.signature_doc(adapt(pre, w, ps)))
+        assert not adapted(serial.signature_doc(sign(kp, m, ps, random.Random(seed))))

@@ -142,13 +142,15 @@ def test_decompose_rejects_unkilled_basis_points(t0):
         decompose_2d(E, U, E.mul(3, U), W, t0.A)
 
 
-@pytest.mark.parametrize("N,adds", [(128, 43), (384, 79)])
+@pytest.mark.parametrize("N,adds", [(128, 40), (384, 76)])
 def test_decompose_order_check_reuses_the_projections(t0, monkeypatch, N, adds):
     """T = [5]U + [7]V on E0: the entry check is [2] times the projections
     of U and V plus T's first lookup, where [N]U, [N]V and [N]T would take
     21 additions at N = 128 and 27 at N = 384, and each prime's table forms
-    only the ell^2 sums it stores.  Additions are counted when both operands
-    are finite."""
+    only the ell^2 sums it stores.  The reconstruction check is one joint
+    ladder: U + V, two doublings and two additions, 5 where [5]U, [7]V and
+    their sum took 8.  Additions are counted when both operands are
+    finite."""
     E = t0.e0
     U, V = canonical_torsion_basis(E, N, t0.group_order)
     T = E.add(E.mul(5, U), E.mul(7, V))
@@ -176,7 +178,56 @@ def test_evaluate_rep_matches_chain(t0, rng):
     U, V = rep.basis
     for _ in range(20):
         X = E.add(E.mul(rng.randrange(t0.A), U), E.mul(rng.randrange(t0.A), V))
-        assert evaluate_rep(rep, X) == chain.evaluate(X)
+        assert evaluate_rep(rep, [X]) == (chain.evaluate(X),)
+
+
+def test_joint_ladder_is_two_ladders_and_a_sum(t0, rng):
+    """curve._joint(x, P, y, Q) equals Curve.mul and Curve.add, for the
+    scalars 0, 1, N - 1 and random ones, and for P or Q at O and P = -Q."""
+    E, N = t0.e0, t0.A * t0.C
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    O = Point.infinity()
+    scalars = [0, 1, 2, N - 1, rng.randrange(N), rng.randrange(N)]
+    for P, Q in ((U, V), (O, V), (U, O), (O, O), (U, E.neg(U)), (V, V)):
+        for x in scalars:
+            for y in scalars:
+                joint = _point(E.p, curve._joint(E, x, _coords(P), y, _coords(Q)))
+                assert joint == E.add(E.mul(x, P), E.mul(y, Q))
+
+
+@pytest.mark.parametrize("N", ["A", "C", "AC"])
+def test_decomposing_points_together_is_decomposing_each(t0, rng, N):
+    """dlog._decompose of a list equals decompose_2d point by point, on O,
+    the basis, -U, [N-1]U + V and random points; evaluate_rep of the list
+    equals [x]T1 + [y]T2 by Curve.mul and Curve.add on each point's
+    coefficients."""
+    N = {"A": t0.A, "C": t0.C, "AC": t0.A * t0.C}[N]
+    E = t0.e0
+    U, V = canonical_torsion_basis(E, N, t0.group_order)
+    Ts = [Point.infinity(), U, V, E.neg(U), E.add(E.mul(N - 1, U), V)]
+    Ts += [E.add(E.mul(rng.randrange(N), U), E.mul(rng.randrange(N), V)) for _ in range(4)]
+    coeffs = [(d.x, d.y) for d in (decompose_2d(E, U, V, T, N) for T in Ts)]
+    assert dlog._decompose(E, U, V, Ts, N) == coeffs
+    P5, Q5 = canonical_torsion_basis(E, 5, t0.group_order)
+    chain = isogeny_from_kernel(E, [E.add(P5, Q5)], 5)
+    rep = efficient_rep(chain, N)
+    E2, (T1, T2) = rep.codomain, rep.images
+    expected = tuple(E2.add(E2.mul(x, T1), E2.mul(y, T2)) for x, y in coeffs)
+    assert evaluate_rep(rep, Ts) == expected == tuple(map(chain.evaluate, Ts))
+
+
+def test_decomposing_points_together_reports_as_each_would(t0):
+    """The first point that N does not kill raises OrderMismatch wherever it
+    stands in the list, and a dependent basis raises NotABasis for killed
+    points, as decompose_2d does on them one by one."""
+    E, A = t0.e0, t0.A
+    U, V = canonical_torsion_basis(E, A, t0.group_order)
+    W, _ = canonical_torsion_basis(E, t0.C, t0.group_order)
+    for Ts in ([W, U], [U, W], [V, U, W]):
+        with pytest.raises(OrderMismatch):
+            dlog._decompose(E, U, V, Ts, A)
+    with pytest.raises(NotABasis):
+        dlog._decompose(E, U, E.mul(3, U), [U, V], A)
 
 
 def test_candidate_counts_match_closed_form(t0):
@@ -534,11 +585,11 @@ def test_completion_walk_lists_the_canonical_walks_subgroups(t0, ell, r):
 def test_subgroup_gens_are_the_kernel_index_generators(t0, ell):
     """The root of every search walk (_walks) lists its subgroups by the
     generators of _subgroup_gens: they are the kernel index's own,
-    cyclic_kernel(E, ell, i) for i = 1 .. ell + 1 in int coordinates, on E0
+    cyclic_kernel(E, ell, [i]) for i = 1 .. ell + 1 in int coordinates, on E0
     and on a public key."""
     pk = keygen(t0, random.Random(ell)).pk
     for E in (t0.e0, pk):
-        index = [_coords(isogeny.cyclic_kernel(E, ell, i)) for i in range(1, ell + 2)]
+        index = [_coords(K) for K in isogeny.cyclic_kernel(E, ell, range(1, ell + 2))]
         assert dlog._subgroup_gens(E, ell) == index
 
 
@@ -819,7 +870,7 @@ def _on_twist(rep, u):
     twisted curve's canonical basis under rep after the isomorphism back."""
     E = twist_curve(rep.domain, u)
     basis = canonical_torsion_basis(E, rep.order, E.p + 1)
-    images = tuple(evaluate_rep(rep, twist_point(X, u.inv())) for X in basis)
+    images = evaluate_rep(rep, [twist_point(X, u.inv()) for X in basis])
     return EfficientRep(E, rep.codomain, rep.degree, rep.order, basis, images)
 
 

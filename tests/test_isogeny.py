@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import time
 
@@ -178,7 +179,7 @@ def test_cyclic_tree_gives_the_challenge_walks(request, profile):
     ]
     for E, pts in tree_inputs(ps):
         for hs in lists:
-            assert len({cyclic_parts(E, A, h)[:2] for h in hs}) == 2
+            assert len({(X, Y) for X, Y, _ in cyclic_parts(E, A, hs)}) == 2
             for h, (F, images) in zip(hs, walk_cyclic_tree(E, A, hs, pts), strict=True):
                 mask = challenge_walk(E, h, A)
                 assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
@@ -197,6 +198,30 @@ def test_cyclic_tree_checks_its_indices_and_points(t0):
     with pytest.raises(BadKernel):
         walk_cyclic_tree(E, A, [1], [off])
     assert walk_cyclic_tree(E, A, [], []) == []
+
+
+def test_the_index_is_read_once_for_a_list(t0, monkeypatch):
+    """cyclic_parts, cyclic_kernel and walk_cyclic_tree on every index up to
+    mu(A) at T0 equal the one-index cyclic_parts: its (X, Y, t), X + [t]Y
+    and the walk isogeny_from_kernel makes of it.  A list looks the
+    canonical basis up once and computes [2]P once."""
+    E, A = t0.e0, t0.A
+    hs = list(range(1, mu(A) + 1))
+    one = [cyclic_parts(E, A, [h])[0] for h in hs]
+    kernels = [E.add(X, E.mul(t, Y)) for X, Y, t in one]
+    P = canonical_torsion_basis(E, A, E.p + 1)[0]
+    lookups, doublings = [], []
+    basis, mul = isogeny.canonical_torsion_basis, Curve.mul
+    monkeypatch.setattr(isogeny, "canonical_torsion_basis", lambda *a: lookups.append(1) or basis(*a))
+    monkeypatch.setattr(Curve, "mul", lambda E, k, X: doublings.append(k) or mul(E, k, X))
+    assert cyclic_parts(E, A, hs) == one
+    assert (lookups, doublings) == ([1], [2])
+    assert cyclic_kernel(E, A, hs) == kernels
+    monkeypatch.undo()
+    pts = [P, E.random_point(random.Random(33))]
+    for (F, images), K in zip(walk_cyclic_tree(E, A, hs, pts), kernels, strict=True):
+        mask = isogeny_from_kernel(E, [K], A)
+        assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
 
 
 def fp2_add(E, P, Q):
@@ -383,21 +408,21 @@ def test_cyclic_a_kernels_match_the_reference(request, rng, profile):
     A = ps.A
     for E in (ps.e0, keygen(ps, rng).pk):
         for idx in (1, 2, A // 2 + 3, A, A + 1, mu(A)):
-            assert_steps_match_reference(E, [cyclic_kernel(E, A, idx)], A)
+            assert_steps_match_reference(E, cyclic_kernel(E, A, [idx]), A)
 
 
 def test_cyclic_c_kernels_match_the_reference(t2):
     E, C = t2.e0, t2.C
     assert C == 27
     for idx in (1, 5, C, C + 1, mu(C)):
-        assert_steps_match_reference(E, [cyclic_kernel(E, C, idx)], C)
+        assert_steps_match_reference(E, cyclic_kernel(E, C, [idx]), C)
 
 
 def test_b_kernels_match_the_reference(t0, rng):
     E = t0.e0
     for _ in range(3):
-        K5 = cyclic_kernel(E, 5, rng.randrange(1, 7))
-        K7 = cyclic_kernel(E, 7, rng.randrange(1, 9))
+        (K5,) = cyclic_kernel(E, 5, [rng.randrange(1, 7)])
+        (K7,) = cyclic_kernel(E, 7, [rng.randrange(1, 9)])
         for gens in ([K5, K7], [K7, K5], [E.add(K5, K7)]):
             assert_steps_match_reference(E, gens, 35)
 
@@ -408,7 +433,7 @@ def test_cyclic_two_power_walk_cost(t1, monkeypatch, count_chain_work):
     generator's order.  Recomputing each kernel point from the generator
     took 53."""
     E = t1.e0
-    K = cyclic_kernel(E, t1.A, 3)
+    (K,) = cyclic_kernel(E, t1.A, [3])
     adds, evals, _ = count_chain_work(monkeypatch)
     chain = isogeny_from_kernel(E, [K], t1.A)
     assert len(chain.steps) == 9
@@ -454,7 +479,7 @@ def test_two_power_walk_hands_steps_int_kernels(t0, monkeypatch, count_chain_wor
     constructor from the int kernel the walk holds, and no Point made
     between the generator and the chain."""
     E = t0.e0
-    K = cyclic_kernel(E, t0.A, 5)
+    (K,) = cyclic_kernel(E, t0.A, [5])
     _, _, steps = count_chain_work(monkeypatch)
     points = []
     point = curve._point
@@ -530,9 +555,10 @@ def test_dual_composes_to_multiplication(t0, rng):
 
 
 def test_dual_of_two_power_challenge_walks(t0, rng):
-    """Every dual step is of degree 2: its kernel is the image of its step's
-    canonical E[2]-basis.  The walks start on E0 and on y^2 = x^3 + 15498x
-    + 20797i, where that basis once took 8 s to scan (test_curve's
+    """Every dual step is of degree 2: the first one's kernel is the image
+    of its step's canonical E[2]-basis, and each later one's the image of
+    the dual kernel before it.  The walks start on E0 and on y^2 = x^3 +
+    15498x + 20797i, where that basis once took 8 s to scan (test_curve's
     stall-shaped bases); with the basis cache cleared, each dual takes
     under 0.1 s (about 4 ms on a 2-CPU Linux container)."""
     for E in (t0.e0, Curve(Fp2(t0.p, 15498), Fp2(t0.p, 0, 20797))):
@@ -567,6 +593,77 @@ def test_dual_of_twisted_steps(t0, rng, ell):
             for _ in range(5):
                 R = E.random_point(rng)
                 assert back.evaluate(s.evaluate(R)) == E.mul(ell, R)
+
+
+def assert_dual_is_the_scanning_rules(chain, carried, scans, rng):
+    """dual(chain, carried) against the rule that scans every step's domain
+    for its dual kernel (dual_step without back): the same domains,
+    codomains, twists and images of random points, step by step, and
+    `scans` canonical-basis scans (_dual_kernel calls) where the rule
+    makes one per step."""
+    scanning = [dual_step(s) for s in reversed(chain.steps)]
+    calls = []
+    dual_kernel = isogeny._dual_kernel
+    isogeny._dual_kernel = lambda s: calls.append(s.ell) or dual_kernel(s)
+    try:
+        carrying = dual(chain, carried)
+    finally:
+        isogeny._dual_kernel = dual_kernel
+    assert len(calls) == scans
+    assert len(carrying.steps) == len(scanning)
+    for d, e in zip(carrying.steps, scanning):
+        assert (d.domain, d.codomain, d.ell, d.u) == (e.domain, e.codomain, e.ell, e.u)
+        for _ in range(3):
+            R = d.domain.random_point(rng)
+            assert d.evaluate(R) == e.evaluate(R)
+    R = chain.domain.random_point(rng)
+    assert carrying.evaluate(chain.evaluate(R)) == chain.domain.mul(chain.degree, R)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_dual_of_psi_carries_the_unchosen_generators(request, profile):
+    """presign's psi for every choice vector: the generators the vector
+    leaves out give every dual kernel, with no basis scanned."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(41)
+    for bits in itertools.product((1, 2), repeat=ps.t):
+        psi = isogeny_from_kernel(ps.e0, oriented_kernel(ps.orientation, bits), ps.B)
+        unchosen = oriented_kernel(ps.orientation, [3 - b for b in bits])
+        carried = dict(zip(ps.orientation.primes, unchosen))
+        assert_dual_is_the_scanning_rules(psi, carried, 0, rng)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_dual_of_w_prime_carries_a_point_of_s(request, profile):
+    """adapt's w' from E_psi with kernel <S1 + [alpha]S2>, for several alpha:
+    [C/3]S2 gives the first dual kernel and each dual kernel the next, with
+    no basis scanned.  Without the point, the first step scans."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(42)
+    psi = isogeny_from_kernel(ps.e0, oriented_kernel(ps.orientation, [1] * ps.t), ps.B)
+    epsi, C = psi.codomain, ps.C
+    S1, S2 = map(psi.evaluate, ps.pq)
+    for alpha in sorted({0, 1, 2, C - 1, rng.randrange(C)}):
+        wprime = isogeny_from_kernel(epsi, [epsi.add(S1, epsi.mul(alpha, S2))], C)
+        assert_dual_is_the_scanning_rules(wprime, {3: epsi.mul(C // 3, S2)}, 0, rng)
+        assert_dual_is_the_scanning_rules(wprime, None, 1, rng)
+
+
+def test_dual_falls_back_where_the_kernel_holds_the_carried_point(t0, rng):
+    """A chain with kernel E[5] backtracks: the carried point, the first
+    step's dual kernel, lies in the second step's kernel, so that step scans
+    its domain's basis.  A carried point in the first step's kernel makes
+    it scan too, and points outside E[5] are not carried."""
+    E = t0.e0
+    P5, Q5 = canonical_torsion_basis(E, 5, t0.group_order)
+    chain = isogeny_from_kernel(E, [P5, Q5], 25)
+    assert [s.ell for s in chain.steps] == [5, 5]
+    K = chain.steps[0].kernel
+    outside = next(X for X in (P5, Q5) if not chain.steps[0].evaluate(X).is_inf)
+    assert_dual_is_the_scanning_rules(chain, {5: outside}, 1, rng)
+    assert_dual_is_the_scanning_rules(chain, {5: K}, 2, rng)
+    P7 = canonical_torsion_basis(E, 7, t0.group_order)[0]
+    assert_dual_is_the_scanning_rules(chain, {5: E.add(outside, P7)}, 2, rng)
 
 
 def test_dual_of_two_step_needs_rational_two_torsion(t0):

@@ -499,7 +499,7 @@ def test_corner_memo_holds_at_most_its_maxsize(t0):
     maxsize = nizk._CORNERS_KEPT
     assert maxsize >= 2 * t0.nizk_rounds
     E, A = t0.e0, t0.A
-    keys = [(E, (sig.cyclic_kernel(E, A, h),), A) for h in range(1, maxsize + 20)]
+    keys = [(E, (K,), A) for K in sig.cyclic_kernel(E, A, range(1, maxsize + 20))]
     for i, (_, gens, _) in enumerate(keys):
         nizk._record(E, gens, A, isogeny_from_kernel(E, list(gens), A).codomain)
         assert list(nizk._CORNERS) == keys[max(0, i + 1 - maxsize) : i + 1]

@@ -87,12 +87,12 @@ def test_cyclic_kernel_is_x_plus_t_y_of_its_parts(request, profile, ell):
     E, D = ps.e0, (ps.A if ell == 2 else ps.C)
     P, Q = canonical_torsion_basis(E, D, E.p + 1)
     for idx in range(1, mu(D) + 1):
-        X, Y, t = cyclic_parts(E, D, idx)
+        ((X, Y, t),) = cyclic_parts(E, D, [idx])
         if idx <= D:
             assert (X, Y, t) == (P, Q, idx - 1)
         else:
             assert (X, Y, t) == (Q, E.mul(ell, P), idx - D - 1)
-        assert cyclic_kernel(E, D, idx) == E.add(X, E.mul(t, Y))
+        assert cyclic_kernel(E, D, [idx]) == [E.add(X, E.mul(t, Y))]
 
 
 def test_challenge_walk_index_bounds(t0):
