@@ -14,8 +14,8 @@ ints they hold, and Step.kernel builds its Point only when read.  No other
 module imports an underscore name of curve, isogeny or dlog.
 The point scan (_scan, square roots by field.sqrt_pair) and the
 j-invariant (_j_pair) run on ints as well; lift_x and scan_points wrap
-_lift and _scan, and _cleared is the one loop that clears scan points to
-an order, which canonical_torsion_basis and _outside read.
+_lift and _scan, and _cleared, the one loop that strips scan points of a
+cofactor, hands their orders and rungs to canonical_torsion_basis and _outside.
 The int loops trust their inputs, so membership is checked where points
 come in: Curve.add/mul/neg, IsogenyChain.evaluate, isogeny._velu for a
 Step and for a search leaf's j (on ints, by _on_curve, whichever form the
@@ -301,17 +301,19 @@ def point_order(E: Curve, P: Point, N: int) -> int | None:
     return _order(E, _coords(P), N)
 
 
-def _order(E: Curve, P, N: int) -> int | None:
-    """point_order in int coordinates."""
+def _order(E: Curve, P, N: int, rungs=None) -> int | None:
+    """point_order in int coordinates.  A rungs dict gets each ell ladder's
+    last point before O: of order ell, it generates <[n/ell]P>."""
     if N == 1:
         return 1 if P is None else None
-    n = 1
+    n, rungs = 1, {} if rungs is None else rungs
     for ell, e in factorize(N).items():
         Q = _scale(E, N // ell**e, P)
         k = 0
         while Q is not None:
             if k == e:
                 return None
+            rungs[ell] = Q
             Q = _scale(E, ell, Q)
             k += 1
         n *= ell**k
@@ -339,9 +341,9 @@ class _Degenerate(Exception):
     """Internal: a line of f_{n,P} vanishes at X, so X lies in <P>."""
 
 
-def _miller(E: Curve, P, n: int, X) -> Fp2:
-    """f_{n,P}(X) for finite X, P and X in int coordinates; raises
-    _Degenerate on a zero or pole.
+def _miller(E: Curve, P, n: int, X):
+    """(f_{n,P}(X), [n]P) for finite X, P and X in int coordinates; raises
+    _Degenerate on a zero or pole.  [n]P is the loop's last multiple.
 
     GF(p^2) values are int pairs until the Fp2 result.  Each step takes
     _chord's one slope for both the sum and the line through its two points,
@@ -378,7 +380,7 @@ def _miller(E: Curve, P, n: int, X) -> Fp2:
         if bit == "1":
             T, l, v = step(T, P)
             num, den = mul(num, l), mul(den, v)
-    return Fp2(p, *mul(num, inv_pair(p, *den)))
+    return Fp2(p, *mul(num, inv_pair(p, *den))), T
 
 
 def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
@@ -386,17 +388,22 @@ def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
 
     Miller's formula e_N(P, Q) = (-1)^N f_{N,P}(Q) / f_{N,Q}(P).  Every
     zero and pole of f_P's lines lies in <P>, so a degenerate evaluation
-    means Q in <P> or P in <Q>, and then e_N(P, Q) = 1.
+    means Q in <P> or P in <Q>, and then e_N(P, Q) = 1.  OrderMismatch
+    unless [N]P = [N]Q = O, read off the loops' last multiples, or after
+    a degenerate evaluation, which stops a loop, computed apart.
     """
     E.check(P)
     E.check(Q)
     P, Q = _coords(P), _coords(Q)
-    if N < 1 or _scale(E, N, P) is not None or _scale(E, N, Q) is not None:
-        raise OrderMismatch(f"inputs not killed by {N}")
     try:
-        z = _miller(E, P, N, Q) / _miller(E, Q, N, P)
+        (f, NP), (g, NQ) = _miller(E, P, N, Q), _miller(E, Q, N, P)
     except _Degenerate:
+        f, NP, NQ = None, _scale(E, N, P), _scale(E, N, Q)
+    if N < 1 or NP is not None or NQ is not None:
+        raise OrderMismatch(f"inputs not killed by {N}")
+    if f is None:
         return Fp2.one(E.p)
+    z = f / g
     return -z if N & 1 else z
 
 
@@ -405,16 +412,15 @@ def weil_pairing(E: Curve, P: Point, Q: Point, N: int) -> Fp2:
 # ---------------------------------------------------------------------------
 
 def _cleared(E: Curve, N: int, exponent: int):
-    """The scan's points cleared to exact order N, in int coordinates and
-    scan order: the one source of canonical_torsion_basis and _outside.
+    """The scan's points whose order is a multiple of N, in scan order: the
+    one source of canonical_torsion_basis and _outside.
 
     Each point of _scan (on ints) has the prime-to-N part of `exponent`
-    stripped and each remaining prime power divided down to its share of
-    N, so any scan point whose order is a multiple of N contributes.  N
-    must divide the group exponent, and the exponent must divide
-    `exponent`: the package always passes E.p + 1, the exponent of every
-    curve it admits; a scan point with [exponent]S != O, as on an ordinary
-    curve, raises NoBasis.
+    stripped, to P of order n; where N | n the loop yields (P, n, rungs),
+    rungs from _order: per ell | N a point of order ell that generates
+    <[N/ell]X> for the cleared X = [n/N]P, which a reader computes only for
+    the points it keeps.  N must divide the group exponent, and that must
+    divide `exponent`, as E.p + 1 does; else, as on an ordinary curve, NoBasis.
     """
     if exponent % N != 0:
         raise NoBasis(f"{N} does not divide the group exponent")
@@ -425,12 +431,12 @@ def _cleared(E: Curve, N: int, exponent: int):
             cof //= ell
             support *= ell
     for S in _scan(E):
-        P = _scale(E, cof, S)
-        n = _order(E, P, support)
+        P, rungs = _scale(E, cof, S), {}
+        n = _order(E, P, support, rungs)
         if n is None:
             raise NoBasis(f"the group exponent does not divide {exponent}")
         if n % N == 0:
-            yield _scale(E, n // N, P)
+            yield P, n, rungs
 
 
 # a strict check asks for 16-26 bases at T0 (4 distinct) and 19-26 at T1
@@ -450,30 +456,29 @@ def canonical_torsion_basis(E: Curve, N: int, group_order: int):
     divide group_order: the package always passes E.p + 1, and perfbench
     passes it too; otherwise NoBasis.
     Q is independent of P when [N/ell]Q is outside <[N/ell]P> for every
-    prime ell | N: the same as e_N(P, Q) having exact order N.  Each
-    <[N/ell]P> is listed once by _span, ell - 1 additions, and every later
-    point is looked up in it.
+    prime ell | N: the same as e_N(P, Q) having exact order N.  Each rung
+    of P (_cleared) is listed once by _span, ell - 1 additions, every later
+    point's rungs are looked up in them, and only P and Q are cleared.
     """
     if N == 1:
         return (_INF, _INF)
     points = _cleared(E, N, group_order)
-    first = next(points, None)
-    if first is not None:
-        spans = [(N // ell, _span(E, _scale(E, N // ell, first), ell)) for ell in factorize(N)]
-        for P in points:
-            if not any(_scale(E, m, P) in span for m, span in spans):
-                return (_point(E.p, first), _point(E.p, P))
+    for P, n, first in points:  # the first point; the inner loop takes the rest
+        spans = [(ell, _span(E, R, ell)) for ell, R in first.items()]
+        for Q, m, rungs in points:
+            if not any(rungs[ell] in span for ell, span in spans):
+                return (_point(E.p, _scale(E, n // N, P)), _point(E.p, _scale(E, m // N, Q)))
     raise NoBasis(f"no basis of order {N} found")  # pragma: no cover
 
 
 def _outside(E: Curve, span: list, N: int):
-    """The first of the scan's points of exact order N (_cleared) outside
-    span, in int coordinates.  For N = ell prime and span the group <B> of
-    a point of order ell (_span), that point and B are a basis of E[ell],
-    with one point scanned where a canonical basis scans two."""
-    for P in _cleared(E, N, E.p + 1):
-        if P not in span:
-            return P
+    """The first of the scan's points cleared to order N, a prime, outside
+    span: _cleared's rung for N, in int coordinates.  For span the group
+    <B> of a point of order N (_span), it and B are a basis of E[N], with
+    one point scanned where a canonical basis scans two."""
+    for _, _, rungs in _cleared(E, N, E.p + 1):
+        if rungs[N] not in span:
+            return rungs[N]
     raise NoBasis(f"no point of order {N} outside the span")  # pragma: no cover
 
 

@@ -341,13 +341,19 @@ def cyclic_parts(E: Curve, D: int, indices) -> list:
 
 def cyclic_kernel(E: Curve, D: int, indices) -> list:
     """The generators X + [t]Y of the cyclic subgroups of order D = ell^e in
-    E that indices name, (X, Y, t) from cyclic_parts, composed on int
-    coordinates."""
+    E that indices name, (X, Y, t) from cyclic_parts, on int coordinates:
+    X plus [2^i]Y for t's set bits, from one doubling ladder per family Y."""
     p, a0, a1 = E.p, E.a.c0, E.a.c1
-    return [
-        _point(p, _chord(p, a0, a1, _coords(X), _scale(E, t, _coords(Y)))[0])
-        for X, Y, t in cyclic_parts(E, D, indices)
-    ]
+    ladders, out = {}, []
+    for X, Y, t in cyclic_parts(E, D, indices):
+        ladder, R = ladders.setdefault(Y, [_coords(Y)]), _coords(X)
+        for i in range(t.bit_length()):
+            if i == len(ladder):
+                ladder.append(_chord(p, a0, a1, ladder[-1], ladder[-1])[0])
+            if t >> i & 1:
+                R = _chord(p, a0, a1, R, ladder[i])[0]
+        out.append(_point(p, R))
+    return out
 
 
 def _subgroup_gens(E: Curve, ell: int):

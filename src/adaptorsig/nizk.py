@@ -20,7 +20,8 @@ vector.  It draws its masks, indices of cyclic A-kernels of E_w, and
 walks them as one tree (`isogeny.walk_cyclic_tree`): masks share step
 prefixes, and each distinct prefix step is built once, pushing the
 generators of psi' along.  Then it walks one parallel isogeny per
-distinct mask.
+distinct mask from the generators the tree pushed, as the chain's own
+steps, one Step per prime of B (_parallel).
 
 The module keeps one bounded memo, _CORNERS: each round records the one
 corner its check reads, keyed by the walk's whole input, (E_w, mask
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, cyclic_kernel, isogeny_from_kernel, mu, walk_cyclic_tree
+from .isogeny import IsogenyChain, Step, cyclic_kernel, isogeny_from_kernel, mu, walk_cyclic_tree
 from .params import ParamSet
 
 
@@ -63,13 +64,27 @@ def _record(E: Curve, gens, degree: int, codomain: Curve):
         del _CORNERS[next(iter(_CORNERS))]
 
 
-def _codomain(known: dict, E: Curve, gens, degree: int) -> Curve:
+def _codomain(known: dict, E: Curve, gens, degree: int, primes=None) -> Curve:
     """isogeny_from_kernel(E, gens, degree).codomain, read from known, a
-    copy of _CORNERS, or walked into it; raises as the walk does."""
+    copy of _CORNERS, or walked into it; raises as the walk does.  Given
+    the primes of gens, the walk is _parallel's."""
     key = (E, tuple(gens), degree)
     if key not in known:
-        known[key] = isogeny_from_kernel(E, gens, degree).codomain
+        walk = _parallel(E, gens, primes) if primes else isogeny_from_kernel(E, gens, degree)
+        known[key] = walk.codomain
     return known[key]
+
+
+def _parallel(F: Curve, par, primes) -> Step:
+    """The last of the steps isogeny_from_kernel(F, par, B) builds, for par
+    one point of each prime's order, in their order: one Step per prime in
+    ascending order, its point pushed through the steps before it."""
+    pending = sorted(zip(primes, par))
+    while pending:
+        (ell, K), pending = pending[0], pending[1:]
+        step = Step(F, K, ell)
+        F, pending = step.codomain, [(m, step.evaluate(P)) for m, P in pending]
+    return step
 
 
 @dataclass
@@ -128,7 +143,7 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     """Prove that e1 = E_w / <ker psip>, given psi': the degree-B chain from
     E_w to e1 that `presign` builds from the statement's oriented kernel of
     its choice vector, whose kernel generators are the ones pushed."""
-    ew, _, e1 = statement
+    ew, wB, e1 = statement
     if psip.domain != ew or psip.codomain != e1 or psip.degree != ps.B:
         raise WitnessMismatch("psi' does not run from E_w to the commitment curve")
     gens = psip.kernel_gens
@@ -140,7 +155,7 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     # curve the mask pushed to e1 reaches
     known = dict(_CORNERS)
     squares = [
-        (F, _codomain(known, F, par, ps.B), par)
+        (F, _codomain(known, F, par, ps.B, wB.primes), par)
         for F, par in walk_cyclic_tree(ew, A, draws, gens)
     ]
 

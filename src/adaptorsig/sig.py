@@ -100,11 +100,15 @@ def signature_shapes(ps: ParamSet) -> dict:
 
 def sign(kp: KeyPair, m: bytes, ps: ParamSet, rng) -> PlainSignature:
     """Commit, derive the challenge walk, respond by explicit composition."""
-    gens = _smooth_kernel(ps.e0, ps.B, _random_indices(ps.B, rng))
-    psi0 = isogeny_from_kernel(ps.e0, gens, ps.B)
+    E0, indices = ps.e0, _random_indices(ps.B, rng)
+    psi0 = isogeny_from_kernel(E0, _smooth_kernel(E0, ps.B, indices), ps.B)
     e1 = psi0.codomain
     phi = challenge(kp.pk, e1, m, ps)
-    sigma = compose_chains(dual(psi0), kp.sk, phi)
+    # psi0's ell-kernel is <U + [i - 1]V> for an index i <= ell, else <V>, on E0's
+    # canonical basis (U, V): so V, else U, is outside it and carries its dual
+    primes = zip(factorize(ps.B), indices)
+    outside = {ell: canonical_torsion_basis(E0, ell, E0.p + 1)[i <= ell] for ell, i in primes}
+    sigma = compose_chains(dual(psi0, outside), kp.sk, phi)
     rep = efficient_rep(sigma, ps.A)
     return PlainSignature(e1, rep)
 

@@ -360,14 +360,16 @@ def test_no_honest_e1_or_e2_has_extra_automorphisms(request, profile):
 #: of a demo swap with the caches cleared and fresh parameters; the
 #: scanning duals, per-point decompositions and unshared order checks made
 #: (13, 3424), (12, 3501), (8, 2835) at T0 and (17, 5519), (16, 5139),
-#: (10, 4924) at T1
+#: (10, 4924) at T1, and clearing every scan point, pairings with their own
+#: order ladders, a [t]Y ladder per mask and a chain per F' made 2985, 3092,
+#: 2482 and 4647, 4333, 4295 additions
 COLD_SWAP_COUNTS = {
-    ("t0", 1): (9, 2985),
-    ("t0", 2): (9, 3092),
-    ("t0", 3): (6, 2482),
-    ("t1", 1): (9, 4647),
-    ("t1", 2): (9, 4333),
-    ("t1", 3): (6, 4295),
+    ("t0", 1): (9, 2556),
+    ("t0", 2): (9, 2651),
+    ("t0", 3): (6, 2217),
+    ("t1", 1): (9, 3962),
+    ("t1", 2): (9, 3708),
+    ("t1", 3): (6, 3816),
 }
 
 

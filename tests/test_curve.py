@@ -16,9 +16,11 @@ from adaptorsig.curve import (
     _coords,
     _Degenerate,
     _miller,
+    _order,
     _outside,
     _point,
     _scale,
+    _scan,
     _span,
     canonical_torsion_basis,
     factorize,
@@ -30,12 +32,12 @@ from adaptorsig.curve import (
     twist_point,
     weil_pairing,
 )
-from adaptorsig.errors import OrderMismatch, PointNotOnCurve, SingularCurve
+from adaptorsig.errors import NoBasis, OrderMismatch, PointNotOnCurve, SingularCurve
 from adaptorsig.field import Fp2, fp2_bytes
-from adaptorsig.isogeny import isogeny_from_kernel
+from adaptorsig.isogeny import EfficientRep, isogeny_from_kernel
 from adaptorsig.params import generate_params
 from adaptorsig.relation import gen_r
-from adaptorsig.sig import keygen, sign
+from adaptorsig.sig import keygen, rep_rejection, sign, signature_shapes
 from adaptorsig.swap import demo_swap
 
 
@@ -277,6 +279,54 @@ def test_canonical_basis_matches_the_pairing_rule(t0):
             assert canonical_torsion_basis(E, N, n) == _pairing_scan_basis(E, N, n)
 
 
+def _clearing_reference(E, N, exponent):
+    """Reference: canonical_torsion_basis as it cleared every scan point to
+    exact order N, on ints, and took the first cleared point and the first
+    later one whose [N/ell] multiple lies outside <[N/ell] first> for every
+    prime ell | N."""
+    if exponent % N:
+        raise NoBasis(f"{N} does not divide the group exponent")
+    support = math.prod(ell**e for ell, e in factorize(exponent).items() if N % ell == 0)
+
+    def cleared():
+        for S in _scan(E):
+            P = _scale(E, exponent // support, S)
+            n = _order(E, P, support)
+            if n % N == 0:
+                yield _scale(E, n // N, P)
+
+    points = cleared()
+    first = next(points)
+    spans = [(N // ell, _span(E, _scale(E, N // ell, first), ell)) for ell in factorize(N)]
+    for P in points:
+        if not any(_scale(E, m, P) in span for m, span in spans):
+            return _point(E.p, first), _point(E.p, P)
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_canonical_basis_matches_the_clearing_reference(request, profile):
+    """The basis that tests independence on _cleared's rungs and clears
+    only its two points is the one that cleared every scan point: on E0,
+    12 public keys, 12 statement curves and models of E0 and a key in the
+    twist family, for N in {2, 3, 4, 5, 7, 9, 35, A, C, AC}, where an N
+    that does not divide p + 1 raises NoBasis in both."""
+    ps = request.getfixturevalue(profile)
+    n = ps.group_order
+    canonical_torsion_basis.cache_clear()
+    curves = [ps.e0]
+    curves += [keygen(ps, random.Random(seed)).pk for seed in range(12)]
+    curves += [gen_r(ps, random.Random(seed))[1].ew for seed in range(12)]
+    curves += [twist_curve(E, Fp2(ps.p, k, 1)) for E in curves[:2] for k in (2, 3, 7)]
+    orders = {2, 3, 4, 5, 7, 9, 35, ps.A, ps.C, ps.A * ps.C}
+    if n % 9:
+        with pytest.raises(NoBasis):
+            canonical_torsion_basis(ps.e0, 9, n)
+        orders.discard(9)
+    for E in curves:
+        for N in sorted(orders):
+            assert canonical_torsion_basis(E, N, n) == _clearing_reference(E, N, n), (E, N)
+
+
 def _cleared_scan(E, N, group_order):
     """Reference: the scan points cleared to exact order N, on Points."""
     support = math.prod(ell**e for ell, e in factorize(group_order).items() if N % ell == 0)
@@ -363,8 +413,8 @@ def int_mul(E, k, P):
 
 
 def miller(E, P, n, X):
-    """_miller on the int coordinates of P and X."""
-    return _miller(E, _coords(P), n, _coords(X))
+    """f_{n,P}(X) from _miller on the int coordinates of P and X."""
+    return _miller(E, _coords(P), n, _coords(X))[0]
 
 
 def ref_add(E, P, Q):
@@ -492,7 +542,9 @@ def test_miller_matches_the_reference(profile, N, model, request, rng):
                 with pytest.raises(_Degenerate):
                     miller(E, *args)
             else:
-                assert miller(E, *args) == want
+                f, last = _miller(E, _coords(args[0]), N, _coords(args[2]))
+                assert f == want
+                assert last == _coords(E.mul(N, args[0]))  # the loop's last multiple
 
 
 @pytest.mark.parametrize(
@@ -546,6 +598,33 @@ def test_pairing_matches_the_offset_reference(t0):
                     pairs += [(U, Q), (Q, U)]
             for P, Q in pairs:
                 assert weil_pairing(E, P, Q, N) == offset_weil_pairing(E, P, Q, N), (N, P, Q)
+
+
+def test_pairing_order_check_reads_the_miller_loops(t0):
+    """An input not killed by N raises OrderMismatch both where Miller's
+    loops run through, whose last multiples [N]P and [N]Q are the check,
+    and where a line vanishes (Q in <P>) and stops a loop, after which
+    [N]P and [N]Q are computed apart.  rep_rejection reports both kinds
+    of image pair as rep:images."""
+    n, N = t0.group_order, t0.A
+    kp = keygen(t0, random.Random(5))
+    rep = sign(kp, b"order", t0, random.Random(6)).rep
+    for E in (t0.e0, rep.codomain):
+        U, V = canonical_torsion_basis(E, N, n)
+        T = E.add(U, canonical_torsion_basis(E, 5, n)[0])  # order 5A
+        assert _miller(E, _coords(T), N, _coords(V))[1] is not None  # regular: [N]T != O
+        pairs = [(T, V), (V, T)]
+        for Q in (T, E.mul(2, T), E.mul(4, T)):  # degenerate: a line vanishes at Q
+            with pytest.raises(_Degenerate):
+                _miller(E, _coords(T), N, _coords(Q))
+            pairs.append((T, Q))
+        for P, Q in pairs:
+            with pytest.raises(OrderMismatch):
+                weil_pairing(E, P, Q, N)
+        if E == rep.codomain:
+            for images in ((T, V), (T, E.mul(2, T))):
+                bad = EfficientRep(rep.domain, E, rep.degree, N, rep.basis, images)
+                assert rep_rejection(bad, signature_shapes(t0)) == "rep:images"
 
 
 def test_pairing_alternating(t0):

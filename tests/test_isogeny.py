@@ -224,6 +224,25 @@ def test_the_index_is_read_once_for_a_list(t0, monkeypatch):
         assert (F, images) == (mask.codomain, tuple(map(mask.evaluate, pts)))
 
 
+def test_cyclic_kernel_doubles_each_family_once(t0, monkeypatch):
+    """cyclic_kernel on every index up to mu(A) at T0 composes X + [t]Y
+    from one doubling ladder of Y per family: 6 doublings for Q (t < 2^7)
+    and 5 for [2]P (t < 2^6), and one addition per set bit of each t."""
+    E, A = t0.e0, t0.A
+    hs = list(range(1, mu(A) + 1))
+    bits = sum(t.bit_count() for _, _, t in cyclic_parts(E, A, hs))
+    doublings, additions = [], []
+    chord = isogeny._chord
+
+    def counted(p, a0, a1, P, Q):
+        (doublings if P == Q else additions).append(1)
+        return chord(p, a0, a1, P, Q)
+
+    monkeypatch.setattr(isogeny, "_chord", counted)
+    cyclic_kernel(E, A, hs)
+    assert (len(doublings), len(additions)) == (6 + 5, bits)
+
+
 def fp2_add(E, P, Q):
     """The affine chord-and-tangent law on Fp2 objects, apart from the
     library's integer formulas."""

@@ -72,19 +72,38 @@ def count_chain_degrees(monkeypatch):
     return degrees
 
 
+def count_parallel_steps(monkeypatch):
+    """A Counter of the primes of the Steps that nizk builds itself, while
+    monkeypatch holds: a prover walks each parallel isogeny (degree B) as
+    one Step per prime of B, not as a chain, so each walk counts once per
+    prime."""
+    primes = Counter()
+    step = nizk.Step
+
+    def counted(E, kernel, ell):
+        primes[ell] += 1
+        return step(E, kernel, ell)
+
+    monkeypatch.setattr(nizk, "Step", counted)
+    return primes
+
+
 def test_prover_builds_one_b_chain_per_round_and_no_a_chain(t0, monkeypatch):
     """Per distinct mask the parallel isogeny from its codomain (degree B),
     whose codomain is F', and nothing else: the masks are walked as one
-    tree of Steps (isogeny.walk_cyclic_tree), which builds no chain, and
-    psi' comes in built, as presign hands it over.  No round walks the mask
-    a second time on E1: the tag-0 reveal there is psi' of the mask's
-    kernel generator.  This sample draws 24 distinct masks."""
+    tree of Steps (isogeny.walk_cyclic_tree), which builds no chain, psi'
+    comes in built, as presign hands it over, and each parallel isogeny is
+    walked as its prime steps, which build no chain either.  No round walks
+    the mask a second time on E1: the tag-0 reveal there is psi' of the
+    mask's kernel generator.  This sample draws 24 distinct masks."""
     rng = random.Random(26)
     stmt, bits = make_statement(t0, rng)
     psip = psi_prime(stmt, bits, t0)
     degrees = count_chain_degrees(monkeypatch)
+    steps = count_parallel_steps(monkeypatch)
     proof = prove_parallel(stmt, psip, t0, rng)
-    assert degrees == {t0.B: t0.nizk_rounds}
+    assert degrees == {}
+    assert steps == {ell: t0.nizk_rounds for ell in t0.primes} == {5: 24, 7: 24}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
 
@@ -103,9 +122,40 @@ def test_prover_reads_the_f_prime_a_proof_recorded(t0, monkeypatch):
     distinct = {r.f for r in proof.rounds}
     assert 0 < len(tag_1) < len(distinct)
     degrees = count_chain_degrees(monkeypatch)
+    steps = count_parallel_steps(monkeypatch)
     rng.setstate(state)
     assert prove_parallel(stmt, psip, t0, rng) == proof
-    assert degrees == {t0.B: len(distinct) - len(tag_1)}
+    assert degrees == {}
+    assert steps == {ell: len(distinct) - len(tag_1) for ell in t0.primes}
+
+
+@pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
+def test_every_f_prime_is_the_parallel_chain_s_codomain(request, profile, monkeypatch):
+    """The prover's F', walked as one Step per prime of B in ascending
+    order, is isogeny_from_kernel(F, par, B).codomain in every round, par
+    the generators of psi' pushed through the round's mask: the tag-1
+    reveal, or their images under the tag-0 mask.  The walk takes the
+    primes in ascending order, as that chain does, whatever order the
+    orientation lists them in."""
+    ps = request.getfixturevalue(profile)
+    rng = random.Random(44)
+    order = []
+    step = nizk.Step
+    monkeypatch.setattr(nizk, "Step", lambda E, K, ell: order.append(ell) or step(E, K, ell))
+    for _ in range(2):
+        stmt, bits = make_statement(ps, rng)
+        psip = psi_prime(stmt, bits, ps)
+        for r in prove_parallel(stmt, psip, ps, rng).rounds:
+            if r.tag:
+                par = list(r.reveal)
+            else:
+                mask = isogeny_from_kernel(stmt[0], [r.reveal[0]], ps.A)
+                assert mask.codomain == r.f
+                par = [mask.evaluate(g) for g in psip.kernel_gens]
+            assert isogeny_from_kernel(r.f, par, ps.B).codomain == r.fp
+            order.clear()
+            assert nizk._parallel(r.f, par[::-1], ps.primes[::-1]).codomain == r.fp
+            assert order == sorted(ps.primes)
 
 
 @pytest.mark.parametrize("profile,distinct", [("t0", 103), ("t1", 146)])
@@ -158,18 +208,21 @@ def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
 
 
 def test_swap_chain_count(t0, monkeypatch):
-    """Chains built by one T0 swap, by degree.  The swap's two proofs walk
-    their masks as trees of Steps, which build no chain, and build one
-    parallel isogeny (degree B) per distinct mask (45 for 48 rounds).  The
-    check that follows each proof reads every corner its prover recorded
-    from nizk's memo, the mask from E_w of each tag-0 round and the parallel
-    isogeny of each tag-1 round, and walks only the tag-0 masks on E1,
-    which no prover walks and no check records, each distinct one once
-    (25 for 26 tag-0 rounds).  The other degree-B chains are the two keys
-    and presign's psi and psi'."""
+    """Isogenies walked by one T0 swap, by degree: 11 of degree C, 51 of
+    degree B and 25 of degree A.  The swap's two proofs walk their masks as
+    trees of Steps, which build no chain, and walk one parallel isogeny
+    (degree B) per distinct mask (45 for 48 rounds) as its prime steps.
+    The check that follows each proof reads every corner its prover
+    recorded from nizk's memo, the mask from E_w of each tag-0 round and
+    the parallel isogeny of each tag-1 round, and walks only the tag-0
+    masks on E1, which no prover walks and no check records, each distinct
+    one once (25 for 26 tag-0 rounds).  The other 6 degree-B isogenies are
+    chains: the two keys and presign's psi and psi'."""
     degrees = count_chain_degrees(monkeypatch)
+    steps = count_parallel_steps(monkeypatch)
     assert demo_swap(t0, 1)["verdict"] is True
-    assert degrees == {t0.C: 11, t0.B: 51, t0.A: 25}
+    assert steps == {5: 45, 7: 45}
+    assert degrees == {t0.C: 11, t0.B: 51 - 45, t0.A: 25}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from adaptorsig import isogeny, serial
 from adaptorsig import sig as sig_mod
 from adaptorsig.adaptor import presign, preverify
 from adaptorsig.curve import Curve, canonical_torsion_basis, point_order
@@ -127,6 +129,35 @@ def test_sign_verify_roundtrip_100_pairs(t0, rng):
         assert s.rep.degree == response_degree(t0)
         assert verify(kp.pk, m, s, "light", t0)
     assert verify(kp.pk, m, s, "strict", t0)
+
+
+def test_sign_carries_an_e0_basis_point_into_each_dual(t0, monkeypatch):
+    """sign's dual(psi0) takes each dual kernel from the canonical
+    E0[ell]-basis point outside psi0's kernel, V for an index up to ell and
+    U for ell + 1: 8 signatures under one key scan no basis (_dual_kernel),
+    where scanning every step's domain made 16 scans, and for every index
+    vector the signature is the one the scanning rule gives."""
+    kp = keygen(t0, random.Random(43))
+    scans = []
+    dual_kernel = isogeny._dual_kernel
+    monkeypatch.setattr(isogeny, "_dual_kernel", lambda s: scans.append(s.ell) or dual_kernel(s))
+    for i in range(8):
+        sign(kp, b"m%d" % i, t0, random.Random(i))
+    assert scans == []
+    carrying = sig_mod.dual
+    monkeypatch.setattr(sig_mod, "dual", lambda chain, carried=None: carrying(chain))
+    for i in range(8):
+        sign(kp, b"m%d" % i, t0, random.Random(i))
+    assert len(scans) == 16
+    vectors = list(itertools.product(range(1, mu(5) + 1), range(1, mu(7) + 1)))
+    docs = []
+    for dual in (carrying, lambda chain, carried=None: carrying(chain)):
+        drawn = iter(vectors)
+        monkeypatch.setattr(sig_mod, "_random_indices", lambda degree, rng: list(next(drawn)))
+        monkeypatch.setattr(sig_mod, "dual", dual)
+        docs.append([serial.signature_doc(sign(kp, b"v", t0, None)) for _ in vectors])
+    assert len(scans) == 16 + len(vectors) * 2
+    assert docs[0] == docs[1]
 
 
 def test_response_degree_odd(t0, t1, t2):
