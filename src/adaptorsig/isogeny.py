@@ -363,10 +363,10 @@ def _subgroup_gens(E: Curve, ell: int):
     U, V = small_torsion_basis(E, ell, E.p + 1)
     p, a0, a1 = E.p, E.a.c0, E.a.c1
     W, V = _coords(U), _coords(V)
-    gens = []
-    for _ in range(ell):
-        gens.append(W)
+    gens = [W]
+    for _ in range(ell - 1):
         W = _chord(p, a0, a1, W, V)[0]
+        gens.append(W)
     gens.append(V)
     return gens
 

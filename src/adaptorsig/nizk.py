@@ -16,25 +16,25 @@ and never walks the mask a second time on E1, and the tag-1 check compares
 curves exactly.
 
 The prover takes psi' as the chain `presign` has built, not the choice
-vector.  It draws its masks, indices of cyclic A-kernels of E_w, and
-walks them as one tree (`isogeny.walk_cyclic_tree`): masks share step
-prefixes, and each distinct prefix step is built once, pushing the
+vector, and refuses one that is not the untwisted isogeny of its own
+kernel generators.  It draws its masks, indices of cyclic A-kernels of
+E_w, and walks them as one tree (`isogeny.walk_cyclic_tree`): masks share
+step prefixes, and each distinct prefix step is built once, pushing the
 generators of psi' along.  Then it walks one parallel isogeny per
-distinct mask from the generators the tree pushed, as the chain's own
-steps, one Step per prime of B (_parallel).
+distinct mask from the generators the tree pushed, as the check does.
 
-The module keeps one bounded memo, _CORNERS: each round records the one
+The module keeps one bounded memo, _CORNERS: each round records every
 corner its check reads, keyed by the walk's whole input, (E_w, mask
-kernel, A) -> F for tag 0 and (F, parallel kernel, B) -> F' for tag 1, so
-a recorded codomain is the one a fresh walk gives.  The prover and the
-check read corners through _codomain, from a copy of the memo that keeps
-what the call walks and goes with it.  So a check walks a corner several
-rounds reveal alike once, and a check right after its proof in one
-process (both parties of `swap.demo_swap`) walks only the distinct tag-0
-masks on E1, which no prover walks; a swap's second prover reads the F'
-of a mask the first revealed with tag 1 when both parties chose the same
-psi'.  Every verdict is the one a fresh process reaches, and a process
-that only checks records nothing.
+kernel, A) -> F and (E1, psi'(mask kernel), A) -> F' for tag 0 and
+(F, parallel kernel, B) -> F' for tag 1, so a recorded codomain is the one
+a fresh walk gives (the square commutes).  The prover and the check read
+corners through _codomain, from a copy of the memo that keeps what the
+call walks and goes with it.  So a check walks a corner several rounds
+reveal alike once, a check right after its proof in one process (both
+parties of `swap.demo_swap`) walks none, and a swap's second prover reads
+the F' of a mask the first revealed with tag 1 when both parties chose
+the same psi'.  Every verdict is the one a fresh process reaches, and a
+process that only checks records nothing.
 """
 
 import hashlib
@@ -43,13 +43,14 @@ from dataclasses import dataclass
 from .curve import Curve, Point
 from .errors import ProtocolError, WitnessMismatch, report
 from .field import fp2_bytes
-from .isogeny import IsogenyChain, Step, cyclic_kernel, isogeny_from_kernel, mu, walk_cyclic_tree
+from .isogeny import IsogenyChain, cyclic_kernel, isogeny_from_kernel, mu, walk_cyclic_tree
 from .params import ParamSet
 
 
 #: the corners prove_parallel recorded, (domain, kernel generators, degree)
-#: -> codomain, oldest first; at most _CORNERS_KEPT of them, which covers
-#: the one corner per round of a swap's two proofs
+#: -> codomain, oldest first; at most _CORNERS_KEPT of them: a proof records
+#: at most two per round (32-40 of 48 measured), so one proof's corners stay
+#: until its check
 _CORNERS = {}
 _CORNERS_KEPT = 64
 
@@ -64,27 +65,13 @@ def _record(E: Curve, gens, degree: int, codomain: Curve):
         del _CORNERS[next(iter(_CORNERS))]
 
 
-def _codomain(known: dict, E: Curve, gens, degree: int, primes=None) -> Curve:
+def _codomain(known: dict, E: Curve, gens, degree: int) -> Curve:
     """isogeny_from_kernel(E, gens, degree).codomain, read from known, a
-    copy of _CORNERS, or walked into it; raises as the walk does.  Given
-    the primes of gens, the walk is _parallel's."""
+    copy of _CORNERS, or walked into it; raises as the walk does."""
     key = (E, tuple(gens), degree)
     if key not in known:
-        walk = _parallel(E, gens, primes) if primes else isogeny_from_kernel(E, gens, degree)
-        known[key] = walk.codomain
+        known[key] = isogeny_from_kernel(E, gens, degree).codomain
     return known[key]
-
-
-def _parallel(F: Curve, par, primes) -> Step:
-    """The last of the steps isogeny_from_kernel(F, par, B) builds, for par
-    one point of each prime's order, in their order: one Step per prime in
-    ascending order, its point pushed through the steps before it."""
-    pending = sorted(zip(primes, par))
-    while pending:
-        (ell, K), pending = pending[0], pending[1:]
-        step = Step(F, K, ell)
-        F, pending = step.codomain, [(m, step.evaluate(P)) for m, P in pending]
-    return step
 
 
 @dataclass
@@ -143,10 +130,18 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     """Prove that e1 = E_w / <ker psip>, given psi': the degree-B chain from
     E_w to e1 that `presign` builds from the statement's oriented kernel of
     its choice vector, whose kernel generators are the ones pushed."""
-    ew, wB, e1 = statement
+    ew, _, e1 = statement
     if psip.domain != ew or psip.codomain != e1 or psip.degree != ps.B:
         raise WitnessMismatch("psi' does not run from E_w to the commitment curve")
+    # the tag-0 corner on E1 is recorded as F' only where psi' is the
+    # untwisted isogeny of its kernel generators (the square commutes)
     gens = psip.kernel_gens
+    if (
+        gens is None
+        or any(not step.u.is_one() for step in psip.steps)
+        or any(not psip.evaluate(g).is_inf for g in gens)
+    ):
+        raise WitnessMismatch("psi' is not the untwisted isogeny of its kernel generators")
 
     A, rounds = ps.A, ps.nizk_rounds
     bound = mu(A) + 1
@@ -155,12 +150,12 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
     # curve the mask pushed to e1 reaches
     known = dict(_CORNERS)
     squares = [
-        (F, _codomain(known, F, par, ps.B, wB.primes), par)
+        (F, _codomain(known, F, par, ps.B), par)
         for F, par in walk_cyclic_tree(ew, A, draws, gens)
     ]
 
     # tag 0 reveals both masks, tag 1 the kernel of F -> F'; each round
-    # records the one corner its check reads
+    # records every corner its check reads
     bits = _challenge_bits(statement, [sq[:2] for sq in squares], rounds)
     masks = iter(cyclic_kernel(ew, A, [h for h, bit in zip(draws, bits) if not bit]))
     out = []
@@ -170,8 +165,10 @@ def prove_parallel(statement, psip: IsogenyChain, ps: ParamSet, rng) -> NizkProo
             out.append(NizkRound(F, Fp, bit, par))
         else:
             km = next(masks)
+            kmp = psip.evaluate(km)
             _record(ew, [km], A, F)
-            out.append(NizkRound(F, Fp, bit, (km, psip.evaluate(km))))
+            _record(e1, [kmp], A, Fp)
+            out.append(NizkRound(F, Fp, bit, (km, kmp)))
     return NizkProof(out)
 
 

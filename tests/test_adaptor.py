@@ -362,14 +362,15 @@ def test_no_honest_e1_or_e2_has_extra_automorphisms(request, profile):
 #: (13, 3424), (12, 3501), (8, 2835) at T0 and (17, 5519), (16, 5139),
 #: (10, 4924) at T1, and clearing every scan point, pairings with their own
 #: order ladders, a [t]Y ladder per mask and a chain per F' made 2985, 3092,
-#: 2482 and 4647, 4333, 4295 additions
+#: 2482 and 4647, 4333, 4295 additions, and checks that walked their tag-0
+#: masks on E1 made 2556, 2651, 2217 and 3962, 3708, 3816
 COLD_SWAP_COUNTS = {
-    ("t0", 1): (9, 2556),
-    ("t0", 2): (9, 2651),
-    ("t0", 3): (6, 2217),
-    ("t1", 1): (9, 3962),
-    ("t1", 2): (9, 3708),
-    ("t1", 3): (6, 3816),
+    ("t0", 1): (9, 2329),
+    ("t0", 2): (9, 2415),
+    ("t0", 3): (6, 2026),
+    ("t1", 1): (9, 3596),
+    ("t1", 2): (9, 3446),
+    ("t1", 3): (6, 3541),
 }
 
 

@@ -97,6 +97,28 @@ def test_the_kernel_index_lives_in_isogeny():
     assert sorted(homes) == sorted(f"isogeny.py:{fn}" for fn in index)
 
 
+def test_the_nizk_walks_its_corners_through_the_chain_walks():
+    # every corner the NIZK walks goes through isogeny_from_kernel or
+    # walk_cyclic_tree, the walks its check and the tests count: nizk
+    # imports no Step and names none, so a second walker of its own
+    # cannot come back unnoticed
+    (tree,) = [tree for name, tree in _trees() if name == "nizk.py"]
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if "Step" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or (isinstance(node, ast.alias) and node.name == "Step")
+    ]
+    assert named == []
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "isogeny"
+        for alias in node.names
+    }
+    assert {"isogeny_from_kernel", "walk_cyclic_tree"} <= imported
+
+
 def _names_used(trees) -> set:
     """Every name, attribute and imported name that the trees refer to."""
     used = set()

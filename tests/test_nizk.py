@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
@@ -72,38 +73,19 @@ def count_chain_degrees(monkeypatch):
     return degrees
 
 
-def count_parallel_steps(monkeypatch):
-    """A Counter of the primes of the Steps that nizk builds itself, while
-    monkeypatch holds: a prover walks each parallel isogeny (degree B) as
-    one Step per prime of B, not as a chain, so each walk counts once per
-    prime."""
-    primes = Counter()
-    step = nizk.Step
-
-    def counted(E, kernel, ell):
-        primes[ell] += 1
-        return step(E, kernel, ell)
-
-    monkeypatch.setattr(nizk, "Step", counted)
-    return primes
-
-
 def test_prover_builds_one_b_chain_per_round_and_no_a_chain(t0, monkeypatch):
     """Per distinct mask the parallel isogeny from its codomain (degree B),
     whose codomain is F', and nothing else: the masks are walked as one
-    tree of Steps (isogeny.walk_cyclic_tree), which builds no chain, psi'
-    comes in built, as presign hands it over, and each parallel isogeny is
-    walked as its prime steps, which build no chain either.  No round walks
-    the mask a second time on E1: the tag-0 reveal there is psi' of the
-    mask's kernel generator.  This sample draws 24 distinct masks."""
+    tree of Steps (isogeny.walk_cyclic_tree), which builds no chain, and
+    psi' comes in built, as presign hands it over.  No round walks the
+    mask a second time on E1: the tag-0 reveal there is psi' of the mask's
+    kernel generator.  This sample draws 24 distinct masks."""
     rng = random.Random(26)
     stmt, bits = make_statement(t0, rng)
     psip = psi_prime(stmt, bits, t0)
     degrees = count_chain_degrees(monkeypatch)
-    steps = count_parallel_steps(monkeypatch)
     proof = prove_parallel(stmt, psip, t0, rng)
-    assert degrees == {}
-    assert steps == {ell: t0.nizk_rounds for ell in t0.primes} == {5: 24, 7: 24}
+    assert degrees == {t0.B: t0.nizk_rounds}
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
 
@@ -122,40 +104,58 @@ def test_prover_reads_the_f_prime_a_proof_recorded(t0, monkeypatch):
     distinct = {r.f for r in proof.rounds}
     assert 0 < len(tag_1) < len(distinct)
     degrees = count_chain_degrees(monkeypatch)
-    steps = count_parallel_steps(monkeypatch)
     rng.setstate(state)
     assert prove_parallel(stmt, psip, t0, rng) == proof
-    assert degrees == {}
-    assert steps == {ell: len(distinct) - len(tag_1) for ell in t0.primes}
+    assert degrees == {t0.B: len(distinct) - len(tag_1)}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1", "t2"])
-def test_every_f_prime_is_the_parallel_chain_s_codomain(request, profile, monkeypatch):
-    """The prover's F', walked as one Step per prime of B in ascending
-    order, is isogeny_from_kernel(F, par, B).codomain in every round, par
-    the generators of psi' pushed through the round's mask: the tag-1
-    reveal, or their images under the tag-0 mask.  The walk takes the
-    primes in ascending order, as that chain does, whatever order the
-    orientation lists them in."""
+def test_every_recorded_corner_is_a_fresh_walk_s_codomain(request, profile, monkeypatch):
+    """Each round records every corner its check reads, the tag-0 corner on
+    E1 as the F' its prover walked on the B-side, and every recorded corner
+    is isogeny_from_kernel(E, gens, degree).codomain, after proofs (seeds
+    1-5) and after a swap.  A proof records fewer than _CORNERS_KEPT
+    corners, so none is dropped, and a check right after it walks none."""
     ps = request.getfixturevalue(profile)
-    rng = random.Random(44)
-    order = []
-    step = nizk.Step
-    monkeypatch.setattr(nizk, "Step", lambda E, K, ell: order.append(ell) or step(E, K, ell))
-    for _ in range(2):
+    for seed in range(1, 6):
+        rng = random.Random(seed)
         stmt, bits = make_statement(ps, rng)
-        psip = psi_prime(stmt, bits, ps)
-        for r in prove_parallel(stmt, psip, ps, rng).rounds:
-            if r.tag:
-                par = list(r.reveal)
-            else:
-                mask = isogeny_from_kernel(stmt[0], [r.reveal[0]], ps.A)
-                assert mask.codomain == r.f
-                par = [mask.evaluate(g) for g in psip.kernel_gens]
-            assert isogeny_from_kernel(r.f, par, ps.B).codomain == r.fp
-            order.clear()
-            assert nizk._parallel(r.f, par[::-1], ps.primes[::-1]).codomain == r.fp
-            assert order == sorted(ps.primes)
+        nizk._CORNERS.clear()
+        proof = prove_parallel(stmt, psi_prime(stmt, bits, ps), ps, rng)
+        assert len(nizk._CORNERS) < nizk._CORNERS_KEPT
+        degrees = count_chain_degrees(monkeypatch)
+        assert verify_parallel(stmt, proof, ps)
+        assert degrees == {}
+        monkeypatch.undo()
+        for (E, gens, degree), codomain in nizk._CORNERS.items():
+            assert isogeny_from_kernel(E, list(gens), degree).codomain == codomain
+    assert demo_swap(ps, 1)["verdict"] is True
+    assert nizk._CORNERS
+    for (E, gens, degree), codomain in nizk._CORNERS.items():
+        assert isogeny_from_kernel(E, list(gens), degree).codomain == codomain
+
+
+def test_prover_refuses_a_psi_prime_its_square_does_not_commute_for(t0):
+    """The prover records psi' of a mask kernel on E1 as the F' it walked on
+    the B-side only where psi' is the untwisted isogeny of its own kernel
+    generators.  A psi' whose last step is retwisted by u = -1 (the same
+    curves, every point negated past it) and one that carries the other
+    choice vector's generators are refused before anything is recorded."""
+    rng = random.Random(31)
+    stmt, bits = make_statement(t0, rng)
+    ew, wB, e1 = stmt
+    psip = psi_prime(stmt, bits, t0)
+    prove_parallel(stmt, psip, t0, rng)
+    corners = dict(nizk._CORNERS)
+    assert corners
+    last = psip.steps[-1].retwist(Fp2(t0.p, -1))
+    twisted = isogeny.IsogenyChain(ew, psip.steps[:-1] + [last], psip.kernel_gens)
+    assert twisted.codomain == e1
+    others = oriented_kernel(wB, [3 - b for b in bits])
+    for bad in (twisted, isogeny.IsogenyChain(ew, psip.steps, others)):
+        with pytest.raises(WitnessMismatch):
+            prove_parallel(stmt, bad, t0, rng)
+        assert nizk._CORNERS == corners
 
 
 @pytest.mark.parametrize("profile,distinct", [("t0", 103), ("t1", 146)])
@@ -187,42 +187,41 @@ def test_prover_builds_each_mask_prefix_once(
 
 def test_prover_pushes_the_mask_kernel_for_tag_0_rounds_alone(t0, monkeypatch):
     """psi'(km), the tag-0 reveal on E1, is evaluated after the challenge
-    and only for the rounds whose bit is 0."""
+    and only for the rounds whose bit is 0; beside those, psi' pushes only
+    its own kernel generators, which it must kill."""
     rng = random.Random(27)
     stmt, bits = make_statement(t0, rng)
+    psip = psi_prime(stmt, bits, t0)
     pushed = []
     evaluate = isogeny.IsogenyChain.evaluate
 
     def counted(chain, P):
         if chain.degree == t0.B:
-            pushed.append(1)
+            pushed.append(P)
         return evaluate(chain, P)
 
     monkeypatch.setattr(isogeny.IsogenyChain, "evaluate", counted)
-    proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
+    proof = prove_parallel(stmt, psip, t0, rng)
     zeros = sum(r.tag == 0 for r in proof.rounds)
     assert 0 < zeros < t0.nizk_rounds
-    assert len(pushed) == zeros
+    assert pushed[: t0.t] == psip.kernel_gens
+    assert len(pushed) - t0.t == zeros
     monkeypatch.undo()
     assert verify_parallel(stmt, proof, t0)
 
 
 def test_swap_chain_count(t0, monkeypatch):
     """Isogenies walked by one T0 swap, by degree: 11 of degree C, 51 of
-    degree B and 25 of degree A.  The swap's two proofs walk their masks as
-    trees of Steps, which build no chain, and walk one parallel isogeny
-    (degree B) per distinct mask (45 for 48 rounds) as its prime steps.
-    The check that follows each proof reads every corner its prover
-    recorded from nizk's memo, the mask from E_w of each tag-0 round and
-    the parallel isogeny of each tag-1 round, and walks only the tag-0
-    masks on E1, which no prover walks and no check records, each distinct
-    one once (25 for 26 tag-0 rounds).  The other 6 degree-B isogenies are
-    chains: the two keys and presign's psi and psi'."""
+    degree B and none of degree A.  The swap's two proofs walk their masks
+    as trees of Steps, which build no chain, and walk one parallel isogeny
+    (degree B) per distinct mask (45 for 48 rounds).  The check that
+    follows each proof reads every corner it checks from nizk's memo: both
+    masks of each tag-0 round and the parallel isogeny of each tag-1 round.
+    The other 6 degree-B isogenies are the two keys and presign's psi and
+    psi'."""
     degrees = count_chain_degrees(monkeypatch)
-    steps = count_parallel_steps(monkeypatch)
     assert demo_swap(t0, 1)["verdict"] is True
-    assert steps == {5: 45, 7: 45}
-    assert degrees == {t0.C: 11, t0.B: 51 - 45, t0.A: 25}
+    assert degrees == {t0.C: 11, t0.B: 45 + 6}
 
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])
@@ -250,6 +249,102 @@ def test_square_commutes_exactly(request, profile):
                 mask.codomain, [mask.evaluate(g) for g in gens], ps.B
             ).codomain
             assert via_e1 == via_f
+
+
+def false_statement(ps, rng):
+    """(E_w, its oriented image, E1) with E1 = E_w / <K>, K of degree B and
+    in no oriented kernel: no choice vector reaches E1, not even up to
+    isomorphism."""
+    _, s = gen_r(ps, rng)
+    ew, wB = s.ew, s.oriented_image
+    gens = []
+    for ell, G1, G2 in wB.pairs:
+        oriented = {ew.mul(j, G) for G in (G1, G2) for j in range(1, ell)}
+        kernels = isogeny.cyclic_kernel(ew, ell, range(1, ell + 2))
+        gens.append(next(K for K in kernels if K not in oriented))
+    e1 = isogeny_from_kernel(ew, gens, ps.B).codomain
+    for bits in itertools.product((1, 2), repeat=ps.t):
+        honest = isogeny_from_kernel(ew, oriented_kernel(wB, bits), ps.B).codomain
+        assert honest.j_invariant() != e1.j_invariant()
+    return ew, wB, e1
+
+
+def cheating_rounds(ps, stmt, masks, rng) -> dict:
+    """Rounds prepared for each guessed bit, one of each per mask kernel on
+    E_w: for bit 0 a mask on E1 as well, to an F' unrelated to F; for bit
+    1 F' = F / <mask(oriented kernel of random bits)>."""
+    ew, wB, e1 = stmt
+    pool = {0: [], 1: []}
+    for km in masks:
+        mask = isogeny_from_kernel(ew, [km], ps.A)
+        F = mask.codomain
+        (km1,) = isogeny.cyclic_kernel(e1, ps.A, [rng.randrange(1, isogeny.mu(ps.A) + 1)])
+        Fp = isogeny_from_kernel(e1, [km1], ps.A).codomain
+        pool[0].append(NizkRound(F, Fp, 0, (km, km1)))
+        bits = [rng.randrange(1, 3) for _ in range(ps.t)]
+        par = tuple(mask.evaluate(g) for g in oriented_kernel(wB, bits))
+        pool[1].append(NizkRound(F, isogeny_from_kernel(F, list(par), ps.B).codomain, 1, par))
+    return pool
+
+
+def grind(ps, stmt, pool: dict, rng):
+    """(proof, trials): guess the challenge, take a prepared round for each
+    guessed bit, and hash until the challenge is the guess."""
+    k = ps.nizk_rounds
+    for trial in range(1, 64 * 2**k):
+        guess = [rng.randrange(2) for _ in range(k)]
+        rounds = [rng.choice(pool[bit]) for bit in guess]
+        if nizk._challenge_bits(stmt, [(r.f, r.fp) for r in rounds], k) == guess:
+            return NizkProof(rounds), trial
+    raise AssertionError(f"no proof in {trial} trials at k = {k}")
+
+
+def test_a_cheating_prover_must_grind_the_challenge(t0):
+    """Fiat-Shamir soundness at T0, for nizk_rounds k = 1..6.  A prover of
+    a false statement (false_statement) prepares each round for a guessed
+    bit, on masks that honest proofs on the same E_w revealed, and passes
+    it only if the challenge bit is its guess, so it hashes until all k
+    are: 1, 1, 10, 44, 20 and 27 trials here, against 2^k expected.  The
+    ground proof verifies, and each one with any one round's tag flipped
+    is rejected with nizk:challenge.  The verdicts are the same with the
+    memo empty and with it holding the honest proofs' corners, some of
+    which the ground proofs reveal."""
+    rng = random.Random(40)
+    stmt = false_statement(t0, rng)
+    ew, wB, _ = stmt
+    masks = []
+    for seed in range(2):
+        bits = [random.Random(seed).randrange(1, 3) for _ in range(t0.t)]
+        psip = isogeny_from_kernel(ew, oriented_kernel(wB, bits), t0.B)
+        honest = prove_parallel((ew, wB, psip.codomain), psip, t0, random.Random(seed))
+        masks += [r.reveal[0] for r in honest.rounds if r.tag == 0][:2]
+    warm = dict(nizk._CORNERS)
+    pool = cheating_rounds(t0, stmt, masks, rng)
+    proofs, trials = [], []
+    for k in range(1, 7):
+        ps = dataclasses.replace(t0, nizk_rounds=k)
+        proof, n = grind(ps, stmt, pool, rng)
+        proofs.append((ps, proof))
+        trials.append(n)
+
+    def verdicts():
+        out = []
+        for ps, proof in proofs:
+            out.append(nizk.proof_rejection(stmt, proof, ps))
+            for i, r in enumerate(proof.rounds):
+                rounds = list(proof.rounds)
+                rounds[i] = dataclasses.replace(r, tag=1 - r.tag)
+                out.append(nizk.proof_rejection(stmt, NizkProof(rounds), ps))
+        return out
+
+    nizk._CORNERS.clear()
+    cold = verdicts()
+    nizk._CORNERS.update(warm)
+    assert verdicts() == cold == [
+        tag for k in range(1, 7) for tag in [None] + ["nizk:challenge"] * k
+    ]
+    assert any(r.tag == 0 for _, proof in proofs for r in proof.rounds)
+    assert trials == [1, 1, 10, 44, 20, 27]
 
 
 def test_twisted_second_corner(t0):
@@ -465,18 +560,16 @@ def test_warm_walk_memo_keeps_every_tag(t0):
         assert (what, rejection(s, p, t0)) == (what, cold) == (what, tag)
 
 
-def test_check_after_its_proof_walks_only_the_tag_0_masks_on_e1(t0, monkeypatch):
-    """A check right after its proof in one process reads every corner the
-    prover walked from the memo: the masks from E_w and the parallel
-    isogenies.  It walks one degree-A chain per distinct tag-0 round, the
-    mask on E1, which no prover walks, and no degree-B chain."""
+def test_check_after_its_proof_walks_no_corner(t0, monkeypatch):
+    """A check right after its proof in one process reads every corner it
+    checks from the memo: the masks from E_w and on E1 of the tag-0 rounds
+    and the parallel isogenies of the tag-1 rounds.  It walks no chain."""
     rng = random.Random(26)
     stmt, bits = make_statement(t0, rng)
     proof = prove_parallel(stmt, psi_prime(stmt, bits, t0), t0, rng)
-    tag_0 = {(r.f, r.fp) for r in proof.rounds if r.tag == 0}
     degrees = count_chain_degrees(monkeypatch)
     assert verify_parallel(stmt, proof, t0)
-    assert degrees == {t0.A: len(tag_0)}
+    assert degrees == {}
 
 
 def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
@@ -505,16 +598,17 @@ def test_cold_strict_preverify_leaves_the_walk_memo_empty(t0, monkeypatch):
 
 @pytest.mark.parametrize("profile", ["t0", "t1"])
 def test_check_reads_recorded_corners_and_walks_the_rest_once(request, profile, monkeypatch):
-    """The prover records, per round, the corner its check reads, keyed by
+    """The prover records, per round, every corner its check reads, keyed by
     the walk's whole input, with the codomain a fresh walk gives.  A check
     reads a recorded corner with no walk, walks an unrecorded one once (the
-    masks on E1 here), and records nothing: a second check walks the same
-    again, and a walk that raises leaves the memo as it was.  With the memo
-    emptied, a check walks every distinct corner once."""
+    masks on E1 here, once dropped from the memo), and records nothing: a
+    second check walks the same again, and a walk that raises leaves the
+    memo as it was.  With the memo emptied, a check walks every distinct
+    corner once."""
     ps = request.getfixturevalue(profile)
     rng = random.Random(26)
     stmt, bits = make_statement(ps, rng)
-    ew = stmt[0]
+    ew, _, e1 = stmt
     proof = prove_parallel(stmt, psi_prime(stmt, bits, ps), ps, rng)
     recorded = {}
     for r in proof.rounds:
@@ -522,33 +616,39 @@ def test_check_reads_recorded_corners_and_walks_the_rest_once(request, profile, 
             recorded[(r.f, tuple(r.reveal), ps.B)] = r.fp
         else:
             recorded[(ew, (r.reveal[0],), ps.A)] = r.f
+            recorded[(e1, (r.reveal[1],), ps.A)] = r.fp
     assert nizk._CORNERS == recorded
     for (E, gens, degree), codomain in recorded.items():
         assert isogeny_from_kernel(E, list(gens), degree).codomain == codomain
-    on_e1 = {r.reveal[1] for r in proof.rounds if r.tag == 0}
     degrees = count_chain_degrees(monkeypatch)
+    assert verify_parallel(stmt, proof, ps)
+    assert degrees == {}
+    kept = {key: F for key, F in recorded.items() if key[0] != e1}
+    on_e1 = len(recorded) - len(kept)
+    nizk._CORNERS.clear()
+    nizk._CORNERS.update(kept)
     for checks in (1, 2):
         assert verify_parallel(stmt, proof, ps)
-        assert degrees == {ps.A: checks * len(on_e1)}
-        assert nizk._CORNERS == recorded
+        assert degrees == {ps.A: checks * on_e1}
+        assert nizk._CORNERS == kept
     i = next(i for i, r in enumerate(proof.rounds) if r.tag == 0)
     rounds = list(proof.rounds)
     km, kmp = rounds[i].reveal
     rounds[i] = dataclasses.replace(rounds[i], reveal=(ew.mul(2, km), kmp))
     assert nizk.proof_rejection(stmt, NizkProof(rounds), ps) == "nizk:kernel"
-    assert nizk._CORNERS == recorded
+    assert nizk._CORNERS == kept
     nizk._CORNERS.clear()
     degrees.clear()
     assert verify_parallel(stmt, proof, ps)
     assert not nizk._CORNERS
     tag_1 = sum(degree == ps.B for _, _, degree in recorded)
-    assert degrees == {ps.A: len(recorded) - tag_1 + len(on_e1), ps.B: tag_1}
+    assert degrees == {ps.A: len(recorded) - tag_1, ps.B: tag_1}
 
 
 def test_corner_memo_holds_at_most_its_maxsize(t0):
     """The memo is bounded: it keeps the last _CORNERS_KEPT corners recorded,
-    at least those of a swap's two proofs (one per round each), and drops
-    the oldest first; a corner recorded again becomes the newest."""
+    at least those of one proof (at most two per round), and drops the
+    oldest first; a corner recorded again becomes the newest."""
     maxsize = nizk._CORNERS_KEPT
     assert maxsize >= 2 * t0.nizk_rounds
     E, A = t0.e0, t0.A
